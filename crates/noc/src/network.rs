@@ -690,6 +690,158 @@ mod tests {
         }]);
     }
 
+    /// The route-materializing send this module used to run: walks the
+    /// node list of `xy_route`/`yx_route` and derives each link id from
+    /// the coordinates of its two end nodes.
+    struct RefNetwork {
+        mesh: Mesh,
+        config: NocConfig,
+        free_at: Vec<u64>,
+        flit_cycles: Vec<u64>,
+        faults: Vec<LinkFault>,
+        stats: NetStats,
+    }
+
+    impl RefNetwork {
+        fn link_id(&self, from: NodeId, to: NodeId) -> usize {
+            let (fx, fy) = self.mesh.coords(from);
+            let (tx, ty) = self.mesh.coords(to);
+            let dir = if tx == fx + 1 && ty == fy {
+                EAST
+            } else if fx == tx + 1 && ty == fy {
+                WEST
+            } else if tx == fx && ty == fy + 1 {
+                SOUTH
+            } else if tx == fx && fy == ty + 1 {
+                NORTH
+            } else {
+                panic!("link between non-adjacent nodes {from} -> {to}");
+            };
+            from.0 as usize * 4 + dir
+        }
+
+        fn send(
+            &mut self,
+            src: NodeId,
+            dst: NodeId,
+            bytes: u32,
+            class: TrafficClass,
+            now: u64,
+        ) -> u64 {
+            let flits = (bytes as u64)
+                .div_ceil(self.config.link_bytes as u64)
+                .max(1);
+            let route = match self.config.routing {
+                Routing::XY => self.mesh.xy_route(src, dst),
+                Routing::YX => self.mesh.yx_route(src, dst),
+            };
+            let mut t = now;
+            let mut from = src;
+            for &next in &route {
+                let link = self.link_id(from, next);
+                self.flit_cycles[link] += flits;
+                let depart = if self.config.contention {
+                    t.max(self.free_at[link])
+                } else {
+                    t
+                };
+                let extra: u64 = self
+                    .faults
+                    .iter()
+                    .filter(|f| f.link as usize == link && f.active_at(depart))
+                    .map(|f| f.extra_cycles)
+                    .sum();
+                if self.config.contention {
+                    self.free_at[link] = depart + flits + extra;
+                }
+                if extra > 0 {
+                    self.stats.fault_hops += 1;
+                    self.stats.fault_cycles += extra;
+                }
+                t = depart + extra + self.config.hop_cycles + self.config.router_cycles;
+                from = next;
+            }
+            let stats = match class {
+                TrafficClass::OnChip => &mut self.stats.on_chip,
+                TrafficClass::OffChip => &mut self.stats.off_chip,
+            };
+            stats.messages += 1;
+            stats.total_latency += t - now;
+            stats.total_hops += route.len() as u64;
+            stats.hop_histogram[route.len().min(MAX_HOPS - 1)] += 1;
+            t
+        }
+    }
+
+    #[test]
+    fn send_matches_the_route_list_reference_for_every_pair() {
+        use hoploc_ptest::SmallRng;
+        let mesh = Mesh::new(8, 8);
+        let links = mesh.num_nodes() * 4;
+        let mut rng = SmallRng::seed_from_u64(0x5E4D);
+        for routing in [Routing::XY, Routing::YX] {
+            for faulted in [false, true] {
+                let config = NocConfig {
+                    routing,
+                    ..NocConfig::default()
+                };
+                // Overlapping windows on a quarter of the links, so some
+                // hops pay two windows at once and most pay none.
+                let faults: Vec<LinkFault> = if faulted {
+                    (0..links / 2)
+                        .map(|_| {
+                            let from = rng.u64_below(6000);
+                            LinkFault {
+                                link: rng.u64_below(links as u64 / 4) as u32 * 4
+                                    + rng.u64_below(4) as u32,
+                                from,
+                                until: from + rng.u64_in(1..4000),
+                                extra_cycles: rng.u64_in(1..40),
+                            }
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let mut net = Network::new(mesh, config);
+                net.set_link_faults(&faults);
+                let mut reference = RefNetwork {
+                    mesh,
+                    config,
+                    free_at: vec![0; links],
+                    flit_cycles: vec![0; links],
+                    faults,
+                    stats: NetStats::new(),
+                };
+                // All 64 x 64 pairs in a shuffled order, departures rising
+                // slowly enough that links stay contended.
+                let mut pairs: Vec<(u16, u16)> = (0..64u16)
+                    .flat_map(|s| (0..64u16).map(move |d| (s, d)))
+                    .collect();
+                for i in (1..pairs.len()).rev() {
+                    pairs.swap(i, rng.usize_in(0..i + 1));
+                }
+                for (i, &(s, d)) in pairs.iter().enumerate() {
+                    let (bytes, class) = if i % 2 == 0 {
+                        (8, TrafficClass::OnChip)
+                    } else {
+                        (264, TrafficClass::OffChip)
+                    };
+                    let now = 2 * i as u64;
+                    assert_eq!(
+                        net.send(NodeId(s), NodeId(d), bytes, class, now),
+                        reference.send(NodeId(s), NodeId(d), bytes, class, now),
+                        "{routing:?} faulted={faulted}: n{s} -> n{d} at {now}"
+                    );
+                }
+                assert_eq!(net.free_at, reference.free_at);
+                assert_eq!(net.flit_cycles, reference.flit_cycles);
+                assert_eq!(net.stats, reference.stats);
+                assert_eq!(faulted, net.stats.fault_hops > 0);
+            }
+        }
+    }
+
     #[test]
     fn big_messages_slower_than_small_under_load() {
         let mut net = net4();

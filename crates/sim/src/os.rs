@@ -277,6 +277,125 @@ mod tests {
         );
     }
 
+    /// The `HashMap`-only page table [`Os`] used to be: same allocator,
+    /// one hashed lookup per translation.
+    struct RefOs {
+        page_bytes: u64,
+        num_mcs: usize,
+        frames_per_mc: u64,
+        policy: PagePolicy,
+        page_table: HashMap<u64, u64>,
+        next_frame: Vec<u64>,
+        next_rr_mc: usize,
+        first_touch_rr: Vec<usize>,
+        fallback_allocations: u64,
+    }
+
+    impl RefOs {
+        fn translate(&mut self, vaddr: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
+            let vpn = vaddr / self.page_bytes;
+            let pfn = match self.page_table.get(&vpn) {
+                Some(&pfn) => pfn,
+                None => {
+                    let pfn = self.allocate(vpn, toucher, mapping);
+                    self.page_table.insert(vpn, pfn);
+                    pfn
+                }
+            };
+            pfn * self.page_bytes + vaddr % self.page_bytes
+        }
+
+        fn allocate(&mut self, vpn: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
+            let mut round_robin = || {
+                let mc = self.next_rr_mc;
+                self.next_rr_mc = (self.next_rr_mc + 1) % self.num_mcs;
+                McId(mc as u16)
+            };
+            let preferred = match &self.policy {
+                PagePolicy::Interleaved => round_robin(),
+                PagePolicy::Desired(map) => map.get(&vpn).copied().unwrap_or_else(round_robin),
+                PagePolicy::FirstTouch => {
+                    let cluster = mapping.cluster_of(toucher);
+                    let mcs = mapping.cluster_mcs(cluster);
+                    let r = &mut self.first_touch_rr[cluster.0 as usize % self.num_mcs];
+                    let mc = mcs[*r % mcs.len()];
+                    *r += 1;
+                    mc
+                }
+            };
+            for round in 0..self.num_mcs {
+                let mc = (preferred.0 as usize + round) % self.num_mcs;
+                if self.next_frame[mc] < self.frames_per_mc {
+                    let idx = self.next_frame[mc];
+                    self.next_frame[mc] += 1;
+                    self.fallback_allocations += (round > 0) as u64;
+                    return idx * self.num_mcs as u64 + mc as u64;
+                }
+            }
+            panic!("physical memory exhausted");
+        }
+    }
+
+    #[test]
+    fn matches_the_hashmap_page_table_under_every_policy() {
+        let m = mapping();
+        hoploc_ptest::run_cases("os_oracle", 48, |rng| {
+            let page_bytes = 4096u64;
+            let pages = rng.u64_in(16..600);
+            // Between "every pool overflows into its neighbours" and
+            // "nothing ever falls back".
+            let memory_bytes = page_bytes * (pages + 8) * rng.u64_in(1..4);
+            let policy = match rng.u64_below(3) {
+                0 => PagePolicy::Interleaved,
+                1 => PagePolicy::FirstTouch,
+                _ => PagePolicy::Desired(
+                    (0..pages)
+                        .filter_map(|vpn| {
+                            let mc = rng.u64_below(5);
+                            (mc < 4).then_some((vpn, McId(mc as u16)))
+                        })
+                        .collect(),
+                ),
+            };
+            let mut os = Os::new(page_bytes, memory_bytes, 4, policy.clone());
+            let mut reference = RefOs {
+                page_bytes,
+                num_mcs: 4,
+                frames_per_mc: memory_bytes / page_bytes / 4,
+                policy,
+                page_table: HashMap::new(),
+                next_frame: vec![0; 4],
+                next_rr_mc: 0,
+                first_touch_rr: vec![0; 4],
+                fallback_allocations: 0,
+            };
+            // A handful of pages far outside any dense range, the last
+            // one ending at the top of the address space.
+            let far: Vec<u64> = vec![
+                u64::MAX / page_bytes,
+                (1 << 50) + rng.u64_below(1 << 20),
+                (1 << 40) + rng.u64_below(8),
+                pages * 4096,
+            ];
+            for _ in 0..rng.usize_in(200..4000) {
+                let vpn = if rng.u64_below(64) == 0 {
+                    far[rng.usize_in(0..far.len())]
+                } else {
+                    rng.u64_below(pages - far.len() as u64)
+                };
+                let vaddr = vpn * page_bytes + rng.u64_below(page_bytes);
+                let node = NodeId(rng.u64_below(64) as u16);
+                assert_eq!(
+                    os.translate(vaddr, node, &m),
+                    reference.translate(vaddr, node, &m),
+                    "vaddr {vaddr:#x} from {node}"
+                );
+                assert_eq!(os.fallback_allocations, reference.fallback_allocations);
+                assert_eq!(os.resident_pages(), reference.page_table.len());
+            }
+        });
+    }
+
     #[test]
     fn first_touch_falls_back_when_cluster_pool_is_full() {
         // 1 frame per MC: node 0's second page cannot stay in its cluster.
