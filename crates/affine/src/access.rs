@@ -71,12 +71,27 @@ impl AffineAccess {
     ///
     /// Panics if `i.len() != self.depth()`.
     pub fn eval(&self, i: &IVec) -> IVec {
-        &self.matrix.mul_vec(i) + &self.offset
+        self.eval_slice(i.as_slice())
     }
 
     /// Evaluates from a plain slice iteration vector.
     pub fn eval_slice(&self, i: &[i64]) -> IVec {
-        self.eval(&IVec::from(i))
+        let mut out = vec![0; self.rank()];
+        self.eval_into(i, &mut out);
+        IVec::new(out)
+    }
+
+    /// [`eval_slice`](Self::eval_slice) into a caller-provided buffer of
+    /// length [`rank`](Self::rank): no allocation per evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i.len() != self.depth()` or `out.len() != self.rank()`.
+    pub fn eval_into(&self, i: &[i64], out: &mut [i64]) {
+        self.matrix.mul_vec_into(i, out);
+        for (o, &off) in out.iter_mut().zip(self.offset.as_slice()) {
+            *o += off;
+        }
     }
 
     /// Applies a layout transformation `U`: the transformed reference is

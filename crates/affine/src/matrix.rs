@@ -168,22 +168,33 @@ impl IMat {
     ///
     /// Panics if `v.len() != self.cols()`.
     pub fn mul_vec(&self, v: &IVec) -> IVec {
+        let mut out = vec![0; self.rows];
+        self.mul_vec_into(v.as_slice(), &mut out);
+        IVec::new(out)
+    }
+
+    /// [`mul_vec`](Self::mul_vec) into a caller-provided buffer: the
+    /// allocation-free form the per-access paths (trace generation, layout
+    /// placement) use. Same exact `i128` accumulation and overflow panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn mul_vec_into(&self, v: &[i64], out: &mut [i64]) {
         assert_eq!(
             v.len(),
             self.cols,
             "dimension mismatch in matrix-vector product"
         );
-        IVec::new(
-            (0..self.rows)
-                .map(|r| {
-                    narrow(
-                        (0..self.cols)
-                            .map(|c| self[(r, c)] as i128 * v[c] as i128)
-                            .sum(),
-                    )
-                })
-                .collect(),
-        )
+        assert_eq!(out.len(), self.rows, "output length must equal row count");
+        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+            *o = narrow(
+                row.iter()
+                    .zip(v)
+                    .map(|(&a, &x)| a as i128 * x as i128)
+                    .sum(),
+            );
+        }
     }
 
     /// Computes the determinant by fraction-free (Bareiss) elimination.

@@ -301,7 +301,7 @@ impl LoopNest {
         c_lo: i64,
         c_hi: i64,
         strides: &[i64],
-        iter: &mut Vec<i64>,
+        iter: &mut [i64],
         f: &mut F,
     ) where
         F: FnMut(&[i64]),
@@ -322,8 +322,6 @@ impl LoopNest {
         let mut v = lo;
         while v < hi {
             iter[depth] = v;
-            iter.truncate(depth + 1);
-            iter.resize(self.depth(), 0);
             self.walk_rec(depth + 1, c_lo, c_hi, strides, iter, f);
             v += strides[depth];
         }

@@ -19,7 +19,7 @@
 
 use crate::binding::ThreadBinding;
 use crate::data_to_core::{transformed_bounds, DataToCore};
-use hoploc_affine::{ArrayDecl, BlockPartition, IMat, IVec};
+use hoploc_affine::{ArrayDecl, BlockPartition, IMat};
 use hoploc_noc::{L2ToMcMapping, McId, NodeId};
 
 /// Interleaving granularity of physical addresses across MCs (§3).
@@ -58,6 +58,10 @@ pub enum SharedPolicy {
     /// also first generate the layout localized for off-chip accesses").
     OffChipFirst,
 }
+
+/// Highest array rank a localized layout supports: `ArrayLayout::place`
+/// transforms subscripts in stack arrays of this length.
+const MAX_RANK: usize = 8;
 
 /// How the address function arranges one array.
 #[derive(Clone, Debug)]
@@ -154,7 +158,7 @@ impl ArrayLayout {
     /// # Panics
     ///
     /// Panics if `unit_bytes` is not a positive multiple of the element
-    /// size.
+    /// size, or the array's rank exceeds 8.
     pub fn localized_private(
         decl: &ArrayDecl,
         d2c: &DataToCore,
@@ -214,7 +218,7 @@ impl ArrayLayout {
     /// # Panics
     ///
     /// Panics if `unit_bytes` is not a positive multiple of the element
-    /// size.
+    /// size, or the array's rank exceeds 8.
     pub fn localized_shared(
         decl: &ArrayDecl,
         d2c: &DataToCore,
@@ -264,6 +268,10 @@ impl ArrayLayout {
         n_mcs: u32,
         n_threads: usize,
     ) -> Self {
+        assert!(
+            decl.rank() <= MAX_RANK,
+            "localized layouts support arrays of rank <= {MAX_RANK}"
+        );
         assert!(unit_bytes > 0, "interleave unit must be positive");
         assert_eq!(
             unit_bytes % decl.elem_size(),
@@ -347,8 +355,8 @@ impl ArrayLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `u` is not square in the array rank, or `unit_bytes` is
-    /// not a positive multiple of the element size.
+    /// Panics if `u` is not square in the array rank, `unit_bytes` is not
+    /// a positive multiple of the element size, or the rank exceeds 8.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         decl: &ArrayDecl,
@@ -458,17 +466,17 @@ impl ArrayLayout {
         match &self.plan {
             Plan::Original => {
                 let mut off = 0i64;
-                for (k, &s) in dvec.iter().enumerate() {
-                    let s = s.clamp(0, self.dims[k] - 1);
-                    off = off * self.dims[k] + s;
+                for (&s, &d) in dvec.iter().zip(&self.dims) {
+                    off = off * d + s.clamp(0, d - 1);
                 }
                 off
             }
             Plan::Localized(p) => {
                 let t = self.transform_clamped(dvec);
+                let t = &t[..dvec.len()];
                 let thread = p.part.block_of(t[0]) as usize;
                 let g = p.thread_group[thread] as usize;
-                let s = (t[0] - p.group_v_lo[g]) * p.slab + rest_offset(&t, &self.extents);
+                let s = (t[0] - p.group_v_lo[g]) * p.slab + rest_offset(t, &self.extents);
                 let unit = s / p.p_elems;
                 let within = s % p.p_elems;
                 let slots = &p.group_slots[g];
@@ -487,6 +495,11 @@ impl ArrayLayout {
         match &self.plan {
             Plan::Original => None,
             Plan::Localized(p) => {
+                assert_eq!(
+                    dvec.len(),
+                    self.dims.len(),
+                    "subscript count must match rank"
+                );
                 let t = self.transform_clamped(dvec);
                 Some(p.part.block_of(t[0]) as usize)
             }
@@ -545,18 +558,22 @@ impl ArrayLayout {
         &self.extents
     }
 
-    fn transform_clamped(&self, dvec: &[i64]) -> Vec<i64> {
-        let clamped: Vec<i64> = dvec
-            .iter()
-            .zip(&self.dims)
-            .map(|(&s, &d)| s.clamp(0, d - 1))
-            .collect();
-        let v = self.u.mul_vec(&IVec::new(clamped));
-        v.iter()
-            .zip(&self.mins)
-            .zip(&self.extents)
-            .map(|((x, m), e)| (x - m).clamp(0, e - 1))
-            .collect()
+    /// `U·clamp(dvec)`, shifted and clamped into the transformed box, in
+    /// the first `rank` entries of a stack array: this runs once per
+    /// generated trace access, so it must not allocate. The caller has
+    /// checked `dvec.len() == rank`.
+    fn transform_clamped(&self, dvec: &[i64]) -> [i64; MAX_RANK] {
+        let n = dvec.len();
+        let mut clamped = [0i64; MAX_RANK];
+        for ((c, &s), &d) in clamped.iter_mut().zip(dvec).zip(&self.dims) {
+            *c = s.clamp(0, d - 1);
+        }
+        let mut t = [0i64; MAX_RANK];
+        self.u.mul_vec_into(&clamped[..n], &mut t[..n]);
+        for ((x, &m), &e) in t.iter_mut().zip(&self.mins).zip(&self.extents) {
+            *x = (*x - m).clamp(0, e - 1);
+        }
+        t
     }
 }
 

@@ -7,7 +7,7 @@
 //! layout's address function. Sampling strides keep the streams tractable
 //! while preserving the access-pattern geometry the optimization targets.
 
-use hoploc_affine::{AccessFn, Program, RefKind};
+use hoploc_affine::{AccessFn, ArrayId, Program, RefKind};
 use hoploc_layout::ProgramLayout;
 use hoploc_sim::{Access, AddressSpace, ThreadTrace, TraceWorkload};
 
@@ -85,6 +85,19 @@ impl TraceGen {
     }
 }
 
+/// One static reference of a nest body, as the per-iteration replay
+/// needs it.
+struct RefPlan<'a> {
+    access: &'a AccessFn,
+    array: ArrayId,
+    write: bool,
+    /// Issue gap before the statement's first reference (compute cycles
+    /// plus addressing overhead, before jitter); `None` for the
+    /// statement's later references, which issue back to back.
+    lead_gap: Option<u32>,
+    ref_id: u32,
+}
+
 /// Generates the workload traces for `program` under `layout`.
 ///
 /// The thread count is `layout.binding().len() × gen.threads_per_core`;
@@ -113,6 +126,10 @@ pub fn generate_traces(
             )
         })
         .collect();
+
+    // One subscript buffer for every reference of every nest.
+    let max_rank = program.arrays().iter().map(|a| a.rank()).max();
+    let mut dvec = vec![0i64; max_rank.unwrap_or(0)];
 
     let max_weight = program
         .nests()
@@ -155,31 +172,60 @@ pub fn generate_traces(
                 1
             };
 
+        // Everything about a reference that does not depend on the
+        // iteration, resolved once per nest instead of once per access.
+        let refs: Vec<RefPlan<'_>> = nest
+            .body()
+            .iter()
+            .enumerate()
+            .flat_map(|(stmt_idx, stmt)| {
+                stmt.refs.iter().enumerate().map(move |(ri, r)| {
+                    // The (strength-reduced) division/modulo addressing
+                    // overhead is charged once per iteration, not per
+                    // reference — matching the paper's ≈4% aggregate.
+                    let transformed = !layout.layout(r.array).is_original();
+                    RefPlan {
+                        access: &r.access,
+                        array: r.array,
+                        write: r.kind == RefKind::Write,
+                        lead_gap: (ri == 0).then(|| {
+                            stmt.compute_cycles * gap_mult
+                                + if transformed { gen.overhead_cycles } else { 0 }
+                        }),
+                        // A stable per-static-reference id: the
+                        // stride-prefetcher's training key (its "PC").
+                        ref_id: ((nest_idx as u32) << 16)
+                            | ((stmt_idx as u32) << 8)
+                            | (ri as u32 & 0xff),
+                    }
+                })
+            })
+            .collect();
+
         #[allow(clippy::needless_range_loop)]
         for t in 0..n_threads {
             let accesses = &mut traces[t].accesses;
             let mut jit_state: u64 = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for _rep in 0..reps {
                 nest.walk_core_iterations(t, n_threads, &strides, |iter| {
-                    for (stmt_idx, stmt) in nest.body().iter().enumerate() {
-                        for (ri, r) in stmt.refs.iter().enumerate() {
-                            let dvec: Vec<i64> = match &r.access {
-                                AccessFn::Affine(a) => a.eval_slice(iter).into_inner(),
-                                AccessFn::Indexed { table, pos } => {
-                                    let tab = program.table(*table);
-                                    if tab.is_empty() {
-                                        continue;
-                                    }
-                                    let p = pos.eval(iter).rem_euclid(tab.len() as i64);
-                                    vec![tab[p as usize]]
+                    for r in &refs {
+                        let vaddr = match r.access {
+                            AccessFn::Affine(a) => {
+                                let dvec = &mut dvec[..a.rank()];
+                                a.eval_into(iter, dvec);
+                                space.addr_of(layout, r.array, dvec)
+                            }
+                            AccessFn::Indexed { table, pos } => {
+                                let tab = program.table(*table);
+                                if tab.is_empty() {
+                                    continue;
                                 }
-                            };
-                            let vaddr = space.addr_of(layout, r.array, &dvec);
-                            // Charge the (strength-reduced) division/modulo
-                            // addressing overhead once per iteration, not per
-                            // reference — matching the paper's ≈4% aggregate.
-                            let transformed = !layout.layout(r.array).is_original();
-                            let base_gap = if ri == 0 {
+                                let p = pos.eval(iter).rem_euclid(tab.len() as i64);
+                                space.addr_of(layout, r.array, &[tab[p as usize]])
+                            }
+                        };
+                        let gap = match r.lead_gap {
+                            Some(lead) => {
                                 // xorshift-based deterministic jitter.
                                 jit_state ^= jit_state << 13;
                                 jit_state ^= jit_state >> 7;
@@ -189,28 +235,16 @@ pub fn generate_traces(
                                 } else {
                                     (jit_state % gen.desync_jitter as u64) as u32
                                 };
-                                stmt.compute_cycles * gap_mult + jitter
-                            } else {
-                                1
-                            };
-                            let gap = base_gap
-                                + if transformed && ri == 0 {
-                                    gen.overhead_cycles
-                                } else {
-                                    0
-                                };
-                            // A stable per-static-reference id: the
-                            // stride-prefetcher's training key (its "PC").
-                            let ref_id = ((nest_idx as u32) << 16)
-                                | ((stmt_idx as u32) << 8)
-                                | (ri as u32 & 0xff);
-                            accesses.push(Access {
-                                vaddr,
-                                write: r.kind == RefKind::Write,
-                                gap,
-                                ref_id,
-                            });
-                        }
+                                lead + jitter
+                            }
+                            None => 1,
+                        };
+                        accesses.push(Access {
+                            vaddr,
+                            write: r.write,
+                            gap,
+                            ref_id: r.ref_id,
+                        });
                     }
                 });
             }
