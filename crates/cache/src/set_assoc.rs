@@ -121,17 +121,20 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_used: u64,
-    /// Installed by a prefetch and not yet touched by a demand access.
-    prefetched: bool,
-}
+/// `flags` bit: the line was written since it was filled.
+const DIRTY: u8 = 1;
+/// `flags` bit: installed by a prefetch and not yet touched by a demand
+/// access.
+const PREFETCHED: u8 = 2;
+/// An unoccupied bucket of the line → slot index.
+const EMPTY: u32 = u32::MAX;
 
 /// A tag-only set-associative LRU cache.
+///
+/// Ways are stored structure-of-arrays (slot = `set * ways + way`), and
+/// residency is decided by one open-addressed line → slot index per cache
+/// instead of a scan of the set, so a hit costs the same in a 2-way L1 and
+/// in the 128-way scaled L2. Only a miss looks at the set, for its victim.
 ///
 /// # Examples
 ///
@@ -145,7 +148,20 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    num_sets: u64,
+    /// The line each slot holds; meaningful while the slot is valid.
+    tags: Vec<u64>,
+    /// LRU timestamp of each slot, `0` while the way is invalid. Valid
+    /// ways carry distinct values `>= 1` (the access clock), so "first
+    /// invalid way by position, else least recently used" is the first
+    /// minimum of a set's slice.
+    last_used: Vec<u64>,
+    flags: Vec<u8>,
+    /// Line → slot: linear probing from a multiplicative hash, deletion by
+    /// backward shift (no tombstones), sized to at most half full. Buckets
+    /// name valid slots only; the key of a bucket is `tags[slot]`.
+    index: Vec<u32>,
+    index_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -159,21 +175,17 @@ impl SetAssocCache {
     /// [`CacheConfig::num_sets`]).
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        let lines = num_sets * config.ways;
+        assert!(lines < EMPTY as usize / 2, "cache has too many lines");
+        let buckets = (2 * lines).next_power_of_two();
         Self {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        last_used: 0,
-                        prefetched: false
-                    };
-                    config.ways
-                ];
-                num_sets
-            ],
+            num_sets: num_sets as u64,
+            tags: vec![0; lines],
+            last_used: vec![0; lines],
+            flags: vec![0; lines],
+            index: vec![EMPTY; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -196,8 +208,77 @@ impl SetAssocCache {
     /// slot stride into pathological conflict misses that no real machine
     /// exhibits.
     fn set_index(&self, line: u64) -> usize {
-        let n = self.sets.len() as u64;
-        ((line ^ (line >> 7) ^ (line >> 14)) % n) as usize
+        let folded = line ^ (line >> 7) ^ (line >> 14);
+        let n = self.num_sets;
+        // Same value either way; the usual power-of-two set count skips
+        // the division.
+        (if n.is_power_of_two() {
+            folded & (n - 1)
+        } else {
+            folded % n
+        }) as usize
+    }
+
+    /// The bucket a line's probe sequence starts at.
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
+    }
+
+    /// The index bucket holding `line`, if it is resident.
+    fn find_bucket(&self, line: u64) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(line);
+        loop {
+            let slot = self.index[b];
+            if slot == EMPTY {
+                return None;
+            }
+            if self.tags[slot as usize] == line {
+                return Some(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// The slot holding `line`, if it is resident.
+    fn find(&self, line: u64) -> Option<usize> {
+        self.find_bucket(line).map(|b| self.index[b] as usize)
+    }
+
+    fn index_insert(&mut self, line: u64, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(line);
+        while self.index[b] != EMPTY {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = slot as u32;
+    }
+
+    /// Removes a resident line's bucket, shifting later members of its
+    /// probe run back so every remaining line stays reachable from its
+    /// home bucket. Reads the tags of the shifted lines: call before the
+    /// slot is overwritten.
+    fn index_remove(&mut self, line: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self
+            .find_bucket(line)
+            .expect("invariant: every valid slot has an index bucket");
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let slot = self.index[b];
+            if slot == EMPTY {
+                break;
+            }
+            // A line may move into the hole only if that keeps it at or
+            // after its home bucket along the probe direction.
+            let home = self.home(self.tags[slot as usize]);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = slot;
+                hole = b;
+            }
+        }
+        self.index[hole] = EMPTY;
     }
 
     /// Accesses a line (by line address), allocating it on miss.
@@ -228,55 +309,20 @@ impl SetAssocCache {
     pub fn access_rw(&mut self, line: u64, write: bool) -> AccessResult {
         self.clock += 1;
         self.stats.accesses += 1;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
-            w.last_used = self.clock;
-            w.dirty |= write;
-            let prefetched_hit = w.prefetched;
-            w.prefetched = false;
+        if let Some(slot) = self.find(line) {
+            self.last_used[slot] = self.clock;
+            let flags = self.flags[slot];
+            self.flags[slot] = (flags | if write { DIRTY } else { 0 }) & !PREFETCHED;
             self.stats.hits += 1;
             return AccessResult {
                 hit: true,
                 evicted: None,
                 evicted_dirty: false,
-                prefetched_hit,
+                prefetched_hit: flags & PREFETCHED != 0,
                 evicted_prefetched: false,
             };
         }
-        // Miss: fill an invalid way, else evict LRU.
-        let victim = if let Some(i) = set.iter().position(|w| !w.valid) {
-            i
-        } else {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        };
-        let (evicted, evicted_dirty, evicted_prefetched) = if set[victim].valid {
-            (
-                Some(set[victim].tag),
-                set[victim].dirty,
-                set[victim].prefetched,
-            )
-        } else {
-            (None, false, false)
-        };
-        set[victim] = Way {
-            tag: line,
-            valid: true,
-            dirty: write,
-            last_used: self.clock,
-            prefetched: false,
-        };
-        AccessResult {
-            hit: false,
-            evicted,
-            evicted_dirty,
-            prefetched_hit: false,
-            evicted_prefetched,
-        }
+        self.fill(line, if write { DIRTY } else { 0 })
     }
 
     /// Installs a prefetched line without touching the demand statistics:
@@ -288,9 +334,7 @@ impl SetAssocCache {
     /// until first demand touch, and any victim is reported as usual.
     pub fn install_prefetch(&mut self, line: u64) -> AccessResult {
         self.clock += 1;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if set.iter().any(|w| w.valid && w.tag == line) {
+        if self.find(line).is_some() {
             return AccessResult {
                 hit: true,
                 evicted: None,
@@ -299,57 +343,58 @@ impl SetAssocCache {
                 evicted_prefetched: false,
             };
         }
-        let victim = if let Some(i) = set.iter().position(|w| !w.valid) {
-            i
-        } else {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        };
-        let (evicted, evicted_dirty, evicted_prefetched) = if set[victim].valid {
-            (
-                Some(set[victim].tag),
-                set[victim].dirty,
-                set[victim].prefetched,
-            )
-        } else {
-            (None, false, false)
-        };
-        set[victim] = Way {
-            tag: line,
-            valid: true,
-            dirty: false,
-            last_used: self.clock,
-            prefetched: true,
-        };
-        AccessResult {
-            hit: false,
-            evicted,
-            evicted_dirty,
-            prefetched_hit: false,
-            evicted_prefetched,
+        self.fill(line, PREFETCHED)
+    }
+
+    /// Miss path: fills the first invalid way of the line's set, else
+    /// evicts its least recently used line.
+    fn fill(&mut self, line: u64, flags: u8) -> AccessResult {
+        let base = self.set_index(line) * self.config.ways;
+        let ages = &self.last_used[base..base + self.config.ways];
+        let mut way = 0;
+        let mut oldest = ages[0];
+        for w in 1..ages.len() {
+            if ages[w] < oldest {
+                oldest = ages[w];
+                way = w;
+            }
         }
+        let slot = base + way;
+        let mut result = AccessResult {
+            hit: false,
+            evicted: None,
+            evicted_dirty: false,
+            prefetched_hit: false,
+            evicted_prefetched: false,
+        };
+        if oldest != 0 {
+            let victim = self.tags[slot];
+            self.index_remove(victim);
+            result.evicted = Some(victim);
+            result.evicted_dirty = self.flags[slot] & DIRTY != 0;
+            result.evicted_prefetched = self.flags[slot] & PREFETCHED != 0;
+        }
+        self.tags[slot] = line;
+        self.last_used[slot] = self.clock;
+        self.flags[slot] = flags;
+        self.index_insert(line, slot);
+        result
     }
 
     /// Checks residency without updating LRU state or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        let set = &self.sets[self.set_index(line)];
-        set.iter().any(|w| w.valid && w.tag == line)
+        self.find(line).is_some()
     }
 
     /// Removes a line if present (coherence invalidation), returning
     /// whether it was resident.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == line) {
-            w.valid = false;
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.find(line) else {
+            return false;
+        };
+        self.index_remove(line);
+        self.last_used[slot] = 0;
+        true
     }
 }
 
@@ -358,7 +403,7 @@ impl fmt::Display for SetAssocCache {
         write!(
             f,
             "{} sets x {} ways, {:.1}% hit",
-            self.sets.len(),
+            self.num_sets,
             self.config.ways,
             self.stats.hit_rate() * 100.0
         )
