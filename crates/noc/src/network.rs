@@ -315,17 +315,26 @@ impl Network {
         tag: ReqTag,
         sink: &Sink,
     ) -> u64 {
-        let hops = self.mesh.hop_distance(src, dst) as usize;
+        // Walk the dimension-ordered route by coordinates: one directed
+        // link per step, named `node * 4 + direction` as everywhere else.
+        let (sx, sy) = self.mesh.coords(src);
+        let (dx, dy) = self.mesh.coords(dst);
+        let x_hops = sx.abs_diff(dx) as usize;
+        let y_hops = sy.abs_diff(dy) as usize;
+        let hops = x_hops + y_hops;
+        let x_dir = if dx > sx { EAST } else { WEST };
+        let y_dir = if dy > sy { SOUTH } else { NORTH };
+        let legs = match self.config.routing {
+            Routing::XY => [(x_hops, x_dir), (y_hops, y_dir)],
+            Routing::YX => [(y_hops, y_dir), (x_hops, x_dir)],
+        };
         let flits = self.flits(bytes);
+        let width = self.mesh.width() as usize;
+        let mut node = src.0 as usize;
         let mut t = now;
-        if hops > 0 {
-            let route = match self.config.routing {
-                Routing::XY => self.mesh.xy_route(src, dst),
-                Routing::YX => self.mesh.yx_route(src, dst),
-            };
-            let mut from = src;
-            for &next in &route {
-                let link = self.link_id(from, next);
+        for (steps, dir) in legs {
+            for _ in 0..steps {
+                let link = node * 4 + dir;
                 self.flit_cycles[link] += flits;
                 let depart = if self.config.contention {
                     t.max(self.free_at[link])
@@ -352,7 +361,12 @@ impl Network {
                 // Wire + downstream router pipeline; the final hop still
                 // pays the router to reach the ejection port.
                 t = depart + extra + self.config.hop_cycles + self.config.router_cycles;
-                from = next;
+                node = match dir {
+                    EAST => node + 1,
+                    WEST => node - 1,
+                    SOUTH => node + width,
+                    _ => node - width,
+                };
             }
         }
         let stats = match class {
@@ -401,23 +415,6 @@ impl Network {
     pub fn uncontended_latency(&self, src: NodeId, dst: NodeId) -> u64 {
         let hops = self.mesh.hop_distance(src, dst) as u64;
         hops * (self.config.hop_cycles + self.config.router_cycles)
-    }
-
-    fn link_id(&self, from: NodeId, to: NodeId) -> usize {
-        let (fx, fy) = self.mesh.coords(from);
-        let (tx, ty) = self.mesh.coords(to);
-        let dir = if tx == fx + 1 && ty == fy {
-            EAST
-        } else if fx == tx + 1 && ty == fy {
-            WEST
-        } else if tx == fx && ty == fy + 1 {
-            SOUTH
-        } else if tx == fx && fy == ty + 1 {
-            NORTH
-        } else {
-            panic!("link between non-adjacent nodes {from} -> {to}");
-        };
-        from.0 as usize * 4 + dir
     }
 }
 
