@@ -7,9 +7,43 @@
 //! directory then either forwards to a sharer L2 (an *on-chip* access) or
 //! issues an *off-chip* memory request.
 
+use crate::intmap::IntMap;
 use hoploc_obs::Sink;
-use std::collections::HashMap;
 use std::fmt;
+
+/// A set of sharer nodes (`< 128`): what the directory knows about one
+/// line, as a value — no allocation per lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct Sharers(u128);
+
+impl Sharers {
+    /// Number of sharers.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether no node holds the line.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether `node` is among the sharers.
+    pub fn contains(self, node: usize) -> bool {
+        node < 128 && self.0 & (1u128 << node) != 0
+    }
+
+    /// The sharers in ascending node order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let node = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                node
+            })
+        })
+    }
+}
 
 /// Sharer tracking for private L2 lines, keyed by line address.
 ///
@@ -22,13 +56,13 @@ use std::fmt;
 ///
 /// let mut dir = Directory::new();
 /// dir.add_sharer(0x40, 3);
-/// assert_eq!(dir.sharers(0x40), vec![3]);
+/// assert_eq!(dir.sharers(0x40).iter().collect::<Vec<_>>(), vec![3]);
 /// dir.remove_sharer(0x40, 3);
 /// assert!(dir.sharers(0x40).is_empty());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    entries: HashMap<u64, u128>,
+    entries: IntMap<u64, u128>,
     /// Lookups that found at least one sharer (on-chip fulfilment).
     pub on_chip_hits: u64,
     /// Lookups that found no sharer (off-chip fulfilment).
@@ -63,28 +97,24 @@ impl Directory {
         }
     }
 
-    /// The nodes currently holding `line`, in ascending order.
-    pub fn sharers(&self, line: u64) -> Vec<usize> {
-        let Some(&mask) = self.entries.get(&line) else {
-            return Vec::new();
-        };
-        (0..128).filter(|&n| mask & (1u128 << n) != 0).collect()
+    /// The nodes currently holding `line`.
+    pub fn sharers(&self, line: u64) -> Sharers {
+        Sharers(self.entries.get(&line).copied().unwrap_or(0))
     }
 
     /// Whether any node holds `line`.
     pub fn has_sharer(&self, line: u64) -> bool {
-        self.entries.get(&line).copied().unwrap_or(0) != 0
+        !self.sharers(line).is_empty()
     }
 
-    /// Performs a lookup on behalf of `requester`: returns a sharer other
-    /// than the requester (the caller picks among them by distance), and
-    /// updates the on-chip / off-chip lookup counters.
-    pub fn lookup(&mut self, line: u64, requester: usize) -> Vec<usize> {
-        let sharers: Vec<usize> = self
-            .sharers(line)
-            .into_iter()
-            .filter(|&n| n != requester)
-            .collect();
+    /// Performs a lookup on behalf of `requester`: returns the sharers
+    /// other than the requester (the caller picks among them by distance),
+    /// and updates the on-chip / off-chip lookup counters.
+    pub fn lookup(&mut self, line: u64, requester: usize) -> Sharers {
+        let mut sharers = self.sharers(line);
+        if requester < 128 {
+            sharers.0 &= !(1u128 << requester);
+        }
         if sharers.is_empty() {
             self.off_chip_misses += 1;
         } else {
@@ -96,7 +126,7 @@ impl Directory {
     /// Like [`lookup`](Self::lookup), additionally mirroring the
     /// forward/off-chip outcome into `sink`. `ts` is the lookup's sim-cycle
     /// time.
-    pub fn lookup_obs(&mut self, line: u64, requester: usize, ts: u64, sink: &Sink) -> Vec<usize> {
+    pub fn lookup_obs(&mut self, line: u64, requester: usize, ts: u64, sink: &Sink) -> Sharers {
         let sharers = self.lookup(line, requester);
         sink.dir_lookup(ts, requester as u16, !sharers.is_empty());
         sharers
@@ -129,14 +159,18 @@ impl fmt::Display for Directory {
 mod tests {
     use super::*;
 
+    fn nodes(s: Sharers) -> Vec<usize> {
+        s.iter().collect()
+    }
+
     #[test]
     fn sharers_round_trip() {
         let mut d = Directory::new();
         d.add_sharer(1, 5);
         d.add_sharer(1, 63);
-        assert_eq!(d.sharers(1), vec![5, 63]);
+        assert_eq!(nodes(d.sharers(1)), vec![5, 63]);
         d.remove_sharer(1, 5);
-        assert_eq!(d.sharers(1), vec![63]);
+        assert_eq!(nodes(d.sharers(1)), vec![63]);
     }
 
     #[test]
@@ -153,7 +187,7 @@ mod tests {
         d.add_sharer(9, 4);
         assert!(d.lookup(9, 4).is_empty());
         assert_eq!(d.off_chip_misses, 1);
-        assert_eq!(d.lookup(9, 0), vec![4]);
+        assert_eq!(nodes(d.lookup(9, 0)), vec![4]);
         assert_eq!(d.on_chip_hits, 1);
     }
 
@@ -188,6 +222,8 @@ mod tests {
         let mut d = Directory::new();
         d.add_sharer(1, 127);
         assert!(d.has_sharer(1));
-        assert_eq!(d.sharers(1), vec![127]);
+        assert_eq!(nodes(d.sharers(1)), vec![127]);
+        assert_eq!(d.sharers(1).len(), 1);
+        assert!(d.sharers(1).contains(127) && !d.sharers(1).contains(5));
     }
 }

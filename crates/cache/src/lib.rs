@@ -5,13 +5,17 @@
 //! MC-side [`Directory`] that arbitrates between on-chip (cache-to-cache)
 //! and off-chip fulfilment of private-L2 misses, per Figure 2a of the
 //! paper. The shared-SNUCA home-bank arithmetic lives in the simulator,
-//! which composes these structures per node.
+//! which composes these structures per node. [`IntMap`] is the hash map
+//! the per-access books (the directory here, the simulator's in-flight
+//! request tables) are keyed with.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod directory;
+mod intmap;
 mod set_assoc;
 
-pub use directory::Directory;
+pub use directory::{Directory, Sharers};
+pub use intmap::{IntHasher, IntMap};
 pub use set_assoc::{AccessResult, CacheConfig, CacheStats, SetAssocCache};

@@ -91,7 +91,8 @@ fn directory_tracks_sharers_exactly() {
         for (line, sharers) in &shadow {
             let mut expect: Vec<usize> = sharers.iter().copied().collect();
             expect.sort_unstable();
-            assert_eq!(dir.sharers(*line), expect);
+            assert_eq!(dir.sharers(*line).iter().collect::<Vec<_>>(), expect);
+            assert_eq!(dir.sharers(*line).len(), expect.len());
         }
     });
 }

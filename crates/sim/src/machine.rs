@@ -18,15 +18,15 @@ use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::stats::RunStats;
 use crate::trace::TraceWorkload;
-use hoploc_cache::{Directory, SetAssocCache};
+use hoploc_cache::{Directory, IntMap, SetAssocCache, Sharers};
 use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
 use hoploc_mem::{Completion, MemoryController};
-use hoploc_noc::{L2ToMcMapping, McId, Network, NodeId, TrafficClass};
+use hoploc_noc::{L2ToMcMapping, McId, Mesh, Network, NodeId, TrafficClass};
 use hoploc_obs::{CacheTag, ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
 use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EventKind {
@@ -100,11 +100,11 @@ struct PfState {
     slices: Vec<SlicePrefetcher>,
     /// `(slice node, l2 line)` → token of the in-flight prefetch, the
     /// late-join rendezvous and the duplicate-issue filter.
-    inflight: HashMap<(u16, u64), u64>,
+    inflight: IntMap<(u16, u64), u64>,
     /// In-flight prefetches per slice (bounds issue at `queue_cap`).
     inflight_count: Vec<u32>,
     /// Demands blocked on an in-flight prefetch, by token.
-    waiters: HashMap<u64, Vec<PfWaiter>>,
+    waiters: IntMap<u64, Vec<PfWaiter>>,
     summary: PrefetchSummary,
     /// Reusable candidate buffer for [`SlicePrefetcher::on_demand`].
     scratch: Vec<u64>,
@@ -135,7 +135,7 @@ pub struct Simulator {
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
     threads: Vec<ThreadState>,
-    pending: HashMap<u64, PendingMem>,
+    pending: IntMap<u64, PendingMem>,
     next_token: u64,
     mc_next_poll: Vec<Option<u64>>,
     /// Whole-controller outage windows from the installed fault plan
@@ -211,7 +211,7 @@ impl Simulator {
             heap: BinaryHeap::new(),
             seq: 0,
             threads: Vec::new(),
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_token: 0,
             mc_next_poll: vec![None; n_mcs],
             outages,
@@ -219,9 +219,9 @@ impl Simulator {
                 slices: (0..n)
                     .map(|_| SlicePrefetcher::new(config.prefetch))
                     .collect(),
-                inflight: HashMap::new(),
+                inflight: IntMap::default(),
                 inflight_count: vec![0; n],
-                waiters: HashMap::new(),
+                waiters: IntMap::default(),
                 summary: PrefetchSummary::default(),
                 scratch: Vec::new(),
             }),
@@ -590,14 +590,10 @@ impl Simulator {
         let mc = self.live_mc(mc, node, t2);
         let mc_node = self.mc_node(mc);
         let sharers = self.dir.lookup_obs(l2_line, node.0 as usize, t2, &self.obs);
-        if let Some(&owner) = sharers
-            .iter()
-            .min_by_key(|&&s| self.config.mesh.hop_distance(node, NodeId(s as u16)))
-        {
+        if let Some(owner) = nearest_sharer(&self.config.mesh, node, sharers) {
             // On-chip fulfilment: requester → directory → owner → requester.
             self.cache_to_cache += 1;
             self.obs.c2c(req, t2, node.0);
-            let owner = NodeId(owner as u16);
             let t3 = self.net.send_obs(
                 node,
                 mc_node,
@@ -1231,6 +1227,20 @@ impl Simulator {
     }
 }
 
+/// The sharer fewest hops from `node`, the lowest node id among equals:
+/// the L2 the directory forwards a private-L2 miss to.
+fn nearest_sharer(mesh: &Mesh, node: NodeId, sharers: Sharers) -> Option<NodeId> {
+    let mut best: Option<(u32, NodeId)> = None;
+    for s in sharers.iter() {
+        let s = NodeId(s as u16);
+        let hops = mesh.hop_distance(node, s);
+        if best.is_none_or(|(fewest, _)| hops < fewest) {
+            best = Some((hops, s));
+        }
+    }
+    best.map(|(_, s)| s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1339,6 +1349,32 @@ mod tests {
             stats.cache_to_cache > 0,
             "directory must forward some lines"
         );
+    }
+
+    #[test]
+    fn nearest_sharer_is_the_first_minimum_in_node_order() {
+        // What the directory's `Vec<usize>` and `min_by_key` used to pick.
+        let mesh = hoploc_noc::Mesh::new(8, 8);
+        hoploc_ptest::run_cases("nearest_sharer", 256, |rng| {
+            let mut dir = Directory::new();
+            let mut holders = Vec::new();
+            // From empty to full masks, so ties are common.
+            let density = rng.u64_below(65);
+            for n in 0..64usize {
+                if rng.u64_below(64) < density {
+                    dir.add_sharer(7, n);
+                    holders.push(n);
+                }
+            }
+            let node = NodeId(rng.u64_below(64) as u16);
+            let want = holders
+                .iter()
+                .filter(|&&n| n != node.0 as usize)
+                .min_by_key(|&&n| mesh.hop_distance(node, NodeId(n as u16)))
+                .map(|&n| NodeId(n as u16));
+            let sharers = dir.lookup(7, node.0 as usize);
+            assert_eq!(nearest_sharer(&mesh, node, sharers), want);
+        });
     }
 
     #[test]
