@@ -30,6 +30,9 @@ pub enum PagePolicy {
     FirstTouch,
 }
 
+/// A dense-table entry no frame number can take: the page is unmapped.
+const UNMAPPED: u64 = u64::MAX;
+
 /// The page table plus physical frame allocator.
 #[derive(Clone, Debug)]
 pub struct Os {
@@ -37,7 +40,16 @@ pub struct Os {
     num_mcs: usize,
     frames_per_mc: u64,
     policy: PagePolicy,
-    page_table: HashMap<u64, u64>,
+    /// `vpn`-indexed frame numbers, grown (by doubling) to the highest
+    /// page touched below `dense_limit`: translation runs on every
+    /// access, and programs lay their arrays out from low addresses up.
+    dense: Vec<u64>,
+    /// Pages at or beyond this `vpn` live in `sparse`. Four table entries
+    /// per physical frame bounds the table by the machine's memory, not by
+    /// whatever address a caller passes.
+    dense_limit: u64,
+    sparse: HashMap<u64, u64>,
+    resident: usize,
     next_frame: Vec<u64>,
     next_rr_mc: usize,
     first_touch_rr: Vec<usize>,
@@ -58,7 +70,10 @@ impl Os {
             num_mcs,
             frames_per_mc: memory_bytes / page_bytes / num_mcs as u64,
             policy,
-            page_table: HashMap::new(),
+            dense: Vec::new(),
+            dense_limit: (memory_bytes / page_bytes).saturating_mul(4),
+            sparse: HashMap::new(),
+            resident: 0,
             next_frame: vec![0; num_mcs],
             next_rr_mc: 0,
             first_touch_rr: vec![0; num_mcs],
@@ -71,15 +86,34 @@ impl Os {
     pub fn translate(&mut self, vaddr: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
         let vpn = vaddr / self.page_bytes;
         let offset = vaddr % self.page_bytes;
-        let pfn = match self.page_table.get(&vpn) {
-            Some(&pfn) => pfn,
-            None => {
-                let pfn = self.allocate(vpn, toucher, mapping);
-                self.page_table.insert(vpn, pfn);
-                pfn
-            }
+        let pfn = match self.dense.get(vpn as usize) {
+            Some(&pfn) if pfn != UNMAPPED => pfn,
+            _ => self.translate_slow(vpn, toucher, mapping),
         };
         pfn * self.page_bytes + offset
+    }
+
+    /// Everything but a hit in the dense table: a page outside its range,
+    /// or the first touch of a page (which allocates it).
+    fn translate_slow(&mut self, vpn: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
+        if vpn >= self.dense_limit {
+            if let Some(&pfn) = self.sparse.get(&vpn) {
+                return pfn;
+            }
+        }
+        let pfn = self.allocate(vpn, toucher, mapping);
+        self.resident += 1;
+        if vpn >= self.dense_limit {
+            self.sparse.insert(vpn, pfn);
+            return pfn;
+        }
+        let i = vpn as usize;
+        if i >= self.dense.len() {
+            let grown = (i + 1).next_power_of_two().min(self.dense_limit as usize);
+            self.dense.resize(grown, UNMAPPED);
+        }
+        self.dense[i] = pfn;
+        pfn
     }
 
     /// The controller owning a physical address under page interleaving.
@@ -89,7 +123,7 @@ impl Os {
 
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.page_table.len()
+        self.resident
     }
 
     fn allocate(&mut self, vpn: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
@@ -133,7 +167,7 @@ impl Os {
         }
         panic!(
             "physical memory exhausted: {} pages resident",
-            self.page_table.len()
+            self.resident
         );
     }
 }
