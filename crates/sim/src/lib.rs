@@ -20,6 +20,7 @@ mod address;
 mod config;
 mod machine;
 mod os;
+mod queue;
 mod stats;
 mod trace;
 

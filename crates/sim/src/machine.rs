@@ -16,6 +16,7 @@
 
 use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
+use crate::queue::EventQueue;
 use crate::stats::RunStats;
 use crate::trace::TraceWorkload;
 use hoploc_cache::{Directory, IntMap, SetAssocCache, Sharers};
@@ -25,8 +26,6 @@ use hoploc_mem::{Completion, MemoryController};
 use hoploc_noc::{L2ToMcMapping, McId, Mesh, Network, NodeId, TrafficClass};
 use hoploc_obs::{CacheTag, ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
 use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EventKind {
@@ -40,25 +39,6 @@ enum EventKind {
     MemDone { token: u64, dropped: bool },
     /// Re-run the FR-FCFS scheduler of a controller.
     McPoll { mc: usize },
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Event {
-    time: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -132,8 +112,7 @@ pub struct Simulator {
     l2: Vec<SetAssocCache>,
     dir: Directory,
     // Run state.
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     threads: Vec<ThreadState>,
     pending: IntMap<u64, PendingMem>,
     next_token: u64,
@@ -208,8 +187,7 @@ impl Simulator {
             l1: (0..n).map(|_| SetAssocCache::new(config.l1)).collect(),
             l2: (0..n).map(|_| SetAssocCache::new(config.l2)).collect(),
             dir: Directory::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             threads: Vec::new(),
             pending: IntMap::default(),
             next_token: 0,
@@ -309,26 +287,26 @@ impl Simulator {
             }
         }
 
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            match ev.kind {
-                EventKind::Issue { thread } => self.handle_issue(workload, thread, ev.time),
-                EventKind::MissReturn { thread } => self.miss_return(workload, thread, ev.time),
+        while let Some((now, kind)) = self.events.pop() {
+            match kind {
+                EventKind::Issue { thread } => self.handle_issue(workload, thread, now),
+                EventKind::MissReturn { thread } => self.miss_return(workload, thread, now),
                 EventKind::MemDone { token, dropped } => {
-                    self.handle_mem_done(workload, token, ev.time, dropped)
+                    self.handle_mem_done(workload, token, now, dropped)
                 }
-                EventKind::McPoll { mc } => self.handle_poll(mc, ev.time),
+                EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
             // Liveness backstop: if the heap drained while requests are
             // still pending (e.g. a poll raced a flush), force scheduling.
             // A healthy run never gets here — firing means a scheduling
             // hole, so make it loud and countable instead of silent.
-            if self.heap.is_empty() && !self.pending.is_empty() {
+            if self.events.is_empty() && !self.pending.is_empty() {
                 self.backstop_flushes += 1;
-                self.obs.backstop(ev.time, self.pending.len());
+                self.obs.backstop(now, self.pending.len());
                 eprintln!(
                     "warning[HL0900]: event heap drained at cycle {} with {} request(s) \
                      still in flight; force-flushing {} controller(s)",
-                    ev.time,
+                    now,
                     self.pending.len(),
                     self.mcs.len()
                 );
@@ -372,12 +350,7 @@ impl Simulator {
     }
 
     fn schedule(&mut self, time: u64, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
+        self.events.push(time, kind);
     }
 
     /// The controller owning a physical address under the configured
