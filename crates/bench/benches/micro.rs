@@ -67,7 +67,7 @@ fn bench_substrates() {
     time_kernel("mc_enqueue_stream", || {
         now += 50;
         addr += 256;
-        mc.enqueue(addr, now, now)
+        mc.enqueue(addr, now, now).len()
     });
 }
 

@@ -275,6 +275,36 @@ struct Bank {
     open_row: Option<u64>,
     free_at: u64,
     queue: Vec<Pending>,
+    /// Smallest `arrival` in `queue` (stale while it is empty), kept up to
+    /// date by [`Bank::push`] / [`Bank::take`] so the scheduler does not
+    /// rescan every queue each time it asks when a bank could next start.
+    earliest_arrival: u64,
+}
+
+impl Bank {
+    fn push(&mut self, p: Pending) {
+        self.earliest_arrival = if self.queue.is_empty() {
+            p.arrival
+        } else {
+            self.earliest_arrival.min(p.arrival)
+        };
+        self.queue.push(p);
+    }
+
+    fn take(&mut self, i: usize) -> Pending {
+        let p = self.queue.swap_remove(i);
+        if p.arrival == self.earliest_arrival {
+            let rest = self.queue.iter().map(|q| q.arrival).min();
+            self.earliest_arrival = rest.unwrap_or(0);
+        }
+        p
+    }
+
+    /// The earliest cycle a queued request could begin service, if any is
+    /// queued.
+    fn next_start(&self) -> Option<u64> {
+        (!self.queue.is_empty()).then(|| self.free_at.max(self.earliest_arrival))
+    }
 }
 
 /// One memory controller.
@@ -285,7 +315,7 @@ struct Bank {
 /// use hoploc_mem::{McConfig, MemoryController};
 ///
 /// let mut mc = MemoryController::new(McConfig::default());
-/// let mut done = mc.enqueue(0x1000, 1, 100);
+/// let mut done = mc.enqueue(0x1000, 1, 100).to_vec();
 /// done.extend(mc.flush());
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].finish > 100);
@@ -297,6 +327,10 @@ pub struct MemoryController {
     channel_free_at: Vec<u64>,
     stats: McStats,
     seq: u64,
+    /// The completions of the latest `enqueue` / `poll` / `flush`, which
+    /// return it borrowed: one buffer for the controller's lifetime
+    /// instead of a fresh `Vec` per call.
+    done: Vec<Completion>,
     /// Injected bank faults; `None` keeps the scheduling path byte-identical
     /// to a fault-free controller.
     faults: Option<McFaults>,
@@ -322,11 +356,13 @@ impl MemoryController {
                     open_row: None,
                     free_at: 0,
                     queue: Vec::new(),
+                    earliest_arrival: 0,
                 })
                 .collect(),
             channel_free_at: vec![0; config.channels],
             stats: McStats::default(),
             seq: 0,
+            done: Vec::new(),
             faults: None,
         }
     }
@@ -380,11 +416,12 @@ impl MemoryController {
     }
 
     /// Submits a request for physical address `addr` arriving at cycle
-    /// `now`, returning any completions this arrival finalizes.
+    /// `now`, returning any completions this arrival finalizes (borrowed
+    /// from the controller until its next call).
     ///
     /// Requests must be submitted in non-decreasing `now` order; this is
     /// checked in debug builds.
-    pub fn enqueue(&mut self, addr: u64, token: u64, now: u64) -> Vec<Completion> {
+    pub fn enqueue(&mut self, addr: u64, token: u64, now: u64) -> &[Completion] {
         self.enqueue_obs(addr, token, now, 0, &Sink::disabled())
     }
 
@@ -401,7 +438,7 @@ impl MemoryController {
         now: u64,
         mc: u16,
         sink: &Sink,
-    ) -> Vec<Completion> {
+    ) -> &[Completion] {
         self.enqueue_class_obs(addr, token, now, mc, false, sink)
     }
 
@@ -420,7 +457,8 @@ impl MemoryController {
         mc: u16,
         prefetch: bool,
         sink: &Sink,
-    ) -> Vec<Completion> {
+    ) -> &[Completion] {
+        self.done.clear();
         if self.config.ideal {
             // Optimal scheme: fixed row-hit service, no queueing, no bank
             // or channel contention.
@@ -438,19 +476,20 @@ impl MemoryController {
             // The ideal controller abstracts banks away entirely, so bank
             // faults don't apply to it (MC outages are handled above it, in
             // the simulator's re-homing).
-            return vec![Completion {
+            self.done.push(Completion {
                 token,
                 finish: now + service,
                 queue_cycles: 0,
                 service_cycles: service,
                 dropped: false,
-            }];
+            });
+            return &self.done;
         }
         // Finalize all service decisions that start before this arrival.
-        let mut done = self.drain_until(now, mc, sink);
+        self.drain_until(now, mc, sink);
         let row = addr / self.config.row_bytes;
         let bank = (row % self.config.banks as u64) as usize;
-        self.banks[bank].queue.push(Pending {
+        self.banks[bank].push(Pending {
             token,
             row,
             arrival: now,
@@ -465,72 +504,52 @@ impl MemoryController {
         }
         sink.mc_enqueue(mc, depth, now);
         // The new arrival itself may start service immediately.
-        done.extend(self.drain_until(now + 1, mc, sink));
-        done
+        self.drain_until(now + 1, mc, sink);
+        &self.done
     }
 
     /// Drains every remaining queued request, returning their completions.
     /// Call once no further arrivals are possible.
-    pub fn flush(&mut self) -> Vec<Completion> {
+    pub fn flush(&mut self) -> &[Completion] {
         self.flush_obs(0, &Sink::disabled())
     }
 
     /// [`flush`](Self::flush) with observability (see
     /// [`enqueue_obs`](Self::enqueue_obs)).
-    pub fn flush_obs(&mut self, mc: u16, sink: &Sink) -> Vec<Completion> {
-        self.drain_until(u64::MAX, mc, sink)
+    pub fn flush_obs(&mut self, mc: u16, sink: &Sink) -> &[Completion] {
+        self.done.clear();
+        self.drain_until(u64::MAX, mc, sink);
+        &self.done
     }
 
     /// Advances scheduling up to (and including) cycle `now`, finalizing
     /// every service decision that starts at or before it. The simulator
     /// calls this from poll events so blocked requesters make progress even
     /// when no further arrivals occur.
-    pub fn poll(&mut self, now: u64) -> Vec<Completion> {
+    pub fn poll(&mut self, now: u64) -> &[Completion] {
         self.poll_obs(now, 0, &Sink::disabled())
     }
 
     /// [`poll`](Self::poll) with observability (see
     /// [`enqueue_obs`](Self::enqueue_obs)).
-    pub fn poll_obs(&mut self, now: u64, mc: u16, sink: &Sink) -> Vec<Completion> {
-        self.drain_until(now.saturating_add(1), mc, sink)
+    pub fn poll_obs(&mut self, now: u64, mc: u16, sink: &Sink) -> &[Completion] {
+        self.done.clear();
+        self.drain_until(now.saturating_add(1), mc, sink);
+        &self.done
     }
 
     /// The earliest cycle at which a queued request could begin service, or
     /// `None` when no requests are pending. The simulator schedules its
     /// next poll at this time.
     pub fn earliest_pending_start(&self) -> Option<u64> {
-        self.banks
-            .iter()
-            .filter(|b| !b.queue.is_empty())
-            .map(|b| {
-                let earliest = b
-                    .queue
-                    .iter()
-                    .map(|p| p.arrival)
-                    .min()
-                    .expect("invariant: this bank passed the non-empty filter above");
-                b.free_at.max(earliest)
-            })
-            .min()
+        self.banks.iter().filter_map(Bank::next_start).min()
     }
 
     /// Serves queued requests whose service would start strictly before
-    /// `horizon`.
-    fn drain_until(&mut self, horizon: u64, mc: u16, sink: &Sink) -> Vec<Completion> {
-        let mut done = Vec::new();
+    /// `horizon`, appending their completions to `self.done`.
+    fn drain_until(&mut self, horizon: u64, mc: u16, sink: &Sink) {
         for b in 0..self.banks.len() {
-            loop {
-                let bank = &self.banks[b];
-                if bank.queue.is_empty() {
-                    break;
-                }
-                let earliest = bank
-                    .queue
-                    .iter()
-                    .map(|p| p.arrival)
-                    .min()
-                    .expect("invariant: the loop breaks before this when the queue is empty");
-                let start = bank.free_at.max(earliest);
+            while let Some(start) = self.banks[b].next_start() {
                 if start >= horizon {
                     break;
                 }
@@ -549,7 +568,7 @@ impl MemoryController {
                         "invariant: start >= the queue's minimum arrival, so at least \
                          the earliest-arriving request passes the arrival filter",
                     );
-                let p = self.banks[b].queue.swap_remove(pick);
+                let p = self.banks[b].take(pick);
                 let hit = self.config.row_policy == RowPolicy::Open
                     && self.banks[b].open_row == Some(p.row);
                 let core_service = if hit {
@@ -579,7 +598,7 @@ impl MemoryController {
                         // Speculative: drop on first failure, no retry, no
                         // demand-side error accounting or sink mirror.
                         self.stats.pf_dropped += 1;
-                        done.push(Completion {
+                        self.done.push(Completion {
                             token: p.token,
                             finish: bank_done,
                             queue_cycles: start - p.arrival,
@@ -593,7 +612,7 @@ impl MemoryController {
                     if p.attempt >= retry.max_retries {
                         self.stats.dropped += 1;
                         sink.mc_drop(mc, p.token, bank_done);
-                        done.push(Completion {
+                        self.done.push(Completion {
                             token: p.token,
                             finish: bank_done,
                             queue_cycles: start - p.arrival,
@@ -607,7 +626,7 @@ impl MemoryController {
                         // Re-enter the queue as a fresh arrival after the
                         // backoff; a new seq makes it younger than every
                         // waiting request, so retries can't starve others.
-                        self.banks[b].queue.push(Pending {
+                        self.banks[b].push(Pending {
                             token: p.token,
                             row: p.row,
                             arrival: bank_done + backoff,
@@ -650,7 +669,7 @@ impl MemoryController {
                         self.banks[b].queue.len(),
                     );
                 }
-                done.push(Completion {
+                self.done.push(Completion {
                     token: p.token,
                     finish,
                     queue_cycles,
@@ -659,7 +678,6 @@ impl MemoryController {
                 });
             }
         }
-        done
     }
 }
 
@@ -686,7 +704,7 @@ mod tests {
     #[test]
     fn single_request_served_at_row_miss_cost() {
         let mut m = mc();
-        let mut done = m.enqueue(0, 7, 100);
+        let mut done = m.enqueue(0, 7, 100).to_vec();
         done.extend(m.flush());
         assert_eq!(done.len(), 1);
         let c = done[0];
@@ -699,7 +717,7 @@ mod tests {
     #[test]
     fn second_access_to_same_row_hits() {
         let mut m = mc();
-        let mut done = m.enqueue(64, 1, 0);
+        let mut done = m.enqueue(64, 1, 0).to_vec();
         done.extend(m.enqueue(128, 2, 10_000)); // same 4KB row, long after
         done.extend(m.flush());
         assert_eq!(done.len(), 2);
@@ -741,7 +759,7 @@ mod tests {
         m.enqueue(4096, 2, 0); // bank 1, channel 1
         let done = m.flush();
         let t = DramTiming::default();
-        for c in &done {
+        for c in done {
             // Neither waits for a bank; only channel serialization differs.
             assert!(c.queue_cycles == 0);
             assert!(c.finish <= t.row_miss_cycles + 2 * t.burst_cycles);
@@ -752,7 +770,7 @@ mod tests {
     fn channel_serializes_bursts() {
         let mut m = mc();
         // Banks 0 and 4 share data channel 0 (bank % channels).
-        let mut done = m.enqueue(0, 1, 0);
+        let mut done = m.enqueue(0, 1, 0).to_vec();
         done.extend(m.enqueue(4 * 4096, 2, 0));
         done.extend(m.flush());
         let mut finishes: Vec<u64> = done.iter().map(|c| c.finish).collect();
@@ -822,7 +840,7 @@ mod tests {
             row_policy: RowPolicy::Closed,
             ..McConfig::default()
         });
-        let mut done = m.enqueue(64, 1, 0);
+        let mut done = m.enqueue(64, 1, 0).to_vec();
         done.extend(m.enqueue(128, 2, 10_000)); // same row, far apart
         done.extend(m.flush());
         assert_eq!(done.len(), 2);
@@ -916,7 +934,7 @@ mod tests {
             }],
             retry: RetryPolicy::default(),
         });
-        let mut done = m.enqueue(0, 1, 0);
+        let mut done = m.enqueue(0, 1, 0).to_vec();
         done.extend(m.flush());
         let t = DramTiming::default();
         assert_eq!(done.len(), 1);
@@ -942,7 +960,7 @@ mod tests {
             }],
             retry: RetryPolicy::default(),
         });
-        let mut done = m.enqueue(0, 5, 0);
+        let mut done = m.enqueue(0, 5, 0).to_vec();
         done.extend(m.flush());
         assert_eq!(done.len(), 1);
         assert!(!done[0].dropped);
@@ -964,7 +982,7 @@ mod tests {
             max_retries: 3,
         };
         m.set_faults(always_faulty(1, retry));
-        let mut done = m.enqueue(0, 5, 0);
+        let mut done = m.enqueue(0, 5, 0).to_vec();
         done.extend(m.flush());
         assert_eq!(
             done.len(),
@@ -984,7 +1002,7 @@ mod tests {
         let run = || {
             let mut m = mc();
             m.set_faults(always_faulty(3, RetryPolicy::default()));
-            let mut done = Vec::new();
+            let mut done: Vec<Completion> = Vec::new();
             for k in 0..200u64 {
                 done.extend(m.enqueue((k % 16) * 4096, k, k * 7));
             }
@@ -1028,7 +1046,7 @@ mod tests {
     #[test]
     fn empty_faults_are_inert() {
         let drive = |m: &mut MemoryController| {
-            let mut done = Vec::new();
+            let mut done: Vec<Completion> = Vec::new();
             for k in 0..50u64 {
                 done.extend(m.enqueue((k % 5) * 64, k, k * 11));
             }
@@ -1063,7 +1081,7 @@ mod tests {
     fn prefetch_class_is_accounted_separately() {
         let sink = Sink::disabled();
         let mut m = mc();
-        let mut done = m.enqueue_class_obs(0, 1, 0, 0, true, &sink);
+        let mut done = m.enqueue_class_obs(0, 1, 0, 0, true, &sink).to_vec();
         done.extend(m.enqueue_class_obs(4096, 2, 0, 0, false, &sink));
         done.extend(m.flush());
         assert_eq!(done.len(), 2);
@@ -1084,7 +1102,7 @@ mod tests {
     fn prefetch_contends_with_demand_for_the_bank() {
         let sink = Sink::disabled();
         let mut clean = mc();
-        let mut clean_done = clean.enqueue(16 * 4096, 1, 5);
+        let mut clean_done = clean.enqueue(16 * 4096, 1, 5).to_vec();
         clean_done.extend(clean.flush());
         let lone = clean_done[0].finish;
         let mut m = mc();
@@ -1092,7 +1110,9 @@ mod tests {
         // it (same bank, different row) must wait — prefetches share the
         // physical pipe.
         m.enqueue_class_obs(0, 9, 0, 0, true, &sink);
-        let mut done = m.enqueue_class_obs(16 * 4096, 1, 5, 0, false, &sink);
+        let mut done = m
+            .enqueue_class_obs(16 * 4096, 1, 5, 0, false, &sink)
+            .to_vec();
         done.extend(m.flush());
         let demand = done.iter().find(|c| c.token == 1).unwrap();
         assert!(
@@ -1108,7 +1128,7 @@ mod tests {
         let sink = Sink::disabled();
         let mut m = mc();
         m.set_faults(always_faulty(1, RetryPolicy::default()));
-        let mut done = m.enqueue_class_obs(0, 3, 0, 0, true, &sink);
+        let mut done = m.enqueue_class_obs(0, 3, 0, 0, true, &sink).to_vec();
         done.extend(m.flush());
         assert_eq!(done.len(), 1);
         assert!(done[0].dropped, "first failure must drop the prefetch");

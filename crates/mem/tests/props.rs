@@ -39,7 +39,7 @@ fn completions_never_precede_service() {
         let min_service = timing.timing.row_hit_cycles + timing.timing.burst_cycles;
         let mut now = 0;
         let mut arrivals = std::collections::HashMap::new();
-        let mut done = Vec::new();
+        let mut done: Vec<hoploc_mem::Completion> = Vec::new();
         for (i, &(addr, gap)) in reqs.iter().enumerate() {
             now += gap;
             arrivals.insert(i as u64, now);

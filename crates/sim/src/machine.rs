@@ -312,7 +312,7 @@ impl Simulator {
                 );
                 for mc in 0..self.mcs.len() {
                     let done = self.mcs[mc].flush_obs(mc as u16, &self.obs);
-                    self.schedule_completions(&done);
+                    schedule_completions(&mut self.events, done);
                 }
             }
         }
@@ -892,7 +892,7 @@ impl Simulator {
         pf.inflight_count[node] += 1;
         let local = self.mc_local_addr(paddr);
         let done = self.mcs[mc].enqueue_class_obs(local, token, at, mc as u16, true, &self.obs);
-        self.schedule_completions(&done);
+        schedule_completions(&mut self.events, done);
         self.update_poll(mc);
     }
 
@@ -1037,20 +1037,8 @@ impl Simulator {
         self.pending.insert(token, ctx);
         let local = self.mc_local_addr(paddr);
         let done = self.mcs[mc].enqueue_obs(local, token, arrival, mc as u16, &self.obs);
-        self.schedule_completions(&done);
+        schedule_completions(&mut self.events, done);
         self.update_poll(mc);
-    }
-
-    fn schedule_completions(&mut self, done: &[Completion]) {
-        for c in done {
-            self.schedule(
-                c.finish,
-                EventKind::MemDone {
-                    token: c.token,
-                    dropped: c.dropped,
-                },
-            );
-        }
     }
 
     fn update_poll(&mut self, mc: usize) {
@@ -1068,7 +1056,7 @@ impl Simulator {
             self.mc_next_poll[mc] = None;
         }
         let done = self.mcs[mc].poll_obs(now, mc as u16, &self.obs);
-        self.schedule_completions(&done);
+        schedule_completions(&mut self.events, done);
         self.update_poll(mc);
     }
 
@@ -1197,6 +1185,21 @@ impl Simulator {
         if let Some(next) = workload.threads[thread].accesses.get(cursor) {
             self.schedule(now + next.gap as u64, EventKind::Issue { thread });
         }
+    }
+}
+
+/// Schedules a `MemDone` for each completion a controller just reported.
+/// A free function over the queue alone, so the completions can stay
+/// borrowed from the controller that owns them.
+fn schedule_completions(events: &mut EventQueue<EventKind>, done: &[Completion]) {
+    for c in done {
+        events.push(
+            c.finish,
+            EventKind::MemDone {
+                token: c.token,
+                dropped: c.dropped,
+            },
+        );
     }
 }
 
@@ -1904,11 +1907,11 @@ mod tests {
             };
             park(&mut sim, 0);
             park(&mut sim, 1);
-            let first = sim.mcs[0].enqueue_obs(0, 0, 10, 0, &sim.obs);
+            let first = sim.mcs[0].enqueue_obs(0, 0, 10, 0, &sim.obs).to_vec();
             assert_eq!(first.len(), 1, "idle bank finalizes the first arrival");
             let second = sim.mcs[0].enqueue_obs(0, 1, 10, 0, &sim.obs);
             assert!(second.is_empty(), "busy bank must park the second arrival");
-            sim.schedule_completions(&first);
+            schedule_completions(&mut sim.events, &first);
             let stats = sim.run_core(&TraceWorkload::single("t", vec![]));
             assert_eq!(stats.backstop_flushes, 1);
             assert!(sim.pending.is_empty());
