@@ -340,7 +340,8 @@ pub struct Sink {
 }
 
 impl Sink {
-    /// A sink that records nothing. Every call is one branch on `None`.
+    /// A sink that records nothing. Every call is one branch on `None`,
+    /// inlined at the call site.
     pub fn disabled() -> Sink {
         Sink { rec: None }
     }
@@ -357,12 +358,20 @@ impl Sink {
         self.rec.is_some()
     }
 
-    #[inline]
+    /// Every record point is `#[inline]` and funnels through here, so in
+    /// the instrumented crates a disabled sink costs this one branch;
+    /// the recording body stays behind a call.
+    #[inline(always)]
     fn with<R: Default>(&self, f: impl FnOnce(&mut Recorder) -> R) -> R {
         match &self.rec {
             None => R::default(),
-            Some(rc) => f(&mut rc.borrow_mut()),
+            Some(rc) => Self::record(rc, f),
         }
+    }
+
+    #[inline(never)]
+    fn record<R>(rc: &RefCell<Recorder>, f: impl FnOnce(&mut Recorder) -> R) -> R {
+        f(&mut rc.borrow_mut())
     }
 
     /// Consume the sink and freeze its recording. Returns `None` for a
@@ -383,6 +392,7 @@ impl Sink {
     // ---- sim-level records -------------------------------------------------
 
     /// One memory access issued by `node` at `ts`.
+    #[inline]
     pub fn access(&self, ts: u64, node: u16) {
         let _ = node;
         self.with(|r| {
@@ -392,6 +402,7 @@ impl Sink {
     }
 
     /// An L1 miss at `node` starts a request lifecycle; returns its tag.
+    #[inline]
     pub fn begin_req(&self, ts: u64, node: u16) -> ReqTag {
         self.with(|r| {
             let id = r.next_req;
@@ -427,6 +438,7 @@ impl Sink {
 
     /// The request was satisfied by an L2 (local or home) hit; no span is
     /// drawn for it.
+    #[inline]
     pub fn req_l2_hit(&self, tag: ReqTag, ts: u64) {
         let _ = ts;
         if !tag.is_some() {
@@ -438,6 +450,7 @@ impl Sink {
     }
 
     /// The request resolved to a cache-to-cache transfer.
+    #[inline]
     pub fn c2c(&self, tag: ReqTag, ts: u64, node: u16) {
         let _ = (ts, node);
         self.with(|r| {
@@ -451,6 +464,7 @@ impl Sink {
     /// The request resolved to an off-chip access bound for `mc`, accounted
     /// to `node` (the requester in private mode, the home slice in shared
     /// mode — mirroring `RunStats::node_mc_requests`).
+    #[inline]
     pub fn offchip(&self, tag: ReqTag, ts: u64, node: u16, mc: u16) {
         self.with(|r| {
             r.reg.inc(r.ids.offchip, 0, 1);
@@ -464,6 +478,7 @@ impl Sink {
     }
 
     /// A dirty L2 eviction was written back toward `mc`.
+    #[inline]
     pub fn writeback(&self, ts: u64, node: u16, mc: u16) {
         let _ = (ts, node, mc);
         self.with(|r| r.reg.inc(r.ids.writebacks, 0, 1));
@@ -471,6 +486,7 @@ impl Sink {
 
     /// The request's data arrived back at the requester: close its span and
     /// record its end-to-end latency.
+    #[inline]
     pub fn retire(&self, tag: ReqTag, ts: u64) {
         if !tag.is_some() {
             return;
@@ -501,6 +517,7 @@ impl Sink {
 
     /// The request was dropped after exhausting its retry budget: close its
     /// span as [`EvName::Dropped`] and record time-to-drop.
+    #[inline]
     pub fn drop_req(&self, tag: ReqTag, ts: u64) {
         if !tag.is_some() {
             return;
@@ -526,6 +543,7 @@ impl Sink {
 
     /// An off-chip request bound for dark controller `from_mc` was re-homed
     /// to live controller `to_mc`.
+    #[inline]
     pub fn rehome(&self, ts: u64, from_mc: u16, to_mc: u16) {
         let _ = to_mc;
         self.with(|r| {
@@ -536,6 +554,7 @@ impl Sink {
 
     /// The simulator's liveness backstop fired: the event heap drained with
     /// `pending` requests still in flight and the MCs were force-flushed.
+    #[inline]
     pub fn backstop(&self, ts: u64, pending: usize) {
         let _ = ts;
         self.with(|r| {
@@ -546,6 +565,7 @@ impl Sink {
 
     /// Associate an MC token with the request it serves, so bank-service
     /// events can be attributed.
+    #[inline]
     pub fn bind_token(&self, token: u64, tag: ReqTag) {
         if !tag.is_some() {
             return;
@@ -559,6 +579,7 @@ impl Sink {
 
     /// A message finished routing: aggregate per-class counters, mirroring
     /// the NoC's own `ClassStats` update.
+    #[inline]
     pub fn net_msg(&self, class: NetClass, hops: usize, latency: u64, ts: u64) {
         self.with(|r| {
             let k = class_idx(class);
@@ -574,6 +595,7 @@ impl Sink {
 
     /// One link traversal: `depart` is when the flits start crossing `link`,
     /// `wait` is how long they queued for the link, `flits` its occupancy.
+    #[inline]
     pub fn hop(&self, link: u32, depart: u64, wait: u64, flits: u64, tag: ReqTag) {
         self.with(|r| {
             r.reg.inc(r.ids.link_flit_cycles, link as usize, flits);
@@ -598,6 +620,7 @@ impl Sink {
 
     /// A link traversal was delayed `extra` cycles by an active link-fault
     /// window.
+    #[inline]
     pub fn link_fault(&self, link: u32, depart: u64, extra: u64, tag: ReqTag) {
         self.with(|r| {
             r.reg.inc(r.ids.fault_link_hops, 0, 1);
@@ -620,6 +643,7 @@ impl Sink {
 
     /// A request entered `mc`'s queues; `depth` is the owning bank's queue
     /// depth after insertion.
+    #[inline]
     pub fn mc_enqueue(&self, mc: u16, depth: usize, ts: u64) {
         self.with(|r| {
             r.reg
@@ -631,6 +655,7 @@ impl Sink {
     /// A bank finished scheduling one request: `arrival..start` queued,
     /// `start..finish` in service; `depth` is the bank queue depth after
     /// removal.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn bank_service(
         &self,
@@ -703,6 +728,7 @@ impl Sink {
 
     /// A bank service at `mc`/`bank` was stretched `stall` cycles by an
     /// active bank-stall window. `start` is when the stalled service began.
+    #[inline]
     pub fn bank_stall(&self, mc: u16, bank: u16, token: u64, start: u64, stall: u64) {
         self.with(|r| {
             let m = mc as usize;
@@ -728,6 +754,7 @@ impl Sink {
     /// retry after `backoff` cycles (span drawn over the backoff interval).
     /// The token binding survives, so the eventual successful service (or
     /// drop) is still attributed.
+    #[inline]
     pub fn mc_retry(&self, mc: u16, token: u64, ts: u64, backoff: u64) {
         self.with(|r| {
             r.reg.inc(r.ids.fault_retries, mc as usize, 1);
@@ -748,6 +775,7 @@ impl Sink {
 
     /// The request behind `token` exhausted its retry budget at `mc` and was
     /// dropped; the token binding is consumed.
+    #[inline]
     pub fn mc_drop(&self, mc: u16, token: u64, ts: u64) {
         self.with(|r| {
             r.reg.inc(r.ids.fault_dropped, mc as usize, 1);
@@ -769,6 +797,7 @@ impl Sink {
     // ---- cache / directory records -----------------------------------------
 
     /// One set-associative cache access.
+    #[inline]
     pub fn cache_access(&self, tag: CacheTag, ts: u64, hit: bool, evicted: bool, dirty: bool) {
         let _ = ts;
         self.with(|r| {
@@ -799,6 +828,7 @@ impl Sink {
     /// `n` prefetch-pipeline events of kind `ev` at `node`. A no-op unless
     /// the recorder was built with [`ObsConfig::prefetch`], keeping
     /// prefetch-off snapshots byte-identical to pre-prefetch builds.
+    #[inline]
     pub fn prefetch(&self, ev: PfEvent, node: u16, n: u64) {
         if n == 0 {
             return;
@@ -821,6 +851,7 @@ impl Sink {
     }
 
     /// One directory lookup; `forward` when a sharer could supply the line.
+    #[inline]
     pub fn dir_lookup(&self, ts: u64, node: u16, forward: bool) {
         let _ = (ts, node);
         self.with(|r| {
