@@ -127,7 +127,7 @@ use hoploc::serve::{
     load::{render_report, report_json},
     Client, EngineCaps, LoadConfig, ServeConfig, Server, SuiteEngine,
 };
-use hoploc::sim::{Improvement, PrefetchConfig, SimConfig};
+use hoploc::sim::{Improvement, PrefetchConfig, RunStats, SimConfig};
 use hoploc::workloads::{all_apps, layout_for, App, RunKind, Scale};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -517,11 +517,27 @@ fn cmd_bench(o: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The simulator counts firings of its liveness backstop but prints
+/// nothing; the commands that own stderr say so, once per run that had any.
+fn warn_backstop(app: &str, kind: RunKind, stats: &RunStats) {
+    if stats.backstop_flushes > 0 {
+        eprintln!(
+            "warning[HL0900]: {app}/{}: the event queue drained {} time(s) with requests \
+             still in flight; the memory controllers were force-flushed",
+            kind_name(kind),
+            stats.backstop_flushes
+        );
+    }
+}
+
 fn cmd_run(app: App, o: &Options) {
     let name = app.name().to_string();
     let suite = suite(o, vec![app]);
     let kinds = [o.baseline_kind(), o.optimized_kind()];
     let records = suite.run_full(&kinds, o.jobs.min(2));
+    for r in &records {
+        warn_backstop(&r.app, r.kind, &r.stats);
+    }
     let (base, opt) = (&records[0].stats, &records[1].stats);
     let imp = Improvement::between(base, opt);
     println!("== {name} ==");
@@ -641,6 +657,7 @@ fn cmd_trace(app: App, o: &Options) -> ExitCode {
         "config", "exec cycles", "off-chip", "spans", "p95 latency"
     );
     for r in &records {
+        warn_backstop(&name, r.kind, &r.stats);
         let kind = kind_name(r.kind);
         let stem = format!("{}/{}-{}", o.out, name, kind);
         let outputs = [
@@ -749,6 +766,8 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
     for (kind, clean) in kinds.into_iter().zip(clean) {
         let spec = RunSpec { app: 0, kind };
         let faulted = suite.run_one_faulted(spec, &plan);
+        warn_backstop(&name, kind, &clean);
+        warn_backstop(&name, kind, &faulted);
         let retries: u64 = faulted.mc.iter().map(|m| m.retries).sum();
         println!(
             "{:<12} {:>12} {:>12} {:>8.2}% {:>8} {:>7} {:>9} {:>9}",
@@ -813,6 +832,9 @@ fn cmd_sweep(o: &Options) {
     let suite = suite(o, all_apps(o.scale));
     let kinds = [o.baseline_kind(), o.optimized_kind()];
     let records = suite.run_full(&kinds, o.jobs);
+    for r in &records {
+        warn_backstop(&r.app, r.kind, &r.stats);
+    }
     let napps = suite.apps().len();
     println!(
         "{:<11} {:>9} {:>9} {:>9} {:>9}",

@@ -72,6 +72,21 @@ fn every_app_runs_both_sides_with_identical_work() {
 }
 
 #[test]
+fn healthy_suite_never_needs_the_liveness_backstop() {
+    // The simulator only counts backstop firings (the CLI prints
+    // warning[HL0900] for a non-zero count); a run with no injected
+    // faults must never have one to report.
+    let (_, records) = sweep();
+    for r in records {
+        assert_eq!(
+            r.stats.backstop_flushes, 0,
+            "{}/{:?}: the event queue drained with requests in flight",
+            r.app, r.kind
+        );
+    }
+}
+
+#[test]
 fn optimization_localizes_offchip_traffic_suite_wide() {
     // Pooled over the suite, optimized off-chip messages must traverse
     // fewer links — the paper's central mechanism.
