@@ -1,0 +1,129 @@
+//! The per-access paths of the cycle tier do not allocate: heap
+//! allocations during `Simulator::run` and `generate_traces` are set by
+//! the machine and the footprint (pages, threads, requests in flight,
+//! trace-buffer doublings), not by how many accesses are replayed.
+//!
+//! Counted with a global allocator, so this binary holds exactly one test:
+//! a second one running on another thread would be counted too.
+
+use hoploc::layout::Granularity;
+use hoploc::noc::L2ToMcMapping;
+use hoploc::sim::{AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
+use hoploc::workloads::{applu, generate_traces, layout_for, swim, RunKind, Scale, TraceGen};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic and
+// touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
+        // caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let r = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
+}
+
+#[test]
+fn allocations_do_not_grow_with_trace_length() {
+    let sim = SimConfig {
+        granularity: Granularity::CacheLine,
+        ..SimConfig::scaled()
+    };
+    let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
+
+    for app in [swim(Scale::Test), applu(Scale::Test)] {
+        let name = app.name().to_string();
+        let layout = layout_for(&app, &mapping, &sim, RunKind::Optimized);
+        let space = AddressSpace::build(&app.program, &layout, 0);
+
+        // Trace generation: a four times finer sampling stride replays
+        // four times the accesses through the same nests, threads and
+        // repetitions. Only the trace buffers may grow for it — a couple
+        // of doublings per thread.
+        let gen = |stride| TraceGen {
+            fastest_stride: stride,
+            ..app.gen
+        };
+        let (coarse_allocs, coarse) =
+            allocations_during(|| generate_traces(&app.program, &layout, &space, &gen(4)));
+        let (fine_allocs, fine) =
+            allocations_during(|| generate_traces(&app.program, &layout, &space, &gen(1)));
+        let threads = fine.threads.len() as u64;
+        assert!(
+            fine.total_accesses() > 3 * coarse.total_accesses(),
+            "{name}: the finer stride must replay far more accesses"
+        );
+        assert!(
+            fine_allocs <= coarse_allocs + 4 * threads,
+            "{name}: generate_traces allocated {fine_allocs} times for {} accesses but \
+             {coarse_allocs} for {}",
+            fine.total_accesses(),
+            coarse.total_accesses()
+        );
+        assert!(
+            fine_allocs < fine.total_accesses() / 50,
+            "{name}: {fine_allocs} allocations for {} accesses",
+            fine.total_accesses()
+        );
+
+        // Simulation: the same trace replayed four times over touches the
+        // same pages and lines from the same threads. The run's books
+        // (page table, directory, in-flight requests, event nodes) are
+        // sized by those, so four times the accesses may not cost more
+        // than a few extra table growths.
+        let once = fine;
+        let repeated = TraceWorkload::single(
+            name.clone(),
+            once.threads
+                .iter()
+                .map(|t| ThreadTrace::new(t.node, t.accesses.repeat(4)))
+                .collect(),
+        );
+        let run = |w: &TraceWorkload| {
+            let machine = Simulator::new(sim.clone(), mapping.clone(), PagePolicy::Interleaved);
+            allocations_during(|| machine.run(w))
+        };
+        let (once_allocs, once_stats) = run(&once);
+        let (repeated_allocs, repeated_stats) = run(&repeated);
+        assert_eq!(repeated_stats.total_accesses, 4 * once_stats.total_accesses);
+        assert!(
+            repeated_allocs <= once_allocs + once_allocs / 4 + 64,
+            "{name}: Simulator::run allocated {repeated_allocs} times for {} accesses but \
+             {once_allocs} for {}",
+            repeated_stats.total_accesses,
+            once_stats.total_accesses
+        );
+        assert!(
+            repeated_allocs < repeated_stats.total_accesses / 50,
+            "{name}: {repeated_allocs} allocations for {} accesses",
+            repeated_stats.total_accesses
+        );
+    }
+}
