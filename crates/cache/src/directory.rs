@@ -27,11 +27,6 @@ impl Sharers {
         self.0 == 0
     }
 
-    /// Whether `node` is among the sharers.
-    pub fn contains(self, node: usize) -> bool {
-        node < 128 && self.0 & (1u128 << node) != 0
-    }
-
     /// The sharers in ascending node order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut rest = self.0;
@@ -224,6 +219,5 @@ mod tests {
         assert!(d.has_sharer(1));
         assert_eq!(nodes(d.sharers(1)), vec![127]);
         assert_eq!(d.sharers(1).len(), 1);
-        assert!(d.sharers(1).contains(127) && !d.sharers(1).contains(5));
     }
 }

@@ -351,11 +351,13 @@ impl SetAssocCache {
     fn fill(&mut self, line: u64, flags: u8) -> AccessResult {
         let base = self.set_index(line) * self.config.ways;
         let ages = &self.last_used[base..base + self.config.ways];
+        // First minimum. Kept a plain compare-and-keep loop: fancier
+        // iterator chains here have compiled to several times the cost.
         let mut way = 0;
         let mut oldest = ages[0];
-        for w in 1..ages.len() {
-            if ages[w] < oldest {
-                oldest = ages[w];
+        for (w, &age) in ages.iter().enumerate() {
+            if age < oldest {
+                oldest = age;
                 way = w;
             }
         }

@@ -21,9 +21,9 @@ fn every_request_completes_exactly_once() {
         let mut tokens = Vec::new();
         for (i, &(addr, gap)) in reqs.iter().enumerate() {
             now += gap;
-            tokens.extend(mc.enqueue(addr, i as u64, now).into_iter().map(|c| c.token));
+            tokens.extend(mc.enqueue(addr, i as u64, now).iter().map(|c| c.token));
         }
-        tokens.extend(mc.flush().into_iter().map(|c| c.token));
+        tokens.extend(mc.flush().iter().map(|c| c.token));
         tokens.sort_unstable();
         let expect: Vec<u64> = (0..reqs.len() as u64).collect();
         assert_eq!(tokens, expect);

@@ -552,7 +552,7 @@ impl Sink {
         });
     }
 
-    /// The simulator's liveness backstop fired: the event heap drained with
+    /// The simulator's liveness backstop fired: the event queue drained with
     /// `pending` requests still in flight and the MCs were force-flushed.
     #[inline]
     pub fn backstop(&self, ts: u64, pending: usize) {

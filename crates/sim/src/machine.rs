@@ -303,7 +303,7 @@ impl Simulator {
                 }
                 EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
-            // Liveness backstop: if the heap drained while requests are
+            // Liveness backstop: if the queue drained while requests are
             // still pending (e.g. a poll raced a flush), force scheduling.
             // A healthy run never gets here — firing means a scheduling
             // hole, so it is counted (`RunStats::backstop_flushes`, the

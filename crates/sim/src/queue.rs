@@ -10,7 +10,7 @@
 //! work. Appending in push order *is* `seq` order, so no `seq` is stored.
 //!
 //! Two kinds of event do not fit the ring, and both go to a small binary
-//! heap ordered by `(time, seq)`:
+//! heap of `(time, seq, node)`:
 //!
 //! * events at least [`RING`] cycles ahead. They move into their bucket the
 //!   moment the clock advances far enough to cover them — before the pop
@@ -23,12 +23,13 @@
 //!   controller-local time). All of them precede every ring event, so `pop`
 //!   serves the heap first while its top is behind the clock.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Cycles the ring covers, starting at the clock. A small ring matters
 /// more than a long horizon: 512 bucket heads and tails stay resident in
-/// the host's L1, and the few events due later cost one heap round trip.
+/// the host's L1, and the few events due later cost one heap round trip
+/// (256 and 1024 both measured slower).
 const RING: usize = 512;
 const WORDS: usize = RING / 64;
 const NIL: u32 = u32::MAX;
@@ -37,32 +38,6 @@ const NIL: u32 = u32::MAX;
 struct Node<T> {
     item: T,
     next: u32,
-}
-
-struct Far<T> {
-    time: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Far<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-
-impl<T> Eq for Far<T> {}
-
-impl<T> PartialOrd for Far<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Far<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
 }
 
 /// A priority queue popping in ascending `(time, push order)`.
@@ -75,11 +50,12 @@ pub(crate) struct EventQueue<T> {
     tails: [u32; RING],
     /// Bit `b` set iff bucket `b` is non-empty.
     occupied: [u64; WORDS],
-    /// List nodes; vacant ones are chained through `free`.
+    /// Every queued event's payload; vacant nodes are chained through
+    /// `free`, so the slab grows to the most events ever queued at once.
     nodes: Vec<Node<T>>,
     free: u32,
-    /// Events outside `clock .. clock + RING`.
-    far: BinaryHeap<Reverse<Far<T>>>,
+    /// `(time, seq, node)` of the events outside `clock .. clock + RING`.
+    far: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
     len: usize,
 }
@@ -106,64 +82,6 @@ impl<T: Copy> EventQueue<T> {
     pub(crate) fn push(&mut self, time: u64, item: T) {
         self.seq += 1;
         self.len += 1;
-        if time >= self.clock && time - self.clock < RING as u64 {
-            self.append(time, item);
-        } else {
-            self.far.push(Reverse(Far {
-                time,
-                seq: self.seq,
-                item,
-            }));
-        }
-    }
-
-    /// Removes and returns the earliest event and its time.
-    pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
-        loop {
-            if self
-                .far
-                .peek()
-                .is_some_and(|Reverse(e)| e.time < self.clock)
-            {
-                let Reverse(e) = self.far.pop().expect("peeked above");
-                self.len -= 1;
-                return Some((e.time, e.item));
-            }
-            let b = (self.clock % RING as u64) as usize;
-            let head = self.heads[b];
-            if head != NIL {
-                let node = self.nodes[head as usize];
-                self.heads[b] = node.next;
-                if node.next == NIL {
-                    self.tails[b] = NIL;
-                    self.occupied[b / 64] &= !(1 << (b % 64));
-                }
-                self.nodes[head as usize].next = self.free;
-                self.free = head;
-                self.len -= 1;
-                return Some((self.clock, node.item));
-            }
-            // The clock's cycle is done and nothing is behind it: advance
-            // to the next cycle with work, then pull in what the ring now
-            // covers.
-            let in_far = self.far.peek().map(|Reverse(e)| e.time);
-            self.clock = match (self.next_occupied(), in_far) {
-                (Some(a), Some(b)) => a.min(b),
-                (a, b) => a.or(b)?,
-            };
-            while self
-                .far
-                .peek()
-                .is_some_and(|Reverse(e)| e.time - self.clock < RING as u64)
-            {
-                let Reverse(e) = self.far.pop().expect("peeked above");
-                self.append(e.time, e.item);
-            }
-        }
-    }
-
-    /// Appends to the bucket of a `time` inside the ring's window.
-    fn append(&mut self, time: u64, item: T) {
         let node = Node { item, next: NIL };
         let n = if self.free != NIL {
             let n = self.free;
@@ -175,6 +93,63 @@ impl<T: Copy> EventQueue<T> {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
+        if time >= self.clock && time - self.clock < RING as u64 {
+            self.append(time, n);
+        } else {
+            self.far.push(Reverse((time, self.seq, n)));
+        }
+    }
+
+    /// Removes and returns the earliest event and its time.
+    pub(crate) fn pop(&mut self) -> Option<(u64, T)> {
+        loop {
+            if let Some(&Reverse((time, _, n))) = self.far.peek() {
+                if time < self.clock {
+                    self.far.pop();
+                    return Some((time, self.release(n)));
+                }
+            }
+            let b = (self.clock % RING as u64) as usize;
+            let head = self.heads[b];
+            if head != NIL {
+                let next = self.nodes[head as usize].next;
+                self.heads[b] = next;
+                if next == NIL {
+                    self.tails[b] = NIL;
+                    self.occupied[b / 64] &= !(1 << (b % 64));
+                }
+                return Some((self.clock, self.release(head)));
+            }
+            // The clock's cycle is done and nothing is behind it: advance
+            // to the next cycle with work, then pull in what the ring now
+            // covers.
+            let in_far = self.far.peek().map(|&Reverse((time, _, _))| time);
+            self.clock = match (self.next_occupied(), in_far) {
+                (Some(a), Some(b)) => a.min(b),
+                (a, b) => a.or(b)?,
+            };
+            while let Some(&Reverse((time, _, n))) = self.far.peek() {
+                if time - self.clock >= RING as u64 {
+                    break;
+                }
+                self.far.pop();
+                self.append(time, n);
+            }
+        }
+    }
+
+    /// Frees node `n` and returns its payload.
+    fn release(&mut self, n: u32) -> T {
+        let node = &mut self.nodes[n as usize];
+        node.next = self.free;
+        self.free = n;
+        self.len -= 1;
+        node.item
+    }
+
+    /// Links node `n` at the back of the bucket of a `time` inside the
+    /// ring's window.
+    fn append(&mut self, time: u64, n: u32) {
         let b = (time % RING as u64) as usize;
         let tail = self.tails[b];
         if tail == NIL {
