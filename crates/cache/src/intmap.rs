@@ -37,14 +37,6 @@ impl Hasher for IntHasher {
     fn write_u16(&mut self, x: u16) {
         self.write_u64(x as u64);
     }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
 }
 
 #[cfg(test)]

@@ -208,15 +208,7 @@ impl SetAssocCache {
     /// slot stride into pathological conflict misses that no real machine
     /// exhibits.
     fn set_index(&self, line: u64) -> usize {
-        let folded = line ^ (line >> 7) ^ (line >> 14);
-        let n = self.num_sets;
-        // Same value either way; the usual power-of-two set count skips
-        // the division.
-        (if n.is_power_of_two() {
-            folded & (n - 1)
-        } else {
-            folded % n
-        }) as usize
+        ((line ^ (line >> 7) ^ (line >> 14)) % self.num_sets) as usize
     }
 
     /// The bucket a line's probe sequence starts at.

@@ -1208,15 +1208,12 @@ fn schedule_completions(events: &mut EventQueue<EventKind>, done: &[Completion])
 /// The sharer fewest hops from `node`, the lowest node id among equals:
 /// the L2 the directory forwards a private-L2 miss to.
 fn nearest_sharer(mesh: &Mesh, node: NodeId, sharers: Sharers) -> Option<NodeId> {
-    let mut best: Option<(u32, NodeId)> = None;
-    for s in sharers.iter() {
-        let s = NodeId(s as u16);
-        let hops = mesh.hop_distance(node, s);
-        if best.is_none_or(|(fewest, _)| hops < fewest) {
-            best = Some((hops, s));
-        }
-    }
-    best.map(|(_, s)| s)
+    // `min_by_key` keeps the first of equal minima, and the mask iterates
+    // in ascending node order.
+    sharers
+        .iter()
+        .map(|s| NodeId(s as u16))
+        .min_by_key(|&s| mesh.hop_distance(node, s))
 }
 
 #[cfg(test)]

@@ -96,23 +96,24 @@ impl Os {
     /// Everything but a hit in the dense table: a page outside its range,
     /// or the first touch of a page (which allocates it).
     fn translate_slow(&mut self, vpn: u64, toucher: NodeId, mapping: &L2ToMcMapping) -> u64 {
-        if vpn >= self.dense_limit {
+        let sparse = vpn >= self.dense_limit;
+        if sparse {
             if let Some(&pfn) = self.sparse.get(&vpn) {
                 return pfn;
             }
         }
         let pfn = self.allocate(vpn, toucher, mapping);
         self.resident += 1;
-        if vpn >= self.dense_limit {
+        if sparse {
             self.sparse.insert(vpn, pfn);
-            return pfn;
+        } else {
+            let i = vpn as usize;
+            if i >= self.dense.len() {
+                let grown = (i + 1).next_power_of_two().min(self.dense_limit as usize);
+                self.dense.resize(grown, UNMAPPED);
+            }
+            self.dense[i] = pfn;
         }
-        let i = vpn as usize;
-        if i >= self.dense.len() {
-            let grown = (i + 1).next_power_of_two().min(self.dense_limit as usize);
-            self.dense.resize(grown, UNMAPPED);
-        }
-        self.dense[i] = pfn;
         pfn
     }
 
