@@ -42,8 +42,8 @@ pub use diag::{
     TRAFFIC_SIGNIFICANCE,
 };
 pub use model::{
-    estimate_app, estimate_app_fresh, estimate_placement, AppEstimate, ArrayEstimate, EstConfig,
-    RefEstimate,
+    estimate_app, estimate_placement, AppEstimate, ArrayEstimate, EstConfig, Footprint,
+    PlacementScorer, RefEstimate,
 };
 pub use rank::{ranks, spearman};
 pub use xval::{

@@ -47,11 +47,11 @@
 
 use std::collections::HashMap;
 
-use hoploc_affine::{AccessFn, AffineAccess, ArrayId, LoopNest, Program, RefKind};
+use hoploc_affine::{AccessFn, AffineAccess, ArrayId, LoopNest, Program};
 use hoploc_layout::{ArrayLayout, Granularity, L2Mode, ProgramLayout};
-use hoploc_noc::{L2ToMcMapping, NodeId};
+use hoploc_noc::{L2ToMcMapping, McId, NodeId};
 use hoploc_sim::SimConfig;
-use hoploc_workloads::{App, RunKind};
+use hoploc_workloads::{App, LayoutPlanner, RunKind};
 
 /// The machine parameters the estimator needs — a small projection of
 /// [`SimConfig`] so predictions are comparable to a given simulation.
@@ -106,7 +106,7 @@ impl EstConfig {
 
 /// Prediction for one reference (nest, statement, reference coordinates
 /// match the diagnostics' locations).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RefEstimate {
     /// Nest index within the program.
     pub nest: usize,
@@ -129,7 +129,7 @@ pub struct RefEstimate {
 }
 
 /// Prediction for one array, aggregated over all its references.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ArrayEstimate {
     /// The array's name.
     pub array: String,
@@ -532,113 +532,133 @@ enum Requester {
     Uniform,
 }
 
-/// Splits `misses` lines of off-chip traffic for `thread`'s share of one
-/// array across controllers, weighting hops by requester distance.
-#[allow(clippy::too_many_arguments)]
-fn route(
-    acc: &mut Traffic,
-    misses: f64,
-    requester: Requester,
-    al: &ArrayLayout,
-    thread: Option<usize>,
+/// The static traffic split of one (layout, mapping, kind) cell.
+struct Router<'a> {
+    mapping: &'a L2ToMcMapping,
+    cfg: &'a EstConfig,
     kind: RunKind,
-    mapping: &L2ToMcMapping,
-    cfg: &EstConfig,
     first_touch_friendly: bool,
-) {
-    if misses <= 0.0 {
-        return;
-    }
-    acc.volume += misses;
-    let mesh = mapping.mesh();
-    let n_nodes = cfg.num_nodes;
-    let hop_to = |mc: hoploc_noc::McId| -> f64 {
-        let mn = mapping.mc_node(mc);
-        match requester {
-            Requester::Node(n) => mesh.hop_distance(n, mn) as f64,
-            Requester::Uniform => {
-                (0..n_nodes)
+    /// Mean hop distance from a uniformly drawn node to each controller.
+    uniform_hops: Vec<f64>,
+}
+
+impl<'a> Router<'a> {
+    fn new(
+        mapping: &'a L2ToMcMapping,
+        cfg: &'a EstConfig,
+        kind: RunKind,
+        first_touch_friendly: bool,
+    ) -> Self {
+        let mesh = mapping.mesh();
+        let uniform_hops = (0..cfg.num_mcs)
+            .map(|m| {
+                let mn = mapping.mc_node(McId(m as u16));
+                (0..cfg.num_nodes)
                     .map(|i| mesh.hop_distance(NodeId(i as u16), mn) as f64)
                     .sum::<f64>()
-                    / n_nodes as f64
-            }
+                    / cfg.num_nodes as f64
+            })
+            .collect();
+        Self {
+            mapping,
+            cfg,
+            kind,
+            first_touch_friendly,
+            uniform_hops,
         }
-    };
-    let mut add = |mc: hoploc_noc::McId, w: f64| {
-        acc.per_mc[mc.0 as usize] += w;
-        acc.hops += w * hop_to(mc);
-    };
-    match kind {
-        RunKind::Optimal => match requester {
-            // The optimal idealization sends every request to the
-            // requester's nearest controller.
-            Requester::Node(n) => add(mapping.nearest_mc(n), misses),
-            Requester::Uniform => {
-                let w = misses / n_nodes as f64;
-                for i in 0..n_nodes {
-                    let n = NodeId(i as u16);
-                    let mc = mapping.nearest_mc(n);
-                    acc.per_mc[mc.0 as usize] += w;
-                    acc.hops += w * mesh.hop_distance(n, mapping.mc_node(mc)) as f64;
-                }
-            }
-        },
-        RunKind::FirstTouch => {
-            // A friendly first touch lands each owner's pages on its
-            // cluster's controllers; a mismatched one scatters pages with
-            // no useful correlation to the requester — model as uniform.
-            let owner_mcs = if first_touch_friendly {
-                let owner = match thread {
-                    Some(t) => mapping.cluster_of(node_of_thread(al, t, cfg)),
-                    // Broadcast data is first touched by thread 0.
-                    None => mapping.cluster_of(node_of_thread(al, 0, cfg)),
-                };
-                Some(mapping.cluster_mcs(owner).to_vec())
-            } else {
-                None
+    }
+
+    /// Splits `misses` lines of off-chip traffic for `thread`'s share of
+    /// one array across controllers, weighting hops by requester distance.
+    fn route(
+        &self,
+        acc: &mut Traffic,
+        misses: f64,
+        requester: Requester,
+        al: &ArrayLayout,
+        thread: Option<usize>,
+    ) {
+        if misses <= 0.0 {
+            return;
+        }
+        acc.volume += misses;
+        let (mapping, cfg) = (self.mapping, self.cfg);
+        let mesh = mapping.mesh();
+        let n_nodes = cfg.num_nodes;
+        let mut add = |mc: McId, w: f64| {
+            let hops = match requester {
+                Requester::Node(n) => mesh.hop_distance(n, mapping.mc_node(mc)) as f64,
+                Requester::Uniform => self.uniform_hops[mc.0 as usize],
             };
-            match owner_mcs {
-                Some(mcs) if !mcs.is_empty() => {
-                    let w = misses / mcs.len() as f64;
-                    for mc in mcs {
-                        add(mc, w);
+            acc.per_mc[mc.0 as usize] += w;
+            acc.hops += w * hops;
+        };
+        match self.kind {
+            RunKind::Optimal => match requester {
+                // The optimal idealization sends every request to the
+                // requester's nearest controller.
+                Requester::Node(n) => add(mapping.nearest_mc(n), misses),
+                Requester::Uniform => {
+                    let w = misses / n_nodes as f64;
+                    for i in 0..n_nodes {
+                        let n = NodeId(i as u16);
+                        let mc = mapping.nearest_mc(n);
+                        acc.per_mc[mc.0 as usize] += w;
+                        acc.hops += w * mesh.hop_distance(n, mapping.mc_node(mc)) as f64;
                     }
                 }
-                _ => {
+            },
+            RunKind::FirstTouch => {
+                // A friendly first touch lands each owner's pages on its
+                // cluster's controllers (broadcast data is first touched
+                // by thread 0); a mismatched one scatters pages with no
+                // useful correlation to the requester — model as uniform.
+                let owner_mcs = if self.first_touch_friendly {
+                    let owner = mapping.cluster_of(node_of_thread(thread.unwrap_or(0), cfg));
+                    mapping.cluster_mcs(owner)
+                } else {
+                    &[]
+                };
+                if owner_mcs.is_empty() {
                     let w = misses / cfg.num_mcs as f64;
                     for m in 0..cfg.num_mcs {
-                        add(hoploc_noc::McId(m as u16), w);
+                        add(McId(m as u16), w);
                     }
-                }
-            }
-        }
-        RunKind::Baseline | RunKind::Optimized => {
-            let mcs = thread.and_then(|t| al.thread_mcs(t));
-            match mcs {
-                // The localized plan pins the thread's units to its
-                // group's slots (one list entry per slot, so shared
-                // controllers weight correctly).
-                Some(mcs) if !mcs.is_empty() => {
-                    let w = misses / mcs.len() as f64;
-                    for mc in mcs {
+                } else {
+                    let w = misses / owner_mcs.len() as f64;
+                    for &mc in owner_mcs {
                         add(mc, w);
                     }
                 }
-                // Original layouts (and broadcast traffic of localized
-                // ones) interleave uniformly.
-                _ => match plan_slot_histogram(al, cfg.num_mcs) {
-                    Some(hist) if thread.is_none() => {
-                        for (m, share) in hist.iter().enumerate() {
-                            add(hoploc_noc::McId(m as u16), misses * share);
+            }
+            RunKind::Baseline | RunKind::Optimized => {
+                let mcs = thread.and_then(|t| al.thread_mcs(t));
+                match mcs {
+                    // The localized plan pins the thread's units to its
+                    // group's slots (one list entry per slot, so shared
+                    // controllers weight correctly).
+                    Some(mcs) if !mcs.is_empty() => {
+                        let w = misses / mcs.len() as f64;
+                        for mc in mcs {
+                            add(mc, w);
                         }
                     }
-                    _ => {
-                        let w = misses / cfg.num_mcs as f64;
-                        for m in 0..cfg.num_mcs {
-                            add(hoploc_noc::McId(m as u16), w);
+                    // Original layouts (and broadcast traffic of localized
+                    // ones) interleave uniformly.
+                    _ => match plan_slot_histogram(al, cfg.num_mcs) {
+                        Some(hist) if thread.is_none() => {
+                            for (m, share) in hist.iter().enumerate() {
+                                add(McId(m as u16), misses * share);
+                            }
                         }
-                    }
-                },
+                        _ => {
+                            let w = misses / cfg.num_mcs as f64;
+                            for m in 0..cfg.num_mcs {
+                                add(McId(m as u16), w);
+                            }
+                        }
+                    },
+                }
             }
         }
     }
@@ -666,7 +686,7 @@ fn plan_slot_histogram(al: &ArrayLayout, n_mcs: usize) -> Option<Vec<f64>> {
 }
 
 /// The mesh node thread `t` runs on (threads share cores under SMT).
-fn node_of_thread(_al: &ArrayLayout, t: usize, cfg: &EstConfig) -> NodeId {
+fn node_of_thread(t: usize, cfg: &EstConfig) -> NodeId {
     NodeId((t / cfg.threads_per_core % cfg.num_nodes) as u16)
 }
 
@@ -704,7 +724,7 @@ fn requester_for(al: &ArrayLayout, binding_node: NodeId, t: usize, cfg: &EstConf
 /// indexed?).
 type RefClass<'a> = (&'a [(usize, usize)], u64, u64, bool, bool);
 
-/// Per-(nest, array) model output carried into aggregation.
+/// Per-(nest, array) footprint-model output, before aggregation.
 struct ComponentMisses {
     nest: usize,
     array: ArrayId,
@@ -732,10 +752,519 @@ struct ComponentMisses {
     streaming: bool,
 }
 
-/// Predicts one (application, layout, kind) cell. The layout must be the
-/// one the corresponding simulation replays (take it from
-/// `Suite::layout_plan`), so prediction error can only come from the
-/// model, never from divergent inputs.
+/// The off-chip demand of one (nest, array) pair, ready to be routed.
+#[derive(Clone, PartialEq, Debug)]
+struct ComponentDemand {
+    array: ArrayId,
+    /// Index of the array's entry in [`Footprint::arrays`].
+    slot: usize,
+    /// Per-thread partitioned misses.
+    part: Vec<u64>,
+    /// Broadcast plus indexed misses (no single owning thread).
+    global: u64,
+}
+
+/// The layout-independent half of a prediction: how many lines each
+/// thread's share of each array fetches off-chip. It reads the program,
+/// the trace-walk geometry and the cache shape — never the layout, the
+/// mapping, the run kind, the interleaving granularity or the controller
+/// count — and is all integer arithmetic, so one footprint serves every
+/// placement a search scores: [`route`](Self::route) adds only the
+/// per-controller `f64` split. Two footprints compare equal exactly when
+/// every prediction routed from them agrees on the off-chip term.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Footprint {
+    app: String,
+    first_touch_friendly: bool,
+    /// The [`EstConfig`] fields the model read; `route` must be handed the
+    /// same ones.
+    model_inputs: (L2Mode, u64, u64, usize, usize),
+    components: Vec<ComponentDemand>,
+    total_accesses: u64,
+    predicted_offchip: u64,
+    streaming: bool,
+    /// Per-array totals in first-appearance order (`avg_hops` unset).
+    arrays: Vec<ArrayEstimate>,
+    refs: Vec<RefEstimate>,
+}
+
+/// The [`EstConfig`] fields [`Footprint::of`] depends on.
+fn model_inputs(cfg: &EstConfig) -> (L2Mode, u64, u64, usize, usize) {
+    (
+        cfg.l2_mode,
+        cfg.l2_bytes,
+        cfg.line_bytes,
+        cfg.num_nodes,
+        cfg.threads_per_core,
+    )
+}
+
+impl Footprint {
+    /// Runs the footprint model for `app` on the machine `cfg` describes
+    /// (one thread group per node: `num_nodes × threads_per_core` threads).
+    pub fn of(app: &App, cfg: &EstConfig) -> Self {
+        let program = &app.program;
+        let n_threads = cfg.num_nodes * cfg.threads_per_core;
+        let line = cfg.line_bytes;
+        let cap = cfg.effective_capacity();
+        let nests = program.nests();
+        let max_weight = nests.iter().map(|n| n.weight()).max().unwrap_or(1);
+
+        // ── Per-nest footprint model ───────────────────────────────────
+        let mut components: Vec<ComponentMisses> = Vec::new();
+        for (ni, nest) in nests.iter().enumerate() {
+            let light = nest.weight().saturating_mul(8) < max_weight;
+            let strides = mirror_strides(nest, &app.gen, light);
+            let reps = if light { 1 } else { app.gen.hot_reps.max(1) } as u64;
+            let par = nest.parallel_dim();
+            let groups = group_refs(program, nest);
+            if groups.is_empty() {
+                continue;
+            }
+            let global_walk = walk_for(nest, &strides, None);
+            let thread_walks: Vec<Walk> = (0..n_threads)
+                .map(|t| walk_for(nest, &strides, Some((t, n_threads))))
+                .collect();
+
+            // Level line counts per (array, class).
+            struct NestArrayLines {
+                /// Per thread, per level.
+                part: Vec<Vec<u64>>,
+                /// Partitioned lines over the *global* walk (all threads'
+                /// chunks at once) — the union footprint, free of the halo
+                /// double-counting in `Σ_t part[t]`.
+                part_glob: u64,
+                /// Global, per level.
+                bcast: Vec<u64>,
+                indexed: u64,
+                array_lines: u64,
+            }
+            let depth = nest.depth();
+            let mut lines: Vec<NestArrayLines> = Vec::with_capacity(groups.len());
+            for g in &groups {
+                let decl = program.array(g.array);
+                let dims = decl.dims();
+                let elem = decl.elem_size() as u64;
+                let array_lines =
+                    ((decl.size_bytes() as u64).saturating_add(line - 1) / line).max(1);
+                let sum_levels =
+                    |walk: &Walk, groups: &[RefGroup], skip: Option<usize>| -> Vec<u64> {
+                        let mut tot = vec![0u64; depth + 1];
+                        for grp in groups {
+                            let accs: Vec<&AffineAccess> = grp.accesses.iter().collect();
+                            let l = level_lines(&accs, dims, elem, line, walk, skip);
+                            for (t, v) in tot.iter_mut().zip(l) {
+                                *t = t.saturating_add(v).min(array_lines);
+                            }
+                        }
+                        tot
+                    };
+                let part: Vec<Vec<u64>> = thread_walks
+                    .iter()
+                    .map(|w| sum_levels(w, &g.part_groups, None))
+                    .collect();
+                let part_glob = sum_levels(&global_walk, &g.part_groups, None)[0];
+                let bcast = sum_levels(&global_walk, &g.bcast_groups, Some(par));
+                // Distinct target lines named by this array's index tables.
+                let indexed: u64 = nest
+                    .body()
+                    .iter()
+                    .flat_map(|s| s.refs.iter())
+                    .filter(|r| r.array == g.array)
+                    .filter_map(|r| match &r.access {
+                        AccessFn::Indexed { table, .. } => {
+                            let tab = program.table(*table);
+                            (!tab.is_empty()).then(|| {
+                                table_lines(tab, decl.dims()[0], decl.elem_size() as u64, line)
+                            })
+                        }
+                        AccessFn::Affine(_) => None,
+                    })
+                    .sum::<u64>()
+                    .min(array_lines);
+                lines.push(NestArrayLines {
+                    part,
+                    part_glob,
+                    bcast,
+                    indexed,
+                    array_lines,
+                });
+            }
+
+            // Footprint at each level → fit levels.
+            // Private: each node holds its thread's partitioned lines plus a
+            // full copy of broadcast data; indexed table targets are shared,
+            // so each node holds roughly its 1/n slice.
+            // Shared: one aggregate capacity holds everything once.
+            let nf_at = |lvl: usize, t: usize| -> u64 {
+                let mut lines_total = 0u64;
+                for la in &lines {
+                    let part = la.part[t][lvl];
+                    let add = match cfg.l2_mode {
+                        L2Mode::Private => part
+                            .saturating_add(la.bcast[lvl])
+                            .saturating_add(la.indexed / n_threads as u64 + 1)
+                            .min(la.array_lines),
+                        L2Mode::Shared => part,
+                    };
+                    lines_total = lines_total.saturating_add(add);
+                }
+                lines_total.saturating_mul(line)
+            };
+            let nf_shared_at = |lvl: usize| -> u64 {
+                let mut lines_total = 0u64;
+                for la in &lines {
+                    let mut a = la.bcast[lvl].saturating_add(la.indexed);
+                    for t in 0..n_threads {
+                        a = a.saturating_add(la.part[t][lvl]);
+                    }
+                    lines_total = lines_total.saturating_add(a.min(la.array_lines));
+                }
+                lines_total.saturating_mul(line)
+            };
+            let fit_level = |nf: &dyn Fn(usize) -> u64| -> usize {
+                (0..=depth).find(|&l| nf(l) <= cap).unwrap_or(depth)
+            };
+            let fit_t: Vec<usize> = match cfg.l2_mode {
+                L2Mode::Private => (0..n_threads)
+                    .map(|t| fit_level(&|l| nf_at(l, t)))
+                    .collect(),
+                L2Mode::Shared => {
+                    let l = fit_level(&|l| nf_shared_at(l));
+                    vec![l; n_threads]
+                }
+            };
+            // Broadcast data is evicted when the most loaded node (private)
+            // or the aggregate (shared) overflows.
+            let fit_b = match cfg.l2_mode {
+                L2Mode::Private => {
+                    fit_level(&|l| (0..n_threads).map(|t| nf_at(l, t)).max().unwrap_or(0))
+                }
+                L2Mode::Shared => fit_t[0],
+            };
+
+            for (g, la) in groups.iter().zip(&lines) {
+                let reps_of = |fits: bool| if fits { 1 } else { reps };
+                let mut part = vec![0u64; n_threads];
+                let mut acc_part = 0u64;
+                for t in 0..n_threads {
+                    let lvl = fit_t[t];
+                    let pts = thread_walks[t].points();
+                    acc_part = acc_part.saturating_add(
+                        pts.saturating_mul(
+                            reps * g
+                                .part_groups
+                                .iter()
+                                .map(|p| p.members.len() as u64)
+                                .sum::<u64>(),
+                        ),
+                    );
+                    // Consecutive iterations of the loop just outside the fit
+                    // level reuse whatever their spans share (a stencil's
+                    // overlap is retained: its reuse distance is one ℓ*-level
+                    // footprint, which fits by definition). Misses across
+                    // that loop therefore collapse to the *distinct* lines at
+                    // ℓ*−1, and only loops outside ℓ*−1 re-stream them. When
+                    // spans are disjoint `L(ℓ*−1) = n·L(ℓ*)` and this is the
+                    // plain re-streaming count.
+                    let ml = lvl.saturating_sub(1);
+                    part[t] = la.part[t][ml]
+                        .saturating_mul(thread_walks[t].outer_mult(ml, None))
+                        .saturating_mul(reps_of(lvl == 0));
+                }
+                let acc_bcast: u64 = (0..n_threads)
+                    .map(|t| thread_walks[t].points())
+                    .sum::<u64>()
+                    .saturating_mul(
+                        reps * g
+                            .bcast_groups
+                            .iter()
+                            .map(|p| p.members.len() as u64)
+                            .sum::<u64>(),
+                    );
+                let mb = fit_b.saturating_sub(1);
+                let bcast = la.bcast[mb]
+                    .saturating_mul(global_walk.outer_mult(mb, Some(par)))
+                    .saturating_mul(reps_of(fit_b == 0));
+                let acc_indexed: u64 = (0..n_threads)
+                    .map(|t| thread_walks[t].points())
+                    .sum::<u64>()
+                    .saturating_mul(reps * g.indexed.len() as u64);
+                let indexed = la
+                    .indexed
+                    .saturating_mul(global_walk.outer_mult(mb, Some(par)))
+                    .saturating_mul(reps_of(fit_b == 0))
+                    .min(acc_indexed);
+                let streaming = fit_t.iter().any(|&l| l > 0) || fit_b > 0;
+                components.push(ComponentMisses {
+                    nest: ni,
+                    array: g.array,
+                    part,
+                    bcast,
+                    indexed,
+                    acc_part,
+                    acc_bcast,
+                    acc_indexed,
+                    l0_part: (0..n_threads).map(|t| la.part[t][0]).collect(),
+                    l0_part_glob: la.part_glob,
+                    l0_bcast: la.bcast[0],
+                    l0_idx: la.indexed,
+                    part_members: g
+                        .part_groups
+                        .iter()
+                        .flat_map(|p| p.members.iter().copied())
+                        .collect(),
+                    bcast_members: g
+                        .bcast_groups
+                        .iter()
+                        .flat_map(|p| p.members.iter().copied())
+                        .collect(),
+                    idx_members: g.indexed.clone(),
+                    streaming,
+                });
+            }
+        }
+
+        // ── App-level fit: when the whole working set fits, only cold misses
+        // remain. Each nest's cold contribution is the footprint it adds over
+        // what earlier nests already brought in (running coverage per array),
+        // so a subsampled init nest fetches its sparse sample and the first
+        // heavy nest fetches the rest — matching first-touch order in the
+        // trace. ───────────────────────────────────────────────────────────
+        // App-level footprint per array: max over nests of the level-0 lines.
+        let mut app_part: HashMap<ArrayId, Vec<u64>> = HashMap::new();
+        let mut app_part_glob: HashMap<ArrayId, u64> = HashMap::new();
+        let mut app_bcast: HashMap<ArrayId, u64> = HashMap::new();
+        for c in &components {
+            let p = app_part
+                .entry(c.array)
+                .or_insert_with(|| vec![0; n_threads]);
+            for (pt, &l0) in p.iter_mut().zip(&c.l0_part) {
+                *pt = (*pt).max(l0);
+            }
+            let g = app_part_glob.entry(c.array).or_insert(0);
+            *g = (*g).max(c.l0_part_glob);
+            let b = app_bcast.entry(c.array).or_insert(0);
+            *b = (*b).max(c.l0_bcast.saturating_add(c.l0_idx));
+        }
+        let app_fits = match cfg.l2_mode {
+            L2Mode::Private => (0..n_threads).all(|t| {
+                let lines_total: u64 = app_part
+                    .iter()
+                    .map(|(a, p)| p[t].saturating_add(*app_bcast.get(a).unwrap_or(&0)))
+                    .sum();
+                lines_total.saturating_mul(line) <= cap
+            }),
+            L2Mode::Shared => {
+                let lines_total: u64 = app_part_glob
+                    .iter()
+                    .map(|(a, g)| g.saturating_add(*app_bcast.get(a).unwrap_or(&0)))
+                    .sum();
+                lines_total.saturating_mul(line) <= cap
+            }
+        };
+        if app_fits {
+            let mut seen_part: HashMap<ArrayId, Vec<u64>> = HashMap::new();
+            let mut seen_glob: HashMap<ArrayId, u64> = HashMap::new();
+            let mut seen_bcast: HashMap<ArrayId, u64> = HashMap::new();
+            for c in components.iter_mut() {
+                c.streaming = false;
+                let seen = seen_part
+                    .entry(c.array)
+                    .or_insert_with(|| vec![0; n_threads]);
+                let mut sum_t = 0u64;
+                for (t, s) in seen.iter_mut().enumerate().take(n_threads) {
+                    let contrib = c.l0_part[t].saturating_sub(*s);
+                    *s = (*s).max(c.l0_part[t]);
+                    c.part[t] = contrib;
+                    sum_t = sum_t.saturating_add(contrib);
+                }
+                if cfg.l2_mode == L2Mode::Shared && sum_t > 0 {
+                    // Shared NUCA fetches each line once chip-wide: rescale
+                    // the per-thread split so its total is the union
+                    // contribution, not the halo-duplicating per-thread sum.
+                    let sg = seen_glob.entry(c.array).or_insert(0);
+                    let contrib_glob = c.l0_part_glob.saturating_sub(*sg);
+                    *sg = (*sg).max(c.l0_part_glob);
+                    for t in 0..n_threads {
+                        c.part[t] = c.part[t] * contrib_glob / sum_t;
+                    }
+                }
+                let sb = seen_bcast.entry(c.array).or_insert(0);
+                let l0b = c.l0_bcast.saturating_add(c.l0_idx);
+                let contrib = l0b.saturating_sub(*sb);
+                *sb = (*sb).max(l0b);
+                // Split the cold contribution between the nest's broadcast
+                // and indexed classes, favouring broadcast.
+                c.bcast = contrib.min(c.l0_bcast);
+                c.indexed = contrib.saturating_sub(c.bcast);
+            }
+        }
+
+        // ── Totals and per-reference attribution. ──────────────────────
+        let mut arrays: Vec<ArrayEstimate> = Vec::new();
+        let mut array_ids: Vec<ArrayId> = Vec::new();
+        let mut refs: Vec<RefEstimate> = Vec::new();
+        let streaming = components.iter().any(|c| c.streaming);
+        let mut demand = Vec::with_capacity(components.len());
+
+        for c in components {
+            let name = program.array(c.array).name();
+            let slot = array_ids
+                .iter()
+                .position(|&a| a == c.array)
+                .unwrap_or_else(|| {
+                    array_ids.push(c.array);
+                    arrays.push(ArrayEstimate {
+                        array: name.to_string(),
+                        accesses: 0,
+                        predicted_offchip: 0,
+                        avg_hops: None,
+                        broadcast: false,
+                        indexed: false,
+                    });
+                    arrays.len() - 1
+                });
+            let part_total: u64 = c.part.iter().sum();
+            let entry = &mut arrays[slot];
+            entry.accesses += c.acc_part + c.acc_bcast + c.acc_indexed;
+            entry.predicted_offchip += part_total + c.bcast + c.indexed;
+            entry.broadcast |= c.acc_bcast > 0;
+            entry.indexed |= c.acc_indexed > 0;
+
+            // Per-ref attribution: each class's misses split evenly over
+            // its member references (they share the walk geometry).
+            let classes: [RefClass; 3] = [
+                (&c.part_members, c.acc_part, part_total, false, false),
+                (&c.bcast_members, c.acc_bcast, c.bcast, true, false),
+                (&c.idx_members, c.acc_indexed, c.indexed, true, true),
+            ];
+            for (members, acc, miss, broadcast, indexed) in classes {
+                let n = members.len() as u64;
+                if n == 0 {
+                    continue;
+                }
+                for (i, (si, ri)) in members.iter().enumerate() {
+                    let extra = if (i as u64) < miss % n { 1 } else { 0 };
+                    refs.push(RefEstimate {
+                        nest: c.nest,
+                        statement: *si,
+                        reference: *ri,
+                        array: name.to_string(),
+                        accesses: acc / n + if (i as u64) < acc % n { 1 } else { 0 },
+                        predicted_offchip: miss / n + extra,
+                        broadcast,
+                        indexed,
+                    });
+                }
+            }
+            demand.push(ComponentDemand {
+                array: c.array,
+                slot,
+                global: c.bcast + c.indexed,
+                part: c.part,
+            });
+        }
+
+        Self {
+            app: program.name().to_string(),
+            first_touch_friendly: app.first_touch_friendly,
+            model_inputs: model_inputs(cfg),
+            components: demand,
+            total_accesses: arrays.iter().map(|a| a.accesses).sum(),
+            predicted_offchip: arrays.iter().map(|a| a.predicted_offchip).sum(),
+            streaming,
+            arrays,
+            refs,
+        }
+    }
+
+    /// Splits the footprint's off-chip demand across the controllers of
+    /// one (layout, mapping, kind) cell: per-MC shares, hop expectation,
+    /// queue pressure. `cfg` must describe the machine the footprint was
+    /// made for; its `granularity` and `num_mcs` are the cell's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` differs from the footprint's in a field the model
+    /// read, or if the layout binds a different number of cores.
+    pub fn route(
+        &self,
+        layout: &ProgramLayout,
+        mapping: &L2ToMcMapping,
+        kind: RunKind,
+        cfg: &EstConfig,
+    ) -> AppEstimate {
+        assert_eq!(
+            self.model_inputs,
+            model_inputs(cfg),
+            "footprint was made for another machine"
+        );
+        assert_eq!(
+            layout.binding().len(),
+            cfg.num_nodes,
+            "layout binds a different number of cores than the footprint's machine has"
+        );
+        let router = Router::new(mapping, cfg, kind, self.first_touch_friendly);
+        let mut traffic = Traffic::new(cfg.num_mcs);
+        let mut per_array: Vec<Traffic> = self
+            .arrays
+            .iter()
+            .map(|_| Traffic::new(cfg.num_mcs))
+            .collect();
+
+        for c in &self.components {
+            let al = layout.layout(c.array);
+            let mut comp_traffic = Traffic::new(cfg.num_mcs);
+            for (t, &m) in c.part.iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let node = layout.binding().node_of(t / cfg.threads_per_core);
+                let requester = requester_for(al, node, t, cfg);
+                router.route(&mut comp_traffic, m as f64, requester, al, Some(t));
+            }
+            router.route(
+                &mut comp_traffic,
+                c.global as f64,
+                Requester::Uniform,
+                al,
+                None,
+            );
+            per_array[c.slot].merge(&comp_traffic);
+            traffic.merge(&comp_traffic);
+        }
+
+        let mut arrays = self.arrays.clone();
+        for (a, tr) in arrays.iter_mut().zip(&per_array) {
+            a.avg_hops = tr.avg_hops();
+        }
+        let total_traffic: f64 = traffic.per_mc.iter().sum();
+        let mc_shares: Vec<f64> = if total_traffic > 0.0 {
+            traffic.per_mc.iter().map(|m| m / total_traffic).collect()
+        } else {
+            vec![0.0; cfg.num_mcs]
+        };
+        let queue_pressure = mc_shares.iter().fold(0.0f64, |m, &s| m.max(s)) * cfg.num_mcs as f64;
+        AppEstimate {
+            app: self.app.clone(),
+            kind,
+            total_accesses: self.total_accesses,
+            predicted_offchip: self.predicted_offchip,
+            avg_offchip_hops: traffic.avg_hops().unwrap_or(0.0),
+            mc_shares,
+            queue_pressure,
+            streaming: self.streaming,
+            arrays,
+            refs: self.refs.clone(),
+        }
+    }
+}
+
+/// Predicts one (application, layout, kind) cell: [`Footprint::of`], then
+/// [`Footprint::route`]. The layout must be the one the corresponding
+/// simulation replays (take it from `Suite::layout_plan`), so prediction
+/// error can only come from the model, never from divergent inputs.
 pub fn estimate_app(
     app: &App,
     layout: &ProgramLayout,
@@ -743,445 +1272,56 @@ pub fn estimate_app(
     kind: RunKind,
     cfg: &EstConfig,
 ) -> AppEstimate {
-    let program = &app.program;
-    let n_cores = layout.binding().len();
-    let n_threads = n_cores * cfg.threads_per_core;
-    let line = cfg.line_bytes;
-    let cap = cfg.effective_capacity();
-    let nests = program.nests();
-    let max_weight = nests.iter().map(|n| n.weight()).max().unwrap_or(1);
-
-    // ── Per-nest footprint model ───────────────────────────────────────
-    let mut components: Vec<ComponentMisses> = Vec::new();
-
-    for (ni, nest) in nests.iter().enumerate() {
-        let light = nest.weight().saturating_mul(8) < max_weight;
-        let strides = mirror_strides(nest, &app.gen, light);
-        let reps = if light { 1 } else { app.gen.hot_reps.max(1) } as u64;
-        let par = nest.parallel_dim();
-        let groups = group_refs(program, nest);
-        if groups.is_empty() {
-            continue;
-        }
-        let global_walk = walk_for(nest, &strides, None);
-        let thread_walks: Vec<Walk> = (0..n_threads)
-            .map(|t| walk_for(nest, &strides, Some((t, n_threads))))
-            .collect();
-
-        // Level line counts per (array, class).
-        struct NestArrayLines {
-            /// Per thread, per level.
-            part: Vec<Vec<u64>>,
-            /// Partitioned lines over the *global* walk (all threads'
-            /// chunks at once) — the union footprint, free of the halo
-            /// double-counting in `Σ_t part[t]`.
-            part_glob: u64,
-            /// Global, per level.
-            bcast: Vec<u64>,
-            indexed: u64,
-            array_lines: u64,
-        }
-        let depth = nest.depth();
-        let mut lines: Vec<NestArrayLines> = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let decl = program.array(g.array);
-            let dims = decl.dims();
-            let elem = decl.elem_size() as u64;
-            let array_lines = ((decl.size_bytes() as u64).saturating_add(line - 1) / line).max(1);
-            let sum_levels = |walk: &Walk, groups: &[RefGroup], skip: Option<usize>| -> Vec<u64> {
-                let mut tot = vec![0u64; depth + 1];
-                for grp in groups {
-                    let accs: Vec<&AffineAccess> = grp.accesses.iter().collect();
-                    let l = level_lines(&accs, dims, elem, line, walk, skip);
-                    for (t, v) in tot.iter_mut().zip(l) {
-                        *t = t.saturating_add(v).min(array_lines);
-                    }
-                }
-                tot
-            };
-            let part: Vec<Vec<u64>> = thread_walks
-                .iter()
-                .map(|w| sum_levels(w, &g.part_groups, None))
-                .collect();
-            let part_glob = sum_levels(&global_walk, &g.part_groups, None)[0];
-            let bcast = sum_levels(&global_walk, &g.bcast_groups, Some(par));
-            // Distinct target lines named by this array's index tables.
-            let indexed: u64 = nest
-                .body()
-                .iter()
-                .flat_map(|s| s.refs.iter())
-                .filter(|r| r.array == g.array)
-                .filter_map(|r| match &r.access {
-                    AccessFn::Indexed { table, .. } => {
-                        let tab = program.table(*table);
-                        (!tab.is_empty()).then(|| {
-                            table_lines(tab, decl.dims()[0], decl.elem_size() as u64, line)
-                        })
-                    }
-                    AccessFn::Affine(_) => None,
-                })
-                .sum::<u64>()
-                .min(array_lines);
-            lines.push(NestArrayLines {
-                part,
-                part_glob,
-                bcast,
-                indexed,
-                array_lines,
-            });
-        }
-
-        // Footprint at each level → fit levels.
-        // Private: each node holds its thread's partitioned lines plus a
-        // full copy of broadcast data; indexed table targets are shared,
-        // so each node holds roughly its 1/n slice.
-        // Shared: one aggregate capacity holds everything once.
-        let nf_at = |lvl: usize, t: usize| -> u64 {
-            let mut lines_total = 0u64;
-            for la in &lines {
-                let part = la.part[t][lvl];
-                let add = match cfg.l2_mode {
-                    L2Mode::Private => part
-                        .saturating_add(la.bcast[lvl])
-                        .saturating_add(la.indexed / n_threads as u64 + 1)
-                        .min(la.array_lines),
-                    L2Mode::Shared => part,
-                };
-                lines_total = lines_total.saturating_add(add);
-            }
-            lines_total.saturating_mul(line)
-        };
-        let nf_shared_at = |lvl: usize| -> u64 {
-            let mut lines_total = 0u64;
-            for la in &lines {
-                let mut a = la.bcast[lvl].saturating_add(la.indexed);
-                for t in 0..n_threads {
-                    a = a.saturating_add(la.part[t][lvl]);
-                }
-                lines_total = lines_total.saturating_add(a.min(la.array_lines));
-            }
-            lines_total.saturating_mul(line)
-        };
-        let fit_level = |nf: &dyn Fn(usize) -> u64| -> usize {
-            (0..=depth).find(|&l| nf(l) <= cap).unwrap_or(depth)
-        };
-        let fit_t: Vec<usize> = match cfg.l2_mode {
-            L2Mode::Private => (0..n_threads)
-                .map(|t| fit_level(&|l| nf_at(l, t)))
-                .collect(),
-            L2Mode::Shared => {
-                let l = fit_level(&|l| nf_shared_at(l));
-                vec![l; n_threads]
-            }
-        };
-        // Broadcast data is evicted when the most loaded node (private)
-        // or the aggregate (shared) overflows.
-        let fit_b = match cfg.l2_mode {
-            L2Mode::Private => {
-                fit_level(&|l| (0..n_threads).map(|t| nf_at(l, t)).max().unwrap_or(0))
-            }
-            L2Mode::Shared => fit_t[0],
-        };
-
-        for (g, la) in groups.iter().zip(&lines) {
-            let reps_of = |fits: bool| if fits { 1 } else { reps };
-            let mut part = vec![0u64; n_threads];
-            let mut acc_part = 0u64;
-            for t in 0..n_threads {
-                let lvl = fit_t[t];
-                let pts = thread_walks[t].points();
-                acc_part = acc_part.saturating_add(
-                    pts.saturating_mul(
-                        reps * g
-                            .part_groups
-                            .iter()
-                            .map(|p| p.members.len() as u64)
-                            .sum::<u64>(),
-                    ),
-                );
-                // Consecutive iterations of the loop just outside the fit
-                // level reuse whatever their spans share (a stencil's
-                // overlap is retained: its reuse distance is one ℓ*-level
-                // footprint, which fits by definition). Misses across
-                // that loop therefore collapse to the *distinct* lines at
-                // ℓ*−1, and only loops outside ℓ*−1 re-stream them. When
-                // spans are disjoint `L(ℓ*−1) = n·L(ℓ*)` and this is the
-                // plain re-streaming count.
-                let ml = lvl.saturating_sub(1);
-                part[t] = la.part[t][ml]
-                    .saturating_mul(thread_walks[t].outer_mult(ml, None))
-                    .saturating_mul(reps_of(lvl == 0));
-            }
-            let acc_bcast: u64 = (0..n_threads)
-                .map(|t| thread_walks[t].points())
-                .sum::<u64>()
-                .saturating_mul(
-                    reps * g
-                        .bcast_groups
-                        .iter()
-                        .map(|p| p.members.len() as u64)
-                        .sum::<u64>(),
-                );
-            let mb = fit_b.saturating_sub(1);
-            let bcast = la.bcast[mb]
-                .saturating_mul(global_walk.outer_mult(mb, Some(par)))
-                .saturating_mul(reps_of(fit_b == 0));
-            let acc_indexed: u64 = (0..n_threads)
-                .map(|t| thread_walks[t].points())
-                .sum::<u64>()
-                .saturating_mul(reps * g.indexed.len() as u64);
-            let indexed = la
-                .indexed
-                .saturating_mul(global_walk.outer_mult(mb, Some(par)))
-                .saturating_mul(reps_of(fit_b == 0))
-                .min(acc_indexed);
-            let streaming = fit_t.iter().any(|&l| l > 0) || fit_b > 0;
-            components.push(ComponentMisses {
-                nest: ni,
-                array: g.array,
-                part,
-                bcast,
-                indexed,
-                acc_part,
-                acc_bcast,
-                acc_indexed,
-                l0_part: (0..n_threads).map(|t| la.part[t][0]).collect(),
-                l0_part_glob: la.part_glob,
-                l0_bcast: la.bcast[0],
-                l0_idx: la.indexed,
-                part_members: g
-                    .part_groups
-                    .iter()
-                    .flat_map(|p| p.members.iter().copied())
-                    .collect(),
-                bcast_members: g
-                    .bcast_groups
-                    .iter()
-                    .flat_map(|p| p.members.iter().copied())
-                    .collect(),
-                idx_members: g.indexed.clone(),
-                streaming,
-            });
-        }
-    }
-
-    // ── App-level fit: when the whole working set fits, only cold misses
-    // remain. Each nest's cold contribution is the footprint it adds over
-    // what earlier nests already brought in (running coverage per array),
-    // so a subsampled init nest fetches its sparse sample and the first
-    // heavy nest fetches the rest — matching first-touch order in the
-    // trace. ───────────────────────────────────────────────────────────
-    // App-level footprint per array: max over nests of the level-0 lines.
-    let mut app_part: HashMap<ArrayId, Vec<u64>> = HashMap::new();
-    let mut app_part_glob: HashMap<ArrayId, u64> = HashMap::new();
-    let mut app_bcast: HashMap<ArrayId, u64> = HashMap::new();
-    for c in &components {
-        let p = app_part
-            .entry(c.array)
-            .or_insert_with(|| vec![0; n_threads]);
-        for (pt, &l0) in p.iter_mut().zip(&c.l0_part) {
-            *pt = (*pt).max(l0);
-        }
-        let g = app_part_glob.entry(c.array).or_insert(0);
-        *g = (*g).max(c.l0_part_glob);
-        let b = app_bcast.entry(c.array).or_insert(0);
-        *b = (*b).max(c.l0_bcast.saturating_add(c.l0_idx));
-    }
-    let app_fits = match cfg.l2_mode {
-        L2Mode::Private => (0..n_threads).all(|t| {
-            let lines_total: u64 = app_part
-                .iter()
-                .map(|(a, p)| p[t].saturating_add(*app_bcast.get(a).unwrap_or(&0)))
-                .sum();
-            lines_total.saturating_mul(line) <= cap
-        }),
-        L2Mode::Shared => {
-            let lines_total: u64 = app_part_glob
-                .iter()
-                .map(|(a, g)| g.saturating_add(*app_bcast.get(a).unwrap_or(&0)))
-                .sum();
-            lines_total.saturating_mul(line) <= cap
-        }
-    };
-    if app_fits {
-        let mut seen_part: HashMap<ArrayId, Vec<u64>> = HashMap::new();
-        let mut seen_glob: HashMap<ArrayId, u64> = HashMap::new();
-        let mut seen_bcast: HashMap<ArrayId, u64> = HashMap::new();
-        for c in components.iter_mut() {
-            c.streaming = false;
-            let seen = seen_part
-                .entry(c.array)
-                .or_insert_with(|| vec![0; n_threads]);
-            let mut sum_t = 0u64;
-            for (t, s) in seen.iter_mut().enumerate().take(n_threads) {
-                let contrib = c.l0_part[t].saturating_sub(*s);
-                *s = (*s).max(c.l0_part[t]);
-                c.part[t] = contrib;
-                sum_t = sum_t.saturating_add(contrib);
-            }
-            if cfg.l2_mode == L2Mode::Shared && sum_t > 0 {
-                // Shared NUCA fetches each line once chip-wide: rescale
-                // the per-thread split so its total is the union
-                // contribution, not the halo-duplicating per-thread sum.
-                let sg = seen_glob.entry(c.array).or_insert(0);
-                let contrib_glob = c.l0_part_glob.saturating_sub(*sg);
-                *sg = (*sg).max(c.l0_part_glob);
-                for t in 0..n_threads {
-                    c.part[t] = c.part[t] * contrib_glob / sum_t;
-                }
-            }
-            let sb = seen_bcast.entry(c.array).or_insert(0);
-            let l0b = c.l0_bcast.saturating_add(c.l0_idx);
-            let contrib = l0b.saturating_sub(*sb);
-            *sb = (*sb).max(l0b);
-            // Split the cold contribution between the nest's broadcast
-            // and indexed classes, favouring broadcast.
-            c.bcast = contrib.min(c.l0_bcast);
-            c.indexed = contrib.saturating_sub(c.bcast);
-        }
-    }
-
-    // ── Aggregate: totals, per-MC traffic, hops, per-ref attribution. ──
-    let mut traffic = Traffic::new(cfg.num_mcs);
-    let mut per_array: HashMap<ArrayId, (u64, u64, Traffic, bool, bool)> = HashMap::new();
-    let mut array_order: Vec<ArrayId> = Vec::new();
-    let mut refs_out: Vec<RefEstimate> = Vec::new();
-    let streaming = components.iter().any(|c| c.streaming);
-
-    for c in &components {
-        let al = layout.layout(c.array);
-        let decl = program.array(c.array);
-        let entry = per_array.entry(c.array).or_insert_with(|| {
-            array_order.push(c.array);
-            (0, 0, Traffic::new(cfg.num_mcs), false, false)
-        });
-        let mut comp_traffic = Traffic::new(cfg.num_mcs);
-        let part_total: u64 = c.part.iter().sum();
-        for (t, &m) in c.part.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let node = layout.binding().node_of(t / cfg.threads_per_core);
-            let requester = requester_for(al, node, t, cfg);
-            route(
-                &mut comp_traffic,
-                m as f64,
-                requester,
-                al,
-                Some(t),
-                kind,
-                mapping,
-                cfg,
-                app.first_touch_friendly,
-            );
-        }
-        let global = (c.bcast + c.indexed) as f64;
-        if global > 0.0 {
-            route(
-                &mut comp_traffic,
-                global,
-                Requester::Uniform,
-                al,
-                None,
-                kind,
-                mapping,
-                cfg,
-                app.first_touch_friendly,
-            );
-        }
-        entry.0 += c.acc_part + c.acc_bcast + c.acc_indexed;
-        entry.1 += part_total + c.bcast + c.indexed;
-        entry.2.merge(&comp_traffic);
-        entry.3 |= c.acc_bcast > 0;
-        entry.4 |= c.acc_indexed > 0;
-        traffic.merge(&comp_traffic);
-
-        // Per-ref attribution: each class's misses split evenly over its
-        // member references (they share the walk geometry).
-        let classes: [RefClass; 3] = [
-            (&c.part_members, c.acc_part, part_total, false, false),
-            (&c.bcast_members, c.acc_bcast, c.bcast, true, false),
-            (&c.idx_members, c.acc_indexed, c.indexed, true, true),
-        ];
-        for (members, acc, miss, broadcast, indexed) in classes {
-            let n = members.len() as u64;
-            if n == 0 {
-                continue;
-            }
-            for (i, (si, ri)) in members.iter().enumerate() {
-                let extra = if (i as u64) < miss % n { 1 } else { 0 };
-                refs_out.push(RefEstimate {
-                    nest: c.nest,
-                    statement: *si,
-                    reference: *ri,
-                    array: decl.name().to_string(),
-                    accesses: acc / n + if (i as u64) < acc % n { 1 } else { 0 },
-                    predicted_offchip: miss / n + extra,
-                    broadcast,
-                    indexed,
-                });
-            }
-        }
-    }
-
-    let total_accesses: u64 = per_array.values().map(|v| v.0).sum();
-    let predicted_offchip: u64 = per_array.values().map(|v| v.1).sum();
-    let arrays: Vec<ArrayEstimate> = array_order
-        .iter()
-        .map(|a| {
-            let (acc, miss, tr, bc, idx) = &per_array[a];
-            ArrayEstimate {
-                array: program.array(*a).name().to_string(),
-                accesses: *acc,
-                predicted_offchip: *miss,
-                avg_hops: tr.avg_hops(),
-                broadcast: *bc,
-                indexed: *idx,
-            }
-        })
-        .collect();
-    let total_traffic: f64 = traffic.per_mc.iter().sum();
-    let mc_shares: Vec<f64> = if total_traffic > 0.0 {
-        traffic.per_mc.iter().map(|m| m / total_traffic).collect()
-    } else {
-        vec![0.0; cfg.num_mcs]
-    };
-    let queue_pressure = mc_shares.iter().fold(0.0f64, |m, &s| m.max(s)) * cfg.num_mcs as f64;
-    AppEstimate {
-        app: program.name().to_string(),
-        kind,
-        total_accesses,
-        predicted_offchip,
-        avg_offchip_hops: traffic.avg_hops().unwrap_or(0.0),
-        mc_shares,
-        queue_pressure,
-        streaming,
-        arrays,
-        refs: refs_out,
-    }
+    Footprint::of(app, cfg).route(layout, mapping, kind, cfg)
 }
 
-/// `RunKind::Write`-agnostic convenience: predicts with the layout the
-/// kind implies, compiled fresh (no suite cache) — used by the check
-/// integration and tests. Simulation paths should prefer
-/// `Suite::layout_plan` + [`estimate_app`] to share the plan object.
-pub fn estimate_app_fresh(
-    app: &App,
-    mapping: &L2ToMcMapping,
-    sim: &SimConfig,
+/// Predicts one application against many unified
+/// [`hoploc_noc::Placement`]s — the scoring loop of the `hoploc-search`
+/// design-space optimizer. Everything a placement cannot change (the
+/// layout pass's program analysis, the footprint model) is computed at
+/// construction; [`estimate`](Self::estimate) customizes the layout for
+/// the placement and routes the footprint through it.
+pub struct PlacementScorer<'a> {
+    planner: LayoutPlanner<'a>,
+    sim: SimConfig,
     kind: RunKind,
-) -> AppEstimate {
-    let layout = hoploc_workloads::layout_for(app, mapping, sim, kind);
-    let cfg = EstConfig::from_sim(sim);
-    estimate_app(app, &layout, mapping, kind, &cfg)
+    footprint: Footprint,
 }
 
-/// Predicts one cell against a unified [`hoploc_noc::Placement`]: the MC
-/// count and the mapping come from the same value, and the layout is
-/// compiled fresh under the given approximation threshold. This is the
-/// scoring entry point of the `hoploc-search` design-space optimizer —
-/// the placement a candidate is scored with is byte-identical to the one
-/// the verifying cycle simulation is constructed from.
+impl<'a> PlacementScorer<'a> {
+    /// Prepares `app` on the machine `sim` describes; `sim`'s own
+    /// placement and granularity are overridden per estimate.
+    pub fn new(app: &'a App, sim: &SimConfig, kind: RunKind) -> Self {
+        Self {
+            planner: LayoutPlanner::new(app, kind),
+            sim: sim.clone(),
+            kind,
+            footprint: Footprint::of(app, &EstConfig::from_sim(sim)),
+        }
+    }
+
+    /// Predicts the cell under `placement`: the MC count and the mapping
+    /// come from the same value, and the layout is compiled under the given
+    /// granularity and approximation threshold, so the placement a
+    /// candidate is scored with is byte-identical to the one the verifying
+    /// cycle simulation is constructed from.
+    pub fn estimate(
+        &mut self,
+        placement: &hoploc_noc::Placement,
+        granularity: Granularity,
+        approx_threshold: f64,
+    ) -> AppEstimate {
+        self.sim.placement.clone_from(placement.mc_placement());
+        self.sim.granularity = granularity;
+        let mapping = placement.mapping();
+        let layout = self.planner.layout(mapping, &self.sim, approx_threshold);
+        let cfg = EstConfig::from_sim(&self.sim);
+        self.footprint.route(&layout, mapping, self.kind, &cfg)
+    }
+}
+
+/// One-shot [`PlacementScorer`]: predicts one cell against a unified
+/// placement, analysis and footprint included.
 pub fn estimate_placement(
     app: &App,
     placement: &hoploc_noc::Placement,
@@ -1189,16 +1329,5 @@ pub fn estimate_placement(
     kind: RunKind,
     approx_threshold: f64,
 ) -> AppEstimate {
-    let sim = SimConfig {
-        placement: placement.mc_placement().clone(),
-        ..sim.clone()
-    };
-    let layout =
-        hoploc_workloads::layout_with(app, placement.mapping(), &sim, kind, approx_threshold);
-    let cfg = EstConfig::from_sim(&sim);
-    estimate_app(app, &layout, placement.mapping(), kind, &cfg)
+    PlacementScorer::new(app, sim, kind).estimate(placement, sim.granularity, approx_threshold)
 }
-
-// Quiet an unused-variant lint: writes count like reads for off-chip
-// line-fetch purposes (write-allocate, writebacks modelled off).
-const _: RefKind = RefKind::Write;

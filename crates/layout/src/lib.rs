@@ -47,5 +47,7 @@ pub use data_to_core::{
     DATA_PARTITION_DIM,
 };
 pub use error::LayoutError;
-pub use pass::{baseline_layout, optimize_program, ArrayReport, PassConfig, ProgramLayout};
+pub use pass::{
+    baseline_layout, optimize_program, ArrayReport, PassConfig, ProgramAnalysis, ProgramLayout,
+};
 pub use select::{mapping_cost, select_mapping, AppProfile, SelectModel};

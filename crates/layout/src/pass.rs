@@ -154,136 +154,160 @@ pub fn baseline_layout(program: &Program, num_threads: usize) -> ProgramLayout {
     }
 }
 
-/// Runs Algorithm 1 over a program.
-///
-/// Returns a customized layout per array where possible and the original
-/// layout (with the reason) otherwise. The pass itself never fails: an
-/// unoptimizable array is a missed optimization, not an error.
+/// What Algorithm 1 learns from the program alone: the Data-to-Core step
+/// (§5.2) and the index-table fits (§5.4). Neither reads the machine, so
+/// one analysis serves every mapping and [`PassConfig`] the program is
+/// customized for — a design-space search pays for it once.
+#[derive(Clone, Debug)]
+pub struct ProgramAnalysis {
+    arrays: Vec<ArrayAnalysis>,
+}
+
+#[derive(Clone, Debug)]
+struct ArrayAnalysis {
+    total_refs: usize,
+    /// The mapping the affine references determine; `None` without one.
+    affine_d2c: Option<Result<DataToCore, LayoutError>>,
+    /// Table-fit inaccuracy of each indexed reference. Which of them count
+    /// as well approximated depends on [`PassConfig::approx_threshold`].
+    inaccuracies: Vec<f64>,
+}
+
+impl ProgramAnalysis {
+    /// Analyzes every array of `program`.
+    pub fn of(program: &Program) -> Self {
+        let arrays = (0..program.arrays().len())
+            .map(|i| {
+                let array = ArrayId(i);
+                let extent = program.array(array).num_elements();
+                let mut affine_refs = 0;
+                let mut inaccuracies = Vec::new();
+                for (_, r) in program.refs_to(array) {
+                    match &r.access {
+                        AccessFn::Affine(_) => affine_refs += 1,
+                        AccessFn::Indexed { table, .. } => inaccuracies
+                            .push(approximate_table(program.table(*table), extent).inaccuracy),
+                    }
+                }
+                ArrayAnalysis {
+                    total_refs: affine_refs + inaccuracies.len(),
+                    affine_d2c: (affine_refs > 0).then(|| determine_data_to_core(program, array)),
+                    inaccuracies,
+                }
+            })
+            .collect();
+        Self { arrays }
+    }
+
+    /// Layout customization (§5.3) of the analyzed `program` for one
+    /// mapping and configuration.
+    ///
+    /// Returns a customized layout per array where possible and the
+    /// original layout (with the reason) otherwise. The pass itself never
+    /// fails: an unoptimizable array is a missed optimization, not an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` is not the program this analysis was made of.
+    pub fn customize(
+        &self,
+        program: &Program,
+        mapping: &L2ToMcMapping,
+        config: PassConfig,
+    ) -> ProgramLayout {
+        assert_eq!(
+            self.arrays.len(),
+            program.arrays().len(),
+            "analysis belongs to another program"
+        );
+        let binding = ThreadBinding::cluster_major(mapping);
+        let unit = config.unit_bytes();
+        let mut layouts = Vec::with_capacity(self.arrays.len());
+        let mut reports = Vec::with_capacity(self.arrays.len());
+
+        for (i, (decl, analysis)) in program.arrays().iter().zip(&self.arrays).enumerate() {
+            let array = ArrayId(i);
+            let indexed_ok = analysis
+                .inaccuracies
+                .iter()
+                .filter(|&&x| x <= config.approx_threshold)
+                .count();
+
+            // A purely indexed (necessarily 1-D in our IR) array partitions
+            // its only dimension directly when it approximates well.
+            let identity;
+            let d2c: Result<&DataToCore, LayoutError> = if unit == 0
+                || !unit.is_multiple_of(decl.elem_size())
+            {
+                // A unit that holds no whole number of elements cannot be
+                // laid out (customization would panic); report it instead.
+                // Reachable from user-supplied `line_bytes`/`page_bytes`.
+                Err(LayoutError::BadInterleaveUnit {
+                    array,
+                    unit_bytes: unit,
+                    elem_size: decl.elem_size(),
+                })
+            } else {
+                match &analysis.affine_d2c {
+                    Some(d2c) => d2c.as_ref().map_err(Clone::clone),
+                    None if indexed_ok > 0 => {
+                        identity = identity_d2c(array, decl.rank(), analysis.inaccuracies.len());
+                        Ok(&identity)
+                    }
+                    None => Err(LayoutError::ApproximationTooInaccurate {
+                        array,
+                        inaccuracy: analysis.inaccuracies.iter().fold(0.0, |w, &x| w.max(x)),
+                    }),
+                }
+            };
+
+            let (layout, satisfied_refs, reason) = match d2c {
+                Ok(d2c) => {
+                    let layout = match config.l2_mode {
+                        L2Mode::Private => {
+                            ArrayLayout::localized_private(decl, d2c, mapping, &binding, unit)
+                        }
+                        L2Mode::Shared => ArrayLayout::localized_shared(
+                            decl,
+                            d2c,
+                            mapping,
+                            &binding,
+                            unit,
+                            config.shared_policy,
+                        ),
+                    };
+                    (layout, d2c.satisfied_refs + indexed_ok, None)
+                }
+                Err(e) => (ArrayLayout::original(decl), 0, Some(e)),
+            };
+            layouts.push(layout);
+            reports.push(ArrayReport {
+                array,
+                name: decl.name().to_string(),
+                optimized: reason.is_none(),
+                reason,
+                satisfied_refs,
+                total_refs: analysis.total_refs,
+            });
+        }
+
+        ProgramLayout {
+            layouts,
+            reports,
+            binding,
+            config,
+        }
+    }
+}
+
+/// Runs Algorithm 1 over a program: [`ProgramAnalysis::of`], then
+/// [`ProgramAnalysis::customize`].
 pub fn optimize_program(
     program: &Program,
     mapping: &L2ToMcMapping,
     config: PassConfig,
 ) -> ProgramLayout {
-    let binding = ThreadBinding::cluster_major(mapping);
-    let unit = config.unit_bytes();
-    let mut layouts = Vec::with_capacity(program.arrays().len());
-    let mut reports = Vec::with_capacity(program.arrays().len());
-
-    for (i, decl) in program.arrays().iter().enumerate() {
-        let array = ArrayId(i);
-        let total_refs = program.refs_to(array).count();
-
-        // A unit that holds no whole number of elements cannot be laid out
-        // (customization would panic); report it instead of optimizing.
-        // Reachable from user-supplied `PassConfig::line_bytes`/`page_bytes`.
-        if unit == 0 || !unit.is_multiple_of(decl.elem_size()) {
-            layouts.push(ArrayLayout::original(decl));
-            reports.push(ArrayReport {
-                array,
-                name: decl.name().to_string(),
-                optimized: false,
-                reason: Some(LayoutError::BadInterleaveUnit {
-                    array,
-                    unit_bytes: unit,
-                    elem_size: decl.elem_size(),
-                }),
-                satisfied_refs: 0,
-                total_refs,
-            });
-            continue;
-        }
-
-        let (indexed_ok, indexed_bad, worst_inaccuracy) =
-            classify_indexed(program, array, config.approx_threshold);
-        let affine_refs = program
-            .refs_to(array)
-            .filter(|(_, r)| r.access.as_affine().is_some())
-            .count();
-
-        // Determine the Data-to-Core mapping from affine references; a
-        // purely indexed (necessarily 1-D in our IR) array partitions its
-        // only dimension directly when it approximates well.
-        let d2c = if affine_refs > 0 {
-            determine_data_to_core(program, array)
-        } else if indexed_ok > 0 {
-            Ok(identity_d2c(array, decl.rank(), indexed_ok + indexed_bad))
-        } else {
-            Err(LayoutError::ApproximationTooInaccurate {
-                array,
-                inaccuracy: worst_inaccuracy,
-            })
-        };
-
-        match d2c {
-            Ok(d2c) if total_refs > 0 => {
-                let layout = match config.l2_mode {
-                    L2Mode::Private => {
-                        ArrayLayout::localized_private(decl, &d2c, mapping, &binding, unit)
-                    }
-                    L2Mode::Shared => ArrayLayout::localized_shared(
-                        decl,
-                        &d2c,
-                        mapping,
-                        &binding,
-                        unit,
-                        config.shared_policy,
-                    ),
-                };
-                layouts.push(layout);
-                reports.push(ArrayReport {
-                    array,
-                    name: decl.name().to_string(),
-                    optimized: true,
-                    reason: None,
-                    satisfied_refs: d2c.satisfied_refs + indexed_ok,
-                    total_refs,
-                });
-            }
-            Ok(_) | Err(_) => {
-                let reason = match d2c {
-                    Err(e) => Some(e),
-                    Ok(_) => Some(LayoutError::NoReferences(array)),
-                };
-                layouts.push(ArrayLayout::original(decl));
-                reports.push(ArrayReport {
-                    array,
-                    name: decl.name().to_string(),
-                    optimized: false,
-                    reason,
-                    satisfied_refs: 0,
-                    total_refs,
-                });
-            }
-        }
-    }
-
-    ProgramLayout {
-        layouts,
-        reports,
-        binding,
-        config,
-    }
-}
-
-/// Counts indexed references to `array` whose tables approximate within /
-/// beyond the threshold, and the worst inaccuracy observed.
-fn classify_indexed(program: &Program, array: ArrayId, threshold: f64) -> (usize, usize, f64) {
-    let extent = program.array(array).num_elements();
-    let mut ok = 0;
-    let mut bad = 0;
-    let mut worst = 0.0f64;
-    for (_, r) in program.refs_to(array) {
-        if let AccessFn::Indexed { table, .. } = &r.access {
-            let fit = approximate_table(program.table(*table), extent);
-            worst = worst.max(fit.inaccuracy);
-            if fit.inaccuracy <= threshold {
-                ok += 1;
-            } else {
-                bad += 1;
-            }
-        }
-    }
-    (ok, bad, worst)
+    ProgramAnalysis::of(program).customize(program, mapping, config)
 }
 
 /// A trivial Data-to-Core mapping (identity `U`) used for well-approximated

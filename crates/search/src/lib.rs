@@ -41,7 +41,7 @@ pub use objective::Objective;
 pub use report::{event_json, scale_name, text_header, EstTerms, SearchReport, Verified};
 pub use space::{curated, granularity_name, propose, Candidate, APPROX_LEVELS, TILINGS};
 
-use hoploc_est::estimate_placement;
+use hoploc_est::PlacementScorer;
 use hoploc_harness::{parallel_map, RunSpec, Suite};
 use hoploc_layout::Granularity;
 use hoploc_noc::{McPlacement, Placement};
@@ -101,8 +101,10 @@ fn fnv1a(s: &str) -> u64 {
 /// free), counts fresh evaluations against the budget, and keeps the
 /// top-K distinct candidates for verification.
 struct Evaluator<'a> {
-    app: &'a App,
     cfg: &'a SearchConfig,
+    /// Holds what no candidate can change — the program analysis and the
+    /// footprint model — so a fresh evaluation is customize + route only.
+    scorer: PlacementScorer<'a>,
     diameter: u16,
     cache: HashMap<String, (f64, EstTerms)>,
     evaluated: u32,
@@ -114,8 +116,8 @@ impl<'a> Evaluator<'a> {
     fn new(app: &'a App, cfg: &'a SearchConfig) -> Self {
         let diameter = (cfg.sim.mesh.width() - 1) + (cfg.sim.mesh.height() - 1);
         Self {
-            app,
             cfg,
+            scorer: PlacementScorer::new(app, &cfg.sim, RunKind::Optimized),
             diameter,
             cache: HashMap::new(),
             evaluated: 0,
@@ -137,11 +139,7 @@ impl<'a> Evaluator<'a> {
         let placement = c
             .placement(&self.cfg.sim.mesh)
             .expect("search candidates are legal by construction");
-        let sim = SimConfig {
-            granularity: c.granularity,
-            ..self.cfg.sim.clone()
-        };
-        let est = estimate_placement(self.app, &placement, &sim, RunKind::Optimized, c.approx);
+        let est = self.scorer.estimate(&placement, c.granularity, c.approx);
         let score = self
             .cfg
             .objective

@@ -111,7 +111,9 @@ fn layout_digest(app: &App, candidates: &[Candidate]) -> u64 {
     let base = cli_sim();
     let mut h = Fnv::new();
     for c in candidates {
-        let placement = c.placement(&base.mesh).expect("curated candidates are legal");
+        let placement = c
+            .placement(&base.mesh)
+            .expect("curated candidates are legal");
         let sim = SimConfig {
             granularity: c.granularity,
             placement: placement.mc_placement().clone(),
@@ -139,7 +141,11 @@ fn search_digest(app: &App) -> u64 {
         h.mix("\n");
         events += 1;
     });
-    assert!(events >= 1, "{}: a search emits its start point", app.name());
+    assert!(
+        events >= 1,
+        "{}: a search emits its start point",
+        app.name()
+    );
     h.mix(&report.to_json());
     h.0
 }

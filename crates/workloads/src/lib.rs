@@ -20,5 +20,5 @@ pub use apps::{
 pub use gen::{generate_traces, TraceGen};
 pub use suite::{
     build_workload, layout_for, layout_with, run_app, run_app_threads, run_mix, weighted_speedup,
-    RunKind,
+    LayoutPlanner, RunKind,
 };

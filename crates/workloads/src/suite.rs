@@ -3,7 +3,7 @@
 
 use crate::apps::App;
 use crate::gen::{generate_traces, TraceGen};
-use hoploc_layout::{baseline_layout, optimize_program, PassConfig, ProgramLayout, SharedPolicy};
+use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout, SharedPolicy};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, TraceWorkload};
 
@@ -50,20 +50,48 @@ pub fn layout_with(
     kind: RunKind,
     approx_threshold: f64,
 ) -> ProgramLayout {
-    match kind {
-        RunKind::Optimized => {
-            let cfg = PassConfig {
-                granularity: sim.granularity,
-                l2_mode: sim.l2_mode,
-                shared_policy: SharedPolicy::OnChipFirst,
-                line_bytes: sim.l2.line_bytes as u32,
-                page_bytes: sim.page_bytes as u32,
-                approx_threshold,
-            };
-            optimize_program(&app.program, mapping, cfg)
-        }
-        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => {
-            baseline_layout(&app.program, mapping.mesh().num_nodes())
+    LayoutPlanner::new(app, kind).layout(mapping, sim, approx_threshold)
+}
+
+/// Builds the layouts of one experiment side for any number of mappings
+/// and machines: what the layout pass learns from the program alone is
+/// computed once, at construction. [`layout_with`] is the one-shot use.
+pub struct LayoutPlanner<'a> {
+    app: &'a App,
+    /// `Some` for the side that runs the layout pass.
+    analysis: Option<ProgramAnalysis>,
+}
+
+impl<'a> LayoutPlanner<'a> {
+    /// Analyzes `app` for the `kind` side of an experiment.
+    pub fn new(app: &'a App, kind: RunKind) -> Self {
+        let analysis = match kind {
+            RunKind::Optimized => Some(ProgramAnalysis::of(&app.program)),
+            RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => None,
+        };
+        Self { app, analysis }
+    }
+
+    /// The layout under `mapping` on the machine `sim` describes.
+    pub fn layout(
+        &self,
+        mapping: &L2ToMcMapping,
+        sim: &SimConfig,
+        approx_threshold: f64,
+    ) -> ProgramLayout {
+        match &self.analysis {
+            Some(analysis) => {
+                let cfg = PassConfig {
+                    granularity: sim.granularity,
+                    l2_mode: sim.l2_mode,
+                    shared_policy: SharedPolicy::OnChipFirst,
+                    line_bytes: sim.l2.line_bytes as u32,
+                    page_bytes: sim.page_bytes as u32,
+                    approx_threshold,
+                };
+                analysis.customize(&self.app.program, mapping, cfg)
+            }
+            None => baseline_layout(&self.app.program, mapping.mesh().num_nodes()),
         }
     }
 }
