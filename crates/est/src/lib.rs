@@ -13,7 +13,10 @@
 //! controllers. Three surfaces build on the model:
 //!
 //! * [`estimate_app`] — the per-reference / per-array / per-app
-//!   prediction ([`AppEstimate`]), consumed by `hoploc est`;
+//!   prediction ([`AppEstimate`]), consumed by `hoploc est`: a
+//!   layout-independent [`Footprint`] routed through one layout.
+//!   [`PlacementScorer`] keeps the footprint (and the layout pass's
+//!   program analysis) across the placements a design-space search scores;
 //! * [`performance_diagnostics`] — the `HL10xx` predicted-performance
 //!   findings `hoploc check` folds into its report (a plan that will not
 //!   help, a controller that will saturate, a working set that streams);

@@ -32,10 +32,16 @@
 //! bank serves the other cores), so they are counted once globally and
 //! the parallel loop contributes no multiplier.
 //!
+//! All of this is [`Footprint::of`]: it reads the application and the
+//! cache shape only, in integer arithmetic, so one footprint serves every
+//! layout, mapping and run kind it is then routed through.
+//!
 //! ## Hop expectation and queue pressure
 //!
+//! [`Footprint::route`] — the only floating-point half.
+//!
 //! Off-chip demand is split across memory controllers statically: the
-//! layout plan's slot arithmetic ([`ArrayLayout::thread_mcs`]) for
+//! layout plan's slot arithmetic (the thread's group's slots) for
 //! optimized arrays, uniform interleave for original layouts, the owner
 //! cluster's controllers for a friendly first-touch policy, the nearest
 //! controller under the optimal-placement idealization. The expected
@@ -365,6 +371,10 @@ fn level_lines(
 ) -> Vec<u64> {
     let depth = walk.ranges.len();
     let mut l = vec![0u64; depth + 1];
+    // An empty chunk (thread past the parallel range) touches nothing.
+    if walk.counts.contains(&0) {
+        return l;
+    }
     let mut prev = 0u64;
     for lvl in (0..=depth).rev() {
         let r: Vec<(i64, i64)> = (0..depth)
@@ -376,11 +386,6 @@ fn level_lines(
                 }
             })
             .collect();
-        // An empty chunk (thread past the parallel range) touches nothing.
-        if walk.counts.contains(&0) {
-            l[lvl] = 0;
-            continue;
-        }
         let span = span_lines(accs, dims, elem, line, &r);
         // Walked-point cap: heavy subsampling can touch fewer lines than
         // the geometric span.
@@ -632,20 +637,24 @@ impl<'a> Router<'a> {
                 }
             }
             RunKind::Baseline | RunKind::Optimized => {
-                let mcs = thread.and_then(|t| al.thread_mcs(t));
-                match mcs {
-                    // The localized plan pins the thread's units to its
-                    // group's slots (one list entry per slot, so shared
-                    // controllers weight correctly).
-                    Some(mcs) if !mcs.is_empty() => {
-                        let w = misses / mcs.len() as f64;
-                        for mc in mcs {
-                            add(mc, w);
+                // The slots a localized plan pins the thread's units to —
+                // [`ArrayLayout::thread_mcs`] without the per-thread list.
+                let pinned = al.plan_view().zip(thread).and_then(|(v, t)| {
+                    let slots = v.group_slots[*v.thread_group.get(t)? as usize].as_slice();
+                    (!slots.is_empty()).then_some((slots, v.n_mcs))
+                });
+                match pinned {
+                    // One share per slot, so a controller holding two of
+                    // the group's slots weighs double.
+                    Some((slots, n_mcs)) => {
+                        let w = misses / slots.len() as f64;
+                        for &slot in slots {
+                            add(McId((slot % n_mcs) as u16), w);
                         }
                     }
                     // Original layouts (and broadcast traffic of localized
                     // ones) interleave uniformly.
-                    _ => match plan_slot_histogram(al, cfg.num_mcs) {
+                    None => match plan_slot_histogram(al, cfg.num_mcs) {
                         Some(hist) if thread.is_none() => {
                             for (m, share) in hist.iter().enumerate() {
                                 add(McId(m as u16), misses * share);

@@ -20,7 +20,7 @@ use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind};
 
 use crate::json::{esc, num};
-use crate::model::{estimate_app, EstConfig};
+use crate::model::{AppEstimate, EstConfig, Footprint};
 use crate::rank::spearman;
 
 /// The four comparison sides every figure sweeps.
@@ -122,11 +122,19 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
         }
         let cfg = EstConfig::from_sim(&sim);
 
+        // One footprint per app serves all four kinds: only the routing
+        // reads the layout and the kind.
         let t = Instant::now();
-        let ests = parallel_map(&specs, jobs, |s| {
-            let plan = suite.layout_plan(s.app, s.kind);
-            estimate_app(&apps[s.app], &plan, suite.mapping(), s.kind, &cfg)
-        });
+        let app_ids: Vec<usize> = (0..apps.len()).collect();
+        let ests: Vec<AppEstimate> = parallel_map(&app_ids, jobs, |&a| {
+            let footprint = Footprint::of(&apps[a], &cfg);
+            KINDS.map(|kind| {
+                footprint.route(&suite.layout_plan(a, kind), suite.mapping(), kind, &cfg)
+            })
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         est_nanos += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();

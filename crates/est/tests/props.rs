@@ -5,7 +5,7 @@
 //! cycle simulator *exactly* — access for access, miss for miss.
 
 use hoploc_affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
-use hoploc_est::{estimate_app, spearman, EstConfig, KINDS};
+use hoploc_est::{estimate_app, spearman, EstConfig, Footprint, KINDS};
 use hoploc_harness::{RunSpec, Suite};
 use hoploc_layout::{AppProfile, Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
@@ -57,6 +57,35 @@ fn predicted_offchip_is_monotone_in_l2_capacity() {
             );
             prev = e.predicted_offchip;
             cfg.l2_bytes *= 2;
+        }
+    });
+}
+
+/// The footprint — and with it the predicted off-chip term — is a
+/// function of the application and the cache shape alone: interleaving
+/// granularity and controller count, the machine parameters a design-space
+/// search varies, cannot move it. (Within a search the off-chip term is
+/// therefore a constant and the hop term decides every comparison.)
+#[test]
+fn footprint_ignores_granularity_and_controller_count() {
+    let apps = all_apps(Scale::Test);
+    run_cases("est.footprint.constant", 12, |rng| {
+        let app = &apps[rng.usize_in(0..apps.len())];
+        let cfg = EstConfig::from_sim(&sample_sim(rng)).with_threads_per_core(rng.usize_in(1..3));
+        let base = Footprint::of(app, &cfg);
+        for granularity in [Granularity::CacheLine, Granularity::Page] {
+            for num_mcs in [1, 4, 16] {
+                let varied = EstConfig {
+                    granularity,
+                    num_mcs,
+                    ..cfg
+                };
+                assert!(
+                    Footprint::of(app, &varied) == base,
+                    "{}: footprint moved under {granularity:?} / {num_mcs} MCs",
+                    app.name()
+                );
+            }
         }
     });
 }

@@ -8,7 +8,7 @@
 //! moving to the next, making each cluster's share of the partitioned data
 //! dimension contiguous.
 
-use hoploc_noc::{ClusterId, L2ToMcMapping, NodeId};
+use hoploc_noc::{L2ToMcMapping, NodeId};
 
 /// A bijection between thread indices and mesh nodes.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -22,16 +22,10 @@ impl ThreadBinding {
     /// fill cluster 0's nodes (row-major within the cluster), then cluster
     /// 1's, and so on.
     pub fn cluster_major(mapping: &L2ToMcMapping) -> Self {
-        let mesh = mapping.mesh();
-        let mut to_node = Vec::with_capacity(mesh.num_nodes());
-        for c in 0..mapping.num_clusters() {
-            let mut members: Vec<NodeId> = mesh
-                .nodes()
-                .filter(|&n| mapping.cluster_of(n) == ClusterId(c as u16))
-                .collect();
-            members.sort();
-            to_node.extend(members);
-        }
+        // Nodes enumerate in id order, so a stable sort by cluster leaves
+        // each cluster's members in id order.
+        let mut to_node: Vec<NodeId> = mapping.mesh().nodes().collect();
+        to_node.sort_by_cached_key(|&n| mapping.cluster_of(n));
         Self::from_nodes(to_node)
     }
 

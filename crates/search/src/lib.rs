@@ -279,8 +279,8 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
     }
 
     // Verification: cycle-sim the shortlist and the paper baselines.
-    let shortlist = ev.top.clone();
-    let verified: Vec<Verified> = shortlist
+    let verified: Vec<Verified> = ev
+        .top
         .iter()
         .map(|(score, _, c)| Verified {
             candidate: c.clone(),
@@ -291,12 +291,12 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
     let corners_cycles = baseline_cycles(app, cfg, &McPlacement::Corners);
     let edge_cycles = baseline_cycles(app, cfg, &McPlacement::EdgeMidpoints);
     let diamond_cycles = baseline_cycles(app, cfg, &McPlacement::Diagonal);
-    let winner = verified
+    // Ties on cycles break on the candidate key the shortlist carries.
+    let (winner, _) = verified
         .iter()
-        .min_by(|a, b| {
-            a.cycles
-                .cmp(&b.cycles)
-                .then_with(|| a.candidate.key().cmp(&b.candidate.key()))
+        .zip(&ev.top)
+        .min_by(|(a, (_, a_key, _)), (b, (_, b_key, _))| {
+            a.cycles.cmp(&b.cycles).then_with(|| a_key.cmp(b_key))
         })
         .expect("top_k >= 1 and budget >= 1 guarantee a verified finalist");
 
@@ -311,12 +311,12 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
         best,
         best_score,
         est,
-        verified: verified.clone(),
+        found: winner.candidate.clone(),
+        found_cycles: winner.cycles,
+        verified,
         corners_cycles,
         edge_cycles,
         diamond_cycles,
-        found: winner.candidate.clone(),
-        found_cycles: winner.cycles,
     }
 }
 

@@ -1,17 +1,19 @@
 //! Property tests for the design-space search: legality of every
 //! candidate the move generator can emit, admissibility of the
-//! branch-and-bound bound on random instances, and monotonicity of the
-//! best-so-far progress stream.
+//! branch-and-bound bound on random instances, monotonicity of the
+//! best-so-far progress stream, and safety of reusing one program
+//! analysis and one footprint for every candidate of a search.
 
 use hoploc_check::{check_layout, CheckConfig, Severity};
-use hoploc_layout::Granularity;
+use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint};
+use hoploc_layout::{Granularity, PassConfig, ProgramAnalysis};
 use hoploc_ptest::{run_cases, SmallRng};
 use hoploc_search::{
     balanced_assignment, balanced_assignment_brute, curated, propose, search_app, Candidate,
-    Objective, SearchConfig, TILINGS,
+    EstTerms, Objective, SearchConfig, APPROX_LEVELS, TILINGS,
 };
 use hoploc_sim::SimConfig;
-use hoploc_workloads::{gafort, RunKind, Scale};
+use hoploc_workloads::{gafort, hpccg, layout_with, swim, RunKind, Scale};
 
 fn base_sim() -> SimConfig {
     SimConfig {
@@ -147,4 +149,81 @@ fn best_score_is_monotone_non_increasing_along_the_stream() {
             );
         }
     });
+}
+
+#[test]
+fn reused_analysis_and_footprint_score_like_a_fresh_estimate() {
+    // A search builds one `ProgramAnalysis` and one `Footprint` per app
+    // and customizes / routes them for every candidate. Along a random
+    // walk that must give the layout a fresh pass compiles, byte for
+    // byte, and the score a fresh estimate gets, bit for bit — for an app
+    // whose indexed arrays make the approximation threshold matter
+    // (hpccg) and one without index tables (swim).
+    fn terms(e: &AppEstimate) -> EstTerms {
+        EstTerms {
+            offchip: e.offchip_fraction(),
+            hops: e.avg_offchip_hops,
+            queue: e.queue_pressure,
+        }
+    }
+    let sim = base_sim();
+    let diameter = (sim.mesh.width() - 1) + (sim.mesh.height() - 1);
+    // Weigh the queue term too, so every estimator output reaches the score.
+    let objective = Objective {
+        queue: 1.0,
+        ..Objective::default()
+    };
+    for app in [hpccg(Scale::Test), swim(Scale::Test)] {
+        let analysis = ProgramAnalysis::of(&app.program);
+        let footprint = Footprint::of(&app, &EstConfig::from_sim(&sim));
+        run_cases("search.reuse", 30, |rng| {
+            let mut cand = random_start(rng, &sim);
+            for step in 0..8 {
+                if let Some(next) = propose(rng, &cand, &sim.mesh) {
+                    cand = next;
+                }
+                // Every case visits both granularities and all thresholds.
+                cand.granularity = [Granularity::CacheLine, Granularity::Page][step % 2];
+                cand.approx = APPROX_LEVELS[step % 3];
+                let placement = cand.placement(&sim.mesh).expect("legal candidate");
+                let mapping = placement.mapping();
+                let cell = SimConfig {
+                    granularity: cand.granularity,
+                    placement: placement.mc_placement().clone(),
+                    ..sim.clone()
+                };
+
+                let pass = PassConfig {
+                    granularity: cand.granularity,
+                    line_bytes: cell.l2.line_bytes as u32,
+                    page_bytes: cell.page_bytes as u32,
+                    approx_threshold: cand.approx,
+                    ..PassConfig::default()
+                };
+                let layout = analysis.customize(&app.program, mapping, pass);
+                let fresh = layout_with(&app, mapping, &cell, RunKind::Optimized, cand.approx);
+                assert_eq!(
+                    format!("{layout:?}"),
+                    format!("{fresh:?}"),
+                    "{}: reused analysis compiled another layout for {}",
+                    app.name(),
+                    cand.key()
+                );
+
+                let cfg = EstConfig::from_sim(&cell);
+                let reused = footprint.route(&layout, mapping, RunKind::Optimized, &cfg);
+                let fresh =
+                    estimate_placement(&app, &placement, &cell, RunKind::Optimized, cand.approx);
+                let n_mcs = placement.mc_nodes().len();
+                assert_eq!(
+                    objective.score(&reused, diameter, n_mcs).to_bits(),
+                    objective.score(&fresh, diameter, n_mcs).to_bits(),
+                    "{}: reused footprint scored {} differently",
+                    app.name(),
+                    cand.key()
+                );
+                assert_eq!(terms(&reused), terms(&fresh));
+            }
+        });
+    }
 }
