@@ -71,14 +71,14 @@ pub fn array_plan_hops(al: &ArrayLayout, nodes: &[NodeId], mapping: &L2ToMcMappi
     let mut n = 0usize;
     for (t, &node) in nodes.iter().enumerate() {
         let mcs = al.thread_mcs(t)?;
-        if mcs.is_empty() {
+        let slots = mcs.len();
+        if slots == 0 {
             continue;
         }
         let d: f64 = mcs
-            .iter()
-            .map(|&mc| mesh.hop_distance(node, mapping.mc_node(mc)) as f64)
+            .map(|mc| mesh.hop_distance(node, mapping.mc_node(mc)) as f64)
             .sum::<f64>()
-            / mcs.len() as f64;
+            / slots as f64;
         sum += d;
         n += 1;
     }

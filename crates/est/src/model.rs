@@ -41,7 +41,7 @@
 //! [`Footprint::route`] — the only floating-point half.
 //!
 //! Off-chip demand is split across memory controllers statically: the
-//! layout plan's slot arithmetic (the thread's group's slots) for
+//! layout plan's slot arithmetic ([`ArrayLayout::thread_mcs`]) for
 //! optimized arrays, uniform interleave for original layouts, the owner
 //! cluster's controllers for a friendly first-touch policy, the nearest
 //! controller under the optimal-placement idealization. The expected
@@ -58,6 +58,8 @@ use hoploc_layout::{ArrayLayout, Granularity, L2Mode, ProgramLayout};
 use hoploc_noc::{L2ToMcMapping, McId, NodeId};
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, LayoutPlanner, RunKind};
+
+use crate::diag::plan_mc_shares;
 
 /// The machine parameters the estimator needs — a small projection of
 /// [`SimConfig`] so predictions are comparable to a given simulation.
@@ -637,24 +639,22 @@ impl<'a> Router<'a> {
                 }
             }
             RunKind::Baseline | RunKind::Optimized => {
-                // The slots a localized plan pins the thread's units to —
-                // [`ArrayLayout::thread_mcs`] without the per-thread list.
-                let pinned = al.plan_view().zip(thread).and_then(|(v, t)| {
-                    let slots = v.group_slots[*v.thread_group.get(t)? as usize].as_slice();
-                    (!slots.is_empty()).then_some((slots, v.n_mcs))
-                });
+                let pinned = thread
+                    .and_then(|t| al.thread_mcs(t))
+                    .filter(|mcs| mcs.len() > 0);
                 match pinned {
-                    // One share per slot, so a controller holding two of
-                    // the group's slots weighs double.
-                    Some((slots, n_mcs)) => {
-                        let w = misses / slots.len() as f64;
-                        for &slot in slots {
-                            add(McId((slot % n_mcs) as u16), w);
+                    // The localized plan pins the thread's units to its
+                    // group's slots (one list entry per slot, so shared
+                    // controllers weight correctly).
+                    Some(mcs) => {
+                        let w = misses / mcs.len() as f64;
+                        for mc in mcs {
+                            add(mc, w);
                         }
                     }
                     // Original layouts (and broadcast traffic of localized
                     // ones) interleave uniformly.
-                    None => match plan_slot_histogram(al, cfg.num_mcs) {
+                    None => match plan_mc_shares(al, cfg.num_mcs) {
                         Some(hist) if thread.is_none() => {
                             for (m, share) in hist.iter().enumerate() {
                                 add(McId(m as u16), misses * share);
@@ -671,27 +671,6 @@ impl<'a> Router<'a> {
             }
         }
     }
-}
-
-/// The per-MC share of a localized plan's slots (the static traffic
-/// split of data with no single owning thread).
-fn plan_slot_histogram(al: &ArrayLayout, n_mcs: usize) -> Option<Vec<f64>> {
-    let v = al.plan_view()?;
-    let mut hist = vec![0.0; n_mcs];
-    let mut total = 0.0;
-    for slots in v.group_slots {
-        for &s in slots {
-            hist[(s % v.n_mcs) as usize] += 1.0;
-            total += 1.0;
-        }
-    }
-    if total == 0.0 {
-        return None;
-    }
-    for h in &mut hist {
-        *h /= total;
-    }
-    Some(hist)
 }
 
 /// The mesh node thread `t` runs on (threads share cores under SMT).
@@ -762,7 +741,7 @@ struct ComponentMisses {
 }
 
 /// The off-chip demand of one (nest, array) pair, ready to be routed.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 struct ComponentDemand {
     array: ArrayId,
     /// Index of the array's entry in [`Footprint::arrays`].
@@ -781,7 +760,7 @@ struct ComponentDemand {
 /// placement a search scores: [`route`](Self::route) adds only the
 /// per-controller `f64` split. Two footprints compare equal exactly when
 /// every prediction routed from them agrees on the off-chip term.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub struct Footprint {
     app: String,
     first_touch_friendly: bool,
@@ -1292,6 +1271,7 @@ pub fn estimate_app(
 /// the placement and routes the footprint through it.
 pub struct PlacementScorer<'a> {
     planner: LayoutPlanner<'a>,
+    /// The machine, under the placement and granularity last estimated.
     sim: SimConfig,
     kind: RunKind,
     footprint: Footprint,

@@ -538,7 +538,7 @@ impl ArrayLayout {
     /// This is the static traffic-split query the locality estimator
     /// (`hoploc-est`) builds its hop-expectation and queue-pressure models
     /// on.
-    pub fn thread_mcs(&self, thread: usize) -> Option<Vec<McId>> {
+    pub fn thread_mcs(&self, thread: usize) -> Option<impl ExactSizeIterator<Item = McId> + '_> {
         match &self.plan {
             Plan::Original => None,
             Plan::Localized(p) => {
@@ -546,8 +546,7 @@ impl ArrayLayout {
                 Some(
                     p.group_slots[g]
                         .iter()
-                        .map(|&slot| McId((slot % p.n_mcs) as u16))
-                        .collect(),
+                        .map(move |&slot| McId((slot % p.n_mcs) as u16)),
                 )
             }
         }

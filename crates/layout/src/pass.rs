@@ -158,12 +158,12 @@ pub fn baseline_layout(program: &Program, num_threads: usize) -> ProgramLayout {
 /// (§5.2) and the index-table fits (§5.4). Neither reads the machine, so
 /// one analysis serves every mapping and [`PassConfig`] the program is
 /// customized for — a design-space search pays for it once.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ProgramAnalysis {
     arrays: Vec<ArrayAnalysis>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ArrayAnalysis {
     total_refs: usize,
     /// The mapping the affine references determine; `None` without one.
