@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use hoploc_fault::{FaultPlan, FaultTopo};
 use hoploc_noc::{L2ToMcMapping, McId};
 use hoploc_obs::{ObsConfig, ObsReport};
-use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, TraceWorkload};
+use hoploc_sim::{AddressSpace, RunStats, SimConfig, Simulator, TraceWorkload};
 use hoploc_workloads::{App, RunKind, TraceGen};
 
 pub use hoploc_workloads::RunKind as Kind;
@@ -398,17 +398,7 @@ impl Suite {
         let app = &self.apps[spec.app];
         let class = LayoutClass::of(spec.kind);
         let bundle = self.traces(spec.app, class);
-        let policy = match spec.kind {
-            RunKind::Optimized => {
-                if bundle.desired.is_empty() {
-                    PagePolicy::Interleaved
-                } else {
-                    PagePolicy::Desired(bundle.desired.clone())
-                }
-            }
-            RunKind::FirstTouch => PagePolicy::FirstTouch,
-            RunKind::Baseline | RunKind::Optimal => PagePolicy::Interleaved,
-        };
+        let policy = hoploc_workloads::page_policy(spec.kind, bundle.desired.clone());
         let mut cfg = self.sim.clone();
         if let Some(plan) = faults {
             cfg.faults = Some(plan.clone());

@@ -1,24 +1,35 @@
 //! The event-driven full-system simulator.
 //!
-//! Each thread replays its trace in order, blocking on every memory
-//! access (in-order cores). Accesses walk the Figure 2 flows:
+//! Each thread replays its trace in order, holding an MSHR for every
+//! access that leaves its L1 (in-order cores). Figure 2a and 2b are one
+//! request flow, [`Simulator::l2_access`], that differs in which L2 slice
+//! serves the line:
 //!
-//! * **Private L2** (Figure 2a): L1 → local L2 → directory at the owning
-//!   MC → either a cache-to-cache forward (on-chip) or an FR-FCFS DRAM
-//!   access followed by a data response (off-chip).
-//! * **Shared L2** (Figure 2b): L1 → home bank (by physical address) →
-//!   on a home miss, the MC and back through the home bank.
+//! 1. **Lookup** in the serving slice: the requester's own L2 (private,
+//!    Figure 2a) or the line's SNUCA home bank, reached by a control
+//!    message (shared, Figure 2b). A hit ends here; a home-bank hit sends
+//!    the line back to the requester.
+//! 2. **Eviction** of the line the fill replaced: a writeback to memory if
+//!    it is dirty and writebacks are modelled, else (private only) a notice
+//!    to its directory slice.
+//! 3. **Late join** of a prefetch already in flight to the slice for this
+//!    line.
+//! 4. **MC selection**: the line's owner under the interleaving, or the
+//!    slice's nearest MC under the §2 optimal scheme; an outage re-homes.
+//! 5. **Directory** (private only): a sharer forwards cache-to-cache.
+//! 6. **Off-chip**: request to the MC, FR-FCFS DRAM access, then the
+//!    response leg MC → slice → requester ([`Simulator::reply`]), shared
+//!    with prefetch completions and error replies for dropped requests.
 //!
 //! All messages share the contention-modelled mesh, so off-chip traffic
 //! delays on-chip traffic exactly as §1 describes. The **optimal scheme**
-//! of §2 redirects every off-chip request to the requester's nearest MC
-//! and serves it at fixed row-hit latency.
+//! serves every off-chip request at fixed row-hit latency.
 
 use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
 use crate::stats::RunStats;
-use crate::trace::TraceWorkload;
+use crate::trace::{Access, TraceWorkload};
 use hoploc_cache::{Directory, IntMap, SetAssocCache, Sharers};
 use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
@@ -41,36 +52,42 @@ enum EventKind {
     McPoll { mc: usize },
 }
 
+/// A demand miss waiting for its line: the thread to resume, where the
+/// serving slice forwards the line, and the request span to close. The
+/// same record whether the miss went to memory itself or joined a prefetch
+/// already in flight.
 #[derive(Clone, Copy, Debug)]
-struct PendingMem {
-    thread: usize,
-    /// Node the MC responds to (requester for private, home bank for
-    /// shared).
-    responder: NodeId,
-    /// Shared-L2 only: the requester the home bank forwards to.
-    final_dst: Option<NodeId>,
-    mc: usize,
-    l2_line: u64,
-    /// A dirty-eviction writeback: fire-and-forget, no response, no
-    /// thread to resume.
-    writeback: bool,
-    /// A speculative prefetch: installs into the responder slice on
-    /// completion, resumes any late-joined demands, and is dropped (never
-    /// retried) on a transient error.
-    prefetch: bool,
-    /// Observability tag of the request this memory access serves
-    /// ([`ReqTag::NONE`] for writebacks and untraced runs).
-    req: ReqTag,
-}
-
-/// A demand miss that found its line already in flight as a prefetch: the
-/// thread resumes (and its request span closes) when that prefetch lands.
-#[derive(Clone, Copy, Debug)]
-struct PfWaiter {
+struct Demand {
     thread: usize,
     /// Shared-L2 only: the requester the home bank forwards the line to.
     final_dst: Option<NodeId>,
+    /// Observability tag of the request ([`ReqTag::NONE`] in untraced
+    /// runs).
     req: ReqTag,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum MemKind {
+    /// A demand fetch: the reply walks MC → slice → requester and resumes
+    /// the thread.
+    Demand(Demand),
+    /// A dirty-eviction writeback: fire-and-forget, no response, no
+    /// thread to resume.
+    Writeback,
+    /// A speculative prefetch: installs into the slice on completion,
+    /// resumes any late-joined demands, and is dropped (never retried) on
+    /// a transient error.
+    Prefetch,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct PendingMem {
+    kind: MemKind,
+    /// The L2 slice the MC responds to (the requester's own for private,
+    /// the line's home bank for shared).
+    slice: NodeId,
+    mc: usize,
+    l2_line: u64,
 }
 
 /// Prefetch machinery: one engine per L2 slice plus the in-flight book.
@@ -84,7 +101,7 @@ struct PfState {
     /// In-flight prefetches per slice (bounds issue at `queue_cap`).
     inflight_count: Vec<u32>,
     /// Demands blocked on an in-flight prefetch, by token.
-    waiters: IntMap<u64, Vec<PfWaiter>>,
+    waiters: IntMap<u64, Vec<Demand>>,
     summary: PrefetchSummary,
     /// Reusable candidate buffer for [`SlicePrefetcher::on_demand`].
     scratch: Vec<u64>,
@@ -426,351 +443,248 @@ impl Simulator {
         // An L1 miss opens a request lifecycle; the span closes when the
         // data returns (or is dropped again on an L2 hit).
         let req = self.obs.begin_req(t1, node.0);
-        let l2_line = paddr / self.config.l2.line_bytes;
-        match self.config.l2_mode {
-            L2Mode::Private => self.private_l2_access(
-                workload,
-                thread,
-                node,
-                paddr,
-                l2_line,
-                t1,
-                access.write,
-                access.ref_id,
-                req,
-            ),
-            L2Mode::Shared => self.shared_l2_access(
-                workload,
-                thread,
-                node,
-                paddr,
-                l2_line,
-                t1,
-                access.write,
-                access.ref_id,
-                req,
-            ),
-        }
+        self.l2_access(workload, thread, access, paddr, t1, req);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn private_l2_access(
+    /// One request past an L1 miss (Figure 2a/2b). The two L2
+    /// organizations differ in a single decision, which slice serves the
+    /// line, and in what follows from it:
+    ///
+    /// | decision            | private                  | shared                       |
+    /// |---------------------|--------------------------|------------------------------|
+    /// | serving slice       | the requester's own L2   | the line's SNUCA home bank   |
+    /// | lookup starts at    | `t1`                     | arrival of a control message |
+    /// | thread moves on at  | the lookup's end         | `t1` (the MSHR holds it)     |
+    /// | line returns via    | nothing (it is local)    | home bank → requester        |
+    /// | coherence           | directory at the MC      | none (one copy per line)     |
+    ///
+    /// Everything else (hit, eviction, late join, MC selection, off-chip
+    /// request) is the same sequence against `slice`.
+    fn l2_access(
         &mut self,
         workload: &TraceWorkload,
         thread: usize,
-        node: NodeId,
+        access: Access,
         paddr: u64,
-        l2_line: u64,
         t1: u64,
-        write: bool,
-        ref_id: u32,
         req: ReqTag,
     ) {
-        let t2 = t1 + self.config.l2_latency;
-        let res = self.l2[node.0 as usize].access_rw_obs(
-            l2_line,
-            write,
-            t2,
-            CacheTag::l2(node.0),
-            &self.obs,
-        );
-        self.pf_demand_result(node, res.prefetched_hit, res.evicted_prefetched);
-        if res.hit {
-            self.l2_hits += 1;
-            self.obs.req_l2_hit(req, t2);
-            // A hit on a prefetched line trains as "would have been
-            // off-chip" so the predictor stays gated-open under the
-            // prefetcher's own success.
-            let outcome = if res.prefetched_hit {
-                DemandOutcome::PrefetchedHit
-            } else {
-                DemandOutcome::L2Hit
-            };
-            self.pf_on_demand(node, ref_id, l2_line, outcome, t2);
-            self.after_access(workload, thread, t2, false);
-            return;
-        }
-        // The replaced line leaves this L2: tell its directory slice
-        // (fire-and-forget control message).
-        if let Some(evicted) = res.evicted {
-            self.dir.remove_sharer(evicted, node.0 as usize);
-            let ev_mc = self.mc_of_paddr(evicted * self.config.l2.line_bytes);
-            if self.config.writebacks && res.evicted_dirty {
-                // Dirty line travels to memory: a data message plus a DRAM
-                // write, neither of which blocks the thread. An outage
-                // re-homes the write; the directory slice stays put.
-                let ev_mc = self.live_mc(ev_mc, node, t2);
-                let dst = self.mc_node(ev_mc);
-                self.writebacks += 1;
-                self.obs.writeback(t2, node.0, ev_mc as u16);
-                let at = self.net.send_obs(
-                    node,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OffChip,
-                    t2,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
-                self.enqueue_mem(
-                    evicted * self.config.l2.line_bytes,
-                    at,
-                    PendingMem {
-                        thread: usize::MAX,
-                        responder: dst,
-                        final_dst: None,
-                        mc: ev_mc,
-                        l2_line: evicted,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
-                    },
-                );
-            } else {
-                let dst = self.mc_node(ev_mc);
-                self.net.send_obs(
-                    node,
-                    dst,
-                    self.config.control_bytes,
-                    TrafficClass::OnChip,
-                    t2,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
-            }
-        }
-
-        // A prefetch for this very line is already in flight to this
-        // slice: join it instead of issuing a second memory request (the
-        // demand's `access_rw` just allocated the line, so the landing
-        // prefetch installs as a no-op). Counted as a *late* prefetch —
-        // the engine was right but not early enough.
-        if let Some(token) = self.pf_late_join(node, l2_line) {
-            let pf = self.pf.as_mut().expect("late join without prefetch state");
-            pf.waiters.entry(token).or_default().push(PfWaiter {
-                thread,
-                final_dst: None,
-                req,
-            });
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::PrefetchedHit, t2);
-            self.after_access(workload, thread, t2, true);
-            return;
-        }
-
-        let mc = if self.config.optimal {
-            self.mapping.nearest_mc(node).0 as usize
+        let node = self.threads[thread].node;
+        let l2_line = paddr / self.config.l2.line_bytes;
+        let private = self.config.l2_mode == L2Mode::Private;
+        let (slice, final_dst, arrival) = if private {
+            (node, None, t1)
         } else {
-            self.mc_of_paddr(paddr)
+            let home = NodeId((l2_line % self.config.num_nodes() as u64) as u16);
+            let at = self.ctl(node, home, TrafficClass::OnChip, t1, req);
+            (home, Some(node), at)
         };
-        let mc = self.live_mc(mc, node, t2);
-        let mc_node = self.mc_node(mc);
-        let sharers = self.dir.lookup_obs(l2_line, node.0 as usize, t2, &self.obs);
-        if let Some(owner) = nearest_sharer(&self.config.mesh, node, sharers) {
-            // On-chip fulfilment: requester → directory → owner → requester.
-            self.cache_to_cache += 1;
-            self.obs.c2c(req, t2, node.0);
-            let t3 = self.net.send_obs(
-                node,
-                mc_node,
-                self.config.control_bytes,
-                TrafficClass::OnChip,
-                t2,
-                req,
-                &self.obs,
-            );
-            let t4 = self.net.send_obs(
-                mc_node,
-                owner,
-                self.config.control_bytes,
-                TrafficClass::OnChip,
-                t3,
-                req.phase(Phase::Forward),
-                &self.obs,
-            );
-            let t5 = t4 + self.config.l2_latency;
-            let t6 = self.net.send_obs(
-                owner,
-                node,
-                self.config.l2.line_bytes as u32,
-                TrafficClass::OnChip,
-                t5,
-                req.phase(Phase::Reply),
-                &self.obs,
-            );
-            self.dir.add_sharer(l2_line, node.0 as usize);
-            self.obs.retire(req, t6);
-            self.schedule(t6, EventKind::MissReturn { thread });
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::OnChip, t2);
-            self.after_access(workload, thread, t2, true);
-        } else {
-            // Off-chip: requester → MC (request), DRAM, MC → requester (data).
+        let now = arrival + self.config.l2_latency;
+        let resume = if private { now } else { t1 };
+        let who = Demand {
+            thread,
+            final_dst,
+            req,
+        };
+        let s = slice.0 as usize;
+        let res =
+            self.l2[s].access_rw_obs(l2_line, access.write, now, CacheTag::l2(slice.0), &self.obs);
+        self.pf_demand_result(slice, res.prefetched_hit, res.evicted_prefetched);
+        let outcome = 'served: {
+            if res.hit {
+                self.l2_hits += 1;
+                self.obs.req_l2_hit(req, now);
+                if !private {
+                    let at = self.forward(slice, final_dst, false, now, req);
+                    self.obs.retire(req, at);
+                    self.schedule(at, EventKind::MissReturn { thread });
+                }
+                // A hit on a prefetched line trains as "would have been
+                // off-chip" so the predictor stays gated-open under the
+                // prefetcher's own success.
+                break 'served if res.prefetched_hit {
+                    DemandOutcome::PrefetchedHit
+                } else {
+                    DemandOutcome::L2Hit
+                };
+            }
+            if let Some(evicted) = res.evicted {
+                if private {
+                    self.dir.remove_sharer(evicted, s);
+                }
+                let ev_mc = self.mc_of_paddr(evicted * self.config.l2.line_bytes);
+                if self.config.writebacks && res.evicted_dirty {
+                    self.write_back(slice, evicted, ev_mc, now);
+                } else if private {
+                    // The replaced line leaves this L2: tell its directory
+                    // slice (fire-and-forget control message).
+                    let dir_node = self.mc_node(ev_mc);
+                    self.ctl(slice, dir_node, TrafficClass::OnChip, now, ReqTag::NONE);
+                }
+            }
+            if self.pf_late_join(slice, l2_line, who) {
+                break 'served DemandOutcome::PrefetchedHit;
+            }
+            let mc = if self.config.optimal {
+                self.mapping.nearest_mc(slice).0 as usize
+            } else {
+                self.mc_of_paddr(paddr)
+            };
+            let mc = self.live_mc(mc, slice, now);
+            let mc_node = self.mc_node(mc);
+            if private {
+                let sharers = self.dir.lookup_obs(l2_line, s, now, &self.obs);
+                if let Some(owner) = nearest_sharer(&self.config.mesh, node, sharers) {
+                    // On-chip fulfilment: requester → directory → owner →
+                    // requester.
+                    self.cache_to_cache += 1;
+                    self.obs.c2c(req, now, node.0);
+                    let t3 = self.ctl(node, mc_node, TrafficClass::OnChip, now, req);
+                    let fwd = req.phase(Phase::Forward);
+                    let t4 = self.ctl(mc_node, owner, TrafficClass::OnChip, t3, fwd);
+                    let t5 = t4 + self.config.l2_latency;
+                    let reply = req.phase(Phase::Reply);
+                    let t6 = self.data(owner, node, TrafficClass::OnChip, t5, reply);
+                    self.dir.add_sharer(l2_line, s);
+                    self.obs.retire(req, t6);
+                    self.schedule(t6, EventKind::MissReturn { thread });
+                    break 'served DemandOutcome::OnChip;
+                }
+            }
+            // Off-chip: slice → MC (request), DRAM, MC → slice (data).
             self.offchip += 1;
-            self.node_mc_requests[node.0 as usize][mc] += 1;
-            self.obs.offchip(req, t2, node.0, mc as u16);
-            let t3 = self.net.send_obs(
-                node,
-                mc_node,
-                self.config.control_bytes,
-                TrafficClass::OffChip,
-                t2,
-                req,
-                &self.obs,
-            );
+            self.node_mc_requests[s][mc] += 1;
+            self.obs.offchip(req, now, slice.0, mc as u16);
+            let at = self.ctl(slice, mc_node, TrafficClass::OffChip, now, req);
             self.enqueue_mem(
                 paddr,
-                t3,
+                at,
                 PendingMem {
-                    thread,
-                    responder: node,
-                    final_dst: None,
+                    kind: MemKind::Demand(who),
+                    slice,
                     mc,
                     l2_line,
-                    writeback: false,
-                    prefetch: false,
-                    req,
                 },
             );
-            self.pf_on_demand(node, ref_id, l2_line, DemandOutcome::OffChip, t2);
-            self.after_access(workload, thread, t2, true);
+            DemandOutcome::OffChip
+        };
+        self.pf_on_demand(slice, access.ref_id, l2_line, outcome, now);
+        // Only a hit in the requester's own L2 completes without an MSHR.
+        self.after_access(workload, thread, resume, !(res.hit && private));
+    }
+
+    /// A dirty line evicted from `slice` travels to memory: a data message
+    /// plus a DRAM write, neither of which blocks a thread. An outage
+    /// re-homes the write; the directory slice stays put.
+    fn write_back(&mut self, slice: NodeId, line: u64, mc: usize, now: u64) {
+        let mc = self.live_mc(mc, slice, now);
+        self.writebacks += 1;
+        self.obs.writeback(now, slice.0, mc as u16);
+        let mc_node = self.mc_node(mc);
+        let at = self.data(slice, mc_node, TrafficClass::OffChip, now, ReqTag::NONE);
+        self.enqueue_mem(
+            line * self.config.l2.line_bytes,
+            at,
+            PendingMem {
+                kind: MemKind::Writeback,
+                slice,
+                mc,
+                l2_line: line,
+            },
+        );
+    }
+
+    /// Sends one message over the mesh and returns its arrival time.
+    fn send(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u32,
+        class: TrafficClass,
+        now: u64,
+        req: ReqTag,
+    ) -> u64 {
+        self.net
+            .send_obs(src, dst, bytes, class, now, req, &self.obs)
+    }
+
+    /// A control-sized message.
+    fn ctl(&mut self, src: NodeId, dst: NodeId, class: TrafficClass, now: u64, req: ReqTag) -> u64 {
+        self.send(src, dst, self.config.control_bytes, class, now, req)
+    }
+
+    /// A message carrying one L2 line.
+    fn data(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        class: TrafficClass,
+        now: u64,
+        req: ReqTag,
+    ) -> u64 {
+        self.send(src, dst, self.config.l2.line_bytes as u32, class, now, req)
+    }
+
+    /// One leg of a response: the line, or a control-sized error reply
+    /// when the controller `dropped` the request.
+    fn response(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        class: TrafficClass,
+        dropped: bool,
+        now: u64,
+        req: ReqTag,
+    ) -> u64 {
+        let req = req.phase(Phase::Reply);
+        if dropped {
+            self.ctl(src, dst, class, now, req)
+        } else {
+            self.data(src, dst, class, now, req)
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn shared_l2_access(
+    /// The slice → requester half of a response, returning when it
+    /// arrives: a shared home bank forwards over the mesh, a private slice
+    /// already is the requester.
+    fn forward(
         &mut self,
-        workload: &TraceWorkload,
-        thread: usize,
-        node: NodeId,
-        paddr: u64,
-        l2_line: u64,
-        t1: u64,
-        write: bool,
-        ref_id: u32,
+        slice: NodeId,
+        final_dst: Option<NodeId>,
+        dropped: bool,
+        now: u64,
         req: ReqTag,
-    ) {
-        let home = NodeId((l2_line % self.config.num_nodes() as u64) as u16);
-        let t2 = self.net.send_obs(
-            node,
-            home,
-            self.config.control_bytes,
-            TrafficClass::OnChip,
-            t1,
-            req,
-            &self.obs,
-        );
-        let t3 = t2 + self.config.l2_latency;
-        let res = self.l2[home.0 as usize].access_rw_obs(
-            l2_line,
-            write,
-            t3,
-            CacheTag::l2(home.0),
-            &self.obs,
-        );
-        self.pf_demand_result(home, res.prefetched_hit, res.evicted_prefetched);
-        if self.config.writebacks && res.evicted_dirty {
-            if let Some(evicted) = res.evicted {
-                self.writebacks += 1;
-                let ev_mc = self.mc_of_paddr(evicted * self.config.l2.line_bytes);
-                let ev_mc = self.live_mc(ev_mc, home, t3);
-                let dst = self.mc_node(ev_mc);
-                self.obs.writeback(t3, home.0, ev_mc as u16);
-                let at = self.net.send_obs(
-                    home,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OffChip,
-                    t3,
-                    ReqTag::NONE,
-                    &self.obs,
-                );
-                self.enqueue_mem(
-                    evicted * self.config.l2.line_bytes,
-                    at,
-                    PendingMem {
-                        thread: usize::MAX,
-                        responder: dst,
-                        final_dst: None,
-                        mc: ev_mc,
-                        l2_line: evicted,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
-                    },
-                );
-            }
+    ) -> u64 {
+        match final_dst {
+            Some(dst) => self.response(slice, dst, TrafficClass::OnChip, dropped, now, req),
+            None => now,
         }
-        if res.hit {
-            self.l2_hits += 1;
-            self.obs.req_l2_hit(req, t3);
-            let t4 = self.net.send_obs(
-                home,
-                node,
-                self.config.l2.line_bytes as u32,
-                TrafficClass::OnChip,
-                t3,
-                req.phase(Phase::Reply),
-                &self.obs,
-            );
-            self.obs.retire(req, t4);
-            self.schedule(t4, EventKind::MissReturn { thread });
-            let outcome = if res.prefetched_hit {
-                DemandOutcome::PrefetchedHit
-            } else {
-                DemandOutcome::L2Hit
-            };
-            self.pf_on_demand(home, ref_id, l2_line, outcome, t3);
-            self.after_access(workload, thread, t1, true);
-            return;
-        }
-        // Same late-join rendezvous as the private path, at the home bank;
-        // the landing prefetch additionally forwards the line to the
-        // requester.
-        if let Some(token) = self.pf_late_join(home, l2_line) {
-            let pf = self.pf.as_mut().expect("late join without prefetch state");
-            pf.waiters.entry(token).or_default().push(PfWaiter {
-                thread,
-                final_dst: Some(node),
-                req,
-            });
-            self.pf_on_demand(home, ref_id, l2_line, DemandOutcome::PrefetchedHit, t3);
-            self.after_access(workload, thread, t1, true);
-            return;
-        }
-        let mc = if self.config.optimal {
-            self.mapping.nearest_mc(home).0 as usize
-        } else {
-            self.mc_of_paddr(paddr)
-        };
-        let mc = self.live_mc(mc, home, t3);
+    }
+
+    /// A memory response: MC → slice → requester.
+    fn reply(
+        &mut self,
+        mc: usize,
+        slice: NodeId,
+        final_dst: Option<NodeId>,
+        dropped: bool,
+        now: u64,
+        req: ReqTag,
+    ) -> u64 {
         let mc_node = self.mc_node(mc);
-        self.offchip += 1;
-        self.node_mc_requests[home.0 as usize][mc] += 1;
-        self.obs.offchip(req, t3, home.0, mc as u16);
-        let t4 = self.net.send_obs(
-            home,
-            mc_node,
-            self.config.control_bytes,
-            TrafficClass::OffChip,
-            t3,
-            req,
-            &self.obs,
-        );
-        self.enqueue_mem(
-            paddr,
-            t4,
-            PendingMem {
-                thread,
-                responder: home,
-                final_dst: Some(node),
-                mc,
-                l2_line,
-                writeback: false,
-                prefetch: false,
-                req,
-            },
-        );
-        self.pf_on_demand(home, ref_id, l2_line, DemandOutcome::OffChip, t3);
-        self.after_access(workload, thread, t1, true);
+        let at = self.response(mc_node, slice, TrafficClass::OffChip, dropped, now, req);
+        self.forward(slice, final_dst, dropped, at, req)
+    }
+
+    /// The response to `who` arrived at `now`: close its span and return
+    /// the miss to its thread.
+    fn complete(&mut self, workload: &TraceWorkload, who: Demand, now: u64, dropped: bool) {
+        if dropped {
+            self.obs.drop_req(who.req, now);
+        } else {
+            self.obs.retire(who.req, now);
+        }
+        self.miss_return(workload, who.thread, now);
     }
 
     /// A demand L2 access resolved against (possibly) prefetched state:
@@ -798,18 +712,23 @@ impl Simulator {
         }
     }
 
-    /// If a prefetch for `l2_line` is in flight to `slice`, counts the
-    /// late join and returns its token for waiter registration.
-    fn pf_late_join(&mut self, slice: NodeId, l2_line: u64) -> Option<u64> {
-        let token = {
-            let pf = self.pf.as_mut()?;
-            let &token = pf.inflight.get(&(slice.0, l2_line))?;
-            pf.summary.late += 1;
-            pf.slices[slice.0 as usize].resolve(true);
-            token
+    /// If a prefetch for `l2_line` is already in flight to `slice`, `who`
+    /// joins it instead of issuing a second memory request (the demand's
+    /// `access_rw` just allocated the line, so the landing prefetch
+    /// installs as a no-op) and resumes when it lands. Counted as a *late*
+    /// prefetch: the engine was right but not early enough.
+    fn pf_late_join(&mut self, slice: NodeId, l2_line: u64, who: Demand) -> bool {
+        let Some(pf) = self.pf.as_mut() else {
+            return false;
         };
+        let Some(&token) = pf.inflight.get(&(slice.0, l2_line)) else {
+            return false;
+        };
+        pf.summary.late += 1;
+        pf.slices[slice.0 as usize].resolve(true);
+        pf.waiters.entry(token).or_default().push(who);
         self.obs.prefetch(PfEvent::Late, slice.0, 1);
-        Some(token)
+        true
     }
 
     /// Trains the slice prefetcher at `slice` on one demand access and
@@ -866,36 +785,19 @@ impl Simulator {
         }
         pf.summary.issued += 1;
         let mc_node = self.mc_node(mc);
-        let at = self.net.send_obs(
-            slice,
-            mc_node,
-            self.config.control_bytes,
-            TrafficClass::OffChip,
-            now,
-            ReqTag::NONE,
-            &self.obs,
-        );
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(
-            token,
+        let at = self.ctl(slice, mc_node, TrafficClass::OffChip, now, ReqTag::NONE);
+        let token = self.enqueue_mem(
+            paddr,
+            at,
             PendingMem {
-                thread: usize::MAX,
-                responder: slice,
-                final_dst: None,
+                kind: MemKind::Prefetch,
+                slice,
                 mc,
                 l2_line: line,
-                writeback: false,
-                prefetch: true,
-                req: ReqTag::NONE,
             },
         );
         pf.inflight.insert((slice.0, line), token);
         pf.inflight_count[node] += 1;
-        let local = self.mc_local_addr(paddr);
-        let done = self.mcs[mc].enqueue_class_obs(local, token, at, mc as u16, true, &self.obs);
-        schedule_completions(&mut self.events, done);
-        self.update_poll(mc);
     }
 
     /// Mirrors summary deltas from one trigger into the obs families, so
@@ -938,12 +840,11 @@ impl Simulator {
             .pf
             .take()
             .expect("prefetch completion without prefetch state");
-        let slice = ctx.responder;
+        let slice = ctx.slice;
         let node = slice.0 as usize;
         pf.inflight.remove(&(slice.0, ctx.l2_line));
         pf.inflight_count[node] -= 1;
         let waiters = pf.waiters.remove(&token).unwrap_or_default();
-        let mc_node = self.mc_node(ctx.mc);
         if dropped {
             pf.summary.dropped += 1;
             self.pf = Some(pf);
@@ -951,96 +852,59 @@ impl Simulator {
             // Waiting demands resume on a control-sized error reply along
             // the normal response path; the line is not installed.
             for w in waiters {
-                let t1 = self.net.send_obs(
-                    mc_node,
-                    slice,
-                    self.config.control_bytes,
-                    TrafficClass::OffChip,
-                    now,
-                    w.req.phase(Phase::Reply),
-                    &self.obs,
-                );
-                let t_end = match w.final_dst {
-                    Some(dst) => self.net.send_obs(
-                        slice,
-                        dst,
-                        self.config.control_bytes,
-                        TrafficClass::OnChip,
-                        t1,
-                        w.req.phase(Phase::Reply),
-                        &self.obs,
-                    ),
-                    None => t1,
-                };
-                self.obs.drop_req(w.req, t_end);
-                self.miss_return(workload, w.thread, t_end);
+                let at = self.reply(ctx.mc, slice, w.final_dst, true, now, w.req);
+                self.complete(workload, w, at, true);
             }
             return;
         }
         // Data travels MC → slice; the install marks the line prefetched
         // so a later demand hit counts as useful.
-        let t1 = self.net.send_obs(
-            mc_node,
-            slice,
-            self.config.l2.line_bytes as u32,
-            TrafficClass::OffChip,
-            now,
-            ReqTag::NONE,
-            &self.obs,
-        );
+        let t1 = self.reply(ctx.mc, slice, None, false, now, ReqTag::NONE);
         let res = self.l2[node].install_prefetch(ctx.l2_line);
         if res.evicted_prefetched {
             pf.summary.harmful += 1;
             pf.slices[node].resolve(false);
         }
-        let evicted_prefetched = res.evicted_prefetched;
         self.pf = Some(pf);
-        if evicted_prefetched {
+        if res.evicted_prefetched {
             self.obs.prefetch(PfEvent::Harmful, slice.0, 1);
         }
-        if let Some(evicted) = res.evicted {
+        if self.config.l2_mode == L2Mode::Private {
             // The victim leaves the slice's directory view, but its
             // writeback is not modelled: speculation must never add
             // demand memory traffic.
-            if self.config.l2_mode == L2Mode::Private {
+            if let Some(evicted) = res.evicted {
                 self.dir.remove_sharer(evicted, node);
             }
-        }
-        if self.config.l2_mode == L2Mode::Private {
             // The slice now holds the line: make it discoverable for
             // cache-to-cache forwarding, like any demand fill.
             self.dir.add_sharer(ctx.l2_line, node);
         }
         for w in waiters {
-            let t_end = match w.final_dst {
-                Some(dst) => self.net.send_obs(
-                    slice,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OnChip,
-                    t1,
-                    w.req.phase(Phase::Reply),
-                    &self.obs,
-                ),
-                None => t1,
-            };
-            self.obs.retire(w.req, t_end);
-            self.miss_return(workload, w.thread, t_end);
+            let at = self.forward(slice, w.final_dst, false, t1, w.req);
+            self.complete(workload, w, at, false);
         }
     }
 
-    fn enqueue_mem(&mut self, paddr: u64, arrival: u64, ctx: PendingMem) {
+    /// Allocates a token for `ctx`, files it as pending and submits the
+    /// access to `ctx.mc`, arriving at `arrival`. Returns the token.
+    fn enqueue_mem(&mut self, paddr: u64, arrival: u64, ctx: PendingMem) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
         let mc = ctx.mc;
-        if ctx.req.is_some() {
-            self.obs.bind_token(token, ctx.req);
+        if let MemKind::Demand(who) = ctx.kind {
+            if who.req.is_some() {
+                self.obs.bind_token(token, who.req);
+            }
         }
+        let prefetch = matches!(ctx.kind, MemKind::Prefetch);
         self.pending.insert(token, ctx);
         let local = self.mc_local_addr(paddr);
-        let done = self.mcs[mc].enqueue_obs(local, token, arrival, mc as u16, &self.obs);
+        let done =
+            self.mcs[mc].enqueue_class_obs(local, token, arrival, mc as u16, prefetch, &self.obs);
         schedule_completions(&mut self.events, done);
         self.update_poll(mc);
+        token
     }
 
     fn update_poll(&mut self, mc: usize) {
@@ -1067,81 +931,25 @@ impl Simulator {
             .pending
             .remove(&token)
             .expect("completion for unknown token");
-        if ctx.prefetch {
-            self.finish_prefetch(workload, ctx, token, now, dropped);
-            return;
-        }
-        if ctx.writeback {
+        match ctx.kind {
+            MemKind::Prefetch => self.finish_prefetch(workload, ctx, token, now, dropped),
             // The line is in DRAM; nothing waits on it. A dropped
             // writeback simply never lands.
-            if dropped {
-                self.dropped += 1;
-            }
-            let _ = now;
-            return;
-        }
-        let mc_node = self.mc_node(ctx.mc);
-        if dropped {
-            // Retry cap exhausted: the controller abandons the request and
-            // a control-sized error reply walks the normal response path,
-            // so the waiting thread still resumes. The line is NOT
-            // installed and no sharer is recorded — a later touch misses
-            // again and re-fetches.
-            self.dropped += 1;
-            let t1 = self.net.send_obs(
-                mc_node,
-                ctx.responder,
-                self.config.control_bytes,
-                TrafficClass::OffChip,
-                now,
-                ctx.req.phase(Phase::Reply),
-                &self.obs,
-            );
-            let t_end = match ctx.final_dst {
-                Some(dst) => self.net.send_obs(
-                    ctx.responder,
-                    dst,
-                    self.config.control_bytes,
-                    TrafficClass::OnChip,
-                    t1,
-                    ctx.req.phase(Phase::Reply),
-                    &self.obs,
-                ),
-                None => t1,
-            };
-            self.obs.drop_req(ctx.req, t_end);
-            self.miss_return(workload, ctx.thread, t_end);
-            return;
-        }
-        let t1 = self.net.send_obs(
-            mc_node,
-            ctx.responder,
-            self.config.l2.line_bytes as u32,
-            TrafficClass::OffChip,
-            now,
-            ctx.req.phase(Phase::Reply),
-            &self.obs,
-        );
-        match ctx.final_dst {
-            // Shared L2: the home bank forwards the line to the requester.
-            Some(dst) => {
-                let t2 = self.net.send_obs(
-                    ctx.responder,
-                    dst,
-                    self.config.l2.line_bytes as u32,
-                    TrafficClass::OnChip,
-                    t1,
-                    ctx.req.phase(Phase::Reply),
-                    &self.obs,
-                );
-                self.obs.retire(ctx.req, t2);
-                self.miss_return(workload, ctx.thread, t2);
-            }
-            // Private L2: the requester's L2 now holds the line.
-            None => {
-                self.dir.add_sharer(ctx.l2_line, ctx.responder.0 as usize);
-                self.obs.retire(ctx.req, t1);
-                self.miss_return(workload, ctx.thread, t1);
+            MemKind::Writeback => self.dropped += u64::from(dropped),
+            MemKind::Demand(who) => {
+                if dropped {
+                    // Retry cap exhausted: the controller abandons the
+                    // request and a control-sized error reply walks the
+                    // normal response path, so the waiting thread still
+                    // resumes. The line is NOT installed and no sharer is
+                    // recorded — a later touch misses again and re-fetches.
+                    self.dropped += 1;
+                } else if self.config.l2_mode == L2Mode::Private {
+                    // The requester's L2 now holds the line.
+                    self.dir.add_sharer(ctx.l2_line, ctx.slice.0 as usize);
+                }
+                let at = self.reply(ctx.mc, ctx.slice, who.final_dst, dropped, now, who.req);
+                self.complete(workload, who, at, dropped);
             }
         }
     }
@@ -1893,14 +1701,10 @@ mod tests {
                 sim.pending.insert(
                     token,
                     PendingMem {
-                        thread: usize::MAX,
-                        responder: NodeId(0),
-                        final_dst: None,
+                        kind: MemKind::Writeback,
+                        slice: NodeId(0),
                         mc: 0,
                         l2_line: 0,
-                        writeback: true,
-                        prefetch: false,
-                        req: ReqTag::NONE,
                     },
                 );
             };

@@ -1,6 +1,7 @@
 //! Behavioral scenario tests for the event-driven machine: MSHR overlap,
 //! FR-FCFS poll paths, traffic classification, and the optimal mode.
 
+use hoploc_cache::CacheConfig;
 use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::{L2ToMcMapping, Mesh, NodeId};
 use hoploc_sim::{Access, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
@@ -214,6 +215,49 @@ fn writebacks_add_offchip_traffic_without_blocking() {
     // Demand-path accounting unchanged.
     assert_eq!(with.offchip_accesses, without.offchip_accesses);
     // Writebacks consume MC service.
+    let served_with: u64 = with.mc.iter().map(|m| m.served).sum();
+    let served_without: u64 = without.mc.iter().map(|m| m.served).sum();
+    assert_eq!(served_with, served_without + with.writebacks);
+}
+
+#[test]
+fn shared_writebacks_leave_from_the_home_bank_without_blocking() {
+    let (mut cfg, mapping) = small();
+    cfg.l2_mode = L2Mode::Shared;
+    // Sixteen 2 KB banks hold 128 lines between them: a 2048-line write
+    // stream overflows every home bank many times over.
+    cfg.l2 = CacheConfig {
+        size_bytes: 2048,
+        line_bytes: 256,
+        ways: 4,
+    };
+    cfg.writebacks = true;
+    let w = TraceWorkload::single(
+        "t",
+        vec![ThreadTrace::new(
+            NodeId(0),
+            (0..2048u64)
+                .map(|k| Access {
+                    vaddr: k * 256,
+                    write: true,
+                    gap: 1,
+                    ref_id: 0,
+                })
+                .collect(),
+        )],
+    );
+    let with = Simulator::new(cfg.clone(), mapping.clone(), PagePolicy::Interleaved).run(&w);
+    cfg.writebacks = false;
+    let without = Simulator::new(cfg, mapping, PagePolicy::Interleaved).run(&w);
+    assert!(
+        with.writebacks > 500,
+        "expected many writebacks, got {}",
+        with.writebacks
+    );
+    assert_eq!(without.writebacks, 0);
+    // Demand-path accounting unchanged: the dirty line leaves its home
+    // bank as off-chip traffic and no thread waits on it.
+    assert_eq!(with.offchip_accesses, without.offchip_accesses);
     let served_with: u64 = with.mc.iter().map(|m| m.served).sum();
     let served_without: u64 = without.mc.iter().map(|m| m.served).sum();
     assert_eq!(served_with, served_without + with.writebacks);

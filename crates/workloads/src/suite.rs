@@ -4,8 +4,9 @@
 use crate::apps::App;
 use crate::gen::{generate_traces, TraceGen};
 use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout, SharedPolicy};
-use hoploc_noc::L2ToMcMapping;
+use hoploc_noc::{L2ToMcMapping, McId};
 use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, TraceWorkload};
+use std::collections::HashMap;
 
 /// Which side of a comparison a run represents.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -96,25 +97,15 @@ impl<'a> LayoutPlanner<'a> {
     }
 }
 
-/// The OS page policy an experiment side uses.
-fn policy_for(
-    app: &App,
-    layout: &ProgramLayout,
-    space: &AddressSpace,
-    sim: &SimConfig,
-    kind: RunKind,
-) -> PagePolicy {
+/// The OS page policy an experiment side uses: the compiler's `desired`
+/// page → MC map for the optimized side (an empty map means the layout
+/// asks nothing of the OS, as under cache-line interleaving), first touch
+/// for its own side, the default interleaving otherwise.
+pub fn page_policy(kind: RunKind, desired: HashMap<u64, McId>) -> PagePolicy {
     match kind {
-        RunKind::Optimized => {
-            let desired = space.desired_page_mcs(&app.program, layout, sim.page_bytes);
-            if desired.is_empty() {
-                PagePolicy::Interleaved
-            } else {
-                PagePolicy::Desired(desired)
-            }
-        }
+        RunKind::Optimized if !desired.is_empty() => PagePolicy::Desired(desired),
         RunKind::FirstTouch => PagePolicy::FirstTouch,
-        RunKind::Baseline | RunKind::Optimal => PagePolicy::Interleaved,
+        RunKind::Optimized | RunKind::Baseline | RunKind::Optimal => PagePolicy::Interleaved,
     }
 }
 
@@ -128,7 +119,11 @@ pub fn build_workload(
 ) -> (TraceWorkload, PagePolicy) {
     let layout = layout_for(app, mapping, sim, kind);
     let space = AddressSpace::build(&app.program, &layout, 0);
-    let policy = policy_for(app, &layout, &space, sim, kind);
+    let desired = match kind {
+        RunKind::Optimized => space.desired_page_mcs(&app.program, &layout, sim.page_bytes),
+        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => HashMap::new(),
+    };
+    let policy = page_policy(kind, desired);
     let gen = TraceGen {
         threads_per_core,
         ..app.gen
@@ -163,7 +158,7 @@ pub fn run_mix(apps: &[App], mapping: &L2ToMcMapping, sim: &SimConfig, kind: Run
     let mut cfg = sim.clone();
     cfg.optimal = kind == RunKind::Optimal;
     cfg.mlp = apps.iter().map(|a| a.mlp).max().unwrap_or(1);
-    let mut merged_desired = std::collections::HashMap::new();
+    let mut merged_desired = HashMap::new();
     let mut workloads = Vec::new();
     for (i, app) in apps.iter().enumerate() {
         let layout = layout_for(app, mapping, &cfg, kind);
@@ -175,11 +170,7 @@ pub fn run_mix(apps: &[App], mapping: &L2ToMcMapping, sim: &SimConfig, kind: Run
         }
         workloads.push(generate_traces(&app.program, &layout, &space, &app.gen));
     }
-    let policy = match kind {
-        RunKind::Optimized if !merged_desired.is_empty() => PagePolicy::Desired(merged_desired),
-        RunKind::FirstTouch => PagePolicy::FirstTouch,
-        _ => PagePolicy::Interleaved,
-    };
+    let policy = page_policy(kind, merged_desired);
     let name = apps.iter().map(|a| a.name()).collect::<Vec<_>>().join("+");
     let mix = TraceWorkload::multiprogram(name, workloads);
     Simulator::new(cfg, mapping.clone(), policy).run(&mix)

@@ -530,7 +530,7 @@ fn warn_backstop(app: &str, kind: RunKind, stats: &RunStats) {
     }
 }
 
-fn cmd_run(app: App, o: &Options) {
+fn cmd_run(app: App, o: &Options) -> ExitCode {
     let name = app.name().to_string();
     let suite = suite(o, vec![app]);
     let kinds = [o.baseline_kind(), o.optimized_kind()];
@@ -577,8 +577,10 @@ fn cmd_run(app: App, o: &Options) {
     if let Some(target) = &o.json {
         if let Err(e) = emit_json(target, &to_json(&records, Some(suite.cache_counters()))) {
             eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn cmd_links(app: App, o: &Options) {
@@ -828,7 +830,7 @@ fn cmd_trace_validate(files: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_sweep(o: &Options) {
+fn cmd_sweep(o: &Options) -> ExitCode {
     let suite = suite(o, all_apps(o.scale));
     let kinds = [o.baseline_kind(), o.optimized_kind()];
     let records = suite.run_full(&kinds, o.jobs);
@@ -864,8 +866,10 @@ fn cmd_sweep(o: &Options) {
     if let Some(target) = &o.json {
         if let Err(e) = emit_json(target, &to_json(&records, Some(c))) {
             eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }
 
 /// Watches stdin for drain requests: an explicit `drain` line always
@@ -1108,7 +1112,7 @@ fn main() -> ExitCode {
                 "links" => cmd_links(app, &opts),
                 "trace" => return cmd_trace(app, &opts),
                 "faults" => return cmd_faults(app, &opts),
-                _ => cmd_run(app, &opts),
+                _ => return cmd_run(app, &opts),
             }
         }
         "check" => {
@@ -1129,7 +1133,7 @@ fn main() -> ExitCode {
             };
             return cmd_search(target, &opts);
         }
-        "sweep" => cmd_sweep(&opts),
+        "sweep" => return cmd_sweep(&opts),
         "bench" => return cmd_bench(&opts),
         "serve" => return cmd_serve(&opts),
         "load" => return cmd_load(&opts),
