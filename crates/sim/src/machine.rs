@@ -543,8 +543,7 @@ impl Simulator {
                     let fwd = req.phase(Phase::Forward);
                     let t4 = self.ctl(mc_node, owner, TrafficClass::OnChip, t3, fwd);
                     let t5 = t4 + self.config.l2_latency;
-                    let reply = req.phase(Phase::Reply);
-                    let t6 = self.data(owner, node, TrafficClass::OnChip, t5, reply);
+                    let t6 = self.response(owner, node, TrafficClass::OnChip, false, t5, req);
                     self.dir.add_sharer(l2_line, s);
                     self.obs.retire(req, t6);
                     self.schedule(t6, EventKind::MissReturn { thread });
