@@ -46,7 +46,7 @@ pub use diag::{
 };
 pub use model::{
     estimate_app, estimate_placement, AppEstimate, ArrayEstimate, EstConfig, Footprint,
-    PlacementScorer, RefEstimate,
+    FootprintInputs, PlacementScorer, RefEstimate,
 };
 pub use rank::{ranks, spearman};
 pub use xval::{

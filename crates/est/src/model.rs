@@ -61,6 +61,11 @@ use hoploc_workloads::{App, LayoutPlanner, RunKind};
 
 use crate::diag::plan_mc_shares;
 
+/// The [`EstConfig`] fields [`Footprint::of`] reads: cache organization,
+/// L2 bytes, line bytes, node count, threads per core. A footprint may be
+/// shared between configurations that agree on these.
+pub type FootprintInputs = (L2Mode, u64, u64, usize, usize);
+
 /// The machine parameters the estimator needs — a small projection of
 /// [`SimConfig`] so predictions are comparable to a given simulation.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -100,6 +105,17 @@ impl EstConfig {
         assert!(threads >= 1, "need at least one thread per core");
         self.threads_per_core = threads;
         self
+    }
+
+    /// This configuration's [`FootprintInputs`].
+    pub fn footprint_inputs(&self) -> FootprintInputs {
+        (
+            self.l2_mode,
+            self.l2_bytes,
+            self.line_bytes,
+            self.num_nodes,
+            self.threads_per_core,
+        )
     }
 
     /// The capacity a working set is measured against: the per-node L2
@@ -766,7 +782,7 @@ pub struct Footprint {
     first_touch_friendly: bool,
     /// The [`EstConfig`] fields the model read; `route` must be handed the
     /// same ones.
-    model_inputs: (L2Mode, u64, u64, usize, usize),
+    model_inputs: FootprintInputs,
     components: Vec<ComponentDemand>,
     total_accesses: u64,
     predicted_offchip: u64,
@@ -774,17 +790,6 @@ pub struct Footprint {
     /// Per-array totals in first-appearance order (`avg_hops` unset).
     arrays: Vec<ArrayEstimate>,
     refs: Vec<RefEstimate>,
-}
-
-/// The [`EstConfig`] fields [`Footprint::of`] depends on.
-fn model_inputs(cfg: &EstConfig) -> (L2Mode, u64, u64, usize, usize) {
-    (
-        cfg.l2_mode,
-        cfg.l2_bytes,
-        cfg.line_bytes,
-        cfg.num_nodes,
-        cfg.threads_per_core,
-    )
 }
 
 impl Footprint {
@@ -1157,7 +1162,7 @@ impl Footprint {
         Self {
             app: program.name().to_string(),
             first_touch_friendly: app.first_touch_friendly,
-            model_inputs: model_inputs(cfg),
+            model_inputs: cfg.footprint_inputs(),
             components: demand,
             total_accesses: arrays.iter().map(|a| a.accesses).sum(),
             predicted_offchip: arrays.iter().map(|a| a.predicted_offchip).sum(),
@@ -1185,7 +1190,7 @@ impl Footprint {
     ) -> AppEstimate {
         assert_eq!(
             self.model_inputs,
-            model_inputs(cfg),
+            cfg.footprint_inputs(),
             "footprint was made for another machine"
         );
         assert_eq!(

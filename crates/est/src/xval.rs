@@ -11,6 +11,7 @@
 //! layout compilation. Trace generation stays inside the simulator's
 //! timer: avoiding it is precisely the estimator's advantage.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use hoploc_harness::{kind_name, parallel_map, RunSpec, Suite};
@@ -109,9 +110,11 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
     let mut cells = Vec::new();
     let mut est_nanos = 0u64;
     let mut sim_nanos = 0u64;
+    // One copy of the programs under every configuration's suite.
+    let shared: Arc<[App]> = apps.into();
     for (label, sim) in standard_configs() {
         let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-        let suite = Suite::new(apps.to_vec(), mapping, sim.clone());
+        let suite = Suite::new(shared.clone(), mapping, sim.clone());
         let specs: Vec<RunSpec> = (0..apps.len())
             .flat_map(|a| KINDS.iter().map(move |&kind| RunSpec { app: a, kind }))
             .collect();

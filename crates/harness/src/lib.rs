@@ -104,7 +104,7 @@ struct MemoEntry<V> {
 
 /// A compute-once memo table. Concurrent lookups of the same key block on
 /// one computation (via `OnceLock`), so every artifact is built exactly
-/// once per suite regardless of the thread schedule.
+/// once per table regardless of the thread schedule.
 ///
 /// With a capacity (`cap = Some(n)`), the table holds at most `n`
 /// *completed* entries: inserting past the cap evicts the
@@ -115,7 +115,7 @@ struct MemoEntry<V> {
 /// function of its key, an evict-then-rebuild returns a bit-identical
 /// value — eviction trades recompute time for bounded residency, which is
 /// what a long-lived server process needs.
-struct Memo<K, V> {
+pub struct Memo<K, V> {
     map: Mutex<HashMap<K, MemoEntry<V>>>,
     tick: AtomicU64,
     cap: Option<usize>,
@@ -125,7 +125,9 @@ struct Memo<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> Memo<K, V> {
-    fn new(cap: Option<usize>) -> Self {
+    /// An empty table holding at most `cap` completed entries (`None` =
+    /// unbounded; a cap of 0 is treated as 1).
+    pub fn new(cap: Option<usize>) -> Self {
         Self {
             map: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -136,7 +138,9 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         }
     }
 
-    fn get_or(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+    /// The value under `key`, running `build` if no completed or in-flight
+    /// entry holds it.
+    pub fn get_or(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let cell = {
             let mut map = self.map.lock().expect("memo poisoned");
@@ -191,8 +195,8 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         }
     }
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
+    /// Entries currently held, in-flight ones included.
+    pub fn resident(&self) -> usize {
         self.map.lock().expect("memo poisoned").len()
     }
 }
@@ -229,7 +233,9 @@ pub struct CacheCounters {
 /// config, and experiments that sweep configs (mesh sizes, placements,
 /// granularities) build one suite per point.
 pub struct Suite {
-    apps: Vec<App>,
+    /// Shared, not owned: suites of one application set (a server's pool,
+    /// a search's verification runs) hold one copy of the programs.
+    apps: Arc<[App]>,
     mapping: L2ToMcMapping,
     sim: SimConfig,
     threads_per_core: usize,
@@ -243,9 +249,9 @@ impl Suite {
     /// The layout/trace caches are unbounded — right for one-shot sweeps
     /// where the whole matrix is live at once; resident processes should
     /// bound them with [`with_cache_caps`](Self::with_cache_caps).
-    pub fn new(apps: Vec<App>, mapping: L2ToMcMapping, sim: SimConfig) -> Self {
+    pub fn new(apps: impl Into<Arc<[App]>>, mapping: L2ToMcMapping, sim: SimConfig) -> Self {
         Self {
-            apps,
+            apps: apps.into(),
             mapping,
             sim,
             threads_per_core: 1,
@@ -261,7 +267,7 @@ impl Suite {
     /// placement/mapping agreement assertion holds by construction.
     /// Design-space search verifies candidates through this entry point.
     pub fn for_placement(
-        apps: Vec<App>,
+        apps: impl Into<Arc<[App]>>,
         placement: &hoploc_noc::Placement,
         sim: SimConfig,
     ) -> Self {
@@ -866,7 +872,7 @@ mod tests {
         assert_eq!(*memo.get_or(2, || 20), 20);
         assert_eq!(*memo.get_or(1, || 10), 10); // refresh key 1
         assert_eq!(*memo.get_or(3, || 30), 30); // evicts key 2 (LRU)
-        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.resident(), 2);
         assert_eq!(memo.evictions.load(Ordering::Relaxed), 1);
         // Key 2 was evicted: rebuilding is a miss but yields the same value.
         assert_eq!(*memo.get_or(2, || 20), 20);
@@ -883,7 +889,10 @@ mod tests {
         for (k, v) in keys.iter().zip(out) {
             assert_eq!(v, k * k);
         }
-        assert!(memo.len() <= 3 + 8, "cap plus in-flight slack exceeded");
+        assert!(
+            memo.resident() <= 3 + 8,
+            "cap plus in-flight slack exceeded"
+        );
     }
 
     #[test]

@@ -53,6 +53,7 @@ use hoploc_ptest::SmallRng;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind, Scale};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One search's configuration. The base [`SimConfig`] carries the
 /// machine (mesh, caches, default granularity) the baselines run under;
@@ -181,8 +182,9 @@ impl<'a> Evaluator<'a> {
 /// Cycle-sim completion time of one candidate: the suite is constructed
 /// from the candidate's own [`Placement`], granularity, and
 /// approximation threshold, so verification replays the exact plan the
-/// estimator scored.
-fn verify_candidate(app: &App, cfg: &SearchConfig, c: &Candidate) -> u64 {
+/// estimator scored. `app` is the one-application set every verification
+/// run of a search shares.
+fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 {
     let placement = c
         .placement(&cfg.sim.mesh)
         .expect("search candidates are legal by construction");
@@ -190,8 +192,7 @@ fn verify_candidate(app: &App, cfg: &SearchConfig, c: &Candidate) -> u64 {
         granularity: c.granularity,
         ..cfg.sim.clone()
     };
-    let suite =
-        Suite::for_placement(vec![app.clone()], &placement, sim).with_approx_threshold(c.approx);
+    let suite = Suite::for_placement(app.clone(), &placement, sim).with_approx_threshold(c.approx);
     suite
         .run_one(RunSpec {
             app: 0,
@@ -202,9 +203,9 @@ fn verify_candidate(app: &App, cfg: &SearchConfig, c: &Candidate) -> u64 {
 
 /// Cycle-sim completion time of a paper placement under the base config
 /// (nearest-cluster M1 mapping, default layout parameters).
-fn baseline_cycles(app: &App, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
+fn baseline_cycles(app: &Arc<[App]>, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
     let p = Placement::nearest(cfg.sim.mesh, placement);
-    let suite = Suite::for_placement(vec![app.clone()], &p, cfg.sim.clone());
+    let suite = Suite::for_placement(app.clone(), &p, cfg.sim.clone());
     suite
         .run_one(RunSpec {
             app: 0,
@@ -282,19 +283,21 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
         best_score = s;
     }
 
-    // Verification: cycle-sim the shortlist and the paper baselines.
+    // Verification: cycle-sim the shortlist and the paper baselines, all
+    // over one copy of the program.
+    let one: Arc<[App]> = Arc::from([app.clone()]);
     let verified: Vec<Verified> = ev
         .top
         .iter()
         .map(|(score, _, c)| Verified {
             candidate: c.clone(),
             score: *score,
-            cycles: verify_candidate(app, cfg, c),
+            cycles: verify_candidate(&one, cfg, c),
         })
         .collect();
-    let corners_cycles = baseline_cycles(app, cfg, &McPlacement::Corners);
-    let edge_cycles = baseline_cycles(app, cfg, &McPlacement::EdgeMidpoints);
-    let diamond_cycles = baseline_cycles(app, cfg, &McPlacement::Diagonal);
+    let corners_cycles = baseline_cycles(&one, cfg, &McPlacement::Corners);
+    let edge_cycles = baseline_cycles(&one, cfg, &McPlacement::EdgeMidpoints);
+    let diamond_cycles = baseline_cycles(&one, cfg, &McPlacement::Diagonal);
     // Ties on cycles break on the candidate key the shortlist carries.
     let (winner, _) = verified
         .iter()

@@ -9,19 +9,25 @@
 //! exactly what `hoploc sweep --json` embeds per record: a served result
 //! is byte-identical to a direct run by construction.
 //!
+//! A request builds nothing it does not execute. Admission compares the
+//! application name with [`APP_NAMES`]; each scale's 13 programs are built
+//! once per engine, on the scale's first executed job, and every suite in
+//! the pool holds that one `Arc<[App]>`; estimator jobs share one
+//! [`Footprint`] across the kinds, granularities and mappings that cannot
+//! change it.
+//!
 //! The trait exists so tests can substitute slow or failing engines to
 //! exercise backpressure and timeout paths without real simulations.
 
 use crate::job::{FaultSpec, Fidelity, JobSpec};
-use hoploc_est::{est_record_json, estimate_app, EstConfig};
+use hoploc_est::{est_record_json, EstConfig, Footprint, FootprintInputs};
 use hoploc_fault::{FaultPlan, FaultRates};
-use hoploc_harness::{fault_topo, record_json, RunRecord, RunSpec, Suite};
+use hoploc_harness::{fault_topo, record_json, Memo, RunRecord, RunSpec, Suite};
 use hoploc_noc::{L2ToMcMapping, McPlacement};
 use hoploc_search::{search_app, Objective, SearchConfig};
 use hoploc_sim::{PrefetchConfig, PrefetchMode, SimConfig};
-use hoploc_workloads::{all_apps, RunKind};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use hoploc_workloads::{all_apps, App, RunKind, Scale, APP_NAMES, MAX_THREADS_PER_CORE};
+use std::sync::{Arc, OnceLock};
 
 /// Executes jobs. Implementations must be safe to call from many worker
 /// threads at once.
@@ -75,21 +81,42 @@ impl Default for EngineCaps {
     }
 }
 
+/// What a shared [`Footprint`] is a function of: the application (scale
+/// and suite index) and [`EstConfig::footprint_inputs`]. Admission bounds
+/// `threads`, the only input a request sets freely, so the key space is
+/// finite.
+type FootprintKey = (Scale, usize, FootprintInputs);
+
 /// The production engine: bounded suite pool over the real harness.
 pub struct SuiteEngine {
     caps: EngineCaps,
-    suites: Mutex<HashMap<String, (Arc<Suite>, u64)>>,
-    tick: Mutex<u64>,
+    /// The applications of [`Scale::Test`] and [`Scale::Bench`], each built
+    /// on first use and kept: every suite of a scale shares them.
+    catalogue: [OnceLock<Arc<[App]>>; 2],
+    suites: Memo<String, Suite>,
+    footprints: Memo<FootprintKey, Footprint>,
 }
 
 impl SuiteEngine {
     /// An engine with the given residency bounds.
     pub fn new(caps: EngineCaps) -> Self {
+        let suites = caps.suite_cap.max(1);
         SuiteEngine {
             caps,
-            suites: Mutex::new(HashMap::new()),
-            tick: Mutex::new(0),
+            catalogue: [OnceLock::new(), OnceLock::new()],
+            suites: Memo::new(Some(suites)),
+            // One footprint per application of every resident suite.
+            footprints: Memo::new(Some(APP_NAMES.len() * suites)),
         }
+    }
+
+    /// The applications at `scale`, in [`APP_NAMES`] order.
+    fn apps(&self, scale: Scale) -> &Arc<[App]> {
+        let slot = match scale {
+            Scale::Test => &self.catalogue[0],
+            Scale::Bench => &self.catalogue[1],
+        };
+        slot.get_or_init(|| all_apps(scale).into())
     }
 
     fn sim_for(spec: &JobSpec) -> SimConfig {
@@ -112,38 +139,13 @@ impl SuiteEngine {
     /// The shared suite for this job's configuration, building (and
     /// LRU-evicting) as needed.
     fn suite_for(&self, spec: &JobSpec) -> Arc<Suite> {
-        let key = spec.config_canon();
-        let stamp = {
-            let mut t = self.tick.lock().expect("engine tick poisoned");
-            *t += 1;
-            *t
-        };
-        let mut suites = self.suites.lock().expect("engine suites poisoned");
-        if let Some((suite, used)) = suites.get_mut(&key) {
-            *used = stamp;
-            return suite.clone();
-        }
-        let sim = Self::sim_for(spec);
-        let mapping = Self::mapping_for(spec, &sim);
-        let suite = Arc::new(
-            Suite::new(all_apps(spec.scale), mapping, sim)
+        self.suites.get_or(spec.config_canon(), || {
+            let sim = Self::sim_for(spec);
+            let mapping = Self::mapping_for(spec, &sim);
+            Suite::new(self.apps(spec.scale).clone(), mapping, sim)
                 .with_threads_per_core(spec.threads)
-                .with_cache_caps(self.caps.layout_cap, self.caps.trace_cap),
-        );
-        suites.insert(key, (suite.clone(), stamp));
-        while suites.len() > self.caps.suite_cap.max(1) {
-            let victim = suites
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    suites.remove(&k);
-                }
-                None => break,
-            }
-        }
-        suite
+                .with_cache_caps(self.caps.layout_cap, self.caps.trace_cap)
+        })
     }
 
     /// Runs a search job: the same `search_app` call the CLI makes, fed
@@ -158,8 +160,9 @@ impl SuiteEngine {
         let search = spec.search.as_ref().expect("caller checked spec.search");
         let objective =
             Objective::parse(&search.objective).map_err(|e| format!("search objective: {e}"))?;
-        let app = all_apps(spec.scale)
-            .into_iter()
+        let app = self
+            .apps(spec.scale)
+            .iter()
             .find(|a| a.name() == spec.app)
             .ok_or_else(|| format!("unknown application {:?}", spec.app))?;
         let cfg = SearchConfig {
@@ -169,7 +172,7 @@ impl SuiteEngine {
             ..SearchConfig::new(Self::sim_for(spec), spec.scale)
         };
         let mut sink = |line: String| emit(line);
-        let report = search_app(&app, &cfg, &mut sink);
+        let report = search_app(app, &cfg, &mut sink);
         Ok(report.to_json())
     }
 
@@ -193,7 +196,7 @@ impl SuiteEngine {
 
 impl Engine for SuiteEngine {
     fn validate(&self, spec: &JobSpec) -> Result<(), String> {
-        if !all_apps(spec.scale).iter().any(|a| a.name() == spec.app) {
+        if !APP_NAMES.contains(&spec.app.as_str()) {
             return Err(format!(
                 "unknown application {:?}; try `hoploc apps`",
                 spec.app
@@ -201,6 +204,12 @@ impl Engine for SuiteEngine {
         }
         if spec.threads == 0 {
             return Err("threads must be at least 1".into());
+        }
+        if spec.threads > MAX_THREADS_PER_CORE {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS_PER_CORE} (got {})",
+                spec.threads
+            ));
         }
         if spec.fidelity == Fidelity::Est && spec.faults != FaultSpec::None {
             return Err("fault injection needs cycle fidelity (the estimator is static)".into());
@@ -263,14 +272,15 @@ impl Engine for SuiteEngine {
             // Same compiled plan the cycle tier would replay, so the two
             // tiers disagree only by model, never by input.
             let plan = suite.layout_plan(run.app, run.kind);
-            let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(spec.threads.max(1));
-            let est = estimate_app(
-                &suite.apps()[run.app],
-                &plan,
-                suite.mapping(),
-                run.kind,
-                &cfg,
-            );
+            let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(spec.threads);
+            // `estimate_app` in two steps: the footprint is shared by every
+            // kind, granularity and mapping of this application.
+            let footprint = self
+                .footprints
+                .get_or((spec.scale, run.app, cfg.footprint_inputs()), || {
+                    Footprint::of(&suite.apps()[run.app], &cfg)
+                });
+            let est = footprint.route(&plan, suite.mapping(), run.kind, &cfg);
             return Ok(est_record_json(&est));
         }
         let stats = match Self::resolve_plan(spec, &suite)? {
@@ -300,7 +310,6 @@ impl Engine for SuiteEngine {
 mod tests {
     use super::*;
     use hoploc_layout::{Granularity, L2Mode};
-    use hoploc_workloads::{RunKind, Scale};
 
     fn spec(app: &str) -> JobSpec {
         JobSpec {
@@ -312,35 +321,122 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_unknown_apps() {
+    fn validate_rejects_unknown_apps_with_stable_bytes() {
         let eng = SuiteEngine::new(EngineCaps::default());
-        assert!(eng.validate(&spec("swim")).is_ok());
-        assert!(eng.validate(&spec("nosuchapp")).is_err());
+        // Before any job has run at either scale, and after.
+        for warm in [false, true] {
+            for scale in [Scale::Test, Scale::Bench] {
+                let mut s = spec("swim");
+                s.scale = scale;
+                s.fidelity = Fidelity::Est;
+                if warm {
+                    eng.run(&s).unwrap();
+                }
+                assert!(eng.validate(&s).is_ok());
+                s.app = "nosuchapp".into();
+                assert_eq!(
+                    eng.validate(&s).unwrap_err(),
+                    "unknown application \"nosuchapp\"; try `hoploc apps`"
+                );
+            }
+        }
     }
 
     #[test]
-    fn run_matches_direct_harness_output() {
+    fn validate_bounds_threads_per_core() {
         let eng = SuiteEngine::new(EngineCaps::default());
-        let s = spec("swim");
-        let served = eng.run(&s).unwrap();
+        let with_threads = |threads| {
+            let mut s = spec("swim");
+            s.threads = threads;
+            s
+        };
+        assert!(eng.validate(&with_threads(1)).is_ok());
+        assert!(eng.validate(&with_threads(MAX_THREADS_PER_CORE)).is_ok());
+        assert!(eng.validate(&with_threads(0)).is_err());
+        for over in [MAX_THREADS_PER_CORE + 1, 4_000_000_000] {
+            let err = eng.validate(&with_threads(over)).unwrap_err();
+            assert!(err.contains("at most 16"), "{err}");
+        }
+    }
 
-        let sim = SuiteEngine::sim_for(&s);
-        let mapping = SuiteEngine::mapping_for(&s, &sim);
-        let suite = Suite::new(all_apps(Scale::Test), mapping, sim);
-        let idx = suite
-            .apps()
-            .iter()
-            .position(|a| a.name() == "swim")
-            .unwrap();
-        let direct = record_json(&RunRecord {
-            app: "swim".into(),
-            kind: RunKind::Baseline,
-            stats: suite.run_one(RunSpec {
-                app: idx,
-                kind: RunKind::Baseline,
-            }),
+    /// Est and cycle jobs over more machine configurations than the pool
+    /// holds: suites come and go, the applications under them are built
+    /// once, est jobs share footprints, and every served byte is what a
+    /// fresh direct `Suite` + `estimate_app` / `run_one` produces.
+    #[test]
+    fn evicting_pool_shares_one_catalogue_and_serves_direct_bytes() {
+        use hoploc_est::estimate_app;
+        let eng = SuiteEngine::new(EngineCaps {
+            suite_cap: 2,
+            ..EngineCaps::default()
         });
-        assert_eq!(served, direct, "served bytes must equal direct run bytes");
+        let kinds = [
+            RunKind::Baseline,
+            RunKind::Optimized,
+            RunKind::FirstTouch,
+            RunKind::Optimal,
+        ];
+        for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+            for granularity in [Granularity::CacheLine, Granularity::Page] {
+                for m2 in [false, true] {
+                    let machine = JobSpec {
+                        granularity,
+                        l2_mode,
+                        m2,
+                        ..spec("swim")
+                    };
+                    let sim = SuiteEngine::sim_for(&machine);
+                    let mapping = SuiteEngine::mapping_for(&machine, &sim);
+                    let direct = Suite::new(all_apps(Scale::Test), mapping, sim);
+                    let swim = direct
+                        .apps()
+                        .iter()
+                        .position(|a| a.name() == "swim")
+                        .unwrap();
+                    for kind in kinds {
+                        let job = JobSpec {
+                            kind,
+                            fidelity: Fidelity::Est,
+                            ..machine.clone()
+                        };
+                        let est = estimate_app(
+                            &direct.apps()[swim],
+                            &direct.layout_plan(swim, kind),
+                            direct.mapping(),
+                            kind,
+                            &EstConfig::from_sim(direct.sim()),
+                        );
+                        assert_eq!(
+                            eng.run(&job).unwrap(),
+                            est_record_json(&est),
+                            "{}",
+                            job.canon()
+                        );
+                    }
+                    if l2_mode == L2Mode::Private {
+                        let stats = direct.run_one(RunSpec {
+                            app: swim,
+                            kind: RunKind::Baseline,
+                        });
+                        let record = record_json(&RunRecord {
+                            app: "swim".into(),
+                            kind: RunKind::Baseline,
+                            stats,
+                        });
+                        assert_eq!(eng.run(&machine).unwrap(), record, "{}", machine.canon());
+                    }
+                    // The suite that just served is live, and holds the
+                    // catalogue's applications, not a copy.
+                    assert_eq!(
+                        eng.suite_for(&machine).apps().as_ptr(),
+                        eng.apps(Scale::Test).as_ptr()
+                    );
+                    assert!(eng.suites.resident() <= 2);
+                }
+            }
+        }
+        // Thirty-two est jobs, one footprint per cache organization.
+        assert_eq!(eng.footprints.resident(), 2);
     }
 
     #[test]
@@ -493,7 +589,7 @@ mod tests {
         b.granularity = Granularity::Page;
         let _ = eng.suite_for(&a);
         let _ = eng.suite_for(&b);
-        assert_eq!(eng.suites.lock().unwrap().len(), 1);
+        assert_eq!(eng.suites.resident(), 1);
         let mut c = spec("swim");
         c.l2_mode = L2Mode::Shared;
         assert_ne!(a.config_canon(), c.config_canon());

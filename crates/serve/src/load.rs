@@ -11,7 +11,7 @@
 use crate::client::Client;
 use crate::job::JobSpec;
 use crate::wire::SubmitStatus;
-use hoploc_workloads::{all_apps, RunKind, Scale};
+use hoploc_workloads::{RunKind, Scale, APP_NAMES};
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -66,11 +66,16 @@ pub struct LoadReport {
     /// Submit→result latency quantiles in milliseconds: p50, p95, p99,
     /// and max (exact order statistics, not estimates).
     pub latency_ms: LatencyQuantiles,
+    /// The submit round trip alone (request line out, `submitted` reply
+    /// back) in microseconds, over the submissions accepted at the first
+    /// attempt — a retried one also slept out its backoff. This is
+    /// admission: parse, validate, key, cache and coalescing lookups.
+    pub submit_us: LatencyQuantiles,
     /// Client-side error messages (first few, for diagnostics).
     pub errors: Vec<String>,
 }
 
-/// Exact latency order statistics in milliseconds.
+/// Exact latency order statistics, in the unit of the field holding them.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct LatencyQuantiles {
     /// Median.
@@ -88,11 +93,11 @@ pub struct LatencyQuantiles {
 /// jobs alternate (keeping the queue mixed).
 pub fn job_matrix(cfg: &LoadConfig) -> Vec<JobSpec> {
     let mut jobs = Vec::new();
-    for app in all_apps(cfg.scale) {
+    for app in APP_NAMES {
         for &kind in &cfg.kinds {
             for _ in 0..cfg.repeat.max(1) {
                 jobs.push(JobSpec {
-                    app: app.name().to_string(),
+                    app: app.to_string(),
                     kind,
                     scale: cfg.scale,
                     ..JobSpec::default()
@@ -131,7 +136,12 @@ pub fn run_load<A: ToSocketAddrs>(addr: A, cfg: &LoadConfig) -> Result<LoadRepor
         .ok_or("address resolved to nothing")?;
     let jobs = job_matrix(cfg);
     let clients = cfg.clients.max(1);
-    let shared = Arc::new(Mutex::new((LoadReport::default(), Vec::<u64>::new())));
+    // The report, every job's latency in ms, every first-attempt submit in µs.
+    let shared = Arc::new(Mutex::new((
+        LoadReport::default(),
+        Vec::<u64>::new(),
+        Vec::<u64>::new(),
+    )));
     let started = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
@@ -150,9 +160,11 @@ pub fn run_load<A: ToSocketAddrs>(addr: A, cfg: &LoadConfig) -> Result<LoadRepor
                 };
                 for spec in shard {
                     let t0 = Instant::now();
-                    let outcome = client.submit_until_accepted(&spec, max_retries).and_then(
-                        |(id, status, retries)| client.result(id).map(|r| (r, status, retries)),
-                    );
+                    let accepted = client.submit_until_accepted(&spec, max_retries);
+                    let submit_us = t0.elapsed().as_micros() as u64;
+                    let outcome = accepted.and_then(|(id, status, retries)| {
+                        client.result(id).map(|r| (r, status, retries))
+                    });
                     let ms = t0.elapsed().as_millis() as u64;
                     let mut g = shared.lock().expect("load report poisoned");
                     match outcome {
@@ -166,6 +178,9 @@ pub fn run_load<A: ToSocketAddrs>(addr: A, cfg: &LoadConfig) -> Result<LoadRepor
                                 SubmitStatus::Queued => {}
                             }
                             g.1.push(ms);
+                            if retries == 0 {
+                                g.2.push(submit_us);
+                            }
                         }
                         Err(e) => {
                             g.0.failed += 1;
@@ -181,7 +196,7 @@ pub fn run_load<A: ToSocketAddrs>(addr: A, cfg: &LoadConfig) -> Result<LoadRepor
     for h in handles {
         h.join().map_err(|_| "load client panicked".to_string())?;
     }
-    let (mut report, mut latencies) = Arc::try_unwrap(shared)
+    let (mut report, mut latencies, mut submits) = Arc::try_unwrap(shared)
         .map_err(|_| "load report still shared".to_string())?
         .into_inner()
         .map_err(|_| "load report poisoned".to_string())?;
@@ -192,6 +207,7 @@ pub fn run_load<A: ToSocketAddrs>(addr: A, cfg: &LoadConfig) -> Result<LoadRepor
         report.completed as f64 * 1000.0 / report.wall_ms as f64
     };
     report.latency_ms = quantiles(&mut latencies);
+    report.submit_us = quantiles(&mut submits);
     Ok(report)
 }
 
@@ -210,6 +226,10 @@ pub fn render_report(r: &LoadReport) -> String {
         "latency (submit -> result): p50 {} ms, p95 {} ms, p99 {} ms, max {} ms\n",
         r.latency_ms.p50, r.latency_ms.p95, r.latency_ms.p99, r.latency_ms.max
     ));
+    s.push_str(&format!(
+        "submit round trip (accepted first time): p50 {} us, p99 {} us\n",
+        r.submit_us.p50, r.submit_us.p99
+    ));
     for e in &r.errors {
         s.push_str(&format!("error: {e}\n"));
     }
@@ -221,7 +241,8 @@ pub fn report_json(r: &LoadReport) -> String {
     format!(
         "{{\"submitted\": {}, \"completed\": {}, \"failed\": {}, \"coalesced\": {}, \
          \"cached\": {}, \"retries\": {}, \"wall_ms\": {}, \"throughput\": {:.3}, \
-         \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}}}\n",
+         \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
+         \"submit_p50_us\": {}, \"submit_p99_us\": {}}}\n",
         r.submitted,
         r.completed,
         r.failed,
@@ -233,7 +254,9 @@ pub fn report_json(r: &LoadReport) -> String {
         r.latency_ms.p50,
         r.latency_ms.p95,
         r.latency_ms.p99,
-        r.latency_ms.max
+        r.latency_ms.max,
+        r.submit_us.p50,
+        r.submit_us.p99
     )
 }
 
@@ -248,7 +271,7 @@ mod tests {
             ..LoadConfig::default()
         };
         let jobs = job_matrix(&cfg);
-        let napps = all_apps(Scale::Test).len();
+        let napps = APP_NAMES.len();
         assert_eq!(jobs.len(), napps * 2 * 3);
         let distinct: std::collections::HashSet<String> = jobs.iter().map(|j| j.canon()).collect();
         assert_eq!(distinct.len(), napps * 2, "repeats share canonical keys");
@@ -270,9 +293,17 @@ mod tests {
         let r = LoadReport {
             completed: 10,
             throughput: 123.456,
+            submit_us: LatencyQuantiles {
+                p50: 19,
+                p99: 240,
+                ..LatencyQuantiles::default()
+            },
             ..LoadReport::default()
         };
         let v = hoploc_obs::parse_json(&report_json(&r)).expect("valid json");
         assert_eq!(v.get("completed").and_then(|x| x.as_u64()), Some(10));
+        assert_eq!(v.get("submit_p50_us").and_then(|x| x.as_u64()), Some(19));
+        assert_eq!(v.get("submit_p99_us").and_then(|x| x.as_u64()), Some(240));
+        assert!(render_report(&r).contains("p50 19 us, p99 240 us"));
     }
 }

@@ -7,8 +7,11 @@
 //! blocked in `result`, and `idle_cv` wakes the drainer when the last
 //! in-flight job lands. Job execution itself happens outside the lock.
 //!
-//! Admission order for a submission: drain check → validation → result
-//! cache → in-flight coalescing → queue-capacity check → enqueue. A full
+//! Admission order for a submission: validation → drain check → result
+//! cache → in-flight coalescing → queue-capacity check → enqueue.
+//! Validation reads the spec alone (name and range lookups, no shared
+//! state), so it runs before the admission lock is taken and a malformed
+//! job is `invalid_job` whether or not the server is draining. A full
 //! queue is a *reply*, not a dropped connection: the client gets
 //! `queue_full` with a `retry_after_ms` hint and decides what to do.
 //!

@@ -314,3 +314,28 @@ fn drain_answers_all_accepted_jobs_before_exit() {
     }
     server.join().expect("server exits");
 }
+
+#[test]
+fn an_absurd_thread_count_is_refused_and_the_server_keeps_serving() {
+    let (addr, server) = start_server(ServeConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    // Parses (any integer does) and would ask the worker for 64 x 4e9
+    // thread traces; admission must refuse it before it costs a queue slot.
+    let mut huge = spec_for("swim", RunKind::Baseline);
+    huge.threads = 4_000_000_000;
+    match client.submit(&huge) {
+        Ok(hoploc_serve::Response::Rejected { reason, detail, .. }) => {
+            assert_eq!(reason, "invalid_job");
+            assert!(detail.contains("at most 16"), "{detail}");
+        }
+        other => panic!("the oversized job must be rejected, got {other:?}"),
+    }
+    let (id, _, _) = client
+        .submit_until_accepted(&spec_for("swim", RunKind::Baseline), 1000)
+        .expect("a valid job is still accepted");
+    let served = client.result(id).expect("and answered");
+    assert!(served.contains("\"app\": \"swim\""), "{served}");
+    let (answered, executed, _) = client.drain().expect("drain");
+    assert_eq!((answered, executed), (1, 1));
+    server.join().expect("server exits");
+}

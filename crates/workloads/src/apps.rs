@@ -31,7 +31,7 @@ use hoploc_layout::AppProfile;
 use crate::gen::TraceGen;
 
 /// Problem-size scaling.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Scale {
     /// Tiny inputs for unit tests (sub-second full-suite runs).
     Test,
@@ -994,23 +994,48 @@ pub fn minimd(scale: Scale) -> App {
     }
 }
 
+type Constructor = fn(Scale) -> App;
+
+/// Name and constructor of every application, in the paper's
+/// presentation order.
+const APPS: [(&str, Constructor); 13] = [
+    ("wupwise", wupwise),
+    ("swim", swim),
+    ("mgrid", mgrid),
+    ("applu", applu),
+    ("galgel", galgel),
+    ("apsi", apsi),
+    ("gafort", gafort),
+    ("fma3d", fma3d),
+    ("art", art),
+    ("ammp", ammp),
+    ("hpccg", hpccg),
+    ("minighost", minighost),
+    ("minimd", minimd),
+];
+
+/// The 13 application names in the paper's presentation order.
+pub const APP_NAMES: [&str; 13] = {
+    let mut names = [""; 13];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = APPS[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Builds the one application `name` names, or `None` for a name outside
+/// [`APP_NAMES`].
+pub fn app_by_name(name: &str, scale: Scale) -> Option<App> {
+    APPS.iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, build)| build(scale))
+}
+
 /// All 13 applications in the paper's presentation order.
 pub fn all_apps(scale: Scale) -> Vec<App> {
-    vec![
-        wupwise(scale),
-        swim(scale),
-        mgrid(scale),
-        applu(scale),
-        galgel(scale),
-        apsi(scale),
-        gafort(scale),
-        fma3d(scale),
-        art(scale),
-        ammp(scale),
-        hpccg(scale),
-        minighost(scale),
-        minimd(scale),
-    ]
+    APPS.iter().map(|(_, build)| build(scale)).collect()
 }
 
 /// The multiprogrammed workload mixes of Figure 25 (pairs of applications
@@ -1038,28 +1063,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_thirteen_apps_build() {
-        let apps = all_apps(Scale::Test);
-        assert_eq!(apps.len(), 13);
-        let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "wupwise",
-                "swim",
-                "mgrid",
-                "applu",
-                "galgel",
-                "apsi",
-                "gafort",
-                "fma3d",
-                "art",
-                "ammp",
-                "hpccg",
-                "minighost",
-                "minimd"
-            ]
-        );
+    fn names_and_order_agree_at_both_scales() {
+        for scale in [Scale::Test, Scale::Bench] {
+            let apps = all_apps(scale);
+            let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
+            assert_eq!(names, APP_NAMES, "{scale:?}");
+            for (name, app) in APP_NAMES.iter().zip(&apps) {
+                let one = app_by_name(name, scale).expect("listed name");
+                assert_eq!(one.program, app.program, "{name} at {scale:?}");
+            }
+        }
+        assert!(app_by_name("nosuchapp", Scale::Test).is_none());
     }
 
     #[test]

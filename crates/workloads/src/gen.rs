@@ -11,6 +11,12 @@ use hoploc_affine::{AccessFn, ArrayId, Program, RefKind};
 use hoploc_layout::ProgramLayout;
 use hoploc_sim::{Access, AddressSpace, ThreadTrace, TraceWorkload};
 
+/// The most threads per core a request from outside the program (a CLI
+/// flag, a served job) may ask for: comfortably above Figure 24's 1, 2 and
+/// 4, and small enough that the trace buffers of `64 × threads` threads
+/// cannot exhaust memory.
+pub const MAX_THREADS_PER_CORE: usize = 16;
+
 /// Trace-generation parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceGen {

@@ -11,7 +11,7 @@ use hoploc::harness::default_jobs;
 use hoploc::layout::{Granularity, L2Mode};
 use hoploc::obs::ObsConfig;
 use hoploc::prefetch::PrefetchMode;
-use hoploc::workloads::{RunKind, Scale};
+use hoploc::workloads::{RunKind, Scale, MAX_THREADS_PER_CORE};
 
 /// Parsed options, defaulted; each subcommand reads the fields it uses.
 #[derive(Debug)]
@@ -208,6 +208,9 @@ fn apply(o: &mut Options, flag: &str, value: Option<&str>) -> Result<(), String>
             o.threads = parse_num(flag, val())?;
             if o.threads == 0 {
                 return Err("--threads needs at least 1".into());
+            }
+            if o.threads > MAX_THREADS_PER_CORE {
+                return Err(format!("--threads takes at most {MAX_THREADS_PER_CORE}"));
             }
         }
         "--jobs" => {
@@ -430,6 +433,12 @@ mod tests {
         assert!(parse("run", &args(&["--threads", "x"]))
             .unwrap_err()
             .contains("needs a number"));
+        assert!(parse("run", &args(&["--threads", "16"])).is_ok());
+        for over in ["17", "4000000000"] {
+            assert!(parse("run", &args(&["--threads", over]))
+                .unwrap_err()
+                .contains("at most 16"));
+        }
         assert!(parse("serve", &args(&["--workers", "0"])).is_err());
         assert!(parse("check", &args(&["--deny", "notes"])).is_err());
         assert!(parse("nope", &[])

@@ -128,7 +128,7 @@ use hoploc::serve::{
     Client, EngineCaps, LoadConfig, ServeConfig, Server, SuiteEngine,
 };
 use hoploc::sim::{Improvement, PrefetchConfig, RunStats, SimConfig};
-use hoploc::workloads::{all_apps, layout_for, App, RunKind, Scale};
+use hoploc::workloads::{all_apps, app_by_name, layout_for, App, RunKind, Scale, APP_NAMES};
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -171,10 +171,6 @@ fn emit_json(target: &str, json: &str) -> Result<(), String> {
     } else {
         std::fs::write(target, json).map_err(|e| format!("writing {target}: {e}"))
     }
-}
-
-fn find_app(name: &str, scale: Scale) -> Option<App> {
-    all_apps(scale).into_iter().find(|a| a.name() == name)
 }
 
 fn cmd_apps(scale: Scale) {
@@ -300,7 +296,7 @@ fn cmd_check(target: &str, o: &Options) -> ExitCode {
     let apps = if target == "all" {
         all_apps(o.scale)
     } else {
-        match find_app(target, o.scale) {
+        match app_by_name(target, o.scale) {
             Some(app) => vec![app],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps` (or `check all`)");
@@ -377,7 +373,7 @@ fn cmd_est(target: &str, o: &Options) -> ExitCode {
     let apps = if target == "all" {
         all_apps(o.scale)
     } else {
-        match find_app(target, o.scale) {
+        match app_by_name(target, o.scale) {
             Some(app) => vec![app],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps` (or `est all`)");
@@ -954,7 +950,7 @@ fn cmd_load(o: &Options) -> ExitCode {
     println!(
         "hoploc load: {} client(s) x ({} apps x {} kinds x {} repeat) against {}",
         cfg.clients,
-        all_apps(cfg.scale).len(),
+        APP_NAMES.len(),
         cfg.kinds.len(),
         cfg.repeat,
         o.addr
@@ -1008,7 +1004,7 @@ fn cmd_search(target: &str, o: &Options) -> ExitCode {
     let apps: Vec<App> = if target == "all" {
         all_apps(o.scale)
     } else {
-        match find_app(target, o.scale) {
+        match app_by_name(target, o.scale) {
             Some(a) => vec![a],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps`");
@@ -1103,7 +1099,7 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(app) = find_app(name, opts.scale) else {
+            let Some(app) = app_by_name(name, opts.scale) else {
                 eprintln!("unknown application {name}; try `hoploc apps`");
                 return ExitCode::FAILURE;
             };

@@ -3,51 +3,19 @@
 //! the machine and the footprint (pages, threads, requests in flight,
 //! trace-buffer doublings), not by how many accesses are replayed.
 //!
-//! Counted with a global allocator, so this binary holds exactly one test:
-//! a second one running on another thread would be counted too.
+//! Counted with a global allocator (`counting_alloc`), so this binary
+//! holds exactly one test.
 
 use hoploc::layout::Granularity;
 use hoploc::noc::L2ToMcMapping;
 use hoploc::sim::{AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
 use hoploc::workloads::{applu, generate_traces, layout_for, swim, RunKind, Scale, TraceGen};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator, counting every allocation and reallocation.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic and
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` obligations are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
-        // caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod counting_alloc;
 
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let r = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
+    let (allocated, r) = counting_alloc::allocated_during(f);
+    (allocated.calls, r)
 }
 
 #[test]
