@@ -288,30 +288,51 @@ impl LoopNest {
     where
         F: FnMut(&[i64]),
     {
-        assert_eq!(strides.len(), self.depth(), "one stride per loop required");
-        assert!(strides.iter().all(|&s| s >= 1), "strides must be >= 1");
-        let (c_lo, c_hi) = self.chunk_for_core(core, n_cores);
-        let mut iter = vec![0i64; self.depth()];
-        self.walk_rec(0, c_lo, c_hi, strides, &mut iter, &mut f);
+        let last = self.depth() - 1;
+        self.walk_core_runs(core, n_cores, strides, |iter, n| {
+            for _ in 0..n {
+                f(iter);
+                iter[last] += strides[last];
+            }
+        });
     }
 
-    fn walk_rec<F>(
+    /// [`walk_core_iterations`](Self::walk_core_iterations) one innermost-
+    /// loop *run* at a time: the callback receives the run's first
+    /// iteration vector and its length `n >= 1`; the run's points are that
+    /// vector with the last coordinate advanced by `strides[last]`, `n`
+    /// times. Runs arrive in lexicographic order and empty ones are
+    /// skipped, so expanding each run point by point is exactly the visit
+    /// order of `walk_core_iterations`.
+    ///
+    /// Along a run every affine subscript moves by a constant, which is
+    /// what lets trace generation evaluate a reference once per run. The
+    /// vector is handed out mutably so the callback may step it along the
+    /// run in place; whatever it leaves in the last coordinate is
+    /// overwritten before the next run.
+    pub fn walk_core_runs<F>(&self, core: usize, n_cores: usize, strides: &[i64], mut f: F)
+    where
+        F: FnMut(&mut [i64], i64),
+    {
+        assert_eq!(strides.len(), self.depth(), "one stride per loop required");
+        assert!(strides.iter().all(|&s| s >= 1), "strides must be >= 1");
+        let chunk = self.chunk_for_core(core, n_cores);
+        let mut iter = vec![0i64; self.depth()];
+        self.walk_runs_from(0, chunk, strides, &mut iter, &mut f);
+    }
+
+    fn walk_runs_from<F>(
         &self,
         depth: usize,
-        c_lo: i64,
-        c_hi: i64,
+        chunk: (i64, i64),
         strides: &[i64],
         iter: &mut [i64],
         f: &mut F,
     ) where
-        F: FnMut(&[i64]),
+        F: FnMut(&mut [i64], i64),
     {
-        if depth == self.depth() {
-            f(iter);
-            return;
-        }
         let (lo, hi) = if depth == self.parallel_dim {
-            (c_lo, c_hi)
+            chunk
         } else {
             let prefix = &iter[..depth];
             (
@@ -319,11 +340,19 @@ impl LoopNest {
                 self.loops[depth].upper.eval(prefix),
             )
         };
+        let stride = strides[depth];
+        if depth + 1 == self.depth() {
+            if lo < hi {
+                iter[depth] = lo;
+                f(iter, (hi - lo + stride - 1) / stride);
+            }
+            return;
+        }
         let mut v = lo;
         while v < hi {
             iter[depth] = v;
-            self.walk_rec(depth + 1, c_lo, c_hi, strides, iter, f);
-            v += strides[depth];
+            self.walk_runs_from(depth + 1, chunk, strides, iter, f);
+            v += stride;
         }
     }
 
@@ -442,6 +471,102 @@ mod tests {
         let mut visits = Vec::new();
         nest.walk_core_iterations(0, 1, &[1, 1], |it| visits.push((it[0], it[1])));
         assert_eq!(visits, vec![(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]);
+    }
+
+    /// The visit order `walk_core_iterations` had when it was its own
+    /// point-by-point recursion: the reference `walk_core_runs` is held to.
+    fn pointwise_visits(
+        nest: &LoopNest,
+        core: usize,
+        n_cores: usize,
+        strides: &[i64],
+    ) -> Vec<Vec<i64>> {
+        fn rec(
+            nest: &LoopNest,
+            chunk: (i64, i64),
+            strides: &[i64],
+            iter: &mut Vec<i64>,
+            out: &mut Vec<Vec<i64>>,
+        ) {
+            let depth = iter.len();
+            if depth == nest.depth() {
+                out.push(iter.clone());
+                return;
+            }
+            let (lo, hi) = if depth == nest.parallel_dim() {
+                chunk
+            } else {
+                let l = &nest.loops()[depth];
+                (l.lower.eval(iter), l.upper.eval(iter))
+            };
+            let mut v = lo;
+            while v < hi {
+                iter.push(v);
+                rec(nest, chunk, strides, iter, out);
+                iter.pop();
+                v += strides[depth];
+            }
+        }
+        let mut out = Vec::new();
+        let chunk = nest.chunk_for_core(core, n_cores);
+        rec(nest, chunk, strides, &mut Vec::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn runs_expand_to_the_pointwise_visit_order() {
+        use hoploc_ptest::run_cases;
+        run_cases("runs_expand_to_the_pointwise_visit_order", 200, |rng| {
+            // 1- to 3-deep nests; non-parallel loops get bounds affine in
+            // the enclosing iterators (triangular, possibly empty), any
+            // loop may be the parallel one, and a parallel loop shorter
+            // than the core count leaves some chunks empty.
+            let depth = rng.usize_in(1..4);
+            let parallel_dim = rng.usize_in(0..depth);
+            let loops: Vec<Loop> = (0..depth)
+                .map(|k| {
+                    if k == parallel_dim || rng.flip() {
+                        let lo = rng.i64_in(-3..4);
+                        Loop::constant(lo, lo + rng.i64_in(0..12))
+                    } else {
+                        let mut bound = |constant: std::ops::Range<i64>| {
+                            let coeffs = (0..k).map(|_| rng.i64_in(-1..2)).collect();
+                            AffineExpr::new(coeffs, rng.i64_in(constant))
+                        };
+                        Loop::new(bound(-3..3), bound(2..12))
+                    }
+                })
+                .collect();
+            let nest = LoopNest::new(loops, parallel_dim, vec![], 1);
+            let strides: Vec<i64> = (0..depth)
+                .map(|k| {
+                    if k == parallel_dim {
+                        1
+                    } else {
+                        rng.i64_in(1..5)
+                    }
+                })
+                .collect();
+            let n_cores = rng.usize_in(1..7);
+            for core in 0..n_cores {
+                let want = pointwise_visits(&nest, core, n_cores, &strides);
+
+                let mut expanded = Vec::new();
+                nest.walk_core_runs(core, n_cores, &strides, |first, n| {
+                    assert!(n >= 1, "empty runs are skipped");
+                    for k in 0..n {
+                        let mut point = first.to_vec();
+                        point[depth - 1] += k * strides[depth - 1];
+                        expanded.push(point);
+                    }
+                });
+                assert_eq!(expanded, want, "runs of core {core}/{n_cores}");
+
+                let mut visited = Vec::new();
+                nest.walk_core_iterations(core, n_cores, &strides, |it| visited.push(it.to_vec()));
+                assert_eq!(visited, want, "iterations of core {core}/{n_cores}");
+            }
+        });
     }
 
     #[test]

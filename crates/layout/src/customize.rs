@@ -21,6 +21,7 @@ use crate::binding::ThreadBinding;
 use crate::data_to_core::{transformed_bounds, DataToCore};
 use hoploc_affine::{ArrayDecl, BlockPartition, IMat};
 use hoploc_noc::{L2ToMcMapping, McId, NodeId};
+use std::ops::Range;
 
 /// Interleaving granularity of physical addresses across MCs (§3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -92,6 +93,20 @@ struct LocalizedPlan {
     n_slots_total: u32,
     /// Number of MCs (for desired-MC queries).
     n_mcs: u32,
+}
+
+impl LocalizedPlan {
+    /// The element offset at which interleave unit `unit` of group `g`'s
+    /// data starts: the group's slots, filled across successive
+    /// super-groups in order. The one statement of the slot arithmetic,
+    /// under both [`ArrayLayout::place`] and [`Run`].
+    fn unit_start(&self, g: usize, unit: i64) -> i64 {
+        let slots = &self.group_slots[g];
+        let k = slots.len() as i64;
+        let supergroup = unit / k;
+        let slot = slots[(unit % k) as usize] as i64;
+        (supergroup * self.n_slots_total as i64 + slot) * self.p_elems
+    }
 }
 
 /// A read-only view of a localized plan's internals, exposed for the
@@ -477,15 +492,95 @@ impl ArrayLayout {
                 let thread = p.part.block_of(t[0]) as usize;
                 let g = p.thread_group[thread] as usize;
                 let s = (t[0] - p.group_v_lo[g]) * p.slab + rest_offset(t, &self.extents);
-                let unit = s / p.p_elems;
-                let within = s % p.p_elems;
-                let slots = &p.group_slots[g];
-                let k = slots.len() as i64;
-                let supergroup = unit / k;
-                let slot = slots[(unit % k) as usize] as i64;
-                (supergroup * p.n_slots_total as i64 + slot) * p.p_elems + within
+                p.unit_start(g, s / p.p_elems) + s % p.p_elems
             }
         }
+    }
+
+    /// A cursor over `place(d0 + k·delta)` for `k = 0, 1, …, n − 1` that
+    /// evaluates the layout once and then steps: along an arithmetic
+    /// progression of data vectors the element offset moves by a constant
+    /// until it leaves its interleave unit or its owner's block.
+    ///
+    /// [`place`](Self::place) stays the definition of the layout; this is
+    /// its strength-reduced form for callers that walk an innermost loop
+    /// (trace generation). `None` means "use `place`": some point of the
+    /// progression leaves the array or the transformed box (a clamp of
+    /// `place` would engage — each coordinate is monotone in `k`, so the
+    /// two end points decide it), an intermediate of `U·d0 − mins`,
+    /// `U·delta` or the end points overflows `i64` (`place` accumulates in
+    /// `i128`), or `n < 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d0` or `delta` differs in length from the array rank.
+    pub fn run(&self, d0: &[i64], delta: &[i64], n: i64) -> Option<Run<'_>> {
+        let rank = self.dims.len();
+        assert_eq!(d0.len(), rank, "subscript count must match rank");
+        assert_eq!(delta.len(), rank, "step count must match rank");
+        if n < 1 {
+            return None;
+        }
+        let last = n - 1;
+        let inside = |first: i64, step: i64, extent: i64| -> Option<bool> {
+            let end = first.checked_add(last.checked_mul(step)?)?;
+            Some((0..extent).contains(&first) && (0..extent).contains(&end))
+        };
+        for ((&s, &ds), &d) in d0.iter().zip(delta).zip(&self.dims) {
+            if !inside(s, ds, d)? {
+                return None;
+            }
+        }
+        // Row-major index of the first point in the box the plan
+        // linearizes (the array itself, or its transformed image), and the
+        // index's step per point, one dimension at a time.
+        let (mut pos, mut step) = (0i64, 0i64);
+        let mut fold = |t: i64, dt: i64, extent: i64| -> Option<()> {
+            pos = pos * extent + t;
+            step = step.checked_mul(extent)?.checked_add(dt)?;
+            Some(())
+        };
+        let plan = match &self.plan {
+            Plan::Original => {
+                for ((&s, &ds), &d) in d0.iter().zip(delta).zip(&self.dims) {
+                    fold(s, ds, d)?;
+                }
+                None
+            }
+            Plan::Localized(p) => {
+                for ((row, &min), &e) in self.u.iter_rows().zip(&self.mins).zip(&self.extents) {
+                    let (mut t, mut dt) = (0i64, 0i64);
+                    for ((&a, &s), &ds) in row.iter().zip(d0).zip(delta) {
+                        t = t.checked_add(a.checked_mul(s)?)?;
+                        dt = dt.checked_add(a.checked_mul(ds)?)?;
+                    }
+                    let t = t.checked_sub(min)?;
+                    if !inside(t, dt, e)? {
+                        return None;
+                    }
+                    fold(t, dt, e)?;
+                }
+                Some(&**p)
+            }
+        };
+        // Every `pos += step` of the `n` calls the cursor is good for.
+        pos.checked_add(n.checked_mul(step)?)?;
+        Some(Run {
+            plan,
+            pos,
+            step,
+            shift: 0,
+            // The original layout's offset *is* the row-major index; a
+            // localized run places itself on its first call.
+            valid: if plan.is_none() {
+                i64::MIN..i64::MAX
+            } else {
+                0..0
+            },
+            block: 0..0,
+            group: 0,
+            base: 0,
+        })
     }
 
     /// The thread that owns a data element (the thread whose iterations
@@ -573,6 +668,66 @@ impl ArrayLayout {
             *x = (*x - m).clamp(0, e - 1);
         }
         t
+    }
+}
+
+/// The cursor [`ArrayLayout::run`] returns: yields the element offsets of
+/// the run's points in order, an add per point.
+///
+/// The run invariant: while `pos` — the row-major index of the current
+/// point in the transformed box, `t₀·slab + rest` — stays inside `valid`,
+/// the point's offset is `pos + shift`. `valid` is the part of the
+/// point's interleave unit that its owner thread's block covers, so
+/// leaving it is the only time the divisions of `place` run again: two
+/// (unit, super-group) and the slot lookup per unit crossed, one more per
+/// thread block crossed. A run along the partition dimension (rank-1
+/// arrays, 1-deep nests) crosses blocks and owner groups; any other run
+/// stays in one.
+#[derive(Clone, Debug)]
+pub struct Run<'a> {
+    /// `None` for the original layout, whose `valid` is everything.
+    plan: Option<&'a LocalizedPlan>,
+    pos: i64,
+    step: i64,
+    shift: i64,
+    valid: Range<i64>,
+    /// The `pos` range of the current owner thread's block, its group, and
+    /// `pos` of the group's first element.
+    block: Range<i64>,
+    group: usize,
+    base: i64,
+}
+
+impl Run<'_> {
+    /// The offset of the run's current point — `place` of it — then moves
+    /// to the next. Good for the `n` calls the run was built for; beyond
+    /// them the result is unspecified and the call may panic.
+    #[inline]
+    pub fn next_offset(&mut self) -> i64 {
+        if !self.valid.contains(&self.pos) {
+            self.relocate();
+        }
+        let offset = self.pos + self.shift;
+        self.pos += self.step;
+        offset
+    }
+
+    /// Re-derives `shift` and `valid` for the unit `pos` has moved into.
+    fn relocate(&mut self) {
+        let p = self
+            .plan
+            .expect("invariant: an original-layout run is valid everywhere");
+        if !self.block.contains(&self.pos) {
+            let per_block = p.part.block_size() * p.slab;
+            let thread = self.pos / per_block;
+            self.block = thread * per_block..(thread + 1) * per_block;
+            self.group = p.thread_group[thread as usize] as usize;
+            self.base = p.group_v_lo[self.group] * p.slab;
+        }
+        let unit = (self.pos - self.base) / p.p_elems;
+        let start = self.base + unit * p.p_elems;
+        self.shift = p.unit_start(self.group, unit) - start;
+        self.valid = start.max(self.block.start)..(start + p.p_elems).min(self.block.end);
     }
 }
 

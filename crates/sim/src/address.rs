@@ -50,8 +50,18 @@ impl AddressSpace {
     ///
     /// Panics if the array id is stale.
     pub fn addr_of(&self, layout: &ProgramLayout, array: ArrayId, dvec: &[i64]) -> u64 {
-        let off = layout.layout(array).place(dvec);
-        self.bases[array.0] + off as u64 * self.elem_sizes[array.0]
+        self.addr_at(array, layout.layout(array).place(dvec))
+    }
+
+    /// Virtual byte address of the element at `offset` (an
+    /// `ArrayLayout::place` result, or a `Run` step) within an array's
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array id is stale.
+    pub fn addr_at(&self, array: ArrayId, offset: i64) -> u64 {
+        self.bases[array.0] + offset as u64 * self.elem_sizes[array.0]
     }
 
     /// Base address of an array.

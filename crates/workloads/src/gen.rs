@@ -6,9 +6,19 @@
 //! lexicographic order, evaluating every reference through the program
 //! layout's address function. Sampling strides keep the streams tractable
 //! while preserving the access-pattern geometry the optimization targets.
+//!
+//! The unit of work is the innermost-loop *run*: along one, every affine
+//! subscript moves by a constant, so a reference evaluates its subscripts
+//! and its layout once ([`ArrayLayout::run`]) and then takes an add per
+//! access — the strength reduction §5.3 applies to the division/modulo
+//! subscripts the pass emits. `ArrayLayout::place` remains the definition:
+//! references whose run cannot be proven clamp-free, and indexed
+//! references, go through it access by access inside the same loop, and
+//! `tests/trace_oracle.rs` holds the whole function to a generator that
+//! does nothing else.
 
 use hoploc_affine::{AccessFn, ArrayId, Program, RefKind};
-use hoploc_layout::ProgramLayout;
+use hoploc_layout::{ArrayLayout, ProgramLayout, Run};
 use hoploc_sim::{Access, AddressSpace, ThreadTrace, TraceWorkload};
 
 /// The most threads per core a request from outside the program (a CLI
@@ -91,11 +101,15 @@ impl TraceGen {
     }
 }
 
-/// One static reference of a nest body, as the per-iteration replay
-/// needs it.
+/// One static reference of a nest body, as the replay needs it.
 struct RefPlan<'a> {
     access: &'a AccessFn,
     array: ArrayId,
+    layout: &'a ArrayLayout,
+    /// How far an affine reference's subscripts move per point of an
+    /// innermost-loop run: the access matrix's last column times the
+    /// loop's stride. Empty for indexed references.
+    delta: Vec<i64>,
     write: bool,
     /// Issue gap before the statement's first reference (compute cycles
     /// plus addressing overhead, before jitter); `None` for the
@@ -178,6 +192,18 @@ pub fn generate_traces(
                 1
             };
 
+        // A reference id packs (nest, statement, reference) into 16 + 8 + 8
+        // bits; what does not fit would alias another reference's id.
+        assert!(
+            nest_idx < 1 << 16
+                && nest.body().len() <= 1 << 8
+                && nest.body().iter().all(|stmt| stmt.refs.len() <= 1 << 8),
+            "{}: nest {nest_idx} is beyond what a reference id encodes \
+             (65536 nests, 256 statements per nest, 256 references per statement)",
+            program.name()
+        );
+        let last = nest.depth() - 1;
+
         // Everything about a reference that does not depend on the
         // iteration, resolved once per nest instead of once per access.
         let refs: Vec<RefPlan<'_>> = nest
@@ -185,6 +211,7 @@ pub fn generate_traces(
             .iter()
             .enumerate()
             .flat_map(|(stmt_idx, stmt)| {
+                let strides = &strides;
                 stmt.refs.iter().enumerate().map(move |(ri, r)| {
                     // The (strength-reduced) division/modulo addressing
                     // overhead is charged once per iteration, not per
@@ -193,6 +220,13 @@ pub fn generate_traces(
                     RefPlan {
                         access: &r.access,
                         array: r.array,
+                        layout: layout.layout(r.array),
+                        delta: match &r.access {
+                            AccessFn::Affine(a) => (0..a.rank())
+                                .map(|row| a.matrix()[(row, last)] * strides[last])
+                                .collect(),
+                            AccessFn::Indexed { .. } => Vec::new(),
+                        },
                         write: r.kind == RefKind::Write,
                         lead_gap: (ri == 0).then(|| {
                             stmt.compute_cycles * gap_mult
@@ -200,57 +234,72 @@ pub fn generate_traces(
                         }),
                         // A stable per-static-reference id: the
                         // stride-prefetcher's training key (its "PC").
-                        ref_id: ((nest_idx as u32) << 16)
-                            | ((stmt_idx as u32) << 8)
-                            | (ri as u32 & 0xff),
+                        ref_id: ((nest_idx as u32) << 16) | ((stmt_idx as u32) << 8) | ri as u32,
                     }
                 })
             })
             .collect();
+        // Each reference's cursor along the current run; `None` sends the
+        // reference through `place` access by access.
+        let mut cursors: Vec<Option<Run<'_>>> = vec![None; refs.len()];
 
         #[allow(clippy::needless_range_loop)]
         for t in 0..n_threads {
             let accesses = &mut traces[t].accesses;
             let mut jit_state: u64 = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for _rep in 0..reps {
-                nest.walk_core_iterations(t, n_threads, &strides, |iter| {
-                    for r in &refs {
-                        let vaddr = match r.access {
+                nest.walk_core_runs(t, n_threads, &strides, |iter, n| {
+                    for (r, cursor) in refs.iter().zip(&mut cursors) {
+                        *cursor = match r.access {
                             AccessFn::Affine(a) => {
-                                let dvec = &mut dvec[..a.rank()];
-                                a.eval_into(iter, dvec);
-                                space.addr_of(layout, r.array, dvec)
+                                let first = &mut dvec[..a.rank()];
+                                a.eval_into(iter, first);
+                                r.layout.run(first, &r.delta, n)
                             }
-                            AccessFn::Indexed { table, pos } => {
-                                let tab = program.table(*table);
-                                if tab.is_empty() {
-                                    continue;
+                            AccessFn::Indexed { .. } => None,
+                        };
+                    }
+                    for _ in 0..n {
+                        for (r, cursor) in refs.iter().zip(&mut cursors) {
+                            let vaddr = match (cursor, r.access) {
+                                (Some(run), _) => space.addr_at(r.array, run.next_offset()),
+                                (None, AccessFn::Affine(a)) => {
+                                    let dvec = &mut dvec[..a.rank()];
+                                    a.eval_into(iter, dvec);
+                                    space.addr_of(layout, r.array, dvec)
                                 }
-                                let p = pos.eval(iter).rem_euclid(tab.len() as i64);
-                                space.addr_of(layout, r.array, &[tab[p as usize]])
-                            }
-                        };
-                        let gap = match r.lead_gap {
-                            Some(lead) => {
-                                // xorshift-based deterministic jitter.
-                                jit_state ^= jit_state << 13;
-                                jit_state ^= jit_state >> 7;
-                                jit_state ^= jit_state << 17;
-                                let jitter = if gen.desync_jitter == 0 {
-                                    0
-                                } else {
-                                    (jit_state % gen.desync_jitter as u64) as u32
-                                };
-                                lead + jitter
-                            }
-                            None => 1,
-                        };
-                        accesses.push(Access {
-                            vaddr,
-                            write: r.write,
-                            gap,
-                            ref_id: r.ref_id,
-                        });
+                                (None, AccessFn::Indexed { table, pos }) => {
+                                    let tab = program.table(*table);
+                                    if tab.is_empty() {
+                                        continue;
+                                    }
+                                    let p = pos.eval(iter).rem_euclid(tab.len() as i64);
+                                    space.addr_of(layout, r.array, &[tab[p as usize]])
+                                }
+                            };
+                            let gap = match r.lead_gap {
+                                Some(lead) => {
+                                    // xorshift-based deterministic jitter.
+                                    jit_state ^= jit_state << 13;
+                                    jit_state ^= jit_state >> 7;
+                                    jit_state ^= jit_state << 17;
+                                    let jitter = if gen.desync_jitter == 0 {
+                                        0
+                                    } else {
+                                        (jit_state % gen.desync_jitter as u64) as u32
+                                    };
+                                    lead + jitter
+                                }
+                                None => 1,
+                            };
+                            accesses.push(Access {
+                                vaddr,
+                                write: r.write,
+                                gap,
+                                ref_id: r.ref_id,
+                            });
+                        }
+                        iter[last] += strides[last];
                     }
                 });
             }
