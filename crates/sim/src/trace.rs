@@ -15,6 +15,12 @@ pub struct Access {
     /// Stable identifier of the static reference (the "PC") that issued
     /// this access — the stride-prefetcher training key. Ignored (and
     /// conventionally 0) when prefetching is off.
+    ///
+    /// `hoploc_workloads::generate_traces` packs it as
+    /// `(nest << 16) | (statement << 8) | reference`, and so refuses a
+    /// program with more than 65 536 nests, 256 statements in a nest or
+    /// 256 references in a statement rather than let two references share
+    /// an id.
     pub ref_id: u32,
 }
 

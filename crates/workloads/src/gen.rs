@@ -394,6 +394,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "gen-test: nest 1 is beyond what a reference id encodes")]
+    fn a_statement_too_wide_for_reference_ids_is_refused() {
+        // Reference 256 of a statement would read as reference 0: two
+        // prefetcher training keys aliased.
+        let mut p = program();
+        let x = ArrayId(0);
+        p.add_nest(LoopNest::new(
+            vec![Loop::constant(0, 128), Loop::constant(0, 64)],
+            0,
+            vec![Statement::new(
+                vec![ArrayRef::read(x, AffineAccess::identity(2)); 257],
+                1,
+            )],
+            1,
+        ));
+        let layout = baseline_layout(&p, 64);
+        let space = AddressSpace::build(&p, &layout, 0);
+        generate_traces(&p, &layout, &space, &TraceGen::default());
+    }
+
+    #[test]
     fn threads_per_core_multiplies_threads() {
         let p = program();
         let layout = baseline_layout(&p, 64);

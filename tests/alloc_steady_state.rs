@@ -6,7 +6,8 @@
 //! Counted with a global allocator (`counting_alloc`), so this binary
 //! holds exactly one test.
 
-use hoploc::layout::Granularity;
+use hoploc::affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
+use hoploc::layout::{optimize_program, Granularity, PassConfig};
 use hoploc::noc::L2ToMcMapping;
 use hoploc::sim::{AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
 use hoploc::workloads::{applu, generate_traces, layout_for, swim, RunKind, Scale, TraceGen};
@@ -16,6 +17,26 @@ mod counting_alloc;
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let (allocated, r) = counting_alloc::allocated_during(f);
     (allocated.calls, r)
+}
+
+/// `X[outer][inner]` read and written once per iteration of an
+/// `(outer, inner)` nest parallel in `outer`.
+fn sweep_program(outer: i64, inner: i64) -> Program {
+    let mut p = Program::new("sweep");
+    let x = p.add_array(ArrayDecl::new("X", vec![outer, inner], 8));
+    p.add_nest(LoopNest::new(
+        vec![Loop::constant(0, outer), Loop::constant(0, inner)],
+        0,
+        vec![Statement::new(
+            vec![
+                ArrayRef::read(x, AffineAccess::identity(2)),
+                ArrayRef::write(x, AffineAccess::identity(2)),
+            ],
+            1,
+        )],
+        1,
+    ));
+    p
 }
 
 #[test]
@@ -94,4 +115,27 @@ fn allocations_do_not_grow_with_trace_length() {
             repeated_stats.total_accesses
         );
     }
+
+    // Trace generation works one innermost-loop run at a time, its per-run
+    // state in buffers sized once per nest: the same accesses per thread
+    // cut into runs of 8 (the shape of hpccg's SpMV) cost no more
+    // allocations than in runs of 512.
+    let generate = |outer, inner| {
+        let p = sweep_program(outer, inner);
+        let layout = optimize_program(&p, &mapping, PassConfig::default());
+        assert!(
+            !layout.layout(hoploc::affine::ArrayId(0)).is_original(),
+            "the run cursors under test are the localized layout's"
+        );
+        let space = AddressSpace::build(&p, &layout, 0);
+        allocations_during(|| generate_traces(&p, &layout, &space, &TraceGen::default()))
+    };
+    let (short_allocs, short) = generate(64 * 64, 8);
+    let (long_allocs, long) = generate(64, 64 * 8);
+    assert_eq!(short.total_accesses(), long.total_accesses());
+    assert!(
+        short_allocs <= long_allocs,
+        "generate_traces allocated {short_allocs} times over runs of 8 but {long_allocs} times \
+         over runs of 512"
+    );
 }
