@@ -579,7 +579,6 @@ impl ArrayLayout {
             },
             block: 0..0,
             group: 0,
-            base: 0,
         })
     }
 
@@ -691,11 +690,9 @@ pub struct Run<'a> {
     step: i64,
     shift: i64,
     valid: Range<i64>,
-    /// The `pos` range of the current owner thread's block, its group, and
-    /// `pos` of the group's first element.
+    /// The `pos` range of the current owner thread's block, and its group.
     block: Range<i64>,
     group: usize,
-    base: i64,
 }
 
 impl Run<'_> {
@@ -722,10 +719,11 @@ impl Run<'_> {
             let thread = self.pos / per_block;
             self.block = thread * per_block..(thread + 1) * per_block;
             self.group = p.thread_group[thread as usize] as usize;
-            self.base = p.group_v_lo[self.group] * p.slab;
         }
-        let unit = (self.pos - self.base) / p.p_elems;
-        let start = self.base + unit * p.p_elems;
+        // `pos` of the group's first element: units count from there.
+        let base = p.group_v_lo[self.group] * p.slab;
+        let unit = (self.pos - base) / p.p_elems;
+        let start = base + unit * p.p_elems;
         self.shift = p.unit_start(self.group, unit) - start;
         self.valid = start.max(self.block.start)..(start + p.p_elems).min(self.block.end);
     }

@@ -4,7 +4,9 @@
 use hoploc_affine::{
     AffineAccess, ArrayDecl, ArrayRef, IMat, IVec, Loop, LoopNest, Program, Statement,
 };
-use hoploc_layout::{optimize_program, Granularity, L2Mode, PassConfig, SharedPolicy};
+use hoploc_layout::{
+    optimize_program, transform_dvec, Granularity, L2Mode, PassConfig, SharedPolicy,
+};
 use hoploc_noc::{L2ToMcMapping, McId, McPlacement, Mesh};
 use hoploc_ptest::run_cases;
 use std::collections::HashSet;
@@ -238,12 +240,10 @@ fn runs_step_exactly_where_place_points() {
                 };
                 let inside = |d: &[i64]| {
                     let in_array = d.iter().zip(l.dims()).all(|(&s, &e)| (0..e).contains(&s));
-                    let t = l.u().mul_vec(&IVec::from(d));
-                    let in_box = t
+                    let in_box = transform_dvec(l.u(), l.mins(), d)
                         .iter()
-                        .zip(l.mins())
                         .zip(l.extents())
-                        .all(|((&t, &m), &e)| (0..e).contains(&(t - m)));
+                        .all(|(t, &e)| (0..e).contains(t));
                     in_array && in_box
                 };
                 let provable = n >= 1 && (0..n).all(|k| inside(&point(k)));

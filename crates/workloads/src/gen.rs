@@ -203,6 +203,7 @@ pub fn generate_traces(
             program.name()
         );
         let last = nest.depth() - 1;
+        let step = strides[last];
 
         // Everything about a reference that does not depend on the
         // iteration, resolved once per nest instead of once per access.
@@ -211,7 +212,6 @@ pub fn generate_traces(
             .iter()
             .enumerate()
             .flat_map(|(stmt_idx, stmt)| {
-                let strides = &strides;
                 stmt.refs.iter().enumerate().map(move |(ri, r)| {
                     // The (strength-reduced) division/modulo addressing
                     // overhead is charged once per iteration, not per
@@ -223,7 +223,7 @@ pub fn generate_traces(
                         layout: layout.layout(r.array),
                         delta: match &r.access {
                             AccessFn::Affine(a) => (0..a.rank())
-                                .map(|row| a.matrix()[(row, last)] * strides[last])
+                                .map(|row| a.matrix()[(row, last)] * step)
                                 .collect(),
                             AccessFn::Indexed { .. } => Vec::new(),
                         },
@@ -299,7 +299,7 @@ pub fn generate_traces(
                                 ref_id: r.ref_id,
                             });
                         }
-                        iter[last] += strides[last];
+                        iter[last] += step;
                     }
                 });
             }
