@@ -1,0 +1,145 @@
+//! Pin of what a search's verification reports: the six `(key, cycles)`
+//! pairs of every application's report — three finalists, then the corner,
+//! edge and diamond baselines — against the one-`Suite`-per-request path,
+//! kept here verbatim as the reference, and against digests recorded from
+//! it. The search may share work between requests; whatever it shares, the
+//! report must stay the one this path produces.
+
+use hoploc_harness::{RunSpec, Suite};
+use hoploc_layout::Granularity;
+use hoploc_noc::{McPlacement, Placement};
+use hoploc_search::{search_app, Candidate, SearchConfig, SearchReport};
+use hoploc_sim::SimConfig;
+use hoploc_workloads::{all_apps, App, RunKind, Scale};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// The search seeds pinned: the CLI default, and the one `hoploc-perf
+/// --seed 1` derives for `search-triage`.
+const SEEDS: [u64; 2] = [0, 0x5e4e_bd8e_edcd_b1cc];
+
+/// Reference: cycle-sim completion time of one candidate through a suite
+/// of its own (one analysis, one compile, one trace, one simulation).
+fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 {
+    let placement = c
+        .placement(&cfg.sim.mesh)
+        .expect("search candidates are legal by construction");
+    let sim = SimConfig {
+        granularity: c.granularity,
+        ..cfg.sim.clone()
+    };
+    let suite = Suite::for_placement(app.clone(), &placement, sim).with_approx_threshold(c.approx);
+    suite
+        .run_one(RunSpec {
+            app: 0,
+            kind: RunKind::Optimized,
+        })
+        .exec_cycles
+}
+
+/// Reference: cycle-sim completion time of a paper placement under the
+/// base config (nearest-cluster M1 mapping, default layout parameters).
+fn baseline_cycles(app: &Arc<[App]>, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
+    let p = Placement::nearest(cfg.sim.mesh, placement);
+    let suite = Suite::for_placement(app.clone(), &p, cfg.sim.clone());
+    suite
+        .run_one(RunSpec {
+            app: 0,
+            kind: RunKind::Optimized,
+        })
+        .exec_cycles
+}
+
+fn search_cfg(seed: u64) -> SearchConfig {
+    let sim = SimConfig {
+        granularity: Granularity::CacheLine,
+        ..SimConfig::scaled()
+    };
+    SearchConfig {
+        seed,
+        budget: 1000,
+        top_k: 3,
+        ..SearchConfig::new(sim, Scale::Test)
+    }
+}
+
+/// The six pairs of a report, one per line, in request order.
+fn pairs_of(r: &SearchReport) -> String {
+    let mut s = String::new();
+    for v in &r.verified {
+        let _ = writeln!(s, "{} {}", v.candidate.key(), v.cycles);
+    }
+    let _ = writeln!(s, "corners {}", r.corners_cycles);
+    let _ = writeln!(s, "edge {}", r.edge_cycles);
+    let _ = writeln!(s, "diamond {}", r.diamond_cycles);
+    s
+}
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `(app, per seed: digest of the six pairs)`, in suite order.
+#[rustfmt::skip]
+const PINNED: [(&str, [u64; 2]); 13] = [
+    ("wupwise", [0xe8244e81eee9a19e, 0x66a64407b513fcdb]),
+    ("swim", [0xd91790cc5949c10e, 0x1e37ba7b193fc961]),
+    ("mgrid", [0x159f07449283b0b8, 0x014dbda484e3f4eb]),
+    ("applu", [0x44bb637cb416b0c5, 0xded2c685e64cbef1]),
+    ("galgel", [0xbac68f5bd5025626, 0x461bda34406d8e8f]),
+    ("apsi", [0xdb3dab9b9a06992d, 0xef90a2a21281f7e7]),
+    ("gafort", [0x72c8389d5a5accdd, 0x397bd88953999c41]),
+    ("fma3d", [0x842fde571fb2b4df, 0x4cffa5de0e355d28]),
+    ("art", [0xea74a3d551ab2c0c, 0x5feb92c9ed3c7421]),
+    ("ammp", [0x7d464607b9556a7a, 0x7d464607b9556a7a]),
+    ("hpccg", [0x4f4e16bf75091e29, 0x4f4e16bf75091e29]),
+    ("minighost", [0x1d3fe572c29ef6d0, 0xa1773ed496bbf853]),
+    ("minimd", [0x8cf898da4b4c06d8, 0xbfd0fd6efd519149]),
+];
+
+#[test]
+fn reports_equal_the_one_suite_per_request_reference() {
+    let apps = all_apps(Scale::Test);
+    assert_eq!(apps.len(), PINNED.len());
+    let mut got = Vec::new();
+    for (app, (name, want)) in apps.iter().zip(&PINNED) {
+        assert_eq!(app.name(), *name);
+        let one: Arc<[App]> = Arc::from([app.clone()]);
+        let mut digests = [0u64; 2];
+        for (i, seed) in SEEDS.iter().enumerate() {
+            let cfg = search_cfg(*seed);
+            let r = search_app(app, &cfg, &mut |_| {});
+            let at = format!("{name}, seed {seed:#x}");
+            assert_eq!(r.verified.len(), 3, "{at}: top_k finalists");
+            for v in &r.verified {
+                assert_eq!(
+                    v.cycles,
+                    verify_candidate(&one, &cfg, &v.candidate),
+                    "{at}: finalist {}",
+                    v.candidate.key()
+                );
+            }
+            let base = |p| baseline_cycles(&one, &cfg, &p);
+            assert_eq!(r.corners_cycles, base(McPlacement::Corners), "{at}");
+            assert_eq!(r.edge_cycles, base(McPlacement::EdgeMidpoints), "{at}");
+            assert_eq!(r.diamond_cycles, base(McPlacement::Diagonal), "{at}");
+            // The winner is the fastest finalist, ties to the smaller key.
+            let winner = r
+                .verified
+                .iter()
+                .min_by_key(|v| (v.cycles, v.candidate.key()))
+                .expect("three finalists");
+            assert_eq!(r.found, winner.candidate, "{at}");
+            assert_eq!(r.found_cycles, winner.cycles, "{at}");
+            let pairs = pairs_of(&r);
+            digests[i] = fnv1a(&pairs);
+            if digests[i] != want[i] {
+                eprintln!("{at} now verifies:\n{pairs}");
+            }
+        }
+        got.push((*name, digests));
+    }
+    assert_eq!(got, PINNED, "verification pairs moved: {got:#018x?}");
+}
