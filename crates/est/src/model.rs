@@ -561,6 +561,9 @@ struct Router<'a> {
     cfg: &'a EstConfig,
     kind: RunKind,
     first_touch_friendly: bool,
+    /// Hop distance from every node to every controller, controller-major
+    /// (`mc * num_nodes + node`).
+    hops: Vec<f64>,
     /// Mean hop distance from a uniformly drawn node to each controller.
     uniform_hops: Vec<f64>,
 }
@@ -573,22 +576,33 @@ impl<'a> Router<'a> {
         first_touch_friendly: bool,
     ) -> Self {
         let mesh = mapping.mesh();
-        let uniform_hops = (0..cfg.num_mcs)
-            .map(|m| {
-                let mn = mapping.mc_node(McId(m as u16));
-                (0..cfg.num_nodes)
-                    .map(|i| mesh.hop_distance(NodeId(i as u16), mn) as f64)
-                    .sum::<f64>()
-                    / cfg.num_nodes as f64
-            })
+        assert_eq!(
+            mesh.num_nodes(),
+            cfg.num_nodes,
+            "mapping is for another mesh"
+        );
+        let mut hops: Vec<f64> = Vec::with_capacity(cfg.num_mcs * cfg.num_nodes);
+        for m in 0..cfg.num_mcs {
+            let site = mapping.mc_node(McId(m as u16));
+            hops.extend(mesh.hop_distances_to(site).map(f64::from));
+        }
+        let uniform_hops = hops
+            .chunks_exact(cfg.num_nodes)
+            .map(|to_mc| to_mc.iter().sum::<f64>() / cfg.num_nodes as f64)
             .collect();
         Self {
             mapping,
             cfg,
             kind,
             first_touch_friendly,
+            hops,
             uniform_hops,
         }
+    }
+
+    /// Hop distance from node `n` to controller `mc`, from the table.
+    fn hops(&self, n: NodeId, mc: McId) -> f64 {
+        self.hops[mc.0 as usize * self.cfg.num_nodes + n.0 as usize]
     }
 
     /// Splits `misses` lines of off-chip traffic for `thread`'s share of
@@ -606,11 +620,10 @@ impl<'a> Router<'a> {
         }
         acc.volume += misses;
         let (mapping, cfg) = (self.mapping, self.cfg);
-        let mesh = mapping.mesh();
         let n_nodes = cfg.num_nodes;
         let mut add = |mc: McId, w: f64| {
             let hops = match requester {
-                Requester::Node(n) => mesh.hop_distance(n, mapping.mc_node(mc)) as f64,
+                Requester::Node(n) => self.hops(n, mc),
                 Requester::Uniform => self.uniform_hops[mc.0 as usize],
             };
             acc.per_mc[mc.0 as usize] += w;
@@ -627,7 +640,7 @@ impl<'a> Router<'a> {
                         let n = NodeId(i as u16);
                         let mc = mapping.nearest_mc(n);
                         acc.per_mc[mc.0 as usize] += w;
-                        acc.hops += w * mesh.hop_distance(n, mapping.mc_node(mc)) as f64;
+                        acc.hops += w * self.hops(n, mc);
                     }
                 }
             },
@@ -1272,11 +1285,11 @@ pub fn estimate_app(
 /// [`hoploc_noc::Placement`]s — the scoring loop of the `hoploc-search`
 /// design-space optimizer. Everything a placement cannot change (the
 /// layout pass's program analysis, the footprint model) is computed at
-/// construction; [`estimate`](Self::estimate) customizes the layout for
-/// the placement and routes the footprint through it.
+/// construction; [`plan`](Self::plan) customizes the layout for a placement
+/// and [`estimate`](Self::estimate) routes the footprint through that plan.
 pub struct PlacementScorer<'a> {
     planner: LayoutPlanner<'a>,
-    /// The machine, under the placement and granularity last estimated.
+    /// The machine, under the placement and granularity last planned for.
     sim: SimConfig,
     kind: RunKind,
     footprint: Footprint,
@@ -1284,7 +1297,7 @@ pub struct PlacementScorer<'a> {
 
 impl<'a> PlacementScorer<'a> {
     /// Prepares `app` on the machine `sim` describes; `sim`'s own
-    /// placement and granularity are overridden per estimate.
+    /// placement and granularity are overridden per plan.
     pub fn new(app: &'a App, sim: &SimConfig, kind: RunKind) -> Self {
         Self {
             planner: LayoutPlanner::new(app, kind),
@@ -1294,23 +1307,40 @@ impl<'a> PlacementScorer<'a> {
         }
     }
 
-    /// Predicts the cell under `placement`: the MC count and the mapping
-    /// come from the same value, and the layout is compiled under the given
-    /// granularity and approximation threshold, so the placement a
-    /// candidate is scored with is byte-identical to the one the verifying
-    /// cycle simulation is constructed from.
+    /// Compiles the layout plan of the cell under `placement`, granularity
+    /// and approximation threshold — the plan [`estimate`](Self::estimate)
+    /// scores, and byte for byte the one a `hoploc_harness::Suite` built
+    /// for the same placement compiles. A caller that goes on to simulate
+    /// the cell hands the suite this plan (`Suite::with_layout_plan`), so
+    /// scoring and verification read one object and the program is analyzed
+    /// once.
+    pub fn plan(
+        &mut self,
+        placement: &hoploc_noc::Placement,
+        granularity: Granularity,
+        approx_threshold: f64,
+    ) -> ProgramLayout {
+        self.sim.placement.clone_from(placement.mc_placement());
+        self.sim.granularity = granularity;
+        self.planner
+            .layout(placement.mapping(), &self.sim, approx_threshold)
+    }
+
+    /// Predicts the cell under `placement`: [`plan`](Self::plan), then
+    /// [`Footprint::route`]. The MC count and the mapping come from the
+    /// same value, so the placement a candidate is scored with is
+    /// byte-identical to the one the verifying cycle simulation is
+    /// constructed from.
     pub fn estimate(
         &mut self,
         placement: &hoploc_noc::Placement,
         granularity: Granularity,
         approx_threshold: f64,
     ) -> AppEstimate {
-        self.sim.placement.clone_from(placement.mc_placement());
-        self.sim.granularity = granularity;
-        let mapping = placement.mapping();
-        let layout = self.planner.layout(mapping, &self.sim, approx_threshold);
+        let layout = self.plan(placement, granularity, approx_threshold);
         let cfg = EstConfig::from_sim(&self.sim);
-        self.footprint.route(&layout, mapping, self.kind, &cfg)
+        self.footprint
+            .route(&layout, placement.mapping(), self.kind, &cfg)
     }
 }
 
@@ -1324,4 +1354,55 @@ pub fn estimate_placement(
     approx_threshold: f64,
 ) -> AppEstimate {
     PlacementScorer::new(app, sim, kind).estimate(placement, sim.granularity, approx_threshold)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hoploc_noc::{McPlacement, Mesh};
+    use hoploc_ptest::run_cases;
+
+    #[test]
+    fn router_hop_table_equals_hop_distance() {
+        // Random controller sites on a square and an oblong mesh: every
+        // table entry is the mesh's own distance, and the uniform means are
+        // the node-order sums the table replaced, bit for bit.
+        run_cases("est.router.hop_table", 40, |rng| {
+            let mesh = [Mesh::new(8, 8), Mesh::new(8, 4)][rng.usize_in(0..2)];
+            let mut mc_nodes: Vec<NodeId> = Vec::new();
+            while mc_nodes.len() < 4 {
+                let n = NodeId(rng.u16_in(0..mesh.num_nodes() as u16));
+                if !mc_nodes.contains(&n) {
+                    mc_nodes.push(n);
+                }
+            }
+            let all = (0..4).map(McId).collect();
+            let mapping = L2ToMcMapping::new(
+                mesh,
+                mesh.width(),
+                mesh.height(),
+                mc_nodes.clone(),
+                vec![all],
+            )
+            .expect("one cluster served by every controller");
+            let cfg = EstConfig::from_sim(&SimConfig {
+                mesh,
+                placement: McPlacement::Custom(mc_nodes),
+                ..SimConfig::scaled()
+            });
+            let router = Router::new(&mapping, &cfg, RunKind::Optimized, false);
+            for m in (0..4).map(McId) {
+                let site = mapping.mc_node(m);
+                for n in mesh.nodes() {
+                    assert_eq!(router.hops(n, m), mesh.hop_distance(n, site) as f64);
+                }
+                let mean = mesh
+                    .nodes()
+                    .map(|n| mesh.hop_distance(n, site) as f64)
+                    .sum::<f64>()
+                    / cfg.num_nodes as f64;
+                assert_eq!(router.uniform_hops[m.0 as usize].to_bits(), mean.to_bits());
+            }
+        });
+    }
 }

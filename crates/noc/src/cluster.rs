@@ -76,6 +76,10 @@ pub struct L2ToMcMapping {
     cluster_h: u16,
     mc_nodes: Vec<NodeId>,
     assignments: Vec<Vec<McId>>,
+    /// The cluster of every node, indexed by [`NodeId`] — a function of the
+    /// tiling, filled once so that [`cluster_of`](Self::cluster_of) is a
+    /// load for the layout pass, the estimator and first-touch allocation.
+    node_cluster: Vec<ClusterId>,
 }
 
 impl L2ToMcMapping {
@@ -125,12 +129,27 @@ impl L2ToMcMapping {
                 }
             }
         }
+        // Nodes are numbered row-major and so are clusters: the first node
+        // row takes one division per column, every later row is the first
+        // shifted by its cluster row — none per node.
+        let (w, clusters_x) = (mesh.width() as usize, mesh.width() / cluster_w);
+        let mut node_cluster: Vec<ClusterId> = Vec::with_capacity(mesh.num_nodes());
+        node_cluster.extend((0..mesh.width()).map(|x| ClusterId(x / cluster_w)));
+        for y in 1..mesh.height() {
+            let shift = (y / cluster_h) * clusters_x;
+            node_cluster.extend_from_within(..w);
+            let row = node_cluster.len() - w;
+            for c in &mut node_cluster[row..] {
+                c.0 += shift;
+            }
+        }
         Ok(Self {
             mesh,
             cluster_w,
             cluster_h,
             mc_nodes,
             assignments,
+            node_cluster,
         })
     }
 
@@ -288,11 +307,12 @@ impl L2ToMcMapping {
     }
 
     /// The cluster containing a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is outside the mesh.
     pub fn cluster_of(&self, n: NodeId) -> ClusterId {
-        let (x, y) = self.mesh.coords(n);
-        let cx = x / self.cluster_w;
-        let cy = y / self.cluster_h;
-        ClusterId(cy * self.clusters_x() + cx)
+        self.node_cluster[n.0 as usize]
     }
 
     /// The MCs serving a cluster.
@@ -442,6 +462,53 @@ mod tests {
                 assert!(d <= mesh.hop_distance(n, m1.mc_node(McId(mc))));
             }
         }
+    }
+
+    /// The definition the node → cluster table replaced.
+    fn cluster_by_division(m: &L2ToMcMapping, n: NodeId) -> ClusterId {
+        let (x, y) = m.mesh().coords(n);
+        ClusterId((y / m.cores_y()) * m.clusters_x() + x / m.cores_x())
+    }
+
+    #[test]
+    fn cluster_table_equals_the_division() {
+        // Every even tiling of a square and an oblong mesh (a superset of
+        // the search's `TILINGS`), then the named placements' M1 and M2 maps.
+        let mut maps = Vec::new();
+        for mesh in [mesh8(), Mesh::new(8, 4)] {
+            for cw in (1..=mesh.width()).filter(|w| mesh.width() % w == 0) {
+                for ch in (1..=mesh.height()).filter(|h| mesh.height() % h == 0) {
+                    let n = (mesh.width() / cw) as usize * (mesh.height() / ch) as usize;
+                    maps.push(
+                        L2ToMcMapping::new(mesh, cw, ch, vec![NodeId(0)], vec![vec![McId(0)]; n])
+                            .expect("an even tiling"),
+                    );
+                }
+            }
+        }
+        for p in [
+            McPlacement::Corners,
+            McPlacement::EdgeMidpoints,
+            McPlacement::Diagonal,
+            McPlacement::Eight,
+            McPlacement::Sixteen,
+        ] {
+            maps.push(L2ToMcMapping::nearest_cluster(mesh8(), &p));
+        }
+        for p in [McPlacement::Corners, McPlacement::Diagonal] {
+            maps.push(L2ToMcMapping::halves(mesh8(), &p));
+        }
+        for m in &maps {
+            for n in m.mesh().nodes() {
+                assert_eq!(m.cluster_of(n), cluster_by_division(m, n), "{m:?} at {n:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn cluster_of_rejects_a_node_outside_the_mesh() {
+        L2ToMcMapping::nearest_cluster(mesh8(), &McPlacement::Corners).cluster_of(NodeId(64));
     }
 
     #[test]

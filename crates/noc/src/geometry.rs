@@ -99,6 +99,24 @@ impl Mesh {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
     }
 
+    /// [`hop_distance`](Self::hop_distance) from every node to `to`, in
+    /// node-id order — a table row for callers that would otherwise divide
+    /// out the coordinates of all nodes again for each target.
+    pub fn hop_distances_to(&self, to: NodeId) -> impl Iterator<Item = u32> {
+        let (tx, ty) = self.coords(to);
+        let width = self.width;
+        // Ids run row-major (`node_at`): step the coordinates with them.
+        let (mut x, mut y) = (0u16, 0u16);
+        (0..self.num_nodes()).map(move |_| {
+            let d = x.abs_diff(tx) + y.abs_diff(ty);
+            x += 1;
+            if x == width {
+                (x, y) = (0, y + 1);
+            }
+            d as u32
+        })
+    }
+
     /// The XY route from `src` to `dst` as the sequence of nodes visited
     /// (excluding `src`, including `dst`): first all X movement, then all Y
     /// movement, matching the paper's deterministic XY routing.
@@ -254,6 +272,17 @@ impl McPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hop_distance_rows_equal_hop_distance() {
+        for m in [Mesh::new(8, 8), Mesh::new(8, 4), Mesh::new(1, 5)] {
+            for to in m.nodes() {
+                let row: Vec<u32> = m.hop_distances_to(to).collect();
+                let want: Vec<u32> = m.nodes().map(|n| m.hop_distance(n, to)).collect();
+                assert_eq!(row, want, "{m:?} to {to:?}");
+            }
+        }
+    }
 
     #[test]
     fn coords_round_trip() {
