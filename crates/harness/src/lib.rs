@@ -173,6 +173,17 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         value
     }
 
+    /// Puts an already built `value` under `key`, replacing whatever was
+    /// there: later lookups are hits, and no build is counted. The capacity
+    /// is enforced by the next [`get_or`](Self::get_or).
+    pub fn seed(&self, key: K, value: Arc<V>) {
+        let entry = MemoEntry {
+            cell: Arc::new(OnceLock::from(value)),
+            last_used: self.tick.fetch_add(1, Ordering::Relaxed),
+        };
+        self.map.lock().expect("memo poisoned").insert(key, entry);
+    }
+
     /// Evicts least-recently-used *initialized* entries until at most `cap`
     /// remain, never removing `keep` (the key the caller just touched).
     fn evict_to(&self, cap: usize, keep: &K) {
@@ -295,6 +306,34 @@ impl Suite {
             "approx threshold must be a fraction"
         );
         self.approx_threshold = approx_threshold;
+        self
+    }
+
+    /// Hands the suite the layout plan of one matrix cell instead of having
+    /// it compile one: runs of `app` in `kind`'s layout class replay `plan`
+    /// itself. The caller vouches that `plan` is what the suite would have
+    /// compiled — same program, mapping, machine and threshold (a search
+    /// passes the plan its scorer compiled for the candidate being
+    /// verified). Builder-style: call after
+    /// [`with_cache_caps`](Self::with_cache_caps), which empties the caches,
+    /// and before the first run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan binds another number of threads than the machine
+    /// has nodes.
+    pub fn with_layout_plan(
+        self,
+        app: usize,
+        kind: RunKind,
+        plan: Arc<hoploc_layout::ProgramLayout>,
+    ) -> Self {
+        assert_eq!(
+            plan.binding().len(),
+            self.sim.num_nodes(),
+            "seeded layout plan was compiled for another mesh"
+        );
+        self.layouts.seed((app, LayoutClass::of(kind)), plan);
         self
     }
 
@@ -773,6 +812,35 @@ mod tests {
         // serve all 6 runs.
         assert_eq!(c.trace_misses, 2, "{c:?}");
         assert_eq!(c.trace_hits, 4, "{c:?}");
+    }
+
+    #[test]
+    fn seeded_layout_plan_is_replayed_not_recompiled() {
+        let spec = RunSpec {
+            app: 1,
+            kind: RunKind::Optimized,
+        };
+        let compiling = suite2();
+        let plan = compiling.layout_plan(spec.app, spec.kind);
+        let want = compiling.run_one(spec);
+        assert_eq!(compiling.cache_counters().layout_misses, 1);
+
+        let seeded = suite2().with_layout_plan(spec.app, spec.kind, plan.clone());
+        assert_eq!(seeded.run_one(spec), want);
+        assert!(Arc::ptr_eq(&seeded.layout_plan(spec.app, spec.kind), &plan));
+        let c = seeded.cache_counters();
+        assert_eq!(c.layout_misses, 0, "{c:?}");
+        assert_eq!(c.trace_misses, 1, "{c:?}");
+        // The other cells of the suite still compile their own.
+        seeded.run_one(RunSpec { app: 0, ..spec });
+        assert_eq!(seeded.cache_counters().layout_misses, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "compiled for another mesh")]
+    fn seeding_a_plan_for_another_mesh_is_refused() {
+        let small = hoploc_layout::baseline_layout(&swim(Scale::Test).program, 16);
+        let _ = suite2().with_layout_plan(0, RunKind::Baseline, Arc::new(small));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub enum SharedPolicy {
 const MAX_RANK: usize = 8;
 
 /// How the address function arranges one array.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 enum Plan {
     /// Untransformed row-major layout (unoptimized arrays).
     Original,
@@ -73,7 +73,7 @@ enum Plan {
     Localized(Box<LocalizedPlan>),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 struct LocalizedPlan {
     /// Elements per interleave unit (`p` in the paper).
     p_elems: i64,
@@ -135,7 +135,9 @@ pub struct PlanView<'a> {
 
 /// The customized layout of one array: a bijection from original data
 /// vectors to element offsets, plus the metadata the OS and simulator need.
-#[derive(Clone, Debug)]
+/// Equal layouts place every element alike and ask the OS for the same
+/// pages.
+#[derive(Clone, PartialEq, Debug)]
 pub struct ArrayLayout {
     u: IMat,
     mins: Vec<i64>,

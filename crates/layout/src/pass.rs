@@ -112,6 +112,23 @@ impl ProgramLayout {
         &self.config
     }
 
+    /// Whether `other` is the same input to everything downstream of the
+    /// pass — address-space construction, the desired-page map, trace
+    /// generation: equal array layouts, equal thread binding, and an equal
+    /// configuration but for the approximation threshold. The threshold
+    /// only steers which arrays the pass localizes, and the reports only
+    /// say why; two thresholds with no array's inaccuracy between them
+    /// compile to plans that are equal in this sense.
+    pub fn places_like(&self, other: &Self) -> bool {
+        let unsteered = |c: &PassConfig| PassConfig {
+            approx_threshold: 0.0,
+            ..*c
+        };
+        self.layouts == other.layouts
+            && self.binding == other.binding
+            && unsteered(&self.config) == unsteered(&other.config)
+    }
+
     /// Fraction of arrays optimized (Table 2, second column).
     pub fn arrays_optimized(&self) -> f64 {
         if self.reports.is_empty() {

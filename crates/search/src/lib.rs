@@ -24,7 +24,9 @@
 //! ≈ 22 000 evaluations/s with verification included. The top-K
 //! finalists are then *verified* by the cycle simulator against the
 //! paper's corner, edge, and diamond placements before any win is
-//! reported. Every candidate is legal by construction
+//! reported: one list of [`VerifyRequest`]s, compiled by the scorer that
+//! ranked them, of which each distinct [`Machine`] is simulated once.
+//! Every candidate is legal by construction
 //! ([`Candidate::placement`] builds a validated
 //! [`hoploc_noc::Placement`]), every search is reproducible from one
 //! seed at any `--jobs` count, and every emitted line (progress events,
@@ -38,22 +40,23 @@ mod bnb;
 mod objective;
 mod report;
 mod space;
+mod verify;
 
 pub use anneal::{anneal, Schedule};
 pub use bnb::{balanced_assignment, balanced_assignment_brute};
 pub use objective::Objective;
 pub use report::{event_json, scale_name, text_header, EstTerms, SearchReport, Verified};
 pub use space::{curated, granularity_name, propose, Candidate, APPROX_LEVELS, TILINGS};
+pub use verify::{Machine, VerifyRequest};
 
 use hoploc_est::PlacementScorer;
-use hoploc_harness::{parallel_map, RunSpec, Suite};
+use hoploc_harness::parallel_map;
 use hoploc_layout::Granularity;
-use hoploc_noc::{McPlacement, Placement};
+use hoploc_noc::McPlacement;
 use hoploc_ptest::SmallRng;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind, Scale};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One search's configuration. The base [`SimConfig`] carries the
 /// machine (mesh, caches, default granularity) the baselines run under;
@@ -71,7 +74,9 @@ pub struct SearchConfig {
     pub budget: u32,
     /// The objective to minimize.
     pub objective: Objective,
-    /// How many top candidates to verify with the cycle simulator.
+    /// How many top candidates to verify with the cycle simulator. A
+    /// report always carries a found design, so `0` verifies one finalist,
+    /// like `1`.
     pub top_k: usize,
 }
 
@@ -179,41 +184,6 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Cycle-sim completion time of one candidate: the suite is constructed
-/// from the candidate's own [`Placement`], granularity, and
-/// approximation threshold, so verification replays the exact plan the
-/// estimator scored. `app` is the one-application set every verification
-/// run of a search shares.
-fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 {
-    let placement = c
-        .placement(&cfg.sim.mesh)
-        .expect("search candidates are legal by construction");
-    let sim = SimConfig {
-        granularity: c.granularity,
-        ..cfg.sim.clone()
-    };
-    let suite = Suite::for_placement(app.clone(), &placement, sim).with_approx_threshold(c.approx);
-    suite
-        .run_one(RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        })
-        .exec_cycles
-}
-
-/// Cycle-sim completion time of a paper placement under the base config
-/// (nearest-cluster M1 mapping, default layout parameters).
-fn baseline_cycles(app: &Arc<[App]>, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
-    let p = Placement::nearest(cfg.sim.mesh, placement);
-    let suite = Suite::for_placement(app.clone(), &p, cfg.sim.clone());
-    suite
-        .run_one(RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        })
-        .exec_cycles
-}
-
 /// Searches one application. `emit` receives each progress event as a
 /// finished single-line JSON string (best-so-far improvements only, so
 /// `best_score` is monotone non-increasing along the stream); the
@@ -283,21 +253,28 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
         best_score = s;
     }
 
-    // Verification: cycle-sim the shortlist and the paper baselines, all
-    // over one copy of the program.
-    let one: Arc<[App]> = Arc::from([app.clone()]);
+    // Verification: the shortlist, then the paper baselines, as one request
+    // list compiled by the scorer that ranked the shortlist.
+    let paper = [
+        McPlacement::Corners,
+        McPlacement::EdgeMidpoints,
+        McPlacement::Diagonal,
+    ];
+    let requests = (ev.top.iter().map(|(_, _, c)| VerifyRequest::of(c, &mesh)))
+        .chain(paper.iter().map(|p| VerifyRequest::paper(&cfg.sim, p)));
+    let machines: Vec<Machine> = requests.map(|r| r.compile(&mut ev.scorer)).collect();
+    let (cycles, simulated) = verify::verify(app, &cfg.sim, &machines);
+    let (finalist_cycles, paper_cycles) = cycles.split_at(ev.top.len());
     let verified: Vec<Verified> = ev
         .top
         .iter()
-        .map(|(score, _, c)| Verified {
+        .zip(finalist_cycles)
+        .map(|((score, _, c), &cycles)| Verified {
             candidate: c.clone(),
             score: *score,
-            cycles: verify_candidate(&one, cfg, c),
+            cycles,
         })
         .collect();
-    let corners_cycles = baseline_cycles(&one, cfg, &McPlacement::Corners);
-    let edge_cycles = baseline_cycles(&one, cfg, &McPlacement::EdgeMidpoints);
-    let diamond_cycles = baseline_cycles(&one, cfg, &McPlacement::Diagonal);
     // Ties on cycles break on the candidate key the shortlist carries.
     let (winner, _) = verified
         .iter()
@@ -305,7 +282,7 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
         .min_by(|(a, (_, a_key, _)), (b, (_, b_key, _))| {
             a.cycles.cmp(&b.cycles).then_with(|| a_key.cmp(b_key))
         })
-        .expect("top_k >= 1 and budget >= 1 guarantee a verified finalist");
+        .expect("the shortlist keeps at least one of the >= 1 scored candidates");
 
     let est = ev.terms_of(&best);
     SearchReport {
@@ -321,9 +298,10 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
         found: winner.candidate.clone(),
         found_cycles: winner.cycles,
         verified,
-        corners_cycles,
-        edge_cycles,
-        diamond_cycles,
+        corners_cycles: paper_cycles[0],
+        edge_cycles: paper_cycles[1],
+        diamond_cycles: paper_cycles[2],
+        simulated,
     }
 }
 
@@ -401,5 +379,28 @@ mod tests {
             assert!(e.starts_with('{') && !e.contains('\n'));
         }
         assert!(r.verified.len() <= 2 && !r.verified.is_empty());
+        assert!(
+            r.simulated >= 1 && r.simulated <= r.requested(),
+            "{} of {} simulated",
+            r.simulated,
+            r.requested()
+        );
+        assert!(!json.contains("simulated"), "the wire report is pinned");
+    }
+
+    #[test]
+    fn top_k_zero_verifies_one_finalist() {
+        let app = gafort(Scale::Test);
+        let search = |top_k| {
+            let cfg = SearchConfig {
+                top_k,
+                ..test_cfg(5, 16)
+            };
+            search_app(&app, &cfg, &mut |_| {})
+        };
+        let zero = search(0);
+        assert_eq!(zero.verified.len(), 1);
+        assert_eq!(zero.found, zero.verified[0].candidate);
+        assert_eq!(zero, search(1));
     }
 }

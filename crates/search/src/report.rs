@@ -74,9 +74,19 @@ pub struct SearchReport {
     pub found: Candidate,
     /// Its completion time.
     pub found_cycles: u64,
+    /// Cycle simulations actually run for the [`requested`](Self::requested)
+    /// verification runs: requests for one machine share a simulation. Not
+    /// part of [`to_json`](Self::to_json).
+    pub simulated: usize,
 }
 
 impl SearchReport {
+    /// Verification runs the report carries: one per finalist and one per
+    /// paper placement.
+    pub fn requested(&self) -> usize {
+        self.verified.len() + 3
+    }
+
     /// Whether the found design beats the paper's diamond placement.
     pub fn beats_diamond(&self) -> bool {
         self.found_cycles < self.diamond_cycles
