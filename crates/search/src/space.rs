@@ -10,7 +10,7 @@
 //! point return `None` instead of emitting it.
 
 use crate::bnb::balanced_assignment;
-use hoploc_layout::Granularity;
+use hoploc_layout::{Granularity, PassConfig};
 use hoploc_noc::{McId, McPlacement, Mesh, NodeId, Placement};
 use hoploc_ptest::SmallRng;
 use std::fmt::Write as _;
@@ -76,7 +76,10 @@ impl Candidate {
             cluster_h: mapping.cores_y(),
             assignments,
             granularity,
-            approx: 0.30,
+            // The layout pass's default, as the paper baselines are
+            // verified under: the start candidate on the corner placement
+            // and the corner baseline are one machine.
+            approx: PassConfig::default().approx_threshold,
         }
     }
 

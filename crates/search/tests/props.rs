@@ -1,19 +1,26 @@
 //! Property tests for the design-space search: legality of every
 //! candidate the move generator can emit, admissibility of the
 //! branch-and-bound bound on random instances, monotonicity of the
-//! best-so-far progress stream, and safety of reusing one program
-//! analysis and one footprint for every candidate of a search.
+//! best-so-far progress stream, safety of reusing one program analysis and
+//! one footprint for every candidate of a search, and soundness of the key
+//! verification shares simulations by.
 
 use hoploc_check::{check_layout, CheckConfig, Severity};
-use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint};
+use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint, PlacementScorer};
+use hoploc_harness::{RunSpec, Suite};
 use hoploc_layout::{Granularity, PassConfig, ProgramAnalysis};
+use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
 use hoploc_search::{
     balanced_assignment, balanced_assignment_brute, curated, propose, search_app, Candidate,
-    EstTerms, Objective, SearchConfig, APPROX_LEVELS, TILINGS,
+    EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS, TILINGS,
 };
-use hoploc_sim::SimConfig;
-use hoploc_workloads::{gafort, hpccg, layout_with, swim, RunKind, Scale};
+use hoploc_sim::{AddressSpace, RunStats, SimConfig, TraceWorkload};
+use hoploc_workloads::{
+    gafort, generate_traces, hpccg, layout_with, swim, App, RunKind, Scale, TraceGen,
+};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn base_sim() -> SimConfig {
     SimConfig {
@@ -225,5 +232,152 @@ fn reused_analysis_and_footprint_score_like_a_fresh_estimate() {
                 assert_eq!(terms(&reused), terms(&fresh));
             }
         });
+    }
+}
+
+/// What one candidate's verifying simulation is made from, built the way a
+/// suite of its own builds it — fresh analysis, fresh compile — and with
+/// nothing taken from the search's scorer: the trace, and the desired-page
+/// map that (for the optimized run) is the page policy.
+fn simulator_inputs(
+    app: &App,
+    sim: &SimConfig,
+    c: &Candidate,
+) -> (TraceWorkload, HashMap<u64, McId>) {
+    let placement = c.placement(&sim.mesh).expect("legal candidate");
+    let cell = SimConfig {
+        granularity: c.granularity,
+        placement: placement.mc_placement().clone(),
+        ..sim.clone()
+    };
+    let layout = layout_with(
+        app,
+        placement.mapping(),
+        &cell,
+        RunKind::Optimized,
+        c.approx,
+    );
+    let space = AddressSpace::build(&app.program, &layout, 0);
+    let desired = space.desired_page_mcs(&app.program, &layout, cell.page_bytes);
+    let gen = TraceGen {
+        threads_per_core: 1,
+        ..app.gen
+    };
+    let workload = generate_traces(&app.program, &layout, &space, &gen);
+    (workload, desired)
+}
+
+/// The whole run of one candidate through a suite of its own.
+fn simulate_alone(app: &Arc<[App]>, sim: &SimConfig, c: &Candidate) -> RunStats {
+    let placement = c.placement(&sim.mesh).expect("legal candidate");
+    let cell = SimConfig {
+        granularity: c.granularity,
+        ..sim.clone()
+    };
+    Suite::for_placement(app.clone(), &placement, cell)
+        .with_approx_threshold(c.approx)
+        .run_one(RunSpec {
+            app: 0,
+            kind: RunKind::Optimized,
+        })
+}
+
+/// Equal [`hoploc_search::Machine`]s are one simulation: along random
+/// walks of `propose` moves (MC relocations, retilings, reassignments,
+/// swaps, granularity and threshold flips), whenever the machines two
+/// neighbouring candidates compile to compare equal, two independently
+/// built suites replay the same trace under the same page policy on the
+/// same mapping and granularity and return the same `RunStats`, field for
+/// field — so a pair that differs in any `Simulator::new` input has unequal
+/// machines.
+///
+/// The converse is deliberately not a property. Unequal inputs can give
+/// equal results — cluster maps that differ only by a relabelling no
+/// thread's data sees finish in the same cycle (about three more
+/// simulations per thirteen searches coincide that way) — and those are
+/// simulated each: the key compares inputs, never outcomes.
+#[test]
+fn equal_machines_replay_one_trace_on_one_simulator() {
+    let sim = base_sim();
+    let (mut shared, mut distinct) = (0, 0);
+    // hpccg's index tables put the threshold between plans; swim has none.
+    for app in [hpccg(Scale::Test), swim(Scale::Test)] {
+        let one: Arc<[App]> = Arc::from([app.clone()]);
+        let mut scorer = PlacementScorer::new(&app, &sim, RunKind::Optimized);
+        run_cases("search.verify.key", 5, |rng| {
+            let mut a = random_start(rng, &sim);
+            for step in 0..5 {
+                let b = match step {
+                    // Every walk ends on a threshold twin, the move that
+                    // most often keeps the compiled plan.
+                    4 => Candidate {
+                        approx: *APPROX_LEVELS
+                            .iter()
+                            .find(|&&l| l != a.approx)
+                            .expect("three levels"),
+                        ..a.clone()
+                    },
+                    _ => match propose(rng, &a, &sim.mesh) {
+                        Some(b) => b,
+                        None => continue,
+                    },
+                };
+                let ma = VerifyRequest::of(&a, &sim.mesh).compile(&mut scorer);
+                let mb = VerifyRequest::of(&b, &sim.mesh).compile(&mut scorer);
+                if ma == mb {
+                    shared += 1;
+                    let at = format!("{}: {} vs {}", app.name(), a.key(), b.key());
+                    assert_eq!(
+                        a.placement(&sim.mesh).expect("legal").mapping(),
+                        b.placement(&sim.mesh).expect("legal").mapping(),
+                        "{at}"
+                    );
+                    assert_eq!(a.granularity, b.granularity, "{at}");
+                    let (trace_a, pages_a) = simulator_inputs(&app, &sim, &a);
+                    let (trace_b, pages_b) = simulator_inputs(&app, &sim, &b);
+                    assert!(trace_a == trace_b, "{at}: traces differ");
+                    assert_eq!(pages_a, pages_b, "{at}");
+                    assert_eq!(
+                        simulate_alone(&one, &sim, &a),
+                        simulate_alone(&one, &sim, &b),
+                        "{at}"
+                    );
+                } else {
+                    distinct += 1;
+                }
+                a = b;
+            }
+        });
+    }
+    assert!(
+        shared >= 8 && distinct >= 8,
+        "the walks must meet both outcomes: {shared} equal, {distinct} unequal pairs"
+    );
+}
+
+#[test]
+fn the_start_candidate_is_its_paper_placements_baseline_machine() {
+    // `search_app` starts from `Candidate::from_named` and verifies
+    // `VerifyRequest::paper`: built apart, they must be one machine, or a
+    // search whose start point reaches the shortlist simulates it twice.
+    let sim = base_sim();
+    let app = gafort(Scale::Test);
+    let mut scorer = PlacementScorer::new(&app, &sim, RunKind::Optimized);
+    let paper = [
+        McPlacement::Corners,
+        McPlacement::EdgeMidpoints,
+        McPlacement::Diagonal,
+    ];
+    let baselines: Vec<_> = paper
+        .iter()
+        .map(|p| VerifyRequest::paper(&sim, p).compile(&mut scorer))
+        .collect();
+    for (i, named) in paper.iter().enumerate() {
+        let start = Candidate::from_named(&sim.mesh, named, sim.granularity);
+        assert_eq!(start.approx, PassConfig::default().approx_threshold);
+        let machine = VerifyRequest::of(&start, &sim.mesh).compile(&mut scorer);
+        for (j, baseline) in baselines.iter().enumerate() {
+            assert_eq!(machine == *baseline, i == j, "{named:?} vs {:?}", paper[j]);
+        }
     }
 }

@@ -1046,6 +1046,10 @@ fn cmd_search(target: &str, o: &Options) -> ExitCode {
         cfg.budget,
         results.len()
     );
+    let (simulated, requested) = results.iter().fold((0, 0), |(s, q), (r, _)| {
+        (s + r.simulated, q + r.requested())
+    });
+    println!("verification: {simulated} of {requested} runs simulated");
     if let Some(target) = &o.json {
         let mut out = String::new();
         for (report, events) in &results {
