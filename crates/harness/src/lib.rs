@@ -176,7 +176,7 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     /// Puts an already built `value` under `key`, replacing whatever was
     /// there: later lookups are hits, and no build is counted. The capacity
     /// is enforced by the next [`get_or`](Self::get_or).
-    pub fn seed(&self, key: K, value: Arc<V>) {
+    fn seed(&self, key: K, value: Arc<V>) {
         let entry = MemoEntry {
             cell: Arc::new(OnceLock::from(value)),
             last_used: self.tick.fetch_add(1, Ordering::Relaxed),

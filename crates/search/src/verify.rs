@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// One cycle simulation a search asks for: the optimized run of its
 /// application under a placement and a pair of layout-plan parameters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VerifyRequest {
     /// MC attach nodes and cluster map.
     pub placement: Placement,
@@ -79,7 +79,7 @@ impl VerifyRequest {
 /// ([`ProgramLayout::places_like`]). The approximation threshold is not
 /// compared: it steers the compilation, and two thresholds that compile to
 /// the same plan are the same machine.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Machine {
     placement: Placement,
     granularity: Granularity,
@@ -95,11 +95,6 @@ impl PartialEq for Machine {
 }
 
 impl Machine {
-    /// The plan the machine replays.
-    pub fn layout(&self) -> &Arc<ProgramLayout> {
-        &self.layout
-    }
-
     /// Cycle-simulated completion time of `app[0]`'s optimized run on this
     /// machine, `base` supplying everything a request does not override.
     /// The suite replays the machine's plan object; nothing is recompiled.
