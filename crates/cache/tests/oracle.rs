@@ -135,7 +135,21 @@ fn geometry(ways: usize, sets: u64) -> CacheConfig {
 
 #[test]
 fn matches_the_array_of_ways_reference_step_by_step() {
-    for (ways, sets) in [(2, 32), (16, 8), (128, 1)] {
+    // Both sides of the scan / index threshold, the one-way case, a set
+    // count that is not a power of two, and the four shipped geometries:
+    // (2, 32) is `l1_scaled`, (2, 128) `l1_default`, (16, 64) `l2_default`,
+    // (128, 1) `l2_scaled`.
+    for (ways, sets) in [
+        (1, 64),
+        (2, 32),
+        (2, 128),
+        (4, 16),
+        (5, 8),
+        (8, 4),
+        (16, 8),
+        (16, 64),
+        (128, 1),
+    ] {
         let cfg = geometry(ways, sets);
         let capacity = ways as u64 * sets;
         run_cases(&format!("cache_oracle_{ways}x{sets}"), 24, |rng| {
