@@ -126,15 +126,42 @@ const DIRTY: u8 = 1;
 /// `flags` bit: installed by a prefetch and not yet touched by a demand
 /// access.
 const PREFETCHED: u8 = 2;
-/// An unoccupied bucket of the line → slot index.
+/// An unoccupied bucket of the line → slot index, and the end of a
+/// recency list.
 const EMPTY: u32 = u32::MAX;
+/// Sets of at most this many ways are scanned; wider ones are indexed.
+/// A miss in a scanned set costs a compare per way, where keeping an index
+/// over it cost a failed probe, a removal with its backward shift and an
+/// insertion: 9 % of the miss-heavy sweep with the 2-way L1 missing 84 %
+/// of the time. A hit in a 128-way set must not compare 128 tags.
+const SCAN_WAYS: usize = 4;
+
+/// A miss that evicted nothing.
+const MISS: AccessResult = AccessResult {
+    hit: false,
+    evicted: None,
+    evicted_dirty: false,
+    prefetched_hit: false,
+    evicted_prefetched: false,
+};
 
 /// A tag-only set-associative LRU cache.
 ///
-/// Ways are stored structure-of-arrays (slot = `set * ways + way`), and
-/// residency is decided by one open-addressed line → slot index per cache
-/// instead of a scan of the set, so a hit costs the same in a 2-way L1 and
-/// in the 128-way scaled L2. Only a miss looks at the set, for its victim.
+/// Ways are stored structure-of-arrays (slot = `set * ways + way`). How a
+/// line and a victim are found follows from the associativity, decided
+/// once in [`new`](Self::new):
+///
+/// * **scanned sets** (at most four ways: the 2-way L1s) compare the
+///   set's own tags, and a miss takes the first minimum of the set's LRU
+///   stamps. Nothing else is kept, so a miss maintains nothing;
+/// * **indexed sets** (the 16-way L2, the 128-way scaled L2) find a line
+///   through one open-addressed line → slot index per cache, and keep the
+///   valid ways of each set on a recency list, so a hit compares no other
+///   tag and the victim of a full set is the list's tail.
+///
+/// Both replace the same way: the first invalid way by position, else the
+/// least recently used. `AccessResult`s, residency and statistics do not
+/// depend on which structure a geometry gets (`tests/oracle.rs`).
 ///
 /// # Examples
 ///
@@ -149,6 +176,9 @@ const EMPTY: u32 = u32::MAX;
 pub struct SetAssocCache {
     config: CacheConfig,
     num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two (every shipped
+    /// geometry): the set index is then a mask instead of a division.
+    set_mask: Option<u64>,
     /// The line each slot holds; meaningful while the slot is valid.
     tags: Vec<u64>,
     /// LRU timestamp of each slot, `0` while the way is invalid. Valid
@@ -157,13 +187,228 @@ pub struct SetAssocCache {
     /// minimum of a set's slice.
     last_used: Vec<u64>,
     flags: Vec<u8>,
+    /// What indexed sets keep beside the slots; `None` when sets are
+    /// scanned.
+    wide: Option<Indexed>,
+    clock: u64,
+    stats: CacheStats,
+}
+
+/// The line → slot index and per-set recency lists of a cache whose sets
+/// are too wide to scan. Sized in `new`; nothing grows afterwards.
+#[derive(Clone, Debug)]
+struct Indexed {
+    ways: usize,
     /// Line → slot: linear probing from a multiplicative hash, deletion by
     /// backward shift (no tombstones), sized to at most half full. Buckets
     /// name valid slots only; the key of a bucket is `tags[slot]`.
-    index: Vec<u32>,
-    index_shift: u32,
-    clock: u64,
-    stats: CacheStats,
+    buckets: Vec<u32>,
+    shift: u32,
+    /// Per slot: its neighbours on its set's recency list. Meaningful
+    /// while the slot is valid.
+    links: Vec<Link>,
+    sets: Vec<Recency>,
+}
+
+/// A slot's neighbours on its set's recency list ([`EMPTY`] at the ends).
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    newer: u32,
+    older: u32,
+}
+
+/// One set's recency list: its valid slots from most to least recently
+/// used, which is strictly descending `last_used` order.
+#[derive(Clone, Copy, Debug)]
+struct Recency {
+    newest: u32,
+    oldest: u32,
+    /// Number of valid ways. Until `invalidate` removes one they are the
+    /// first `filled` by position, so the first invalid way is `filled`.
+    filled: u32,
+    /// `invalidate` has taken a way out of this set since it was last
+    /// full: its invalid ways need not be the last ones by position.
+    punched: bool,
+}
+
+impl Indexed {
+    fn new(num_sets: usize, ways: usize) -> Self {
+        let lines = num_sets * ways;
+        let buckets = (2 * lines).next_power_of_two();
+        Self {
+            ways,
+            buckets: vec![EMPTY; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+            links: vec![
+                Link {
+                    newer: EMPTY,
+                    older: EMPTY,
+                };
+                lines
+            ],
+            sets: vec![
+                Recency {
+                    newest: EMPTY,
+                    oldest: EMPTY,
+                    filled: 0,
+                    punched: false,
+                };
+                num_sets
+            ],
+        }
+    }
+
+    /// The bucket a line's probe sequence starts at.
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The index bucket holding `line`, if it is resident.
+    fn find_bucket(&self, tags: &[u64], line: u64) -> Option<usize> {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(line);
+        loop {
+            let slot = self.buckets[b];
+            if slot == EMPTY {
+                return None;
+            }
+            if tags[slot as usize] == line {
+                return Some(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// The slot holding `line`, if it is resident.
+    fn find(&self, tags: &[u64], line: u64) -> Option<usize> {
+        self.find_bucket(tags, line)
+            .map(|b| self.buckets[b] as usize)
+    }
+
+    fn index_insert(&mut self, line: u64, slot: usize) {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(line);
+        while self.buckets[b] != EMPTY {
+            b = (b + 1) & mask;
+        }
+        self.buckets[b] = slot as u32;
+    }
+
+    /// Removes a resident line's bucket, shifting later members of its
+    /// probe run back so every remaining line stays reachable from its
+    /// home bucket. Reads the tags of the shifted lines: call before the
+    /// slot is overwritten.
+    fn index_remove(&mut self, tags: &[u64], line: u64) {
+        let mask = self.buckets.len() - 1;
+        let mut hole = self
+            .find_bucket(tags, line)
+            .expect("invariant: every valid slot has an index bucket");
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let slot = self.buckets[b];
+            if slot == EMPTY {
+                break;
+            }
+            // A line may move into the hole only if that keeps it at or
+            // after its home bucket along the probe direction.
+            let home = self.home(tags[slot as usize]);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = slot;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = EMPTY;
+    }
+
+    /// Takes a valid slot off its set's recency list.
+    fn unlink(&mut self, set: usize, slot: usize) {
+        let Link { newer, older } = self.links[slot];
+        match newer {
+            EMPTY => self.sets[set].newest = older,
+            n => self.links[n as usize].older = older,
+        }
+        match older {
+            EMPTY => self.sets[set].oldest = newer,
+            o => self.links[o as usize].newer = newer,
+        }
+    }
+
+    /// Puts an unlinked slot at the most recent end of its set's list.
+    fn push_newest(&mut self, set: usize, slot: usize) {
+        let list = &mut self.sets[set];
+        let older = std::mem::replace(&mut list.newest, slot as u32);
+        match older {
+            EMPTY => list.oldest = slot as u32,
+            o => self.links[o as usize].newer = slot as u32,
+        }
+        self.links[slot] = Link {
+            newer: EMPTY,
+            older,
+        };
+    }
+
+    /// A hit on `slot`: it becomes its set's most recent.
+    fn touch(&mut self, set: usize, slot: usize) {
+        if self.sets[set].newest != slot as u32 {
+            self.unlink(set, slot);
+            self.push_newest(set, slot);
+        }
+    }
+
+    /// The way a fill of `set` replaces; `ages` is the set's stamps. The
+    /// scan is for a set `invalidate` has left a hole in, where the first
+    /// minimum is the first invalid way.
+    fn victim_way(&self, set: usize, ages: &[u64]) -> usize {
+        let list = &self.sets[set];
+        if list.filled as usize == self.ways {
+            list.oldest as usize - set * self.ways
+        } else if list.punched {
+            first_min(ages)
+        } else {
+            list.filled as usize
+        }
+    }
+
+    /// `slot` of `set` is about to hold `line` instead of what `tags`
+    /// still says it holds (`evicts`) or nothing.
+    fn replace(&mut self, tags: &[u64], set: usize, slot: usize, evicts: bool, line: u64) {
+        if evicts {
+            self.index_remove(tags, tags[slot]);
+            self.unlink(set, slot);
+        } else {
+            let list = &mut self.sets[set];
+            list.filled += 1;
+            if list.filled as usize == self.ways {
+                list.punched = false;
+            }
+        }
+        self.index_insert(line, slot);
+        self.push_newest(set, slot);
+    }
+
+    /// `slot` of `set`, holding `line`, becomes invalid.
+    fn remove(&mut self, tags: &[u64], set: usize, slot: usize, line: u64) {
+        self.index_remove(tags, line);
+        self.unlink(set, slot);
+        let list = &mut self.sets[set];
+        list.filled -= 1;
+        list.punched = true;
+    }
+}
+
+/// Position of the first minimum. Kept a plain compare-and-keep loop:
+/// fancier iterator chains here have compiled to several times the cost.
+fn first_min(ages: &[u64]) -> usize {
+    let mut way = 0;
+    let mut oldest = ages[0];
+    for (w, &age) in ages.iter().enumerate() {
+        if age < oldest {
+            oldest = age;
+            way = w;
+        }
+    }
+    way
 }
 
 impl SetAssocCache {
@@ -177,15 +422,14 @@ impl SetAssocCache {
         let num_sets = config.num_sets();
         let lines = num_sets * config.ways;
         assert!(lines < EMPTY as usize / 2, "cache has too many lines");
-        let buckets = (2 * lines).next_power_of_two();
         Self {
             config,
             num_sets: num_sets as u64,
+            set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             tags: vec![0; lines],
             last_used: vec![0; lines],
             flags: vec![0; lines],
-            index: vec![EMPTY; buckets],
-            index_shift: 64 - buckets.trailing_zeros(),
+            wide: (config.ways > SCAN_WAYS).then(|| Indexed::new(num_sets, config.ways)),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -208,69 +452,28 @@ impl SetAssocCache {
     /// slot stride into pathological conflict misses that no real machine
     /// exhibits.
     fn set_index(&self, line: u64) -> usize {
-        ((line ^ (line >> 7) ^ (line >> 14)) % self.num_sets) as usize
+        let folded = line ^ (line >> 7) ^ (line >> 14);
+        (match self.set_mask {
+            Some(mask) => folded & mask,
+            None => folded % self.num_sets,
+        }) as usize
     }
 
-    /// The bucket a line's probe sequence starts at.
-    fn home(&self, line: u64) -> usize {
-        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
-    }
-
-    /// The index bucket holding `line`, if it is resident.
-    fn find_bucket(&self, line: u64) -> Option<usize> {
-        let mask = self.index.len() - 1;
-        let mut b = self.home(line);
-        loop {
-            let slot = self.index[b];
-            if slot == EMPTY {
-                return None;
-            }
-            if self.tags[slot as usize] == line {
-                return Some(b);
-            }
-            b = (b + 1) & mask;
+    /// The slot of `set` holding `line`, if it is resident.
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        if let Some(wide) = &self.wide {
+            return wide.find(&self.tags, line);
         }
-    }
-
-    /// The slot holding `line`, if it is resident.
-    fn find(&self, line: u64) -> Option<usize> {
-        self.find_bucket(line).map(|b| self.index[b] as usize)
-    }
-
-    fn index_insert(&mut self, line: u64, slot: usize) {
-        let mask = self.index.len() - 1;
-        let mut b = self.home(line);
-        while self.index[b] != EMPTY {
-            b = (b + 1) & mask;
-        }
-        self.index[b] = slot as u32;
-    }
-
-    /// Removes a resident line's bucket, shifting later members of its
-    /// probe run back so every remaining line stays reachable from its
-    /// home bucket. Reads the tags of the shifted lines: call before the
-    /// slot is overwritten.
-    fn index_remove(&mut self, line: u64) {
-        let mask = self.index.len() - 1;
-        let mut hole = self
-            .find_bucket(line)
-            .expect("invariant: every valid slot has an index bucket");
-        let mut b = hole;
-        loop {
-            b = (b + 1) & mask;
-            let slot = self.index[b];
-            if slot == EMPTY {
-                break;
-            }
-            // A line may move into the hole only if that keeps it at or
-            // after its home bucket along the probe direction.
-            let home = self.home(self.tags[slot as usize]);
-            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
-                self.index[hole] = slot;
-                hole = b;
+        let ways = self.config.ways;
+        let base = set * ways;
+        let tags = &self.tags[base..base + ways];
+        let ages = &self.last_used[base..base + ways];
+        for way in 0..ways {
+            if tags[way] == line && ages[way] != 0 {
+                return Some(base + way);
             }
         }
-        self.index[hole] = EMPTY;
+        None
     }
 
     /// Accesses a line (by line address), allocating it on miss.
@@ -301,20 +504,22 @@ impl SetAssocCache {
     pub fn access_rw(&mut self, line: u64, write: bool) -> AccessResult {
         self.clock += 1;
         self.stats.accesses += 1;
-        if let Some(slot) = self.find(line) {
+        let set = self.set_index(line);
+        if let Some(slot) = self.find(set, line) {
             self.last_used[slot] = self.clock;
+            if let Some(wide) = &mut self.wide {
+                wide.touch(set, slot);
+            }
             let flags = self.flags[slot];
             self.flags[slot] = (flags | if write { DIRTY } else { 0 }) & !PREFETCHED;
             self.stats.hits += 1;
             return AccessResult {
                 hit: true,
-                evicted: None,
-                evicted_dirty: false,
                 prefetched_hit: flags & PREFETCHED != 0,
-                evicted_prefetched: false,
+                ..MISS
             };
         }
-        self.fill(line, if write { DIRTY } else { 0 })
+        self.fill(set, line, if write { DIRTY } else { 0 })
     }
 
     /// Installs a prefetched line without touching the demand statistics:
@@ -326,69 +531,119 @@ impl SetAssocCache {
     /// until first demand touch, and any victim is reported as usual.
     pub fn install_prefetch(&mut self, line: u64) -> AccessResult {
         self.clock += 1;
-        if self.find(line).is_some() {
-            return AccessResult {
-                hit: true,
-                evicted: None,
-                evicted_dirty: false,
-                prefetched_hit: false,
-                evicted_prefetched: false,
-            };
+        let set = self.set_index(line);
+        if self.find(set, line).is_some() {
+            return AccessResult { hit: true, ..MISS };
         }
-        self.fill(line, PREFETCHED)
+        self.fill(set, line, PREFETCHED)
     }
 
     /// Miss path: fills the first invalid way of the line's set, else
     /// evicts its least recently used line.
-    fn fill(&mut self, line: u64, flags: u8) -> AccessResult {
-        let base = self.set_index(line) * self.config.ways;
-        let ages = &self.last_used[base..base + self.config.ways];
-        // First minimum. Kept a plain compare-and-keep loop: fancier
-        // iterator chains here have compiled to several times the cost.
-        let mut way = 0;
-        let mut oldest = ages[0];
-        for (w, &age) in ages.iter().enumerate() {
-            if age < oldest {
-                oldest = age;
-                way = w;
-            }
-        }
-        let slot = base + way;
-        let mut result = AccessResult {
-            hit: false,
-            evicted: None,
-            evicted_dirty: false,
-            prefetched_hit: false,
-            evicted_prefetched: false,
-        };
-        if oldest != 0 {
-            let victim = self.tags[slot];
-            self.index_remove(victim);
-            result.evicted = Some(victim);
+    fn fill(&mut self, set: usize, line: u64, flags: u8) -> AccessResult {
+        let ways = self.config.ways;
+        let base = set * ways;
+        let ages = &self.last_used[base..base + ways];
+        let slot = base
+            + match &self.wide {
+                Some(wide) => wide.victim_way(set, ages),
+                None => first_min(ages),
+            };
+        let mut result = MISS;
+        let evicts = self.last_used[slot] != 0;
+        if evicts {
+            result.evicted = Some(self.tags[slot]);
             result.evicted_dirty = self.flags[slot] & DIRTY != 0;
             result.evicted_prefetched = self.flags[slot] & PREFETCHED != 0;
+        }
+        if let Some(wide) = &mut self.wide {
+            wide.replace(&self.tags, set, slot, evicts, line);
         }
         self.tags[slot] = line;
         self.last_used[slot] = self.clock;
         self.flags[slot] = flags;
-        self.index_insert(line, slot);
         result
     }
 
     /// Checks residency without updating LRU state or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+        self.find(self.set_index(line), line).is_some()
     }
 
     /// Removes a line if present (coherence invalidation), returning
     /// whether it was resident.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let Some(slot) = self.find(line) else {
+        let set = self.set_index(line);
+        let Some(slot) = self.find(set, line) else {
             return false;
         };
-        self.index_remove(line);
+        if let Some(wide) = &mut self.wide {
+            wide.remove(&self.tags, set, slot, line);
+        }
         self.last_used[slot] = 0;
         true
+    }
+
+    /// Panics unless the structure is what its associativity calls for and
+    /// is consistent with the slots. For tests, which call it after every
+    /// operation; costs a pass over the whole cache.
+    #[doc(hidden)]
+    pub fn check(&self) {
+        let ways = self.config.ways;
+        let valid = |slot: usize| self.last_used[slot] != 0;
+        let Some(wide) = &self.wide else {
+            assert!(ways <= SCAN_WAYS, "a {ways}-way cache must be indexed");
+            return;
+        };
+        assert!(ways > SCAN_WAYS, "a {ways}-way cache owns an index");
+        for (set, list) in wide.sets.iter().enumerate() {
+            let slots = set * ways..(set + 1) * ways;
+            let n_valid = slots.clone().filter(|&s| valid(s)).count();
+            assert_eq!(list.filled as usize, n_valid, "set {set}: filled count");
+            if !list.punched {
+                let prefix = slots.start..slots.start + n_valid;
+                assert!(prefix.clone().all(valid), "set {set}: hole in {prefix:?}");
+            }
+            let (mut newer, mut at, mut walked) = (EMPTY, list.newest, 0);
+            while at != EMPTY {
+                let slot = at as usize;
+                assert!(
+                    slots.contains(&slot) && valid(slot),
+                    "set {set}: lists {slot}"
+                );
+                assert_eq!(
+                    wide.links[slot].newer, newer,
+                    "set {set}: back link of {slot}"
+                );
+                if newer != EMPTY {
+                    assert!(
+                        self.last_used[newer as usize] > self.last_used[slot],
+                        "set {set}: {slot} listed after an older slot"
+                    );
+                }
+                walked += 1;
+                assert!(
+                    walked <= n_valid,
+                    "set {set}: list longer than its valid ways"
+                );
+                (newer, at) = (at, wide.links[slot].older);
+            }
+            assert_eq!(
+                walked, n_valid,
+                "set {set}: valid ways missing from its list"
+            );
+            assert_eq!(list.oldest, newer, "set {set}: tail");
+        }
+        let named = wide.buckets.iter().filter(|&&s| s != EMPTY).count();
+        let n_valid = (0..self.tags.len()).filter(|&s| valid(s)).count();
+        assert_eq!(named, n_valid, "index size");
+        for slot in (0..self.tags.len()).filter(|&s| valid(s)) {
+            assert_eq!(
+                wide.find(&self.tags, self.tags[slot]),
+                Some(slot),
+                "slot {slot} is not what the index finds for its line"
+            );
+        }
     }
 }
 
