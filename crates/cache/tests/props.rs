@@ -68,6 +68,43 @@ fn invalidate_removes() {
     });
 }
 
+/// [`SetAssocCache::check`] after every operation of a demand / prefetch /
+/// invalidate mix: an indexed set's recency list is its valid slots in
+/// strictly descending stamp order, its filled count is its number of
+/// valid ways, the index names exactly the valid slots, and a scanned
+/// cache owns no index. Geometries on both sides of the threshold; the
+/// invalidations are what punches holes into partly filled sets.
+#[test]
+fn structure_invariants_hold_after_every_operation() {
+    for (ways, sets) in [(2, 32), (4, 16), (5, 8), (16, 8), (128, 1)] {
+        let cfg = CacheConfig {
+            size_bytes: 64 * ways as u64 * sets,
+            line_bytes: 64,
+            ways,
+        };
+        run_cases(&format!("cache_structure_{ways}x{sets}"), 12, |rng| {
+            let mut c = SetAssocCache::new(cfg);
+            c.check();
+            let span = ways as u64 * sets * rng.u64_in(1..5) / 2 + 1;
+            for _ in 0..rng.usize_in(100..600) {
+                let line = rng.u64_below(span);
+                match rng.u64_below(8) {
+                    0 | 1 => {
+                        c.invalidate(line);
+                    }
+                    2 => {
+                        c.install_prefetch(line);
+                    }
+                    op => {
+                        c.access_rw(line, op == 3);
+                    }
+                }
+                c.check();
+            }
+        });
+    }
+}
+
 #[test]
 fn directory_tracks_sharers_exactly() {
     run_cases("directory_tracks_sharers_exactly", 64, |rng| {
