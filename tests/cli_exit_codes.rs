@@ -5,8 +5,9 @@
 
 use std::process::Command;
 
-/// A path no run can create: its parent directory does not exist.
-const UNWRITABLE: &str = "/nonexistent-dir/hoploc.json";
+/// A path no run can create, whoever runs it and whatever earlier runs
+/// left on the machine: its parent is not a directory.
+const UNWRITABLE: &str = "/dev/null/hoploc.json";
 
 fn assert_json_write_failure(args: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_hoploc"))
