@@ -3,8 +3,15 @@
 //! The model tracks tags only (no data): the simulator needs hit/miss
 //! decisions and evictions, not contents. Addresses are *line* addresses
 //! (byte address divided by the line size) — the caller chooses the
-//! granularity, which lets the same structure serve 64 B L1 lines and
-//! 256 B L2 lines (Table 1).
+//! granularity, which lets the same type serve 64 B L1 lines and 256 B L2
+//! lines (Table 1).
+//!
+//! The two are opposite geometries on the host as well: a 2-way L1 that
+//! misses most of the time, and a 128-way scaled L2 behind it. The cache
+//! therefore takes its structure from its associativity — narrow sets are
+//! scanned and keep nothing beside their slots, wide sets are found
+//! through an index and name their victim from a recency list — with one
+//! replacement rule and one set of results ([`SetAssocCache`]).
 
 use hoploc_obs::{CacheTag, Sink};
 use std::fmt;
@@ -132,8 +139,10 @@ const EMPTY: u32 = u32::MAX;
 /// Sets of at most this many ways are scanned; wider ones are indexed.
 /// A miss in a scanned set costs a compare per way, where keeping an index
 /// over it cost a failed probe, a removal with its backward shift and an
-/// insertion: 9 % of the miss-heavy sweep with the 2-way L1 missing 84 %
-/// of the time. A hit in a 128-way set must not compare 128 tags.
+/// insertion: a stream of misses through the 2-way scaled L1 takes 18 ns
+/// an access scanned and 69 ns indexed, and that L1 misses 84 % of the
+/// miss-heavy sweep's accesses. A hit in a 128-way set must not compare
+/// 128 tags.
 const SCAN_WAYS: usize = 4;
 
 /// A miss that evicted nothing.
