@@ -235,8 +235,8 @@ struct Recency {
     /// Number of valid ways. Until `invalidate` removes one they are the
     /// first `filled` by position, so the first invalid way is `filled`.
     filled: u32,
-    /// `invalidate` has taken a way out of this set since it was last
-    /// full: its invalid ways need not be the last ones by position.
+    /// `invalidate` has taken a way out of this set: whenever it is not
+    /// full, its invalid ways need not be the last ones by position.
     punched: bool,
 }
 
@@ -386,19 +386,15 @@ impl Indexed {
             self.index_remove(tags, tags[slot]);
             self.unlink(set, slot);
         } else {
-            let list = &mut self.sets[set];
-            list.filled += 1;
-            if list.filled as usize == self.ways {
-                list.punched = false;
-            }
+            self.sets[set].filled += 1;
         }
         self.index_insert(line, slot);
         self.push_newest(set, slot);
     }
 
-    /// `slot` of `set`, holding `line`, becomes invalid.
-    fn remove(&mut self, tags: &[u64], set: usize, slot: usize, line: u64) {
-        self.index_remove(tags, line);
+    /// `slot` of `set` becomes invalid.
+    fn remove(&mut self, tags: &[u64], set: usize, slot: usize) {
+        self.index_remove(tags, tags[slot]);
         self.unlink(set, slot);
         let list = &mut self.sets[set];
         list.filled -= 1;
@@ -587,7 +583,7 @@ impl SetAssocCache {
             return false;
         };
         if let Some(wide) = &mut self.wide {
-            wide.remove(&self.tags, set, slot, line);
+            wide.remove(&self.tags, set, slot);
         }
         self.last_used[slot] = 0;
         true
