@@ -3,15 +3,15 @@
 //! The model tracks tags only (no data): the simulator needs hit/miss
 //! decisions and evictions, not contents. Addresses are *line* addresses
 //! (byte address divided by the line size) — the caller chooses the
-//! granularity, which lets the same type serve 64 B L1 lines and 256 B L2
-//! lines (Table 1).
+//! granularity, which lets the same structure serve 64 B L1 lines and
+//! 256 B L2 lines (Table 1).
 //!
 //! The two are opposite geometries on the host as well: a 2-way L1 that
 //! misses most of the time, and a 128-way scaled L2 behind it. The cache
-//! therefore takes its structure from its associativity — narrow sets are
-//! scanned and keep nothing beside their slots, wide sets are found
-//! through an index and name their victim from a recency list — with one
-//! replacement rule and one set of results ([`SetAssocCache`]).
+//! therefore finds a line the way its associativity calls for — narrow
+//! sets are scanned and keep nothing beside their slots, wide sets are
+//! found through an index — with one replacement rule and one set of
+//! results ([`SetAssocCache`]).
 
 use hoploc_obs::{CacheTag, Sink};
 use std::fmt;
@@ -133,44 +133,33 @@ const DIRTY: u8 = 1;
 /// `flags` bit: installed by a prefetch and not yet touched by a demand
 /// access.
 const PREFETCHED: u8 = 2;
-/// An unoccupied bucket of the line → slot index, and the end of a
-/// recency list.
+/// An unoccupied bucket of the line → slot index.
 const EMPTY: u32 = u32::MAX;
 /// Sets of at most this many ways are scanned; wider ones are indexed.
 /// A miss in a scanned set costs a compare per way, where keeping an index
 /// over it cost a failed probe, a removal with its backward shift and an
 /// insertion: a stream of misses through the 2-way scaled L1 takes 18 ns
-/// an access scanned and 69 ns indexed, and that L1 misses 84 % of the
+/// an access scanned and 66 ns indexed, and that L1 misses 84 % of the
 /// miss-heavy sweep's accesses. A hit in a 128-way set must not compare
 /// 128 tags.
 const SCAN_WAYS: usize = 4;
 
-/// A miss that evicted nothing.
-const MISS: AccessResult = AccessResult {
-    hit: false,
-    evicted: None,
-    evicted_dirty: false,
-    prefetched_hit: false,
-    evicted_prefetched: false,
-};
-
 /// A tag-only set-associative LRU cache.
 ///
 /// Ways are stored structure-of-arrays (slot = `set * ways + way`). How a
-/// line and a victim are found follows from the associativity, decided
-/// once in [`new`](Self::new):
+/// line is found follows from the associativity, decided once in
+/// [`new`](Self::new):
 ///
 /// * **scanned sets** (at most four ways: the 2-way L1s) compare the
-///   set's own tags, and a miss takes the first minimum of the set's LRU
-///   stamps. Nothing else is kept, so a miss maintains nothing;
+///   set's own tags. Nothing is kept beside the slots, so a miss
+///   maintains nothing;
 /// * **indexed sets** (the 16-way L2, the 128-way scaled L2) find a line
-///   through one open-addressed line → slot index per cache, and keep the
-///   valid ways of each set on a recency list, so a hit compares no other
-///   tag and the victim of a full set is the list's tail.
+///   through one open-addressed line → slot index per cache, so a hit
+///   compares no other tag of the set.
 ///
 /// Both replace the same way: the first invalid way by position, else the
 /// least recently used. `AccessResult`s, residency and statistics do not
-/// depend on which structure a geometry gets (`tests/oracle.rs`).
+/// depend on which of the two a geometry gets (`tests/oracle.rs`).
 ///
 /// # Examples
 ///
@@ -185,9 +174,6 @@ const MISS: AccessResult = AccessResult {
 pub struct SetAssocCache {
     config: CacheConfig,
     num_sets: u64,
-    /// `num_sets - 1` when the set count is a power of two (every shipped
-    /// geometry): the set index is then a mask instead of a division.
-    set_mask: Option<u64>,
     /// The line each slot holds; meaningful while the slot is valid.
     tags: Vec<u64>,
     /// LRU timestamp of each slot, `0` while the way is invalid. Valid
@@ -196,224 +182,14 @@ pub struct SetAssocCache {
     /// minimum of a set's slice.
     last_used: Vec<u64>,
     flags: Vec<u8>,
-    /// What indexed sets keep beside the slots; `None` when sets are
-    /// scanned.
-    wide: Option<Indexed>,
-    clock: u64,
-    stats: CacheStats,
-}
-
-/// The line → slot index and per-set recency lists of a cache whose sets
-/// are too wide to scan. Sized in `new`; nothing grows afterwards.
-#[derive(Clone, Debug)]
-struct Indexed {
-    ways: usize,
     /// Line → slot: linear probing from a multiplicative hash, deletion by
     /// backward shift (no tombstones), sized to at most half full. Buckets
-    /// name valid slots only; the key of a bucket is `tags[slot]`.
-    buckets: Vec<u32>,
-    shift: u32,
-    /// Per slot: its neighbours on its set's recency list. Meaningful
-    /// while the slot is valid.
-    links: Vec<Link>,
-    sets: Vec<Recency>,
-}
-
-/// A slot's neighbours on its set's recency list ([`EMPTY`] at the ends).
-#[derive(Clone, Copy, Debug)]
-struct Link {
-    newer: u32,
-    older: u32,
-}
-
-/// One set's recency list: its valid slots from most to least recently
-/// used, which is strictly descending `last_used` order.
-#[derive(Clone, Copy, Debug)]
-struct Recency {
-    newest: u32,
-    oldest: u32,
-    /// Number of valid ways. Until `invalidate` removes one they are the
-    /// first `filled` by position, so the first invalid way is `filled`.
-    filled: u32,
-    /// `invalidate` has taken a way out of this set: whenever it is not
-    /// full, its invalid ways need not be the last ones by position.
-    punched: bool,
-}
-
-impl Indexed {
-    fn new(num_sets: usize, ways: usize) -> Self {
-        let lines = num_sets * ways;
-        let buckets = (2 * lines).next_power_of_two();
-        Self {
-            ways,
-            buckets: vec![EMPTY; buckets],
-            shift: 64 - buckets.trailing_zeros(),
-            links: vec![
-                Link {
-                    newer: EMPTY,
-                    older: EMPTY,
-                };
-                lines
-            ],
-            sets: vec![
-                Recency {
-                    newest: EMPTY,
-                    oldest: EMPTY,
-                    filled: 0,
-                    punched: false,
-                };
-                num_sets
-            ],
-        }
-    }
-
-    /// The bucket a line's probe sequence starts at.
-    fn home(&self, line: u64) -> usize {
-        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The index bucket holding `line`, if it is resident.
-    fn find_bucket(&self, tags: &[u64], line: u64) -> Option<usize> {
-        let mask = self.buckets.len() - 1;
-        let mut b = self.home(line);
-        loop {
-            let slot = self.buckets[b];
-            if slot == EMPTY {
-                return None;
-            }
-            if tags[slot as usize] == line {
-                return Some(b);
-            }
-            b = (b + 1) & mask;
-        }
-    }
-
-    /// The slot holding `line`, if it is resident.
-    fn find(&self, tags: &[u64], line: u64) -> Option<usize> {
-        self.find_bucket(tags, line)
-            .map(|b| self.buckets[b] as usize)
-    }
-
-    fn index_insert(&mut self, line: u64, slot: usize) {
-        let mask = self.buckets.len() - 1;
-        let mut b = self.home(line);
-        while self.buckets[b] != EMPTY {
-            b = (b + 1) & mask;
-        }
-        self.buckets[b] = slot as u32;
-    }
-
-    /// Removes a resident line's bucket, shifting later members of its
-    /// probe run back so every remaining line stays reachable from its
-    /// home bucket. Reads the tags of the shifted lines: call before the
-    /// slot is overwritten.
-    fn index_remove(&mut self, tags: &[u64], line: u64) {
-        let mask = self.buckets.len() - 1;
-        let mut hole = self
-            .find_bucket(tags, line)
-            .expect("invariant: every valid slot has an index bucket");
-        let mut b = hole;
-        loop {
-            b = (b + 1) & mask;
-            let slot = self.buckets[b];
-            if slot == EMPTY {
-                break;
-            }
-            // A line may move into the hole only if that keeps it at or
-            // after its home bucket along the probe direction.
-            let home = self.home(tags[slot as usize]);
-            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = slot;
-                hole = b;
-            }
-        }
-        self.buckets[hole] = EMPTY;
-    }
-
-    /// Takes a valid slot off its set's recency list.
-    fn unlink(&mut self, set: usize, slot: usize) {
-        let Link { newer, older } = self.links[slot];
-        match newer {
-            EMPTY => self.sets[set].newest = older,
-            n => self.links[n as usize].older = older,
-        }
-        match older {
-            EMPTY => self.sets[set].oldest = newer,
-            o => self.links[o as usize].newer = newer,
-        }
-    }
-
-    /// Puts an unlinked slot at the most recent end of its set's list.
-    fn push_newest(&mut self, set: usize, slot: usize) {
-        let list = &mut self.sets[set];
-        let older = std::mem::replace(&mut list.newest, slot as u32);
-        match older {
-            EMPTY => list.oldest = slot as u32,
-            o => self.links[o as usize].newer = slot as u32,
-        }
-        self.links[slot] = Link {
-            newer: EMPTY,
-            older,
-        };
-    }
-
-    /// A hit on `slot`: it becomes its set's most recent.
-    fn touch(&mut self, set: usize, slot: usize) {
-        if self.sets[set].newest != slot as u32 {
-            self.unlink(set, slot);
-            self.push_newest(set, slot);
-        }
-    }
-
-    /// The way a fill of `set` replaces; `ages` is the set's stamps. The
-    /// scan is for a set `invalidate` has left a hole in, where the first
-    /// minimum is the first invalid way.
-    fn victim_way(&self, set: usize, ages: &[u64]) -> usize {
-        let list = &self.sets[set];
-        if list.filled as usize == self.ways {
-            list.oldest as usize - set * self.ways
-        } else if list.punched {
-            first_min(ages)
-        } else {
-            list.filled as usize
-        }
-    }
-
-    /// `slot` of `set` is about to hold `line` instead of what `tags`
-    /// still says it holds (`evicts`) or nothing.
-    fn replace(&mut self, tags: &[u64], set: usize, slot: usize, evicts: bool, line: u64) {
-        if evicts {
-            self.index_remove(tags, tags[slot]);
-            self.unlink(set, slot);
-        } else {
-            self.sets[set].filled += 1;
-        }
-        self.index_insert(line, slot);
-        self.push_newest(set, slot);
-    }
-
-    /// `slot` of `set` becomes invalid.
-    fn remove(&mut self, tags: &[u64], set: usize, slot: usize) {
-        self.index_remove(tags, tags[slot]);
-        self.unlink(set, slot);
-        let list = &mut self.sets[set];
-        list.filled -= 1;
-        list.punched = true;
-    }
-}
-
-/// Position of the first minimum. Kept a plain compare-and-keep loop:
-/// fancier iterator chains here have compiled to several times the cost.
-fn first_min(ages: &[u64]) -> usize {
-    let mut way = 0;
-    let mut oldest = ages[0];
-    for (w, &age) in ages.iter().enumerate() {
-        if age < oldest {
-            oldest = age;
-            way = w;
-        }
-    }
-    way
+    /// name valid slots only; the key of a bucket is `tags[slot]`. Empty,
+    /// and never allocated, when sets are scanned.
+    index: Vec<u32>,
+    index_shift: u32,
+    clock: u64,
+    stats: CacheStats,
 }
 
 impl SetAssocCache {
@@ -427,14 +203,19 @@ impl SetAssocCache {
         let num_sets = config.num_sets();
         let lines = num_sets * config.ways;
         assert!(lines < EMPTY as usize / 2, "cache has too many lines");
+        let buckets = if config.ways > SCAN_WAYS {
+            (2 * lines).next_power_of_two()
+        } else {
+            0
+        };
         Self {
             config,
             num_sets: num_sets as u64,
-            set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
             tags: vec![0; lines],
             last_used: vec![0; lines],
             flags: vec![0; lines],
-            wide: (config.ways > SCAN_WAYS).then(|| Indexed::new(num_sets, config.ways)),
+            index: vec![EMPTY; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -457,17 +238,39 @@ impl SetAssocCache {
     /// slot stride into pathological conflict misses that no real machine
     /// exhibits.
     fn set_index(&self, line: u64) -> usize {
-        let folded = line ^ (line >> 7) ^ (line >> 14);
-        (match self.set_mask {
-            Some(mask) => folded & mask,
-            None => folded % self.num_sets,
-        }) as usize
+        ((line ^ (line >> 7) ^ (line >> 14)) % self.num_sets) as usize
+    }
+
+    /// The bucket a line's probe sequence starts at.
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
+    }
+
+    /// The index bucket holding `line`, if it is resident.
+    fn find_bucket(&self, line: u64) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(line);
+        loop {
+            let slot = self.index[b];
+            if slot == EMPTY {
+                return None;
+            }
+            if self.tags[slot as usize] == line {
+                return Some(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Whether sets are scanned (and `index` is empty) or indexed.
+    fn scanned(&self) -> bool {
+        self.config.ways <= SCAN_WAYS
     }
 
     /// The slot of `set` holding `line`, if it is resident.
     fn find(&self, set: usize, line: u64) -> Option<usize> {
-        if let Some(wide) = &self.wide {
-            return wide.find(&self.tags, line);
+        if !self.scanned() {
+            return self.find_bucket(line).map(|b| self.index[b] as usize);
         }
         let ways = self.config.ways;
         let base = set * ways;
@@ -479,6 +282,42 @@ impl SetAssocCache {
             }
         }
         None
+    }
+
+    fn index_insert(&mut self, line: u64, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut b = self.home(line);
+        while self.index[b] != EMPTY {
+            b = (b + 1) & mask;
+        }
+        self.index[b] = slot as u32;
+    }
+
+    /// Removes a resident line's bucket, shifting later members of its
+    /// probe run back so every remaining line stays reachable from its
+    /// home bucket. Reads the tags of the shifted lines: call before the
+    /// slot is overwritten.
+    fn index_remove(&mut self, line: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self
+            .find_bucket(line)
+            .expect("invariant: every valid slot has an index bucket");
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let slot = self.index[b];
+            if slot == EMPTY {
+                break;
+            }
+            // A line may move into the hole only if that keeps it at or
+            // after its home bucket along the probe direction.
+            let home = self.home(self.tags[slot as usize]);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.index[hole] = slot;
+                hole = b;
+            }
+        }
+        self.index[hole] = EMPTY;
     }
 
     /// Accesses a line (by line address), allocating it on miss.
@@ -512,16 +351,15 @@ impl SetAssocCache {
         let set = self.set_index(line);
         if let Some(slot) = self.find(set, line) {
             self.last_used[slot] = self.clock;
-            if let Some(wide) = &mut self.wide {
-                wide.touch(set, slot);
-            }
             let flags = self.flags[slot];
             self.flags[slot] = (flags | if write { DIRTY } else { 0 }) & !PREFETCHED;
             self.stats.hits += 1;
             return AccessResult {
                 hit: true,
+                evicted: None,
+                evicted_dirty: false,
                 prefetched_hit: flags & PREFETCHED != 0,
-                ..MISS
+                evicted_prefetched: false,
             };
         }
         self.fill(set, line, if write { DIRTY } else { 0 })
@@ -538,35 +376,55 @@ impl SetAssocCache {
         self.clock += 1;
         let set = self.set_index(line);
         if self.find(set, line).is_some() {
-            return AccessResult { hit: true, ..MISS };
+            return AccessResult {
+                hit: true,
+                evicted: None,
+                evicted_dirty: false,
+                prefetched_hit: false,
+                evicted_prefetched: false,
+            };
         }
         self.fill(set, line, PREFETCHED)
     }
 
-    /// Miss path: fills the first invalid way of the line's set, else
-    /// evicts its least recently used line.
+    /// Miss path: fills the first invalid way of `set`, the line's set,
+    /// else evicts its least recently used line.
     fn fill(&mut self, set: usize, line: u64, flags: u8) -> AccessResult {
-        let ways = self.config.ways;
-        let base = set * ways;
-        let ages = &self.last_used[base..base + ways];
-        let slot = base
-            + match &self.wide {
-                Some(wide) => wide.victim_way(set, ages),
-                None => first_min(ages),
-            };
-        let mut result = MISS;
-        let evicts = self.last_used[slot] != 0;
-        if evicts {
-            result.evicted = Some(self.tags[slot]);
+        let base = set * self.config.ways;
+        let ages = &self.last_used[base..base + self.config.ways];
+        // First minimum. Kept a plain compare-and-keep loop: fancier
+        // iterator chains here have compiled to several times the cost.
+        let mut way = 0;
+        let mut oldest = ages[0];
+        for (w, &age) in ages.iter().enumerate() {
+            if age < oldest {
+                oldest = age;
+                way = w;
+            }
+        }
+        let slot = base + way;
+        let mut result = AccessResult {
+            hit: false,
+            evicted: None,
+            evicted_dirty: false,
+            prefetched_hit: false,
+            evicted_prefetched: false,
+        };
+        if oldest != 0 {
+            let victim = self.tags[slot];
+            if !self.scanned() {
+                self.index_remove(victim);
+            }
+            result.evicted = Some(victim);
             result.evicted_dirty = self.flags[slot] & DIRTY != 0;
             result.evicted_prefetched = self.flags[slot] & PREFETCHED != 0;
-        }
-        if let Some(wide) = &mut self.wide {
-            wide.replace(&self.tags, set, slot, evicts, line);
         }
         self.tags[slot] = line;
         self.last_used[slot] = self.clock;
         self.flags[slot] = flags;
+        if !self.scanned() {
+            self.index_insert(line, slot);
+        }
         result
     }
 
@@ -578,73 +436,33 @@ impl SetAssocCache {
     /// Removes a line if present (coherence invalidation), returning
     /// whether it was resident.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let set = self.set_index(line);
-        let Some(slot) = self.find(set, line) else {
+        let Some(slot) = self.find(self.set_index(line), line) else {
             return false;
         };
-        if let Some(wide) = &mut self.wide {
-            wide.remove(&self.tags, set, slot);
+        if !self.scanned() {
+            self.index_remove(line);
         }
         self.last_used[slot] = 0;
         true
     }
 
-    /// Panics unless the structure is what its associativity calls for and
-    /// is consistent with the slots. For tests, which call it after every
+    /// Panics unless the cache keeps what its associativity calls for: no
+    /// index over scanned sets, and over indexed sets one that names
+    /// exactly the valid slots. For tests, which call it after every
     /// operation; costs a pass over the whole cache.
     #[doc(hidden)]
     pub fn check(&self) {
-        let ways = self.config.ways;
-        let valid = |slot: usize| self.last_used[slot] != 0;
-        let Some(wide) = &self.wide else {
-            assert!(ways <= SCAN_WAYS, "a {ways}-way cache must be indexed");
+        if self.scanned() {
+            assert!(self.index.is_empty(), "a scanned cache owns no index");
             return;
-        };
-        assert!(ways > SCAN_WAYS, "a {ways}-way cache owns an index");
-        for (set, list) in wide.sets.iter().enumerate() {
-            let slots = set * ways..(set + 1) * ways;
-            let n_valid = slots.clone().filter(|&s| valid(s)).count();
-            assert_eq!(list.filled as usize, n_valid, "set {set}: filled count");
-            if !list.punched {
-                let prefix = slots.start..slots.start + n_valid;
-                assert!(prefix.clone().all(valid), "set {set}: hole in {prefix:?}");
-            }
-            let (mut newer, mut at, mut walked) = (EMPTY, list.newest, 0);
-            while at != EMPTY {
-                let slot = at as usize;
-                assert!(
-                    slots.contains(&slot) && valid(slot),
-                    "set {set}: lists {slot}"
-                );
-                assert_eq!(
-                    wide.links[slot].newer, newer,
-                    "set {set}: back link of {slot}"
-                );
-                if newer != EMPTY {
-                    assert!(
-                        self.last_used[newer as usize] > self.last_used[slot],
-                        "set {set}: {slot} listed after an older slot"
-                    );
-                }
-                walked += 1;
-                assert!(
-                    walked <= n_valid,
-                    "set {set}: list longer than its valid ways"
-                );
-                (newer, at) = (at, wide.links[slot].older);
-            }
-            assert_eq!(
-                walked, n_valid,
-                "set {set}: valid ways missing from its list"
-            );
-            assert_eq!(list.oldest, newer, "set {set}: tail");
         }
-        let named = wide.buckets.iter().filter(|&&s| s != EMPTY).count();
-        let n_valid = (0..self.tags.len()).filter(|&s| valid(s)).count();
-        assert_eq!(named, n_valid, "index size");
-        for slot in (0..self.tags.len()).filter(|&s| valid(s)) {
+        let valid = |slot: &usize| self.last_used[*slot] != 0;
+        let named = self.index.iter().filter(|&&s| s != EMPTY).count();
+        assert_eq!(named, (0..self.tags.len()).filter(valid).count());
+        for slot in (0..self.tags.len()).filter(valid) {
+            let line = self.tags[slot];
             assert_eq!(
-                wide.find(&self.tags, self.tags[slot]),
+                self.find(self.set_index(line), line),
                 Some(slot),
                 "slot {slot} is not what the index finds for its line"
             );

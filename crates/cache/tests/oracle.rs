@@ -135,17 +135,20 @@ fn geometry(ways: usize, sets: u64) -> CacheConfig {
 
 #[test]
 fn matches_the_array_of_ways_reference_step_by_step() {
-    // Both sides of the scan / index threshold, the one-way case, a set
-    // count that is not a power of two, and the four shipped geometries:
-    // (2, 32) is `l1_scaled`, (2, 128) `l1_default`, (16, 64) `l2_default`,
-    // (128, 1) `l2_scaled`.
+    // Both sides of the scan / index threshold, the one-way case, a way
+    // count that is not a power of two, two set counts that are not (24 and
+    // 6, one on each side of the threshold), and the four shipped
+    // geometries: (2, 32) is `l1_scaled`, (2, 128) `l1_default`, (16, 64)
+    // `l2_default`, (128, 1) `l2_scaled`.
     for (ways, sets) in [
         (1, 64),
+        (2, 24),
         (2, 32),
         (2, 128),
         (4, 16),
         (5, 8),
         (8, 4),
+        (16, 6),
         (16, 8),
         (16, 64),
         (128, 1),

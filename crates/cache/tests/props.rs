@@ -69,14 +69,21 @@ fn invalidate_removes() {
 }
 
 /// [`SetAssocCache::check`] after every operation of a demand / prefetch /
-/// invalidate mix: an indexed set's recency list is its valid slots in
-/// strictly descending stamp order, its filled count is its number of
-/// valid ways, the index names exactly the valid slots, and a scanned
-/// cache owns no index. Geometries on both sides of the threshold; the
-/// invalidations are what punches holes into partly filled sets.
+/// invalidate mix: the index of a cache with indexed sets names exactly
+/// the valid slots, and a cache with scanned sets owns no index.
+/// Geometries on both sides of the threshold, with set counts that are
+/// and are not powers of two.
 #[test]
 fn structure_invariants_hold_after_every_operation() {
-    for (ways, sets) in [(2, 32), (4, 16), (5, 8), (16, 8), (128, 1)] {
+    for (ways, sets) in [
+        (2, 24),
+        (2, 32),
+        (4, 16),
+        (5, 8),
+        (16, 6),
+        (16, 8),
+        (128, 1),
+    ] {
         let cfg = CacheConfig {
             size_bytes: 64 * ways as u64 * sets,
             line_bytes: 64,
