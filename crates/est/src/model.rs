@@ -322,29 +322,6 @@ impl Walk {
     }
 }
 
-/// The sampling strides `generate_traces` applies to one nest.
-fn mirror_strides(nest: &LoopNest, gen: &hoploc_workloads::TraceGen, light: bool) -> Vec<i64> {
-    let mut strides = vec![1i64; nest.depth()];
-    if let Some(last) = strides.last_mut() {
-        *last = gen.fastest_stride;
-    }
-    strides[nest.parallel_dim()] = 1;
-    if light {
-        let trips = nest.trip_count_estimates();
-        let mut remaining = gen.light_stride_factor.max(1);
-        for k in (0..nest.depth()).rev() {
-            if k == nest.parallel_dim() || remaining <= 1 {
-                continue;
-            }
-            let room = (trips[k] / strides[k]).max(1);
-            let take = remaining.min(room);
-            strides[k] *= take;
-            remaining = (remaining + take - 1) / take;
-        }
-    }
-    strides
-}
-
 /// Builds the walk geometry for `thread` (or the global walk when
 /// `thread` is `None`).
 fn walk_for(nest: &LoopNest, strides: &[i64], thread: Option<(usize, usize)>) -> Walk {
@@ -814,22 +791,21 @@ impl Footprint {
         let line = cfg.line_bytes;
         let cap = cfg.effective_capacity();
         let nests = program.nests();
-        let max_weight = nests.iter().map(|n| n.weight()).max().unwrap_or(1);
+        let sampling = app.gen.sampling(program);
 
         // ── Per-nest footprint model ───────────────────────────────────
         let mut components: Vec<ComponentMisses> = Vec::new();
-        for (ni, nest) in nests.iter().enumerate() {
-            let light = nest.weight().saturating_mul(8) < max_weight;
-            let strides = mirror_strides(nest, &app.gen, light);
-            let reps = if light { 1 } else { app.gen.hot_reps.max(1) } as u64;
+        for (ni, (nest, sampling)) in nests.iter().zip(&sampling).enumerate() {
+            let strides = &sampling.strides;
+            let reps = sampling.reps as u64;
             let par = nest.parallel_dim();
             let groups = group_refs(program, nest);
             if groups.is_empty() {
                 continue;
             }
-            let global_walk = walk_for(nest, &strides, None);
+            let global_walk = walk_for(nest, strides, None);
             let thread_walks: Vec<Walk> = (0..n_threads)
-                .map(|t| walk_for(nest, &strides, Some((t, n_threads))))
+                .map(|t| walk_for(nest, strides, Some((t, n_threads))))
                 .collect();
 
             // Level line counts per (array, class).

@@ -30,4 +30,4 @@ pub use hoploc_prefetch::{PrefetchConfig, PrefetchMode, PrefetchSummary};
 pub use machine::Simulator;
 pub use os::{Os, PagePolicy};
 pub use stats::{Improvement, RunStats};
-pub use trace::{Access, ThreadTrace, TraceWorkload};
+pub use trace::{Access, KindHint, ThreadTrace, TraceWorkload};

@@ -110,6 +110,9 @@ struct PfState {
 struct ThreadState {
     node: NodeId,
     cursor: usize,
+    /// The access at `cursor`, decoded from the trace once, when its issue
+    /// was scheduled.
+    next: Access,
     /// Misses currently outstanding (bounded by the configured MLP).
     outstanding: u32,
     /// The thread consumed an access but could not continue (MSHRs full).
@@ -262,7 +265,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if a trace references a node outside the mesh.
+    /// Panics — before simulating anything — if a trace references a node
+    /// outside the mesh or `workload.app_of_thread` does not name one
+    /// application per thread.
     pub fn run(mut self, workload: &TraceWorkload) -> RunStats {
         self.run_core(workload)
     }
@@ -273,8 +278,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the simulator was constructed without
-    /// [`with_obs`](Self::with_obs), or if a trace references a node outside
-    /// the mesh.
+    /// [`with_obs`](Self::with_obs), or as [`run`](Self::run).
     pub fn run_traced(mut self, workload: &TraceWorkload) -> (RunStats, ObsReport) {
         assert!(
             self.obs.is_enabled(),
@@ -288,6 +292,12 @@ impl Simulator {
     }
 
     fn run_core(&mut self, workload: &TraceWorkload) -> RunStats {
+        assert!(
+            workload.app_of_thread.len() == workload.threads.len(),
+            "workload names an application for {} threads but has {}",
+            workload.app_of_thread.len(),
+            workload.threads.len()
+        );
         for t in &workload.threads {
             assert!(
                 (t.node.0 as usize) < self.config.num_nodes(),
@@ -300,15 +310,14 @@ impl Simulator {
             .map(|t| ThreadState {
                 node: t.node,
                 cursor: 0,
+                next: Access::default(),
                 outstanding: 0,
                 blocked: false,
                 finish: 0,
             })
             .collect();
-        for (i, t) in workload.threads.iter().enumerate() {
-            if let Some(first) = t.accesses.first() {
-                self.schedule(first.gap as u64, EventKind::Issue { thread: i });
-            }
+        for thread in 0..workload.threads.len() {
+            self.schedule_next(workload, thread, 0);
         }
 
         while let Some((now, kind)) = self.events.pop() {
@@ -425,7 +434,12 @@ impl Simulator {
 
     fn handle_issue(&mut self, workload: &TraceWorkload, thread: usize, now: u64) {
         let node = self.threads[thread].node;
-        let access = workload.threads[thread].accesses[self.threads[thread].cursor];
+        let access = self.threads[thread].next;
+        debug_assert_eq!(
+            workload.threads[thread].get(self.threads[thread].cursor),
+            Some(access),
+            "an issue is only scheduled by `schedule_next`, for the access at the cursor"
+        );
         self.total_accesses += 1;
 
         let paddr = self.os.translate(access.vaddr, node, &self.mapping);
@@ -991,7 +1005,8 @@ impl Simulator {
     /// Schedules the thread's next access (if any) after `now`.
     fn schedule_next(&mut self, workload: &TraceWorkload, thread: usize, now: u64) {
         let cursor = self.threads[thread].cursor;
-        if let Some(next) = workload.threads[thread].accesses.get(cursor) {
+        if let Some(next) = workload.threads[thread].get(cursor) {
+            self.threads[thread].next = next;
             self.schedule(now + next.gap as u64, EventKind::Issue { thread });
         }
     }

@@ -55,7 +55,7 @@ fn bursty_arrivals_exercise_the_poll_path() {
     let (mut cfg, mapping) = small();
     cfg.mlp = 4;
     let threads: Vec<ThreadTrace> = (0..16).map(|n| stream(n, 128, 4096, 0)).collect();
-    let total: u64 = threads.iter().map(|t| t.accesses.len() as u64).sum();
+    let total: u64 = threads.iter().map(|t| t.len() as u64).sum();
     let w = TraceWorkload::single("burst", threads);
     let stats = Simulator::new(cfg, mapping, PagePolicy::Interleaved).run(&w);
     assert_eq!(stats.total_accesses, total);
@@ -239,4 +239,13 @@ fn shared_writebacks_leave_from_the_home_bank_without_blocking() {
         ways: 4,
     };
     assert_writebacks_do_not_block(cfg, mapping);
+}
+
+#[test]
+#[should_panic(expected = "names an application for 1 threads but has 2")]
+fn a_workload_short_of_application_ids_is_refused_before_the_run() {
+    let (cfg, mapping) = small();
+    let mut w = TraceWorkload::single("t", vec![stream(0, 4, 256, 1), stream(1, 4, 256, 1)]);
+    w.app_of_thread.pop();
+    Simulator::new(cfg, mapping, PagePolicy::Interleaved).run(&w);
 }

@@ -17,9 +17,9 @@
 //! `tests/trace_oracle.rs` holds the whole function to a generator that
 //! does nothing else.
 
-use hoploc_affine::{AccessFn, ArrayId, Program, RefKind};
+use hoploc_affine::{AccessFn, ArrayId, LoopNest, Program, RefKind};
 use hoploc_layout::{ArrayLayout, ProgramLayout, Run};
-use hoploc_sim::{Access, AddressSpace, ThreadTrace, TraceWorkload};
+use hoploc_sim::{Access, AddressSpace, KindHint, ThreadTrace, TraceWorkload};
 
 /// The most threads per core a request from outside the program (a CLI
 /// flag, a served job) may ask for: comfortably above Figure 24's 1, 2 and
@@ -99,9 +99,68 @@ impl TraceGen {
             ..Self::tuned(fastest_stride)
         }
     }
+
+    /// How each nest of `program` is sampled, in nest order: the one
+    /// statement of the rule the generator, its buffer sizing and the
+    /// estimator's footprint model all replay.
+    pub fn sampling(&self, program: &Program) -> Vec<NestSampling> {
+        let nests = program.nests();
+        let max_weight = nests.iter().map(|n| n.weight()).max().unwrap_or(1);
+        nests
+            .iter()
+            .map(|nest| {
+                let light = nest.weight().saturating_mul(8) < max_weight;
+                NestSampling {
+                    light,
+                    strides: self.strides(nest, light),
+                    reps: if light { 1 } else { self.hot_reps.max(1) },
+                }
+            })
+            .collect()
+    }
+
+    fn strides(&self, nest: &LoopNest, light: bool) -> Vec<i64> {
+        let mut strides = vec![1i64; nest.depth()];
+        if let Some(last) = strides.last_mut() {
+            *last = self.fastest_stride;
+        }
+        // Never subsample the parallel loop: chunk ownership must be exact.
+        strides[nest.parallel_dim()] = 1;
+        if light {
+            // Distribute the light-nest subsampling across the sequential
+            // loops, innermost first, so shallow inner loops cannot absorb
+            // (and thereby cancel) the factor.
+            let trips = nest.trip_count_estimates();
+            let mut remaining = self.light_stride_factor.max(1);
+            for k in (0..nest.depth()).rev() {
+                if k == nest.parallel_dim() || remaining <= 1 {
+                    continue;
+                }
+                let room = (trips[k] / strides[k]).max(1);
+                let take = remaining.min(room);
+                strides[k] *= take;
+                remaining = (remaining + take - 1) / take;
+            }
+        }
+        strides
+    }
 }
 
-/// One static reference of a nest body, as the replay needs it.
+/// How trace generation samples one nest.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct NestSampling {
+    /// Whether the nest's weight is below 1/8 of the program's heaviest:
+    /// one-shot set-up, subsampled by [`TraceGen::light_stride_factor`] and
+    /// issued at low intensity.
+    pub light: bool,
+    /// The stride each loop of the nest is walked with.
+    pub strides: Vec<i64>,
+    /// How many times the nest is replayed.
+    pub reps: usize,
+}
+
+/// One static reference of a nest body that emits accesses, as the replay
+/// needs it.
 struct RefPlan<'a> {
     access: &'a AccessFn,
     array: ArrayId,
@@ -111,11 +170,84 @@ struct RefPlan<'a> {
     /// loop's stride. Empty for indexed references.
     delta: Vec<i64>,
     write: bool,
-    /// Issue gap before the statement's first reference (compute cycles
-    /// plus addressing overhead, before jitter); `None` for the
+    /// Issue gap before the statement's first emitting reference (compute
+    /// cycles plus addressing overhead, before jitter); `None` for the
     /// statement's later references, which issue back to back.
     lead_gap: Option<u32>,
     ref_id: u32,
+}
+
+/// The references of `nest` that emit, in body order, with everything about
+/// each that does not depend on the iteration resolved once per nest
+/// instead of once per access.
+fn ref_plans<'a>(
+    program: &'a Program,
+    layout: &'a ProgramLayout,
+    gen: &TraceGen,
+    nest_idx: usize,
+    nest: &'a LoopNest,
+    sampling: &NestSampling,
+) -> Vec<RefPlan<'a>> {
+    // A reference id packs (nest, statement, reference) into 16 + 8 + 8
+    // bits; what does not fit would alias another reference's id.
+    assert!(
+        nest_idx < 1 << 16
+            && nest.body().len() <= 1 << 8
+            && nest.body().iter().all(|stmt| stmt.refs.len() <= 1 << 8),
+        "{}: nest {nest_idx} is beyond what a reference id encodes \
+         (65536 nests, 256 statements per nest, 256 references per statement)",
+        program.name()
+    );
+    // Light (setup) nests also run at low issue intensity: on real
+    // inputs they are a vanishing fraction of execution, so they must
+    // not contribute burst congestion.
+    let gap_mult = gen.gap_scale
+        * if sampling.light {
+            gen.light_stride_factor.max(1) as u32
+        } else {
+            1
+        };
+    let last = nest.depth() - 1;
+    let step = sampling.strides[last];
+    let overhead = gen.overhead_cycles;
+
+    let plans = nest.body().iter().enumerate().flat_map(|(stmt_idx, stmt)| {
+        // An indexed reference over an empty table reads nothing. The
+        // statement's compute gap goes before the first reference left.
+        let emitting = stmt
+            .refs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| match &r.access {
+                AccessFn::Affine(_) => true,
+                AccessFn::Indexed { table, .. } => !program.table(*table).is_empty(),
+            });
+        emitting.enumerate().map(move |(k, (ri, r))| {
+            // The (strength-reduced) division/modulo addressing
+            // overhead is charged once per iteration, not per
+            // reference — matching the paper's ≈4% aggregate.
+            let transformed = !layout.layout(r.array).is_original();
+            RefPlan {
+                access: &r.access,
+                array: r.array,
+                layout: layout.layout(r.array),
+                delta: match &r.access {
+                    AccessFn::Affine(a) => (0..a.rank())
+                        .map(|row| a.matrix()[(row, last)] * step)
+                        .collect(),
+                    AccessFn::Indexed { .. } => Vec::new(),
+                },
+                write: r.kind == RefKind::Write,
+                lead_gap: (k == 0).then(|| {
+                    stmt.compute_cycles * gap_mult + if transformed { overhead } else { 0 }
+                }),
+                // A stable per-static-reference id: the
+                // stride-prefetcher's training key (its "PC").
+                ref_id: ((nest_idx as u32) << 16) | ((stmt_idx as u32) << 8) | ri as u32,
+            }
+        })
+    });
+    plans.collect()
 }
 
 /// Generates the workload traces for `program` under `layout`.
@@ -137,13 +269,30 @@ pub fn generate_traces(
     );
     let n_cores = layout.binding().len();
     let n_threads = n_cores * gen.threads_per_core;
+    let sampling = gen.sampling(program);
+    let nests = || program.nests().iter().zip(&sampling);
+    let plans: Vec<Vec<RefPlan<'_>>> = nests()
+        .enumerate()
+        .map(|(nest_idx, (nest, sampling))| {
+            ref_plans(program, layout, gen, nest_idx, nest, sampling)
+        })
+        .collect();
 
-    let mut traces: Vec<ThreadTrace> = (0..n_threads)
-        .map(|t| {
-            ThreadTrace::new(
-                layout.binding().node_of(t / gen.threads_per_core),
-                Vec::new(),
-            )
+    // A counting walk over the runs the replay below makes, so that every
+    // thread's buffer is reserved once, at its final length.
+    let mut lens = vec![0usize; n_threads];
+    for ((nest, sampling), refs) in nests().zip(&plans) {
+        for (t, len) in lens.iter_mut().enumerate() {
+            let mut points = 0;
+            nest.walk_core_runs(t, n_threads, &sampling.strides, |_, n| points += n as usize);
+            *len += points * refs.len() * sampling.reps;
+        }
+    }
+    let mut traces: Vec<ThreadTrace> = lens
+        .iter()
+        .enumerate()
+        .map(|(t, &len)| {
+            ThreadTrace::with_capacity(layout.binding().node_of(t / gen.threads_per_core), len)
         })
         .collect();
 
@@ -151,104 +300,19 @@ pub fn generate_traces(
     let max_rank = program.arrays().iter().map(|a| a.rank()).max();
     let mut dvec = vec![0i64; max_rank.unwrap_or(0)];
 
-    let max_weight = program
-        .nests()
-        .iter()
-        .map(|n| n.weight())
-        .max()
-        .unwrap_or(1);
-    for (nest_idx, nest) in program.nests().iter().enumerate() {
-        let light = nest.weight().saturating_mul(8) < max_weight;
-        let mut strides = vec![1i64; nest.depth()];
-        if let Some(last) = strides.last_mut() {
-            *last = gen.fastest_stride;
-        }
-        // Never subsample the parallel loop: chunk ownership must be exact.
-        strides[nest.parallel_dim()] = 1;
-        if light {
-            // Distribute the light-nest subsampling across the sequential
-            // loops, innermost first, so shallow inner loops cannot absorb
-            // (and thereby cancel) the factor.
-            let trips = nest.trip_count_estimates();
-            let mut remaining = gen.light_stride_factor.max(1);
-            for k in (0..nest.depth()).rev() {
-                if k == nest.parallel_dim() || remaining <= 1 {
-                    continue;
-                }
-                let room = (trips[k] / strides[k]).max(1);
-                let take = remaining.min(room);
-                strides[k] *= take;
-                remaining = (remaining + take - 1) / take;
-            }
-        }
-        let reps = if light { 1 } else { gen.hot_reps.max(1) };
-        // Light (setup) nests also run at low issue intensity: on real
-        // inputs they are a vanishing fraction of execution, so they must
-        // not contribute burst congestion.
-        let gap_mult = gen.gap_scale
-            * if light {
-                gen.light_stride_factor.max(1) as u32
-            } else {
-                1
-            };
-
-        // A reference id packs (nest, statement, reference) into 16 + 8 + 8
-        // bits; what does not fit would alias another reference's id.
-        assert!(
-            nest_idx < 1 << 16
-                && nest.body().len() <= 1 << 8
-                && nest.body().iter().all(|stmt| stmt.refs.len() <= 1 << 8),
-            "{}: nest {nest_idx} is beyond what a reference id encodes \
-             (65536 nests, 256 statements per nest, 256 references per statement)",
-            program.name()
-        );
+    for ((nest, sampling), refs) in nests().zip(&plans) {
+        let strides = &sampling.strides;
         let last = nest.depth() - 1;
         let step = strides[last];
-
-        // Everything about a reference that does not depend on the
-        // iteration, resolved once per nest instead of once per access.
-        let refs: Vec<RefPlan<'_>> = nest
-            .body()
-            .iter()
-            .enumerate()
-            .flat_map(|(stmt_idx, stmt)| {
-                stmt.refs.iter().enumerate().map(move |(ri, r)| {
-                    // The (strength-reduced) division/modulo addressing
-                    // overhead is charged once per iteration, not per
-                    // reference — matching the paper's ≈4% aggregate.
-                    let transformed = !layout.layout(r.array).is_original();
-                    RefPlan {
-                        access: &r.access,
-                        array: r.array,
-                        layout: layout.layout(r.array),
-                        delta: match &r.access {
-                            AccessFn::Affine(a) => (0..a.rank())
-                                .map(|row| a.matrix()[(row, last)] * step)
-                                .collect(),
-                            AccessFn::Indexed { .. } => Vec::new(),
-                        },
-                        write: r.kind == RefKind::Write,
-                        lead_gap: (ri == 0).then(|| {
-                            stmt.compute_cycles * gap_mult
-                                + if transformed { gen.overhead_cycles } else { 0 }
-                        }),
-                        // A stable per-static-reference id: the
-                        // stride-prefetcher's training key (its "PC").
-                        ref_id: ((nest_idx as u32) << 16) | ((stmt_idx as u32) << 8) | ri as u32,
-                    }
-                })
-            })
-            .collect();
         // Each reference's cursor along the current run; `None` sends the
         // reference through `place` access by access.
         let mut cursors: Vec<Option<Run<'_>>> = vec![None; refs.len()];
+        let mut hints = vec![KindHint::default(); refs.len()];
 
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..n_threads {
-            let accesses = &mut traces[t].accesses;
+        for (t, trace) in traces.iter_mut().enumerate() {
             let mut jit_state: u64 = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            for _rep in 0..reps {
-                nest.walk_core_runs(t, n_threads, &strides, |iter, n| {
+            for _rep in 0..sampling.reps {
+                nest.walk_core_runs(t, n_threads, strides, |iter, n| {
                     for (r, cursor) in refs.iter().zip(&mut cursors) {
                         *cursor = match r.access {
                             AccessFn::Affine(a) => {
@@ -260,7 +324,7 @@ pub fn generate_traces(
                         };
                     }
                     for _ in 0..n {
-                        for (r, cursor) in refs.iter().zip(&mut cursors) {
+                        for ((r, cursor), hint) in refs.iter().zip(&mut cursors).zip(&mut hints) {
                             let vaddr = match (cursor, r.access) {
                                 (Some(run), _) => space.addr_at(r.array, run.next_offset()),
                                 (None, AccessFn::Affine(a)) => {
@@ -270,9 +334,6 @@ pub fn generate_traces(
                                 }
                                 (None, AccessFn::Indexed { table, pos }) => {
                                     let tab = program.table(*table);
-                                    if tab.is_empty() {
-                                        continue;
-                                    }
                                     let p = pos.eval(iter).rem_euclid(tab.len() as i64);
                                     space.addr_of(layout, r.array, &[tab[p as usize]])
                                 }
@@ -292,12 +353,13 @@ pub fn generate_traces(
                                 }
                                 None => 1,
                             };
-                            accesses.push(Access {
+                            let access = Access {
                                 vaddr,
                                 write: r.write,
                                 gap,
                                 ref_id: r.ref_id,
-                            });
+                            };
+                            trace.push_hinted(access, hint);
                         }
                         iter[last] += step;
                     }
@@ -306,13 +368,19 @@ pub fn generate_traces(
         }
     }
 
+    debug_assert!(
+        traces.iter().zip(&lens).all(|(t, &len)| t.len() == len),
+        "the counting walk and the replay disagree"
+    );
     TraceWorkload::single(program.name().to_string(), traces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoploc_affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
+    use hoploc_affine::{
+        AffineAccess, AffineExpr, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement,
+    };
     use hoploc_layout::{baseline_layout, optimize_program, PassConfig};
     use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
 
@@ -368,8 +436,8 @@ mod tests {
         let layout = baseline_layout(&p, 64);
         let space = AddressSpace::build(&p, &layout, 0);
         let w = generate_traces(&p, &layout, &space, &TraceGen::default());
-        let (reads, writes): (Vec<&Access>, Vec<&Access>) =
-            w.threads[0].accesses.iter().partition(|a| !a.write);
+        let (reads, writes): (Vec<Access>, Vec<Access>) =
+            w.threads[0].iter().partition(|a| !a.write);
         assert_eq!(reads.len(), writes.len());
     }
 
@@ -385,7 +453,7 @@ mod tests {
         let opt_layout = optimize_program(&p, &mapping(), PassConfig::default());
         let space_opt = AddressSpace::build(&p, &opt_layout, 0);
         let opt = generate_traces(&p, &opt_layout, &space_opt, &TraceGen::default());
-        let g = |w: &TraceWorkload| w.threads[0].accesses[0].gap;
+        let g = |w: &TraceWorkload| w.threads[0].get(0).unwrap().gap;
         assert_eq!(
             g(&opt),
             g(&base) + 1,
@@ -415,6 +483,43 @@ mod tests {
     }
 
     #[test]
+    fn a_skipped_first_reference_leaves_the_compute_gap_to_the_next() {
+        // An indexed reference over an empty table emits nothing; the
+        // statement's gap then belongs to the affine read after it.
+        let mut p = Program::new("empty-table");
+        let x = p.add_array(ArrayDecl::new("X", vec![128, 64], 8));
+        let v = p.add_array(ArrayDecl::new("V", vec![64], 8));
+        let table = p.add_table(Vec::new());
+        p.add_nest(LoopNest::new(
+            vec![Loop::constant(0, 128), Loop::constant(0, 64)],
+            0,
+            vec![Statement::new(
+                vec![
+                    ArrayRef::indexed_read(v, table, AffineExpr::var(2, 1)),
+                    ArrayRef::read(x, AffineAccess::identity(2)),
+                ],
+                5,
+            )],
+            1,
+        ));
+        let layout = baseline_layout(&p, 64);
+        let space = AddressSpace::build(&p, &layout, 0);
+        let gen = TraceGen {
+            gap_scale: 3,
+            desync_jitter: 0,
+            ..TraceGen::default()
+        };
+        let w = generate_traces(&p, &layout, &space, &gen);
+        assert_eq!(w.total_accesses(), 128 * 64);
+        let first = w.threads[0].get(0).unwrap();
+        assert_eq!(first.gap, 5 * 3, "the statement's compute gap, scaled");
+        assert_eq!(
+            first.ref_id, 1,
+            "the id of the reference's place in the statement"
+        );
+    }
+
+    #[test]
     fn threads_per_core_multiplies_threads() {
         let p = program();
         let layout = baseline_layout(&p, 64);
@@ -440,7 +545,7 @@ mod tests {
         let w = generate_traces(&p, &layout, &space, &TraceGen::default());
         let mut seen = std::collections::HashSet::new();
         for t in &w.threads {
-            for a in t.accesses.iter().filter(|a| a.write) {
+            for a in t.iter().filter(|a| a.write) {
                 assert!(seen.insert(a.vaddr), "duplicate write to {:#x}", a.vaddr);
             }
         }

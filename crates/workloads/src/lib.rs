@@ -17,7 +17,7 @@ pub use apps::{
     all_apps, ammp, app_by_name, applu, apsi, art, fma3d, gafort, galgel, hpccg, mgrid, minighost,
     minimd, mixes, swim, wupwise, App, Scale, APP_NAMES,
 };
-pub use gen::{generate_traces, TraceGen, MAX_THREADS_PER_CORE};
+pub use gen::{generate_traces, NestSampling, TraceGen, MAX_THREADS_PER_CORE};
 pub use suite::{
     build_workload, layout_for, layout_with, page_policy, run_app, run_app_threads, run_mix,
     weighted_speedup, LayoutPlanner, RunKind,

@@ -73,7 +73,7 @@ fn addresses_stay_inside_the_address_space() {
         let space = AddressSpace::build(&p, &layout, 4096);
         let w = generate_traces(&p, &layout, &space, &TraceGen::default());
         for t in &w.threads {
-            for a in &t.accesses {
+            for a in t.iter() {
                 assert!(a.vaddr >= 4096);
                 assert!(a.vaddr < 4096 + space.total_bytes());
             }

@@ -24,8 +24,8 @@ fn digest(app: &hoploc_workloads::App, kind: RunKind, threads_per_core: usize) -
     };
     for t in &workload.threads {
         mix(t.node.0 as u64);
-        mix(t.accesses.len() as u64);
-        for a in &t.accesses {
+        mix(t.len() as u64);
+        for a in t.iter() {
             mix(a.vaddr);
             mix(a.write as u64);
             mix(a.gap as u64);

@@ -1,11 +1,14 @@
 //! The trace oracle: `generate_traces` against the per-access generator it
 //! replaced.
 //!
-//! [`reference_traces`] is that generator, moved here verbatim before the
-//! run-based one was written: every access evaluates its reference's
-//! subscripts from the iteration vector and goes through
-//! `AddressSpace::addr_of`, i.e. `ArrayLayout::place` — the definition of
-//! the layout. `generate_traces` must produce the same `TraceWorkload`,
+//! [`reference_traces`] is that generator, moved here before the run-based
+//! one was written: every access evaluates its reference's subscripts
+//! from the iteration vector and goes through `AddressSpace::addr_of`,
+//! i.e. `ArrayLayout::place` — the definition of the layout — and is
+//! appended with `ThreadTrace::push`, one `Access` at a time, into a trace
+//! nobody sized. It restates the whole rule, sampling strides included;
+//! the one edit since is which reference carries a statement's compute
+//! gap (its first that emits, not its first). `generate_traces` must produce the same `TraceWorkload`,
 //! access for access, whatever shortcuts it takes along an innermost-loop
 //! run. Any change under `crates/workloads/src/gen.rs`,
 //! `crates/layout/src/customize.rs` or `crates/affine/src/nest.rs` is
@@ -13,8 +16,8 @@
 //! push.
 
 use hoploc_affine::{
-    AccessFn, AffineAccess, ArrayDecl, ArrayId, ArrayRef, IMat, IVec, Loop, LoopNest, Program,
-    RefKind, Statement,
+    AccessFn, AffineAccess, AffineExpr, ArrayDecl, ArrayId, ArrayRef, IMat, IVec, Loop, LoopNest,
+    Program, RefKind, Statement,
 };
 use hoploc_layout::{
     baseline_layout, optimize_program, Granularity, L2Mode, PassConfig, ProgramLayout,
@@ -112,6 +115,13 @@ fn reference_traces(
             .iter()
             .enumerate()
             .flat_map(|(stmt_idx, stmt)| {
+                // An indexed reference over an empty table emits nothing;
+                // the statement's gap goes before its first reference
+                // that does emit.
+                let lead = stmt.refs.iter().position(|r| match &r.access {
+                    AccessFn::Affine(_) => true,
+                    AccessFn::Indexed { table, .. } => !program.table(*table).is_empty(),
+                });
                 stmt.refs.iter().enumerate().map(move |(ri, r)| {
                     // The (strength-reduced) division/modulo addressing
                     // overhead is charged once per iteration, not per
@@ -121,7 +131,7 @@ fn reference_traces(
                         access: &r.access,
                         array: r.array,
                         write: r.kind == RefKind::Write,
-                        lead_gap: (ri == 0).then(|| {
+                        lead_gap: (lead == Some(ri)).then(|| {
                             stmt.compute_cycles * gap_mult
                                 + if transformed { gen.overhead_cycles } else { 0 }
                         }),
@@ -135,9 +145,7 @@ fn reference_traces(
             })
             .collect();
 
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..n_threads {
-            let accesses = &mut traces[t].accesses;
+        for (t, trace) in traces.iter_mut().enumerate() {
             let mut jit_state: u64 = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for _rep in 0..reps {
                 nest.walk_core_iterations(t, n_threads, &strides, |iter| {
@@ -172,7 +180,7 @@ fn reference_traces(
                             }
                             None => 1,
                         };
-                        accesses.push(Access {
+                        trace.push(Access {
                             vaddr,
                             write: r.write,
                             gap,
@@ -205,19 +213,15 @@ fn assert_matches_reference(
         assert_eq!(got.threads.len(), want.threads.len(), "{cell}: threads");
         for (t, (g, w)) in got.threads.iter().zip(&want.threads).enumerate() {
             assert_eq!(g.node, w.node, "{cell}: node of thread {t}");
-            if let Some(i) = (0..g.accesses.len().min(w.accesses.len()))
-                .find(|&i| g.accesses[i] != w.accesses[i])
+            if let Some((i, (g, w))) = g
+                .iter()
+                .zip(w.iter())
+                .enumerate()
+                .find(|(_, (g, w))| g != w)
             {
-                panic!(
-                    "{cell}: thread {t} access {i}: generated {:?}, reference {:?}",
-                    g.accesses[i], w.accesses[i]
-                );
+                panic!("{cell}: thread {t} access {i}: generated {g:?}, reference {w:?}");
             }
-            assert_eq!(
-                g.accesses.len(),
-                w.accesses.len(),
-                "{cell}: length of thread {t}"
-            );
+            assert_eq!(g.len(), w.len(), "{cell}: length of thread {t}");
         }
         unreachable!("{cell}: workloads differ but no field does");
     }
@@ -289,7 +293,8 @@ fn generator_matches_the_per_access_reference_at_bench_scale() {
 /// at its end, in the middle of a chunk and for whole runs; plus a 1-deep
 /// nest over a rank-1 array (the partition coordinate moves along the
 /// run) reading past its end, and a transposed reference whose rows leave
-/// the array entirely. Whether any of the 13 apps engages a clamp mid-run
+/// the array entirely, and a statement led by an indexed reference over an
+/// empty table. Whether any of the 13 apps engages a clamp mid-run
 /// is not known, so this is the standing guard for the per-access
 /// fallback inside `generate_traces`.
 fn halo_program() -> Program {
@@ -323,20 +328,32 @@ fn halo_program() -> Program {
         )],
         4,
     ));
+    let empty = p.add_table(Vec::new());
     p.add_nest(LoopNest::new(
         vec![Loop::constant(0, 4096)],
         0,
-        vec![Statement::new(
-            vec![
-                ArrayRef::read(v, AffineAccess::new(IMat::identity(1), IVec::new(vec![70]))),
-                ArrayRef::read(
-                    v,
-                    AffineAccess::new(IMat::from_rows(&[&[-1]]), IVec::new(vec![4000])),
-                ),
-                ArrayRef::write(v, AffineAccess::identity(1)),
-            ],
-            1,
-        )],
+        vec![
+            Statement::new(
+                vec![
+                    ArrayRef::read(v, AffineAccess::new(IMat::identity(1), IVec::new(vec![70]))),
+                    ArrayRef::read(
+                        v,
+                        AffineAccess::new(IMat::from_rows(&[&[-1]]), IVec::new(vec![4000])),
+                    ),
+                    ArrayRef::write(v, AffineAccess::identity(1)),
+                ],
+                1,
+            ),
+            // A leading reference that emits nothing: the statement's gap
+            // moves to the read behind it.
+            Statement::new(
+                vec![
+                    ArrayRef::indexed_read(v, empty, AffineExpr::var(1, 0)),
+                    ArrayRef::read(v, AffineAccess::identity(1)),
+                ],
+                3,
+            ),
+        ],
         4,
     ));
     p

@@ -1,7 +1,8 @@
 //! The per-access paths of the cycle tier do not allocate: heap
 //! allocations during `Simulator::run` and `generate_traces` are set by
-//! the machine and the footprint (pages, threads, requests in flight,
-//! trace-buffer doublings), not by how many accesses are replayed.
+//! the machine and the footprint (pages, threads, requests in flight),
+//! not by how many accesses are replayed — and a trace costs 8 bytes per
+//! access in one buffer per thread.
 //!
 //! Counted with a global allocator (`counting_alloc`), so this binary
 //! holds exactly one test.
@@ -10,7 +11,9 @@ use hoploc::affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program,
 use hoploc::layout::{optimize_program, Granularity, PassConfig};
 use hoploc::noc::L2ToMcMapping;
 use hoploc::sim::{AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
-use hoploc::workloads::{applu, generate_traces, layout_for, swim, RunKind, Scale, TraceGen};
+use hoploc::workloads::{
+    applu, generate_traces, layout_for, swim, wupwise, RunKind, Scale, TraceGen,
+};
 
 mod counting_alloc;
 
@@ -92,7 +95,7 @@ fn allocations_do_not_grow_with_trace_length() {
             name.clone(),
             once.threads
                 .iter()
-                .map(|t| ThreadTrace::new(t.node, t.accesses.repeat(4)))
+                .map(|t| ThreadTrace::new(t.node, t.iter().collect::<Vec<_>>().repeat(4)))
                 .collect(),
         );
         let run = |w: &TraceWorkload| {
@@ -113,6 +116,42 @@ fn allocations_do_not_grow_with_trace_length() {
             repeated_allocs < repeated_stats.total_accesses / 50,
             "{name}: {repeated_allocs} allocations for {} accesses",
             repeated_stats.total_accesses
+        );
+    }
+
+    // A trace is one 8-byte word per access in a buffer reserved once per
+    // thread, at its final length: at bench scale, where most threads'
+    // buffers are far above `LARGE_BYTES`, generation makes exactly one
+    // large call for each of those and asks for no more than the words
+    // plus a fixed
+    // allowance for everything else it holds (per-thread kind tables and
+    // their index, per-nest reference plans, cursors and strides).
+    const ALLOWANCE_BYTES: u64 = 256 << 10;
+    for app in [swim(Scale::Bench), wupwise(Scale::Bench)] {
+        let layout = layout_for(&app, &mapping, &sim, RunKind::Optimized);
+        let space = AddressSpace::build(&app.program, &layout, 0);
+        let (allocated, w) = counting_alloc::allocated_during(|| {
+            generate_traces(&app.program, &layout, &space, &app.gen)
+        });
+        let name = app.name();
+        let large_threads = w
+            .threads
+            .iter()
+            .filter(|t| 8 * t.len() >= counting_alloc::LARGE_BYTES)
+            .count();
+        assert!(
+            2 * large_threads >= w.threads.len(),
+            "{name}: only {large_threads} threads have a buffer that counts as large"
+        );
+        assert_eq!(
+            allocated.large_calls, large_threads as u64,
+            "{name}: one buffer reservation per thread"
+        );
+        assert!(
+            allocated.bytes <= 8 * w.total_accesses() + ALLOWANCE_BYTES,
+            "{name}: generate_traces asked for {} bytes for {} accesses",
+            allocated.bytes,
+            w.total_accesses()
         );
     }
 

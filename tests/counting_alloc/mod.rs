@@ -8,6 +8,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+/// The size from which a call counts as large: above every table, cursor
+/// and scratch vector of the paths under test, below a bench-scale
+/// thread's trace buffer.
+pub const LARGE_BYTES: usize = 64 << 10;
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    if size >= LARGE_BYTES {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 /// The system allocator, counting every allocation and reallocation and
 /// the bytes each asked for.
@@ -18,8 +32,7 @@ struct Counting;
 // touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's `layout` obligations are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -30,8 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
         // caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -41,8 +53,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What `f` asked the allocator for. Each test binary reads the field it
-/// bounds, so the other one is dead code there.
+/// What `f` asked the allocator for. Each test binary reads the fields it
+/// bounds, so the others are dead code there.
 #[allow(dead_code)]
 #[derive(Clone, Copy, Debug)]
 pub struct Allocated {
@@ -50,6 +62,8 @@ pub struct Allocated {
     pub calls: u64,
     /// Bytes those calls requested.
     pub bytes: u64,
+    /// Calls that asked for at least [`LARGE_BYTES`].
+    pub large_calls: u64,
 }
 
 /// Runs `f` and reports what it (and anything else running meanwhile)
@@ -57,10 +71,12 @@ pub struct Allocated {
 pub fn allocated_during<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
     let calls = ALLOCATIONS.load(Ordering::Relaxed);
     let bytes = BYTES.load(Ordering::Relaxed);
+    let large = LARGE.load(Ordering::Relaxed);
     let r = f();
     let allocated = Allocated {
         calls: ALLOCATIONS.load(Ordering::Relaxed) - calls,
         bytes: BYTES.load(Ordering::Relaxed) - bytes,
+        large_calls: LARGE.load(Ordering::Relaxed) - large,
     };
     (allocated, r)
 }
