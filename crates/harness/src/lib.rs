@@ -64,6 +64,17 @@ pub struct RunRecord {
     pub stats: RunStats,
 }
 
+impl RunRecord {
+    /// The record of a run made outside [`Suite`]'s own fan-out.
+    pub fn new(app: impl Into<String>, kind: RunKind, stats: RunStats) -> Self {
+        Self {
+            app: app.into(),
+            kind,
+            stats,
+        }
+    }
+}
+
 /// A finished traced run: statistics plus the observability report
 /// (spans, metric registry, exportable snapshots).
 #[derive(Debug)]
