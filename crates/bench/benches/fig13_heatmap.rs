@@ -8,7 +8,7 @@
 //! `RunStats::node_mc_requests` exactly — same rows as the pre-obs
 //! version of this harness.
 
-use hoploc_bench::{banner, m1, obs_counters_only, standard_config};
+use hoploc_bench::{banner, m1, recorded_matrix, standard_config};
 use hoploc_harness::Suite;
 use hoploc_layout::Granularity;
 use hoploc_obs::ObsReport;
@@ -46,11 +46,10 @@ fn main() {
     let mapping = m1(sim.mesh);
     let width = sim.mesh.width() as usize;
     let s = Suite::new(vec![apsi(Scale::Bench)], mapping, sim);
-    let records = s.run_full_traced(
-        &[RunKind::Baseline, RunKind::Optimized],
-        2,
-        obs_counters_only(),
-    );
-    print_map("ORIGINAL", &records[0].report, width);
-    print_map("OPTIMIZED", &records[1].report, width);
+    let reqs = recorded_matrix(&s, &[RunKind::Baseline, RunKind::Optimized]);
+    let records = s.run_all(&reqs, 2);
+    for (title, r) in ["ORIGINAL", "OPTIMIZED"].into_iter().zip(&records) {
+        let report = r.report.as_ref().expect("every cell was recorded");
+        print_map(title, report, width);
+    }
 }

@@ -19,7 +19,7 @@ fn main() {
     let s1 = bench_suite(sim.clone(), m1);
     let s2 = bench_suite(sim, m2);
     let pairs = sweep_pair(&s1, RunKind::Baseline, RunKind::Optimized);
-    let o2 = s2.run_full(&[RunKind::Optimized], default_jobs());
+    let o2 = s2.run_all(&s2.full_matrix(&[RunKind::Optimized]), default_jobs());
     println!("{:<11} {:>8} {:>8} {:>10}", "app", "M1", "M2", "compiler");
     for (i, (name, base, opt1)) in pairs.iter().enumerate() {
         let app = &s1.apps()[i];

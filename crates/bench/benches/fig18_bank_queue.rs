@@ -8,7 +8,7 @@
 //! `RunStats::bank_queue_occupancy` arithmetic exactly — same rows as the
 //! pre-obs version of this harness.
 
-use hoploc_bench::{banner, bar, bench_suite, m1, obs_counters_only, standard_config};
+use hoploc_bench::{banner, bar, bench_suite, m1, recorded_matrix, standard_config};
 use hoploc_harness::default_jobs;
 use hoploc_layout::Granularity;
 use hoploc_workloads::RunKind;
@@ -21,8 +21,11 @@ fn main() {
     let sim = standard_config(Granularity::CacheLine);
     let s = bench_suite(sim.clone(), m1(sim.mesh));
     println!("{:<11} {:>10}", "app", "occupancy");
-    for r in s.run_full_traced(&[RunKind::Optimized], default_jobs(), obs_counters_only()) {
-        let occ = r.report.bank_queue_occupancy();
+    for r in s.run_all(&recorded_matrix(&s, &[RunKind::Optimized]), default_jobs()) {
+        let occ = r
+            .report
+            .expect("every cell was recorded")
+            .bank_queue_occupancy();
         println!("{:<11} {:>10.2}  {}", r.app, occ, bar(occ, 4.0));
     }
 }

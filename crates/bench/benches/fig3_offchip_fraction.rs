@@ -14,7 +14,7 @@ fn main() {
     );
     let sim = standard_config(Granularity::Page);
     let s = bench_suite(sim.clone(), m1(sim.mesh));
-    let records = s.run_full(&[RunKind::Baseline], default_jobs());
+    let records = s.run_all(&s.full_matrix(&[RunKind::Baseline]), default_jobs());
     println!("{:<11} {:>9}", "app", "off-chip");
     let mut sum = 0.0;
     for r in &records {

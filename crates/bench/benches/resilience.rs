@@ -15,7 +15,7 @@
 
 use hoploc_bench::{banner, bench_suite, m1, m2, standard_config};
 use hoploc_fault::{FaultPlan, FaultRates};
-use hoploc_harness::{default_jobs, fault_topo, parallel_map, RunSpec, Suite};
+use hoploc_harness::{default_jobs, fault_topo, parallel_map, RunRequest, RunSpec, Suite};
 use hoploc_layout::Granularity;
 use hoploc_sim::RunStats;
 use hoploc_workloads::RunKind;
@@ -40,7 +40,7 @@ struct Arm<'a> {
 impl<'a> Arm<'a> {
     fn new(label: &'static str, suite: &'a Suite, kind: RunKind) -> Arm<'a> {
         let clean = suite
-            .run_full(&[kind], default_jobs())
+            .run_all(&suite.full_matrix(&[kind]), default_jobs())
             .into_iter()
             .map(|r| r.stats)
             .collect();
@@ -61,13 +61,13 @@ impl<'a> Arm<'a> {
             let horizon = self.clean[app].exec_cycles.max(1);
             let rates = FaultRates::at_level(level).with_horizon(horizon);
             let plan = FaultPlan::from_seed(seed + level as u64 * 1000 + app as u64, &topo, &rates);
-            self.suite.run_one_faulted(
-                RunSpec {
-                    app,
-                    kind: self.kind,
-                },
-                &plan,
-            )
+            let spec = RunSpec {
+                app,
+                kind: self.kind,
+            };
+            self.suite
+                .run(&RunRequest::new(spec).with_faults(&plan))
+                .stats
         });
         let clean_cyc: u64 = self.clean.iter().map(|s| s.exec_cycles).sum();
         let fault_cyc: u64 = faulted.iter().map(|s| s.exec_cycles).sum();

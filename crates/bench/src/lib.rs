@@ -16,13 +16,12 @@
 
 #![forbid(unsafe_code)]
 
-use hoploc_harness::{default_jobs, RunRecord, Suite, TracedRecord};
+use hoploc_harness::{default_jobs, RunRecord, RunRequest, Suite};
 use hoploc_layout::Granularity;
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
 use hoploc_obs::{ObsConfig, ObsReport};
 use hoploc_sim::{Improvement, RunStats, SimConfig};
 use hoploc_workloads::{all_apps, App, RunKind, Scale};
-use std::time::Instant;
 
 /// The standard capacity-scaled simulator configuration all harnesses use,
 /// at the given interleaving granularity.
@@ -54,10 +53,11 @@ pub fn bench_suite(sim: SimConfig, mapping: L2ToMcMapping) -> Suite {
     Suite::new(suite(), mapping, sim)
 }
 
-/// Runs the full (suite × kinds) matrix in parallel and returns, per app,
-/// the records in kind order — `result[a][k]` is app `a` under `kinds[k]`.
-pub fn sweep_kinds(s: &Suite, kinds: &[RunKind]) -> Vec<Vec<RunRecord>> {
-    let records = s.run_full(kinds, default_jobs());
+/// Runs `reqs` — a [`Suite::full_matrix`], recorded or not — in parallel
+/// and returns, per app, the records in kind order: `result[a][k]` is app
+/// `a` under the matrix's `k`-th kind.
+fn sweep(s: &Suite, reqs: &[RunRequest]) -> Vec<Vec<RunRecord>> {
+    let records = s.run_all(reqs, default_jobs());
     let napps = s.apps().len();
     let mut per_app: Vec<Vec<RunRecord>> = (0..napps).map(|_| Vec::new()).collect();
     // full_matrix orders kinds outermost, apps innermost.
@@ -65,6 +65,12 @@ pub fn sweep_kinds(s: &Suite, kinds: &[RunKind]) -> Vec<Vec<RunRecord>> {
         per_app[i % napps].push(r);
     }
     per_app
+}
+
+/// Runs the full (suite × kinds) matrix in parallel: `result[a][k]` is app
+/// `a` under `kinds[k]`.
+pub fn sweep_kinds(s: &Suite, kinds: &[RunKind]) -> Vec<Vec<RunRecord>> {
+    sweep(s, &s.full_matrix(kinds))
 }
 
 /// The commonest figure shape: baseline-vs-other per app, as
@@ -90,17 +96,14 @@ pub fn obs_counters_only() -> ObsConfig {
     }
 }
 
-/// [`sweep_kinds`] with counter-only observability on every cell:
-/// `result[a][k]` is app `a` under `kinds[k]`, carrying both the stats and
-/// the [`ObsReport`] whose counters mirror them exactly.
-pub fn sweep_kinds_traced(s: &Suite, kinds: &[RunKind]) -> Vec<Vec<TracedRecord>> {
-    let records = s.run_full_traced(kinds, default_jobs(), obs_counters_only());
-    let napps = s.apps().len();
-    let mut per_app: Vec<Vec<TracedRecord>> = (0..napps).map(|_| Vec::new()).collect();
-    for (i, r) in records.into_iter().enumerate() {
-        per_app[i % napps].push(r);
-    }
-    per_app
+/// The full (suite × kinds) matrix with [`obs_counters_only`] recording on
+/// every cell: each record carries the [`ObsReport`] whose counters mirror
+/// its stats exactly.
+pub fn recorded_matrix(s: &Suite, kinds: &[RunKind]) -> Vec<RunRequest<'static>> {
+    s.full_matrix(kinds)
+        .into_iter()
+        .map(|r| r.with_obs(obs_counters_only()))
+        .collect()
 }
 
 /// [`sweep_pair`] over observability reports: baseline-vs-other per app,
@@ -110,12 +113,13 @@ pub fn sweep_pair_traced(
     base: RunKind,
     other: RunKind,
 ) -> Vec<(String, ObsReport, ObsReport)> {
-    sweep_kinds_traced(s, &[base, other])
+    sweep(s, &recorded_matrix(s, &[base, other]))
         .into_iter()
         .map(|mut recs| {
             let o = recs.pop().expect("two kinds");
             let b = recs.pop().expect("two kinds");
-            (b.app, b.report, o.report)
+            let report = |r: RunRecord| r.report.expect("every cell was recorded");
+            (b.app.clone(), report(b), report(o))
         })
         .collect()
 }
@@ -220,27 +224,6 @@ pub fn exec_saving(base: &RunStats, opt: &RunStats) -> f64 {
 pub fn bar(value: f64, scale: f64) -> String {
     let n = ((value * scale).round().max(0.0) as usize).min(60);
     "#".repeat(n)
-}
-
-/// Times a kernel: warms it up, then reports mean ns/call over enough
-/// iterations for a stable figure. The return value is consumed with
-/// `std::hint::black_box` so the call is not optimized away.
-pub fn time_kernel<T>(name: &str, mut f: impl FnMut() -> T) {
-    // Warm up and size the batch so the timed region is ≥ ~20 ms.
-    let mut iters: u64 = 8;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 20 || iters >= 1 << 24 {
-            let per_call = elapsed.as_nanos() as f64 / iters as f64;
-            println!("{name:<28} {per_call:>12.1} ns/call   ({iters} iters)");
-            return;
-        }
-        iters = iters.saturating_mul(4);
-    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! other way around; `HL11xx` is opt-in, emitted only when a prefetch
 //! mode is requested).
 
+use hoploc_obs::json_string;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -404,27 +405,6 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -1,26 +1,5 @@
-//! Minimal hand-rolled JSON emission, matching the workspace's
-//! zero-dependency convention (see `hoploc-harness::to_json`).
-
-use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+//! Number formatting for the hand-rolled JSON this crate emits (strings
+//! escape through `hoploc_obs::json_string`).
 
 /// Renders a float as JSON (finite with fixed precision; non-finite
 /// values have no JSON literal and are reported as `null`).

@@ -49,11 +49,10 @@ pub use model::{
     FootprintInputs, PlacementScorer, RefEstimate,
 };
 pub use rank::{ranks, spearman};
-pub use xval::{
-    cross_validate, render_text, standard_configs, xval_json, XvalCell, XvalReport, KINDS,
-};
+pub use xval::{cross_validate, render_text, standard_configs, xval_json, XvalCell, XvalReport};
 
-use json::{esc, num};
+use hoploc_obs::json_string;
+use json::num;
 
 /// One prediction as a single-line JSON record — the `fidelity=est`
 /// payload hoploc-serve returns, field-compatible where the concepts
@@ -68,12 +67,12 @@ pub fn est_record_json(e: &AppEstimate) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\"app\": \"{}\", \"kind\": \"{}\", \"fidelity\": \"est\", \
+        "{{\"app\": {}, \"kind\": \"{}\", \"fidelity\": \"est\", \
          \"total_accesses\": {}, \"offchip_accesses\": {}, \"offchip_fraction\": {}, \
          \"avg_offchip_hops\": {}, \"queue_pressure\": {}, \"mc_shares\": [{}], \
          \"streaming\": {}, \"prefetchability\": {}}}",
-        esc(&e.app),
-        hoploc_harness::kind_name(e.kind),
+        json_string(&e.app),
+        e.kind.name(),
         e.total_accesses,
         e.predicted_offchip,
         num(e.offchip_fraction()),

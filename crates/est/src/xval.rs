@@ -14,38 +14,28 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hoploc_harness::{kind_name, parallel_map, RunSpec, Suite};
+use hoploc_harness::{parallel_map, RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
+use hoploc_obs::json_string;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind};
 
-use crate::json::{esc, num};
+use crate::json::num;
 use crate::model::{AppEstimate, EstConfig, Footprint};
 use crate::rank::spearman;
-
-/// The four comparison sides every figure sweeps.
-pub const KINDS: [RunKind; 4] = [
-    RunKind::Baseline,
-    RunKind::Optimized,
-    RunKind::FirstTouch,
-    RunKind::Optimal,
-];
 
 /// The standard validation configs: the capacity-scaled Table 1 machine
 /// crossed over L2 organization × interleaving granularity — the same
 /// grid `hoploc check` verifies layouts under.
 pub fn standard_configs() -> Vec<(String, SimConfig)> {
     let mut out = Vec::new();
-    for (mode, mode_name) in [(L2Mode::Private, "private"), (L2Mode::Shared, "shared")] {
-        for (gran, gran_name) in [
-            (Granularity::CacheLine, "cacheline"),
-            (Granularity::Page, "page"),
-        ] {
+    for mode in [L2Mode::Private, L2Mode::Shared] {
+        for gran in [Granularity::CacheLine, Granularity::Page] {
             let mut sim = SimConfig::scaled();
             sim.l2_mode = mode;
             sim.granularity = gran;
-            out.push((format!("{mode_name}/{gran_name}"), sim));
+            out.push((format!("{}/{}", mode.name(), gran.name()), sim));
         }
     }
     out
@@ -116,7 +106,7 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
         let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
         let suite = Suite::new(shared.clone(), mapping, sim.clone());
         let specs: Vec<RunSpec> = (0..apps.len())
-            .flat_map(|a| KINDS.iter().map(move |&kind| RunSpec { app: a, kind }))
+            .flat_map(|a| RunKind::ALL.map(|kind| RunSpec { app: a, kind }))
             .collect();
         // Both sides consume the same compiled plans; compiling them here
         // keeps layout cost out of both timers.
@@ -131,7 +121,7 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
         let app_ids: Vec<usize> = (0..apps.len()).collect();
         let ests: Vec<AppEstimate> = parallel_map(&app_ids, jobs, |&a| {
             let footprint = Footprint::of(&apps[a], &cfg);
-            KINDS.map(|kind| {
+            RunKind::ALL.map(|kind| {
                 footprint.route(&suite.layout_plan(a, kind), suite.mapping(), kind, &cfg)
             })
         })
@@ -141,11 +131,12 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
         est_nanos += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
-        let stats = parallel_map(&specs, jobs, |s| suite.run_one(*s));
+        let reqs: Vec<RunRequest> = specs.iter().copied().map(RunRequest::new).collect();
+        let runs = suite.run_all(&reqs, jobs);
         sim_nanos += t.elapsed().as_nanos() as u64;
 
         let n_mcs = sim.num_mcs();
-        for ((spec, est), st) in specs.iter().zip(&ests).zip(&stats) {
+        for ((spec, est), st) in specs.iter().zip(&ests).zip(runs.iter().map(|r| &r.stats)) {
             let totals: Vec<u64> = (0..n_mcs)
                 .map(|m| st.node_mc_requests.iter().map(|row| row[m]).sum())
                 .collect();
@@ -191,13 +182,13 @@ pub fn xval_json(r: &XvalReport) -> String {
     let mut out = String::from("{\n  \"cells\": [\n");
     for (i, c) in r.cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"kind\": \"{}\", \"config\": \"{}\", \
+            "    {{\"app\": {}, \"kind\": \"{}\", \"config\": {}, \
              \"est_offchip_fraction\": {}, \"sim_offchip_fraction\": {}, \
              \"est_hops\": {}, \"sim_hops\": {}, \
              \"est_queue_pressure\": {}, \"sim_queue_pressure\": {}}}{}\n",
-            esc(&c.app),
-            kind_name(c.kind),
-            esc(&c.config),
+            json_string(&c.app),
+            c.kind.name(),
+            json_string(&c.config),
             num(c.est_offchip_fraction),
             num(c.sim_offchip_fraction),
             num(c.est_hops),
@@ -233,7 +224,7 @@ pub fn render_text(r: &XvalReport) -> String {
         out.push_str(&format!(
             "{:<12} {:<11} {:<18} {:>9.4} {:>9.4} {:>8.2} {:>8.2} {:>7.2} {:>7.2}\n",
             c.app,
-            kind_name(c.kind),
+            c.kind.name(),
             c.config,
             c.est_offchip_fraction,
             c.sim_offchip_fraction,

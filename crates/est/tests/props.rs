@@ -5,8 +5,8 @@
 //! cycle simulator *exactly* — access for access, miss for miss.
 
 use hoploc_affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
-use hoploc_est::{estimate_app, spearman, EstConfig, Footprint, KINDS};
-use hoploc_harness::{RunSpec, Suite};
+use hoploc_est::{estimate_app, spearman, EstConfig, Footprint};
+use hoploc_harness::{RunRequest, RunSpec, Suite};
 use hoploc_layout::{AppProfile, Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_ptest::{run_cases, SmallRng};
@@ -34,7 +34,7 @@ fn predicted_offchip_is_monotone_in_l2_capacity() {
     let apps = all_apps(Scale::Test);
     run_cases("est.monotone", 60, |rng| {
         let app = &apps[rng.usize_in(0..apps.len())];
-        let kind = KINDS[rng.usize_in(0..KINDS.len())];
+        let kind = RunKind::ALL[rng.usize_in(0..RunKind::ALL.len())];
         let sim = sample_sim(rng);
         let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
         // One fixed plan; only the estimator's capacity knob moves, so
@@ -155,7 +155,7 @@ fn degenerate_fit_in_l2_agrees_exactly_with_the_simulator() {
         let plan = suite.layout_plan(0, kind);
         let cfg = EstConfig::from_sim(&sim);
         let est = estimate_app(&suite.apps()[0], &plan, suite.mapping(), kind, &cfg);
-        let stats = suite.run_one(RunSpec { app: 0, kind });
+        let stats = suite.run(&RunRequest::new(RunSpec { app: 0, kind })).stats;
         assert_eq!(
             est.total_accesses, stats.total_accesses,
             "{kind:?}: the estimator must mirror the trace volume exactly"

@@ -4,9 +4,9 @@
 //! CI additionally runs the same gate at bench scale through
 //! `hoploc est all --json` with the ≥100× speedup requirement.
 
-use hoploc_est::{cross_validate, spearman, KINDS};
+use hoploc_est::{cross_validate, spearman};
 use hoploc_harness::default_jobs;
-use hoploc_workloads::{all_apps, Scale};
+use hoploc_workloads::{all_apps, RunKind, Scale};
 
 #[test]
 fn estimator_ranks_the_test_matrix_like_the_simulator() {
@@ -14,7 +14,7 @@ fn estimator_ranks_the_test_matrix_like_the_simulator() {
     let report = cross_validate(&apps, default_jobs());
     assert_eq!(
         report.cells.len(),
-        apps.len() * KINDS.len() * 4,
+        apps.len() * RunKind::ALL.len() * 4,
         "every app × kind × config cell must be present"
     );
     assert!(

@@ -21,7 +21,7 @@
 //! by spec index, every cached artifact is a pure function of its key, all
 //! per-run randomness is derived from fixed per-thread seeds inside trace
 //! generation, and the memory controller / network / cache models carry no
-//! cross-run state. A [`Suite::run_matrix`] at any `jobs` count is
+//! cross-run state. A [`Suite::run_all`] at any `jobs` count is
 //! bit-identical (`RunStats: PartialEq`, including the floating-point link
 //! utilizations) to the sequential path — the integration suite asserts
 //! this against `run_app` itself.
@@ -36,12 +36,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
-use hoploc_noc::{L2ToMcMapping, McId};
-use hoploc_obs::{ObsConfig, ObsReport};
-use hoploc_sim::{AddressSpace, RunStats, SimConfig, Simulator, TraceWorkload};
-use hoploc_workloads::{App, RunKind, TraceGen};
-
-pub use hoploc_workloads::RunKind as Kind;
+use hoploc_layout::{Granularity, L2Mode};
+use hoploc_noc::{L2ToMcMapping, McId, McPlacement};
+use hoploc_obs::{json_string, ObsConfig, ObsReport};
+use hoploc_sim::{
+    AddressSpace, PrefetchConfig, PrefetchMode, RunStats, SimConfig, Simulator, TraceWorkload,
+};
+use hoploc_workloads::{App, RunKind, Scale, TraceGen, MAX_THREADS_PER_CORE};
 
 /// One cell of the run matrix: which app (by index into the suite) and
 /// which side of the comparison.
@@ -53,8 +54,71 @@ pub struct RunSpec {
     pub kind: RunKind,
 }
 
-/// A finished run: the spec it came from plus its statistics.
-#[derive(Clone, Debug)]
+/// One run asked of a [`Suite`]: the cell, and the two optional axes a cell
+/// can be run under. A new axis is one more optional field here.
+#[derive(Clone, Copy, Debug)]
+pub struct RunRequest<'a> {
+    /// The matrix cell.
+    pub spec: RunSpec,
+    /// Replaces whatever fault plan the suite's config holds. The empty
+    /// plan is inert: bit-identical to `None`.
+    pub faults: Option<&'a FaultPlan>,
+    /// Records the run. The statistics are bit-identical to an unrecorded
+    /// run — the sink only mirrors what the models already compute.
+    pub obs: Option<ObsConfig>,
+}
+
+impl<'a> RunRequest<'a> {
+    /// The plain run of a cell: no faults injected, nothing recorded.
+    pub fn new(spec: RunSpec) -> Self {
+        Self {
+            spec,
+            faults: None,
+            obs: None,
+        }
+    }
+
+    /// The same request under `plan`.
+    pub fn with_faults(self, plan: &'a FaultPlan) -> Self {
+        Self {
+            faults: Some(plan),
+            ..self
+        }
+    }
+
+    /// The same request, recorded under `obs`.
+    pub fn with_obs(self, obs: ObsConfig) -> Self {
+        Self {
+            obs: Some(obs),
+            ..self
+        }
+    }
+}
+
+/// What one [`Suite::run`] produced.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// Full simulation statistics.
+    pub stats: RunStats,
+    /// The observability report (spans, metric registry, exportable
+    /// snapshots), when the request asked for one.
+    pub report: Option<ObsReport>,
+}
+
+impl RunOutput {
+    /// Both halves of a recorded run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request did not set [`RunRequest::obs`].
+    pub fn recorded(self) -> (RunStats, ObsReport) {
+        let report = self.report.expect("the request asked for no report");
+        (self.stats, report)
+    }
+}
+
+/// A finished run: the cell it came from, by name, plus what it produced.
+#[derive(Debug)]
 pub struct RunRecord {
     /// Application name.
     pub app: String,
@@ -62,6 +126,8 @@ pub struct RunRecord {
     pub kind: RunKind,
     /// Full simulation statistics.
     pub stats: RunStats,
+    /// The run's observability report, when it was recorded.
+    pub report: Option<ObsReport>,
 }
 
 impl RunRecord {
@@ -71,38 +137,154 @@ impl RunRecord {
             app: app.into(),
             kind,
             stats,
+            report: None,
         }
     }
 }
 
-/// A finished traced run: statistics plus the observability report
-/// (spans, metric registry, exportable snapshots).
-#[derive(Debug)]
-pub struct TracedRecord {
-    /// Application name.
-    pub app: String,
-    /// Run kind.
-    pub kind: RunKind,
-    /// Full simulation statistics.
-    pub stats: RunStats,
-    /// The run's observability report.
-    pub report: ObsReport,
+/// The six values that select one simulated machine — what every figure
+/// of the paper varies — named once for the CLI, the serve wire and the
+/// canonical job key alike. A new knob is a field here, a term in
+/// [`canon_parts`](Self::canon_parts), a line in [`sim`](Self::sim) (or
+/// [`mapping`](Self::mapping)), one flag and one wire member.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct MachineSpec {
+    /// Problem size.
+    pub scale: Scale,
+    /// MC interleaving granularity.
+    pub granularity: Granularity,
+    /// Last-level cache organization.
+    pub l2_mode: L2Mode,
+    /// `true` for the M2 (halves, k=2) L2-to-MC mapping, `false` for M1.
+    pub m2: bool,
+    /// Threads per core.
+    pub threads: usize,
+    /// L2 prefetch engine.
+    pub prefetch: PrefetchMode,
 }
 
-/// Which compiled layout a run kind uses — the cache key discriminant.
-/// Baseline, FirstTouch, and Optimal all run the original layouts.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum LayoutClass {
-    Baseline,
-    Optimized,
-}
-
-impl LayoutClass {
-    fn of(kind: RunKind) -> Self {
-        match kind {
-            RunKind::Optimized => LayoutClass::Optimized,
-            RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => LayoutClass::Baseline,
+impl Default for MachineSpec {
+    fn default() -> Self {
+        MachineSpec {
+            scale: Scale::Bench,
+            granularity: Granularity::CacheLine,
+            l2_mode: L2Mode::Private,
+            m2: false,
+            threads: 1,
+            prefetch: PrefetchMode::Off,
         }
+    }
+}
+
+impl MachineSpec {
+    /// The default machine (cache-line interleaving, private L2s, M1, one
+    /// thread per core, no prefetching) at `scale`.
+    pub fn at(scale: Scale) -> Self {
+        MachineSpec {
+            scale,
+            ..MachineSpec::default()
+        }
+    }
+
+    /// Refuses a machine the simulator cannot build. The other five fields
+    /// are valid by type; `threads` arrives as a number from a flag or a
+    /// wire member and is bounded here, for both.
+    pub fn check(&self) -> Result<(), String> {
+        if self.threads == 0 {
+            return Err("threads must be at least 1".into());
+        }
+        if self.threads > MAX_THREADS_PER_CORE {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS_PER_CORE} (got {})",
+                self.threads
+            ));
+        }
+        Ok(())
+    }
+
+    /// Name of the L2-to-MC mapping (`m1` or `m2`).
+    pub fn mapping_name(&self) -> &'static str {
+        if self.m2 {
+            "m2"
+        } else {
+            "m1"
+        }
+    }
+
+    /// Parses a [`mapping_name`](Self::mapping_name) into the `m2` field.
+    pub fn parse_mapping(s: &str) -> Result<bool, String> {
+        match s {
+            "m1" => Ok(false),
+            "m2" => Ok(true),
+            other => Err(format!("unknown mapping {other:?} (use m1 or m2)")),
+        }
+    }
+
+    /// The canonical form in the two pieces a job key wraps its own fields
+    /// around: the five terms every key has carried, and the suffix of
+    /// terms added since. A suffix term is absent at its default, so keys
+    /// minted before it existed stay byte-stable.
+    pub fn canon_parts(&self) -> (String, String) {
+        let head = format!(
+            "scale={};gran={};l2={};map={};threads={}",
+            self.scale.name(),
+            self.granularity.name(),
+            self.l2_mode.name(),
+            self.mapping_name(),
+            self.threads,
+        );
+        let mut tail = String::new();
+        if self.prefetch != PrefetchMode::Off {
+            tail.push_str(";prefetch=");
+            tail.push_str(self.prefetch.name());
+        }
+        (head, tail)
+    }
+
+    /// The canonical name of this machine: equal strings, equal machines.
+    /// A server pools one [`Suite`] per value.
+    pub fn canon(&self) -> String {
+        let (head, tail) = self.canon_parts();
+        head + &tail
+    }
+
+    /// The simulator configuration: the capacity-scaled Table 1 machine
+    /// with this spec's granularity, L2 organization and prefetch engine.
+    pub fn sim(&self) -> SimConfig {
+        SimConfig {
+            granularity: self.granularity,
+            l2_mode: self.l2_mode,
+            prefetch: PrefetchConfig::with_mode(self.prefetch),
+            ..SimConfig::scaled()
+        }
+    }
+
+    /// The L2-to-MC mapping: M1 (nearest cluster) or M2 (halves) over the
+    /// scaled machine's mesh.
+    pub fn mapping(&self) -> L2ToMcMapping {
+        let sim = SimConfig::scaled();
+        if self.m2 {
+            L2ToMcMapping::halves(sim.mesh, &McPlacement::Corners)
+        } else {
+            L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement)
+        }
+    }
+
+    /// The harness every command and every served job runs `apps` through
+    /// on this machine (`apps` are the caller's: one application, the
+    /// suite at [`scale`](Self::scale), a server's shared catalogue).
+    pub fn suite(&self, apps: impl Into<Arc<[App]>>) -> Suite {
+        Suite::new(apps, self.mapping(), self.sim()).with_threads_per_core(self.threads)
+    }
+}
+
+/// The kind whose compiled layout (and so whose trace) a run of `kind`
+/// replays — the cache key discriminant. Baseline, FirstTouch, and Optimal
+/// all run the original layouts.
+fn layout_class(kind: RunKind) -> RunKind {
+    match kind {
+        RunKind::Optimized => RunKind::Optimized,
+        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => RunKind::Baseline,
     }
 }
 
@@ -262,8 +444,8 @@ pub struct Suite {
     sim: SimConfig,
     threads_per_core: usize,
     approx_threshold: f64,
-    layouts: Memo<(usize, LayoutClass), hoploc_layout::ProgramLayout>,
-    traces: Memo<(usize, LayoutClass), TraceBundle>,
+    layouts: Memo<(usize, RunKind), hoploc_layout::ProgramLayout>,
+    traces: Memo<(usize, RunKind), TraceBundle>,
 }
 
 impl Suite {
@@ -344,7 +526,7 @@ impl Suite {
             self.sim.num_nodes(),
             "seeded layout plan was compiled for another mesh"
         );
-        self.layouts.seed((app, LayoutClass::of(kind)), plan);
+        self.layouts.seed((app, layout_class(kind)), plan);
         self
     }
 
@@ -376,49 +558,29 @@ impl Suite {
         &self.sim
     }
 
-    /// Builds the full matrix: every app crossed with every given kind,
-    /// apps varying fastest (matching the sequential suite loops).
-    pub fn full_matrix(&self, kinds: &[RunKind]) -> Vec<RunSpec> {
-        let mut specs = Vec::with_capacity(self.apps.len() * kinds.len());
+    /// Builds the full matrix: the plain run of every app crossed with
+    /// every given kind, apps varying fastest (matching the sequential
+    /// suite loops).
+    pub fn full_matrix(&self, kinds: &[RunKind]) -> Vec<RunRequest<'static>> {
+        let mut reqs = Vec::with_capacity(self.apps.len() * kinds.len());
         for &kind in kinds {
             for app in 0..self.apps.len() {
-                specs.push(RunSpec { app, kind });
+                reqs.push(RunRequest::new(RunSpec { app, kind }));
             }
         }
-        specs
-    }
-
-    /// The compiled (or original) layout plan for one matrix cell, through
-    /// the layout-plan cache.
-    fn layout(&self, app: usize, class: LayoutClass) -> Arc<hoploc_layout::ProgramLayout> {
-        let kind = match class {
-            LayoutClass::Baseline => RunKind::Baseline,
-            LayoutClass::Optimized => RunKind::Optimized,
-        };
-        self.layouts.get_or((app, class), || {
-            hoploc_workloads::layout_with(
-                &self.apps[app],
-                &self.mapping,
-                &self.sim,
-                kind,
-                self.approx_threshold,
-            )
-        })
+        reqs
     }
 
     /// The generated trace workload (and desired-page map) for one matrix
     /// cell, through the trace cache.
-    fn traces(&self, app: usize, class: LayoutClass) -> Arc<TraceBundle> {
+    fn traces(&self, app: usize, kind: RunKind) -> Arc<TraceBundle> {
+        let class = layout_class(kind);
         self.traces.get_or((app, class), || {
-            let layout = self.layout(app, class);
+            let layout = self.layout_plan(app, class);
             let a = &self.apps[app];
             let space = AddressSpace::build(&a.program, &layout, 0);
-            let desired = match class {
-                LayoutClass::Optimized => {
-                    space.desired_page_mcs(&a.program, &layout, self.sim.page_bytes)
-                }
-                LayoutClass::Baseline => HashMap::new(),
-            };
+            let desired =
+                hoploc_workloads::desired_pages(a, class, &space, &layout, self.sim.page_bytes);
             let gen = TraceGen {
                 threads_per_core: self.threads_per_core,
                 ..a.gen
@@ -429,144 +591,68 @@ impl Suite {
     }
 
     /// The compiled (or original) layout plan for one matrix cell, shared
-    /// through the suite's layout cache. This is the cross-validation entry
+    /// through the suite's layout-plan cache. This is the cross-validation entry
     /// point the static estimator (`hoploc-est`) uses: predictions are made
     /// from the *same* plan object the cycle simulation replays, so a
     /// prediction/simulation mismatch can only come from the model, never
     /// from divergent layout inputs.
     pub fn layout_plan(&self, app: usize, kind: RunKind) -> Arc<hoploc_layout::ProgramLayout> {
-        self.layout(app, LayoutClass::of(kind))
+        let class = layout_class(kind);
+        self.layouts.get_or((app, class), || {
+            hoploc_workloads::layout_with(
+                &self.apps[app],
+                &self.mapping,
+                &self.sim,
+                class,
+                self.approx_threshold,
+            )
+        })
     }
 
-    /// Builds the simulator and workload for one matrix cell — the shared
-    /// setup under both the plain and traced run paths.
-    fn prepare(&self, spec: RunSpec) -> (Simulator, Arc<TraceBundle>) {
-        self.prepare_faulted(spec, None)
-    }
-
-    /// [`prepare`](Self::prepare) with an optional fault-plan override:
-    /// `Some(plan)` replaces whatever `sim.faults` the suite config holds.
-    fn prepare_faulted(
-        &self,
-        spec: RunSpec,
-        faults: Option<&FaultPlan>,
-    ) -> (Simulator, Arc<TraceBundle>) {
-        let app = &self.apps[spec.app];
-        let class = LayoutClass::of(spec.kind);
-        let bundle = self.traces(spec.app, class);
+    /// Runs one request: the single path every simulation of a cell takes.
+    /// Pure in the request — the plain run of a spec is bit-identical to
+    /// `hoploc_workloads::run_app_threads` with the same arguments.
+    pub fn run(&self, req: &RunRequest) -> RunOutput {
+        let spec = req.spec;
+        let bundle = self.traces(spec.app, spec.kind);
         let policy = hoploc_workloads::page_policy(spec.kind, bundle.desired.clone());
-        let mut cfg = self.sim.clone();
-        if let Some(plan) = faults {
+        let mut cfg = hoploc_workloads::cell_config(&self.sim, spec.kind, self.apps[spec.app].mlp);
+        if let Some(plan) = req.faults {
             cfg.faults = Some(plan.clone());
         }
-        cfg.optimal = spec.kind == RunKind::Optimal;
-        cfg.mlp = app.mlp;
         let sim = Simulator::new(cfg, self.mapping.clone(), policy);
-        (sim, bundle)
+        match req.obs {
+            None => RunOutput {
+                stats: sim.run(&bundle.workload),
+                report: None,
+            },
+            Some(obs) => {
+                let (stats, report) = sim.with_obs(obs).run_traced(&bundle.workload);
+                RunOutput {
+                    stats,
+                    report: Some(report),
+                }
+            }
+        }
     }
 
-    /// Runs one matrix cell. Pure in the spec: bit-identical to
-    /// `hoploc_workloads::run_app_threads` with the same arguments.
-    pub fn run_one(&self, spec: RunSpec) -> RunStats {
-        let (sim, bundle) = self.prepare(spec);
-        sim.run(&bundle.workload)
-    }
-
-    /// Runs one matrix cell with observability enabled. The statistics are
-    /// bit-identical to [`run_one`](Self::run_one) — the sink only mirrors
-    /// what the models already compute — and the report's counters mirror
-    /// those statistics exactly.
-    pub fn run_one_traced(&self, spec: RunSpec, obs: ObsConfig) -> (RunStats, ObsReport) {
-        let (sim, bundle) = self.prepare(spec);
-        sim.with_obs(obs).run_traced(&bundle.workload)
-    }
-
-    /// Runs one matrix cell under a fault plan. The empty plan is provably
-    /// inert: `run_one_faulted(spec, &FaultPlan::none())` is bit-identical
-    /// to [`run_one`](Self::run_one) (asserted by the fault suite).
-    pub fn run_one_faulted(&self, spec: RunSpec, plan: &FaultPlan) -> RunStats {
-        let (sim, bundle) = self.prepare_faulted(spec, Some(plan));
-        sim.run(&bundle.workload)
-    }
-
-    /// [`run_one_faulted`](Self::run_one_faulted) with observability.
-    pub fn run_one_faulted_traced(
-        &self,
-        spec: RunSpec,
-        plan: &FaultPlan,
-        obs: ObsConfig,
-    ) -> (RunStats, ObsReport) {
-        let (sim, bundle) = self.prepare_faulted(spec, Some(plan));
-        sim.with_obs(obs).run_traced(&bundle.workload)
-    }
-
-    /// Fans a fault-plan sweep of one matrix cell across `jobs` workers,
-    /// collected in plan order (deterministic at any job count, like
-    /// [`run_matrix`](Self::run_matrix)).
-    pub fn run_fault_sweep(
-        &self,
-        spec: RunSpec,
-        plans: &[FaultPlan],
-        jobs: usize,
-    ) -> Vec<RunStats> {
-        parallel_map(plans, jobs, |plan| self.run_one_faulted(spec, plan))
-    }
-
-    /// Runs a matrix of specs across `jobs` worker threads and collects
-    /// results **by index**: the output order is the spec order no matter
-    /// how the scheduler interleaves workers, and every record is
-    /// bit-identical to what `jobs = 1` (or the un-cached sequential path)
-    /// produces.
-    pub fn run_matrix(&self, specs: &[RunSpec], jobs: usize) -> Vec<RunRecord> {
-        let stats = parallel_map(specs, jobs, |spec| self.run_one(*spec));
-        specs
-            .iter()
-            .zip(stats)
-            .map(|(spec, stats)| RunRecord {
-                app: self.apps[spec.app].name().to_string(),
-                kind: spec.kind,
-                stats,
+    /// Runs `reqs` across `jobs` worker threads and collects the records
+    /// **by index**: the output order is the request order no matter how
+    /// the scheduler interleaves workers, and every record is bit-identical
+    /// to what `jobs = 1` (or the un-cached sequential path) produces. Each
+    /// recorded run owns its sink; only finished [`ObsReport`]s (plain
+    /// data) cross threads.
+    pub fn run_all(&self, reqs: &[RunRequest], jobs: usize) -> Vec<RunRecord> {
+        let outputs = parallel_map(reqs, jobs, |req| self.run(req));
+        reqs.iter()
+            .zip(outputs)
+            .map(|(req, out)| RunRecord {
+                app: self.apps[req.spec.app].name().to_string(),
+                kind: req.spec.kind,
+                stats: out.stats,
+                report: out.report,
             })
             .collect()
-    }
-
-    /// Convenience: run the full (apps × kinds) matrix.
-    pub fn run_full(&self, kinds: &[RunKind], jobs: usize) -> Vec<RunRecord> {
-        self.run_matrix(&self.full_matrix(kinds), jobs)
-    }
-
-    /// Runs a matrix of specs with observability enabled on every cell,
-    /// across `jobs` workers, collected by index like
-    /// [`run_matrix`](Self::run_matrix). Each run owns its sink, so the
-    /// parallel fan-out stays deterministic: only the finished
-    /// [`ObsReport`]s (plain data) cross threads.
-    pub fn run_matrix_traced(
-        &self,
-        specs: &[RunSpec],
-        jobs: usize,
-        obs: ObsConfig,
-    ) -> Vec<TracedRecord> {
-        let results = parallel_map(specs, jobs, |spec| self.run_one_traced(*spec, obs));
-        specs
-            .iter()
-            .zip(results)
-            .map(|(spec, (stats, report))| TracedRecord {
-                app: self.apps[spec.app].name().to_string(),
-                kind: spec.kind,
-                stats,
-                report,
-            })
-            .collect()
-    }
-
-    /// Convenience: run the full (apps × kinds) matrix with tracing.
-    pub fn run_full_traced(
-        &self,
-        kinds: &[RunKind],
-        jobs: usize,
-        obs: ObsConfig,
-    ) -> Vec<TracedRecord> {
-        self.run_matrix_traced(&self.full_matrix(kinds), jobs, obs)
     }
 
     /// Cache counters accumulated so far.
@@ -588,7 +674,7 @@ impl Suite {
 /// atomic queue, so uneven item costs balance automatically. With
 /// `jobs <= 1` (or a single item) this degenerates to a sequential map.
 ///
-/// This is the fan-out primitive under [`Suite::run_matrix`] and the
+/// This is the fan-out primitive under [`Suite::run_all`] and the
 /// `hoploc check` subcommand; `f` must be pure in its item for the
 /// determinism guarantee to mean anything.
 pub fn parallel_map<T: Sync, R: Send + Sync>(
@@ -638,16 +724,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Lower-case display name of a run kind (stable across `Debug` changes).
-pub fn kind_name(kind: RunKind) -> &'static str {
-    match kind {
-        RunKind::Baseline => "baseline",
-        RunKind::Optimized => "optimized",
-        RunKind::FirstTouch => "first-touch",
-        RunKind::Optimal => "optimal",
-    }
-}
-
 /// Renders the aggregated per-run statistics table every harness consumer
 /// prints: one row per record, in spec order.
 pub fn render_table(records: &[RunRecord]) -> String {
@@ -662,7 +738,7 @@ pub fn render_table(records: &[RunRecord]) -> String {
             out,
             "{:<11} {:<12} {:>12} {:>12} {:>10} {:>9.2} {:>10.1}",
             r.app,
-            kind_name(r.kind),
+            r.kind.name(),
             r.stats.exec_cycles,
             r.stats.total_accesses,
             r.stats.offchip_accesses,
@@ -677,7 +753,7 @@ pub fn render_table(records: &[RunRecord]) -> String {
 /// machine-readable form of a run. This is the *unit* every consumer
 /// agrees on byte-for-byte: [`to_json`] embeds it per run, and the
 /// `hoploc-serve` job server replies with exactly these bytes, so a served
-/// result can be compared literally against a direct `run_matrix` run.
+/// result can be compared literally against a direct [`Suite::run_all`].
 pub fn record_json(r: &RunRecord) -> String {
     let s = &r.stats;
     let mut out = String::new();
@@ -691,7 +767,7 @@ pub fn record_json(r: &RunRecord) -> String {
          \"memory_latency\": {:.6}, \"os_fallbacks\": {}, \
          \"rehomed\": {}, \"dropped\": {}, \"backstop_flushes\": {}}}",
         json_string(&r.app),
-        kind_name(r.kind),
+        r.kind.name(),
         s.exec_cycles,
         s.total_accesses,
         s.l1_hits,
@@ -732,9 +808,8 @@ pub fn record_json(r: &RunRecord) -> String {
 }
 
 /// Serializes run records (plus optional cache counters) as a JSON
-/// document — the machine-readable summary `BENCH_*.json` trajectories
-/// are built from. Hand-rolled: the workspace has no serde and builds
-/// offline.
+/// document — the machine-readable summary behind every `--json`.
+/// Hand-rolled: the workspace has no serde and builds offline.
 pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String {
     let mut out = String::from("{\n  \"runs\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -761,63 +836,79 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
     out
 }
 
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoploc_noc::Mesh;
-    use hoploc_workloads::{mgrid, run_app, swim, Scale};
+    use hoploc_fault::FaultRates;
+    use hoploc_workloads::{mgrid, run_app, swim};
 
-    fn suite2() -> Suite {
-        let sim = SimConfig::scaled();
-        let mapping = L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &sim.placement);
-        Suite::new(vec![swim(Scale::Test), mgrid(Scale::Test)], mapping, sim)
+    fn test_machine() -> MachineSpec {
+        MachineSpec::at(Scale::Test)
     }
 
+    fn suite2() -> Suite {
+        test_machine().suite(vec![swim(Scale::Test), mgrid(Scale::Test)])
+    }
+
+    /// The four (faults, obs) corners of a request, over every cell: the
+    /// plain run is `run_app`, recording changes no statistic, the empty
+    /// plan is no plan, a faulted run reads the same recorded or not — and
+    /// every corner is the same at any job count, reports included.
     #[test]
-    fn parallel_matches_sequential_and_run_app() {
+    fn the_four_corners_of_a_request_agree_and_parallel_matches_sequential() {
         let s = suite2();
-        let kinds = [
-            RunKind::Baseline,
-            RunKind::Optimized,
-            RunKind::FirstTouch,
-            RunKind::Optimal,
-        ];
-        let specs = s.full_matrix(&kinds);
-        let par = s.run_matrix(&specs, 4);
-        let seq = s.run_matrix(&specs, 1);
-        for ((p, q), spec) in par.iter().zip(&seq).zip(&specs) {
-            assert_eq!(p.stats, q.stats, "jobs=4 diverged from jobs=1 on {spec:?}");
-            let direct = run_app(&s.apps()[spec.app], s.mapping(), s.sim(), spec.kind);
-            assert_eq!(p.stats, direct, "harness diverged from run_app on {spec:?}");
+        let none = FaultPlan::none();
+        let plan = FaultPlan::from_seed(3, &fault_topo(s.sim()), &FaultRates::moderate());
+        let obs = ObsConfig::default();
+        let mut reqs = Vec::new();
+        for r in s.full_matrix(&RunKind::ALL) {
+            reqs.extend([
+                r,
+                r.with_obs(obs),
+                r.with_faults(&none),
+                r.with_faults(&plan),
+                r.with_faults(&plan).with_obs(obs),
+            ]);
         }
+        let par = s.run_all(&reqs, 4);
+        let seq = s.run_all(&reqs, 1);
+        for ((p, q), req) in par.iter().zip(&seq).zip(&reqs) {
+            assert_eq!(p.stats, q.stats, "jobs=4 diverged from jobs=1 on {req:?}");
+            assert_eq!(p.report.is_some(), req.obs.is_some(), "{req:?}");
+            if let (Some(pr), Some(qr)) = (&p.report, &q.report) {
+                assert_eq!(pr.metrics_json(), qr.metrics_json(), "{req:?}");
+                assert_eq!(pr.chrome_trace_json(), qr.chrome_trace_json(), "{req:?}");
+                assert_eq!(pr.offchip(), p.stats.offchip_accesses, "{req:?}");
+            }
+        }
+        for (cell, req) in par.chunks(5).zip(s.full_matrix(&RunKind::ALL)) {
+            let [plain, traced, inert, faulted, faulted_traced] = cell else {
+                unreachable!("five requests per cell");
+            };
+            let spec = req.spec;
+            let direct = run_app(&s.apps()[spec.app], s.mapping(), s.sim(), spec.kind);
+            assert_eq!(
+                plain.stats, direct,
+                "harness diverged from run_app on {spec:?}"
+            );
+            assert_eq!(traced.stats, plain.stats, "recording perturbed {spec:?}");
+            assert_eq!(inert.stats, plain.stats, "the empty plan must be inert");
+            assert_eq!(
+                faulted_traced.stats, faulted.stats,
+                "recording perturbed a faulted run"
+            );
+        }
+        assert!(
+            par.chunks(5).any(|c| c[3].stats != c[0].stats),
+            "a moderate plan should perturb at least one cell"
+        );
     }
 
     #[test]
     fn caches_share_baseline_class_work() {
         let s = suite2();
         let kinds = [RunKind::Baseline, RunKind::FirstTouch, RunKind::Optimal];
-        s.run_full(&kinds, 2);
+        s.run_all(&s.full_matrix(&kinds), 2);
         let c = s.cache_counters();
         // 2 apps × 1 baseline layout class: exactly 2 trace generations
         // serve all 6 runs.
@@ -831,19 +922,20 @@ mod tests {
             app: 1,
             kind: RunKind::Optimized,
         };
+        let req = RunRequest::new(spec);
         let compiling = suite2();
         let plan = compiling.layout_plan(spec.app, spec.kind);
-        let want = compiling.run_one(spec);
+        let want = compiling.run(&req).stats;
         assert_eq!(compiling.cache_counters().layout_misses, 1);
 
         let seeded = suite2().with_layout_plan(spec.app, spec.kind, plan.clone());
-        assert_eq!(seeded.run_one(spec), want);
+        assert_eq!(seeded.run(&req).stats, want);
         assert!(Arc::ptr_eq(&seeded.layout_plan(spec.app, spec.kind), &plan));
         let c = seeded.cache_counters();
         assert_eq!(c.layout_misses, 0, "{c:?}");
         assert_eq!(c.trace_misses, 1, "{c:?}");
         // The other cells of the suite still compile their own.
-        seeded.run_one(RunSpec { app: 0, ..spec });
+        seeded.run(&RunRequest::new(RunSpec { app: 0, ..spec }));
         assert_eq!(seeded.cache_counters().layout_misses, 1);
     }
 
@@ -855,34 +947,9 @@ mod tests {
     }
 
     #[test]
-    fn traced_matrix_matches_untraced_and_is_deterministic() {
+    fn records_keep_request_order() {
         let s = suite2();
-        let kinds = [RunKind::Baseline, RunKind::Optimized];
-        let specs = s.full_matrix(&kinds);
-        let plain = s.run_matrix(&specs, 2);
-        let par = s.run_matrix_traced(&specs, 4, ObsConfig::default());
-        let seq = s.run_matrix_traced(&specs, 1, ObsConfig::default());
-        for ((p, q), r) in par.iter().zip(&seq).zip(&plain) {
-            assert_eq!(p.stats, r.stats, "tracing perturbed the simulation");
-            assert_eq!(p.stats, q.stats, "jobs=4 diverged from jobs=1");
-            assert_eq!(
-                p.report.metrics_json(),
-                q.report.metrics_json(),
-                "metrics snapshot differs across job counts"
-            );
-            assert_eq!(
-                p.report.chrome_trace_json(),
-                q.report.chrome_trace_json(),
-                "event stream differs across job counts"
-            );
-            assert_eq!(p.report.offchip(), r.stats.offchip_accesses);
-        }
-    }
-
-    #[test]
-    fn records_keep_spec_order() {
-        let s = suite2();
-        let specs = vec![
+        let reqs = [
             RunSpec {
                 app: 1,
                 kind: RunKind::Optimized,
@@ -891,22 +958,17 @@ mod tests {
                 app: 0,
                 kind: RunKind::Baseline,
             },
-        ];
-        let recs = s.run_matrix(&specs, 8);
+        ]
+        .map(RunRequest::new);
+        let recs = s.run_all(&reqs, 8);
         assert_eq!(recs[0].app, "mgrid");
         assert_eq!(recs[1].app, "swim");
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn json_is_well_formed_and_record_json_is_its_unit() {
         let s = suite2();
-        let recs = s.run_matrix(
-            &[RunSpec {
-                app: 0,
-                kind: RunKind::Baseline,
-            }],
-            1,
-        );
+        let recs = s.run_all(&s.full_matrix(&[RunKind::Baseline])[..1], 1);
         let j = to_json(&recs, Some(s.cache_counters()));
         assert!(j.starts_with("{\n"));
         assert!(j.contains("\"app\": \"swim\""));
@@ -914,34 +976,10 @@ mod tests {
         assert!(j.contains("\"cache\""));
         assert!(j.trim_end().ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-    }
-
-    #[test]
-    fn fault_sweep_is_deterministic_and_empty_plan_inert() {
-        use hoploc_fault::FaultRates;
-        let s = suite2();
-        let spec = RunSpec {
-            app: 0,
-            kind: RunKind::Baseline,
-        };
-        // Empty plan == no plan, bit for bit.
-        assert_eq!(
-            s.run_one_faulted(spec, &FaultPlan::none()),
-            s.run_one(spec),
-            "empty plan must be inert"
-        );
-        let topo = fault_topo(s.sim());
-        let plans: Vec<FaultPlan> = (0..6)
-            .map(|seed| FaultPlan::from_seed(seed, &topo, &FaultRates::moderate()))
-            .collect();
-        let par = s.run_fault_sweep(spec, &plans, 4);
-        let seq = s.run_fault_sweep(spec, &plans, 1);
-        assert_eq!(par, seq, "fault sweep diverged across job counts");
+        let unit = record_json(&recs[0]);
+        assert!(unit.starts_with('{') && unit.ends_with('}'));
+        assert!(!unit.contains('\n'), "record_json must be single-line");
+        assert!(to_json(&recs, None).contains(&unit));
     }
 
     #[test]
@@ -978,13 +1016,11 @@ mod tests {
     fn bounded_suite_caches_match_unbounded_results() {
         let kinds = [RunKind::Baseline, RunKind::Optimized, RunKind::Optimal];
         let unbounded = suite2();
-        let plain = unbounded.run_full(&kinds, 2);
-        let sim = SimConfig::scaled();
-        let mapping = L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &sim.placement);
-        let bounded = Suite::new(vec![swim(Scale::Test), mgrid(Scale::Test)], mapping, sim)
-            .with_cache_caps(1, 1);
-        let tight = bounded.run_full(&kinds, 2);
-        for (a, b) in plain.iter().zip(&tight) {
+        let reqs = unbounded.full_matrix(&kinds);
+        let free = unbounded.run_all(&reqs, 2);
+        let bounded = suite2().with_cache_caps(1, 1);
+        let tight = bounded.run_all(&reqs, 2);
+        for (a, b) in free.iter().zip(&tight) {
             assert_eq!(a.stats, b.stats, "eviction changed a result");
         }
         let c = bounded.cache_counters();
@@ -995,42 +1031,25 @@ mod tests {
     }
 
     #[test]
-    fn record_json_is_the_unit_of_to_json() {
-        let s = suite2();
-        let recs = s.run_matrix(
-            &[RunSpec {
-                app: 0,
-                kind: RunKind::Baseline,
-            }],
-            1,
-        );
-        let unit = record_json(&recs[0]);
-        assert!(unit.starts_with('{') && unit.ends_with('}'));
-        assert!(!unit.contains('\n'), "record_json must be single-line");
-        assert!(to_json(&recs, None).contains(&unit));
-    }
-
-    #[test]
     fn record_json_adds_prefetch_block_only_when_prefetching_happened() {
-        use hoploc_sim::{PrefetchConfig, PrefetchMode};
-        let spec = [RunSpec {
+        let req = RunRequest::new(RunSpec {
             app: 0,
             kind: RunKind::Optimized,
-        }];
-        let off = suite2().run_matrix(&spec, 1);
-        let off_json = record_json(&off[0]);
+        });
+        let json_on = |machine: MachineSpec| {
+            let s = machine.suite(vec![swim(Scale::Test)]);
+            record_json(&s.run_all(&[req], 1)[0])
+        };
+        let off_json = json_on(test_machine());
         assert!(
             !off_json.contains("prefetch"),
             "prefetch-off records must stay byte-identical to pre-prefetch \
              builds: {off_json}"
         );
-
-        let mut sim = SimConfig::scaled();
-        sim.prefetch = PrefetchConfig::with_mode(PrefetchMode::Gated);
-        let mapping = L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &sim.placement);
-        let on = Suite::new(vec![swim(Scale::Test), mgrid(Scale::Test)], mapping, sim)
-            .run_matrix(&spec, 1);
-        let on_json = record_json(&on[0]);
+        let on_json = json_on(MachineSpec {
+            prefetch: PrefetchMode::Gated,
+            ..test_machine()
+        });
         assert!(
             on_json.contains("\"prefetch\": {\"issued\": ")
                 && on_json.contains("\"pred_accuracy\": "),
@@ -1052,5 +1071,72 @@ mod tests {
             );
         }
         assert!(parallel_map(&Vec::<u64>::new(), 4, |&x| x).is_empty());
+    }
+
+    #[test]
+    fn every_spelling_parses_back_to_its_value() {
+        for v in [Scale::Test, Scale::Bench] {
+            assert_eq!(Scale::parse(v.name()), Ok(v));
+        }
+        for v in [Granularity::CacheLine, Granularity::Page] {
+            assert_eq!(Granularity::parse(v.name()), Ok(v));
+        }
+        for v in [L2Mode::Private, L2Mode::Shared] {
+            assert_eq!(L2Mode::parse(v.name()), Ok(v));
+        }
+        for v in RunKind::ALL {
+            assert_eq!(RunKind::parse(v.name()), Ok(v));
+        }
+        for v in PrefetchMode::all() {
+            assert_eq!(PrefetchMode::parse(v.name()), Ok(v));
+        }
+        for m2 in [false, true] {
+            let m = MachineSpec {
+                m2,
+                ..MachineSpec::default()
+            };
+            assert_eq!(MachineSpec::parse_mapping(m.mapping_name()), Ok(m2));
+        }
+        assert!(Scale::parse("huge").unwrap_err().contains("\"huge\""));
+        assert!(RunKind::parse("fastest").is_err());
+        assert!(MachineSpec::parse_mapping("m3").is_err());
+    }
+
+    #[test]
+    fn machine_spec_bounds_threads_and_names_itself_stably() {
+        let with_threads = |threads| MachineSpec {
+            threads,
+            ..test_machine()
+        };
+        assert!(with_threads(1).check().is_ok());
+        assert!(with_threads(MAX_THREADS_PER_CORE).check().is_ok());
+        assert!(with_threads(0).check().unwrap_err().contains("at least 1"));
+        for over in [MAX_THREADS_PER_CORE + 1, 4_000_000_000] {
+            assert!(with_threads(over)
+                .check()
+                .unwrap_err()
+                .contains("at most 16"));
+        }
+        // Off is absent from the canon; any other mode is its last term.
+        assert_eq!(
+            test_machine().canon(),
+            "scale=test;gran=cacheline;l2=private;map=m1;threads=1"
+        );
+        let gated = MachineSpec {
+            prefetch: PrefetchMode::Gated,
+            m2: true,
+            ..with_threads(2)
+        };
+        assert_eq!(
+            gated.canon(),
+            "scale=test;gran=cacheline;l2=private;map=m2;threads=2;prefetch=gated"
+        );
+        assert_eq!(gated.sim().prefetch.mode, PrefetchMode::Gated);
+        // M2 through either constructor the tree has used for it.
+        let sim = gated.sim();
+        assert_eq!(
+            gated.mapping(),
+            hoploc_noc::Placement::halves(sim.mesh, &McPlacement::Corners).into_mapping()
+        );
     }
 }

@@ -36,6 +36,27 @@ pub enum Granularity {
     Page,
 }
 
+impl Granularity {
+    /// Canonical lowercase name (CLI value, wire value, report field).
+    pub fn name(self) -> &'static str {
+        match self {
+            Granularity::CacheLine => "cacheline",
+            Granularity::Page => "page",
+        }
+    }
+
+    /// Parses a [`name`](Self::name) back to a granularity.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "cacheline" => Ok(Granularity::CacheLine),
+            "page" => Ok(Granularity::Page),
+            other => Err(format!(
+                "unknown granularity {other:?} (use cacheline or page)"
+            )),
+        }
+    }
+}
+
 /// Last-level cache organization (§1, Figure 2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum L2Mode {
@@ -44,6 +65,25 @@ pub enum L2Mode {
     /// Shared SNUCA L2: each line has a home bank issuing its off-chip
     /// requests (Figure 2b).
     Shared,
+}
+
+impl L2Mode {
+    /// Canonical lowercase name (wire value, report field).
+    pub fn name(self) -> &'static str {
+        match self {
+            L2Mode::Private => "private",
+            L2Mode::Shared => "shared",
+        }
+    }
+
+    /// Parses a [`name`](Self::name) back to an L2 organization.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "private" => Ok(L2Mode::Private),
+            "shared" => Ok(L2Mode::Shared),
+            other => Err(format!("unknown l2 mode {other:?} (use private or shared)")),
+        }
+    }
 }
 
 /// Priority between on-chip and off-chip localization in the shared-L2

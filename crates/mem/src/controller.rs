@@ -422,27 +422,16 @@ impl MemoryController {
     /// Requests must be submitted in non-decreasing `now` order; this is
     /// checked in debug builds.
     pub fn enqueue(&mut self, addr: u64, token: u64, now: u64) -> &[Completion] {
-        self.enqueue_obs(addr, token, now, 0, &Sink::disabled())
+        self.enqueue_class_obs(addr, token, now, 0, false, &Sink::disabled())
     }
 
-    /// [`enqueue`](Self::enqueue) with observability: queue-depth samples
-    /// and per-bank service spans recorded into `sink`, attributed to
-    /// controller `mc`. The untraced [`enqueue`](Self::enqueue) delegates
-    /// here with a disabled sink, so traced and untraced runs share one
-    /// scheduling path and the mirrored counters match
-    /// [`stats`](Self::stats) by construction.
-    pub fn enqueue_obs(
-        &mut self,
-        addr: u64,
-        token: u64,
-        now: u64,
-        mc: u16,
-        sink: &Sink,
-    ) -> &[Completion] {
-        self.enqueue_class_obs(addr, token, now, mc, false, sink)
-    }
-
-    /// [`enqueue_obs`](Self::enqueue_obs) with an explicit request class.
+    /// [`enqueue`](Self::enqueue) with observability and an explicit
+    /// request class: queue-depth samples and per-bank service spans are
+    /// recorded into `sink`, attributed to controller `mc`. The untraced
+    /// [`enqueue`](Self::enqueue) delegates here with a disabled sink, so
+    /// traced and untraced runs share one scheduling path and the mirrored
+    /// counters match [`stats`](Self::stats) by construction.
+    ///
     /// Prefetch-class requests share the banks, channels, and FR-FCFS
     /// scheduling (they contend with demand exactly as real traffic
     /// would), but are accounted in [`McStats::pf_served`] /
@@ -515,7 +504,7 @@ impl MemoryController {
     }
 
     /// [`flush`](Self::flush) with observability (see
-    /// [`enqueue_obs`](Self::enqueue_obs)).
+    /// [`enqueue_class_obs`](Self::enqueue_class_obs)).
     pub fn flush_obs(&mut self, mc: u16, sink: &Sink) -> &[Completion] {
         self.done.clear();
         self.drain_until(u64::MAX, mc, sink);
@@ -531,7 +520,7 @@ impl MemoryController {
     }
 
     /// [`poll`](Self::poll) with observability (see
-    /// [`enqueue_obs`](Self::enqueue_obs)).
+    /// [`enqueue_class_obs`](Self::enqueue_class_obs)).
     pub fn poll_obs(&mut self, now: u64, mc: u16, sink: &Sink) -> &[Completion] {
         self.done.clear();
         self.drain_until(now.saturating_add(1), mc, sink);
@@ -848,7 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_obs_mirrors_stats_into_sink() {
+    fn enqueue_class_obs_mirrors_stats_into_sink() {
         use hoploc_obs::{ObsConfig, Topology};
         let topo = Topology {
             mesh_width: 1,
@@ -859,7 +848,7 @@ mod tests {
         let sink = Sink::recording(topo, ObsConfig::default());
         let mut m = mc();
         for k in 0..30 {
-            m.enqueue_obs((k % 3) * 4096, k, k * 5, 1, &sink);
+            m.enqueue_class_obs((k % 3) * 4096, k, k * 5, 1, false, &sink);
         }
         m.flush_obs(1, &sink);
         let rep = sink.into_report(10_000).unwrap();
@@ -895,7 +884,7 @@ mod tests {
             ideal: true,
             ..McConfig::default()
         });
-        m.enqueue_obs(0, 1, 10, 0, &sink);
+        m.enqueue_class_obs(0, 1, 10, 0, false, &sink);
         let rep = sink.into_report(100).unwrap();
         assert_eq!(rep.counter_family("mc.served")[0], 1);
         assert_eq!(rep.counter_family("mc.row_hits")[0], 1);

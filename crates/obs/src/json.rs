@@ -1,5 +1,5 @@
-//! A minimal JSON parser (no dependencies) and the Chrome-trace schema
-//! validator built on it.
+//! A minimal JSON parser (no dependencies), the Chrome-trace schema
+//! validator built on it, and the workspace's one string escaper.
 //!
 //! The parser exists so exports can be checked — by tests and by the
 //! `hoploc trace-validate` CLI used in CI — without adding a serde
@@ -7,7 +7,32 @@
 //! `\u` surrogate pairs (kept as-is), which our exporters never emit.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::str::Chars;
+
+/// `s` as a JSON string literal, quotes included. Every hand-written JSON
+/// document in the workspace (run records, estimator records, diagnostics,
+/// the serve wire) escapes through here, so they agree byte for byte on
+/// what a quote, a backslash or a control character becomes.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -316,6 +341,16 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_string_escapes_and_parses_back() {
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let awkward = "q\" b\\ \n\r\t\u{1}\u{1f} é";
+        assert_eq!(
+            parse(&json_string(awkward)),
+            Ok(Value::Str(awkward.to_string()))
+        );
+    }
 
     #[test]
     fn parses_nested_document() {

@@ -35,7 +35,9 @@ pub mod sink;
 
 pub use event::{CacheLevel, CacheTag, EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 pub use hist::Histogram;
-pub use json::{parse as parse_json, validate_chrome_trace, ChromeSummary, Value as JsonValue};
+pub use json::{
+    json_string, parse as parse_json, validate_chrome_trace, ChromeSummary, Value as JsonValue,
+};
 pub use registry::{Registry, WindowMode};
 pub use report::ObsReport;
 pub use sink::{ObsConfig, PfEvent, Sink, Topology, HOP_HIST_LEN};

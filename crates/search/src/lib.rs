@@ -45,8 +45,8 @@ mod verify;
 pub use anneal::{anneal, Schedule};
 pub use bnb::{balanced_assignment, balanced_assignment_brute};
 pub use objective::Objective;
-pub use report::{event_json, scale_name, text_header, EstTerms, SearchReport, Verified};
-pub use space::{curated, granularity_name, propose, Candidate, APPROX_LEVELS, TILINGS};
+pub use report::{event_json, text_header, EstTerms, SearchReport, Verified};
+pub use space::{curated, propose, Candidate, APPROX_LEVELS, TILINGS};
 pub use verify::{Machine, VerifyRequest};
 
 use hoploc_est::PlacementScorer;

@@ -10,14 +10,6 @@ use crate::space::Candidate;
 use hoploc_workloads::Scale;
 use std::fmt::Write as _;
 
-/// Wire/report name of a scale (matches the serve protocol's spelling).
-pub fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    }
-}
-
 /// One cycle-sim-verified finalist.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Verified {
@@ -107,7 +99,7 @@ impl SearchReport {
              \"evaluated\":{},\"best\":{},\"best_score\":{:.6},\
              \"est\":{{\"offchip\":{:.6},\"hops\":{:.6},\"queue\":{:.6}}},\"verified\":[",
             self.app,
-            scale_name(self.scale),
+            self.scale.name(),
             self.seed,
             self.budget,
             self.objective.canon(),

@@ -49,14 +49,6 @@ pub struct Candidate {
     pub approx: f64,
 }
 
-/// Renders a granularity the way the CLI flags spell it.
-pub fn granularity_name(g: Granularity) -> &'static str {
-    match g {
-        Granularity::CacheLine => "cacheline",
-        Granularity::Page => "page",
-    }
-}
-
 impl Candidate {
     /// The paper's default design point under a given base granularity:
     /// a named placement with its nearest-cluster (M1) mapping.
@@ -122,7 +114,7 @@ impl Candidate {
         let _ = write!(
             s,
             ";gran={};approx={:.2}",
-            granularity_name(self.granularity),
+            self.granularity.name(),
             self.approx
         );
         s
@@ -156,7 +148,7 @@ impl Candidate {
         let _ = write!(
             s,
             "\",\"granularity\":\"{}\",\"approx\":{:.2}}}",
-            granularity_name(self.granularity),
+            self.granularity.name(),
             self.approx
         );
         s

@@ -9,7 +9,7 @@
 
 use crate::space::Candidate;
 use hoploc_est::PlacementScorer;
-use hoploc_harness::{RunSpec, Suite};
+use hoploc_harness::{RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, PassConfig, ProgramLayout};
 use hoploc_noc::{McPlacement, Mesh, Placement};
 use hoploc_sim::SimConfig;
@@ -107,7 +107,8 @@ impl Machine {
         Suite::for_placement(app.clone(), &self.placement, sim)
             .with_approx_threshold(self.layout.config().approx_threshold)
             .with_layout_plan(0, kind, self.layout.clone())
-            .run_one(RunSpec { app: 0, kind })
+            .run(&RunRequest::new(RunSpec { app: 0, kind }))
+            .stats
             .exec_cycles
     }
 }

@@ -4,7 +4,7 @@
 //! estimate record, any compiled layout, or any search report or progress
 //! event of any application fails here.
 
-use hoploc_est::{est_record_json, estimate_app, standard_configs, EstConfig, KINDS};
+use hoploc_est::{est_record_json, estimate_app, standard_configs, EstConfig};
 use hoploc_layout::Granularity;
 use hoploc_noc::L2ToMcMapping;
 use hoploc_search::{curated, search_app, Candidate, SearchConfig};
@@ -43,7 +43,7 @@ fn est_digest(app: &App) -> u64 {
     let mut h = Fnv::new();
     for (label, sim) in standard_configs() {
         let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-        for kind in KINDS {
+        for kind in RunKind::ALL {
             let layout = layout_for(app, &mapping, &sim, kind);
             for threads in [1, 2] {
                 let cfg = EstConfig::from_sim(&sim).with_threads_per_core(threads);

@@ -7,7 +7,7 @@
 
 use hoploc_check::{check_layout, CheckConfig, Severity};
 use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint, PlacementScorer};
-use hoploc_harness::{RunSpec, Suite};
+use hoploc_harness::{RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, PassConfig, ProgramAnalysis};
 use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
@@ -276,10 +276,11 @@ fn simulate_alone(app: &Arc<[App]>, sim: &SimConfig, c: &Candidate) -> RunStats 
     };
     Suite::for_placement(app.clone(), &placement, cell)
         .with_approx_threshold(c.approx)
-        .run_one(RunSpec {
+        .run(&RunRequest::new(RunSpec {
             app: 0,
             kind: RunKind::Optimized,
-        })
+        }))
+        .stats
 }
 
 /// Equal [`hoploc_search::Machine`]s are one simulation: along random

@@ -6,7 +6,7 @@
 //! the report must stay the one this path produces, and the number of
 //! simulations it took is pinned beside it.
 
-use hoploc_harness::{RunSpec, Suite};
+use hoploc_harness::{RunRequest, RunSpec, Suite};
 use hoploc_layout::Granularity;
 use hoploc_noc::{McPlacement, Placement};
 use hoploc_search::{search_app, Candidate, SearchConfig, SearchReport};
@@ -31,10 +31,11 @@ fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 
     };
     let suite = Suite::for_placement(app.clone(), &placement, sim).with_approx_threshold(c.approx);
     suite
-        .run_one(RunSpec {
+        .run(&RunRequest::new(RunSpec {
             app: 0,
             kind: RunKind::Optimized,
-        })
+        }))
+        .stats
         .exec_cycles
 }
 
@@ -44,10 +45,11 @@ fn baseline_cycles(app: &Arc<[App]>, cfg: &SearchConfig, placement: &McPlacement
     let p = Placement::nearest(cfg.sim.mesh, placement);
     let suite = Suite::for_placement(app.clone(), &p, cfg.sim.clone());
     suite
-        .run_one(RunSpec {
+        .run(&RunRequest::new(RunSpec {
             app: 0,
             kind: RunKind::Optimized,
-        })
+        }))
+        .stats
         .exec_cycles
 }
 

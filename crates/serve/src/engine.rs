@@ -2,8 +2,8 @@
 //! into result bytes.
 //!
 //! [`SuiteEngine`] is the real one. It owns a bounded pool of
-//! [`hoploc_harness::Suite`]s keyed by [`JobSpec::config_canon`], so every
-//! job under the same simulator configuration shares one suite — and with
+//! [`hoploc_harness::Suite`]s keyed by [`hoploc_harness::MachineSpec::canon`],
+//! so every job on the same machine shares one suite — and with
 //! it the memoized (and capacity-bounded) layout and trace caches. Results
 //! are the raw [`hoploc_harness::record_json`] bytes of the run, which is
 //! exactly what `hoploc sweep --json` embeds per record: a served result
@@ -22,11 +22,10 @@
 use crate::job::{FaultSpec, Fidelity, JobSpec};
 use hoploc_est::{est_record_json, EstConfig, Footprint, FootprintInputs};
 use hoploc_fault::{FaultPlan, FaultRates};
-use hoploc_harness::{fault_topo, record_json, Memo, RunRecord, RunSpec, Suite};
-use hoploc_noc::{L2ToMcMapping, McPlacement};
+use hoploc_harness::{fault_topo, record_json, Memo, RunRecord, RunRequest, RunSpec, Suite};
 use hoploc_search::{search_app, Objective, SearchConfig};
-use hoploc_sim::{PrefetchConfig, PrefetchMode, SimConfig};
-use hoploc_workloads::{all_apps, App, RunKind, Scale, APP_NAMES, MAX_THREADS_PER_CORE};
+use hoploc_sim::PrefetchMode;
+use hoploc_workloads::{all_apps, App, RunKind, Scale, APP_NAMES};
 use std::sync::{Arc, OnceLock};
 
 /// Executes jobs. Implementations must be safe to call from many worker
@@ -119,38 +118,20 @@ impl SuiteEngine {
         slot.get_or_init(|| all_apps(scale).into())
     }
 
-    fn sim_for(spec: &JobSpec) -> SimConfig {
-        SimConfig {
-            granularity: spec.granularity,
-            l2_mode: spec.l2_mode,
-            prefetch: PrefetchConfig::with_mode(spec.prefetch),
-            ..SimConfig::scaled()
-        }
-    }
-
-    fn mapping_for(spec: &JobSpec, sim: &SimConfig) -> L2ToMcMapping {
-        if spec.m2 {
-            L2ToMcMapping::halves(sim.mesh, &McPlacement::Corners)
-        } else {
-            L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement)
-        }
-    }
-
-    /// The shared suite for this job's configuration, building (and
+    /// The shared suite for this job's machine, building (and
     /// LRU-evicting) as needed.
     fn suite_for(&self, spec: &JobSpec) -> Arc<Suite> {
-        self.suites.get_or(spec.config_canon(), || {
-            let sim = Self::sim_for(spec);
-            let mapping = Self::mapping_for(spec, &sim);
-            Suite::new(self.apps(spec.scale).clone(), mapping, sim)
-                .with_threads_per_core(spec.threads)
+        let machine = &spec.machine;
+        self.suites.get_or(machine.canon(), || {
+            machine
+                .suite(self.apps(machine.scale).clone())
                 .with_cache_caps(self.caps.layout_cap, self.caps.trace_cap)
         })
     }
 
     /// Runs a search job: the same `search_app` call the CLI makes, fed
-    /// the same `SimConfig` construction as [`sim_for`](Self::sim_for),
-    /// so the streamed events and the final report are byte-identical to
+    /// the same [`MachineSpec::sim`](hoploc_harness::MachineSpec::sim), so
+    /// the streamed events and the final report are byte-identical to
     /// `hoploc search <app> --json -` with the same seed.
     fn run_search(
         &self,
@@ -161,7 +142,7 @@ impl SuiteEngine {
         let objective =
             Objective::parse(&search.objective).map_err(|e| format!("search objective: {e}"))?;
         let app = self
-            .apps(spec.scale)
+            .apps(spec.machine.scale)
             .iter()
             .find(|a| a.name() == spec.app)
             .ok_or_else(|| format!("unknown application {:?}", spec.app))?;
@@ -169,7 +150,7 @@ impl SuiteEngine {
             seed: search.seed,
             budget: search.budget,
             objective,
-            ..SearchConfig::new(Self::sim_for(spec), spec.scale)
+            ..SearchConfig::new(spec.machine.sim(), spec.machine.scale)
         };
         let mut sink = |line: String| emit(line);
         let report = search_app(app, &cfg, &mut sink);
@@ -202,24 +183,15 @@ impl Engine for SuiteEngine {
                 spec.app
             ));
         }
-        if spec.threads == 0 {
-            return Err("threads must be at least 1".into());
-        }
-        if spec.threads > MAX_THREADS_PER_CORE {
-            return Err(format!(
-                "threads must be at most {MAX_THREADS_PER_CORE} (got {})",
-                spec.threads
-            ));
-        }
+        spec.machine.check()?;
         if spec.fidelity == Fidelity::Est && spec.faults != FaultSpec::None {
             return Err("fault injection needs cycle fidelity (the estimator is static)".into());
         }
-        if spec.fidelity == Fidelity::Est && spec.prefetch != PrefetchMode::Off {
+        if spec.fidelity == Fidelity::Est && spec.machine.prefetch != PrefetchMode::Off {
             return Err("prefetching needs cycle fidelity (the estimator is static)".into());
         }
         if let FaultSpec::Plan(plan) = &spec.faults {
-            let sim = Self::sim_for(spec);
-            plan.validate(&fault_topo(&sim))
+            plan.validate(&fault_topo(&spec.machine.sim()))
                 .map_err(|e| format!("fault plan does not fit this machine: {e}"))?;
         }
         if let Some(search) = &spec.search {
@@ -230,12 +202,12 @@ impl Engine for SuiteEngine {
             if spec.kind != RunKind::Optimized {
                 return Err("search jobs tune the optimized pass; use kind=optimized".into());
             }
-            if spec.m2 {
+            if spec.machine.m2 {
                 return Err(
                     "search jobs explore L2-to-MC mappings; the m2 preset does not apply".into(),
                 );
             }
-            if spec.threads != 1 {
+            if spec.machine.threads != 1 {
                 return Err("search jobs verify with one thread per core".into());
             }
             if spec.faults != FaultSpec::None {
@@ -272,26 +244,23 @@ impl Engine for SuiteEngine {
             // Same compiled plan the cycle tier would replay, so the two
             // tiers disagree only by model, never by input.
             let plan = suite.layout_plan(run.app, run.kind);
-            let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(spec.threads);
+            let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(spec.machine.threads);
             // `estimate_app` in two steps: the footprint is shared by every
             // kind, granularity and mapping of this application.
-            let footprint = self
-                .footprints
-                .get_or((spec.scale, run.app, cfg.footprint_inputs()), || {
-                    Footprint::of(&suite.apps()[run.app], &cfg)
-                });
+            let footprint = self.footprints.get_or(
+                (spec.machine.scale, run.app, cfg.footprint_inputs()),
+                || Footprint::of(&suite.apps()[run.app], &cfg),
+            );
             let est = footprint.route(&plan, suite.mapping(), run.kind, &cfg);
             return Ok(est_record_json(&est));
         }
-        let stats = match Self::resolve_plan(spec, &suite)? {
-            None => suite.run_one(run),
-            Some(plan) => suite.run_one_faulted(run, &plan),
+        let plan = Self::resolve_plan(spec, &suite)?;
+        let req = RunRequest {
+            faults: plan.as_ref(),
+            ..RunRequest::new(run)
         };
-        Ok(record_json(&RunRecord {
-            app: spec.app.clone(),
-            kind: spec.kind,
-            stats,
-        }))
+        let stats = suite.run(&req).stats;
+        Ok(record_json(&RunRecord::new(&*spec.app, spec.kind, stats)))
     }
 
     fn run_streaming(
@@ -309,13 +278,15 @@ impl Engine for SuiteEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hoploc_harness::MachineSpec;
     use hoploc_layout::{Granularity, L2Mode};
+    use hoploc_workloads::MAX_THREADS_PER_CORE;
 
     fn spec(app: &str) -> JobSpec {
         JobSpec {
             app: app.into(),
             kind: RunKind::Baseline,
-            scale: Scale::Test,
+            machine: MachineSpec::at(Scale::Test),
             ..JobSpec::default()
         }
     }
@@ -327,7 +298,7 @@ mod tests {
         for warm in [false, true] {
             for scale in [Scale::Test, Scale::Bench] {
                 let mut s = spec("swim");
-                s.scale = scale;
+                s.machine.scale = scale;
                 s.fidelity = Fidelity::Est;
                 if warm {
                     eng.run(&s).unwrap();
@@ -347,7 +318,7 @@ mod tests {
         let eng = SuiteEngine::new(EngineCaps::default());
         let with_threads = |threads| {
             let mut s = spec("swim");
-            s.threads = threads;
+            s.machine.threads = threads;
             s
         };
         assert!(eng.validate(&with_threads(1)).is_ok());
@@ -362,7 +333,7 @@ mod tests {
     /// Est and cycle jobs over more machine configurations than the pool
     /// holds: suites come and go, the applications under them are built
     /// once, est jobs share footprints, and every served byte is what a
-    /// fresh direct `Suite` + `estimate_app` / `run_one` produces.
+    /// fresh direct `Suite` + `estimate_app` / `run` produces.
     #[test]
     fn evicting_pool_shares_one_catalogue_and_serves_direct_bytes() {
         use hoploc_est::estimate_app;
@@ -370,30 +341,23 @@ mod tests {
             suite_cap: 2,
             ..EngineCaps::default()
         });
-        let kinds = [
-            RunKind::Baseline,
-            RunKind::Optimized,
-            RunKind::FirstTouch,
-            RunKind::Optimal,
-        ];
         for l2_mode in [L2Mode::Private, L2Mode::Shared] {
             for granularity in [Granularity::CacheLine, Granularity::Page] {
                 for m2 in [false, true] {
-                    let machine = JobSpec {
+                    let mut machine = spec("swim");
+                    machine.machine = MachineSpec {
                         granularity,
                         l2_mode,
                         m2,
-                        ..spec("swim")
+                        ..machine.machine
                     };
-                    let sim = SuiteEngine::sim_for(&machine);
-                    let mapping = SuiteEngine::mapping_for(&machine, &sim);
-                    let direct = Suite::new(all_apps(Scale::Test), mapping, sim);
+                    let direct = machine.machine.suite(all_apps(Scale::Test));
                     let swim = direct
                         .apps()
                         .iter()
                         .position(|a| a.name() == "swim")
                         .unwrap();
-                    for kind in kinds {
+                    for kind in RunKind::ALL {
                         let job = JobSpec {
                             kind,
                             fidelity: Fidelity::Est,
@@ -414,15 +378,12 @@ mod tests {
                         );
                     }
                     if l2_mode == L2Mode::Private {
-                        let stats = direct.run_one(RunSpec {
+                        let cell = RunSpec {
                             app: swim,
                             kind: RunKind::Baseline,
-                        });
-                        let record = record_json(&RunRecord {
-                            app: "swim".into(),
-                            kind: RunKind::Baseline,
-                            stats,
-                        });
+                        };
+                        let stats = direct.run(&RunRequest::new(cell)).stats;
+                        let record = record_json(&RunRecord::new("swim", cell.kind, stats));
                         assert_eq!(eng.run(&machine).unwrap(), record, "{}", machine.canon());
                     }
                     // The suite that just served is live, and holds the
@@ -469,7 +430,7 @@ mod tests {
         let eng = SuiteEngine::new(EngineCaps::default());
         let mut s = spec("swim");
         s.fidelity = Fidelity::Est;
-        s.prefetch = PrefetchMode::Stride;
+        s.machine.prefetch = PrefetchMode::Stride;
         let err = eng.validate(&s).unwrap_err();
         assert!(err.contains("cycle fidelity"), "{err}");
     }
@@ -479,7 +440,7 @@ mod tests {
         let eng = SuiteEngine::new(EngineCaps::default());
         let plain = spec("swim");
         let mut pf = spec("swim");
-        pf.prefetch = PrefetchMode::Gated;
+        pf.machine.prefetch = PrefetchMode::Gated;
         assert!(eng.validate(&pf).is_ok());
         let off_bytes = eng.run(&plain).unwrap();
         let pf_bytes = eng.run(&pf).unwrap();
@@ -510,7 +471,7 @@ mod tests {
             .run_streaming(&s, &|line| streamed.lock().unwrap().push(line))
             .unwrap();
 
-        let app = all_apps(s.scale)
+        let app = all_apps(s.machine.scale)
             .into_iter()
             .find(|a| a.name() == "gafort")
             .unwrap();
@@ -518,7 +479,7 @@ mod tests {
             seed: 5,
             budget: 10,
             objective: Objective::parse("offchip,hops").unwrap(),
-            ..SearchConfig::new(SuiteEngine::sim_for(&s), s.scale)
+            ..SearchConfig::new(s.machine.sim(), s.machine.scale)
         };
         let mut direct_events = Vec::new();
         let report = search_app(&app, &cfg, &mut |e| direct_events.push(e));
@@ -551,10 +512,10 @@ mod tests {
         bad.kind = RunKind::Baseline;
         assert!(eng.validate(&bad).unwrap_err().contains("optimized"));
         let mut bad = base();
-        bad.m2 = true;
+        bad.machine.m2 = true;
         assert!(eng.validate(&bad).unwrap_err().contains("m2"));
         let mut bad = base();
-        bad.threads = 2;
+        bad.machine.threads = 2;
         assert!(eng.validate(&bad).unwrap_err().contains("thread"));
         let mut bad = base();
         bad.faults = FaultSpec::Seed(1);
@@ -586,12 +547,12 @@ mod tests {
         });
         let a = spec("swim");
         let mut b = spec("swim");
-        b.granularity = Granularity::Page;
+        b.machine.granularity = Granularity::Page;
         let _ = eng.suite_for(&a);
         let _ = eng.suite_for(&b);
         assert_eq!(eng.suites.resident(), 1);
         let mut c = spec("swim");
-        c.l2_mode = L2Mode::Shared;
+        c.machine.l2_mode = L2Mode::Shared;
         assert_ne!(a.config_canon(), c.config_canon());
     }
 }

@@ -1,17 +1,15 @@
 //! Job specifications and the canonical job key.
 //!
 //! A job names one cell of the evaluation matrix: an application, a run
-//! kind, the simulator configuration knobs the CLI exposes, and an
-//! optional fault plan. Two submissions describe *the same* simulation
+//! kind, the [`MachineSpec`] the CLI's flags also build, and an optional
+//! fault plan. Two submissions describe *the same* simulation
 //! exactly when their [canonical forms](JobSpec::canon) are equal — the
 //! server coalesces and caches on that string, so the definition here is
 //! the contract that makes duplicate submissions cost one simulation.
 
 use hoploc_fault::FaultPlan;
-use hoploc_harness::kind_name;
-use hoploc_layout::{Granularity, L2Mode};
-use hoploc_sim::PrefetchMode;
-use hoploc_workloads::{RunKind, Scale};
+use hoploc_harness::MachineSpec;
+use hoploc_workloads::RunKind;
 
 /// How a job asks for fault injection.
 #[derive(Clone, PartialEq, Debug)]
@@ -49,20 +47,22 @@ pub enum Fidelity {
     Est,
 }
 
-/// Stable wire name of a fidelity tier.
-pub fn fidelity_name(f: Fidelity) -> &'static str {
-    match f {
-        Fidelity::Cycle => "cycle",
-        Fidelity::Est => "est",
+impl Fidelity {
+    /// Stable wire name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fidelity::Cycle => "cycle",
+            Fidelity::Est => "est",
+        }
     }
-}
 
-/// Parses a fidelity wire name.
-pub fn parse_fidelity(s: &str) -> Result<Fidelity, String> {
-    match s {
-        "cycle" => Ok(Fidelity::Cycle),
-        "est" => Ok(Fidelity::Est),
-        other => Err(format!("unknown fidelity {other:?} (use cycle or est)")),
+    /// Parses a [`name`](Self::name) back to a tier.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "cycle" => Ok(Fidelity::Cycle),
+            "est" => Ok(Fidelity::Est),
+            other => Err(format!("unknown fidelity {other:?} (use cycle or est)")),
+        }
     }
 }
 
@@ -94,16 +94,10 @@ pub struct JobSpec {
     pub app: String,
     /// Which side of the comparison to run.
     pub kind: RunKind,
-    /// Problem size.
-    pub scale: Scale,
-    /// MC interleaving granularity.
-    pub granularity: Granularity,
-    /// Last-level cache organization.
-    pub l2_mode: L2Mode,
-    /// `true` for the M2 (halves, k=2) L2-to-MC mapping.
-    pub m2: bool,
-    /// Threads per core.
-    pub threads: usize,
+    /// The machine to run on. Its default-valued newer knobs
+    /// ([`hoploc_sim::PrefetchMode::Off`]) are canon-absent, so every key
+    /// minted before they existed stays byte-stable.
+    pub machine: MachineSpec,
     /// Fault injection request.
     pub faults: FaultSpec,
     /// Answer tier: cycle simulation or the static estimator.
@@ -111,9 +105,6 @@ pub struct JobSpec {
     /// Present for the long-running `search` job kind: run the
     /// design-space optimizer for `app` instead of one simulation.
     pub search: Option<SearchSpec>,
-    /// L2 prefetch engine. [`PrefetchMode::Off`] (the default) is
-    /// canon-absent so every pre-prefetch key stays byte-stable.
-    pub prefetch: PrefetchMode,
 }
 
 impl Default for JobSpec {
@@ -121,15 +112,10 @@ impl Default for JobSpec {
         JobSpec {
             app: String::new(),
             kind: RunKind::Baseline,
-            scale: Scale::Bench,
-            granularity: Granularity::CacheLine,
-            l2_mode: L2Mode::Private,
-            m2: false,
-            threads: 1,
+            machine: MachineSpec::default(),
             faults: FaultSpec::None,
             fidelity: Fidelity::Cycle,
             search: None,
-            prefetch: PrefetchMode::Off,
         }
     }
 }
@@ -163,20 +149,17 @@ impl JobSpec {
     /// entries, client logs — stays byte-for-byte stable (asserted by the
     /// property suite).
     pub fn canon(&self) -> String {
+        // The machine's default-absent terms go last, after the job's own.
+        let (machine, machine_tail) = self.machine.canon_parts();
         let mut s = format!(
-            "app={};kind={};scale={};gran={};l2={};map={};threads={};faults={}",
+            "app={};kind={};{machine};faults={}",
             self.app,
-            kind_name(self.kind),
-            scale_name(self.scale),
-            granularity_name(self.granularity),
-            l2_name(self.l2_mode),
-            if self.m2 { "m2" } else { "m1" },
-            self.threads,
+            self.kind.name(),
             self.faults.canon(),
         );
         if self.fidelity != Fidelity::Cycle {
             s.push_str(";fidelity=");
-            s.push_str(fidelity_name(self.fidelity));
+            s.push_str(self.fidelity.name());
         }
         // Like `fidelity`, the `search` suffix is default-absent: every
         // key minted before the job kind existed stays byte-stable.
@@ -184,13 +167,7 @@ impl JobSpec {
             s.push_str(";search=");
             s.push_str(&search.canon());
         }
-        // Default-absent for the same reason: an Off-prefetch job keys
-        // identically to every key minted before the knob existed.
-        if self.prefetch != PrefetchMode::Off {
-            s.push_str(";prefetch=");
-            s.push_str(self.prefetch.name());
-        }
-        s
+        s + &machine_tail
     }
 
     /// The canonical key of this spec.
@@ -205,21 +182,7 @@ impl JobSpec {
     /// set of layout/trace caches, across all apps/kinds/faults under the
     /// same configuration).
     pub fn config_canon(&self) -> String {
-        let mut s = format!(
-            "scale={};gran={};l2={};map={};threads={}",
-            scale_name(self.scale),
-            granularity_name(self.granularity),
-            l2_name(self.l2_mode),
-            if self.m2 { "m2" } else { "m1" },
-            self.threads,
-        );
-        // Prefetch selects a different SimConfig, hence a different suite;
-        // default-absent so pre-prefetch suites keep their keys.
-        if self.prefetch != PrefetchMode::Off {
-            s.push_str(";prefetch=");
-            s.push_str(self.prefetch.name());
-        }
-        s
+        self.machine.canon()
     }
 }
 
@@ -233,83 +196,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Stable wire name of a scale.
-pub fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    }
-}
-
-/// Parses a scale wire name.
-pub fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "test" => Ok(Scale::Test),
-        "bench" => Ok(Scale::Bench),
-        other => Err(format!("unknown scale {other:?} (use test or bench)")),
-    }
-}
-
-/// Stable wire name of a granularity.
-pub fn granularity_name(g: Granularity) -> &'static str {
-    match g {
-        Granularity::CacheLine => "cacheline",
-        Granularity::Page => "page",
-    }
-}
-
-/// Parses a granularity wire name.
-pub fn parse_granularity(s: &str) -> Result<Granularity, String> {
-    match s {
-        "cacheline" => Ok(Granularity::CacheLine),
-        "page" => Ok(Granularity::Page),
-        other => Err(format!(
-            "unknown granularity {other:?} (use cacheline or page)"
-        )),
-    }
-}
-
-/// Stable wire name of an L2 mode.
-pub fn l2_name(m: L2Mode) -> &'static str {
-    match m {
-        L2Mode::Private => "private",
-        L2Mode::Shared => "shared",
-    }
-}
-
-/// Parses an L2-mode wire name.
-pub fn parse_l2(s: &str) -> Result<L2Mode, String> {
-    match s {
-        "private" => Ok(L2Mode::Private),
-        "shared" => Ok(L2Mode::Shared),
-        other => Err(format!("unknown l2 mode {other:?} (use private or shared)")),
-    }
-}
-
-/// Parses a run-kind wire name (the [`kind_name`] vocabulary).
-pub fn parse_kind(s: &str) -> Result<RunKind, String> {
-    [
-        RunKind::Baseline,
-        RunKind::Optimized,
-        RunKind::FirstTouch,
-        RunKind::Optimal,
-    ]
-    .into_iter()
-    .find(|&k| kind_name(k) == s)
-    .ok_or_else(|| {
-        format!("unknown run kind {s:?} (use baseline, optimized, first-touch, or optimal)")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hoploc_sim::PrefetchMode;
+    use hoploc_workloads::Scale;
 
     fn spec() -> JobSpec {
         JobSpec {
             app: "swim".into(),
             kind: RunKind::Optimized,
-            scale: Scale::Test,
+            machine: MachineSpec::at(Scale::Test),
             ..JobSpec::default()
         }
     }
@@ -336,7 +233,7 @@ mod tests {
         b.faults = FaultSpec::Seed(9);
         assert_eq!(a.config_canon(), b.config_canon());
         let mut c = a.clone();
-        c.threads = 2;
+        c.machine.threads = 2;
         assert_ne!(a.config_canon(), c.config_canon());
     }
 
@@ -396,7 +293,7 @@ mod tests {
             a.config_canon()
         );
         let mut b = a.clone();
-        b.prefetch = PrefetchMode::Gated;
+        b.machine.prefetch = PrefetchMode::Gated;
         assert!(b.canon().ends_with(";prefetch=gated"), "{}", b.canon());
         assert!(
             b.config_canon().ends_with(";prefetch=gated"),
@@ -405,7 +302,7 @@ mod tests {
         );
         assert_ne!(a.key(), b.key(), "prefetch jobs must cache separately");
         let mut c = b.clone();
-        c.prefetch = PrefetchMode::Stride;
+        c.machine.prefetch = PrefetchMode::Stride;
         assert_ne!(b.key(), c.key(), "the mode is part of the job identity");
     }
 
@@ -426,25 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for s in [Scale::Test, Scale::Bench] {
-            assert_eq!(parse_scale(scale_name(s)).unwrap(), s);
+    fn fidelity_names_round_trip() {
+        for f in [Fidelity::Cycle, Fidelity::Est] {
+            assert_eq!(Fidelity::parse(f.name()), Ok(f));
         }
-        for g in [Granularity::CacheLine, Granularity::Page] {
-            assert_eq!(parse_granularity(granularity_name(g)).unwrap(), g);
-        }
-        for m in [L2Mode::Private, L2Mode::Shared] {
-            assert_eq!(parse_l2(l2_name(m)).unwrap(), m);
-        }
-        for k in [
-            RunKind::Baseline,
-            RunKind::Optimized,
-            RunKind::FirstTouch,
-            RunKind::Optimal,
-        ] {
-            assert_eq!(parse_kind(kind_name(k)).unwrap(), k);
-        }
-        assert!(parse_scale("huge").is_err());
-        assert!(parse_kind("fastest").is_err());
+        assert!(Fidelity::parse("rtl").is_err());
     }
 }

@@ -11,6 +11,7 @@
 use crate::client::Client;
 use crate::job::JobSpec;
 use crate::wire::SubmitStatus;
+use hoploc_harness::MachineSpec;
 use hoploc_workloads::{RunKind, Scale, APP_NAMES};
 use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
@@ -99,7 +100,7 @@ pub fn job_matrix(cfg: &LoadConfig) -> Vec<JobSpec> {
                 jobs.push(JobSpec {
                     app: app.to_string(),
                     kind,
-                    scale: cfg.scale,
+                    machine: MachineSpec::at(cfg.scale),
                     ..JobSpec::default()
                 });
             }

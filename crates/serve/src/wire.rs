@@ -12,14 +12,13 @@
 //! wire is byte-identical to the `record_json` of a direct run — the
 //! property the end-to-end suite asserts literally.
 
-use crate::job::{
-    fidelity_name, granularity_name, l2_name, parse_fidelity, parse_granularity, parse_kind,
-    parse_l2, parse_scale, scale_name, FaultSpec, Fidelity, JobSpec, SearchSpec,
-};
+use crate::job::{FaultSpec, Fidelity, JobSpec, SearchSpec};
 use hoploc_fault::FaultPlan;
-use hoploc_harness::kind_name;
-use hoploc_obs::{parse_json, JsonValue};
+use hoploc_harness::MachineSpec;
+use hoploc_layout::{Granularity, L2Mode};
+use hoploc_obs::{json_string, parse_json, JsonValue};
 use hoploc_sim::PrefetchMode;
+use hoploc_workloads::{RunKind, Scale};
 use std::fmt::Write as _;
 
 /// A parsed client request.
@@ -149,41 +148,21 @@ pub enum Response {
     },
 }
 
-/// JSON string literal with escaping.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Encodes a job spec as the `"job"` object of a submit request. Faults
 /// encode as `fault_seed` (seeded generation) or `fault_plan` (the
 /// `hoploc faults` text format, JSON-escaped).
 pub fn encode_job(spec: &JobSpec) -> String {
+    let m = &spec.machine;
     let mut s = format!(
         "{{\"app\":{},\"kind\":\"{}\",\"scale\":\"{}\",\"granularity\":\"{}\",\
          \"l2\":\"{}\",\"mapping\":\"{}\",\"threads\":{}",
         json_string(&spec.app),
-        kind_name(spec.kind),
-        scale_name(spec.scale),
-        granularity_name(spec.granularity),
-        l2_name(spec.l2_mode),
-        if spec.m2 { "m2" } else { "m1" },
-        spec.threads,
+        spec.kind.name(),
+        m.scale.name(),
+        m.granularity.name(),
+        m.l2_mode.name(),
+        m.mapping_name(),
+        m.threads,
     );
     match &spec.faults {
         FaultSpec::None => {}
@@ -196,7 +175,7 @@ pub fn encode_job(spec: &JobSpec) -> String {
     }
     // Default-tier requests stay byte-identical to pre-fidelity clients'.
     if spec.fidelity != Fidelity::Cycle {
-        let _ = write!(s, ",\"fidelity\":\"{}\"", fidelity_name(spec.fidelity));
+        let _ = write!(s, ",\"fidelity\":\"{}\"", spec.fidelity.name());
     }
     // Search fields are likewise absent unless the job is a search.
     if let Some(search) = &spec.search {
@@ -209,8 +188,8 @@ pub fn encode_job(spec: &JobSpec) -> String {
         );
     }
     // Off-prefetch requests stay byte-identical to pre-prefetch clients'.
-    if spec.prefetch != PrefetchMode::Off {
-        let _ = write!(s, ",\"prefetch\":\"{}\"", spec.prefetch.name());
+    if m.prefetch != PrefetchMode::Off {
+        let _ = write!(s, ",\"prefetch\":\"{}\"", m.prefetch.name());
     }
     s.push('}');
     s
@@ -218,7 +197,10 @@ pub fn encode_job(spec: &JobSpec) -> String {
 
 /// Parses the `"job"` object of a submit request. Unknown fields are
 /// rejected — a typoed knob must not silently fall back to a default and
-/// key (or simulate) something the client did not ask for.
+/// key (or simulate) something the client did not ask for. Values are
+/// spelled by their types' own `parse`, the functions the CLI's flags call;
+/// whether the machine they add up to can be built is the engine's
+/// admission check ([`MachineSpec::check`]), not a protocol error.
 pub fn parse_job(v: &JsonValue) -> Result<JobSpec, String> {
     let JsonValue::Obj(members) = v else {
         return Err("job must be an object".into());
@@ -232,77 +214,45 @@ pub fn parse_job(v: &JsonValue) -> Result<JobSpec, String> {
     let mut saw_app = false;
     let mut saw_kind = false;
     for (k, val) in members {
+        let text = || val.as_str().ok_or_else(|| format!("{k} must be a string"));
+        let number = || {
+            val.as_u64()
+                .ok_or_else(|| format!("{k} must be a non-negative integer"))
+        };
         match k.as_str() {
             "app" => {
-                spec.app = val.as_str().ok_or("app must be a string")?.to_string();
+                spec.app = text()?.to_string();
                 saw_app = true;
             }
             "kind" => {
-                spec.kind = parse_kind(val.as_str().ok_or("kind must be a string")?)?;
+                spec.kind = RunKind::parse(text()?)?;
                 saw_kind = true;
             }
-            "scale" => {
-                spec.scale = parse_scale(val.as_str().ok_or("scale must be a string")?)?;
-            }
-            "granularity" => {
-                spec.granularity =
-                    parse_granularity(val.as_str().ok_or("granularity must be a string")?)?;
-            }
-            "l2" => {
-                spec.l2_mode = parse_l2(val.as_str().ok_or("l2 must be a string")?)?;
-            }
-            "mapping" => match val.as_str().ok_or("mapping must be a string")? {
-                "m1" => spec.m2 = false,
-                "m2" => spec.m2 = true,
-                other => return Err(format!("unknown mapping {other:?} (use m1 or m2)")),
-            },
-            "threads" => {
-                let n = val
-                    .as_u64()
-                    .ok_or("threads must be a non-negative integer")?;
-                if n == 0 {
-                    return Err("threads must be at least 1".into());
-                }
-                spec.threads = n as usize;
-            }
-            "fault_seed" => {
-                fault_seed = Some(
-                    val.as_u64()
-                        .ok_or("fault_seed must be a non-negative integer")?,
-                );
-            }
+            "scale" => spec.machine.scale = Scale::parse(text()?)?,
+            "granularity" => spec.machine.granularity = Granularity::parse(text()?)?,
+            "l2" => spec.machine.l2_mode = L2Mode::parse(text()?)?,
+            "mapping" => spec.machine.m2 = MachineSpec::parse_mapping(text()?)?,
+            "threads" => spec.machine.threads = usize::try_from(number()?).unwrap_or(usize::MAX),
+            "prefetch" => spec.machine.prefetch = PrefetchMode::parse(text()?)?,
+            "fidelity" => spec.fidelity = Fidelity::parse(text()?)?,
+            "fault_seed" => fault_seed = Some(number()?),
             "fault_plan" => {
-                let text = val.as_str().ok_or("fault_plan must be a string")?;
-                fault_plan = Some(FaultPlan::parse(text).map_err(|e| format!("fault_plan: {e}"))?);
+                fault_plan =
+                    Some(FaultPlan::parse(text()?).map_err(|e| format!("fault_plan: {e}"))?);
             }
-            "fidelity" => {
-                spec.fidelity = parse_fidelity(val.as_str().ok_or("fidelity must be a string")?)?;
-            }
-            "prefetch" => {
-                spec.prefetch =
-                    PrefetchMode::parse(val.as_str().ok_or("prefetch must be a string")?)?;
-            }
-            "search_seed" => {
-                search_seed = Some(
-                    val.as_u64()
-                        .ok_or("search_seed must be a non-negative integer")?,
-                );
-            }
+            "search_seed" => search_seed = Some(number()?),
             "search_budget" => {
-                let n = val
-                    .as_u64()
-                    .ok_or("search_budget must be a non-negative integer")?;
+                let n = number()?;
                 if n == 0 || n > u64::from(u32::MAX) {
                     return Err("search_budget must be between 1 and 4294967295".into());
                 }
                 search_budget = Some(n as u32);
             }
             "search_objective" => {
-                let text = val.as_str().ok_or("search_objective must be a string")?;
                 // Canonicalize up front so semantically identical objective
                 // spellings ("offchip,hops" vs "offchip+hops") key — and
                 // therefore cache and coalesce — identically.
-                let obj = hoploc_search::Objective::parse(text)
+                let obj = hoploc_search::Objective::parse(text()?)
                     .map_err(|e| format!("search_objective: {e}"))?;
                 search_objective = Some(obj.canon());
             }
@@ -556,13 +506,12 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoploc_workloads::{RunKind, Scale};
 
     fn spec() -> JobSpec {
         JobSpec {
             app: "swim".into(),
             kind: RunKind::Optimized,
-            scale: Scale::Test,
+            machine: MachineSpec::at(Scale::Test),
             ..JobSpec::default()
         }
     }
@@ -616,7 +565,7 @@ mod tests {
     #[test]
     fn prefetch_round_trips_and_default_is_absent_from_the_wire() {
         let mut s = spec();
-        s.prefetch = PrefetchMode::Gated;
+        s.machine.prefetch = PrefetchMode::Gated;
         let line = encode_request(&Request::Submit(s.clone()));
         assert!(line.contains("\"prefetch\":\"gated\""), "{line}");
         assert_eq!(parse_request(&line).unwrap(), Request::Submit(s));

@@ -4,8 +4,8 @@
 //! error replies) on seeded random samples.
 
 use hoploc_fault::{FaultPlan, FaultRates, FaultTopo};
+use hoploc_harness::MachineSpec;
 use hoploc_ptest::{run_cases, SmallRng};
-use hoploc_serve::job::{granularity_name, l2_name, scale_name};
 use hoploc_serve::wire::{
     encode_job, encode_request, encode_response, parse_request, parse_response, Request, Response,
     SubmitStatus,
@@ -14,12 +14,6 @@ use hoploc_serve::{FaultSpec, Fidelity, JobSpec, PrefetchMode, SearchSpec};
 use hoploc_workloads::{RunKind, Scale};
 
 const APPS: [&str; 6] = ["swim", "mgrid", "apsi", "cg", "mg", "equake"];
-const KINDS: [RunKind; 4] = [
-    RunKind::Baseline,
-    RunKind::Optimized,
-    RunKind::FirstTouch,
-    RunKind::Optimal,
-];
 
 fn random_spec(rng: &mut SmallRng) -> JobSpec {
     use hoploc_layout::{Granularity, L2Mode};
@@ -41,24 +35,27 @@ fn random_spec(rng: &mut SmallRng) -> JobSpec {
     };
     JobSpec {
         app: APPS[rng.usize_in(0..APPS.len())].to_string(),
-        kind: KINDS[rng.usize_in(0..KINDS.len())],
-        scale: if rng.flip() {
-            Scale::Test
-        } else {
-            Scale::Bench
+        kind: RunKind::ALL[rng.usize_in(0..RunKind::ALL.len())],
+        machine: MachineSpec {
+            scale: if rng.flip() {
+                Scale::Test
+            } else {
+                Scale::Bench
+            },
+            granularity: if rng.flip() {
+                Granularity::CacheLine
+            } else {
+                Granularity::Page
+            },
+            l2_mode: if rng.flip() {
+                L2Mode::Private
+            } else {
+                L2Mode::Shared
+            },
+            m2: rng.flip(),
+            threads: rng.usize_in(1..5),
+            prefetch: PrefetchMode::all()[rng.usize_in(0..4)],
         },
-        granularity: if rng.flip() {
-            Granularity::CacheLine
-        } else {
-            Granularity::Page
-        },
-        l2_mode: if rng.flip() {
-            L2Mode::Private
-        } else {
-            L2Mode::Shared
-        },
-        m2: rng.flip(),
-        threads: rng.usize_in(1..5),
         faults,
         fidelity: if rng.flip() {
             Fidelity::Cycle
@@ -77,7 +74,6 @@ fn random_spec(rng: &mut SmallRng) -> JobSpec {
         } else {
             None
         },
-        prefetch: PrefetchMode::all()[rng.usize_in(0..4)],
     }
 }
 
@@ -85,14 +81,15 @@ fn random_spec(rng: &mut SmallRng) -> JobSpec {
 /// same canonical encoder pieces `encode_job` uses, so any disagreement
 /// is a reordering effect, not a formatting one.
 fn shuffled_job_json(spec: &JobSpec, rng: &mut SmallRng) -> String {
+    let m = &spec.machine;
     let mut fields = vec![
         format!("\"app\":\"{}\"", spec.app),
-        format!("\"kind\":\"{}\"", hoploc_harness::kind_name(spec.kind)),
-        format!("\"scale\":\"{}\"", scale_name(spec.scale)),
-        format!("\"granularity\":\"{}\"", granularity_name(spec.granularity)),
-        format!("\"l2\":\"{}\"", l2_name(spec.l2_mode)),
-        format!("\"mapping\":\"{}\"", if spec.m2 { "m2" } else { "m1" }),
-        format!("\"threads\":{}", spec.threads),
+        format!("\"kind\":\"{}\"", spec.kind.name()),
+        format!("\"scale\":\"{}\"", m.scale.name()),
+        format!("\"granularity\":\"{}\"", m.granularity.name()),
+        format!("\"l2\":\"{}\"", m.l2_mode.name()),
+        format!("\"mapping\":\"{}\"", m.mapping_name()),
+        format!("\"threads\":{}", m.threads),
     ];
     match &spec.faults {
         FaultSpec::None => {}
@@ -112,8 +109,8 @@ fn shuffled_job_json(spec: &JobSpec, rng: &mut SmallRng) -> String {
         fields.push(format!("\"search_objective\":\"{}\"", search.objective));
     }
     // Mirror the encoder: the Off prefetch default is never written.
-    if spec.prefetch != PrefetchMode::Off {
-        fields.push(format!("\"prefetch\":\"{}\"", spec.prefetch.name()));
+    if m.prefetch != PrefetchMode::Off {
+        fields.push(format!("\"prefetch\":\"{}\"", m.prefetch.name()));
     }
     // Fisher-Yates with the property rng.
     for i in (1..fields.len()).rev() {
@@ -178,7 +175,7 @@ fn pre_prefetch_requests_parse_and_key_identically() {
     // warm suites minted before the knob existed stay hits.
     run_cases("serve.key.preprefetch", 200, |rng| {
         let mut spec = random_spec(rng);
-        spec.prefetch = PrefetchMode::Off;
+        spec.machine.prefetch = PrefetchMode::Off;
         let old_line = shuffled_job_json(&spec, rng);
         assert!(
             !old_line.contains("prefetch"),

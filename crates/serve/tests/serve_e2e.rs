@@ -8,7 +8,7 @@
 //! rejects with a retry hint, per-job timeouts answer with structured
 //! errors, and drain shuts down with every accepted job answered.
 
-use hoploc_harness::{record_json, RunRecord, RunSpec, Suite};
+use hoploc_harness::{record_json, MachineSpec, RunRequest, RunSpec, Suite};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_serve::client::Client;
 use hoploc_serve::engine::{Engine, EngineCaps, SuiteEngine};
@@ -29,7 +29,7 @@ fn spec_for(app: &str, kind: RunKind) -> JobSpec {
     JobSpec {
         app: app.to_string(),
         kind,
-        scale: Scale::Test,
+        machine: MachineSpec::at(Scale::Test),
         ..JobSpec::default()
     }
 }
@@ -46,25 +46,16 @@ fn direct_matrix() -> HashMap<String, String> {
     };
     let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
     let suite = Suite::new(all_apps(Scale::Test), mapping, sim);
-    let mut specs = Vec::new();
+    let mut reqs = Vec::new();
     for (i, _) in suite.apps().iter().enumerate() {
         for kind in KINDS {
-            specs.push(RunSpec { app: i, kind });
+            reqs.push(RunRequest::new(RunSpec { app: i, kind }));
         }
     }
-    let records = suite.run_matrix(&specs, 4);
+    let records = suite.run_all(&reqs, 4);
     records
         .iter()
-        .map(|r| {
-            (
-                spec_for(&r.app, r.kind).canon(),
-                record_json(&RunRecord {
-                    app: r.app.clone(),
-                    kind: r.kind,
-                    stats: r.stats.clone(),
-                }),
-            )
-        })
+        .map(|r| (spec_for(&r.app, r.kind).canon(), record_json(r)))
         .collect()
 }
 
@@ -116,7 +107,7 @@ fn served_results_are_byte_identical_to_direct_runs() {
                         let want = expected.get(&spec.canon()).expect("ground truth");
                         assert_eq!(
                             &served, want,
-                            "served bytes must equal direct run_matrix bytes for {app}/{kind:?}"
+                            "served bytes must equal direct run_all bytes for {app}/{kind:?}"
                         );
                     }
                 }
@@ -221,7 +212,7 @@ fn queue_saturation_rejects_with_retry_then_recovers() {
     let mut ids = Vec::new();
     for i in 0..12 {
         let mut spec = spec_for("swim", RunKind::Baseline);
-        spec.threads = i + 1;
+        spec.machine.threads = i + 1;
         match client.submit(&spec).expect("reply") {
             hoploc_serve::Response::Submitted { id, .. } => ids.push(id),
             hoploc_serve::Response::Rejected {
@@ -239,7 +230,7 @@ fn queue_saturation_rejects_with_retry_then_recovers() {
     assert!(rejected > 0, "hammering a queue of 2 must reject");
     // Backpressure is advisory, not fatal: retrying with the hint lands.
     let mut spec = spec_for("swim", RunKind::Baseline);
-    spec.threads = 99;
+    spec.machine.threads = 99;
     let (id, status, retries) = client
         .submit_until_accepted(&spec, 10_000)
         .expect("eventually accepted");
@@ -292,7 +283,7 @@ fn drain_answers_all_accepted_jobs_before_exit() {
     let mut ids = Vec::new();
     for i in 0..10 {
         let mut spec = spec_for("swim", RunKind::Baseline);
-        spec.threads = i + 1;
+        spec.machine.threads = i + 1;
         let (id, _, _) = submitter
             .submit_until_accepted(&spec, 1000)
             .expect("accept");
@@ -322,7 +313,7 @@ fn an_absurd_thread_count_is_refused_and_the_server_keeps_serving() {
     // Parses (any integer does) and would ask the worker for 64 x 4e9
     // thread traces; admission must refuse it before it costs a queue slot.
     let mut huge = spec_for("swim", RunKind::Baseline);
-    huge.threads = 4_000_000_000;
+    huge.machine.threads = 4_000_000_000;
     match client.submit(&huge) {
         Ok(hoploc_serve::Response::Rejected { reason, detail, .. }) => {
             assert_eq!(reason, "invalid_job");

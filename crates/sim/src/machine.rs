@@ -1724,9 +1724,11 @@ mod tests {
             };
             park(&mut sim, 0);
             park(&mut sim, 1);
-            let first = sim.mcs[0].enqueue_obs(0, 0, 10, 0, &sim.obs).to_vec();
+            let first = sim.mcs[0]
+                .enqueue_class_obs(0, 0, 10, 0, false, &sim.obs)
+                .to_vec();
             assert_eq!(first.len(), 1, "idle bank finalizes the first arrival");
-            let second = sim.mcs[0].enqueue_obs(0, 1, 10, 0, &sim.obs);
+            let second = sim.mcs[0].enqueue_class_obs(0, 1, 10, 0, false, &sim.obs);
             assert!(second.is_empty(), "busy bank must park the second arrival");
             schedule_completions(&mut sim.events, &first);
             let stats = sim.run_core(&TraceWorkload::single("t", vec![]));

@@ -40,6 +40,23 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Canonical lowercase name (CLI value, wire value, report field).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Bench => "bench",
+        }
+    }
+
+    /// Parses a [`name`](Self::name) back to a scale.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "bench" => Ok(Scale::Bench),
+            other => Err(format!("unknown scale {other:?} (use test or bench)")),
+        }
+    }
+
     fn d2(self) -> (i64, i64) {
         match self {
             Scale::Test => (96, 64),

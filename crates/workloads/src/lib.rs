@@ -19,6 +19,6 @@ pub use apps::{
 };
 pub use gen::{generate_traces, NestSampling, TraceGen, MAX_THREADS_PER_CORE};
 pub use suite::{
-    build_workload, layout_for, layout_with, page_policy, run_app, run_app_threads, run_mix,
-    weighted_speedup, LayoutPlanner, RunKind,
+    build_workload, cell_config, desired_pages, layout_for, layout_with, page_policy, run_app,
+    run_app_threads, run_mix, weighted_speedup, LayoutPlanner, RunKind,
 };

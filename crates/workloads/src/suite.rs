@@ -9,7 +9,7 @@ use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, Trace
 use std::collections::HashMap;
 
 /// Which side of a comparison a run represents.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RunKind {
     /// Original layouts, default OS placement.
     Baseline,
@@ -21,6 +21,36 @@ pub enum RunKind {
     /// The §2 optimal scheme: baseline layouts, nearest-MC redirection,
     /// ideal memory service.
     Optimal,
+}
+
+impl RunKind {
+    /// Every kind, in the order the figures list them.
+    pub const ALL: [RunKind; 4] = [
+        RunKind::Baseline,
+        RunKind::Optimized,
+        RunKind::FirstTouch,
+        RunKind::Optimal,
+    ];
+
+    /// Canonical lowercase name (CLI value, wire value, report column).
+    pub fn name(self) -> &'static str {
+        match self {
+            RunKind::Baseline => "baseline",
+            RunKind::Optimized => "optimized",
+            RunKind::FirstTouch => "first-touch",
+            RunKind::Optimal => "optimal",
+        }
+    }
+
+    /// Parses a [`name`](Self::name) back to a kind.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| {
+                format!("unknown run kind {s:?} (use baseline, optimized, first-touch, or optimal)")
+            })
+    }
 }
 
 /// Builds the program layout an experiment side uses.
@@ -109,6 +139,33 @@ pub fn page_policy(kind: RunKind, desired: HashMap<u64, McId>) -> PagePolicy {
     }
 }
 
+/// The simulator configuration of one cell: `sim` with the §2 optimal
+/// scheme on for that kind alone and the application's outstanding-miss
+/// window. Every path that simulates a cell builds its config here.
+pub fn cell_config(sim: &SimConfig, kind: RunKind, mlp: u32) -> SimConfig {
+    SimConfig {
+        optimal: kind == RunKind::Optimal,
+        mlp,
+        ..sim.clone()
+    }
+}
+
+/// The page → MC map the compiler asks the OS for: only the optimized side
+/// has one (empty under cache-line interleaving, where the layout needs no
+/// help from the OS).
+pub fn desired_pages(
+    app: &App,
+    kind: RunKind,
+    space: &AddressSpace,
+    layout: &ProgramLayout,
+    page_bytes: u64,
+) -> HashMap<u64, McId> {
+    match kind {
+        RunKind::Optimized => space.desired_page_mcs(&app.program, layout, page_bytes),
+        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => HashMap::new(),
+    }
+}
+
 /// Generates the trace workload for one side of an experiment.
 pub fn build_workload(
     app: &App,
@@ -119,11 +176,10 @@ pub fn build_workload(
 ) -> (TraceWorkload, PagePolicy) {
     let layout = layout_for(app, mapping, sim, kind);
     let space = AddressSpace::build(&app.program, &layout, 0);
-    let desired = match kind {
-        RunKind::Optimized => space.desired_page_mcs(&app.program, &layout, sim.page_bytes),
-        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => HashMap::new(),
-    };
-    let policy = page_policy(kind, desired);
+    let policy = page_policy(
+        kind,
+        desired_pages(app, kind, &space, &layout, sim.page_bytes),
+    );
     let gen = TraceGen {
         threads_per_core,
         ..app.gen
@@ -144,20 +200,16 @@ pub fn run_app_threads(
     kind: RunKind,
     threads_per_core: usize,
 ) -> RunStats {
-    let mut cfg = sim.clone();
-    cfg.optimal = kind == RunKind::Optimal;
-    cfg.mlp = app.mlp;
+    let cfg = cell_config(sim, kind, app.mlp);
     let (workload, policy) = build_workload(app, mapping, &cfg, kind, threads_per_core);
-    Simulator::new(cfg.clone(), mapping.clone(), policy).run(&workload)
+    Simulator::new(cfg, mapping.clone(), policy).run(&workload)
 }
 
 /// Runs a multiprogrammed mix: every application runs with one thread per
 /// core on all cores (co-scheduled), with disjoint virtual address spaces.
 /// Returns the combined run statistics (per-app finishes inside).
 pub fn run_mix(apps: &[App], mapping: &L2ToMcMapping, sim: &SimConfig, kind: RunKind) -> RunStats {
-    let mut cfg = sim.clone();
-    cfg.optimal = kind == RunKind::Optimal;
-    cfg.mlp = apps.iter().map(|a| a.mlp).max().unwrap_or(1);
+    let cfg = cell_config(sim, kind, apps.iter().map(|a| a.mlp).max().unwrap_or(1));
     let mut merged_desired = HashMap::new();
     let mut workloads = Vec::new();
     for (i, app) in apps.iter().enumerate() {
@@ -165,9 +217,7 @@ pub fn run_mix(apps: &[App], mapping: &L2ToMcMapping, sim: &SimConfig, kind: Run
         // 4 GiB of virtual space per application keeps them disjoint.
         let origin = (i as u64) << 32;
         let space = AddressSpace::build(&app.program, &layout, origin);
-        if kind == RunKind::Optimized {
-            merged_desired.extend(space.desired_page_mcs(&app.program, &layout, cfg.page_bytes));
-        }
+        merged_desired.extend(desired_pages(app, kind, &space, &layout, cfg.page_bytes));
         workloads.push(generate_traces(&app.program, &layout, &space, &app.gen));
     }
     let policy = page_policy(kind, merged_desired);

@@ -48,7 +48,10 @@ fn main() {
     // One single-app suite per placement; base and optimized run in
     // parallel inside each.
     let saving = |suite: &Suite| -> f64 {
-        let recs = suite.run_full(&[RunKind::Baseline, RunKind::Optimized], 2);
+        let recs = suite.run_all(
+            &suite.full_matrix(&[RunKind::Baseline, RunKind::Optimized]),
+            2,
+        );
         RunStats::reduction(
             recs[1].stats.exec_cycles as f64,
             recs[0].stats.exec_cycles as f64,

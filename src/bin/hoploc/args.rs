@@ -7,27 +7,26 @@
 //! *usage* errors (exit code 2), distinct from runtime failures
 //! (exit code 1).
 
-use hoploc::harness::default_jobs;
+use hoploc::harness::{default_jobs, MachineSpec};
 use hoploc::layout::{Granularity, L2Mode};
 use hoploc::obs::ObsConfig;
 use hoploc::prefetch::PrefetchMode;
-use hoploc::workloads::{RunKind, Scale, MAX_THREADS_PER_CORE};
+use hoploc::workloads::{RunKind, Scale};
 
 /// Parsed options, defaulted; each subcommand reads the fields it uses.
 #[derive(Debug)]
 pub struct Options {
-    pub granularity: Granularity,
-    pub l2_mode: L2Mode,
-    pub m2: bool,
-    pub first_touch: bool,
-    pub optimal: bool,
-    pub threads: usize,
-    pub scale: Scale,
-    pub prefetch: PrefetchMode,
+    /// The machine the shape flags add up to — the value a served job
+    /// carries too.
+    pub machine: MachineSpec,
+    /// The two sides a comparison runs: baseline (or first-touch) and
+    /// optimized (or optimal).
+    pub kinds: [RunKind; 2],
     pub jobs: usize,
     pub json: Option<String>,
     pub deny_warnings: bool,
-    pub config: String,
+    /// The run kinds `trace` records.
+    pub config: Vec<RunKind>,
     pub out: String,
     pub epoch: u64,
     pub span_cap: u64,
@@ -53,18 +52,12 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            granularity: Granularity::CacheLine,
-            l2_mode: L2Mode::Private,
-            m2: false,
-            first_touch: false,
-            optimal: false,
-            threads: 1,
-            scale: Scale::Bench,
-            prefetch: PrefetchMode::Off,
+            machine: MachineSpec::default(),
+            kinds: [RunKind::Baseline, RunKind::Optimized],
             jobs: default_jobs(),
             json: None,
             deny_warnings: false,
-            config: "optimized".to_string(),
+            config: vec![RunKind::Optimized],
             out: "traces".to_string(),
             epoch: ObsConfig::default().epoch_cycles,
             span_cap: 0,
@@ -87,55 +80,40 @@ impl Default for Options {
     }
 }
 
-impl Options {
-    pub fn baseline_kind(&self) -> RunKind {
-        if self.first_touch {
-            RunKind::FirstTouch
-        } else {
-            RunKind::Baseline
-        }
-    }
+/// The machine flags the layout pass reads.
+const LAYOUT: [&str; 5] = ["--page", "--cacheline", "--shared", "--m2", "--scale"];
 
-    pub fn optimized_kind(&self) -> RunKind {
-        if self.optimal {
-            RunKind::Optimal
-        } else {
-            RunKind::Optimized
-        }
-    }
-}
+/// The machine flags only a simulation reads.
+const SIM_ONLY: [&str; 2] = ["--threads", "--prefetch"];
 
-/// The simulator-shape flags shared by every simulation subcommand.
-const SIM: [&str; 7] = [
-    "--page",
-    "--cacheline",
-    "--shared",
-    "--m2",
-    "--threads",
-    "--scale",
-    "--prefetch",
-];
-
-/// The flags `cmd` accepts, or `None` for an unknown subcommand.
+/// The flags `cmd` accepts — exactly the ones it reads, so a flag that
+/// would parse and do nothing is a usage error instead — or `None` for an
+/// unknown subcommand.
 pub fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
     let mut v: Vec<&'static str> = Vec::new();
     match cmd {
         "apps" => v.push("--scale"),
-        "compile" => v.extend(SIM),
-        "run" | "links" | "sweep" => {
-            v.extend(SIM);
+        "compile" => v.extend(LAYOUT),
+        "run" | "sweep" => {
+            v.extend(LAYOUT);
+            v.extend(SIM_ONLY);
             v.extend(["--first-touch", "--optimal", "--jobs", "--json"]);
         }
+        // One run of the optimized side, printed as a map.
+        "links" => {
+            v.extend(LAYOUT);
+            v.extend(SIM_ONLY);
+            v.push("--optimal");
+        }
+        // `check` verifies all four L2 × granularity configurations itself.
         "check" => {
-            v.extend(SIM);
+            v.extend(["--m2", "--scale"]);
+            v.extend(SIM_ONLY);
             v.extend(["--jobs", "--json", "--deny"]);
         }
         // `est` sweeps the full configuration matrix itself, so it takes
         // no per-config shape flags.
         "est" => v.extend(["--scale", "--jobs", "--json"]),
-        // `bench` times every phase over the cacheline machine; the one
-        // shape flag it takes turns the prefetch engines on for the sweep.
-        "bench" => v.extend(["--scale", "--jobs", "--json", "--prefetch"]),
         // `search` explores placements/granularities itself; the only
         // shape flags it takes set the baseline machine.
         "search" => v.extend([
@@ -147,11 +125,13 @@ pub fn allowed_flags(cmd: &str) -> Option<Vec<&'static str>> {
             "--objective",
         ]),
         "trace" => {
-            v.extend(SIM);
+            v.extend(LAYOUT);
+            v.extend(SIM_ONLY);
             v.extend(["--jobs", "--config", "--out", "--epoch", "--span-cap"]);
         }
         "faults" => {
-            v.extend(SIM);
+            v.extend(LAYOUT);
+            v.extend(SIM_ONLY);
             v.extend(["--first-touch", "--optimal", "--json", "--plan"]);
         }
         "trace-validate" => {}
@@ -197,21 +177,16 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
 fn apply(o: &mut Options, flag: &str, value: Option<&str>) -> Result<(), String> {
     let val = || value.expect("valued flags always arrive with a value");
     match flag {
-        "--page" => o.granularity = Granularity::Page,
-        "--cacheline" => o.granularity = Granularity::CacheLine,
-        "--shared" => o.l2_mode = L2Mode::Shared,
-        "--m2" => o.m2 = true,
-        "--first-touch" => o.first_touch = true,
-        "--optimal" => o.optimal = true,
+        "--page" => o.machine.granularity = Granularity::Page,
+        "--cacheline" => o.machine.granularity = Granularity::CacheLine,
+        "--shared" => o.machine.l2_mode = L2Mode::Shared,
+        "--m2" => o.machine.m2 = true,
+        "--first-touch" => o.kinds[0] = RunKind::FirstTouch,
+        "--optimal" => o.kinds[1] = RunKind::Optimal,
         "--drain" => o.drain = true,
         "--threads" => {
-            o.threads = parse_num(flag, val())?;
-            if o.threads == 0 {
-                return Err("--threads needs at least 1".into());
-            }
-            if o.threads > MAX_THREADS_PER_CORE {
-                return Err(format!("--threads takes at most {MAX_THREADS_PER_CORE}"));
-            }
+            o.machine.threads = parse_num(flag, val())?;
+            o.machine.check()?;
         }
         "--jobs" => {
             o.jobs = parse_num(flag, val())?;
@@ -220,7 +195,12 @@ fn apply(o: &mut Options, flag: &str, value: Option<&str>) -> Result<(), String>
             }
         }
         "--json" => o.json = Some(val().to_string()),
-        "--config" => o.config = val().to_string(),
+        "--config" => {
+            o.config = match val() {
+                "all" => RunKind::ALL.to_vec(),
+                kind => vec![RunKind::parse(kind).map_err(|e| format!("{e}; or `all`"))?],
+            }
+        }
         "--out" => o.out = val().to_string(),
         "--epoch" => o.epoch = parse_num(flag, val())?,
         "--span-cap" => o.span_cap = parse_num(flag, val())?,
@@ -229,12 +209,8 @@ fn apply(o: &mut Options, flag: &str, value: Option<&str>) -> Result<(), String>
             "warnings" => o.deny_warnings = true,
             other => return Err(format!("--deny only takes `warnings`, got `{other}`")),
         },
-        "--scale" => match val() {
-            "test" => o.scale = Scale::Test,
-            "bench" => o.scale = Scale::Bench,
-            other => return Err(format!("--scale takes `test` or `bench`, got `{other}`")),
-        },
-        "--prefetch" => o.prefetch = PrefetchMode::parse(val())?,
+        "--scale" => o.machine.scale = Scale::parse(val())?,
+        "--prefetch" => o.machine.prefetch = PrefetchMode::parse(val())?,
         "--addr" => o.addr = val().to_string(),
         "--workers" => {
             o.workers = parse_num(flag, val())?;
@@ -323,9 +299,9 @@ mod tests {
     fn shared_flags_parse_everywhere() {
         for cmd in ["run", "sweep", "trace", "faults", "compile"] {
             let o = parse(cmd, &args(&["--page", "--shared", "--scale", "test"])).unwrap();
-            assert_eq!(o.granularity, Granularity::Page);
-            assert_eq!(o.l2_mode, L2Mode::Shared);
-            assert_eq!(o.scale, Scale::Test);
+            assert_eq!(o.machine.granularity, Granularity::Page);
+            assert_eq!(o.machine.l2_mode, L2Mode::Shared);
+            assert_eq!(o.machine.scale, Scale::Test);
         }
     }
 
@@ -368,19 +344,53 @@ mod tests {
     }
 
     #[test]
-    fn est_and_bench_flags_parse() {
-        for cmd in ["est", "bench"] {
-            let o = parse(
-                cmd,
-                &args(&["--scale", "test", "--jobs", "3", "--json", "-"]),
-            )
-            .unwrap();
-            assert_eq!(o.scale, Scale::Test);
-            assert_eq!(o.jobs, 3);
-            assert_eq!(o.json.as_deref(), Some("-"));
-            let err = parse(cmd, &args(&["--shared"])).unwrap_err();
-            assert!(err.contains(&format!("hoploc {cmd}")), "{err}");
+    fn est_flags_parse() {
+        let o = parse(
+            "est",
+            &args(&["--scale", "test", "--jobs", "3", "--json", "-"]),
+        )
+        .unwrap();
+        assert_eq!(o.machine.scale, Scale::Test);
+        assert_eq!(o.jobs, 3);
+        assert_eq!(o.json.as_deref(), Some("-"));
+        let err = parse("est", &args(&["--shared"])).unwrap_err();
+        assert!(err.contains("hoploc est"), "{err}");
+    }
+
+    /// A flag its subcommand never reads is refused like any unknown one,
+    /// not parsed and dropped.
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_usage_errors() {
+        for (cmd, flags) in [
+            ("links", &["--json", "--jobs", "--first-touch"][..]),
+            ("compile", &["--threads", "--prefetch"]),
+            ("check", &["--page", "--cacheline", "--shared"]),
+        ] {
+            for flag in flags {
+                let err = parse(cmd, &args(&[flag, "1"])).unwrap_err();
+                assert!(
+                    err.contains(&format!("is not an option of `hoploc {cmd}`")),
+                    "{cmd} {flag}: {err}"
+                );
+            }
         }
+        // What CI, the README and the verify skill pass stays valid.
+        for (cmd, line) in [
+            (
+                "check",
+                &["--prefetch", "gated", "--scale", "test", "--m2"][..],
+            ),
+            (
+                "compile",
+                &["--page", "--shared", "--scale", "test", "--m2"],
+            ),
+            ("links", &["--scale", "test", "--optimal", "--threads", "2"]),
+        ] {
+            assert!(parse(cmd, &args(line)).is_ok(), "{cmd} {line:?}");
+        }
+        assert!(parse("bench", &[])
+            .unwrap_err()
+            .contains("unknown subcommand"));
     }
 
     #[test]
@@ -401,7 +411,7 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert_eq!(o.scale, Scale::Test);
+        assert_eq!(o.machine.scale, Scale::Test);
         assert_eq!((o.seed, o.budget), (7, 120));
         assert_eq!(o.objective, "offchip:2,hops");
         assert_eq!(o.json.as_deref(), Some("-"));
@@ -413,12 +423,12 @@ mod tests {
 
     #[test]
     fn prefetch_flag_parses_modes() {
-        for cmd in ["run", "sweep", "faults", "check", "bench"] {
+        for cmd in ["run", "sweep", "faults", "check"] {
             let o = parse(cmd, &args(&["--prefetch", "gated"])).unwrap();
-            assert_eq!(o.prefetch, PrefetchMode::Gated);
+            assert_eq!(o.machine.prefetch, PrefetchMode::Gated);
         }
         assert_eq!(
-            parse("run", &args(&[])).unwrap().prefetch,
+            parse("run", &args(&[])).unwrap().machine.prefetch,
             PrefetchMode::Off
         );
         assert!(parse("run", &args(&["--prefetch", "bogus"])).is_err());
@@ -439,6 +449,19 @@ mod tests {
                 .unwrap_err()
                 .contains("at most 16"));
         }
+        assert!(parse("run", &args(&["--threads", "0"]))
+            .unwrap_err()
+            .contains("at least 1"));
+        assert!(parse("run", &args(&["--scale", "huge"]))
+            .unwrap_err()
+            .contains("\"huge\""));
+        assert_eq!(
+            parse("trace", &args(&["--config", "all"])).unwrap().config,
+            RunKind::ALL
+        );
+        assert!(parse("trace", &args(&["--config", "bogus"]))
+            .unwrap_err()
+            .contains("or `all`"));
         assert!(parse("serve", &args(&["--workers", "0"])).is_err());
         assert!(parse("check", &args(&["--deny", "notes"])).is_err());
         assert!(parse("nope", &[])

@@ -11,9 +11,6 @@
 //!                                  rank correlation, self-timed speedup
 //! hoploc run <app> [options]       simulate baseline vs optimized
 //! hoploc sweep [options]           run the whole suite, one row per app
-//! hoploc bench [options]           time every pipeline phase (layout,
-//!                                  estimate, simulate) over the suite and
-//!                                  emit the wall-clock baseline JSON
 //! hoploc search <app|all> [options] seeded design-space search over MC
 //!                                  placements, cluster maps, and layout
 //!                                  plans: branch-and-bound + simulated
@@ -48,8 +45,10 @@
 //! reports structured `HLxxxx` diagnostics. Exit status is nonzero on
 //! errors (or on warnings too, under `--deny warnings`).
 //!
-//! options (each subcommand accepts its own subset; an unknown flag
-//! names the subcommand and lists the valid options):
+//! options (each subcommand accepts exactly the ones it reads — the
+//! sets live in `args.rs`; any other flag names the subcommand and lists
+//! its valid options). The machine flags (`--page` … `--scale`) build one
+//! `hoploc::harness::MachineSpec`, the value a served job carries too:
 //!   --page | --cacheline           interleaving granularity (default cacheline)
 //!   --shared                       shared SNUCA L2 instead of private L2s
 //!   --m2                           use the M2 (halves, k=2) mapping
@@ -60,8 +59,8 @@
 //!                                  per-L2-slice prefetch engine (default
 //!                                  off; `gated` throttles by the off-chip
 //!                                  predictor). Also turns on the HL11xx
-//!                                  advisories in `check` and the pf_*
-//!                                  fields in `bench --json`
+//!                                  advisories in `check` and the
+//!                                  `prefetch` block of `--json` records
 //!   --scale <test|bench>           problem size (default bench)
 //!   --jobs <n>                     worker threads for the suite sweep
 //!                                  (default: available parallelism)
@@ -104,7 +103,8 @@
 //! ```
 //!
 //! Usage errors (unknown subcommand/flag/value) exit 2; runtime failures
-//! exit 1.
+//! exit 1. Wall-clock measurement is `hoploc-perf` (`benchmark/`), not a
+//! subcommand.
 
 mod args;
 
@@ -115,19 +115,14 @@ use hoploc::check::{
 };
 use hoploc::est;
 use hoploc::fault::{FaultPlan, FaultRates};
-use hoploc::harness::{
-    fault_topo, kind_name, parallel_map, render_table, to_json, RunRecord, RunSpec, Suite,
-};
-use hoploc::layout::{
-    codegen, determine_data_to_core, optimize_program, Granularity, L2Mode, PassConfig,
-};
-use hoploc::noc::{L2ToMcMapping, McPlacement, Placement};
+use hoploc::harness::{fault_topo, parallel_map, render_table, to_json, RunRecord};
+use hoploc::layout::{codegen, determine_data_to_core, optimize_program, PassConfig};
 use hoploc::obs::{validate_chrome_trace, ObsConfig};
 use hoploc::serve::{
     load::{render_report, report_json},
     Client, EngineCaps, LoadConfig, ServeConfig, Server, SuiteEngine,
 };
-use hoploc::sim::{Improvement, PrefetchConfig, RunStats, SimConfig};
+use hoploc::sim::{Improvement, RunStats};
 use hoploc::workloads::{all_apps, app_by_name, layout_for, App, RunKind, Scale, APP_NAMES};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -136,32 +131,6 @@ use std::sync::Arc;
 /// Usage errors (bad subcommand, flag, or value) exit with this code;
 /// runtime failures exit 1.
 const USAGE: u8 = 2;
-
-fn sim(o: &Options) -> SimConfig {
-    SimConfig {
-        granularity: o.granularity,
-        l2_mode: o.l2_mode,
-        prefetch: PrefetchConfig::with_mode(o.prefetch),
-        ..SimConfig::scaled()
-    }
-}
-
-fn mapping(o: &Options, sim: &SimConfig) -> L2ToMcMapping {
-    let placement = if o.m2 {
-        Placement::halves(sim.mesh, &McPlacement::Corners)
-    } else {
-        Placement::nearest(sim.mesh, &sim.placement)
-    };
-    placement.into_mapping()
-}
-
-/// The (single-app or whole-suite) harness all simulation commands run
-/// through, so baseline-class runs share layouts and traces.
-fn suite(o: &Options, apps: Vec<App>) -> Suite {
-    let sim = sim(o);
-    let mapping = mapping(o, &sim);
-    Suite::new(apps, mapping, sim).with_threads_per_core(o.threads)
-}
 
 /// Writes the JSON summary to the `--json` target (stdout for `-`).
 fn emit_json(target: &str, json: &str) -> Result<(), String> {
@@ -196,9 +165,12 @@ fn cmd_apps(scale: Scale) {
 }
 
 fn cmd_compile(app: &App, o: &Options) {
-    let sim = sim(o);
-    let mapping = mapping(o, &sim);
-    let layout = layout_for(app, &mapping, &sim, RunKind::Optimized);
+    let layout = layout_for(
+        app,
+        &o.machine.mapping(),
+        &o.machine.sim(),
+        RunKind::Optimized,
+    );
     println!("== {} : layout pass report ==", app.name());
     for r in layout.reports() {
         match (&r.reason, r.optimized) {
@@ -253,50 +225,11 @@ fn cmd_compile(app: &App, o: &Options) {
     }
 }
 
-/// The four layout configurations `check` verifies for every application.
-fn check_configs() -> [(&'static str, PassConfig); 4] {
-    let base = PassConfig::default();
-    [
-        (
-            "private/cacheline",
-            PassConfig {
-                l2_mode: L2Mode::Private,
-                granularity: Granularity::CacheLine,
-                ..base
-            },
-        ),
-        (
-            "private/page",
-            PassConfig {
-                l2_mode: L2Mode::Private,
-                granularity: Granularity::Page,
-                ..base
-            },
-        ),
-        (
-            "shared/cacheline",
-            PassConfig {
-                l2_mode: L2Mode::Shared,
-                granularity: Granularity::CacheLine,
-                ..base
-            },
-        ),
-        (
-            "shared/page",
-            PassConfig {
-                l2_mode: L2Mode::Shared,
-                granularity: Granularity::Page,
-                ..base
-            },
-        ),
-    ]
-}
-
 fn cmd_check(target: &str, o: &Options) -> ExitCode {
     let apps = if target == "all" {
-        all_apps(o.scale)
+        all_apps(o.machine.scale)
     } else {
-        match app_by_name(target, o.scale) {
+        match app_by_name(target, o.machine.scale) {
             Some(app) => vec![app],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps` (or `check all`)");
@@ -304,24 +237,26 @@ fn cmd_check(target: &str, o: &Options) -> ExitCode {
             }
         }
     };
-    let sim = sim(o);
-    let mapping = mapping(o, &sim);
+    let mapping = o.machine.mapping();
     let cfg = CheckConfig::default();
-    let configs = check_configs();
+    // All four L2 × granularity configurations, whatever the flags say:
+    // the grid the estimator is cross-validated on.
+    let configs = est::standard_configs();
+    let prefetch = o.machine.prefetch;
     let diags: Vec<_> = parallel_map(&apps, o.jobs, |app| {
         let mut d = check_program(&app.program, &cfg);
-        for (label, pass) in &configs {
-            let layout = optimize_program(&app.program, &mapping, *pass);
+        for (label, esim) in &configs {
+            let pass = PassConfig {
+                l2_mode: esim.l2_mode,
+                granularity: esim.granularity,
+                ..PassConfig::default()
+            };
+            let layout = optimize_program(&app.program, &mapping, pass);
             d.extend(check_layout(&app.program, &layout, label, &cfg));
             // Predicted-performance findings (HL10xx) from the static
             // estimator, under the same configuration the legality checks
             // just verified.
-            let esim = SimConfig {
-                granularity: pass.granularity,
-                l2_mode: pass.l2_mode,
-                ..SimConfig::scaled()
-            };
-            let ecfg = est::EstConfig::from_sim(&esim).with_threads_per_core(o.threads);
+            let ecfg = est::EstConfig::from_sim(esim).with_threads_per_core(o.machine.threads);
             d.extend(est::performance_diagnostics(
                 app, &layout, &mapping, &ecfg, label,
             ));
@@ -329,14 +264,14 @@ fn cmd_check(target: &str, o: &Options) -> ExitCode {
             // *requested* engine, so without --prefetch there is nothing
             // to judge — and HL1102 warnings for an engine nobody asked
             // for would trip --deny warnings gates.
-            if o.prefetch != hoploc::prefetch::PrefetchMode::Off {
+            if prefetch != hoploc::prefetch::PrefetchMode::Off {
                 d.extend(est::prefetch_diagnostics(
                     app,
                     &layout,
                     &mapping,
                     &ecfg,
                     label,
-                    o.prefetch.name(),
+                    prefetch.name(),
                 ));
             }
         }
@@ -371,9 +306,9 @@ fn cmd_check(target: &str, o: &Options) -> ExitCode {
 
 fn cmd_est(target: &str, o: &Options) -> ExitCode {
     let apps = if target == "all" {
-        all_apps(o.scale)
+        all_apps(o.machine.scale)
     } else {
-        match app_by_name(target, o.scale) {
+        match app_by_name(target, o.machine.scale) {
             Some(app) => vec![app],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps` (or `est all`)");
@@ -385,127 +320,13 @@ fn cmd_est(target: &str, o: &Options) -> ExitCode {
         "cross-validating {} app(s) x {} kind(s) x {} config(s) \
          (the simulator pass is the slow half) ...",
         apps.len(),
-        est::KINDS.len(),
+        RunKind::ALL.len(),
         est::standard_configs().len()
     );
     let report = est::cross_validate(&apps, o.jobs);
     print!("{}", est::render_text(&report));
     if let Some(target) = &o.json {
         if let Err(e) = emit_json(target, &est::xval_json(&report)) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// One timed `hoploc bench` phase over the whole (app x kind) matrix.
-struct BenchPhase {
-    name: &'static str,
-    wall_ms: f64,
-}
-
-fn cmd_bench(o: &Options) -> ExitCode {
-    use std::time::Instant;
-    let suite = suite(o, all_apps(o.scale));
-    let specs: Vec<RunSpec> = (0..suite.apps().len())
-        .flat_map(|a| est::KINDS.iter().map(move |&kind| RunSpec { app: a, kind }))
-        .collect();
-    let total = Instant::now();
-    let mut phases = Vec::new();
-    let mut timed = |name: &'static str, f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        phases.push(BenchPhase {
-            name,
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-    };
-    timed("layout", &mut || {
-        for s in &specs {
-            let _ = suite.layout_plan(s.app, s.kind);
-        }
-    });
-    let cfg = est::EstConfig::from_sim(suite.sim()).with_threads_per_core(o.threads);
-    let mut ests = Vec::new();
-    timed("estimate", &mut || {
-        ests = parallel_map(&specs, o.jobs, |s| {
-            let plan = suite.layout_plan(s.app, s.kind);
-            est::estimate_app(&suite.apps()[s.app], &plan, suite.mapping(), s.kind, &cfg)
-        });
-    });
-    let mut stats = Vec::new();
-    timed("simulate", &mut || {
-        stats = parallel_map(&specs, o.jobs, |s| suite.run_one(*s));
-    });
-    let total_ms = total.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "== hoploc bench: {} cells ({} apps x {} kinds), {} worker(s) ==",
-        specs.len(),
-        suite.apps().len(),
-        est::KINDS.len(),
-        o.jobs
-    );
-    println!("{:<10} {:>12}", "phase", "wall-clock");
-    for p in &phases {
-        println!("{:<10} {:>9.1} ms", p.name, p.wall_ms);
-    }
-    println!(
-        "{:<10} {:>9.1} ms   (simulate includes trace generation)",
-        "total", total_ms
-    );
-    if let Some(target) = &o.json {
-        let mut json = format!(
-            "{{\n  \"scale\": \"{}\",\n  \"jobs\": {},\n  \"cells\": {},\n  \"phases\": [\n",
-            if o.scale == Scale::Bench {
-                "bench"
-            } else {
-                "test"
-            },
-            o.jobs,
-            specs.len(),
-        );
-        for (i, p) in phases.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}}}{}\n",
-                p.name,
-                p.wall_ms,
-                if i + 1 < phases.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "  ],\n  \"total_wall_ms\": {total_ms:.3},\n  \"cells_detail\": [\n"
-        ));
-        for (i, (spec, (e, st))) in specs.iter().zip(ests.iter().zip(&stats)).enumerate() {
-            let mut cell = format!(
-                "    {{\"app\": \"{}\", \"kind\": \"{}\", \"exec_cycles\": {}, \
-                 \"sim_offchip_fraction\": {:.6}, \"est_offchip_fraction\": {:.6}",
-                suite.apps()[spec.app].name(),
-                kind_name(spec.kind),
-                st.exec_cycles,
-                st.offchip_fraction(),
-                e.offchip_fraction(),
-            );
-            // Per-cell prefetch effectiveness, present only when the run
-            // actually prefetched (off runs keep pre-prefetch bytes).
-            if !st.prefetch.is_empty() {
-                cell.push_str(&format!(
-                    ", \"pf_issued\": {}, \"pf_accuracy\": {:.6}, \
-                     \"pf_coverage\": {:.6}, \"pf_pred_accuracy\": {:.6}",
-                    st.prefetch.issued,
-                    st.prefetch.accuracy(),
-                    st.prefetch.coverage(st.offchip_accesses),
-                    st.prefetch.pred_accuracy(),
-                ));
-            }
-            json.push_str(&cell);
-            json.push_str(&format!(
-                "}}{}\n",
-                if i + 1 < specs.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        if let Err(e) = emit_json(target, &json) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
@@ -520,7 +341,7 @@ fn warn_backstop(app: &str, kind: RunKind, stats: &RunStats) {
         eprintln!(
             "warning[HL0900]: {app}/{}: the event queue drained {} time(s) with requests \
              still in flight; the memory controllers were force-flushed",
-            kind_name(kind),
+            kind.name(),
             stats.backstop_flushes
         );
     }
@@ -528,9 +349,8 @@ fn warn_backstop(app: &str, kind: RunKind, stats: &RunStats) {
 
 fn cmd_run(app: App, o: &Options) -> ExitCode {
     let name = app.name().to_string();
-    let suite = suite(o, vec![app]);
-    let kinds = [o.baseline_kind(), o.optimized_kind()];
-    let records = suite.run_full(&kinds, o.jobs.min(2));
+    let suite = o.machine.suite(vec![app]);
+    let records = suite.run_all(&suite.full_matrix(&o.kinds), o.jobs.min(2));
     for r in &records {
         warn_backstop(&r.app, r.kind, &r.stats);
     }
@@ -540,8 +360,8 @@ fn cmd_run(app: App, o: &Options) -> ExitCode {
     println!(
         "{:<22} {:>14} {:>14}",
         "",
-        format!("{:?}", o.baseline_kind()).to_lowercase(),
-        format!("{:?}", o.optimized_kind()).to_lowercase()
+        format!("{:?}", o.kinds[0]).to_lowercase(),
+        format!("{:?}", o.kinds[1]).to_lowercase()
     );
     println!(
         "{:<22} {:>14} {:>14}",
@@ -581,11 +401,8 @@ fn cmd_run(app: App, o: &Options) -> ExitCode {
 
 fn cmd_links(app: App, o: &Options) {
     let name = app.name().to_string();
-    let suite = suite(o, vec![app]);
-    let stats = suite.run_one(RunSpec {
-        app: 0,
-        kind: o.optimized_kind(),
-    });
+    let suite = o.machine.suite(vec![app]);
+    let stats = suite.run(&suite.full_matrix(&[o.kinds[1]])[0]).stats;
     let sim = suite.sim();
     let width = sim.mesh.width() as usize;
     let util = &stats.link_utilization;
@@ -607,48 +424,26 @@ fn cmd_links(app: App, o: &Options) {
     );
 }
 
-/// Resolves `--config` into the run kinds to trace.
-fn trace_kinds(config: &str) -> Result<Vec<RunKind>, String> {
-    let all = [
-        RunKind::Baseline,
-        RunKind::Optimized,
-        RunKind::FirstTouch,
-        RunKind::Optimal,
-    ];
-    if config == "all" {
-        return Ok(all.to_vec());
-    }
-    all.iter()
-        .find(|&&k| kind_name(k) == config)
-        .map(|&k| vec![k])
-        .ok_or_else(|| {
-            format!("unknown trace config {config}; use baseline, optimized, first-touch, optimal, or all")
-        })
-}
-
 fn cmd_trace(app: App, o: &Options) -> ExitCode {
     let name = app.name().to_string();
-    let kinds = match trace_kinds(&o.config) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(USAGE);
-        }
-    };
     if let Err(e) = std::fs::create_dir_all(&o.out) {
         eprintln!("error: creating {}: {e}", o.out);
         return ExitCode::FAILURE;
     }
-    let suite = suite(o, vec![app]);
-    let specs: Vec<RunSpec> = kinds.iter().map(|&kind| RunSpec { app: 0, kind }).collect();
+    let suite = o.machine.suite(vec![app]);
     let obs = ObsConfig {
         record_spans: true,
         epoch_cycles: o.epoch,
         span_capacity: o.span_cap,
-        prefetch: o.prefetch != hoploc::prefetch::PrefetchMode::Off,
+        prefetch: o.machine.prefetch != hoploc::prefetch::PrefetchMode::Off,
     };
     // One traced run per configuration, fanned across the worker pool.
-    let records = suite.run_matrix_traced(&specs, o.jobs, obs);
+    let reqs: Vec<_> = suite
+        .full_matrix(&o.config)
+        .into_iter()
+        .map(|r| r.with_obs(obs))
+        .collect();
+    let records = suite.run_all(&reqs, o.jobs);
     println!("== {name} : request-lifecycle traces ==");
     println!(
         "{:<12} {:>12} {:>10} {:>9} {:>12}",
@@ -656,12 +451,16 @@ fn cmd_trace(app: App, o: &Options) -> ExitCode {
     );
     for r in &records {
         warn_backstop(&name, r.kind, &r.stats);
-        let kind = kind_name(r.kind);
+        let kind = r.kind.name();
+        let report = r
+            .report
+            .as_ref()
+            .expect("every request above asked for a report");
         let stem = format!("{}/{}-{}", o.out, name, kind);
         let outputs = [
-            (format!("{stem}.trace.json"), r.report.chrome_trace_json()),
-            (format!("{stem}.metrics.json"), r.report.metrics_json()),
-            (format!("{stem}.links.tsv"), r.report.links_tsv()),
+            (format!("{stem}.trace.json"), report.chrome_trace_json()),
+            (format!("{stem}.metrics.json"), report.metrics_json()),
+            (format!("{stem}.links.tsv"), report.links_tsv()),
         ];
         for (path, contents) in &outputs {
             if let Err(e) = std::fs::write(path, contents) {
@@ -674,13 +473,13 @@ fn cmd_trace(app: App, o: &Options) -> ExitCode {
             kind,
             r.stats.exec_cycles,
             r.stats.offchip_accesses,
-            r.report.events().len(),
-            r.report.quantile("req.offchip_cycles", 0.95),
+            report.events().len(),
+            report.quantile("req.offchip_cycles", 0.95),
         );
-        if r.report.dropped_spans() > 0 {
+        if report.dropped_spans() > 0 {
             println!(
                 "  ({} requests past --span-cap kept counters but no spans)",
-                r.report.dropped_spans()
+                report.dropped_spans()
             );
         }
     }
@@ -728,16 +527,13 @@ fn resolve_plan(
 
 fn cmd_faults(app: App, o: &Options) -> ExitCode {
     let name = app.name().to_string();
-    let suite = suite(o, vec![app]);
+    let suite = o.machine.suite(vec![app]);
     let topo = fault_topo(suite.sim());
-    let kinds = [o.baseline_kind(), o.optimized_kind()];
     // Clean runs first: they are half the comparison, and their length
     // anchors the seeded plan's placement horizon deterministically.
-    let clean: Vec<_> = kinds
-        .iter()
-        .map(|&kind| suite.run_one(RunSpec { app: 0, kind }))
-        .collect();
-    let horizon = clean.iter().map(|s| s.exec_cycles).max().unwrap_or(0);
+    let reqs = suite.full_matrix(&o.kinds);
+    let clean = suite.run_all(&reqs, 1);
+    let horizon = clean.iter().map(|r| r.stats.exec_cycles).max().unwrap_or(0);
     let (plan, origin) = match resolve_plan(o, &topo, horizon) {
         Ok(p) => p,
         Err(e) => {
@@ -761,15 +557,15 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
         "kind", "clean cyc", "faulted cyc", "inflation", "retries", "drops", "re-homed", "backstop"
     );
     let mut records = Vec::new();
-    for (kind, clean) in kinds.into_iter().zip(clean) {
-        let spec = RunSpec { app: 0, kind };
-        let faulted = suite.run_one_faulted(spec, &plan);
+    for (req, clean) in reqs.iter().zip(clean) {
+        let (kind, clean) = (clean.kind, clean.stats);
+        let faulted = suite.run(&req.with_faults(&plan)).stats;
         warn_backstop(&name, kind, &clean);
         warn_backstop(&name, kind, &faulted);
         let retries: u64 = faulted.mc.iter().map(|m| m.retries).sum();
         println!(
             "{:<12} {:>12} {:>12} {:>8.2}% {:>8} {:>7} {:>9} {:>9}",
-            kind_name(kind),
+            kind.name(),
             clean.exec_cycles,
             faulted.exec_cycles,
             (faulted.exec_cycles as f64 / clean.exec_cycles.max(1) as f64 - 1.0) * 100.0,
@@ -778,11 +574,7 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
             faulted.rehomed_requests,
             faulted.backstop_flushes
         );
-        records.push(RunRecord {
-            app: name.clone(),
-            kind,
-            stats: faulted,
-        });
+        records.push(RunRecord::new(&*name, kind, faulted));
     }
     if let Some(target) = &o.json {
         if let Err(e) = emit_json(target, &to_json(&records, None)) {
@@ -827,9 +619,8 @@ fn cmd_trace_validate(files: &[String]) -> ExitCode {
 }
 
 fn cmd_sweep(o: &Options) -> ExitCode {
-    let suite = suite(o, all_apps(o.scale));
-    let kinds = [o.baseline_kind(), o.optimized_kind()];
-    let records = suite.run_full(&kinds, o.jobs);
+    let suite = o.machine.suite(all_apps(o.machine.scale));
+    let records = suite.run_all(&suite.full_matrix(&o.kinds), o.jobs);
     for r in &records {
         warn_backstop(&r.app, r.kind, &r.stats);
     }
@@ -839,7 +630,7 @@ fn cmd_sweep(o: &Options) -> ExitCode {
         "app", "on-net", "off-net", "memory", "exec"
     );
     for i in 0..napps {
-        // run_full orders kinds outermost, apps innermost.
+        // full_matrix orders kinds outermost, apps innermost.
         let base = &records[i].stats;
         let opt = &records[napps + i].stats;
         let imp = Improvement::between(base, opt);
@@ -943,8 +734,8 @@ fn cmd_load(o: &Options) -> ExitCode {
     let cfg = LoadConfig {
         clients: o.clients,
         repeat: o.repeat,
-        scale: o.scale,
-        kinds: vec![o.baseline_kind(), o.optimized_kind()],
+        scale: o.machine.scale,
+        kinds: o.kinds.to_vec(),
         max_retries: o.max_retries,
     };
     println!(
@@ -1002,9 +793,9 @@ fn cmd_search(target: &str, o: &Options) -> ExitCode {
         }
     };
     let apps: Vec<App> = if target == "all" {
-        all_apps(o.scale)
+        all_apps(o.machine.scale)
     } else {
-        match app_by_name(target, o.scale) {
+        match app_by_name(target, o.machine.scale) {
             Some(a) => vec![a],
             None => {
                 eprintln!("unknown application {target}; try `hoploc apps`");
@@ -1016,7 +807,7 @@ fn cmd_search(target: &str, o: &Options) -> ExitCode {
         seed: o.seed,
         budget: o.budget,
         objective,
-        ..hoploc::search::SearchConfig::new(sim(o), o.scale)
+        ..hoploc::search::SearchConfig::new(o.machine.sim(), o.machine.scale)
     };
     let results = hoploc::search::search_suite(&apps, &cfg, o.jobs);
     if o.json.as_deref() == Some("-") {
@@ -1073,7 +864,7 @@ fn main() -> ExitCode {
     let usage = || {
         eprintln!(
             "usage: hoploc <apps|compile <app>|check <app|all>|est <app|all>|run <app>\
-             |links <app>|sweep|bench|search <app|all>|trace <app>\
+             |links <app>|sweep|search <app|all>|trace <app>\
              |trace-validate <file...>|faults <app>|serve|load> [options]"
         );
         eprintln!("see the module docs (or README.md) for the option list");
@@ -1098,12 +889,12 @@ fn main() -> ExitCode {
         }
     };
     match cmd.as_str() {
-        "apps" => cmd_apps(opts.scale),
+        "apps" => cmd_apps(opts.machine.scale),
         "compile" | "run" | "links" | "trace" | "faults" => {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(app) = app_by_name(name, opts.scale) else {
+            let Some(app) = app_by_name(name, opts.machine.scale) else {
                 eprintln!("unknown application {name}; try `hoploc apps`");
                 return ExitCode::FAILURE;
             };
@@ -1134,7 +925,6 @@ fn main() -> ExitCode {
             return cmd_search(target, &opts);
         }
         "sweep" => return cmd_sweep(&opts),
-        "bench" => return cmd_bench(&opts),
         "serve" => return cmd_serve(&opts),
         "load" => return cmd_load(&opts),
         _ => return usage(),

@@ -7,7 +7,7 @@
 //! the parallel fan-out and the layout/trace caches; determinism against
 //! the plain sequential `run_app` path is asserted explicitly below.
 
-use hoploc::harness::{default_jobs, RunRecord, RunSpec, Suite};
+use hoploc::harness::{default_jobs, RunRecord, RunRequest, RunSpec, Suite};
 use hoploc::layout::Granularity;
 use hoploc::noc::L2ToMcMapping;
 use hoploc::obs::{validate_chrome_trace, EvName, ObsConfig};
@@ -35,7 +35,7 @@ fn sweep() -> &'static (Suite, Vec<RunRecord>) {
     SWEEP.get_or_init(|| {
         let (sim, mapping) = setup();
         let suite = Suite::new(all_apps(Scale::Test), mapping, sim);
-        let records = suite.run_full(&SWEEP_KINDS, default_jobs());
+        let records = suite.run_all(&suite.full_matrix(&SWEEP_KINDS), default_jobs());
         (suite, records)
     })
 }
@@ -145,7 +145,10 @@ fn page_and_cacheline_interleaving_both_work() {
             mapping.clone(),
             sim,
         );
-        let recs = suite.run_full(&[RunKind::Baseline, RunKind::Optimized], 2);
+        let recs = suite.run_all(
+            &suite.full_matrix(&[RunKind::Baseline, RunKind::Optimized]),
+            2,
+        );
         assert_eq!(
             recs[0].stats.total_accesses, recs[1].stats.total_accesses,
             "{granularity:?}"
@@ -169,10 +172,10 @@ fn runs_are_deterministic() {
     let (suite, records) = sweep();
     let (sim, mapping) = setup();
     let seq_suite = Suite::new(all_apps(Scale::Test), mapping, sim);
-    let specs = seq_suite.full_matrix(&SWEEP_KINDS);
-    let seq = seq_suite.run_matrix(&specs, 1);
+    let reqs = seq_suite.full_matrix(&SWEEP_KINDS);
+    let seq = seq_suite.run_all(&reqs, 1);
     assert_eq!(records.len(), seq.len());
-    for ((p, q), spec) in records.iter().zip(&seq).zip(&specs) {
+    for ((p, q), spec) in records.iter().zip(&seq).zip(reqs.iter().map(|r| r.spec)) {
         assert_eq!(
             p.stats,
             q.stats,
@@ -196,14 +199,14 @@ fn parallel_sweep_is_at_least_twice_as_fast() {
     let kinds = [RunKind::Baseline, RunKind::Optimized];
 
     let suite = Suite::new(all_apps(Scale::Test), mapping.clone(), sim.clone());
-    let specs = suite.full_matrix(&kinds);
+    let reqs = suite.full_matrix(&kinds);
     let start = Instant::now();
-    let par = suite.run_matrix(&specs, default_jobs());
+    let par = suite.run_all(&reqs, default_jobs());
     let par_time = start.elapsed();
 
     let start = Instant::now();
-    let mut seq = Vec::with_capacity(specs.len());
-    for &RunSpec { app, kind } in &specs {
+    let mut seq = Vec::with_capacity(reqs.len());
+    for RunSpec { app, kind } in reqs.iter().map(|r| r.spec) {
         seq.push(run_app(&suite.apps()[app], &mapping, &sim, kind));
     }
     let seq_time = start.elapsed();
@@ -228,40 +231,45 @@ fn traced_sweep_is_deterministic_and_mirrors_stats() {
     ];
     let kinds = [RunKind::Baseline, RunKind::Optimized];
     let par_suite = Suite::new(apps.clone(), mapping.clone(), sim.clone());
-    let specs = par_suite.full_matrix(&kinds);
-    let par = par_suite.run_matrix_traced(&specs, default_jobs().max(2), ObsConfig::default());
+    let reqs: Vec<RunRequest> = par_suite
+        .full_matrix(&kinds)
+        .into_iter()
+        .map(|r| r.with_obs(ObsConfig::default()))
+        .collect();
+    let par = par_suite.run_all(&reqs, default_jobs().max(2));
     let seq_suite = Suite::new(apps, mapping, sim);
-    let seq = seq_suite.run_matrix_traced(&specs, 1, ObsConfig::default());
-    for ((p, q), spec) in par.iter().zip(&seq).zip(&specs) {
+    let seq = seq_suite.run_all(&reqs, 1);
+    for ((p, q), spec) in par.iter().zip(&seq).zip(reqs.iter().map(|r| r.spec)) {
         assert_eq!(p.stats, q.stats, "traced stats diverged on {spec:?}");
+        let (p_report, q_report) = (p.report.as_ref().unwrap(), q.report.as_ref().unwrap());
         assert_eq!(
-            p.report.chrome_trace_json(),
-            q.report.chrome_trace_json(),
+            p_report.chrome_trace_json(),
+            q_report.chrome_trace_json(),
             "event stream not byte-identical across job counts on {spec:?}"
         );
         assert_eq!(
-            p.report.metrics_json(),
-            q.report.metrics_json(),
+            p_report.metrics_json(),
+            q_report.metrics_json(),
             "metrics snapshot not byte-identical across job counts on {spec:?}"
         );
         // The counters the figures read mirror RunStats exactly — this is
         // the acceptance evidence for the fig13/fig15/fig18 ports.
-        assert_eq!(p.report.offchip(), p.stats.offchip_accesses);
+        assert_eq!(p_report.offchip(), p.stats.offchip_accesses);
         for mc in 0..p.stats.mc.len() {
             assert_eq!(
-                p.report.mc_request_shares(mc),
+                p_report.mc_request_shares(mc),
                 p.stats.mc_request_shares(mc)
             );
         }
         assert_eq!(
-            p.report.hop_histogram("offchip"),
+            p_report.hop_histogram("offchip"),
             &p.stats.net.off_chip.hop_histogram[..],
         );
         assert_eq!(
-            p.report.hop_histogram("onchip"),
+            p_report.hop_histogram("onchip"),
             &p.stats.net.on_chip.hop_histogram[..],
         );
-        let occ = p.report.bank_queue_occupancy();
+        let occ = p_report.bank_queue_occupancy();
         let want = p.stats.bank_queue_occupancy();
         assert!((occ - want).abs() < 1e-12, "{spec:?}: {occ} != {want}");
     }
@@ -271,13 +279,13 @@ fn traced_sweep_is_deterministic_and_mirrors_stats() {
 fn every_offchip_request_gets_a_full_span_trail() {
     let (sim, mapping) = setup();
     let suite = Suite::new(vec![hoploc::workloads::swim(Scale::Test)], mapping, sim);
-    let (stats, report) = suite.run_one_traced(
-        RunSpec {
-            app: 0,
-            kind: RunKind::Baseline,
-        },
-        ObsConfig::default(),
-    );
+    let cell = RunSpec {
+        app: 0,
+        kind: RunKind::Baseline,
+    };
+    let (stats, report) = suite
+        .run(&RunRequest::new(cell).with_obs(ObsConfig::default()))
+        .recorded();
     let events = report.events();
     // One closing `offchip` span per off-chip demand access...
     let closed = events.iter().filter(|e| e.name == EvName::Offchip).count();
@@ -313,10 +321,9 @@ fn first_touch_runs_and_respects_clusters() {
         ..SimConfig::scaled()
     };
     let suite = Suite::new(vec![hoploc::workloads::gafort(Scale::Test)], mapping, sim);
-    let ft = suite.run_one(RunSpec {
-        app: 0,
-        kind: RunKind::FirstTouch,
-    });
+    let ft = suite
+        .run(&suite.full_matrix(&[RunKind::FirstTouch])[0])
+        .stats;
     assert!(ft.total_accesses > 0);
     assert_eq!(
         ft.os_fallbacks, 0,

@@ -22,7 +22,7 @@
 //! populations without editing the test.
 
 use hoploc::fault::{FaultPlan, FaultRates};
-use hoploc::harness::{default_jobs, fault_topo, RunSpec, Suite};
+use hoploc::harness::{default_jobs, fault_topo, RunRequest, RunSpec, Suite};
 use hoploc::layout::Granularity;
 use hoploc::noc::L2ToMcMapping;
 use hoploc::obs::ObsConfig;
@@ -83,6 +83,16 @@ fn assert_conserved(app: &str, seed: u64, clean: &RunStats, faulted: &RunStats) 
     }
 }
 
+/// One cell under each of `plans`, across `jobs` workers, in plan order.
+fn fault_sweep(suite: &Suite, spec: RunSpec, plans: &[FaultPlan], jobs: usize) -> Vec<RunStats> {
+    let reqs: Vec<RunRequest> = plans
+        .iter()
+        .map(|plan| RunRequest::new(spec).with_faults(plan))
+        .collect();
+    let runs = suite.run_all(&reqs, jobs);
+    runs.into_iter().map(|r| r.stats).collect()
+}
+
 #[test]
 fn chaos_every_app_survives_32_seeded_plans() {
     let (sim, mapping) = setup();
@@ -96,7 +106,7 @@ fn chaos_every_app_survives_32_seeded_plans() {
             app: i,
             kind: RunKind::Optimized,
         };
-        let clean = suite.run_one(spec);
+        let clean = suite.run(&RunRequest::new(spec)).stats;
         // Placement horizon matched to this app's run length so the
         // windows actually overlap the run; intensity cycles the whole
         // ladder, from quiet (level 0) through severe (level 6).
@@ -110,7 +120,7 @@ fn chaos_every_app_survives_32_seeded_plans() {
         for plan in &plans {
             plan.validate(&topo).expect("generated plan must fit");
         }
-        let runs = suite.run_fault_sweep(spec, &plans, jobs);
+        let runs = fault_sweep(&suite, spec, &plans, jobs);
         assert_eq!(runs.len(), plans.len());
         for (p, faulted) in runs.iter().enumerate() {
             assert_conserved(
@@ -140,8 +150,8 @@ fn zero_fault_plan_is_bit_identical_to_unfaulted_path() {
     for (i, app) in suite.apps().iter().enumerate() {
         for kind in [RunKind::Baseline, RunKind::Optimized] {
             let spec = RunSpec { app: i, kind };
-            let clean = suite.run_one(spec);
-            let faulted = suite.run_one_faulted(spec, &none);
+            let clean = suite.run(&RunRequest::new(spec)).stats;
+            let faulted = suite.run(&RunRequest::new(spec).with_faults(&none)).stats;
             // Full-struct equality: every counter, histogram, and
             // floating-point utilization.
             assert_eq!(
@@ -159,8 +169,16 @@ fn zero_fault_plan_is_bit_identical_to_unfaulted_path() {
         app: 0,
         kind: RunKind::Baseline,
     };
-    let (clean_stats, clean_rep) = suite.run_one_traced(spec, ObsConfig::default());
-    let (fault_stats, fault_rep) = suite.run_one_faulted_traced(spec, &none, ObsConfig::default());
+    let (clean_stats, clean_rep) = suite
+        .run(&RunRequest::new(spec).with_obs(ObsConfig::default()))
+        .recorded();
+    let (fault_stats, fault_rep) = suite
+        .run(
+            &RunRequest::new(spec)
+                .with_faults(&none)
+                .with_obs(ObsConfig::default()),
+        )
+        .recorded();
     assert_eq!(clean_stats, fault_stats);
     assert_eq!(
         clean_rep.chrome_trace_json(),
@@ -187,13 +205,13 @@ fn fault_sweep_identical_across_job_counts() {
             app,
             kind: RunKind::Optimized,
         };
-        let clean = suite.run_one(spec);
+        let clean = suite.run(&RunRequest::new(spec)).stats;
         let rates = FaultRates::severe().with_horizon(clean.exec_cycles.max(1));
         let plans: Vec<FaultPlan> = (0..8)
             .map(|p| FaultPlan::from_seed(base + 9000 + p, &topo, &rates))
             .collect();
-        let seq = suite.run_fault_sweep(spec, &plans, 1);
-        let par = suite.run_fault_sweep(spec, &plans, default_jobs().max(2));
+        let seq = fault_sweep(&suite, spec, &plans, 1);
+        let par = fault_sweep(&suite, spec, &plans, default_jobs().max(2));
         assert_eq!(
             seq, par,
             "app {app}: fault sweep diverged across job counts"
@@ -212,16 +230,28 @@ fn faulted_traced_run_is_deterministic() {
         app: 0,
         kind: RunKind::Baseline,
     };
-    let clean = suite.run_one(spec);
+    let clean = suite.run(&RunRequest::new(spec)).stats;
     let rates = FaultRates::severe().with_horizon(clean.exec_cycles.max(1));
     let plan = FaultPlan::from_seed(seed_base() + 4242, &topo, &rates);
-    let (s1, r1) = suite.run_one_faulted_traced(spec, &plan, ObsConfig::default());
-    let (s2, r2) = suite.run_one_faulted_traced(spec, &plan, ObsConfig::default());
+    let (s1, r1) = suite
+        .run(
+            &RunRequest::new(spec)
+                .with_faults(&plan)
+                .with_obs(ObsConfig::default()),
+        )
+        .recorded();
+    let (s2, r2) = suite
+        .run(
+            &RunRequest::new(spec)
+                .with_faults(&plan)
+                .with_obs(ObsConfig::default()),
+        )
+        .recorded();
     assert_eq!(s1, s2);
     assert_eq!(r1.chrome_trace_json(), r2.chrome_trace_json());
     assert_eq!(r1.metrics_json(), r2.metrics_json());
     // The traced arm also mirrors the untraced one.
-    let untraced = suite.run_one_faulted(spec, &plan);
+    let untraced = suite.run(&RunRequest::new(spec).with_faults(&plan)).stats;
     assert_eq!(s1, untraced, "tracing perturbed a faulted run");
 }
 
@@ -236,13 +266,15 @@ fn plan_text_round_trip_preserves_behavior() {
         app: 2,
         kind: RunKind::Optimized,
     };
-    let clean = suite.run_one(spec);
+    let clean = suite.run(&RunRequest::new(spec)).stats;
     let rates = FaultRates::moderate().with_horizon(clean.exec_cycles.max(1));
     let plan = FaultPlan::from_seed(seed_base() + 77, &topo, &rates);
     let reparsed = FaultPlan::parse(&plan.render()).expect("rendered plan must parse");
     assert_eq!(plan, reparsed);
     assert_eq!(
-        suite.run_one_faulted(spec, &plan),
-        suite.run_one_faulted(spec, &reparsed)
+        suite.run(&RunRequest::new(spec).with_faults(&plan)).stats,
+        suite
+            .run(&RunRequest::new(spec).with_faults(&reparsed))
+            .stats
     );
 }

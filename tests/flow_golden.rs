@@ -13,7 +13,7 @@
 
 use hoploc::cache::CacheConfig;
 use hoploc::fault::{FaultPlan, FaultRates};
-use hoploc::harness::{default_jobs, fault_topo, parallel_map, Suite};
+use hoploc::harness::{default_jobs, fault_topo, parallel_map, RunRequest, Suite};
 use hoploc::layout::{Granularity, L2Mode};
 use hoploc::noc::L2ToMcMapping;
 use hoploc::obs::{EvName, ObsConfig, ObsReport, Track};
@@ -226,17 +226,19 @@ fn run_group(g: &Group) -> (u64, Tally) {
     let topo = fault_topo(suite.sim());
     let mut h = Fnv::new();
     let mut tally = Tally::default();
-    for spec in suite.full_matrix(&KINDS) {
-        let (stats, report) = match g.variant.faults(g.mode) {
-            Some((rates, seed)) => {
-                // Windows are placed within the clean run's length, like
-                // `hoploc faults --plan <seed>`.
-                let horizon = suite.run_one(spec).exec_cycles.max(1);
-                let plan = FaultPlan::from_seed(seed, &topo, &rates.with_horizon(horizon));
-                suite.run_one_faulted_traced(spec, &plan, obs)
-            }
-            None => suite.run_one_traced(spec, obs),
+    for cell in suite.full_matrix(&KINDS) {
+        let spec = cell.spec;
+        // Windows are placed within the clean run's length, like
+        // `hoploc faults --plan <seed>`.
+        let plan = g.variant.faults(g.mode).map(|(rates, seed)| {
+            let horizon = suite.run(&cell).stats.exec_cycles.max(1);
+            FaultPlan::from_seed(seed, &topo, &rates.with_horizon(horizon))
+        });
+        let req = RunRequest {
+            faults: plan.as_ref(),
+            ..cell.with_obs(obs)
         };
+        let (stats, report) = suite.run(&req).recorded();
         assert_eq!(stats.backstop_flushes, 0, "{} {spec:?}", g.label());
         tally.add_run(&stats, &report);
         h.mix(&format!("{stats:?}"));

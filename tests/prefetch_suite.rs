@@ -20,7 +20,7 @@
 //!    `pf_served`/`pf_dropped`, and are never retried or re-homed.
 
 use hoploc::fault::{FaultPlan, FaultRates};
-use hoploc::harness::{default_jobs, fault_topo, RunSpec, Suite};
+use hoploc::harness::{default_jobs, fault_topo, RunRequest, RunSpec, Suite};
 use hoploc::layout::Granularity;
 use hoploc::noc::L2ToMcMapping;
 use hoploc::obs::ObsConfig;
@@ -56,11 +56,11 @@ fn prefetch_off_is_bit_identical_to_the_seed_engine() {
         queue_cap: 1,
         ..PrefetchConfig::default()
     });
-    let specs = seed.full_matrix(&KINDS);
+    let reqs = seed.full_matrix(&KINDS);
     let jobs = default_jobs();
-    let a = seed.run_matrix(&specs, jobs);
-    let b = off.run_matrix(&specs, jobs);
-    for ((x, y), spec) in a.iter().zip(&b).zip(&specs) {
+    let a = seed.run_all(&reqs, jobs);
+    let b = off.run_all(&reqs, jobs);
+    for ((x, y), spec) in a.iter().zip(&b).zip(reqs.iter().map(|r| r.spec)) {
         assert_eq!(x.stats, y.stats, "off-mode prefetch perturbed {spec:?}");
         assert!(
             y.stats.prefetch.is_empty(),
@@ -72,8 +72,12 @@ fn prefetch_off_is_bit_identical_to_the_seed_engine() {
         app: 0,
         kind: RunKind::Optimized,
     };
-    let (s1, r1) = seed.run_one_traced(spec, ObsConfig::default());
-    let (s2, r2) = off.run_one_traced(spec, ObsConfig::default());
+    let (s1, r1) = seed
+        .run(&RunRequest::new(spec).with_obs(ObsConfig::default()))
+        .recorded();
+    let (s2, r2) = off
+        .run(&RunRequest::new(spec).with_obs(ObsConfig::default()))
+        .recorded();
     assert_eq!(s1, s2);
     assert_eq!(
         r1.chrome_trace_json(),
@@ -90,11 +94,11 @@ fn prefetch_off_is_bit_identical_to_the_seed_engine() {
 #[test]
 fn prefetch_matrix_identical_across_job_counts() {
     let suite = suite_with(PrefetchConfig::with_mode(PrefetchMode::Gated));
-    let specs = suite.full_matrix(&KINDS);
-    let seq = suite.run_matrix(&specs, 1);
-    let par = suite.run_matrix(&specs, default_jobs().max(2));
+    let reqs = suite.full_matrix(&KINDS);
+    let seq = suite.run_all(&reqs, 1);
+    let par = suite.run_all(&reqs, default_jobs().max(2));
     let mut prefetched_somewhere = false;
-    for ((s, p), spec) in seq.iter().zip(&par).zip(&specs) {
+    for ((s, p), spec) in seq.iter().zip(&par).zip(reqs.iter().map(|r| r.spec)) {
         assert_eq!(
             s.stats, p.stats,
             "{spec:?}: prefetch run diverged across job counts"
@@ -120,7 +124,7 @@ fn pf_counter_families_mirror_run_stats_on_every_app() {
             app: i,
             kind: RunKind::Optimized,
         };
-        let (stats, report) = suite.run_one_traced(spec, obs);
+        let (stats, report) = suite.run(&RunRequest::new(spec).with_obs(obs)).recorded();
         let sum = |name: &str| report.counter_family(name).iter().sum::<u64>();
         let pf = &stats.prefetch;
         let name = app.name();
@@ -143,13 +147,8 @@ fn pf_counter_families_mirror_run_stats_on_every_app() {
     );
     // And the families are opt-in: a prefetch-off snapshot has none.
     let off = suite_with(PrefetchConfig::default());
-    let (_, report) = off.run_one_traced(
-        RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        },
-        ObsConfig::default(),
-    );
+    let cell = off.full_matrix(&[RunKind::Optimized])[0];
+    let (_, report) = off.run(&cell.with_obs(ObsConfig::default())).recorded();
     assert!(
         !report.metrics_json().contains("\"pf."),
         "prefetch-off metrics must not register pf.* families"
@@ -168,7 +167,7 @@ fn chaos_with_prefetch_on_terminates_and_conserves_demand() {
             app: i,
             kind: RunKind::Optimized,
         };
-        let clean = suite.run_one(spec);
+        let clean = suite.run(&RunRequest::new(spec)).stats;
         // 8 plans per app across the whole intensity ladder, placement
         // horizon matched to the run length (as in the fault suite).
         let plans: Vec<FaultPlan> = (0..8)
@@ -178,7 +177,12 @@ fn chaos_with_prefetch_on_terminates_and_conserves_demand() {
                 FaultPlan::from_seed(31_000 + (i * 8 + p) as u64, &topo, &rates)
             })
             .collect();
-        for (p, faulted) in suite.run_fault_sweep(spec, &plans, jobs).iter().enumerate() {
+        let reqs: Vec<RunRequest> = plans
+            .iter()
+            .map(|plan| RunRequest::new(spec).with_faults(plan))
+            .collect();
+        for (p, faulted) in suite.run_all(&reqs, jobs).iter().enumerate() {
+            let faulted = &faulted.stats;
             let name = app.name();
             assert_eq!(
                 faulted.total_accesses, clean.total_accesses,

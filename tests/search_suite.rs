@@ -12,6 +12,7 @@
 //!    run produces for the same seed, and resubmissions are served from
 //!    cache with the same bytes.
 
+use hoploc::harness::MachineSpec;
 use hoploc::layout::Granularity;
 use hoploc::search::{search_app, Objective, SearchConfig};
 use hoploc::serve::{
@@ -77,7 +78,7 @@ fn serve_watch_stream_is_byte_identical_to_a_direct_search() {
     let spec = JobSpec {
         app: "gafort".into(),
         kind: RunKind::Optimized,
-        scale: Scale::Test,
+        machine: MachineSpec::at(Scale::Test),
         search: Some(SearchSpec {
             seed: 9,
             budget: 24,
@@ -127,7 +128,7 @@ fn serve_watch_stream_is_byte_identical_to_a_direct_search() {
     let plain = JobSpec {
         app: "gafort".into(),
         kind: RunKind::Baseline,
-        scale: Scale::Test,
+        machine: MachineSpec::at(Scale::Test),
         ..JobSpec::default()
     };
     let (id3, _, _) = client.submit_until_accepted(&plain, 10).expect("submit");

@@ -5,6 +5,7 @@
 //! Counted with a global allocator (`counting_alloc`), so this binary
 //! holds exactly one test.
 
+use hoploc::harness::MachineSpec;
 use hoploc::serve::{
     Engine, EngineCaps, Fidelity, JobSpec, Request, Response, ServeConfig, Server, SubmitStatus,
     SuiteEngine,
@@ -19,7 +20,7 @@ fn est_job(app: &str, scale: Scale) -> JobSpec {
     JobSpec {
         app: app.into(),
         kind: RunKind::Optimized,
-        scale,
+        machine: MachineSpec::at(scale),
         fidelity: Fidelity::Est,
         ..JobSpec::default()
     }
