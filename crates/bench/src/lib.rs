@@ -118,8 +118,8 @@ pub fn sweep_pair_traced(
         .map(|mut recs| {
             let o = recs.pop().expect("two kinds");
             let b = recs.pop().expect("two kinds");
-            let report = |r: RunRecord| r.report.expect("every cell was recorded");
-            (b.app.clone(), report(b), report(o))
+            let report = |r: Option<ObsReport>| r.expect("every cell was recorded");
+            (b.app, report(b.report), report(o.report))
         })
         .collect()
 }

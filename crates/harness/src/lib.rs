@@ -621,19 +621,14 @@ impl Suite {
             cfg.faults = Some(plan.clone());
         }
         let sim = Simulator::new(cfg, self.mapping.clone(), policy);
-        match req.obs {
-            None => RunOutput {
-                stats: sim.run(&bundle.workload),
-                report: None,
-            },
+        let (stats, report) = match req.obs {
+            None => (sim.run(&bundle.workload), None),
             Some(obs) => {
                 let (stats, report) = sim.with_obs(obs).run_traced(&bundle.workload);
-                RunOutput {
-                    stats,
-                    report: Some(report),
-                }
+                (stats, Some(report))
             }
-        }
+        };
+        RunOutput { stats, report }
     }
 
     /// Runs `reqs` across `jobs` worker threads and collects the records
