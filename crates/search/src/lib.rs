@@ -159,20 +159,23 @@ impl<'a> Evaluator<'a> {
             hops: est.avg_offchip_hops,
             queue: est.queue_pressure,
         };
-        self.cache.insert(key.clone(), (score, terms));
         // Keep the verification shortlist sorted and bounded; ties break
-        // on the candidate key so the list is seed-deterministic.
-        let entry = (score, key, c.clone());
+        // on the candidate key so the list is seed-deterministic. Nearly
+        // every evaluation sorts past the end and is not kept.
         let pos = self
             .top
             .binary_search_by(|e| {
-                e.0.partial_cmp(&entry.0)
+                e.0.partial_cmp(&score)
                     .expect("objective scores are finite")
-                    .then_with(|| e.1.cmp(&entry.1))
+                    .then_with(|| e.1.cmp(&key))
             })
             .unwrap_err();
-        self.top.insert(pos, entry);
-        self.top.truncate(self.cfg.top_k.max(1));
+        let keep = self.cfg.top_k.max(1);
+        if pos < keep {
+            self.top.insert(pos, (score, key.clone(), c.clone()));
+            self.top.truncate(keep);
+        }
+        self.cache.insert(key, (score, terms));
         Some(score)
     }
 
@@ -198,26 +201,20 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
     let mut rng = SmallRng::seed_from_u64(cfg.seed).fork(fnv1a(app.name()));
     let mut ev = Evaluator::new(app, cfg);
 
-    // Phase 1: curated branch-and-bound points, best-known first order.
-    let start = Candidate::from_named(&mesh, &cfg.sim.placement, cfg.sim.granularity);
-    let mut best = start.clone();
-    let mut best_score = ev.score(&start).expect("budget >= 1 admits one evaluation");
-    emit(event_json(
-        app.name(),
-        "curated",
-        ev.evaluated,
-        best_score,
-        &best,
-    ));
-    let phase1_cap = (cfg.budget / 2).max(1);
-    for c in curated(&mesh, &[Granularity::CacheLine, Granularity::Page]) {
-        if ev.evaluated >= phase1_cap {
-            break;
-        }
-        let Some(score) = ev.score(&c) else { break };
-        if score < best_score {
-            best = c;
-            best_score = score;
+    // The paper baselines depend on the application and the base machine
+    // alone: compiled first, they are simulated beside the two phases below.
+    let papers = [
+        McPlacement::Corners,
+        McPlacement::EdgeMidpoints,
+        McPlacement::Diagonal,
+    ]
+    .map(|p| VerifyRequest::paper(&cfg.sim, &p).compile(&mut ev.scorer));
+    let ((best, best_score), cycles, simulated) =
+        verify::verify_beside(app, &cfg.sim, &papers, || {
+            // Phase 1: curated branch-and-bound points, best-known first order.
+            let start = Candidate::from_named(&mesh, &cfg.sim.placement, cfg.sim.granularity);
+            let mut best = start.clone();
+            let mut best_score = ev.score(&start).expect("budget >= 1 admits one evaluation");
             emit(event_json(
                 app.name(),
                 "curated",
@@ -225,45 +222,57 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
                 best_score,
                 &best,
             ));
-        }
-    }
+            let phase1_cap = (cfg.budget / 2).max(1);
+            for c in curated(&mesh, &[Granularity::CacheLine, Granularity::Page]) {
+                if ev.evaluated >= phase1_cap {
+                    break;
+                }
+                let Some(score) = ev.score(&c) else { break };
+                if score < best_score {
+                    best = c;
+                    best_score = score;
+                    emit(event_json(
+                        app.name(),
+                        "curated",
+                        ev.evaluated,
+                        best_score,
+                        &best,
+                    ));
+                }
+            }
 
-    // Phase 2: annealing from the incumbent with the remaining budget.
-    let remaining = cfg.budget.saturating_sub(ev.evaluated);
-    if remaining > 0 {
-        let schedule = Schedule::for_budget(remaining);
-        // The improvement callback needs the live evaluation count, but
-        // the evaluator is exclusively borrowed by the scoring closure —
-        // a Cell shares the counter without aliasing the borrow.
-        let evaluated_at = std::cell::Cell::new(ev.evaluated);
-        let (b, s) = anneal(
-            &mesh,
-            &mut rng,
-            &schedule,
-            best.clone(),
-            best_score,
-            &mut |c| {
-                let r = ev.score(c);
-                evaluated_at.set(ev.evaluated);
-                r
-            },
-            &mut |c, s| emit(event_json(app.name(), "anneal", evaluated_at.get(), s, c)),
-        );
-        best = b;
-        best_score = s;
-    }
+            // Phase 2: annealing from the incumbent with the remaining budget.
+            let remaining = cfg.budget.saturating_sub(ev.evaluated);
+            if remaining > 0 {
+                let schedule = Schedule::for_budget(remaining);
+                // The improvement callback needs the live evaluation count,
+                // but the evaluator is exclusively borrowed by the scoring
+                // closure — a Cell shares the counter without aliasing the
+                // borrow.
+                let evaluated_at = std::cell::Cell::new(ev.evaluated);
+                let (b, s) = anneal(
+                    &mesh,
+                    &mut rng,
+                    &schedule,
+                    best.clone(),
+                    best_score,
+                    &mut |c| {
+                        let r = ev.score(c);
+                        evaluated_at.set(ev.evaluated);
+                        r
+                    },
+                    &mut |c, s| emit(event_json(app.name(), "anneal", evaluated_at.get(), s, c)),
+                );
+                best = b;
+                best_score = s;
+            }
 
-    // Verification: the shortlist, then the paper baselines, as one request
-    // list compiled by the scorer that ranked the shortlist.
-    let paper = [
-        McPlacement::Corners,
-        McPlacement::EdgeMidpoints,
-        McPlacement::Diagonal,
-    ];
-    let requests = (ev.top.iter().map(|(_, _, c)| VerifyRequest::of(c, &mesh)))
-        .chain(paper.iter().map(|p| VerifyRequest::paper(&cfg.sim, p)));
-    let machines: Vec<Machine> = requests.map(|r| r.compile(&mut ev.scorer)).collect();
-    let (cycles, simulated) = verify::verify(app, &cfg.sim, &machines);
+            // The shortlist, compiled by the scorer that ranked it.
+            let finalists = (ev.top.iter())
+                .map(|(_, _, c)| VerifyRequest::of(c, &mesh).compile(&mut ev.scorer))
+                .collect();
+            ((best, best_score), finalists)
+        });
     let (finalist_cycles, paper_cycles) = cycles.split_at(ev.top.len());
     let verified: Vec<Verified> = ev
         .top
@@ -386,6 +395,16 @@ mod tests {
             r.requested()
         );
         assert!(!json.contains("simulated"), "the wire report is pinned");
+    }
+
+    #[test]
+    #[should_panic(expected = "physical memory exhausted")]
+    fn a_baseline_that_outgrows_memory_panics_as_itself() {
+        // Budget 1 shortlists the start candidate, a paper machine: the only
+        // simulations are the helper's, and its panic is the search's.
+        let mut cfg = test_cfg(5, 1);
+        cfg.sim.memory_bytes = cfg.sim.page_bytes * 4;
+        search_app(&gafort(Scale::Test), &cfg, &mut |_| {});
     }
 
     #[test]

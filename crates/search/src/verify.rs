@@ -1,11 +1,16 @@
-//! Verification: the cycle simulations a search ends with.
+//! Verification: the cycle simulations a search's report rests on.
 //!
 //! A search asks for one simulation per finalist and one per paper
 //! placement — a list of [`VerifyRequest`]s. Each is compiled to a
 //! [`Machine`] by the search's own scorer, requests whose machines are
 //! equal form a group, one machine per group is simulated, and every
 //! request reads its group's completion time. The report is what
-//! simulating each request on its own would give; only the work is shared.
+//! simulating each request on its own would give; only the work is shared,
+//! and only its timing overlapped: the paper machines depend on the
+//! application and the base configuration alone, so one helper thread
+//! simulates them while the calling thread runs the chain that produces
+//! the finalists, and the two then simulate the finalists still distinct,
+//! one each at a time ([`verify_beside`]).
 
 use crate::space::Candidate;
 use hoploc_est::PlacementScorer;
@@ -14,11 +19,13 @@ use hoploc_layout::{Granularity, PassConfig, ProgramLayout};
 use hoploc_noc::{McPlacement, Mesh, Placement};
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// One cycle simulation a search asks for: the optimized run of its
 /// application under a placement and a pair of layout-plan parameters.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct VerifyRequest {
     /// MC attach nodes and cluster map.
     pub placement: Placement,
@@ -113,21 +120,242 @@ impl Machine {
     }
 }
 
-/// Completion times of `machines` in order, and how many simulations that
-/// took: each machine equal to an earlier one reads that one's result.
-pub(crate) fn verify(app: &App, base: &SimConfig, machines: &[Machine]) -> (Vec<u64>, usize) {
+/// Simulates `machines` off the shared counter `next` until none is left,
+/// keeping each result beside its index. The helper and the calling thread
+/// both run this loop over one list, so two machines are alive at a time.
+fn take_turns(
+    machines: &[Machine],
+    next: &AtomicUsize,
+    run: impl Fn(&Machine) -> u64,
+) -> Vec<(usize, u64)> {
+    std::iter::from_fn(|| {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        machines.get(k).map(|m| (k, run(m)))
+    })
+    .collect()
+}
+
+/// Runs `chain` on the calling thread while one helper thread simulates the
+/// distinct machines of `papers`, then simulates the finalists `chain`
+/// returned — those equal to no paper machine and to no earlier finalist —
+/// on both threads. Returns what `chain` returned beside them, the
+/// completion times of the finalists then of `papers`, and the number of
+/// simulations that took: the distinct machines among all of them.
+///
+/// Results are placed by index, so nothing depends on which thread ran
+/// what or when. A panic in a simulation leaves with its own payload,
+/// whichever thread it happened on.
+pub(crate) fn verify_beside<T>(
+    app: &App,
+    base: &SimConfig,
+    papers: &[Machine],
+    chain: impl FnOnce() -> (T, Vec<Machine>),
+) -> (T, Vec<u64>, usize) {
     let one: Arc<[App]> = Arc::from([app.clone()]);
-    let mut cycles: Vec<u64> = Vec::with_capacity(machines.len());
-    let mut simulated = 0;
-    for (i, m) in machines.iter().enumerate() {
-        let c = match machines[..i].iter().position(|earlier| earlier == m) {
-            Some(j) => cycles[j],
-            None => {
-                simulated += 1;
-                m.simulate(&one, base)
-            }
-        };
-        cycles.push(c);
+    let next = AtomicUsize::new(0);
+    let (one, next) = (&one, &next);
+    let run = move |m: &Machine| m.simulate(one, base);
+    thread::scope(|scope| {
+        // Carries the distinct finalists, once. When either end unwinds the
+        // other sees a closed channel instead of waiting on it.
+        let (tx, rx) = mpsc::channel::<Arc<[Machine]>>();
+        let helper = thread::Builder::new()
+            .name("hoploc-verify".into())
+            .spawn_scoped(scope, move || {
+                let mut cycles: Vec<u64> = Vec::with_capacity(papers.len());
+                let mut simulated = papers.len();
+                for (i, m) in papers.iter().enumerate() {
+                    let earlier = papers[..i].iter().position(|e| e == m);
+                    simulated -= usize::from(earlier.is_some());
+                    cycles.push(earlier.map_or_else(|| run(m), |j| cycles[j]));
+                }
+                let shared = rx.recv().map(|fresh| take_turns(&fresh, next, run));
+                (cycles, simulated, shared.unwrap_or_default())
+            })
+            .expect("the verification helper thread starts");
+
+        let (out, finalists) = chain();
+        // A finalist reads slot `j` where it equals paper machine `j`, and
+        // otherwise the slot after the papers of the distinct finalist it is.
+        let mut fresh: Vec<Machine> = Vec::new();
+        let mut slots = Vec::with_capacity(finalists.len());
+        for m in finalists {
+            let known = papers.iter().chain(&fresh).position(|e| *e == m);
+            slots.push(known.unwrap_or_else(|| {
+                fresh.push(m);
+                papers.len() + fresh.len() - 1
+            }));
+        }
+        let fresh: Arc<[Machine]> = fresh.into();
+        // A helper that panicked has hung up; its panic is raised below.
+        let _ = tx.send(fresh.clone());
+        let mut done = take_turns(&fresh, next, run);
+        let (mut by_slot, simulated, theirs) = helper
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        done.extend(theirs);
+
+        by_slot.resize(papers.len() + fresh.len(), 0);
+        for (k, c) in done {
+            by_slot[papers.len() + k] = c;
+        }
+        let cycles = (slots.into_iter().chain(0..papers.len()))
+            .map(|slot| by_slot[slot])
+            .collect();
+        (out, cycles, simulated + fresh.len())
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::space::{curated, APPROX_LEVELS};
+    use hoploc_ptest::run_cases;
+    use hoploc_workloads::{gafort, Scale};
+
+    /// Reference: the sequential walk [`verify_beside`] replaced, as it
+    /// was. Completion times of `machines` in order, and how many
+    /// simulations that took: each machine equal to an earlier one reads
+    /// that one's result.
+    fn verify(app: &App, base: &SimConfig, machines: &[Machine]) -> (Vec<u64>, usize) {
+        let one: Arc<[App]> = Arc::from([app.clone()]);
+        let mut cycles: Vec<u64> = Vec::with_capacity(machines.len());
+        let mut simulated = 0;
+        for (i, m) in machines.iter().enumerate() {
+            let c = match machines[..i].iter().position(|earlier| earlier == m) {
+                Some(j) => cycles[j],
+                None => {
+                    simulated += 1;
+                    m.simulate(&one, base)
+                }
+            };
+            cycles.push(c);
+        }
+        (cycles, simulated)
     }
-    (cycles, simulated)
+
+    fn base_sim() -> SimConfig {
+        SimConfig {
+            granularity: Granularity::CacheLine,
+            ..SimConfig::scaled()
+        }
+    }
+
+    const PAPER: [McPlacement; 3] = [
+        McPlacement::Corners,
+        McPlacement::EdgeMidpoints,
+        McPlacement::Diagonal,
+    ];
+
+    /// Entries 0..3 are the paper requests, 3..6 the candidates that start
+    /// from them (equal machines, built apart), the rest curated points
+    /// beside an approximation-threshold twin each.
+    fn pool(sim: &SimConfig) -> Vec<VerifyRequest> {
+        let mesh = &sim.mesh;
+        let mut reqs: Vec<VerifyRequest> =
+            PAPER.iter().map(|p| VerifyRequest::paper(sim, p)).collect();
+        for p in &PAPER {
+            let start = Candidate::from_named(mesh, p, sim.granularity);
+            reqs.push(VerifyRequest::of(&start, mesh));
+        }
+        let points = curated(mesh, &[Granularity::CacheLine, Granularity::Page]);
+        for c in points
+            .iter()
+            .skip(points.len() / 8)
+            .step_by(points.len() / 4)
+        {
+            for &approx in &APPROX_LEVELS[..2] {
+                let twin = Candidate {
+                    approx,
+                    ..c.clone()
+                };
+                reqs.push(VerifyRequest::of(&twin, mesh));
+            }
+        }
+        reqs
+    }
+
+    /// Verifies the pool entries `finalists` and `papers` both ways and
+    /// returns how many simulations that took.
+    fn check(app: &App, pool: &[VerifyRequest], finalists: &[usize], papers: &[usize]) -> usize {
+        let sim = base_sim();
+        let mut scorer = PlacementScorer::new(app, &sim, RunKind::Optimized);
+        let mut compile = |picks: &[usize]| -> Vec<Machine> {
+            (picks.iter())
+                .map(|&i| pool[i].clone().compile(&mut scorer))
+                .collect()
+        };
+        let in_order = compile(&[finalists, papers].concat());
+        let want = verify(app, &sim, &in_order);
+        let (papers_m, finalists_m) = (compile(papers), compile(finalists));
+        let ((), cycles, simulated) = verify_beside(app, &sim, &papers_m, || ((), finalists_m));
+        assert_eq!(
+            (cycles, simulated),
+            want,
+            "finalists {finalists:?}, papers {papers:?}"
+        );
+        simulated
+    }
+
+    #[test]
+    fn overlapped_verification_equals_the_sequential_walk() {
+        let app = gafort(Scale::Test);
+        let pool = pool(&base_sim());
+        // (finalists, papers, simulations): top_k 3, 1 and 0 of distinct
+        // machines; a finalist equal to a paper machine; two equal
+        // finalists; threshold twins; both at once; all six equal; no paper.
+        let planted: [(&[usize], &[usize], usize); 9] = [
+            (&[6, 8, 10], &[0, 1, 2], 6),
+            (&[8], &[0, 1, 2], 4),
+            (&[], &[0, 1, 2], 3),
+            (&[4, 8, 10], &[0, 1, 2], 5),
+            (&[8, 8, 10], &[0, 1, 2], 5),
+            (&[6, 7, 8], &[0, 1, 2], 5),
+            (&[5, 8, 8], &[0, 1, 2], 4),
+            (&[3, 3, 3], &[0, 0, 0], 1),
+            (&[6, 8, 10], &[], 3),
+        ];
+        for (finalists, papers, simulations) in planted {
+            assert_eq!(check(&app, &pool, finalists, papers), simulations);
+        }
+        run_cases("search.verify.beside", 6, |rng| {
+            let mut pick =
+                |len| -> Vec<usize> { (0..len).map(|_| rng.usize_in(0..pool.len())).collect() };
+            let (finalists, papers) = (pick(3), pick(3));
+            check(&app, &pool, &finalists[papers[0] % 4..], &papers);
+        });
+    }
+
+    /// A machine whose memory holds one page per controller.
+    fn starved() -> SimConfig {
+        let sim = base_sim();
+        SimConfig {
+            memory_bytes: sim.page_bytes * 4,
+            ..sim
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "physical memory exhausted")]
+    fn a_finalists_panic_leaves_as_itself() {
+        let sim = starved();
+        let app = gafort(Scale::Test);
+        let mut scorer = PlacementScorer::new(&app, &sim, RunKind::Optimized);
+        let finalists = (pool(&sim).drain(6..))
+            .map(|r| r.compile(&mut scorer))
+            .collect();
+        verify_beside(&app, &sim, &[], || ((), finalists));
+    }
+
+    #[test]
+    #[should_panic(expected = "physical memory exhausted")]
+    fn a_baselines_panic_on_the_helper_leaves_as_itself() {
+        let sim = starved();
+        let app = gafort(Scale::Test);
+        let mut scorer = PlacementScorer::new(&app, &sim, RunKind::Optimized);
+        let papers: Vec<Machine> = (pool(&sim).drain(..3))
+            .map(|r| r.compile(&mut scorer))
+            .collect();
+        verify_beside(&app, &sim, &papers, || ((), Vec::new()));
+    }
 }

@@ -2,8 +2,9 @@
 //! candidate the move generator can emit, admissibility of the
 //! branch-and-bound bound on random instances, monotonicity of the
 //! best-so-far progress stream, safety of reusing one program analysis and
-//! one footprint for every candidate of a search, and soundness of the key
-//! verification shares simulations by.
+//! one footprint for every candidate of a search, soundness of the key
+//! verification shares simulations by, and that running the verifying
+//! simulations beside the chain leaves no trace in what a search returns.
 
 use hoploc_check::{check_layout, CheckConfig, Severity};
 use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint, PlacementScorer};
@@ -12,12 +13,12 @@ use hoploc_layout::{Granularity, PassConfig, ProgramAnalysis};
 use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
 use hoploc_search::{
-    balanced_assignment, balanced_assignment_brute, curated, propose, search_app, Candidate,
-    EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS, TILINGS,
+    balanced_assignment, balanced_assignment_brute, curated, propose, search_app, search_suite,
+    Candidate, EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS, TILINGS,
 };
 use hoploc_sim::{AddressSpace, RunStats, SimConfig, TraceWorkload};
 use hoploc_workloads::{
-    gafort, generate_traces, hpccg, layout_with, swim, App, RunKind, Scale, TraceGen,
+    fma3d, gafort, generate_traces, hpccg, layout_with, swim, App, RunKind, Scale, TraceGen,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -379,6 +380,36 @@ fn the_start_candidate_is_its_paper_placements_baseline_machine() {
         let machine = VerifyRequest::of(&start, &sim.mesh).compile(&mut scorer);
         for (j, baseline) in baselines.iter().enumerate() {
             assert_eq!(machine == *baseline, i == j, "{named:?} vs {:?}", paper[j]);
+        }
+    }
+}
+
+/// The helper thread's schedule cannot leak: a search run twenty times over,
+/// and again as one of four side by side, is one report, one JSON line and
+/// one event list. gafort and fma3d shortlist duplicates of one machine, so
+/// the caller and the helper also race for the same few finalists.
+#[test]
+fn repeated_and_concurrent_searches_return_one_report() {
+    let apps = [gafort(Scale::Test), fma3d(Scale::Test)];
+    let cfg = SearchConfig {
+        budget: 200,
+        ..SearchConfig::new(base_sim(), Scale::Test)
+    };
+    for app in &apps {
+        let mut want_events = Vec::new();
+        let want = search_app(app, &cfg, &mut |e| want_events.push(e));
+        for rep in 0..20 {
+            let mut events = Vec::new();
+            let got = search_app(app, &cfg, &mut |e| events.push(e));
+            assert_eq!(got, want, "{}: repetition {rep}", app.name());
+            assert_eq!(got.to_json(), want.to_json(), "{}", app.name());
+            assert_eq!(events, want_events, "{}: repetition {rep}", app.name());
+        }
+        let four = [app.clone(), app.clone(), app.clone(), app.clone()];
+        for (got, events) in search_suite(&four, &cfg, 4) {
+            assert_eq!(got, want, "{}: under jobs = 4", app.name());
+            assert_eq!(got.to_json(), want.to_json(), "{}", app.name());
+            assert_eq!(events, want_events, "{}: under jobs = 4", app.name());
         }
     }
 }
