@@ -22,15 +22,27 @@
 //! a fresh evaluation is one layout customization plus one traffic
 //! routing, ≈ 4 µs — a 1 000-evaluation search at test scale sustains
 //! 25 000–30 000 evaluations/s with verification included. The top-K
-//! finalists are then *verified* by the cycle simulator against the
+//! finalists are *verified* by the cycle simulator against the
 //! paper's corner, edge, and diamond placements before any win is
-//! reported: one list of [`VerifyRequest`]s, compiled by the scorer that
-//! ranked them, of which each distinct [`Machine`] is simulated once.
+//! reported: [`VerifyRequest`]s compiled by the scorer that ranked them,
+//! of which each distinct [`Machine`] is simulated once.
+//!
+//! The chain is still sequential — the PRNG, the evaluator, the shortlist
+//! and the event stream stay on the thread that called [`search_app`]. What
+//! runs beside it is the verification: the three paper machines depend on
+//! the application and the base configuration alone, so they are compiled
+//! first and one helper thread simulates them while the two phases run;
+//! when the chain ends, the finalists that equal no paper machine and no
+//! earlier finalist are simulated by the caller and the helper, one each at
+//! a time, and the report is assembled by index. There is no setting for
+//! it: on one core the helper is time-sliced and the bytes are the same.
+//!
 //! Every candidate is legal by construction
 //! ([`Candidate::placement`] builds a validated
 //! [`hoploc_noc::Placement`]), every search is reproducible from one
-//! seed at any `--jobs` count, and every emitted line (progress events,
-//! final report) is a deterministic single-line JSON object.
+//! seed at any `--jobs` count and on any number of cores, and every
+//! emitted line (progress events, final report) is a deterministic
+//! single-line JSON object.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -194,7 +206,9 @@ impl<'a> Evaluator<'a> {
 ///
 /// Deterministic: the chain's PRNG forks from `cfg.seed` by app *name*,
 /// the chain is strictly sequential, and nothing time- or
-/// thread-dependent enters the state.
+/// thread-dependent enters the state. One helper thread, started and
+/// joined in here, simulates beside the chain; its results are placed by
+/// index, and a panic in any verifying simulation leaves as itself.
 pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -> SearchReport {
     assert!(cfg.budget >= 1, "search needs a budget of at least 1");
     let mesh = cfg.sim.mesh;
