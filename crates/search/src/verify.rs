@@ -163,10 +163,10 @@ pub(crate) fn verify_beside<T>(
             .name("hoploc-verify".into())
             .spawn_scoped(scope, move || {
                 let mut cycles: Vec<u64> = Vec::with_capacity(papers.len());
-                let mut simulated = papers.len();
+                let mut simulated = 0;
                 for (i, m) in papers.iter().enumerate() {
                     let earlier = papers[..i].iter().position(|e| e == m);
-                    simulated -= usize::from(earlier.is_some());
+                    simulated += usize::from(earlier.is_none());
                     cycles.push(earlier.map_or_else(|| run(m), |j| cycles[j]));
                 }
                 let shared = rx.recv().map(|fresh| take_turns(&fresh, next, run));
@@ -319,10 +319,11 @@ mod tests {
             assert_eq!(check(&app, &pool, finalists, papers), simulations);
         }
         run_cases("search.verify.beside", 6, |rng| {
+            let top_k = rng.usize_in(0..4);
             let mut pick =
                 |len| -> Vec<usize> { (0..len).map(|_| rng.usize_in(0..pool.len())).collect() };
-            let (finalists, papers) = (pick(3), pick(3));
-            check(&app, &pool, &finalists[papers[0] % 4..], &papers);
+            let (finalists, papers) = (pick(top_k), pick(3));
+            check(&app, &pool, &finalists, &papers);
         });
     }
 
