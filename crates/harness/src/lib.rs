@@ -32,6 +32,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::Hash;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -40,7 +41,8 @@ use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::{L2ToMcMapping, McId, McPlacement};
 use hoploc_obs::{json_string, ObsConfig, ObsReport};
 use hoploc_sim::{
-    AddressSpace, PrefetchConfig, PrefetchMode, RunStats, SimConfig, Simulator, TraceWorkload,
+    AddressSpace, Cancel, PrefetchConfig, PrefetchMode, RunStats, SimConfig, Simulator,
+    TraceWorkload,
 };
 use hoploc_workloads::{App, RunKind, Scale, TraceGen, MAX_THREADS_PER_CORE};
 
@@ -54,8 +56,8 @@ pub struct RunSpec {
     pub kind: RunKind,
 }
 
-/// One run asked of a [`Suite`]: the cell, and the two optional axes a cell
-/// can be run under. A new axis is one more optional field here.
+/// One run asked of a [`Suite`]: the cell, and the optional axes a cell can
+/// be run under. A new axis is one more optional field here.
 #[derive(Clone, Copy, Debug)]
 pub struct RunRequest<'a> {
     /// The matrix cell.
@@ -66,6 +68,9 @@ pub struct RunRequest<'a> {
     /// Records the run. The statistics are bit-identical to an unrecorded
     /// run — the sink only mirrors what the models already compute.
     pub obs: Option<ObsConfig>,
+    /// Stops the simulation early once set; the statistics of a cancelled
+    /// run are the caller's to discard.
+    pub cancel: Option<&'a Cancel>,
 }
 
 impl<'a> RunRequest<'a> {
@@ -75,6 +80,7 @@ impl<'a> RunRequest<'a> {
             spec,
             faults: None,
             obs: None,
+            cancel: None,
         }
     }
 
@@ -620,7 +626,8 @@ impl Suite {
         if let Some(plan) = req.faults {
             cfg.faults = Some(plan.clone());
         }
-        let sim = Simulator::new(cfg, self.mapping.clone(), policy);
+        let sim = Simulator::new(cfg, self.mapping.clone(), policy)
+            .with_cancel(req.cancel.cloned().unwrap_or_default());
         let (stats, report) = match req.obs {
             None => (sim.run(&bundle.workload), None),
             Some(obs) => {
@@ -638,16 +645,15 @@ impl Suite {
     /// recorded run owns its sink; only finished [`ObsReport`]s (plain
     /// data) cross threads.
     pub fn run_all(&self, reqs: &[RunRequest], jobs: usize) -> Vec<RunRecord> {
-        let outputs = parallel_map(reqs, jobs, |req| self.run(req));
-        reqs.iter()
-            .zip(outputs)
-            .map(|(req, out)| RunRecord {
+        parallel_map(reqs, jobs, |req| {
+            let RunOutput { stats, report } = self.run(req);
+            RunRecord {
                 app: self.apps[req.spec.app].name().to_string(),
                 kind: req.spec.kind,
-                stats: out.stats,
-                report: out.report,
-            })
-            .collect()
+                stats,
+                report,
+            }
+        })
     }
 
     /// Cache counters accumulated so far.
@@ -663,42 +669,65 @@ impl Suite {
     }
 }
 
-/// Maps `f` over `items` across `jobs` worker threads and collects the
-/// results **by index**: the output order is the item order no matter how
-/// the scheduler interleaves workers. Workers pull items off a shared
-/// atomic queue, so uneven item costs balance automatically. With
-/// `jobs <= 1` (or a single item) this degenerates to a sequential map.
+/// Maps `f` over `items` on `jobs` threads — the caller and `jobs - 1`
+/// helpers, pulling items off one atomic counter so uneven costs balance —
+/// and collects the results **by index**: in item order, whatever the
+/// schedule. `jobs <= 1` (or one item) is a sequential map on the caller.
 ///
-/// This is the fan-out primitive under [`Suite::run_all`] and the
-/// `hoploc check` subcommand; `f` must be pure in its item for the
-/// determinism guarantee to mean anything.
-pub fn parallel_map<T: Sync, R: Send + Sync>(
+/// A panic in `f` is caught as a value and stops the handing out of
+/// unclaimed items; once every worker is done, the lowest-index item's
+/// payload is re-raised on the caller, as itself.
+///
+/// The fan-out under [`Suite::run_all`], `hoploc check`, `search_suite` and
+/// `hoploc load`; `f` must be pure in its item for determinism to hold.
+pub fn parallel_map<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
     let jobs = jobs.clamp(1, items.len().max(1));
-    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(item);
-                if slots[i].set(r).is_err() {
-                    unreachable!("item index claimed twice");
-                }
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            let r = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
+            if r.is_err() {
+                next.store(items.len(), Ordering::Relaxed);
+            }
+            done.push((i, r));
         }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().expect("a worker catches its items' panics"));
+        }
+        done
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("invariant: the scope joins every worker, so each slot was filled")
-        })
+    // In item order, every item before the first panic has its result.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    (done.into_iter())
+        .map(|(_, r)| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
         .collect()
+}
+
+/// Runs `a` on a helper thread while `b` runs on the caller and returns both
+/// results, under [`parallel_map`]'s panic rule with `a` as the lower index:
+/// once both are done, a panic is re-raised on the caller, `a`'s first.
+pub fn join<RA: Send, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB) {
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(a);
+        let rb = panic::catch_unwind(AssertUnwindSafe(b));
+        match (helper.join(), rb) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (_, Err(payload)) => panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// The fault-plan topology implied by a simulator configuration: the shape

@@ -31,11 +31,11 @@
 //! and the event stream stay on the thread that called [`search_app`]. What
 //! runs beside it is the verification: the three paper machines depend on
 //! the application and the base configuration alone, so they are compiled
-//! first and one helper thread simulates them while the two phases run;
+//! first and a helper thread simulates them while the two phases run;
 //! when the chain ends, the finalists that equal no paper machine and no
-//! earlier finalist are simulated by the caller and the helper, one each at
-//! a time, and the report is assembled by index. There is no setting for
-//! it: on one core the helper is time-sliced and the bytes are the same.
+//! earlier finalist are simulated — two at a time once the helper is free —
+//! and the report is assembled by index. There is no setting for it: on
+//! one core the threads are time-sliced and the bytes are the same.
 //!
 //! Every candidate is legal by construction
 //! ([`Candidate::placement`] builds a validated
@@ -66,7 +66,7 @@ use hoploc_harness::parallel_map;
 use hoploc_layout::Granularity;
 use hoploc_noc::McPlacement;
 use hoploc_ptest::SmallRng;
-use hoploc_sim::SimConfig;
+use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{App, RunKind, Scale};
 use std::collections::HashMap;
 
@@ -90,6 +90,10 @@ pub struct SearchConfig {
     /// report always carries a found design, so `0` verifies one finalist,
     /// like `1`.
     pub top_k: usize,
+    /// Once set, the chain stops as if its budget were spent (after the
+    /// first evaluation, which every report needs) and so do the verifying
+    /// simulations; the token's holder discards the report.
+    pub cancel: Cancel,
 }
 
 impl SearchConfig {
@@ -103,6 +107,7 @@ impl SearchConfig {
             budget: 400,
             objective: Objective::default(),
             top_k: 3,
+            cancel: Cancel::never(),
         }
     }
 }
@@ -147,14 +152,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Scores a candidate, or `None` once the budget is spent (cached
-    /// revisits stay free).
+    /// Scores a candidate, or `None` once the budget is spent or the search
+    /// is cancelled (cached revisits stay free).
     fn score(&mut self, c: &Candidate) -> Option<f64> {
         let key = c.key();
         if let Some(&(score, _)) = self.cache.get(&key) {
             return Some(score);
         }
-        if self.evaluated >= self.cfg.budget {
+        if self.evaluated >= self.cfg.budget || (self.evaluated > 0 && self.cfg.cancel.is_set()) {
             return None;
         }
         self.evaluated += 1;
@@ -206,9 +211,9 @@ impl<'a> Evaluator<'a> {
 ///
 /// Deterministic: the chain's PRNG forks from `cfg.seed` by app *name*,
 /// the chain is strictly sequential, and nothing time- or
-/// thread-dependent enters the state. One helper thread, started and
-/// joined in here, simulates beside the chain; its results are placed by
-/// index, and a panic in any verifying simulation leaves as itself.
+/// thread-dependent enters the state. The paper baselines simulate beside
+/// the chain on a helper thread started and joined in here; results are
+/// placed by index, and a panic in any simulation leaves as itself.
 pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -> SearchReport {
     assert!(cfg.budget >= 1, "search needs a budget of at least 1");
     let mesh = cfg.sim.mesh;
@@ -224,7 +229,7 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
     ]
     .map(|p| VerifyRequest::paper(&cfg.sim, &p).compile(&mut ev.scorer));
     let ((best, best_score), cycles, simulated) =
-        verify::verify_beside(app, &cfg.sim, &papers, || {
+        verify::verify_beside(app, &cfg.sim, &papers, &cfg.cancel, || {
             // Phase 1: curated branch-and-bound points, best-known first order.
             let start = Candidate::from_named(&mesh, &cfg.sim.placement, cfg.sim.granularity);
             let mut best = start.clone();
@@ -419,6 +424,14 @@ mod tests {
         let mut cfg = test_cfg(5, 1);
         cfg.sim.memory_bytes = cfg.sim.page_bytes * 4;
         search_app(&gafort(Scale::Test), &cfg, &mut |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "physical memory exhausted")]
+    fn a_panic_in_search_suite_leaves_as_itself() {
+        let mut cfg = test_cfg(5, 8);
+        cfg.sim.memory_bytes = cfg.sim.page_bytes * 4;
+        search_suite(&[gafort(Scale::Test), apsi(Scale::Test)], &cfg, 4);
     }
 
     #[test]

@@ -7,21 +7,20 @@
 //! request reads its group's completion time. The report is what
 //! simulating each request on its own would give; only the work is shared,
 //! and only its timing overlapped: the paper machines depend on the
-//! application and the base configuration alone, so one helper thread
+//! application and the base configuration alone, so a helper thread
 //! simulates them while the calling thread runs the chain that produces
-//! the finalists, and the two then simulate the finalists still distinct,
-//! one each at a time ([`verify_beside`]).
+//! the finalists, and the finalists still distinct are simulated after it
+//! ([`verify_beside`], on [`join`] and [`parallel_map`]).
 
 use crate::space::Candidate;
 use hoploc_est::PlacementScorer;
-use hoploc_harness::{RunRequest, RunSpec, Suite};
+use hoploc_harness::{join, parallel_map, RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, PassConfig, ProgramLayout};
 use hoploc_noc::{McPlacement, Mesh, Placement};
-use hoploc_sim::SimConfig;
+use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{App, RunKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// One cycle simulation a search asks for: the optimized run of its
 /// application under a placement and a pair of layout-plan parameters.
@@ -105,105 +104,88 @@ impl Machine {
     /// Cycle-simulated completion time of `app[0]`'s optimized run on this
     /// machine, `base` supplying everything a request does not override.
     /// The suite replays the machine's plan object; nothing is recompiled.
-    fn simulate(&self, app: &Arc<[App]>, base: &SimConfig) -> u64 {
+    fn simulate(&self, app: &Arc<[App]>, base: &SimConfig, cancel: &Cancel) -> u64 {
         let sim = SimConfig {
             granularity: self.granularity,
             ..base.clone()
         };
         let kind = RunKind::Optimized;
+        let req = RunRequest {
+            cancel: Some(cancel),
+            ..RunRequest::new(RunSpec { app: 0, kind })
+        };
         Suite::for_placement(app.clone(), &self.placement, sim)
             .with_approx_threshold(self.layout.config().approx_threshold)
             .with_layout_plan(0, kind, self.layout.clone())
-            .run(&RunRequest::new(RunSpec { app: 0, kind }))
+            .run(&req)
             .stats
             .exec_cycles
     }
 }
 
-/// Simulates `machines` off the shared counter `next` until none is left,
-/// keeping each result beside its index. The helper and the calling thread
-/// both run this loop over one list, so two machines are alive at a time.
-fn take_turns(
-    machines: &[Machine],
-    next: &AtomicUsize,
-    run: impl Fn(&Machine) -> u64,
-) -> Vec<(usize, u64)> {
-    std::iter::from_fn(|| {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        machines.get(k).map(|m| (k, run(m)))
-    })
-    .collect()
+/// Per machine, the index of the first equal one in `known` followed by the
+/// machines equal to nothing before them, which are returned too.
+fn group<'m>(known: &[Machine], machines: &'m [Machine]) -> (Vec<usize>, Vec<&'m Machine>) {
+    let mut fresh: Vec<&Machine> = Vec::new();
+    let slots = (machines.iter())
+        .map(|m| {
+            let seen = known
+                .iter()
+                .chain(fresh.iter().copied())
+                .position(|e| e == m);
+            seen.unwrap_or_else(|| {
+                fresh.push(m);
+                known.len() + fresh.len() - 1
+            })
+        })
+        .collect();
+    (slots, fresh)
 }
 
-/// Runs `chain` on the calling thread while one helper thread simulates the
+/// Runs `chain` on the calling thread while a helper thread simulates the
 /// distinct machines of `papers`, then simulates the finalists `chain`
 /// returned — those equal to no paper machine and to no earlier finalist —
-/// on both threads. Returns what `chain` returned beside them, the
-/// completion times of the finalists then of `papers`, and the number of
-/// simulations that took: the distinct machines among all of them.
+/// two at a time if the helper is free by then, else on the calling thread
+/// alone: a third simulation beside the baselines costs more than it saves
+/// on two cores. Returns what `chain` returned beside them, the completion
+/// times of the finalists then of `papers`, and the number of simulations
+/// that took: the distinct machines among all of them.
 ///
 /// Results are placed by index, so nothing depends on which thread ran
 /// what or when. A panic in a simulation leaves with its own payload,
-/// whichever thread it happened on.
+/// whichever thread it happened on. Every simulation stops early once
+/// `cancel` is set.
 pub(crate) fn verify_beside<T>(
     app: &App,
     base: &SimConfig,
     papers: &[Machine],
+    cancel: &Cancel,
     chain: impl FnOnce() -> (T, Vec<Machine>),
 ) -> (T, Vec<u64>, usize) {
     let one: Arc<[App]> = Arc::from([app.clone()]);
-    let next = AtomicUsize::new(0);
-    let (one, next) = (&one, &next);
-    let run = move |m: &Machine| m.simulate(one, base);
-    thread::scope(|scope| {
-        // Carries the distinct finalists, once. When either end unwinds the
-        // other sees a closed channel instead of waiting on it.
-        let (tx, rx) = mpsc::channel::<Arc<[Machine]>>();
-        let helper = thread::Builder::new()
-            .name("hoploc-verify".into())
-            .spawn_scoped(scope, move || {
-                let mut cycles: Vec<u64> = Vec::with_capacity(papers.len());
-                let mut simulated = 0;
-                for (i, m) in papers.iter().enumerate() {
-                    let earlier = papers[..i].iter().position(|e| e == m);
-                    simulated += usize::from(earlier.is_none());
-                    cycles.push(earlier.map_or_else(|| run(m), |j| cycles[j]));
-                }
-                let shared = rx.recv().map(|fresh| take_turns(&fresh, next, run));
-                (cycles, simulated, shared.unwrap_or_default())
-            })
-            .expect("the verification helper thread starts");
-
-        let (out, finalists) = chain();
-        // A finalist reads slot `j` where it equals paper machine `j`, and
-        // otherwise the slot after the papers of the distinct finalist it is.
-        let mut fresh: Vec<Machine> = Vec::new();
-        let mut slots = Vec::with_capacity(finalists.len());
-        for m in finalists {
-            let known = papers.iter().chain(&fresh).position(|e| *e == m);
-            slots.push(known.unwrap_or_else(|| {
-                fresh.push(m);
-                papers.len() + fresh.len() - 1
-            }));
-        }
-        let fresh: Arc<[Machine]> = fresh.into();
-        // A helper that panicked has hung up; its panic is raised below.
-        let _ = tx.send(fresh.clone());
-        let mut done = take_turns(&fresh, next, run);
-        let (mut by_slot, simulated, theirs) = helper
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        done.extend(theirs);
-
-        by_slot.resize(papers.len() + fresh.len(), 0);
-        for (k, c) in done {
-            by_slot[papers.len() + k] = c;
-        }
-        let cycles = (slots.into_iter().chain(0..papers.len()))
-            .map(|slot| by_slot[slot])
-            .collect();
-        (out, cycles, simulated + fresh.len())
-    })
+    let run = |m: &&Machine| m.simulate(&one, base, cancel);
+    let (paper_slots, distinct_papers) = group(&[], papers);
+    // Publishes nothing but itself: the runs come back through `join`.
+    let papers_done = AtomicBool::new(false);
+    let (paper_runs, (out, slots, fresh_runs)) = join(
+        || {
+            let runs: Vec<u64> = distinct_papers.iter().map(run).collect();
+            papers_done.store(true, Ordering::Relaxed);
+            runs
+        },
+        || {
+            let (out, finalists) = chain();
+            let (slots, fresh) = group(papers, &finalists);
+            let jobs = 1 + usize::from(papers_done.load(Ordering::Relaxed));
+            (out, slots, parallel_map(&fresh, jobs, run))
+        },
+    );
+    let paper_cycles: Vec<u64> = paper_slots.iter().map(|&s| paper_runs[s]).collect();
+    let by_slot = [&paper_cycles[..], &fresh_runs[..]].concat();
+    let cycles = (slots.iter().map(|&s| by_slot[s]))
+        .chain(paper_cycles.iter().copied())
+        .collect();
+    (out, cycles, paper_runs.len() + fresh_runs.len())
 }
 
 #[cfg(test)]
@@ -212,6 +194,16 @@ mod tests {
     use crate::space::{curated, APPROX_LEVELS};
     use hoploc_ptest::run_cases;
     use hoploc_workloads::{gafort, Scale};
+
+    /// The schedule under test, with a token nothing sets.
+    fn verify_beside<T>(
+        app: &App,
+        base: &SimConfig,
+        papers: &[Machine],
+        chain: impl FnOnce() -> (T, Vec<Machine>),
+    ) -> (T, Vec<u64>, usize) {
+        super::verify_beside(app, base, papers, &Cancel::never(), chain)
+    }
 
     /// Reference: the sequential walk [`verify_beside`] replaced, as it
     /// was. Completion times of `machines` in order, and how many
@@ -226,7 +218,7 @@ mod tests {
                 Some(j) => cycles[j],
                 None => {
                     simulated += 1;
-                    m.simulate(&one, base)
+                    m.simulate(&one, base, &Cancel::never())
                 }
             };
             cycles.push(c);

@@ -29,12 +29,20 @@ impl Client {
 
     /// Sends one request and reads one reply.
     pub fn call(&mut self, req: &Request) -> Result<Response, String> {
+        self.send(req)?;
+        self.recv()
+    }
+
+    fn send(&mut self, req: &Request) -> Result<(), String> {
         let mut line = encode_request(req);
         line.push('\n');
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))?;
+        (self.writer.write_all(line.as_bytes()))
+            .and_then(|()| self.writer.flush())
+            .map_err(|e| format!("send: {e}"))
+    }
+
+    /// Reads one reply line.
+    fn recv(&mut self) -> Result<Response, String> {
         let mut reply = String::new();
         let n = self
             .reader
@@ -97,23 +105,10 @@ impl Client {
     /// arrive, then returns the final raw result bytes. For job kinds
     /// without progress this is `result` plus zero events.
     pub fn watch(&mut self, id: u64, on_event: &mut dyn FnMut(String)) -> Result<String, String> {
-        let mut line = encode_request(&Request::Watch(id));
-        line.push('\n');
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))?;
+        self.send(&Request::Watch(id))?;
         let mut next_seq = 0u64;
         loop {
-            let mut reply = String::new();
-            let n = self
-                .reader
-                .read_line(&mut reply)
-                .map_err(|e| format!("recv: {e}"))?;
-            if n == 0 {
-                return Err("server closed the connection mid-watch".into());
-            }
-            match parse_response(reply.trim_end())? {
+            match self.recv()? {
                 Response::Progress { seq, event, .. } => {
                     if seq != next_seq {
                         return Err(format!(

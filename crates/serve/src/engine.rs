@@ -16,15 +16,15 @@
 //! [`Footprint`] across the kinds, granularities and mappings that cannot
 //! change it.
 //!
-//! The trait exists so tests can substitute slow or failing engines to
-//! exercise backpressure and timeout paths without real simulations.
+//! The trait exists so tests can substitute slow, failing or panicking
+//! engines for the backpressure, timeout and panic paths.
 
 use crate::job::{FaultSpec, Fidelity, JobSpec};
 use hoploc_est::{est_record_json, EstConfig, Footprint, FootprintInputs};
 use hoploc_fault::{FaultPlan, FaultRates};
 use hoploc_harness::{fault_topo, record_json, Memo, RunRecord, RunRequest, RunSpec, Suite};
 use hoploc_search::{search_app, Objective, SearchConfig};
-use hoploc_sim::PrefetchMode;
+use hoploc_sim::{Cancel, PrefetchMode};
 use hoploc_workloads::{all_apps, App, RunKind, Scale, APP_NAMES};
 use std::sync::{Arc, OnceLock};
 
@@ -35,24 +35,14 @@ pub trait Engine: Send + Sync {
     /// (unknown app, ill-fitting fault plan) before they cost a queue slot.
     fn validate(&self, spec: &JobSpec) -> Result<(), String>;
 
-    /// Runs the job to completion, returning the raw single-line JSON run
-    /// record, or a structured error message.
-    fn run(&self, spec: &JobSpec) -> Result<String, String>;
-
-    /// Like [`run`](Engine::run), but long-running job kinds push
-    /// intermediate progress lines (single-line JSON objects) through
-    /// `emit` as they happen. The default ignores the sink and just runs
-    /// — only engines with genuinely long jobs (search) override it. The
-    /// sink must be callable from whatever thread executes the job,
-    /// including the detached thread the server uses under timeouts.
-    fn run_streaming(
-        &self,
-        spec: &JobSpec,
-        emit: &(dyn Fn(String) + Send + Sync),
-    ) -> Result<String, String> {
-        let _ = emit;
-        self.run(spec)
-    }
+    /// Runs the job on the calling (worker) thread, returning the raw
+    /// single-line JSON result, or a structured error message. Long-running
+    /// job kinds (search) push intermediate progress lines (single-line
+    /// JSON objects) through `emit` as they happen; the rest ignore it.
+    /// Work that polls `cancel` stops once it is set — the server sets it
+    /// at the job's deadline and discards what the job returns.
+    fn run(&self, spec: &JobSpec, emit: &dyn Fn(String), cancel: &Cancel)
+        -> Result<String, String>;
 }
 
 /// How many completed artifacts each per-configuration suite may keep
@@ -136,7 +126,8 @@ impl SuiteEngine {
     fn run_search(
         &self,
         spec: &JobSpec,
-        emit: &(dyn Fn(String) + Send + Sync),
+        emit: &dyn Fn(String),
+        cancel: &Cancel,
     ) -> Result<String, String> {
         let search = spec.search.as_ref().expect("caller checked spec.search");
         let objective =
@@ -150,11 +141,10 @@ impl SuiteEngine {
             seed: search.seed,
             budget: search.budget,
             objective,
+            cancel: cancel.clone(),
             ..SearchConfig::new(spec.machine.sim(), spec.machine.scale)
         };
-        let mut sink = |line: String| emit(line);
-        let report = search_app(app, &cfg, &mut sink);
-        Ok(report.to_json())
+        Ok(search_app(app, &cfg, &mut |line| emit(line)).to_json())
     }
 
     fn resolve_plan(spec: &JobSpec, suite: &Suite) -> Result<Option<FaultPlan>, String> {
@@ -226,9 +216,14 @@ impl Engine for SuiteEngine {
         Ok(())
     }
 
-    fn run(&self, spec: &JobSpec) -> Result<String, String> {
+    fn run(
+        &self,
+        spec: &JobSpec,
+        emit: &dyn Fn(String),
+        cancel: &Cancel,
+    ) -> Result<String, String> {
         if spec.search.is_some() {
-            return self.run_search(spec, &|_| {});
+            return self.run_search(spec, emit, cancel);
         }
         let suite = self.suite_for(spec);
         let app_idx = suite
@@ -257,21 +252,11 @@ impl Engine for SuiteEngine {
         let plan = Self::resolve_plan(spec, &suite)?;
         let req = RunRequest {
             faults: plan.as_ref(),
+            cancel: Some(cancel),
             ..RunRequest::new(run)
         };
         let stats = suite.run(&req).stats;
         Ok(record_json(&RunRecord::new(&*spec.app, spec.kind, stats)))
-    }
-
-    fn run_streaming(
-        &self,
-        spec: &JobSpec,
-        emit: &(dyn Fn(String) + Send + Sync),
-    ) -> Result<String, String> {
-        if spec.search.is_some() {
-            return self.run_search(spec, emit);
-        }
-        self.run(spec)
     }
 }
 
@@ -281,6 +266,11 @@ mod tests {
     use hoploc_harness::MachineSpec;
     use hoploc_layout::{Granularity, L2Mode};
     use hoploc_workloads::MAX_THREADS_PER_CORE;
+
+    /// A job run to completion, its progress dropped.
+    fn run(eng: &SuiteEngine, spec: &JobSpec) -> Result<String, String> {
+        eng.run(spec, &|_| {}, &Cancel::never())
+    }
 
     fn spec(app: &str) -> JobSpec {
         JobSpec {
@@ -301,7 +291,7 @@ mod tests {
                 s.machine.scale = scale;
                 s.fidelity = Fidelity::Est;
                 if warm {
-                    eng.run(&s).unwrap();
+                    run(&eng, &s).unwrap();
                 }
                 assert!(eng.validate(&s).is_ok());
                 s.app = "nosuchapp".into();
@@ -371,7 +361,7 @@ mod tests {
                             &EstConfig::from_sim(direct.sim()),
                         );
                         assert_eq!(
-                            eng.run(&job).unwrap(),
+                            run(&eng, &job).unwrap(),
                             est_record_json(&est),
                             "{}",
                             job.canon()
@@ -384,7 +374,7 @@ mod tests {
                         };
                         let stats = direct.run(&RunRequest::new(cell)).stats;
                         let record = record_json(&RunRecord::new("swim", cell.kind, stats));
-                        assert_eq!(eng.run(&machine).unwrap(), record, "{}", machine.canon());
+                        assert_eq!(run(&eng, &machine).unwrap(), record, "{}", machine.canon());
                     }
                     // The suite that just served is live, and holds the
                     // catalogue's applications, not a copy.
@@ -405,14 +395,14 @@ mod tests {
         let eng = SuiteEngine::new(EngineCaps::default());
         let mut s = spec("swim");
         s.fidelity = Fidelity::Est;
-        let served = eng.run(&s).unwrap();
+        let served = run(&eng, &s).unwrap();
         assert!(served.contains("\"fidelity\": \"est\""), "{served}");
         assert!(served.contains("\"offchip_fraction\""), "{served}");
         // Deterministic, and a different answer (and key) than the cycle
         // tier for the same cell.
-        assert_eq!(served, eng.run(&s).unwrap());
+        assert_eq!(served, run(&eng, &s).unwrap());
         assert_ne!(s.key(), spec("swim").key());
-        assert_ne!(served, eng.run(&spec("swim")).unwrap());
+        assert_ne!(served, run(&eng, &spec("swim")).unwrap());
     }
 
     #[test]
@@ -442,8 +432,8 @@ mod tests {
         let mut pf = spec("swim");
         pf.machine.prefetch = PrefetchMode::Gated;
         assert!(eng.validate(&pf).is_ok());
-        let off_bytes = eng.run(&plain).unwrap();
-        let pf_bytes = eng.run(&pf).unwrap();
+        let off_bytes = run(&eng, &plain).unwrap();
+        let pf_bytes = run(&eng, &pf).unwrap();
         assert!(
             !off_bytes.contains("prefetch"),
             "off-prefetch result must stay byte-identical to pre-prefetch \
@@ -451,7 +441,7 @@ mod tests {
         );
         assert!(pf_bytes.contains("\"prefetch\": {"), "{pf_bytes}");
         assert_ne!(plain.key(), pf.key(), "modes must cache separately");
-        assert_eq!(pf_bytes, eng.run(&pf).unwrap(), "deterministic");
+        assert_eq!(pf_bytes, run(&eng, &pf).unwrap(), "deterministic");
     }
 
     #[test]
@@ -468,7 +458,11 @@ mod tests {
         assert!(eng.validate(&s).is_ok());
         let streamed = std::sync::Mutex::new(Vec::new());
         let served = eng
-            .run_streaming(&s, &|line| streamed.lock().unwrap().push(line))
+            .run(
+                &s,
+                &|line| streamed.lock().unwrap().push(line),
+                &Cancel::never(),
+            )
             .unwrap();
 
         let app = all_apps(s.machine.scale)
@@ -489,8 +483,6 @@ mod tests {
             direct_events,
             "streamed events must match direct events byte-for-byte"
         );
-        // The plain (non-streaming) path returns the same final bytes.
-        assert_eq!(eng.run(&s).unwrap(), served);
     }
 
     #[test]
@@ -536,7 +528,7 @@ mod tests {
         let eng = SuiteEngine::new(EngineCaps::default());
         let mut s = spec("swim");
         s.faults = FaultSpec::Seed(7);
-        assert_eq!(eng.run(&s).unwrap(), eng.run(&s).unwrap());
+        assert_eq!(run(&eng, &s).unwrap(), run(&eng, &s).unwrap());
     }
 
     #[test]

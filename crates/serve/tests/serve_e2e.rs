@@ -16,7 +16,7 @@ use hoploc_serve::load::{run_load, LoadConfig};
 use hoploc_serve::server::{ServeConfig, Server};
 use hoploc_serve::wire::SubmitStatus;
 use hoploc_serve::JobSpec;
-use hoploc_sim::SimConfig;
+use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{all_apps, RunKind, Scale};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -187,7 +187,7 @@ impl Engine for SlowEngine {
         Ok(())
     }
 
-    fn run(&self, spec: &JobSpec) -> Result<String, String> {
+    fn run(&self, spec: &JobSpec, _: &dyn Fn(String), _: &Cancel) -> Result<String, String> {
         std::thread::sleep(self.delay);
         Ok(format!("{{\"canon\": \"{}\"}}", spec.canon()))
     }

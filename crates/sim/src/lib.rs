@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 mod address;
+mod cancel;
 mod config;
 mod machine;
 mod os;
@@ -25,6 +26,7 @@ mod stats;
 mod trace;
 
 pub use address::AddressSpace;
+pub use cancel::Cancel;
 pub use config::SimConfig;
 pub use hoploc_prefetch::{PrefetchConfig, PrefetchMode, PrefetchSummary};
 pub use machine::Simulator;

@@ -25,6 +25,7 @@
 //! delays on-chip traffic exactly as §1 describes. The **optimal scheme**
 //! serves every off-chip request at fixed row-hit latency.
 
+use crate::cancel::Cancel;
 use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
@@ -37,6 +38,10 @@ use hoploc_mem::{Completion, MemoryController};
 use hoploc_noc::{L2ToMcMapping, McId, Mesh, Network, NodeId, TrafficClass};
 use hoploc_obs::{CacheTag, ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
 use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher};
+
+/// Events handled between two polls of the cancel token (≈ 1 ms): a power
+/// of two, so the poll is one mask and one branch per event.
+const CANCEL_POLL_EVENTS: u64 = 1 << 14;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EventKind {
@@ -158,6 +163,8 @@ pub struct Simulator {
     /// Observability sink: disabled unless [`Simulator::with_obs`] was
     /// called, in which case every component mirrors its events here.
     obs: Sink,
+    /// Polled by the event loop; see [`Simulator::with_cancel`].
+    cancel: Cancel,
 }
 
 impl Simulator {
@@ -241,6 +248,7 @@ impl Simulator {
             backstop_flushes: 0,
             node_mc_requests: vec![vec![0; n_mcs]; n],
             obs: Sink::disabled(),
+            cancel: Cancel::never(),
             config,
             mapping,
         }
@@ -258,6 +266,13 @@ impl Simulator {
             banks_per_mc: self.config.mc.banks,
         };
         self.obs = Sink::recording(topo, options);
+        self
+    }
+
+    /// Stops the run early once `cancel` is set, polled every 2^14 events.
+    /// A cancelled run returns statistics for the token's holder to discard.
+    pub fn with_cancel(mut self, cancel: Cancel) -> Self {
+        self.cancel = cancel;
         self
     }
 
@@ -320,7 +335,13 @@ impl Simulator {
             self.schedule_next(workload, thread, 0);
         }
 
+        let (mut handled, mut cancelled) = (0u64, false);
         while let Some((now, kind)) = self.events.pop() {
+            handled += 1;
+            if handled % CANCEL_POLL_EVENTS == 0 && self.cancel.is_set() {
+                cancelled = true;
+                break;
+            }
             match kind {
                 EventKind::Issue { thread } => self.handle_issue(workload, thread, now),
                 EventKind::MissReturn { thread } => self.miss_return(workload, thread, now),
@@ -345,7 +366,7 @@ impl Simulator {
             }
         }
         assert!(
-            self.pending.is_empty(),
+            cancelled || self.pending.is_empty(),
             "simulation ended with in-flight requests"
         );
 

@@ -10,6 +10,7 @@ use hoploc::serve::{
     Engine, EngineCaps, Fidelity, JobSpec, Request, Response, ServeConfig, Server, SubmitStatus,
     SuiteEngine,
 };
+use hoploc::sim::Cancel;
 use hoploc::workloads::{app_by_name, RunKind, Scale, APP_NAMES};
 use std::sync::Arc;
 
@@ -39,7 +40,9 @@ fn admission_and_cache_hits_build_no_application() {
     // Validation, after the engine has run a job at that scale.
     let engine = Arc::new(SuiteEngine::new(EngineCaps::default()));
     let bench = est_job("swim", Scale::Bench);
-    engine.run(&bench).expect("the est job runs");
+    engine
+        .run(&bench, &|_| {}, &Cancel::never())
+        .expect("the est job runs");
     let (warm, verdict) = allocated_during(|| engine.validate(&bench));
     assert!(verdict.is_ok());
     assert!(
