@@ -15,9 +15,6 @@ pub struct LruCache {
     cap: usize,
     tick: u64,
     map: HashMap<String, (std::sync::Arc<String>, u64)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl LruCache {
@@ -28,50 +25,34 @@ impl LruCache {
             cap,
             tick: 0,
             map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
     /// Looks up `canon`, refreshing its recency on a hit.
     pub fn get(&mut self, canon: &str) -> Option<std::sync::Arc<String>> {
         self.tick += 1;
-        match self.map.get_mut(canon) {
-            Some((v, used)) => {
-                *used = self.tick;
-                self.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let (v, used) = self.map.get_mut(canon)?;
+        *used = self.tick;
+        Some(v.clone())
     }
 
-    /// Inserts a result, evicting the least-recently-used entries to stay
-    /// within capacity.
-    pub fn put(&mut self, canon: String, value: std::sync::Arc<String>) {
+    /// Inserts a result, evicting the least-recently-used entry if that
+    /// takes the cache past capacity, and returns how many it evicted.
+    pub fn put(&mut self, canon: String, value: std::sync::Arc<String>) -> u64 {
         if self.cap == 0 {
-            return;
+            return 0;
         }
         self.tick += 1;
         self.map.insert(canon, (value, self.tick));
-        while self.map.len() > self.cap {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
+        if self.map.len() <= self.cap {
+            return 0;
         }
+        let victim = (self.map.iter())
+            .min_by_key(|(_, (_, used))| *used)
+            .map(|(k, _)| k.clone())
+            .expect("a cache past capacity holds entries");
+        self.map.remove(&victim);
+        1
     }
 
     /// Entries currently resident.
@@ -82,11 +63,6 @@ impl LruCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Lifetime `(hits, misses, evictions)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
     }
 }
 
@@ -105,13 +81,11 @@ mod tests {
         c.put("a".into(), val("1"));
         c.put("b".into(), val("2"));
         assert!(c.get("a").is_some()); // refresh a; b is now LRU
-        c.put("c".into(), val("3"));
+        assert_eq!(c.put("c".into(), val("3")), 1, "one entry evicted");
         assert_eq!(c.len(), 2);
         assert!(c.get("b").is_none(), "b was the LRU entry");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
-        let (hits, misses, evictions) = c.counters();
-        assert_eq!((hits, misses, evictions), (3, 1, 1));
     }
 
     #[test]
