@@ -88,8 +88,17 @@ pub fn array_plan_hops(al: &ArrayLayout, nodes: &[NodeId], mapping: &L2ToMcMappi
 /// The per-controller slot shares of a localized plan (`None` for
 /// original layouts).
 pub fn plan_mc_shares(al: &ArrayLayout, n_mcs: usize) -> Option<Vec<f64>> {
-    let v = al.plan_view()?;
     let mut hist = vec![0.0; n_mcs];
+    plan_mc_shares_into(al, &mut hist).then_some(hist)
+}
+
+/// [`plan_mc_shares`] into `hist`, one entry per controller; `false` (and
+/// `hist` unspecified) where that is `None`.
+pub(crate) fn plan_mc_shares_into(al: &ArrayLayout, hist: &mut [f64]) -> bool {
+    let Some(v) = al.plan_view() else {
+        return false;
+    };
+    hist.fill(0.0);
     let mut total = 0.0;
     for slots in v.group_slots {
         for &s in slots {
@@ -98,12 +107,12 @@ pub fn plan_mc_shares(al: &ArrayLayout, n_mcs: usize) -> Option<Vec<f64>> {
         }
     }
     if total == 0.0 {
-        return None;
+        return false;
     }
-    for h in &mut hist {
+    for h in hist {
         *h /= total;
     }
-    Some(hist)
+    true
 }
 
 /// Checks one array's localized plan against the hop and balance

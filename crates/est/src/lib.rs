@@ -45,7 +45,7 @@ pub use diag::{
     TRAFFIC_SIGNIFICANCE,
 };
 pub use model::{
-    estimate_app, estimate_placement, AppEstimate, ArrayEstimate, EstConfig, Footprint,
+    estimate_app, estimate_placement, AppEstimate, ArrayEstimate, EstConfig, EstTerms, Footprint,
     FootprintInputs, PlacementScorer, RefEstimate,
 };
 pub use rank::{ranks, spearman};

@@ -38,7 +38,9 @@
 //!
 //! ## Hop expectation and queue pressure
 //!
-//! [`Footprint::route`] — the only floating-point half.
+//! [`Footprint::route`] — the only floating-point half. [`Footprint::terms`]
+//! is the same loop without the per-array and per-reference breakdown: the
+//! three totals a search scores, bit for bit.
 //!
 //! Off-chip demand is split across memory controllers statically: the
 //! layout plan's slot arithmetic ([`ArrayLayout::thread_mcs`]) for
@@ -55,11 +57,11 @@ use std::collections::HashMap;
 
 use hoploc_affine::{AccessFn, AffineAccess, ArrayId, LoopNest, Program};
 use hoploc_layout::{ArrayLayout, Granularity, L2Mode, ProgramLayout};
-use hoploc_noc::{L2ToMcMapping, McId, NodeId};
+use hoploc_noc::{L2ToMcMapping, McId, Mesh, NodeId};
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, LayoutPlanner, RunKind};
 
-use crate::diag::plan_mc_shares;
+use crate::diag::plan_mc_shares_into;
 
 /// The [`EstConfig`] fields [`Footprint::of`] reads: cache organization,
 /// L2 bytes, line bytes, node count, threads per core. A footprint may be
@@ -170,6 +172,20 @@ pub struct ArrayEstimate {
     pub indexed: bool,
 }
 
+/// The totals of one prediction that a design-space search scores and
+/// reports — an [`AppEstimate`]'s `offchip_fraction()`,
+/// `avg_offchip_hops` and `queue_pressure` — as [`Footprint::terms`]
+/// routes them without the breakdown.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct EstTerms {
+    /// Predicted off-chip fraction.
+    pub offchip: f64,
+    /// Predicted mean off-chip hop count.
+    pub hops: f64,
+    /// Predicted queue pressure (1 = balanced).
+    pub queue: f64,
+}
+
 /// The full static prediction for one (application, layout, kind) cell.
 #[derive(Clone, Debug)]
 pub struct AppEstimate {
@@ -200,10 +216,7 @@ pub struct AppEstimate {
 impl AppEstimate {
     /// Predicted off-chip fraction.
     pub fn offchip_fraction(&self) -> f64 {
-        if self.total_accesses == 0 {
-            return 0.0;
-        }
-        self.predicted_offchip as f64 / self.total_accesses as f64
+        offchip_fraction(self.predicted_offchip, self.total_accesses)
     }
 
     /// Fraction of accesses a stride/stream prefetcher can learn from:
@@ -494,32 +507,89 @@ fn group_refs(program: &Program, nest: &LoopNest) -> Vec<NestArray> {
         .collect()
 }
 
-/// Traffic accumulator: per-MC line counts plus hop-weighted volume.
-struct Traffic {
-    per_mc: Vec<f64>,
+/// Hop-weighted off-chip volume: the mean hop count is their ratio.
+#[derive(Clone, Copy, Default)]
+struct Flow {
     hops: f64,
     volume: f64,
 }
 
-impl Traffic {
-    fn new(n_mcs: usize) -> Self {
-        Self {
-            per_mc: vec![0.0; n_mcs],
-            hops: 0.0,
-            volume: 0.0,
-        }
-    }
-
-    fn merge(&mut self, other: &Traffic) {
-        for (a, b) in self.per_mc.iter_mut().zip(&other.per_mc) {
-            *a += b;
-        }
+impl Flow {
+    fn merge(&mut self, other: Flow) {
         self.hops += other.hops;
         self.volume += other.volume;
     }
 
     fn avg_hops(&self) -> Option<f64> {
         (self.volume > 0.0).then(|| self.hops / self.volume)
+    }
+}
+
+/// Traffic accumulator: per-MC line counts plus hop-weighted volume.
+struct Traffic<'b> {
+    per_mc: &'b mut [f64],
+    flow: Flow,
+}
+
+/// Everything one routing writes, kept by a [`PlacementScorer`] across the
+/// placements it scores, so that scoring one allocates nothing here.
+#[derive(Default)]
+struct RouteBuffers {
+    /// The mesh `rows` is for.
+    mesh: Option<Mesh>,
+    /// The hop row of every controller site routed to so far, one after
+    /// another in order of first use: the distance from each node, in node
+    /// order, then the row's mean — the distance from a uniformly drawn
+    /// node. A scorer computes each site's row once.
+    rows: Vec<f64>,
+    /// Per node, the offset of its row in `rows` once it has been a site,
+    /// else `usize::MAX`.
+    row_at: Vec<usize>,
+    /// Hop distance from every node to every controller of the cell being
+    /// routed, controller-major (`mc * num_nodes + node`).
+    hops: Vec<f64>,
+    /// Mean hop distance from a uniformly drawn node to each controller.
+    uniform_hops: Vec<f64>,
+    /// Per-MC lines of the whole cell, and of the component being routed.
+    cell: Vec<f64>,
+    component: Vec<f64>,
+    /// A localized plan's per-controller slot shares.
+    shares: Vec<f64>,
+}
+
+impl RouteBuffers {
+    /// Fills the hop rows of `mapping`'s controllers and sizes the per-MC
+    /// accumulators for `n_mcs` of them.
+    fn prepare(&mut self, mapping: &L2ToMcMapping, n_mcs: usize) {
+        let mesh = *mapping.mesh();
+        let n = mesh.num_nodes();
+        if self.mesh != Some(mesh) {
+            self.mesh = Some(mesh);
+            self.rows.clear();
+            self.row_at.clear();
+            self.row_at.resize(n, usize::MAX);
+        }
+        self.hops.clear();
+        self.uniform_hops.clear();
+        for m in 0..n_mcs {
+            let site = mapping.mc_node(McId(m as u16));
+            let mut at = self.row_at[site.0 as usize];
+            if at == usize::MAX {
+                at = self.rows.len();
+                self.rows.reserve((n + 1) * n_mcs);
+                self.rows.extend(mesh.hop_distances_to(site).map(f64::from));
+                let mean = self.rows[at..].iter().sum::<f64>() / n as f64;
+                self.rows.push(mean);
+                self.row_at[site.0 as usize] = at;
+            }
+            let row = &self.rows[at..=at + n];
+            self.hops.extend_from_slice(&row[..n]);
+            self.uniform_hops.push(row[n]);
+        }
+        for v in [&mut self.cell, &mut self.component, &mut self.shares] {
+            v.clear();
+            v.resize(n_mcs, 0.0);
+        }
     }
 }
 
@@ -538,45 +608,13 @@ struct Router<'a> {
     cfg: &'a EstConfig,
     kind: RunKind,
     first_touch_friendly: bool,
-    /// Hop distance from every node to every controller, controller-major
-    /// (`mc * num_nodes + node`).
-    hops: Vec<f64>,
-    /// Mean hop distance from a uniformly drawn node to each controller.
-    uniform_hops: Vec<f64>,
+    /// [`RouteBuffers::hops`] and [`RouteBuffers::uniform_hops`], filled
+    /// for `mapping`.
+    hops: &'a [f64],
+    uniform_hops: &'a [f64],
 }
 
-impl<'a> Router<'a> {
-    fn new(
-        mapping: &'a L2ToMcMapping,
-        cfg: &'a EstConfig,
-        kind: RunKind,
-        first_touch_friendly: bool,
-    ) -> Self {
-        let mesh = mapping.mesh();
-        assert_eq!(
-            mesh.num_nodes(),
-            cfg.num_nodes,
-            "mapping is for another mesh"
-        );
-        let mut hops: Vec<f64> = Vec::with_capacity(cfg.num_mcs * cfg.num_nodes);
-        for m in 0..cfg.num_mcs {
-            let site = mapping.mc_node(McId(m as u16));
-            hops.extend(mesh.hop_distances_to(site).map(f64::from));
-        }
-        let uniform_hops = hops
-            .chunks_exact(cfg.num_nodes)
-            .map(|to_mc| to_mc.iter().sum::<f64>() / cfg.num_nodes as f64)
-            .collect();
-        Self {
-            mapping,
-            cfg,
-            kind,
-            first_touch_friendly,
-            hops,
-            uniform_hops,
-        }
-    }
-
+impl Router<'_> {
     /// Hop distance from node `n` to controller `mc`, from the table.
     fn hops(&self, n: NodeId, mc: McId) -> f64 {
         self.hops[mc.0 as usize * self.cfg.num_nodes + n.0 as usize]
@@ -584,6 +622,7 @@ impl<'a> Router<'a> {
 
     /// Splits `misses` lines of off-chip traffic for `thread`'s share of
     /// one array across controllers, weighting hops by requester distance.
+    /// `shares` is scratch room for one localized plan's slot shares.
     fn route(
         &self,
         acc: &mut Traffic,
@@ -591,11 +630,12 @@ impl<'a> Router<'a> {
         requester: Requester,
         al: &ArrayLayout,
         thread: Option<usize>,
+        shares: &mut [f64],
     ) {
         if misses <= 0.0 {
             return;
         }
-        acc.volume += misses;
+        acc.flow.volume += misses;
         let (mapping, cfg) = (self.mapping, self.cfg);
         let n_nodes = cfg.num_nodes;
         let mut add = |mc: McId, w: f64| {
@@ -604,7 +644,7 @@ impl<'a> Router<'a> {
                 Requester::Uniform => self.uniform_hops[mc.0 as usize],
             };
             acc.per_mc[mc.0 as usize] += w;
-            acc.hops += w * hops;
+            acc.flow.hops += w * hops;
         };
         match self.kind {
             RunKind::Optimal => match requester {
@@ -617,7 +657,7 @@ impl<'a> Router<'a> {
                         let n = NodeId(i as u16);
                         let mc = mapping.nearest_mc(n);
                         acc.per_mc[mc.0 as usize] += w;
-                        acc.hops += w * self.hops(n, mc);
+                        acc.flow.hops += w * self.hops(n, mc);
                     }
                 }
             },
@@ -658,21 +698,20 @@ impl<'a> Router<'a> {
                             add(mc, w);
                         }
                     }
-                    // Original layouts (and broadcast traffic of localized
-                    // ones) interleave uniformly.
-                    None => match plan_mc_shares(al, cfg.num_mcs) {
-                        Some(hist) if thread.is_none() => {
-                            for (m, share) in hist.iter().enumerate() {
-                                add(McId(m as u16), misses * share);
-                            }
+                    // Traffic no single thread owns follows a localized
+                    // plan's slot shares; original layouts interleave
+                    // uniformly.
+                    None if thread.is_none() && plan_mc_shares_into(al, shares) => {
+                        for (m, share) in shares.iter().enumerate() {
+                            add(McId(m as u16), misses * share);
                         }
-                        _ => {
-                            let w = misses / cfg.num_mcs as f64;
-                            for m in 0..cfg.num_mcs {
-                                add(McId(m as u16), w);
-                            }
+                    }
+                    None => {
+                        let w = misses / cfg.num_mcs as f64;
+                        for m in 0..cfg.num_mcs {
+                            add(McId(m as u16), w);
                         }
-                    },
+                    }
                 }
             }
         }
@@ -1169,7 +1208,8 @@ impl Footprint {
     /// # Panics
     ///
     /// Panics if `cfg` differs from the footprint's in a field the model
-    /// read, or if the layout binds a different number of cores.
+    /// read, if the layout binds a different number of cores, or if the
+    /// mapping is for another mesh or another number of controllers.
     pub fn route(
         &self,
         layout: &ProgramLayout,
@@ -1177,6 +1217,77 @@ impl Footprint {
         kind: RunKind,
         cfg: &EstConfig,
     ) -> AppEstimate {
+        let mut buf = RouteBuffers::default();
+        let mut per_array = vec![Flow::default(); self.arrays.len()];
+        let flow = self.route_flows(layout, mapping, kind, cfg, &mut buf, Some(&mut per_array));
+        let mut arrays = self.arrays.clone();
+        for (a, f) in arrays.iter_mut().zip(&per_array) {
+            a.avg_hops = f.avg_hops();
+        }
+        let mc_shares: Vec<f64> = mc_shares(&buf.cell).collect();
+        AppEstimate {
+            app: self.app.clone(),
+            kind,
+            total_accesses: self.total_accesses,
+            predicted_offchip: self.predicted_offchip,
+            avg_offchip_hops: flow.avg_hops().unwrap_or(0.0),
+            queue_pressure: queue_pressure(mc_shares.iter().copied(), cfg.num_mcs),
+            mc_shares,
+            streaming: self.streaming,
+            arrays,
+            refs: self.refs.clone(),
+        }
+    }
+
+    /// The three totals of [`route`](Self::route)'s estimate, bit for bit
+    /// — its `offchip_fraction()`, `avg_offchip_hops` and
+    /// `queue_pressure` — without its per-array and per-reference
+    /// breakdown.
+    ///
+    /// # Panics
+    ///
+    /// As [`route`](Self::route).
+    pub fn terms(
+        &self,
+        layout: &ProgramLayout,
+        mapping: &L2ToMcMapping,
+        kind: RunKind,
+        cfg: &EstConfig,
+    ) -> EstTerms {
+        self.terms_in(layout, mapping, kind, cfg, &mut RouteBuffers::default())
+    }
+
+    /// [`terms`](Self::terms) in buffers the caller keeps.
+    fn terms_in(
+        &self,
+        layout: &ProgramLayout,
+        mapping: &L2ToMcMapping,
+        kind: RunKind,
+        cfg: &EstConfig,
+        buf: &mut RouteBuffers,
+    ) -> EstTerms {
+        let flow = self.route_flows(layout, mapping, kind, cfg, buf, None);
+        EstTerms {
+            offchip: offchip_fraction(self.predicted_offchip, self.total_accesses),
+            hops: flow.avg_hops().unwrap_or(0.0),
+            queue: queue_pressure(mc_shares(&buf.cell), cfg.num_mcs),
+        }
+    }
+
+    /// The routing loop under [`route`](Self::route) and
+    /// [`terms`](Self::terms): splits every component's demand across the
+    /// controllers, leaves the cell's per-MC lines in `buf.cell` and
+    /// returns the cell's flow, adding each component's flow to its
+    /// array's entry of `per_array` when one is given.
+    fn route_flows(
+        &self,
+        layout: &ProgramLayout,
+        mapping: &L2ToMcMapping,
+        kind: RunKind,
+        cfg: &EstConfig,
+        buf: &mut RouteBuffers,
+        mut per_array: Option<&mut [Flow]>,
+    ) -> Flow {
         assert_eq!(
             self.model_inputs,
             cfg.footprint_inputs(),
@@ -1187,60 +1298,82 @@ impl Footprint {
             cfg.num_nodes,
             "layout binds a different number of cores than the footprint's machine has"
         );
-        let router = Router::new(mapping, cfg, kind, self.first_touch_friendly);
-        let mut traffic = Traffic::new(cfg.num_mcs);
-        let mut per_array: Vec<Traffic> = self
-            .arrays
-            .iter()
-            .map(|_| Traffic::new(cfg.num_mcs))
-            .collect();
-
+        assert_eq!(
+            mapping.mesh().num_nodes(),
+            cfg.num_nodes,
+            "mapping is for another mesh"
+        );
+        assert!(
+            mapping.num_mcs() == cfg.num_mcs,
+            "mapping has {} memory controllers but the machine has {}",
+            mapping.num_mcs(),
+            cfg.num_mcs
+        );
+        buf.prepare(mapping, cfg.num_mcs);
+        let RouteBuffers {
+            hops,
+            uniform_hops,
+            cell,
+            component,
+            shares,
+            ..
+        } = buf;
+        let router = Router {
+            mapping,
+            cfg,
+            kind,
+            first_touch_friendly: self.first_touch_friendly,
+            hops,
+            uniform_hops,
+        };
+        let mut flow = Flow::default();
         for c in &self.components {
             let al = layout.layout(c.array);
-            let mut comp_traffic = Traffic::new(cfg.num_mcs);
+            component.fill(0.0);
+            let mut traffic = Traffic {
+                per_mc: component,
+                flow: Flow::default(),
+            };
             for (t, &m) in c.part.iter().enumerate() {
                 if m == 0 {
                     continue;
                 }
                 let node = layout.binding().node_of(t / cfg.threads_per_core);
                 let requester = requester_for(al, node, t, cfg);
-                router.route(&mut comp_traffic, m as f64, requester, al, Some(t));
+                router.route(&mut traffic, m as f64, requester, al, Some(t), shares);
             }
-            router.route(
-                &mut comp_traffic,
-                c.global as f64,
-                Requester::Uniform,
-                al,
-                None,
-            );
-            per_array[c.slot].merge(&comp_traffic);
-            traffic.merge(&comp_traffic);
+            let global = c.global as f64;
+            router.route(&mut traffic, global, Requester::Uniform, al, None, shares);
+            for (a, b) in cell.iter_mut().zip(traffic.per_mc.iter()) {
+                *a += b;
+            }
+            flow.merge(traffic.flow);
+            if let Some(per_array) = per_array.as_deref_mut() {
+                per_array[c.slot].merge(traffic.flow);
+            }
         }
-
-        let mut arrays = self.arrays.clone();
-        for (a, tr) in arrays.iter_mut().zip(&per_array) {
-            a.avg_hops = tr.avg_hops();
-        }
-        let total_traffic: f64 = traffic.per_mc.iter().sum();
-        let mc_shares: Vec<f64> = if total_traffic > 0.0 {
-            traffic.per_mc.iter().map(|m| m / total_traffic).collect()
-        } else {
-            vec![0.0; cfg.num_mcs]
-        };
-        let queue_pressure = mc_shares.iter().fold(0.0f64, |m, &s| m.max(s)) * cfg.num_mcs as f64;
-        AppEstimate {
-            app: self.app.clone(),
-            kind,
-            total_accesses: self.total_accesses,
-            predicted_offchip: self.predicted_offchip,
-            avg_offchip_hops: traffic.avg_hops().unwrap_or(0.0),
-            mc_shares,
-            queue_pressure,
-            streaming: self.streaming,
-            arrays,
-            refs: self.refs.clone(),
-        }
+        flow
     }
+}
+
+/// Each controller's share of a cell's per-MC lines (all zero when there
+/// are none).
+fn mc_shares(per_mc: &[f64]) -> impl Iterator<Item = f64> + '_ {
+    let total: f64 = per_mc.iter().sum();
+    (per_mc.iter()).map(move |m| if total > 0.0 { m / total } else { 0.0 })
+}
+
+/// The largest controller share × the number of controllers.
+fn queue_pressure(shares: impl Iterator<Item = f64>, n_mcs: usize) -> f64 {
+    shares.fold(0.0f64, f64::max) * n_mcs as f64
+}
+
+/// Predicted off-chip line fetches per access.
+fn offchip_fraction(predicted_offchip: u64, total_accesses: u64) -> f64 {
+    if total_accesses == 0 {
+        return 0.0;
+    }
+    predicted_offchip as f64 / total_accesses as f64
 }
 
 /// Predicts one (application, layout, kind) cell: [`Footprint::of`], then
@@ -1262,13 +1395,15 @@ pub fn estimate_app(
 /// design-space optimizer. Everything a placement cannot change (the
 /// layout pass's program analysis, the footprint model) is computed at
 /// construction; [`plan`](Self::plan) customizes the layout for a placement
-/// and [`estimate`](Self::estimate) routes the footprint through that plan.
+/// and [`estimate`](Self::estimate) routes the footprint through that plan,
+/// or [`terms`](Self::terms) routes it to the totals alone.
 pub struct PlacementScorer<'a> {
     planner: LayoutPlanner<'a>,
     /// The machine, under the placement and granularity last planned for.
     sim: SimConfig,
     kind: RunKind,
     footprint: Footprint,
+    buffers: RouteBuffers,
 }
 
 impl<'a> PlacementScorer<'a> {
@@ -1280,6 +1415,7 @@ impl<'a> PlacementScorer<'a> {
             sim: sim.clone(),
             kind,
             footprint: Footprint::of(app, &EstConfig::from_sim(sim)),
+            buffers: RouteBuffers::default(),
         }
     }
 
@@ -1318,6 +1454,22 @@ impl<'a> PlacementScorer<'a> {
         self.footprint
             .route(&layout, placement.mapping(), self.kind, &cfg)
     }
+
+    /// [`estimate`](Self::estimate)'s three totals, bit for bit, routed
+    /// through [`Footprint::terms`] in buffers the scorer keeps: what a
+    /// search scores each candidate by.
+    pub fn terms(
+        &mut self,
+        placement: &hoploc_noc::Placement,
+        granularity: Granularity,
+        approx_threshold: f64,
+    ) -> EstTerms {
+        let layout = self.plan(placement, granularity, approx_threshold);
+        let cfg = EstConfig::from_sim(&self.sim);
+        let buffers = &mut self.buffers;
+        self.footprint
+            .terms_in(&layout, placement.mapping(), self.kind, &cfg, buffers)
+    }
 }
 
 /// One-shot [`PlacementScorer`]: predicts one cell against a unified
@@ -1335,16 +1487,20 @@ pub fn estimate_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoploc_noc::{McPlacement, Mesh};
+    use hoploc_noc::McPlacement;
     use hoploc_ptest::run_cases;
 
     #[test]
     fn router_hop_table_equals_hop_distance() {
-        // Random controller sites on a square and an oblong mesh: every
-        // table entry is the mesh's own distance, and the uniform means are
-        // the node-order sums the table replaced, bit for bit.
-        run_cases("est.router.hop_table", 40, |rng| {
-            let mesh = [Mesh::new(8, 8), Mesh::new(8, 4)][rng.usize_in(0..2)];
+        // Random controller sites on a square mesh and on two oblong ones
+        // with one node count: every table entry is the mesh's own
+        // distance, and the uniform means are the node-order sums the table
+        // replaced, bit for bit. One set of buffers serves every case, as a
+        // scorer's serves every placement it scores: rows of earlier cases
+        // are reused, and a mesh of another shape starts afresh.
+        let mut buf = RouteBuffers::default();
+        run_cases("est.router.hop_table", 60, |rng| {
+            let mesh = [Mesh::new(8, 8), Mesh::new(8, 4), Mesh::new(4, 8)][rng.usize_in(0..3)];
             let mut mc_nodes: Vec<NodeId> = Vec::new();
             while mc_nodes.len() < 4 {
                 let n = NodeId(rng.u16_in(0..mesh.num_nodes() as u16));
@@ -1366,7 +1522,15 @@ mod tests {
                 placement: McPlacement::Custom(mc_nodes),
                 ..SimConfig::scaled()
             });
-            let router = Router::new(&mapping, &cfg, RunKind::Optimized, false);
+            buf.prepare(&mapping, cfg.num_mcs);
+            let router = Router {
+                mapping: &mapping,
+                cfg: &cfg,
+                kind: RunKind::Optimized,
+                first_touch_friendly: false,
+                hops: &buf.hops,
+                uniform_hops: &buf.uniform_hops,
+            };
             for m in (0..4).map(McId) {
                 let site = mapping.mc_node(m);
                 for n in mesh.nodes() {
@@ -1380,5 +1544,17 @@ mod tests {
                 assert_eq!(router.uniform_hops[m.0 as usize].to_bits(), mean.to_bits());
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping has 16 memory controllers but the machine has 4")]
+    fn route_refuses_a_mapping_with_another_controller_count() {
+        let sim = SimConfig::scaled();
+        let app = hoploc_workloads::swim(hoploc_workloads::Scale::Test);
+        let placement = McPlacement::Custom((0..16).map(|i| NodeId(i * 4)).collect());
+        let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &placement);
+        let cfg = EstConfig::from_sim(&sim);
+        let layout = hoploc_workloads::layout_for(&app, &mapping, &sim, RunKind::Baseline);
+        Footprint::of(&app, &cfg).route(&layout, &mapping, RunKind::Baseline, &cfg);
     }
 }

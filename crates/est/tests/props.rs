@@ -1,15 +1,17 @@
 //! Property tests for the estimator's structural guarantees: predicted
-//! off-chip demand is non-increasing in L2 capacity, Spearman rank
-//! correlation is invariant under monotone transforms, and on a
-//! degenerate fits-in-L2 configuration the prediction agrees with the
-//! cycle simulator *exactly* — access for access, miss for miss.
+//! off-chip demand is non-increasing in L2 capacity, the totals a search
+//! scores are the full prediction's bit for bit, Spearman rank correlation
+//! is invariant under monotone transforms, and on a degenerate fits-in-L2
+//! configuration the prediction agrees with the cycle simulator *exactly*
+//! — access for access, miss for miss.
 
 use hoploc_affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
-use hoploc_est::{estimate_app, spearman, EstConfig, Footprint};
+use hoploc_est::{estimate_app, spearman, EstConfig, EstTerms, Footprint, PlacementScorer};
 use hoploc_harness::{RunRequest, RunSpec, Suite};
 use hoploc_layout::{AppProfile, Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_ptest::{run_cases, SmallRng};
+use hoploc_search::curated;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{all_apps, layout_for, App, RunKind, Scale, TraceGen};
 
@@ -88,6 +90,65 @@ fn footprint_ignores_granularity_and_controller_count() {
             }
         }
     });
+}
+
+/// A search scores each candidate by three totals routed without the
+/// per-array and per-reference breakdown ([`Footprint::terms`], and
+/// [`PlacementScorer::terms`] in buffers kept across candidates). They must
+/// be what the full [`Footprint::route`] reports, bit for bit, or a search
+/// ranks on numbers `hoploc est` would not print: every app × every curated
+/// candidate × both L2 organisations × one and two threads per core.
+#[test]
+fn search_totals_equal_the_full_route_bit_for_bit() {
+    fn bits(t: EstTerms) -> [u64; 3] {
+        [t.offchip.to_bits(), t.hops.to_bits(), t.queue.to_bits()]
+    }
+    let base = SimConfig::scaled();
+    let candidates = curated(&base.mesh, &[Granularity::CacheLine, Granularity::Page]);
+    for app in &all_apps(Scale::Test) {
+        for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+            let sim = SimConfig {
+                l2_mode,
+                ..base.clone()
+            };
+            let mut scorer = PlacementScorer::new(app, &sim, RunKind::Optimized);
+            let footprints = [1, 2].map(|threads| {
+                let cfg = EstConfig::from_sim(&sim).with_threads_per_core(threads);
+                (cfg, Footprint::of(app, &cfg))
+            });
+            for c in &candidates {
+                let placement = c
+                    .placement(&sim.mesh)
+                    .expect("curated candidates are legal");
+                let mapping = placement.mapping();
+                let layout = scorer.plan(&placement, c.granularity, c.approx);
+                for (cfg, footprint) in &footprints {
+                    let cfg = EstConfig {
+                        granularity: c.granularity,
+                        ..*cfg
+                    };
+                    let at = format!(
+                        "{} {l2_mode:?} {} thread(s)/core {}",
+                        app.name(),
+                        cfg.threads_per_core,
+                        c.key()
+                    );
+                    let full = footprint.route(&layout, mapping, RunKind::Optimized, &cfg);
+                    let want = [
+                        full.offchip_fraction().to_bits(),
+                        full.avg_offchip_hops.to_bits(),
+                        full.queue_pressure.to_bits(),
+                    ];
+                    let totals = footprint.terms(&layout, mapping, RunKind::Optimized, &cfg);
+                    assert_eq!(bits(totals), want, "{at}");
+                    if cfg.threads_per_core == 1 {
+                        let scored = scorer.terms(&placement, c.granularity, c.approx);
+                        assert_eq!(bits(scored), want, "{at}: the scorer's buffers");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Spearman correlates *ranks*, so any strictly increasing transform of

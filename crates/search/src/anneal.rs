@@ -8,8 +8,8 @@
 //! `--jobs` count (parallelism only ever runs *different apps'* chains
 //! concurrently).
 
-use crate::space::{propose, Candidate};
-use hoploc_noc::Mesh;
+use crate::space::{propose_placed, Candidate};
+use hoploc_noc::{Mesh, Placement};
 use hoploc_ptest::SmallRng;
 
 /// Annealing schedule parameters. The temperature decays geometrically
@@ -49,17 +49,18 @@ fn unit(rng: &mut SmallRng) -> f64 {
 }
 
 /// Runs the chain from `start` until the evaluator's budget is spent or
-/// `max_steps` proposals have been drawn. `eval` returns `None` when
-/// the budget is exhausted (a cached revisit is free and returns
-/// `Some`). `improved` fires whenever the best-so-far score strictly
-/// decreases. Returns the best candidate and its score.
+/// `max_steps` proposals have been drawn. `eval` scores a proposal beside
+/// the validated placement [`propose`](crate::propose) built for it, and
+/// returns `None` when the budget is exhausted (a cached revisit is free
+/// and returns `Some`). `improved` fires whenever the best-so-far score
+/// strictly decreases. Returns the best candidate and its score.
 pub fn anneal(
     mesh: &Mesh,
     rng: &mut SmallRng,
     schedule: &Schedule,
     start: Candidate,
     start_score: f64,
-    eval: &mut dyn FnMut(&Candidate) -> Option<f64>,
+    eval: &mut dyn FnMut(&Candidate, &Placement) -> Option<f64>,
     improved: &mut dyn FnMut(&Candidate, f64),
 ) -> (Candidate, f64) {
     let mut current = start.clone();
@@ -71,13 +72,17 @@ pub fn anneal(
         // fully stuck step just advances the schedule.
         let mut proposal = None;
         for _ in 0..16 {
-            if let Some(p) = propose(rng, &current, mesh) {
+            if let Some(p) = propose_placed(rng, &current, mesh) {
                 proposal = Some(p);
                 break;
             }
         }
-        let Some(candidate) = proposal else { continue };
-        let Some(score) = eval(&candidate) else { break };
+        let Some((candidate, placement)) = proposal else {
+            continue;
+        };
+        let Some(score) = eval(&candidate, &placement) else {
+            break;
+        };
         let delta = score - current_score;
         let t = schedule.temperature(step);
         if delta < 0.0 || (t > 0.0 && unit(rng) < (-delta / t).exp()) {
@@ -99,25 +104,21 @@ mod tests {
     use hoploc_layout::Granularity;
     use hoploc_noc::McPlacement;
 
-    /// A synthetic, cheap objective: mean hop distance of the mapping.
-    fn distance_score(mesh: &Mesh, c: &Candidate) -> f64 {
-        c.placement(mesh).unwrap().avg_distance_to_mc()
-    }
-
     #[test]
     fn chain_is_deterministic_and_improves() {
         let mesh = Mesh::new(8, 8);
         let start = Candidate::from_named(&mesh, &McPlacement::Corners, Granularity::CacheLine);
-        let start_score = distance_score(&mesh, &start);
+        // A synthetic, cheap objective: mean hop distance of the mapping.
+        let start_score = start.placement(&mesh).unwrap().avg_distance_to_mc();
         let run = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut evals = 0u32;
-            let mut eval = |c: &Candidate| {
+            let mut eval = |_: &Candidate, p: &Placement| {
                 if evals >= 300 {
                     return None;
                 }
                 evals += 1;
-                Some(distance_score(&mesh, c))
+                Some(p.avg_distance_to_mc())
             };
             let mut trail = Vec::new();
             let (best, score) = anneal(

@@ -13,43 +13,62 @@
 //! *unconstrained* minimum subset cost, which never exceeds any feasible
 //! completion, so pruning cannot cut off the optimum (the property suite
 //! cross-checks this against unpruned brute force).
+//!
+//! The search itself allocates nothing: subsets are controller bit masks,
+//! the controllers at capacity are one mask, and the path and the best
+//! leaf are two arrays sized once per instance.
 
 use hoploc_noc::{McId, Mesh, NodeId};
 
-/// All `k`-element subsets of `0..n`, in lexicographic order.
-fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-    fn rec(start: usize, n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
+/// The most controllers an instance may have: one bit each in a `u64`.
+const MAX_MCS: usize = 64;
+
+/// The controllers in `mask`, ascending.
+fn members(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let m = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            m
+        })
+    })
+}
+
+/// All `k`-element subsets of `0..n` as bit masks, in lexicographic order
+/// of their member lists.
+fn k_subsets(n: usize, k: usize) -> Vec<u64> {
+    fn rec(start: usize, n: usize, k: usize, mask: u64, out: &mut Vec<u64>) {
+        if k == 0 {
+            out.push(mask);
             return;
         }
         for i in start..n {
-            cur.push(i);
-            rec(i + 1, n, k, cur, out);
-            cur.pop();
+            rec(i + 1, n, k - 1, mask | 1 << i, out);
         }
     }
     let mut out = Vec::new();
-    rec(0, n, k, &mut Vec::new(), &mut out);
+    rec(0, n, k, 0, &mut out);
     out
 }
 
 /// Per-cluster total hop distance from every node of the cluster to one
-/// MC attach node, for all (cluster, MC) pairs.
-fn cluster_mc_costs(mesh: &Mesh, mc_nodes: &[NodeId], cw: u16, ch: u16) -> Vec<Vec<u64>> {
-    let gx = mesh.width() / cw;
-    let gy = mesh.height() / ch;
-    let mut costs = vec![vec![0u64; mc_nodes.len()]; (gx * gy) as usize];
+/// MC attach node, cluster-major (`cluster * n_mcs + mc`). A hop distance
+/// is a sum over the two axes, so a cluster's total is each axis's sum of
+/// distances times the cluster's extent along the other.
+fn cluster_mc_costs(mesh: &Mesh, mc_nodes: &[NodeId], cw: u16, ch: u16) -> Vec<u64> {
+    let axis = |lo: u16, len: u16, to: u16| -> u64 {
+        (lo..lo + len).map(|v| u64::from(v.abs_diff(to))).sum()
+    };
+    let (gx, gy) = (mesh.width() / cw, mesh.height() / ch);
+    let mut costs = Vec::with_capacity(usize::from(gx * gy) * mc_nodes.len());
     for cy in 0..gy {
         for cx in 0..gx {
-            let c = (cy * gx + cx) as usize;
-            for y in cy * ch..(cy + 1) * ch {
-                for x in cx * cw..(cx + 1) * cw {
-                    let n = mesh.node_at(x, y);
-                    for (m, &mc) in mc_nodes.iter().enumerate() {
-                        costs[c][m] += mesh.hop_distance(n, mc) as u64;
-                    }
-                }
+            for &mc in mc_nodes {
+                let (x, y) = mesh.coords(mc);
+                costs.push(
+                    u64::from(ch) * axis(cx * cw, cw, x) + u64::from(cw) * axis(cy * ch, ch, y),
+                );
             }
         }
     }
@@ -57,41 +76,52 @@ fn cluster_mc_costs(mesh: &Mesh, mc_nodes: &[NodeId], cw: u16, ch: u16) -> Vec<V
 }
 
 struct Solver {
-    subsets: Vec<Vec<usize>>,
-    subset_costs: Vec<Vec<u64>>, // [cluster][subset index]
-    suffix_min: Vec<u64>,        // suffix_min[c] = Σ_{c' >= c} min subset cost
-    cap: usize,
+    /// The `k`-subsets, as controller masks.
+    subsets: Vec<u64>,
+    /// Cluster-major cost of every (cluster, subset) pair.
+    subset_costs: Vec<u64>,
+    /// `suffix_min[c]` = Σ_{c' >= c} of cluster `c'`'s cheapest subset.
+    suffix_min: Vec<u64>,
+    /// Clusters each controller serves in a balanced map.
+    cap: u32,
     prune: bool,
     best_total: u64,
-    best: Vec<usize>, // subset index per cluster
+    /// Subset index per cluster: on the current path, and at the best leaf.
+    path: Vec<usize>,
+    best: Vec<usize>,
 }
 
 impl Solver {
-    fn solve(&mut self, c: usize, usage: &mut [usize], total: u64, picked: &mut Vec<usize>) {
-        if c == self.subset_costs.len() {
+    /// Extends the path at cluster `c`; `usage` counts each controller's
+    /// clusters on the path and `full` masks those at capacity.
+    fn solve(&mut self, c: usize, usage: &mut [u32; MAX_MCS], full: u64, total: u64) {
+        if c == self.path.len() {
             if total < self.best_total {
                 self.best_total = total;
-                self.best = picked.clone();
+                self.best.copy_from_slice(&self.path);
             }
             return;
         }
         if self.prune && total + self.suffix_min[c] >= self.best_total {
             return;
         }
-        'subset: for si in 0..self.subsets.len() {
-            let subset = self.subsets[si].clone();
-            for &m in &subset {
+        let n_subsets = self.subsets.len();
+        for si in 0..n_subsets {
+            let subset = self.subsets[si];
+            if subset & full != 0 {
+                continue;
+            }
+            let mut now_full = full;
+            for m in members(subset) {
+                usage[m] += 1;
                 if usage[m] == self.cap {
-                    continue 'subset;
+                    now_full |= 1 << m;
                 }
             }
-            for &m in &subset {
-                usage[m] += 1;
-            }
-            picked.push(si);
-            self.solve(c + 1, usage, total + self.subset_costs[c][si], picked);
-            picked.pop();
-            for &m in &subset {
+            self.path[c] = si;
+            let cost = self.subset_costs[c * n_subsets + si];
+            self.solve(c + 1, usage, now_full, total + cost);
+            for m in members(subset) {
                 usage[m] -= 1;
             }
         }
@@ -113,45 +143,45 @@ fn run(
     if !mesh.width().is_multiple_of(cw) || !mesh.height().is_multiple_of(ch) {
         return None;
     }
-    let costs = cluster_mc_costs(mesh, mc_nodes, cw, ch);
-    let n_clusters = costs.len();
+    assert!(
+        n_mcs <= MAX_MCS,
+        "balanced assignment takes at most {MAX_MCS} controllers, not {n_mcs}"
+    );
+    let n_clusters = (mesh.width() / cw) as usize * (mesh.height() / ch) as usize;
     // Balance: every MC serves exactly slots / n_mcs clusters.
     if !(n_clusters * k).is_multiple_of(n_mcs) {
         return None;
     }
-    let cap = n_clusters * k / n_mcs;
+    let costs = cluster_mc_costs(mesh, mc_nodes, cw, ch);
     let subsets = k_subsets(n_mcs, k);
-    let subset_costs: Vec<Vec<u64>> = costs
-        .iter()
-        .map(|row| {
-            subsets
-                .iter()
-                .map(|s| s.iter().map(|&m| row[m]).sum())
-                .collect()
-        })
+    let subset_costs: Vec<u64> = (costs.chunks_exact(n_mcs))
+        .flat_map(|row| (subsets.iter()).map(|&s| members(s).map(|m| row[m]).sum::<u64>()))
         .collect();
     let mut suffix_min = vec![0u64; n_clusters + 1];
-    for c in (0..n_clusters).rev() {
-        let min = *subset_costs[c].iter().min().expect("subsets are non-empty");
+    for (c, row) in subset_costs.chunks_exact(subsets.len()).enumerate().rev() {
+        let min = *row.iter().min().expect("subsets are non-empty");
         suffix_min[c] = suffix_min[c + 1] + min;
     }
     let mut solver = Solver {
         subsets,
         subset_costs,
         suffix_min,
-        cap,
+        cap: (n_clusters * k / n_mcs) as u32,
         prune,
         best_total: u64::MAX,
-        best: Vec::new(),
+        path: vec![0; n_clusters],
+        best: vec![0; n_clusters],
     };
-    solver.solve(0, &mut vec![0usize; n_mcs], 0, &mut Vec::new());
-    if solver.best.len() != n_clusters {
+    solver.solve(0, &mut [0; MAX_MCS], 0, 0);
+    if solver.best_total == u64::MAX {
         return None;
     }
-    let assignments = solver
-        .best
-        .iter()
-        .map(|&si| solver.subsets[si].iter().map(|&m| McId(m as u16)).collect())
+    let assignments = (solver.best.iter())
+        .map(|&si| {
+            members(solver.subsets[si])
+                .map(|m| McId(m as u16))
+                .collect()
+        })
         .collect();
     Some((assignments, solver.best_total))
 }

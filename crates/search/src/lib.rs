@@ -19,9 +19,11 @@
 //!
 //! Candidates are scored by the static estimator (`hoploc-est`): the
 //! program analysis and the footprint model are built once per search, so
-//! a fresh evaluation is one layout customization plus one traffic
-//! routing, ≈ 4 µs — a 1 000-evaluation search at test scale sustains
-//! 25 000–30 000 evaluations/s with verification included. The top-K
+//! a fresh evaluation is one layout customization plus one routing of the
+//! footprint to the three totals the objective reads. With the proposal
+//! that produced it, that is ≈ 6 µs of the chain thread's CPU at test
+//! scale (2 vCPUs), and a 1 000-evaluation search sustains ≈ 60 000
+//! evaluations/s with verification included. The top-K
 //! finalists are *verified* by the cycle simulator against the
 //! paper's corner, edge, and diamond placements before any win is
 //! reported: [`VerifyRequest`]s compiled by the scorer that ranked them,
@@ -56,15 +58,16 @@ mod verify;
 
 pub use anneal::{anneal, Schedule};
 pub use bnb::{balanced_assignment, balanced_assignment_brute};
+pub use hoploc_est::EstTerms;
 pub use objective::Objective;
-pub use report::{event_json, text_header, EstTerms, SearchReport, Verified};
-pub use space::{curated, propose, Candidate, APPROX_LEVELS, TILINGS};
+pub use report::{event_json, text_header, SearchReport, Verified};
+pub use space::{curated, propose, Candidate, CandidateKey, APPROX_LEVELS, TILINGS};
 pub use verify::{Machine, VerifyRequest};
 
 use hoploc_est::PlacementScorer;
 use hoploc_harness::parallel_map;
 use hoploc_layout::Granularity;
-use hoploc_noc::McPlacement;
+use hoploc_noc::{McPlacement, Placement};
 use hoploc_ptest::SmallRng;
 use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{App, RunKind, Scale};
@@ -133,7 +136,7 @@ struct Evaluator<'a> {
     /// footprint model — so a fresh evaluation is customize + route only.
     scorer: PlacementScorer<'a>,
     diameter: u16,
-    cache: HashMap<String, (f64, EstTerms)>,
+    cache: HashMap<CandidateKey, (f64, EstTerms)>,
     evaluated: u32,
     /// `(score, key, candidate)`, ascending, truncated to `top_k`.
     top: Vec<(f64, String, Candidate)>,
@@ -152,10 +155,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Scores a candidate, or `None` once the budget is spent or the search
-    /// is cancelled (cached revisits stay free).
-    fn score(&mut self, c: &Candidate) -> Option<f64> {
-        let key = c.key();
+    /// Scores a candidate whose validated placement is `placement`, or
+    /// `None` once the budget is spent or the search is cancelled (cached
+    /// revisits stay free).
+    fn score(&mut self, c: &Candidate, placement: &Placement) -> Option<f64> {
+        let key = c.compact_key();
         if let Some(&(score, _)) = self.cache.get(&key) {
             return Some(score);
         }
@@ -163,34 +167,30 @@ impl<'a> Evaluator<'a> {
             return None;
         }
         self.evaluated += 1;
-        let placement = c
-            .placement(&self.cfg.sim.mesh)
-            .expect("search candidates are legal by construction");
-        let est = self.scorer.estimate(&placement, c.granularity, c.approx);
+        let terms = self.scorer.terms(placement, c.granularity, c.approx);
         let score = self
             .cfg
             .objective
-            .score(&est, self.diameter, placement.mc_nodes().len());
-        let terms = EstTerms {
-            offchip: est.offchip_fraction(),
-            hops: est.avg_offchip_hops,
-            queue: est.queue_pressure,
-        };
+            .score(&terms, self.diameter, placement.mc_nodes().len());
         // Keep the verification shortlist sorted and bounded; ties break
         // on the candidate key so the list is seed-deterministic. Nearly
-        // every evaluation sorts past the end and is not kept.
-        let pos = self
-            .top
-            .binary_search_by(|e| {
-                e.0.partial_cmp(&score)
-                    .expect("objective scores are finite")
-                    .then_with(|| e.1.cmp(&key))
-            })
-            .unwrap_err();
+        // every evaluation scores above a full list's last entry and is
+        // neither spelled nor kept.
         let keep = self.cfg.top_k.max(1);
-        if pos < keep {
-            self.top.insert(pos, (score, key.clone(), c.clone()));
-            self.top.truncate(keep);
+        if self.top.len() < keep || score <= self.top[keep - 1].0 {
+            let spelled = c.key();
+            let pos = self
+                .top
+                .binary_search_by(|e| {
+                    e.0.partial_cmp(&score)
+                        .expect("objective scores are finite")
+                        .then_with(|| e.1.cmp(&spelled))
+                })
+                .unwrap_err();
+            if pos < keep {
+                self.top.insert(pos, (score, spelled, c.clone()));
+                self.top.truncate(keep);
+            }
         }
         self.cache.insert(key, (score, terms));
         Some(score)
@@ -198,7 +198,7 @@ impl<'a> Evaluator<'a> {
 
     fn terms_of(&self, c: &Candidate) -> EstTerms {
         self.cache
-            .get(&c.key())
+            .get(&c.compact_key())
             .expect("best candidate was scored through the cache")
             .1
     }
@@ -231,9 +231,15 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
     let ((best, best_score), cycles, simulated) =
         verify::verify_beside(app, &cfg.sim, &papers, &cfg.cancel, || {
             // Phase 1: curated branch-and-bound points, best-known first order.
+            let placed = |c: &Candidate| {
+                c.placement(&mesh)
+                    .expect("search candidates are legal by construction")
+            };
             let start = Candidate::from_named(&mesh, &cfg.sim.placement, cfg.sim.granularity);
             let mut best = start.clone();
-            let mut best_score = ev.score(&start).expect("budget >= 1 admits one evaluation");
+            let mut best_score = ev
+                .score(&start, &placed(&start))
+                .expect("budget >= 1 admits one evaluation");
             emit(event_json(
                 app.name(),
                 "curated",
@@ -246,7 +252,9 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
                 if ev.evaluated >= phase1_cap {
                     break;
                 }
-                let Some(score) = ev.score(&c) else { break };
+                let Some(score) = ev.score(&c, &placed(&c)) else {
+                    break;
+                };
                 if score < best_score {
                     best = c;
                     best_score = score;
@@ -275,8 +283,8 @@ pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -
                     &schedule,
                     best.clone(),
                     best_score,
-                    &mut |c| {
-                        let r = ev.score(c);
+                    &mut |c, placement| {
+                        let r = ev.score(c, placement);
                         evaluated_at.set(ev.evaluated);
                         r
                     },

@@ -7,7 +7,7 @@
 //! that dominates real MC queue delay — so optimizing it would chase
 //! noise. Pass `--objective offchip,hops,queue` to opt in anyway.
 
-use hoploc_est::AppEstimate;
+use hoploc_est::EstTerms;
 
 /// Weighted search objective over the estimator's terms. Lower is
 /// better. Each term is normalized to roughly `[0, 1]` before
@@ -117,21 +117,21 @@ impl Objective {
         parts.join("+")
     }
 
-    /// Scores one estimate; lower is better. `mesh_diameter` is the
-    /// maximum hop distance of the mesh, `num_mcs` the MC count the
+    /// Scores one estimate's terms; lower is better. `mesh_diameter` is
+    /// the maximum hop distance of the mesh, `num_mcs` the MC count the
     /// estimate was made against.
-    pub fn score(&self, est: &AppEstimate, mesh_diameter: u16, num_mcs: usize) -> f64 {
+    pub fn score(&self, terms: &EstTerms, mesh_diameter: u16, num_mcs: usize) -> f64 {
         let hops_norm = if mesh_diameter == 0 {
             0.0
         } else {
-            est.avg_offchip_hops / mesh_diameter as f64
+            terms.hops / mesh_diameter as f64
         };
         let queue_norm = if num_mcs <= 1 {
             0.0
         } else {
-            ((est.queue_pressure - 1.0) / (num_mcs as f64 - 1.0)).max(0.0)
+            ((terms.queue - 1.0) / (num_mcs as f64 - 1.0)).max(0.0)
         };
-        self.offchip * est.offchip_fraction() + self.hops * hops_norm + self.queue * queue_norm
+        self.offchip * terms.offchip + self.hops * hops_norm + self.queue * queue_norm
     }
 }
 

@@ -7,6 +7,7 @@
 
 use crate::objective::Objective;
 use crate::space::Candidate;
+use hoploc_est::EstTerms;
 use hoploc_workloads::Scale;
 use std::fmt::Write as _;
 
@@ -20,17 +21,6 @@ pub struct Verified {
     /// Cycle-simulated completion time under the candidate's geometry
     /// and layout plan.
     pub cycles: u64,
-}
-
-/// The estimator terms of the best candidate, for the report.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct EstTerms {
-    /// Predicted off-chip fraction.
-    pub offchip: f64,
-    /// Predicted mean off-chip hop count.
-    pub hops: f64,
-    /// Predicted queue pressure (1 = balanced).
-    pub queue: f64,
 }
 
 /// The result of one per-app search.

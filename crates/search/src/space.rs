@@ -32,6 +32,62 @@ pub const TILINGS: [(u16, u16, usize); 8] = [
     (8, 8, 4),
 ];
 
+/// A candidate's identity as [`Candidate::compact_key`] gives it.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum CandidateKey {
+    /// The key's fields, bit-packed, when they fit in 128 bits — as every
+    /// candidate of a four-controller 8×8 search, under any of the
+    /// [`TILINGS`], does.
+    Packed(u128),
+    /// The key itself, for a candidate whose fields do not pack.
+    Spelled(String),
+}
+
+/// Fixed-width fields packed into 128 bits, low bits first.
+#[derive(Default)]
+struct Bits {
+    word: u128,
+    used: u32,
+}
+
+impl Bits {
+    /// Appends `value` in `width` bits; `None` if it or the word overflows.
+    fn push(&mut self, value: usize, width: u32) -> Option<()> {
+        if value >> width != 0 || self.used + width > u128::BITS {
+            return None;
+        }
+        self.word |= (value as u128) << self.used;
+        self.used += width;
+        Some(())
+    }
+}
+
+/// `approx` in hundredths as [`Candidate::key`] spells it (`{:.2}`, which
+/// rounds ties to even), when that spelling is `d.dd`.
+fn hundredths(approx: f64) -> Option<usize> {
+    /// Room for `d.dd`; a longer spelling fails the write.
+    struct Spelling([u8; 4], usize);
+    impl std::fmt::Write for Spelling {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            let end = self.1 + s.len();
+            let room = self.0.get_mut(self.1..end).ok_or(std::fmt::Error)?;
+            room.copy_from_slice(s.as_bytes());
+            self.1 = end;
+            Ok(())
+        }
+    }
+    let mut spelled = Spelling([0; 4], 0);
+    write!(spelled, "{approx:.2}").ok()?;
+    match spelled {
+        Spelling([d, b'.', t, h], 4) if [d, t, h].iter().all(u8::is_ascii_digit) => Some(
+            [d, t, h]
+                .iter()
+                .fold(0, |v, &c| v * 10 + usize::from(c - b'0')),
+        ),
+        _ => None,
+    }
+}
+
 /// One point of the design space.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Candidate {
@@ -88,9 +144,46 @@ impl Candidate {
         )
     }
 
+    /// [`key`](Self::key) without spelling it, for a cache to look up
+    /// cheaply: equal exactly when the keys are.
+    pub fn compact_key(&self) -> CandidateKey {
+        self.packed_key()
+            .map_or_else(|| CandidateKey::Spelled(self.key()), CandidateKey::Packed)
+    }
+
+    /// The key's fields in key order, each in a fixed width and every
+    /// count before what it counts, so that two packings are equal exactly
+    /// when the fields are. `None` if a field outgrows its width, the whole
+    /// outgrows 128 bits, or there is no cluster or an empty one (no
+    /// clusters and one empty cluster spell alike).
+    fn packed_key(&self) -> Option<u128> {
+        let mut bits = Bits::default();
+        bits.push(self.mc_nodes.len(), 3)?;
+        for n in &self.mc_nodes {
+            bits.push(n.0.into(), 8)?;
+        }
+        bits.push(self.cluster_w.into(), 8)?;
+        bits.push(self.cluster_h.into(), 8)?;
+        bits.push(self.assignments.len().checked_sub(1)?, 6)?;
+        for a in &self.assignments {
+            bits.push(a.len().checked_sub(1)?, 3)?;
+            for mc in a {
+                bits.push(mc.0.into(), 3)?;
+            }
+        }
+        let granularity = match self.granularity {
+            Granularity::CacheLine => 0,
+            Granularity::Page => 1,
+        };
+        bits.push(granularity, 1)?;
+        bits.push(hundredths(self.approx)?, 10)?;
+        Some(bits.word)
+    }
+
     /// A stable identity key: the placement canon plus the layout-plan
     /// parameters. Byte-equal keys mean identical candidates; the
-    /// evaluator dedupes on it.
+    /// evaluator dedupes on [`compact_key`](Self::compact_key) and breaks
+    /// shortlist ties on this.
     pub fn key(&self) -> String {
         let mut s = String::from("mcs=");
         for (i, n) in self.mc_nodes.iter().enumerate() {
@@ -205,6 +298,16 @@ pub fn curated(mesh: &Mesh, granularities: &[Granularity]) -> Vec<Candidate> {
 /// not change the candidate or would produce an illegal point (the
 /// caller redraws). Every `Some` is a valid design point.
 pub fn propose(rng: &mut SmallRng, cand: &Candidate, mesh: &Mesh) -> Option<Candidate> {
+    propose_placed(rng, cand, mesh).map(|(next, _)| next)
+}
+
+/// [`propose`], returning beside the neighbor the validated placement its
+/// legality check built, so that the chain builds it once.
+pub(crate) fn propose_placed(
+    rng: &mut SmallRng,
+    cand: &Candidate,
+    mesh: &Mesh,
+) -> Option<(Candidate, Placement)> {
     let mut next = cand.clone();
     match rng.usize_in(0..6) {
         // Relocate one MC to a random free node.
@@ -279,8 +382,8 @@ pub fn propose(rng: &mut SmallRng, cand: &Candidate, mesh: &Mesh) -> Option<Cand
     }
     // Defense in depth: a move that slipped an invalid point through
     // construction is dropped here rather than emitted.
-    next.placement(mesh).ok()?;
-    Some(next)
+    let placement = next.placement(mesh).ok()?;
+    Some((next, placement))
 }
 
 #[cfg(test)]

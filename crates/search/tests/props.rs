@@ -1,6 +1,7 @@
 //! Property tests for the design-space search: legality of every
-//! candidate the move generator can emit, admissibility of the
-//! branch-and-bound bound on random instances, monotonicity of the
+//! candidate the move generator can emit, a compact cache key that names
+//! the candidates the spelled key names, the branch-and-bound's answer
+//! against brute force on random instances, monotonicity of the
 //! best-so-far progress stream, safety of reusing one program analysis and
 //! one footprint for every candidate of a search, soundness of the key
 //! verification shares simulations by, and that running the verifying
@@ -14,7 +15,8 @@ use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
 use hoploc_search::{
     balanced_assignment, balanced_assignment_brute, curated, propose, search_app, search_suite,
-    Candidate, EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS, TILINGS,
+    Candidate, CandidateKey, EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS,
+    TILINGS,
 };
 use hoploc_sim::{AddressSpace, RunStats, SimConfig, TraceWorkload};
 use hoploc_workloads::{
@@ -85,28 +87,117 @@ fn every_reachable_candidate_is_legal_and_checks_clean() {
     });
 }
 
+/// The evaluator caches scores by [`Candidate::compact_key`] and breaks
+/// shortlist ties on [`Candidate::key`], so the two must name the same
+/// candidates: equal exactly when the other is, over the curated list, the
+/// paper starts (whose threshold is `PassConfig::default()`'s) and long
+/// `propose` walks — all of which pack — and over shapes a search never
+/// builds, which keep their spelled key.
 #[test]
-fn bnb_bound_is_admissible_on_random_instances() {
-    // Pruned branch-and-bound must return exactly the brute-force
-    // optimum for random MC placements and every supported tiling.
+fn compact_key_is_equal_exactly_when_the_key_is() {
+    let sim = base_sim();
+    let mesh = sim.mesh;
+    let mut points = curated(&mesh, &[Granularity::CacheLine, Granularity::Page]);
+    for named in [
+        McPlacement::Corners,
+        McPlacement::EdgeMidpoints,
+        McPlacement::Diagonal,
+    ] {
+        for granularity in [Granularity::CacheLine, Granularity::Page] {
+            points.push(Candidate::from_named(&mesh, &named, granularity));
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(27);
+    for _ in 0..3 {
+        let mut cand = random_start(&mut rng, &sim);
+        let mut walked = Vec::new();
+        for _ in 0..2000 {
+            if let Some(next) = propose(&mut rng, &cand, &mesh) {
+                walked.push(next.clone());
+                cand = next;
+            }
+        }
+        for level in APPROX_LEVELS {
+            assert!(
+                walked.iter().any(|c| c.approx == level),
+                "every walk must reach threshold {level}"
+            );
+        }
+        points.extend(walked);
+    }
+    for c in &points {
+        assert!(
+            matches!(c.compact_key(), CandidateKey::Packed(_)),
+            "{} must pack",
+            c.key()
+        );
+    }
+    // Twins that spell alike from different bits, ties that round to even,
+    // spellings too long to pack, too many controllers, and the empty
+    // cluster lists two shapes spell alike.
+    let start = points[0].clone();
+    let with_approx = |approx| Candidate {
+        approx,
+        ..start.clone()
+    };
+    points.extend(
+        [
+            0.3,
+            0.1 + 0.2,
+            0.125,
+            0.12,
+            0.135,
+            0.145,
+            -0.001,
+            0.0,
+            9.995,
+            12.5,
+        ]
+        .map(with_approx),
+    );
+    points.push(Candidate {
+        mc_nodes: (0..16).map(hoploc_noc::NodeId).collect(),
+        ..start.clone()
+    });
+    for assignments in [vec![], vec![vec![]], vec![vec![McId(0)], vec![]]] {
+        points.push(Candidate {
+            assignments,
+            ..start.clone()
+        });
+    }
+    let mut by_key: HashMap<String, CandidateKey> = HashMap::new();
+    let mut by_compact: HashMap<CandidateKey, String> = HashMap::new();
+    for c in &points {
+        let (key, compact) = (c.key(), c.compact_key());
+        let seen = by_key.entry(key.clone()).or_insert(compact.clone());
+        assert_eq!(*seen, compact, "{key}: one key, two compact keys");
+        let seen = by_compact.entry(compact).or_insert(key.clone());
+        assert_eq!(*seen, key, "two keys, one compact key");
+    }
+    assert!(by_key.len() > 1000, "only {} distinct keys", by_key.len());
+}
+
+#[test]
+fn bnb_equals_brute_force_under_every_tiling() {
+    // Pruned branch-and-bound must return the brute-force answer itself —
+    // the same cost and, among equal-cost maps, the same one — for random
+    // 4-MC placements under all eight tilings: a retile move's candidate,
+    // and with it the chain, is that map.
     let mesh = base_sim().mesh;
-    run_cases("search.bnb.admissible", 25, |rng| {
+    run_cases("search.bnb.brute", 40, |rng| {
         let mut nodes = Vec::new();
         while nodes.len() < 4 {
-            let n = hoploc_noc::NodeId(rng.u16_in(0..64));
+            let n = hoploc_noc::NodeId(rng.u16_in(0..mesh.num_nodes() as u16));
             if !nodes.contains(&n) {
                 nodes.push(n);
             }
         }
-        let (cw, ch, k) = TILINGS[rng.usize_in(0..TILINGS.len())];
-        let pruned = balanced_assignment(&mesh, &nodes, cw, ch, k);
-        let brute = balanced_assignment_brute(&mesh, &nodes, cw, ch, k);
-        match (pruned, brute) {
-            (Some((_, a)), Some((_, b))) => {
-                assert_eq!(a, b, "pruning must not cut the optimum ({cw}x{ch} k={k})");
-            }
-            (None, None) => {}
-            (a, b) => panic!("feasibility must agree: {a:?} vs {b:?}"),
+        for (cw, ch, k) in TILINGS {
+            assert_eq!(
+                balanced_assignment(&mesh, &nodes, cw, ch, k),
+                balanced_assignment_brute(&mesh, &nodes, cw, ch, k),
+                "{nodes:?} under {cw}x{ch} k={k}"
+            );
         }
     });
 }
@@ -224,8 +315,8 @@ fn reused_analysis_and_footprint_score_like_a_fresh_estimate() {
                     estimate_placement(&app, &placement, &cell, RunKind::Optimized, cand.approx);
                 let n_mcs = placement.mc_nodes().len();
                 assert_eq!(
-                    objective.score(&reused, diameter, n_mcs).to_bits(),
-                    objective.score(&fresh, diameter, n_mcs).to_bits(),
+                    objective.score(&terms(&reused), diameter, n_mcs).to_bits(),
+                    objective.score(&terms(&fresh), diameter, n_mcs).to_bits(),
                     "{}: reused footprint scored {} differently",
                     app.name(),
                     cand.key()
