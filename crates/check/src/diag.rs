@@ -11,7 +11,7 @@
 //! other way around; `HL11xx` is opt-in, emitted only when a prefetch
 //! mode is requested).
 
-use hoploc_obs::json_string;
+use hoploc_obs::JsonWriter;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -372,40 +372,36 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Serializes findings as a JSON document. Hand-rolled like the harness's
-/// emitter: the workspace has no serde and builds offline.
+/// Serializes findings as a JSON document: one member per line, one
+/// finding per line of the `diagnostics` array.
 pub fn render_json(diags: &[Diagnostic]) -> String {
     let c = count(diags);
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"counts\": {{\"errors\": {}, \"warnings\": {}, \"notes\": {}}},",
-        c.errors, c.warnings, c.notes
-    );
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        let opt_num = |v: Option<usize>| v.map_or("null".to_string(), |n| n.to_string());
-        let opt_str = |v: &Option<String>| v.as_deref().map_or("null".to_string(), json_string);
-        let _ = write!(
-            out,
-            "    {{\"code\": \"{}\", \"severity\": \"{}\", \"app\": {}, \
-             \"config\": {}, \"nest\": {}, \"statement\": {}, \"reference\": {}, \
-             \"array\": {}, \"message\": {}, \"help\": {}}}",
-            d.code,
-            d.severity().name(),
-            json_string(&d.app),
-            opt_str(&d.config),
-            opt_num(d.nest),
-            opt_num(d.statement),
-            opt_num(d.reference),
-            opt_str(&d.array),
-            json_string(&d.message),
-            opt_str(&d.help),
-        );
-        out.push_str(if i + 1 < diags.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut w = JsonWriter::spaced();
+    let lines: Vec<String> = (diags.iter())
+        .map(|d| {
+            (w.obj().field("code", d.code.as_str()))
+                .field("severity", d.severity().name())
+                .field("app", &d.app)
+                .field("config", &d.config)
+                .field("nest", d.nest)
+                .field("statement", d.statement)
+                .field("reference", d.reference)
+                .field("array", &d.array)
+                .field("message", &d.message)
+                .field("help", &d.help)
+                .end_obj();
+            format!("\n    {}", w.take())
+        })
+        .collect();
+    (w.key("counts").obj())
+        .field("errors", c.errors)
+        .field("warnings", c.warnings)
+        .field("notes", c.notes)
+        .end_obj();
+    let counts = w.take();
+    w.key("diagnostics")
+        .raw(&format!("[{}\n  ]", lines.join(",")));
+    format!("{{\n  {counts},\n  {}\n}}\n", w.take())
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod diag;
-mod json;
 mod model;
 mod rank;
 mod xval;
@@ -51,8 +50,7 @@ pub use model::{
 pub use rank::{ranks, spearman};
 pub use xval::{cross_validate, render_text, standard_configs, xval_json, XvalCell, XvalReport};
 
-use hoploc_obs::json_string;
-use json::num;
+use hoploc_obs::JsonWriter;
 
 /// One prediction as a single-line JSON record — the `fidelity=est`
 /// payload hoploc-serve returns, field-compatible where the concepts
@@ -60,26 +58,18 @@ use json::num;
 /// `total_accesses`, `offchip_accesses`, `offchip_fraction`,
 /// `avg_offchip_hops`) plus the estimator-only fields.
 pub fn est_record_json(e: &AppEstimate) -> String {
-    let shares = e
-        .mc_shares
-        .iter()
-        .map(|s| num(*s))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"app\": {}, \"kind\": \"{}\", \"fidelity\": \"est\", \
-         \"total_accesses\": {}, \"offchip_accesses\": {}, \"offchip_fraction\": {}, \
-         \"avg_offchip_hops\": {}, \"queue_pressure\": {}, \"mc_shares\": [{}], \
-         \"streaming\": {}, \"prefetchability\": {}}}",
-        json_string(&e.app),
-        e.kind.name(),
-        e.total_accesses,
-        e.predicted_offchip,
-        num(e.offchip_fraction()),
-        num(e.avg_offchip_hops),
-        num(e.queue_pressure),
-        shares,
-        e.streaming,
-        num(e.prefetchability()),
-    )
+    let mut w = JsonWriter::spaced();
+    (w.obj().field("app", &e.app).field("kind", e.kind.name()))
+        .field("fidelity", "est")
+        .field("total_accesses", e.total_accesses)
+        .field("offchip_accesses", e.predicted_offchip)
+        .field("offchip_fraction", e.offchip_fraction())
+        .field("avg_offchip_hops", e.avg_offchip_hops)
+        .field("queue_pressure", e.queue_pressure)
+        .key("mc_shares")
+        .items(&e.mc_shares)
+        .field("streaming", e.streaming)
+        .field("prefetchability", e.prefetchability())
+        .end_obj()
+        .take()
 }

@@ -17,11 +17,10 @@ use std::time::Instant;
 use hoploc_harness::{parallel_map, RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::L2ToMcMapping;
-use hoploc_obs::json_string;
+use hoploc_obs::JsonWriter;
 use hoploc_sim::SimConfig;
 use hoploc_workloads::{App, RunKind};
 
-use crate::json::num;
 use crate::model::{AppEstimate, EstConfig, Footprint};
 use crate::rank::spearman;
 
@@ -177,40 +176,36 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
     }
 }
 
-/// Renders the report as JSON (the CI artifact and `--json` output).
+/// Renders the report as JSON (the CI artifact and `--json` output): one
+/// member per line, one cell per line of the `cells` array.
 pub fn xval_json(r: &XvalReport) -> String {
-    let mut out = String::from("{\n  \"cells\": [\n");
-    for (i, c) in r.cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": {}, \"kind\": \"{}\", \"config\": {}, \
-             \"est_offchip_fraction\": {}, \"sim_offchip_fraction\": {}, \
-             \"est_hops\": {}, \"sim_hops\": {}, \
-             \"est_queue_pressure\": {}, \"sim_queue_pressure\": {}}}{}\n",
-            json_string(&c.app),
-            c.kind.name(),
-            json_string(&c.config),
-            num(c.est_offchip_fraction),
-            num(c.sim_offchip_fraction),
-            num(c.est_hops),
-            num(c.sim_hops),
-            num(c.est_queue_pressure),
-            num(c.sim_queue_pressure),
-            if i + 1 < r.cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"spearman_offchip\": {},\n  \"spearman_hops\": {},\n  \
-         \"spearman_queue\": {},\n  \"est_nanos\": {},\n  \"sim_nanos\": {},\n  \
-         \"speedup\": {}\n}}\n",
-        num(r.spearman_offchip),
-        num(r.spearman_hops),
-        num(r.spearman_queue),
-        r.est_nanos,
-        r.sim_nanos,
-        num(r.speedup()),
-    ));
-    out
+    let mut w = JsonWriter::spaced();
+    let cells: Vec<String> = (r.cells.iter())
+        .map(|c| {
+            (w.obj().field("app", &c.app).field("kind", c.kind.name()))
+                .field("config", &c.config)
+                .field("est_offchip_fraction", c.est_offchip_fraction)
+                .field("sim_offchip_fraction", c.sim_offchip_fraction)
+                .field("est_hops", c.est_hops)
+                .field("sim_hops", c.sim_hops)
+                .field("est_queue_pressure", c.est_queue_pressure)
+                .field("sim_queue_pressure", c.sim_queue_pressure)
+                .end_obj();
+            format!("\n    {}", w.take())
+        })
+        .collect();
+    let members = [
+        w.key("cells")
+            .raw(&format!("[{}\n  ]", cells.join(",")))
+            .take(),
+        w.field("spearman_offchip", r.spearman_offchip).take(),
+        w.field("spearman_hops", r.spearman_hops).take(),
+        w.field("spearman_queue", r.spearman_queue).take(),
+        w.field("est_nanos", r.est_nanos).take(),
+        w.field("sim_nanos", r.sim_nanos).take(),
+        w.field("speedup", r.speedup()).take(),
+    ];
+    format!("{{\n  {}\n}}\n", members.join(",\n  "))
 }
 
 /// Renders the report as an aligned text table plus the summary lines.

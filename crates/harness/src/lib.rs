@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use hoploc_fault::{FaultPlan, FaultTopo};
 use hoploc_layout::{Granularity, L2Mode};
 use hoploc_noc::{L2ToMcMapping, McId, McPlacement};
-use hoploc_obs::{json_string, ObsConfig, ObsReport};
+use hoploc_obs::{JsonWriter, ObsConfig, ObsReport};
 use hoploc_sim::{
     AddressSpace, Cancel, PrefetchConfig, PrefetchMode, RunStats, SimConfig, Simulator,
     TraceWorkload,
@@ -780,84 +780,63 @@ pub fn render_table(records: &[RunRecord]) -> String {
 /// result can be compared literally against a direct [`Suite::run_all`].
 pub fn record_json(r: &RunRecord) -> String {
     let s = &r.stats;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"app\": {}, \"kind\": \"{}\", \"exec_cycles\": {}, \
-         \"total_accesses\": {}, \"l1_hits\": {}, \"l2_hits\": {}, \
-         \"cache_to_cache\": {}, \"offchip_accesses\": {}, \
-         \"offchip_fraction\": {:.6}, \"avg_offchip_hops\": {:.6}, \
-         \"onchip_net_latency\": {:.6}, \"offchip_net_latency\": {:.6}, \
-         \"memory_latency\": {:.6}, \"os_fallbacks\": {}, \
-         \"rehomed\": {}, \"dropped\": {}, \"backstop_flushes\": {}}}",
-        json_string(&r.app),
-        r.kind.name(),
-        s.exec_cycles,
-        s.total_accesses,
-        s.l1_hits,
-        s.l2_hits,
-        s.cache_to_cache,
-        s.offchip_accesses,
-        s.offchip_fraction(),
-        s.net.off_chip.avg_hops(),
-        s.onchip_net_latency(),
-        s.offchip_net_latency(),
-        s.memory_latency(),
-        s.os_fallbacks,
-        s.rehomed_requests,
-        s.dropped_requests,
-        s.backstop_flushes,
-    );
+    let mut w = JsonWriter::spaced();
+    (w.obj().field("app", &r.app).field("kind", r.kind.name()))
+        .field("exec_cycles", s.exec_cycles)
+        .field("total_accesses", s.total_accesses)
+        .field("l1_hits", s.l1_hits)
+        .field("l2_hits", s.l2_hits)
+        .field("cache_to_cache", s.cache_to_cache)
+        .field("offchip_accesses", s.offchip_accesses)
+        .field("offchip_fraction", s.offchip_fraction())
+        .field("avg_offchip_hops", s.net.off_chip.avg_hops())
+        .field("onchip_net_latency", s.onchip_net_latency())
+        .field("offchip_net_latency", s.offchip_net_latency())
+        .field("memory_latency", s.memory_latency())
+        .field("os_fallbacks", s.os_fallbacks)
+        .field("rehomed", s.rehomed_requests)
+        .field("dropped", s.dropped_requests)
+        .field("backstop_flushes", s.backstop_flushes);
     // The prefetch block exists only when the run prefetched: an Off run's
     // record stays byte-identical to pre-prefetch builds.
     if !s.prefetch.is_empty() {
         let p = &s.prefetch;
-        out.truncate(out.len() - 1);
-        let _ = write!(
-            out,
-            ", \"prefetch\": {{\"issued\": {}, \"useful\": {}, \"late\": {}, \
-             \"harmful\": {}, \"dropped\": {}, \"accuracy\": {:.6}, \
-             \"coverage\": {:.6}, \"pred_accuracy\": {:.6}}}}}",
-            p.issued,
-            p.useful,
-            p.late,
-            p.harmful,
-            p.dropped,
-            p.accuracy(),
-            p.coverage(s.offchip_accesses),
-            p.pred_accuracy(),
-        );
+        (w.key("prefetch").obj())
+            .field("issued", p.issued)
+            .field("useful", p.useful)
+            .field("late", p.late)
+            .field("harmful", p.harmful)
+            .field("dropped", p.dropped)
+            .field("accuracy", p.accuracy())
+            .field("coverage", p.coverage(s.offchip_accesses))
+            .field("pred_accuracy", p.pred_accuracy())
+            .end_obj();
     }
-    out
+    w.end_obj().take()
 }
 
 /// Serializes run records (plus optional cache counters) as a JSON
-/// document — the machine-readable summary behind every `--json`.
-/// Hand-rolled: the workspace has no serde and builds offline.
+/// document — the machine-readable summary behind every `--json`: one
+/// member per line, one record per line of the `runs` array.
 pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String {
-    let mut out = String::from("{\n  \"runs\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&record_json(r));
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
+    let runs: Vec<String> = (records.iter())
+        .map(|r| format!("\n    {}", record_json(r)))
+        .collect();
+    let mut w = JsonWriter::spaced();
+    w.key("runs").raw(&format!("[{}\n  ]", runs.join(",")));
+    let mut members = vec![w.take()];
     if let Some(c) = counters {
-        let _ = write!(
-            out,
-            ",\n  \"cache\": {{\"layout_hits\": {}, \"layout_misses\": {}, \
-             \"layout_evictions\": {}, \"trace_hits\": {}, \"trace_misses\": {}, \
-             \"trace_evictions\": {}}}",
-            c.layout_hits,
-            c.layout_misses,
-            c.layout_evictions,
-            c.trace_hits,
-            c.trace_misses,
-            c.trace_evictions
-        );
+        (w.key("cache").obj())
+            .field("layout_hits", c.layout_hits)
+            .field("layout_misses", c.layout_misses)
+            .field("layout_evictions", c.layout_evictions)
+            .field("trace_hits", c.trace_hits)
+            .field("trace_misses", c.trace_misses)
+            .field("trace_evictions", c.trace_evictions)
+            .end_obj();
+        members.push(w.take());
     }
-    out.push_str("\n}\n");
-    out
+    format!("{{\n  {}\n}}\n", members.join(",\n  "))
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! timestamps are monotone within every lane.
 
 use crate::event::{SpanEvent, Track};
+use crate::json::JsonWriter;
 use crate::report::{ObsReport, DIR_LETTERS};
-use std::fmt::Write as _;
 
 /// Process ids, one per track family.
 const PID_CORES: u64 = 1;
@@ -65,72 +65,57 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
         .collect();
     order.sort_by_key(|&(pid, tid, e)| (pid, tid, e.ts));
 
-    let mut s = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut emit = |s: &mut String, line: &str| {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(line);
+    // One line per event: `"M"` metadata naming each process, then each
+    // lane that actually carries events, then the spans.
+    let mut w = JsonWriter::spaced();
+    let mut meta = |what: &str, pid: u64, tid: u64, name: &str| {
+        (w.obj().field("ph", "M").field("name", what))
+            .field("pid", pid)
+            .field("tid", tid)
+            .key("args")
+            .obj()
+            .field("name", name)
+            .end_obj()
+            .end_obj()
+            .take()
     };
-
-    for (pid, name) in [
+    let mut lines: Vec<String> = [
         (PID_CORES, "cores"),
         (PID_LINKS, "links"),
         (PID_MCS, "memory controllers"),
         (PID_BANKS, "dram banks"),
-    ] {
-        emit(
-            &mut s,
-            &format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"{name}\"}}}}"
-            ),
-        );
-    }
-    // Name each lane that actually carries events.
+    ]
+    .iter()
+    .map(|&(pid, name)| meta("process_name", pid, 0, name))
+    .collect();
     let mut last_lane = None;
     for &(pid, tid, e) in &order {
-        if last_lane == Some((pid, tid)) {
-            continue;
+        if last_lane != Some((pid, tid)) {
+            last_lane = Some((pid, tid));
+            lines.push(meta("thread_name", pid, tid, &track_label(report, e.track)));
         }
-        last_lane = Some((pid, tid));
-        emit(
-            &mut s,
-            &format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                track_label(report, e.track)
-            ),
-        );
     }
-
     for &(pid, tid, e) in &order {
-        let mut args = String::new();
+        (w.obj().field("ph", "X").field("name", e.name.as_str()))
+            .field("cat", category(e.track))
+            .field("ts", e.ts)
+            .field("dur", e.dur)
+            .field("pid", pid)
+            .field("tid", tid)
+            .key("args")
+            .obj();
         if e.req != u64::MAX {
-            let _ = write!(args, "\"req\": {}", e.req);
+            w.field("req", e.req);
         }
         if matches!(e.track, Track::Link(_)) {
-            if !args.is_empty() {
-                args.push_str(", ");
-            }
-            let _ = write!(args, "\"wait\": {}", e.arg);
+            w.field("wait", e.arg);
         }
-        emit(
-            &mut s,
-            &format!(
-                "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"{}\", \"ts\": {}, \"dur\": {}, \
-                 \"pid\": {pid}, \"tid\": {tid}, \"args\": {{{args}}}}}",
-                e.name.as_str(),
-                category(e.track),
-                e.ts,
-                e.dur,
-            ),
-        );
+        lines.push(w.end_obj().end_obj().take());
     }
-    s.push_str("\n]}\n");
-    s
+    (w.obj().field("displayTimeUnit", "ns").key("traceEvents"))
+        .raw(&format!("[\n{}\n]", lines.join(",\n")))
+        .end_obj();
+    w.take() + "\n"
 }
 
 #[cfg(test)]

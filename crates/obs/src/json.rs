@@ -1,21 +1,29 @@
-//! A minimal JSON parser (no dependencies), the Chrome-trace schema
-//! validator built on it, and the workspace's one string escaper.
+//! The workspace's one JSON writer and string escaper, a minimal JSON
+//! parser (no dependencies), and the Chrome-trace schema validator built on
+//! the parser.
 //!
-//! The parser exists so exports can be checked — by tests and by the
-//! `hoploc trace-validate` CLI used in CI — without adding a serde
-//! dependency to the workspace. It handles the full JSON grammar except
-//! `\u` surrogate pairs (kept as-is), which our exporters never emit.
+//! Every JSON document the workspace writes — run records, estimator
+//! records, diagnostics, search reports, the serve wire, load reports,
+//! metrics snapshots and Chrome traces — is built by [`JsonWriter`], so they
+//! agree byte for byte on commas, escapes and floats. The parser exists so
+//! exports can be checked — by tests and by the `hoploc trace-validate` CLI
+//! used in CI — without adding a serde dependency to the workspace. It
+//! handles the full JSON grammar except `\u` surrogate pairs (kept as-is),
+//! which our exporters never emit.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::str::Chars;
 
-/// `s` as a JSON string literal, quotes included. Every hand-written JSON
-/// document in the workspace (run records, estimator records, diagnostics,
-/// the serve wire) escapes through here, so they agree byte for byte on
-/// what a quote, a backslash or a control character becomes.
+/// `s` as a JSON string literal, quotes included: what a quote, a backslash
+/// or a control character becomes in every document [`JsonWriter`] builds.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -31,7 +39,204 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// How a document renders its floats. Under either rule a non-finite value,
+/// which JSON cannot spell, is written `null`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Floats {
+    /// A fixed number of decimal places: `0.250000` at six.
+    Fixed(usize),
+    /// The shortest decimal that reads back as the same `f64`: `0.25`, `3`.
+    Shortest,
+}
+
+/// A builder over a `String` that places every comma, escapes every key and
+/// string through [`json_string`]'s rule and renders every float under the
+/// document's [`Floats`] rule (six decimal places unless
+/// [`floats`](Self::floats) says otherwise).
+///
+/// Values follow keys inside objects and each other inside arrays. Members
+/// written at the top level, outside any object, make a fragment
+/// (`"a": 1, "b": 2`): the multi-line documents build each line that way
+/// and join the lines themselves.
+#[derive(Debug)]
+pub struct JsonWriter {
+    out: String,
+    spaced: bool,
+    floats: Floats,
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// Separators `,` and `:` — the serve wire and search records.
+    pub fn compact() -> Self {
+        Self::with_spacing(false)
+    }
+
+    /// Separators `, ` and `: ` — run records, the estimator, diagnostics,
+    /// load reports and metrics snapshots.
+    pub fn spaced() -> Self {
+        Self::with_spacing(true)
+    }
+
+    fn with_spacing(spaced: bool) -> Self {
+        JsonWriter {
+            out: String::new(),
+            spaced,
+            floats: Floats::Fixed(6),
+            comma: false,
+        }
+    }
+
+    /// The document's float rule.
+    pub fn floats(mut self, floats: Floats) -> Self {
+        self.floats = floats;
+        self
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push_str(if self.spaced { ", " } else { "," });
+        }
+    }
+
+    /// Opens an object member (or a top-level one): its value comes next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.separate();
+        escape_into(&mut self.out, key);
+        self.out.push_str(if self.spaced { ": " } else { ":" });
+        self.comma = false;
+        self
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.separate();
+        self.out.push(bracket);
+        self.comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// Opens an object value.
+    pub fn obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array value.
+    pub fn arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// A scalar value.
+    pub fn item(&mut self, value: impl JsonScalar) -> &mut Self {
+        self.separate();
+        value.write_to(self);
+        self.comma = true;
+        self
+    }
+
+    /// A member with a scalar value: [`key`](Self::key) then
+    /// [`item`](Self::item).
+    pub fn field(&mut self, key: &str, value: impl JsonScalar) -> &mut Self {
+        self.key(key).item(value)
+    }
+
+    /// An array of scalars.
+    pub fn items<T: JsonScalar>(&mut self, values: impl IntoIterator<Item = T>) -> &mut Self {
+        self.arr();
+        for v in values {
+            self.item(v);
+        }
+        self.end_arr()
+    }
+
+    /// A value that is already JSON, spliced in unchanged: a result, event
+    /// or metrics payload, or a nested document with its own float rule.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.separate();
+        self.out.push_str(json);
+        self.comma = true;
+        self
+    }
+
+    /// The text written so far; the writer starts over empty.
+    pub fn take(&mut self) -> String {
+        self.comma = false;
+        std::mem::take(&mut self.out)
+    }
+}
+
+/// A value [`JsonWriter::item`] renders in place: an integer, a float under
+/// the document's rule, a boolean, an escaped string, or an `Option` of one
+/// (`None` is `null`).
+pub trait JsonScalar {
+    /// Appends `self` to `w`'s text.
+    fn write_to(&self, w: &mut JsonWriter);
+}
+
+macro_rules! display_scalars {
+    ($($t:ty)*) => {$(
+        impl JsonScalar for $t {
+            fn write_to(&self, w: &mut JsonWriter) {
+                let _ = write!(w.out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_scalars!(u16 u32 u64 usize i64 bool);
+
+impl JsonScalar for f64 {
+    fn write_to(&self, w: &mut JsonWriter) {
+        let _ = match w.floats {
+            _ if !self.is_finite() => write!(w.out, "null"),
+            Floats::Fixed(places) => write!(w.out, "{self:.places$}"),
+            Floats::Shortest => write!(w.out, "{self}"),
+        };
+    }
+}
+
+impl JsonScalar for str {
+    fn write_to(&self, w: &mut JsonWriter) {
+        escape_into(&mut w.out, self);
+    }
+}
+
+impl JsonScalar for String {
+    fn write_to(&self, w: &mut JsonWriter) {
+        escape_into(&mut w.out, self);
+    }
+}
+
+impl<T: JsonScalar> JsonScalar for Option<T> {
+    fn write_to(&self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_to(w),
+            None => w.out.push_str("null"),
+        }
+    }
+}
+
+impl<T: JsonScalar + ?Sized> JsonScalar for &T {
+    fn write_to(&self, w: &mut JsonWriter) {
+        (**self).write_to(w);
+    }
 }
 
 /// A parsed JSON value.
@@ -350,6 +555,81 @@ mod tests {
             parse(&json_string(awkward)),
             Ok(Value::Str(awkward.to_string()))
         );
+    }
+
+    #[test]
+    fn the_writer_places_every_comma_in_both_styles() {
+        let build = |mut w: JsonWriter| {
+            (w.obj()
+                .field("a", 1u64)
+                .key("b")
+                .arr()
+                .item(true)
+                .item(-2i64))
+            .end_arr()
+            .key("c")
+            .obj()
+            .end_obj()
+            .key("d")
+            .items(Vec::<u64>::new())
+            .key("e")
+            .arr()
+            .arr()
+            .end_arr()
+            .obj()
+            .field("f", None::<u64>)
+            .end_obj()
+            .end_arr()
+            .end_obj()
+            .take()
+        };
+        let compact = r#"{"a":1,"b":[true,-2],"c":{},"d":[],"e":[[],{"f":null}]}"#;
+        let spaced = r#"{"a": 1, "b": [true, -2], "c": {}, "d": [], "e": [[], {"f": null}]}"#;
+        assert_eq!(build(JsonWriter::compact()), compact);
+        assert_eq!(build(JsonWriter::spaced()), spaced);
+        assert_eq!(parse(compact), parse(spaced));
+        // Members outside any object make a fragment; `take` starts over.
+        let mut w = JsonWriter::spaced();
+        assert_eq!(
+            w.field("a", 1u64).field("b", "x").take(),
+            r#""a": 1, "b": "x""#
+        );
+        assert_eq!(w.field("c", 2usize).take(), r#""c": 2"#);
+    }
+
+    #[test]
+    fn the_writer_escapes_keys_and_values_and_splices_raw_json() {
+        let awkward = "q\" b\\ \n\r\t\u{1}\u{1f} é";
+        let mut w = JsonWriter::compact();
+        let doc = (w
+            .obj()
+            .field(awkward, awkward)
+            .key("raw")
+            .raw(r#"{"x": 1}"#))
+        .end_obj()
+        .take();
+        let quoted = json_string(awkward);
+        assert_eq!(doc, format!(r#"{{{quoted}:{quoted},"raw":{{"x": 1}}}}"#));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get(awkward).and_then(Value::as_str), Some(awkward));
+    }
+
+    #[test]
+    fn floats_follow_the_document_rule_and_non_finite_is_null() {
+        for (rule, quarter) in [
+            (Floats::Fixed(6), "0.250000"),
+            (Floats::Fixed(3), "0.250"),
+            (Floats::Fixed(2), "0.25"),
+            (Floats::Shortest, "0.25"),
+        ] {
+            let mut w = JsonWriter::compact().floats(rule);
+            let doc = w
+                .items([0.25, f64::NAN, f64::INFINITY, -f64::INFINITY])
+                .take();
+            assert_eq!(doc, format!("[{quarter},null,null,null]"), "{rule:?}");
+        }
+        let mut w = JsonWriter::spaced().floats(Floats::Shortest);
+        assert_eq!(w.items([3.0, 17.4, -0.5]).take(), "[3, 17.4, -0.5]");
     }
 
     #[test]

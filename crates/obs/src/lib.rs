@@ -19,8 +19,9 @@
 //!   replicate the aggregate `RunStats` formulas operation-for-operation.
 //! * **Export** — Chrome trace-event JSON (Perfetto-loadable, one lane per
 //!   core/link/MC/bank), a per-link heatmap TSV, and a stable JSON metrics
-//!   snapshot, plus a dependency-free JSON parser and schema validator used
-//!   by tests and the `hoploc trace-validate` CI check.
+//!   snapshot, plus the workspace's one JSON writer ([`JsonWriter`]) and a
+//!   dependency-free JSON parser and schema validator used by tests and the
+//!   `hoploc trace-validate` CI check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,8 @@ pub mod sink;
 pub use event::{CacheLevel, CacheTag, EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 pub use hist::Histogram;
 pub use json::{
-    json_string, parse as parse_json, validate_chrome_trace, ChromeSummary, Value as JsonValue,
+    json_string, parse as parse_json, validate_chrome_trace, ChromeSummary, Floats, JsonScalar,
+    JsonWriter, Value as JsonValue,
 };
 pub use registry::{Registry, WindowMode};
 pub use report::ObsReport;

@@ -8,6 +8,7 @@
 
 use crate::event::SpanEvent;
 use crate::hist::Histogram;
+use crate::json::{Floats, JsonWriter};
 use crate::registry::{Registry, WindowMode};
 use crate::sink::{ObsConfig, Topology};
 use std::fmt::Write as _;
@@ -162,30 +163,26 @@ impl ObsReport {
     /// (with exact-bucket p50/p95/p99), and windowed series, in registration
     /// order. Byte-identical across identical runs.
     pub fn metrics_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n\"meta\": {");
-        let _ = write!(
-            s,
-            "\"mesh_width\": {}, \"mesh_height\": {}, \"nodes\": {}, \"mcs\": {}, \
-             \"banks_per_mc\": {}, \"exec_cycles\": {}, \"epoch_cycles\": {}, \
-             \"record_spans\": {}, \"span_capacity\": {}, \"events\": {}, \
-             \"dropped_spans\": {}",
-            self.topo.mesh_width,
-            self.topo.mesh_height,
-            self.topo.nodes(),
-            self.topo.mcs,
-            self.topo.banks_per_mc,
-            self.exec_cycles,
-            self.config.epoch_cycles.max(1),
-            self.config.record_spans,
-            self.config.span_capacity,
-            self.events.len(),
-            self.dropped_spans,
-        );
-        s.push_str("},\n");
-        s.push_str(&registry_sections_json(&self.reg));
-        s.push_str("\n}\n");
-        s
+        let mut w = JsonWriter::spaced();
+        w.key("meta")
+            .obj()
+            .field("mesh_width", self.topo.mesh_width)
+            .field("mesh_height", self.topo.mesh_height)
+            .field("nodes", self.topo.nodes())
+            .field("mcs", self.topo.mcs)
+            .field("banks_per_mc", self.topo.banks_per_mc)
+            .field("exec_cycles", self.exec_cycles)
+            .field("epoch_cycles", self.config.epoch_cycles.max(1))
+            .field("record_spans", self.config.record_spans)
+            .field("span_capacity", self.config.span_capacity)
+            .field("events", self.events.len())
+            .field("dropped_spans", self.dropped_spans)
+            .end_obj();
+        let meta = w.take();
+        format!(
+            "{{\n{meta},\n{}\n}}\n",
+            registry_sections_json(&self.reg, false)
+        )
     }
 
     /// Per-link heatmap dump: one TSV row per directed link with its flit
@@ -206,7 +203,7 @@ impl ObsReport {
                 node / w,
                 flits[link],
                 waits[link],
-                fmt_f64(flits[link] as f64 / e),
+                flits[link] as f64 / e,
             );
         }
         s
@@ -221,67 +218,67 @@ impl ObsReport {
 /// The `"counters"/"gauges"/"histograms"/"series"` sections of a metrics
 /// snapshot, in registration order — shared between [`ObsReport::metrics_json`]
 /// (which prepends run metadata) and [`Registry::snapshot_json`] (standalone
-/// registries, e.g. the `hoploc-serve` server metrics).
-pub(crate) fn registry_sections_json(reg: &Registry) -> String {
-    let mut s = String::from("\"counters\": {");
-    for (i, f) in reg.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n\"{}\": {}", f.name, u64_array(&f.vals));
-    }
-    s.push_str("},\n\"gauges\": {");
-    for (i, f) in reg.gauges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n\"{}\": {}", f.name, i64_array(&f.vals));
-    }
-    s.push_str("},\n\"histograms\": {");
-    for (i, (name, h)) in reg.hists.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n\"{name}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \
-             \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [",
-            h.count(),
-            h.min(),
-            h.max(),
-            fmt_f64(h.mean()),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-        );
-        for (j, (lo, hi, c)) in h.nonzero_buckets().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{lo}, {hi}, {c}]");
-        }
-        s.push_str("]}");
-    }
-    s.push_str("},\n\"series\": {");
-    for (i, ser) in reg.series.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let mode = match ser.mode {
-            WindowMode::Add => "add",
-            WindowMode::Max => "max",
-        };
-        let _ = write!(
-            s,
-            "\n\"{}\": {{\"epoch_cycles\": {}, \"mode\": \"{}\", \"values\": {}}}",
-            ser.name,
-            ser.epoch_cycles,
-            mode,
-            u64_array(&ser.vals),
-        );
-    }
-    s.push('}');
-    s
+/// registries, e.g. the `hoploc-serve` server metrics). Spaced, each section
+/// holds one family per line and a histogram's buckets are joined by a bare
+/// comma; `one_line`, the same members are compact, with no line breaks.
+pub(crate) fn registry_sections_json(reg: &Registry, one_line: bool) -> String {
+    let (w, nl) = match one_line {
+        true => (JsonWriter::compact(), ""),
+        false => (JsonWriter::spaced(), "\n"),
+    };
+    let mut w = w.floats(Floats::Shortest);
+    let counters: Vec<String> = (reg.counters.iter())
+        .map(|f| w.key(f.name).items(&f.vals).take())
+        .collect();
+    let gauges: Vec<String> = (reg.gauges.iter())
+        .map(|f| w.key(f.name).items(&f.vals).take())
+        .collect();
+    let hists: Vec<String> = (reg.hists.iter())
+        .map(|(name, h)| {
+            let buckets: Vec<String> = (h.nonzero_buckets())
+                .map(|(lo, hi, c)| w.items([lo, hi, c]).take())
+                .collect();
+            (w.key(name).obj())
+                .field("count", h.count())
+                .field("min", h.min())
+                .field("max", h.max())
+                .field("mean", h.mean())
+                .field("p50", h.quantile(0.50))
+                .field("p95", h.quantile(0.95))
+                .field("p99", h.quantile(0.99))
+                .key("buckets")
+                .raw(&format!("[{}]", buckets.join(",")))
+                .end_obj()
+                .take()
+        })
+        .collect();
+    let series: Vec<String> = (reg.series.iter())
+        .map(|s| {
+            let mode = match s.mode {
+                WindowMode::Add => "add",
+                WindowMode::Max => "max",
+            };
+            (w.key(s.name).obj())
+                .field("epoch_cycles", s.epoch_cycles)
+                .field("mode", mode)
+                .key("values")
+                .items(&s.vals)
+                .end_obj()
+                .take()
+        })
+        .collect();
+    [
+        ("counters", counters),
+        ("gauges", gauges),
+        ("histograms", hists),
+        ("series", series),
+    ]
+    .map(|(section, families)| {
+        let lines: Vec<String> = families.iter().map(|f| format!("{nl}{f}")).collect();
+        let body = format!("{{{}}}", lines.join(","));
+        w.key(section).raw(&body).take()
+    })
+    .join(&format!(",{nl}"))
 }
 
 impl Registry {
@@ -292,47 +289,14 @@ impl Registry {
     /// registries that outlive any single simulation, such as the
     /// `hoploc-serve` server metrics.
     pub fn snapshot_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&registry_sections_json(self));
-        s.push_str("\n}\n");
-        s
+        format!("{{\n{}\n}}\n", registry_sections_json(self, false))
     }
-}
 
-fn u64_array(vals: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{v}");
+    /// [`snapshot_json`](Self::snapshot_json) on one line with compact
+    /// separators: the form the serve wire splices into its replies.
+    pub fn snapshot_line(&self) -> String {
+        format!("{{{}}}", registry_sections_json(self, true))
     }
-    s.push(']');
-    s
-}
-
-fn i64_array(vals: &[i64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{v}");
-    }
-    s.push(']');
-    s
-}
-
-/// Deterministic shortest-roundtrip decimal for a finite `f64`; JSON has no
-/// NaN/inf, so those render as 0 (they cannot occur in practice: every
-/// derived ratio here divides by a guarded non-zero denominator).
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    // `{}` prints integral floats without a decimal point; that is still a
-    // valid JSON number, so leave it.
-    format!("{v}")
 }
 
 #[cfg(test)]
@@ -419,6 +383,7 @@ mod tests {
         r.observe(h, 40);
         let snap = r.snapshot_json();
         let v = parse(&snap).expect("snapshot must be valid JSON");
+        assert_eq!(r.snapshot_line(), snap.replace([' ', '\n'], ""));
         assert_eq!(
             v.get("counters")
                 .and_then(|c| c.get("serve.submitted"))
@@ -437,7 +402,7 @@ mod tests {
         let rep = small_report();
         assert!(rep
             .metrics_json()
-            .contains(&registry_sections_json(rep.registry())));
+            .contains(&registry_sections_json(rep.registry(), false)));
     }
 
     #[test]

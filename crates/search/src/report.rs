@@ -8,8 +8,8 @@
 use crate::objective::Objective;
 use crate::space::Candidate;
 use hoploc_est::EstTerms;
+use hoploc_obs::JsonWriter;
 use hoploc_workloads::Scale;
-use std::fmt::Write as _;
 
 /// One cycle-sim-verified finalist.
 #[derive(Clone, PartialEq, Debug)]
@@ -82,49 +82,44 @@ impl SearchReport {
     /// The report as one line of JSON (starts with `{`, no newline) —
     /// the serve job result payload and the CLI `--json` record.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"search\":{");
-        let _ = write!(
-            s,
-            "\"app\":\"{}\",\"scale\":\"{}\",\"seed\":{},\"budget\":{},\"objective\":\"{}\",\
-             \"evaluated\":{},\"best\":{},\"best_score\":{:.6},\
-             \"est\":{{\"offchip\":{:.6},\"hops\":{:.6},\"queue\":{:.6}}},\"verified\":[",
-            self.app,
-            self.scale.name(),
-            self.seed,
-            self.budget,
-            self.objective.canon(),
-            self.evaluated,
-            self.best.to_json(),
-            self.best_score,
-            self.est.offchip,
-            self.est.hops,
-            self.est.queue,
-        );
-        for (i, v) in self.verified.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"candidate\":{},\"score\":{:.6},\"cycles\":{}}}",
-                v.candidate.to_json(),
-                v.score,
-                v.cycles
-            );
+        let mut w = JsonWriter::compact();
+        (w.obj().key("search").obj())
+            .field("app", &self.app)
+            .field("scale", self.scale.name())
+            .field("seed", self.seed)
+            .field("budget", self.budget)
+            .field("objective", self.objective.canon())
+            .field("evaluated", self.evaluated)
+            .key("best")
+            .raw(&self.best.to_json())
+            .field("best_score", self.best_score)
+            .key("est")
+            .obj()
+            .field("offchip", self.est.offchip)
+            .field("hops", self.est.hops)
+            .field("queue", self.est.queue)
+            .end_obj()
+            .key("verified")
+            .arr();
+        for v in &self.verified {
+            (w.obj().key("candidate").raw(&v.candidate.to_json()))
+                .field("score", v.score)
+                .field("cycles", v.cycles)
+                .end_obj();
         }
-        let _ = write!(
-            s,
-            "],\"baselines\":{{\"corners\":{},\"edge\":{},\"diamond\":{}}},\
-             \"found\":{},\"found_cycles\":{},\"beats_diamond\":{},\"beats_edge\":{}}}}}",
-            self.corners_cycles,
-            self.edge_cycles,
-            self.diamond_cycles,
-            self.found.to_json(),
-            self.found_cycles,
-            self.beats_diamond(),
-            self.beats_edge(),
-        );
-        s
+        (w.end_arr().key("baselines").obj())
+            .field("corners", self.corners_cycles)
+            .field("edge", self.edge_cycles)
+            .field("diamond", self.diamond_cycles)
+            .end_obj()
+            .key("found")
+            .raw(&self.found.to_json())
+            .field("found_cycles", self.found_cycles)
+            .field("beats_diamond", self.beats_diamond())
+            .field("beats_edge", self.beats_edge())
+            .end_obj()
+            .end_obj()
+            .take()
     }
 
     /// One row of the human-readable table ([`text_header`] gives the
@@ -168,12 +163,12 @@ pub fn event_json(
     best_score: f64,
     best: &Candidate,
 ) -> String {
-    format!(
-        "{{\"app\":\"{}\",\"phase\":\"{}\",\"evaluated\":{},\"best_score\":{:.6},\"best\":{}}}",
-        app,
-        phase,
-        evaluated,
-        best_score,
-        best.to_json()
-    )
+    let mut w = JsonWriter::compact();
+    (w.obj().field("app", app).field("phase", phase))
+        .field("evaluated", evaluated)
+        .field("best_score", best_score)
+        .key("best")
+        .raw(&best.to_json())
+        .end_obj()
+        .take()
 }

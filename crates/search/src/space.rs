@@ -12,6 +12,7 @@
 use crate::bnb::balanced_assignment;
 use hoploc_layout::{Granularity, PassConfig};
 use hoploc_noc::{McId, McPlacement, Mesh, NodeId, Placement};
+use hoploc_obs::{Floats, JsonWriter};
 use hoploc_ptest::SmallRng;
 use std::fmt::Write as _;
 
@@ -193,17 +194,7 @@ impl Candidate {
             let _ = write!(s, "{}", n.0);
         }
         let _ = write!(s, ";tile={}x{};assign=", self.cluster_w, self.cluster_h);
-        for (c, a) in self.assignments.iter().enumerate() {
-            if c > 0 {
-                s.push('|');
-            }
-            for (i, mc) in a.iter().enumerate() {
-                if i > 0 {
-                    s.push('+');
-                }
-                let _ = write!(s, "{}", mc.0);
-            }
-        }
+        self.write_assignments(&mut s);
         let _ = write!(
             s,
             ";gran={};approx={:.2}",
@@ -213,20 +204,9 @@ impl Candidate {
         s
     }
 
-    /// The candidate as a single-line JSON object (stable field order).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"mcs\":[");
-        for (i, n) in self.mc_nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}", n.0);
-        }
-        let _ = write!(
-            s,
-            "],\"tile\":\"{}x{}\",\"assign\":\"",
-            self.cluster_w, self.cluster_h
-        );
+    /// The cluster assignments as the key and the JSON spell them: clusters
+    /// split by `|`, each cluster's controllers joined by `+`.
+    fn write_assignments(&self, s: &mut String) {
         for (c, a) in self.assignments.iter().enumerate() {
             if c > 0 {
                 s.push('|');
@@ -238,13 +218,21 @@ impl Candidate {
                 let _ = write!(s, "{}", mc.0);
             }
         }
-        let _ = write!(
-            s,
-            "\",\"granularity\":\"{}\",\"approx\":{:.2}}}",
-            self.granularity.name(),
-            self.approx
-        );
-        s
+    }
+
+    /// The candidate as a single-line JSON object (stable field order), its
+    /// approximation threshold at two decimal places.
+    pub fn to_json(&self) -> String {
+        let mut assign = String::new();
+        self.write_assignments(&mut assign);
+        let mut w = JsonWriter::compact().floats(Floats::Fixed(2));
+        (w.obj().key("mcs").items(self.mc_nodes.iter().map(|n| n.0)))
+            .field("tile", format!("{}x{}", self.cluster_w, self.cluster_h))
+            .field("assign", assign)
+            .field("granularity", self.granularity.name())
+            .field("approx", self.approx)
+            .end_obj()
+            .take()
     }
 }
 

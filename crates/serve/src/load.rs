@@ -12,6 +12,7 @@ use crate::client::Client;
 use crate::job::JobSpec;
 use crate::wire::SubmitStatus;
 use hoploc_harness::{parallel_map, MachineSpec};
+use hoploc_obs::{Floats, JsonWriter};
 use hoploc_workloads::{RunKind, Scale, APP_NAMES};
 use std::net::ToSocketAddrs;
 use std::sync::Mutex;
@@ -228,28 +229,26 @@ pub fn render_report(r: &LoadReport) -> String {
     s
 }
 
-/// Renders a report as a single JSON object (for `hoploc load --json`).
+/// Renders a report as a single JSON object (for `hoploc load --json`),
+/// its throughput at three decimal places.
 pub fn report_json(r: &LoadReport) -> String {
-    format!(
-        "{{\"submitted\": {}, \"completed\": {}, \"failed\": {}, \"coalesced\": {}, \
-         \"cached\": {}, \"retries\": {}, \"wall_ms\": {}, \"throughput\": {:.3}, \
-         \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
-         \"submit_p50_us\": {}, \"submit_p99_us\": {}}}\n",
-        r.submitted,
-        r.completed,
-        r.failed,
-        r.coalesced,
-        r.cached,
-        r.retries,
-        r.wall_ms,
-        r.throughput,
-        r.latency_ms.p50,
-        r.latency_ms.p95,
-        r.latency_ms.p99,
-        r.latency_ms.max,
-        r.submit_us.p50,
-        r.submit_us.p99
-    )
+    let mut w = JsonWriter::spaced().floats(Floats::Fixed(3));
+    (w.obj().field("submitted", r.submitted))
+        .field("completed", r.completed)
+        .field("failed", r.failed)
+        .field("coalesced", r.coalesced)
+        .field("cached", r.cached)
+        .field("retries", r.retries)
+        .field("wall_ms", r.wall_ms)
+        .field("throughput", r.throughput)
+        .field("p50_ms", r.latency_ms.p50)
+        .field("p95_ms", r.latency_ms.p95)
+        .field("p99_ms", r.latency_ms.p99)
+        .field("max_ms", r.latency_ms.max)
+        .field("submit_p50_us", r.submit_us.p50)
+        .field("submit_p99_us", r.submit_us.p99)
+        .end_obj();
+    w.take() + "\n"
 }
 
 #[cfg(test)]

@@ -172,37 +172,10 @@ impl ServeMetrics {
         self.lock().reg.snapshot_json()
     }
 
-    /// Single-line snapshot for the wire: the same object with newlines
-    /// and indentation stripped outside of strings (the snapshot contains
-    /// no strings with meaningful whitespace, so this is a pure
-    /// reformatting).
+    /// Single-line snapshot for the wire: the same object with compact
+    /// separators and no line breaks.
     pub fn snapshot_line(&self) -> String {
-        let pretty = self.snapshot_json();
-        let mut out = String::with_capacity(pretty.len());
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in pretty.chars() {
-            if in_string {
-                out.push(c);
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_string = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => {
-                    in_string = true;
-                    out.push(c);
-                }
-                '\n' | ' ' => {}
-                c => out.push(c),
-            }
-        }
-        out
+        self.lock().reg.snapshot_line()
     }
 }
 

@@ -16,10 +16,9 @@ use crate::job::{FaultSpec, Fidelity, JobSpec, SearchSpec};
 use hoploc_fault::FaultPlan;
 use hoploc_harness::MachineSpec;
 use hoploc_layout::{Granularity, L2Mode};
-use hoploc_obs::{json_string, parse_json, JsonValue};
+use hoploc_obs::{parse_json, JsonValue, JsonWriter};
 use hoploc_sim::PrefetchMode;
 use hoploc_workloads::{RunKind, Scale};
-use std::fmt::Write as _;
 
 /// A parsed client request.
 #[derive(Clone, PartialEq, Debug)]
@@ -153,46 +152,39 @@ pub enum Response {
 /// `hoploc faults` text format, JSON-escaped).
 pub fn encode_job(spec: &JobSpec) -> String {
     let m = &spec.machine;
-    let mut s = format!(
-        "{{\"app\":{},\"kind\":\"{}\",\"scale\":\"{}\",\"granularity\":\"{}\",\
-         \"l2\":\"{}\",\"mapping\":\"{}\",\"threads\":{}",
-        json_string(&spec.app),
-        spec.kind.name(),
-        m.scale.name(),
-        m.granularity.name(),
-        m.l2_mode.name(),
-        m.mapping_name(),
-        m.threads,
-    );
+    let mut w = JsonWriter::compact();
+    (w.obj()
+        .field("app", &spec.app)
+        .field("kind", spec.kind.name()))
+    .field("scale", m.scale.name())
+    .field("granularity", m.granularity.name())
+    .field("l2", m.l2_mode.name())
+    .field("mapping", m.mapping_name())
+    .field("threads", m.threads);
     match &spec.faults {
         FaultSpec::None => {}
         FaultSpec::Seed(seed) => {
-            let _ = write!(s, ",\"fault_seed\":{seed}");
+            w.field("fault_seed", seed);
         }
         FaultSpec::Plan(plan) => {
-            let _ = write!(s, ",\"fault_plan\":{}", json_string(&plan.render()));
+            w.field("fault_plan", plan.render());
         }
     }
     // Default-tier requests stay byte-identical to pre-fidelity clients'.
     if spec.fidelity != Fidelity::Cycle {
-        let _ = write!(s, ",\"fidelity\":\"{}\"", spec.fidelity.name());
+        w.field("fidelity", spec.fidelity.name());
     }
     // Search fields are likewise absent unless the job is a search.
     if let Some(search) = &spec.search {
-        let _ = write!(
-            s,
-            ",\"search_seed\":{},\"search_budget\":{},\"search_objective\":{}",
-            search.seed,
-            search.budget,
-            json_string(&search.objective),
-        );
+        (w.field("search_seed", search.seed))
+            .field("search_budget", search.budget)
+            .field("search_objective", &search.objective);
     }
     // Off-prefetch requests stay byte-identical to pre-prefetch clients'.
     if m.prefetch != PrefetchMode::Off {
-        let _ = write!(s, ",\"prefetch\":\"{}\"", m.prefetch.name());
+        w.field("prefetch", m.prefetch.name());
     }
-    s.push('}');
-    s
+    w.end_obj().take()
 }
 
 /// Parses the `"job"` object of a submit request. Unknown fields are
@@ -288,15 +280,18 @@ pub fn parse_job(v: &JsonValue) -> Result<JobSpec, String> {
 
 /// Encodes a request as one line (no trailing newline).
 pub fn encode_request(req: &Request) -> String {
+    let mut w = JsonWriter::compact();
+    w.obj();
     match req {
-        Request::Submit(spec) => format!("{{\"op\":\"submit\",\"job\":{}}}", encode_job(spec)),
-        Request::Status(id) => format!("{{\"op\":\"status\",\"id\":{id}}}"),
-        Request::Result(id) => format!("{{\"op\":\"result\",\"id\":{id}}}"),
-        Request::Watch(id) => format!("{{\"op\":\"watch\",\"id\":{id}}}"),
-        Request::Stats => "{\"op\":\"stats\"}".to_string(),
-        Request::Drain => "{\"op\":\"drain\"}".to_string(),
-        Request::Ping => "{\"op\":\"ping\"}".to_string(),
-    }
+        Request::Submit(spec) => w.field("op", "submit").key("job").raw(&encode_job(spec)),
+        Request::Status(id) => w.field("op", "status").field("id", id),
+        Request::Result(id) => w.field("op", "result").field("id", id),
+        Request::Watch(id) => w.field("op", "watch").field("id", id),
+        Request::Stats => w.field("op", "stats"),
+        Request::Drain => w.field("op", "drain"),
+        Request::Ping => w.field("op", "ping"),
+    };
+    w.end_obj().take()
 }
 
 /// Parses one request line.
@@ -329,54 +324,54 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Encodes a response as one line (no trailing newline). `result` and
 /// `metrics` payloads are spliced in as raw bytes.
 pub fn encode_response(resp: &Response) -> String {
+    let mut w = JsonWriter::compact();
+    let ok = !matches!(
+        resp,
+        Response::Rejected { .. } | Response::ProtocolError { .. }
+    );
+    w.obj().field("ok", ok);
     match resp {
-        Response::Submitted { id, key, status } => format!(
-            "{{\"ok\":true,\"op\":\"submit\",\"id\":{id},\"key\":\"{key}\",\"status\":\"{}\"}}",
-            status.name()
-        ),
+        Response::Submitted { id, key, status } => (w.field("op", "submit").field("id", id))
+            .field("key", key)
+            .field("status", status.name()),
         Response::Rejected {
             reason,
             detail,
             retry_after_ms,
-        } => format!(
-            "{{\"ok\":false,\"op\":\"submit\",\"error\":{},\"detail\":{},\"retry_after_ms\":{retry_after_ms}}}",
-            json_string(reason),
-            json_string(detail),
-        ),
+        } => (w.field("op", "submit").field("error", reason))
+            .field("detail", detail)
+            .field("retry_after_ms", retry_after_ms),
         Response::Status {
             id,
             state,
             queue_depth,
-        } => format!(
-            "{{\"ok\":true,\"op\":\"status\",\"id\":{id},\"state\":{},\"queue_depth\":{queue_depth}}}",
-            json_string(state),
-        ),
-        Response::ResultOk { id, result } => format!(
-            "{{\"ok\":true,\"op\":\"result\",\"id\":{id},\"state\":\"done\",\"result\":{result}}}"
-        ),
-        Response::Progress { id, seq, event } => format!(
-            "{{\"ok\":true,\"op\":\"watch\",\"id\":{id},\"seq\":{seq},\"event\":{event}}}"
-        ),
-        Response::ResultErr { id, error } => format!(
-            "{{\"ok\":true,\"op\":\"result\",\"id\":{id},\"state\":\"error\",\"error\":{}}}",
-            json_string(error),
-        ),
-        Response::Stats { metrics } => {
-            format!("{{\"ok\":true,\"op\":\"stats\",\"metrics\":{metrics}}}")
-        }
+        } => (w.field("op", "status").field("id", id))
+            .field("state", state)
+            .field("queue_depth", queue_depth),
+        Response::ResultOk { id, result } => (w.field("op", "result").field("id", id))
+            .field("state", "done")
+            .key("result")
+            .raw(result),
+        Response::Progress { id, seq, event } => (w.field("op", "watch").field("id", id))
+            .field("seq", seq)
+            .key("event")
+            .raw(event),
+        Response::ResultErr { id, error } => (w.field("op", "result").field("id", id))
+            .field("state", "error")
+            .field("error", error),
+        Response::Stats { metrics } => w.field("op", "stats").key("metrics").raw(metrics),
         Response::Drained {
             answered,
             executed,
             metrics,
-        } => format!(
-            "{{\"ok\":true,\"op\":\"drain\",\"answered\":{answered},\"executed\":{executed},\"metrics\":{metrics}}}"
-        ),
-        Response::Pong => "{\"ok\":true,\"op\":\"ping\"}".to_string(),
-        Response::ProtocolError { error } => format!(
-            "{{\"ok\":false,\"op\":\"error\",\"error\":{}}}",
-            json_string(error),
-        ),
-    }
+        } => (w.field("op", "drain").field("answered", answered))
+            .field("executed", executed)
+            .key("metrics")
+            .raw(metrics),
+        Response::Pong => w.field("op", "ping"),
+        Response::ProtocolError { error } => w.field("op", "error").field("error", error),
+    };
+    w.end_obj().take()
 }
 
 /// Extracts the raw bytes of the JSON object value of `"key":` in `line`,
