@@ -500,14 +500,8 @@ impl MemoryController {
     /// Drains every remaining queued request, returning their completions.
     /// Call once no further arrivals are possible.
     pub fn flush(&mut self) -> &[Completion] {
-        self.flush_obs(0, &Sink::disabled())
-    }
-
-    /// [`flush`](Self::flush) with observability (see
-    /// [`enqueue_class_obs`](Self::enqueue_class_obs)).
-    pub fn flush_obs(&mut self, mc: u16, sink: &Sink) -> &[Completion] {
         self.done.clear();
-        self.drain_until(u64::MAX, mc, sink);
+        self.drain_until(u64::MAX, 0, &Sink::disabled());
         &self.done
     }
 
@@ -850,7 +844,7 @@ mod tests {
         for k in 0..30 {
             m.enqueue_class_obs((k % 3) * 4096, k, k * 5, 1, false, &sink);
         }
-        m.flush_obs(1, &sink);
+        m.poll_obs(u64::MAX, 1, &sink);
         let rep = sink.into_report(10_000).unwrap();
         let s = m.stats();
         assert_eq!(rep.counter_family("mc.served")[1], s.served);

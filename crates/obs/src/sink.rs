@@ -165,8 +165,6 @@ struct Ids {
     fault_retries: CounterId,
     fault_dropped: CounterId,
     fault_rehomed: CounterId,
-    backstop_flushes: CounterId,
-    backstop_pending: CounterId,
     h_dropped: HistId,
     win_faults: SeriesId,
     // Prefetch families. Unlike the fault families these register only
@@ -284,8 +282,6 @@ impl Recorder {
             fault_retries: reg.counter("fault.mc.retries", topo.mcs),
             fault_dropped: reg.counter("fault.mc.dropped", topo.mcs),
             fault_rehomed: reg.counter("fault.rehomed", topo.mcs),
-            backstop_flushes: reg.counter("sim.backstop_flushes", 1),
-            backstop_pending: reg.counter("sim.backstop_pending", 1),
             h_dropped: reg.hist("req.dropped_cycles"),
             win_faults: reg.series("win.fault_events", e, WindowMode::Add),
             pf: config.prefetch.then(|| PfIds {
@@ -549,17 +545,6 @@ impl Sink {
         self.with(|r| {
             r.reg.inc(r.ids.fault_rehomed, from_mc as usize, 1);
             r.reg.sample(r.ids.win_faults, ts, 1);
-        });
-    }
-
-    /// The simulator's liveness backstop fired: the event queue drained with
-    /// `pending` requests still in flight and the MCs were force-flushed.
-    #[inline]
-    pub fn backstop(&self, ts: u64, pending: usize) {
-        let _ = ts;
-        self.with(|r| {
-            r.reg.inc(r.ids.backstop_flushes, 0, 1);
-            r.reg.inc(r.ids.backstop_pending, 0, pending as u64);
         });
     }
 
@@ -996,7 +981,6 @@ mod tests {
         s.mc_drop(0, 7, 80);
         s.drop_req(tag, 90);
         s.rehome(85, 1, 0);
-        s.backstop(100, 2);
         let rep = s.into_report(200).unwrap();
         assert_eq!(rep.counter("fault.link.hops"), 1);
         assert_eq!(rep.counter_family("fault.link.extra_cycles")[3], 5);
@@ -1005,8 +989,6 @@ mod tests {
         assert_eq!(rep.counter_family("fault.mc.retries")[0], 1);
         assert_eq!(rep.counter_family("fault.mc.dropped")[0], 1);
         assert_eq!(rep.counter_family("fault.rehomed")[1], 1);
-        assert_eq!(rep.counter("sim.backstop_flushes"), 1);
-        assert_eq!(rep.counter("sim.backstop_pending"), 2);
         let names: Vec<&str> = rep.events().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1032,7 +1014,6 @@ mod tests {
         let rep = s.into_report(10).unwrap();
         assert_eq!(rep.counter("fault.link.hops"), 0);
         assert_eq!(rep.counter("fault.rehomed"), 0);
-        assert_eq!(rep.counter("sim.backstop_flushes"), 0);
         assert!(rep.metrics_json().contains("fault.mc.retries"));
     }
 

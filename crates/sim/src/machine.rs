@@ -158,7 +158,6 @@ pub struct Simulator {
     writebacks: u64,
     rehomed: u64,
     dropped: u64,
-    backstop_flushes: u64,
     node_mc_requests: Vec<Vec<u64>>,
     /// Observability sink: disabled unless [`Simulator::with_obs`] was
     /// called, in which case every component mirrors its events here.
@@ -245,7 +244,6 @@ impl Simulator {
             writebacks: 0,
             rehomed: 0,
             dropped: 0,
-            backstop_flushes: 0,
             node_mc_requests: vec![vec![0; n_mcs]; n],
             obs: Sink::disabled(),
             cancel: Cancel::never(),
@@ -350,21 +348,9 @@ impl Simulator {
                 }
                 EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
-            // Liveness backstop: if the queue drained while requests are
-            // still pending (e.g. a poll raced a flush), force scheduling.
-            // A healthy run never gets here — firing means a scheduling
-            // hole, so it is counted (`RunStats::backstop_flushes`, the
-            // `sim.backstop_*` obs counters) for the caller to report as
-            // `warning[HL0900]`; a library does not write to stderr.
-            if self.events.is_empty() && !self.pending.is_empty() {
-                self.backstop_flushes += 1;
-                self.obs.backstop(now, self.pending.len());
-                for mc in 0..self.mcs.len() {
-                    let done = self.mcs[mc].flush_obs(mc as u16, &self.obs);
-                    schedule_completions(&mut self.events, done);
-                }
-            }
         }
+        // Every request in flight has an event that will finish it; a run
+        // that ends with one pending has lost that event.
         assert!(
             cancelled || self.pending.is_empty(),
             "simulation ended with in-flight requests"
@@ -393,7 +379,7 @@ impl Simulator {
             link_utilization,
             rehomed_requests: self.rehomed,
             dropped_requests: self.dropped,
-            backstop_flushes: self.backstop_flushes,
+            backstop_flushes: 0,
             prefetch: self.pf.as_ref().map(|p| p.summary).unwrap_or_default(),
         }
     }
@@ -1656,10 +1642,6 @@ mod tests {
             assert_eq!(dropped, stats.dropped_requests);
             let served: u64 = stats.mc.iter().map(|m| m.served).sum();
             assert_eq!(served, 0);
-            assert_eq!(
-                stats.backstop_flushes, 0,
-                "drops must not rely on the backstop"
-            );
         }
 
         #[test]
@@ -1724,13 +1706,14 @@ mod tests {
         }
 
         #[test]
-        fn backstop_flush_is_counted() {
+        #[should_panic(expected = "simulation ended with in-flight requests")]
+        fn a_request_left_without_an_event_fails_the_run() {
             let cfg = small_config();
             let m = mapping(&cfg);
             let mut sim = Simulator::new(cfg, m, PagePolicy::Interleaved);
-            // Manufacture the scheduling hole the backstop guards against:
-            // a request queued behind a busy bank with no McPoll scheduled
-            // for it (the `update_poll` call is deliberately skipped).
+            // Manufacture a scheduling hole: a request queued behind a busy
+            // bank with no McPoll scheduled for it (the `update_poll` call is
+            // deliberately skipped).
             let park = |sim: &mut Simulator, token: u64| {
                 sim.next_token = token + 1;
                 sim.pending.insert(
@@ -1752,9 +1735,7 @@ mod tests {
             let second = sim.mcs[0].enqueue_class_obs(0, 1, 10, 0, false, &sim.obs);
             assert!(second.is_empty(), "busy bank must park the second arrival");
             schedule_completions(&mut sim.events, &first);
-            let stats = sim.run_core(&TraceWorkload::single("t", vec![]));
-            assert_eq!(stats.backstop_flushes, 1);
-            assert!(sim.pending.is_empty());
+            sim.run_core(&TraceWorkload::single("t", vec![]));
         }
     }
 }

@@ -57,7 +57,6 @@ pub(crate) struct EventQueue<T> {
     /// `(time, seq, node)` of the events outside `clock .. clock + RING`.
     far: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
-    len: usize,
 }
 
 impl<T: Copy> EventQueue<T> {
@@ -71,17 +70,16 @@ impl<T: Copy> EventQueue<T> {
             free: NIL,
             far: BinaryHeap::new(),
             seq: 0,
-            len: 0,
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.far.is_empty() && self.occupied == [0; WORDS]
     }
 
     pub(crate) fn push(&mut self, time: u64, item: T) {
         self.seq += 1;
-        self.len += 1;
         let node = Node { item, next: NIL };
         let n = if self.free != NIL {
             let n = self.free;
@@ -143,7 +141,6 @@ impl<T: Copy> EventQueue<T> {
         let node = &mut self.nodes[n as usize];
         node.next = self.free;
         self.free = n;
-        self.len -= 1;
         node.item
     }
 

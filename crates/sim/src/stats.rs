@@ -47,8 +47,9 @@ pub struct RunStats {
     /// Requests abandoned after exhausting the transient-error retry cap;
     /// the waiting thread resumes on an error reply.
     pub dropped_requests: u64,
-    /// Times the event loop's liveness backstop force-flushed the
-    /// controllers (0 in a healthy run — see diagnostic HL0900).
+    /// Always 0. The liveness backstop it counted is gone: a run that ends
+    /// with a request in flight panics instead. The field stays because run
+    /// records carry its key and the benchmark reads it.
     pub backstop_flushes: u64,
     /// Prefetch-pipeline counters, summed over the L2 slices (all zero —
     /// `PrefetchSummary::default()` — when prefetching is off).

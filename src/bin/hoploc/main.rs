@@ -122,7 +122,7 @@ use hoploc::serve::{
     load::{render_report, report_json},
     Client, EngineCaps, LoadConfig, ServeConfig, Server, SuiteEngine,
 };
-use hoploc::sim::{Improvement, RunStats};
+use hoploc::sim::Improvement;
 use hoploc::workloads::{all_apps, app_by_name, layout_for, App, RunKind, Scale, APP_NAMES};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -334,26 +334,10 @@ fn cmd_est(target: &str, o: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The simulator counts firings of its liveness backstop but prints
-/// nothing; the commands that own stderr say so, once per run that had any.
-fn warn_backstop(app: &str, kind: RunKind, stats: &RunStats) {
-    if stats.backstop_flushes > 0 {
-        eprintln!(
-            "warning[HL0900]: {app}/{}: the event queue drained {} time(s) with requests \
-             still in flight; the memory controllers were force-flushed",
-            kind.name(),
-            stats.backstop_flushes
-        );
-    }
-}
-
 fn cmd_run(app: App, o: &Options) -> ExitCode {
     let name = app.name().to_string();
     let suite = o.machine.suite(vec![app]);
     let records = suite.run_all(&suite.full_matrix(&o.kinds), o.jobs.min(2));
-    for r in &records {
-        warn_backstop(&r.app, r.kind, &r.stats);
-    }
     let (base, opt) = (&records[0].stats, &records[1].stats);
     let imp = Improvement::between(base, opt);
     println!("== {name} ==");
@@ -450,7 +434,6 @@ fn cmd_trace(app: App, o: &Options) -> ExitCode {
         "config", "exec cycles", "off-chip", "spans", "p95 latency"
     );
     for r in &records {
-        warn_backstop(&name, r.kind, &r.stats);
         let kind = r.kind.name();
         let report = r
             .report
@@ -553,18 +536,16 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
         plan.retry.max_retries
     );
     println!(
-        "{:<12} {:>12} {:>12} {:>9} {:>8} {:>7} {:>9} {:>9}",
-        "kind", "clean cyc", "faulted cyc", "inflation", "retries", "drops", "re-homed", "backstop"
+        "{:<12} {:>12} {:>12} {:>9} {:>8} {:>7} {:>9}",
+        "kind", "clean cyc", "faulted cyc", "inflation", "retries", "drops", "re-homed"
     );
     let mut records = Vec::new();
     for (req, clean) in reqs.iter().zip(clean) {
         let (kind, clean) = (clean.kind, clean.stats);
         let faulted = suite.run(&req.with_faults(&plan)).stats;
-        warn_backstop(&name, kind, &clean);
-        warn_backstop(&name, kind, &faulted);
         let retries: u64 = faulted.mc.iter().map(|m| m.retries).sum();
         println!(
-            "{:<12} {:>12} {:>12} {:>8.2}% {:>8} {:>7} {:>9} {:>9}",
+            "{:<12} {:>12} {:>12} {:>8.2}% {:>8} {:>7} {:>9}",
             kind.name(),
             clean.exec_cycles,
             faulted.exec_cycles,
@@ -572,7 +553,6 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
             retries,
             faulted.dropped_requests,
             faulted.rehomed_requests,
-            faulted.backstop_flushes
         );
         records.push(RunRecord::new(&*name, kind, faulted));
     }
@@ -621,9 +601,6 @@ fn cmd_trace_validate(files: &[String]) -> ExitCode {
 fn cmd_sweep(o: &Options) -> ExitCode {
     let suite = o.machine.suite(all_apps(o.machine.scale));
     let records = suite.run_all(&suite.full_matrix(&o.kinds), o.jobs);
-    for r in &records {
-        warn_backstop(&r.app, r.kind, &r.stats);
-    }
     let napps = suite.apps().len();
     println!(
         "{:<11} {:>9} {:>9} {:>9} {:>9}",

@@ -5,8 +5,9 @@
 //!
 //! 1. **Chaos conservation / termination** — for ≥ 32 seeded fault plans
 //!    per app (cycling the whole `FaultRates::at_level` intensity ladder),
-//!    every run terminates without the HL0900 backstop, consumes exactly
-//!    the clean run's dynamic work, and conserves memory requests:
+//!    every run terminates (the engine panics if a request is left in
+//!    flight), consumes exactly the clean run's dynamic work, and
+//!    conserves memory requests:
 //!    `Σ served + Σ dropped == off-chip issues + writebacks` — no request
 //!    is lost or duplicated by retry, re-homing, or dropping.
 //!
@@ -54,10 +55,6 @@ fn assert_conserved(app: &str, seed: u64, clean: &RunStats, faulted: &RunStats) 
     assert_eq!(
         faulted.total_accesses, clean.total_accesses,
         "{app} seed {seed}: faults changed the dynamic work"
-    );
-    assert_eq!(
-        faulted.backstop_flushes, 0,
-        "{app} seed {seed}: run only terminated via the HL0900 backstop"
     );
     let served: u64 = faulted.mc.iter().map(|m| m.served).sum();
     let dropped: u64 = faulted.mc.iter().map(|m| m.dropped).sum();
