@@ -1,7 +1,8 @@
 //! Figure 25: multiprogrammed workloads (pairs of applications
 //! co-scheduled on the same mesh), evaluated by weighted speedup of the
 //! optimized layouts over the baseline. The paper reports improvements
-//! between 5.4% and 13.1% depending on the mix.
+//! between 5.4% and 13.1% depending on the mix. Its partitioned-cluster
+//! scenario is not reproduced (DESIGN.md §9).
 
 use hoploc_bench::{banner, m1, standard_config};
 use hoploc_layout::Granularity;
@@ -18,18 +19,4 @@ fn main() {
         let ws = weighted_speedup(&base, &opt);
         println!("{:<26} {:>16.3}  ({:+.1}%)", name, ws, (ws - 1.0) * 100.0);
     }
-    // The paper also evaluates mixes where each program is confined to a
-    // *partition* of the mesh's clusters (its layouts then compiled
-    // against only that partition's controllers). The cluster map has no
-    // partition-restricted compilation mode yet, so rather than silently
-    // reporting the co-scheduled numbers as if they covered it, emit a
-    // machine-readable record naming the gap.
-    println!(
-        "{{\"figure\": 25, \"scenario\": \"partitioned-cluster\", \
-         \"status\": \"unimplemented\", \
-         \"reason\": \"layout compilation cannot yet be restricted to a cluster \
-         partition; mixes above share the full mesh and all controllers\", \
-         \"needs\": [\"per-partition L2ToMcMapping\", \
-         \"partition-scoped layout pass\"]}}"
-    );
 }
