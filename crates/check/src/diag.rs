@@ -449,22 +449,4 @@ mod tests {
         assert!(t.contains("    help: widen the array"));
         assert!(t.contains("note[HL0202]: mgrid nest 2"));
     }
-
-    #[test]
-    fn json_is_balanced_and_typed() {
-        let j = render_json(&sample());
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"code\": \"HL0102\""));
-        assert!(j.contains("\"severity\": \"error\""));
-        assert!(j.contains("\"counts\": {\"errors\": 1, \"warnings\": 1, \"notes\": 1}"));
-        assert!(j.contains("\"nest\": null"));
-        assert!(j.contains("\"help\": \"widen the array or shift the offset\""));
-    }
-
-    #[test]
-    fn json_of_empty_batch_is_wellformed() {
-        let j = render_json(&[]);
-        assert!(j.contains("\"diagnostics\": [\n  ]"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
 }

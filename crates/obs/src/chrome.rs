@@ -69,15 +69,9 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
     // lane that actually carries events, then the spans.
     let mut w = JsonWriter::spaced();
     let mut meta = |what: &str, pid: u64, tid: u64, name: &str| {
-        (w.obj().field("ph", "M").field("name", what))
-            .field("pid", pid)
-            .field("tid", tid)
-            .key("args")
-            .obj()
-            .field("name", name)
-            .end_obj()
-            .end_obj()
-            .take()
+        w.obj().field("ph", "M").field("name", what);
+        w.field("pid", pid).field("tid", tid).key("args").obj();
+        w.field("name", name).end_obj().end_obj().take()
     };
     let mut lines: Vec<String> = [
         (PID_CORES, "cores"),
@@ -96,14 +90,10 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
         }
     }
     for &(pid, tid, e) in &order {
-        (w.obj().field("ph", "X").field("name", e.name.as_str()))
-            .field("cat", category(e.track))
-            .field("ts", e.ts)
-            .field("dur", e.dur)
-            .field("pid", pid)
-            .field("tid", tid)
-            .key("args")
-            .obj();
+        w.obj().field("ph", "X").field("name", e.name.as_str());
+        w.field("cat", category(e.track)).field("ts", e.ts);
+        w.field("dur", e.dur).field("pid", pid).field("tid", tid);
+        w.key("args").obj();
         if e.req != u64::MAX {
             w.field("req", e.req);
         }

@@ -548,40 +548,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_string_escapes_and_parses_back() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        let awkward = "q\" b\\ \n\r\t\u{1}\u{1f} é";
-        assert_eq!(
-            parse(&json_string(awkward)),
-            Ok(Value::Str(awkward.to_string()))
-        );
-    }
-
-    #[test]
     fn the_writer_places_every_comma_in_both_styles() {
         let build = |mut w: JsonWriter| {
-            (w.obj()
-                .field("a", 1u64)
-                .key("b")
-                .arr()
-                .item(true)
-                .item(-2i64))
-            .end_arr()
-            .key("c")
-            .obj()
-            .end_obj()
-            .key("d")
-            .items(Vec::<u64>::new())
-            .key("e")
-            .arr()
-            .arr()
-            .end_arr()
-            .obj()
-            .field("f", None::<u64>)
-            .end_obj()
-            .end_arr()
-            .end_obj()
-            .take()
+            w.obj().field("a", 1u64).key("b").arr();
+            w.item(true).item(-2i64).end_arr().key("c");
+            w.obj().end_obj().key("d").items(Vec::<u64>::new());
+            w.key("e").arr().arr().end_arr().obj();
+            w.field("f", None::<u64>).end_obj().end_arr();
+            w.end_obj().take()
         };
         let compact = r#"{"a":1,"b":[true,-2],"c":{},"d":[],"e":[[],{"f":null}]}"#;
         let spaced = r#"{"a": 1, "b": [true, -2], "c": {}, "d": [], "e": [[], {"f": null}]}"#;
@@ -590,10 +564,8 @@ mod tests {
         assert_eq!(parse(compact), parse(spaced));
         // Members outside any object make a fragment; `take` starts over.
         let mut w = JsonWriter::spaced();
-        assert_eq!(
-            w.field("a", 1u64).field("b", "x").take(),
-            r#""a": 1, "b": "x""#
-        );
+        let fragment = w.field("a", 1u64).field("b", "x").take();
+        assert_eq!(fragment, r#""a": 1, "b": "x""#);
         assert_eq!(w.field("c", 2usize).take(), r#""c": 2"#);
     }
 
@@ -601,14 +573,10 @@ mod tests {
     fn the_writer_escapes_keys_and_values_and_splices_raw_json() {
         let awkward = "q\" b\\ \n\r\t\u{1}\u{1f} é";
         let mut w = JsonWriter::compact();
-        let doc = (w
-            .obj()
-            .field(awkward, awkward)
-            .key("raw")
-            .raw(r#"{"x": 1}"#))
-        .end_obj()
-        .take();
-        let quoted = json_string(awkward);
+        w.obj().field(awkward, awkward).key("raw");
+        let doc = w.raw(r#"{"x": 1}"#).end_obj().take();
+        let quoted = r#""q\" b\\ \n\r\t\u0001\u001f é""#;
+        assert_eq!(json_string(awkward), quoted);
         assert_eq!(doc, format!(r#"{{{quoted}:{quoted},"raw":{{"x": 1}}}}"#));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get(awkward).and_then(Value::as_str), Some(awkward));
@@ -623,10 +591,12 @@ mod tests {
             (Floats::Shortest, "0.25"),
         ] {
             let mut w = JsonWriter::compact().floats(rule);
-            let doc = w
-                .items([0.25, f64::NAN, f64::INFINITY, -f64::INFINITY])
-                .take();
-            assert_eq!(doc, format!("[{quarter},null,null,null]"), "{rule:?}");
+            let doc = w.items([0.25, f64::NAN, f64::INFINITY, -f64::INFINITY]);
+            assert_eq!(
+                doc.take(),
+                format!("[{quarter},null,null,null]"),
+                "{rule:?}"
+            );
         }
         let mut w = JsonWriter::spaced().floats(Floats::Shortest);
         assert_eq!(w.items([3.0, 17.4, -0.5]).take(), "[3, 17.4, -0.5]");
