@@ -355,6 +355,15 @@ impl Core {
     /// shuts the worker pool down. Idempotent: concurrent drains all block
     /// until the server is idle and return the same summary.
     pub fn drain(&self) -> DrainSummary {
+        let summary = self.drain_jobs();
+        self.wake_accept_loop();
+        summary
+    }
+
+    /// [`drain`](Self::drain) without waking the accept loop. A `drain`
+    /// request waits for that until its reply is written: the accept loop's
+    /// end is the process's, and the requester must read the reply first.
+    fn drain_jobs(&self) -> DrainSummary {
         let mut st = self.lock();
         st.draining = true;
         while !(st.queue.is_empty() && st.active == 0) {
@@ -365,7 +374,6 @@ impl Core {
         self.work_cv.notify_all();
         self.done_cv.notify_all();
         self.idle_cv.notify_all();
-        self.wake_accept_loop();
         self.summary()
     }
 
@@ -387,7 +395,8 @@ impl Core {
         }
     }
 
-    /// Handles one request, returning the reply to send.
+    /// Handles one request, returning the reply to send. A `drain` leaves
+    /// the accept loop running for the frontend to end once it has replied.
     pub fn handle(&self, req: Request) -> Response {
         self.metrics.inc(Ctr::Requests, 1);
         match req {
@@ -403,7 +412,7 @@ impl Core {
             },
             Request::Ping => Response::Pong,
             Request::Drain => {
-                let s = self.drain();
+                let s = self.drain_jobs();
                 Response::Drained {
                     answered: s.answered,
                     executed: s.executed,
@@ -603,7 +612,11 @@ fn handle_connection(core: Arc<Core>, stream: TcpStream) {
             }
         };
         let is_drain = matches!(resp, Response::Drained { .. });
-        if !send(resp) || is_drain {
+        let sent = send(resp);
+        if is_drain {
+            core.wake_accept_loop();
+        }
+        if !sent || is_drain {
             return;
         }
     }
