@@ -65,8 +65,7 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
         .collect();
     order.sort_by_key(|&(pid, tid, e)| (pid, tid, e.ts));
 
-    // One line per event: `"M"` metadata naming each process, then each
-    // lane that actually carries events, then the spans.
+    // One line per event: metadata naming each process and lane, then spans.
     let mut w = JsonWriter::spaced();
     let mut meta = |what: &str, pid: u64, tid: u64, name: &str| {
         w.obj().field("ph", "M").field("name", what);

@@ -1,15 +1,12 @@
 //! The workspace's one JSON writer and string escaper, a minimal JSON
-//! parser (no dependencies), and the Chrome-trace schema validator built on
-//! the parser.
+//! parser (no dependencies), and the Chrome-trace schema validator.
 //!
-//! Every JSON document the workspace writes — run records, estimator
-//! records, diagnostics, search reports, the serve wire, load reports,
-//! metrics snapshots and Chrome traces — is built by [`JsonWriter`], so they
-//! agree byte for byte on commas, escapes and floats. The parser exists so
-//! exports can be checked — by tests and by the `hoploc trace-validate` CLI
-//! used in CI — without adding a serde dependency to the workspace. It
-//! handles the full JSON grammar except `\u` surrogate pairs (kept as-is),
-//! which our exporters never emit.
+//! Every JSON document the workspace writes is built by [`JsonWriter`], so
+//! they agree byte for byte on commas, escapes and floats. The parser exists
+//! so exports can be checked — by tests and by the `hoploc trace-validate`
+//! CLI used in CI — without a serde dependency. It handles the full JSON
+//! grammar except `\u` surrogate pairs (kept as-is), which our exporters
+//! never emit.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -71,21 +68,20 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// Separators `,` and `:` — the serve wire and search records.
     pub fn compact() -> Self {
-        Self::with_spacing(false)
+        JsonWriter {
+            out: String::new(),
+            spaced: false,
+            floats: Floats::Fixed(6),
+            comma: false,
+        }
     }
 
     /// Separators `, ` and `: ` — run records, the estimator, diagnostics,
     /// load reports and metrics snapshots.
     pub fn spaced() -> Self {
-        Self::with_spacing(true)
-    }
-
-    fn with_spacing(spaced: bool) -> Self {
         JsonWriter {
-            out: String::new(),
-            spaced,
-            floats: Floats::Fixed(6),
-            comma: false,
+            spaced: true,
+            ..Self::compact()
         }
     }
 

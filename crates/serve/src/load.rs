@@ -280,10 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_valid() {
+    fn the_text_report_names_the_submit_round_trip() {
+        // The JSON form is pinned byte for byte in tests/canon_golden.rs.
         let r = LoadReport {
             completed: 10,
-            throughput: 123.456,
             submit_us: LatencyQuantiles {
                 p50: 19,
                 p99: 240,
@@ -291,10 +291,6 @@ mod tests {
             },
             ..LoadReport::default()
         };
-        let v = hoploc_obs::parse_json(&report_json(&r)).expect("valid json");
-        assert_eq!(v.get("completed").and_then(|x| x.as_u64()), Some(10));
-        assert_eq!(v.get("submit_p50_us").and_then(|x| x.as_u64()), Some(19));
-        assert_eq!(v.get("submit_p99_us").and_then(|x| x.as_u64()), Some(240));
         assert!(render_report(&r).contains("p50 19 us, p99 240 us"));
     }
 }

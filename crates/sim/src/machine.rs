@@ -349,8 +349,6 @@ impl Simulator {
                 EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
         }
-        // Every request in flight has an event that will finish it; a run
-        // that ends with one pending has lost that event.
         assert!(
             cancelled || self.pending.is_empty(),
             "simulation ended with in-flight requests"
