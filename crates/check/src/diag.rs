@@ -393,15 +393,18 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
             format!("\n    {}", w.take())
         })
         .collect();
-    (w.key("counts").obj())
-        .field("errors", c.errors)
-        .field("warnings", c.warnings)
-        .field("notes", c.notes)
-        .end_obj();
-    let counts = w.take();
-    w.key("diagnostics")
-        .raw(&format!("[{}\n  ]", lines.join(",")));
-    format!("{{\n  {counts},\n  {}\n}}\n", w.take())
+    let members = [
+        (w.key("counts").obj())
+            .field("errors", c.errors)
+            .field("warnings", c.warnings)
+            .field("notes", c.notes)
+            .end_obj()
+            .take(),
+        w.key("diagnostics")
+            .raw(&format!("[{}\n  ]", lines.join(",")))
+            .take(),
+    ];
+    format!("{{\n  {}\n}}\n", members.join(",\n  "))
 }
 
 #[cfg(test)]

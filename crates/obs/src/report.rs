@@ -222,9 +222,10 @@ impl ObsReport {
 /// holds one family per line and a histogram's buckets are joined by a bare
 /// comma; `one_line`, the same members are compact, with no line breaks.
 pub(crate) fn registry_sections_json(reg: &Registry, one_line: bool) -> String {
-    let (w, nl) = match one_line {
-        true => (JsonWriter::compact(), ""),
-        false => (JsonWriter::spaced(), "\n"),
+    let (w, nl) = if one_line {
+        (JsonWriter::compact(), "")
+    } else {
+        (JsonWriter::spaced(), "\n")
     };
     let mut w = w.floats(Floats::Shortest);
     let counters: Vec<String> = (reg.counters.iter())

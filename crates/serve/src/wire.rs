@@ -153,14 +153,13 @@ pub enum Response {
 pub fn encode_job(spec: &JobSpec) -> String {
     let m = &spec.machine;
     let mut w = JsonWriter::compact();
-    (w.obj()
-        .field("app", &spec.app)
-        .field("kind", spec.kind.name()))
-    .field("scale", m.scale.name())
-    .field("granularity", m.granularity.name())
-    .field("l2", m.l2_mode.name())
-    .field("mapping", m.mapping_name())
-    .field("threads", m.threads);
+    (w.obj().field("app", &spec.app))
+        .field("kind", spec.kind.name())
+        .field("scale", m.scale.name())
+        .field("granularity", m.granularity.name())
+        .field("l2", m.l2_mode.name())
+        .field("mapping", m.mapping_name())
+        .field("threads", m.threads);
     match &spec.faults {
         FaultSpec::None => {}
         FaultSpec::Seed(seed) => {
