@@ -22,18 +22,22 @@ pub fn json_string(s: &str) -> String {
 
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
+    } else {
+        out.push_str(s);
     }
     out.push('"');
 }
@@ -69,7 +73,7 @@ impl JsonWriter {
     /// Separators `,` and `:` — the serve wire and search records.
     pub fn compact() -> Self {
         JsonWriter {
-            out: String::new(),
+            out: String::with_capacity(128),
             spaced: false,
             floats: Floats::Fixed(6),
             comma: false,

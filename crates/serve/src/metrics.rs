@@ -201,6 +201,10 @@ mod tests {
         m.set_load(5, 3);
         m.observe_job_wall_ms(12);
         let v = parse_json(&m.snapshot_json()).expect("snapshot parses");
+        assert_eq!(
+            m.snapshot_line(),
+            m.snapshot_json().replace([' ', '\n'], "")
+        );
         let jobs = v
             .get("counters")
             .and_then(|c| c.get("serve.jobs"))
@@ -218,18 +222,5 @@ mod tests {
             .get("histograms")
             .and_then(|h| h.get("serve.job_wall_ms"))
             .is_some());
-    }
-
-    #[test]
-    fn line_snapshot_is_one_line_and_parses_identically() {
-        let m = ServeMetrics::new();
-        m.inc(Ctr::Requests, 7);
-        m.observe_queue_wait_ms(4);
-        let line = m.snapshot_line();
-        assert!(!line.contains('\n'));
-        assert_eq!(
-            parse_json(&line).unwrap(),
-            parse_json(&m.snapshot_json()).unwrap()
-        );
     }
 }
