@@ -23,11 +23,28 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// let b = IMat::identity(2);
 /// assert_eq!(&a * &b, a);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct IMat {
     rows: usize,
     cols: usize,
     data: Vec<i64>,
+}
+
+impl Clone for IMat {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this matrix's own buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl IMat {

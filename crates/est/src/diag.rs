@@ -100,7 +100,7 @@ pub(crate) fn plan_mc_shares_into(al: &ArrayLayout, hist: &mut [f64]) -> bool {
     };
     hist.fill(0.0);
     let mut total = 0.0;
-    for slots in v.group_slots {
+    for slots in v.group_slots.iter() {
         for &s in slots {
             hist[(s % v.n_mcs) as usize] += 1.0;
             total += 1.0;

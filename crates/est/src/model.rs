@@ -1399,11 +1399,15 @@ pub fn estimate_app(
 /// or [`terms`](Self::terms) routes it to the totals alone.
 pub struct PlacementScorer<'a> {
     planner: LayoutPlanner<'a>,
-    /// The machine, under the placement and granularity last planned for.
+    /// The base machine, under the granularity last planned for. Its own
+    /// placement stays the base one: the controller count comes from the
+    /// placement planned for ([`est_config`](Self::est_config)).
     sim: SimConfig,
     kind: RunKind,
     footprint: Footprint,
     buffers: RouteBuffers,
+    /// The plan last filled, kept so that the next one reuses its buffers.
+    layout: ProgramLayout,
 }
 
 impl<'a> PlacementScorer<'a> {
@@ -1416,6 +1420,7 @@ impl<'a> PlacementScorer<'a> {
             kind,
             footprint: Footprint::of(app, &EstConfig::from_sim(sim)),
             buffers: RouteBuffers::default(),
+            layout: ProgramLayout::default(),
         }
     }
 
@@ -1432,10 +1437,33 @@ impl<'a> PlacementScorer<'a> {
         granularity: Granularity,
         approx_threshold: f64,
     ) -> ProgramLayout {
-        self.sim.placement.clone_from(placement.mc_placement());
+        self.fill(placement, granularity, approx_threshold);
+        self.layout.clone()
+    }
+
+    /// Fills the kept plan with [`plan`](Self::plan)'s, in its own buffers.
+    fn fill(
+        &mut self,
+        placement: &hoploc_noc::Placement,
+        granularity: Granularity,
+        approx_threshold: f64,
+    ) {
         self.sim.granularity = granularity;
-        self.planner
-            .layout(placement.mapping(), &self.sim, approx_threshold)
+        (self.planner).layout_into(
+            placement.mapping(),
+            &self.sim,
+            approx_threshold,
+            &mut self.layout,
+        );
+    }
+
+    /// The estimator's view of the machine under `placement` and the
+    /// granularity last planned for.
+    fn est_config(&self, placement: &hoploc_noc::Placement) -> EstConfig {
+        EstConfig {
+            num_mcs: placement.mc_nodes().len(),
+            ..EstConfig::from_sim(&self.sim)
+        }
     }
 
     /// Predicts the cell under `placement`: [`plan`](Self::plan), then
@@ -1449,26 +1477,24 @@ impl<'a> PlacementScorer<'a> {
         granularity: Granularity,
         approx_threshold: f64,
     ) -> AppEstimate {
-        let layout = self.plan(placement, granularity, approx_threshold);
-        let cfg = EstConfig::from_sim(&self.sim);
-        self.footprint
-            .route(&layout, placement.mapping(), self.kind, &cfg)
+        self.fill(placement, granularity, approx_threshold);
+        let cfg = self.est_config(placement);
+        (self.footprint).route(&self.layout, placement.mapping(), self.kind, &cfg)
     }
 
     /// [`estimate`](Self::estimate)'s three totals, bit for bit, routed
-    /// through [`Footprint::terms`] in buffers the scorer keeps: what a
-    /// search scores each candidate by.
+    /// through [`Footprint::terms`] in buffers the scorer keeps — the plan
+    /// included: what a search scores each candidate by.
     pub fn terms(
         &mut self,
         placement: &hoploc_noc::Placement,
         granularity: Granularity,
         approx_threshold: f64,
     ) -> EstTerms {
-        let layout = self.plan(placement, granularity, approx_threshold);
-        let cfg = EstConfig::from_sim(&self.sim);
+        self.fill(placement, granularity, approx_threshold);
+        let cfg = self.est_config(placement);
         let buffers = &mut self.buffers;
-        self.footprint
-            .terms_in(&layout, placement.mapping(), self.kind, &cfg, buffers)
+        (self.footprint).terms_in(&self.layout, placement.mapping(), self.kind, &cfg, buffers)
     }
 }
 

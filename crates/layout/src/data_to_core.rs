@@ -320,9 +320,21 @@ fn reorder_for_locality(u: &mut IMat, access: &AffineAccess) {
 /// customization shifts by `-mins` so transformed coordinates are
 /// non-negative.
 pub fn transformed_bounds(u: &IMat, dims: &[i64]) -> (Vec<i64>, Vec<i64>) {
+    let (mut mins, mut extents) = (Vec::new(), Vec::new());
+    transformed_bounds_into(u, dims, &mut mins, &mut extents);
+    (mins, extents)
+}
+
+/// [`transformed_bounds`] written into the caller's vectors.
+pub(crate) fn transformed_bounds_into(
+    u: &IMat,
+    dims: &[i64],
+    mins: &mut Vec<i64>,
+    extents: &mut Vec<i64>,
+) {
     assert_eq!(u.cols(), dims.len(), "U must match the array rank");
-    let mut mins = Vec::with_capacity(u.rows());
-    let mut extents = Vec::with_capacity(u.rows());
+    mins.clear();
+    extents.clear();
     for r in 0..u.rows() {
         let mut lo = 0i64;
         let mut hi = 0i64;
@@ -337,7 +349,6 @@ pub fn transformed_bounds(u: &IMat, dims: &[i64]) -> (Vec<i64>, Vec<i64>) {
         mins.push(lo);
         extents.push(hi - lo + 1);
     }
-    (mins, extents)
 }
 
 /// Evaluates the transformed, shifted data vector `U·a⃗ − mins` for an

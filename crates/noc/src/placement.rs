@@ -73,20 +73,39 @@ impl Placement {
         cluster_h: u16,
         assignments: Vec<Vec<McId>>,
     ) -> Result<Self, MappingError> {
-        for (i, &a) in mc_nodes.iter().enumerate() {
-            if a.0 as usize >= mesh.num_nodes() {
-                return Err(MappingError::UnknownMc(McId(i as u16)));
-            }
-            if mc_nodes[..i].contains(&a) {
-                return Err(MappingError::DuplicateMcNode(a));
-            }
-        }
+        check_attach_nodes(&mesh, &mc_nodes)?;
         let mapping =
             L2ToMcMapping::new(mesh, cluster_w, cluster_h, mc_nodes.clone(), assignments)?;
         Ok(Self {
             mc_placement: McPlacement::Custom(mc_nodes),
             mapping,
         })
+    }
+
+    /// Makes this the placement [`custom`](Self::custom) creates from the
+    /// same arguments, in the buffers it already has.
+    ///
+    /// # Errors
+    ///
+    /// As [`custom`](Self::custom); the placement is then left as it was.
+    pub fn set_custom(
+        &mut self,
+        mesh: Mesh,
+        mc_nodes: &[NodeId],
+        cluster_w: u16,
+        cluster_h: u16,
+        assignments: &[Vec<McId>],
+    ) -> Result<(), MappingError> {
+        check_attach_nodes(&mesh, mc_nodes)?;
+        (self.mapping).reset(mesh, cluster_w, cluster_h, mc_nodes, assignments)?;
+        match &mut self.mc_placement {
+            McPlacement::Custom(nodes) => {
+                nodes.clear();
+                nodes.extend_from_slice(mc_nodes);
+            }
+            named => *named = McPlacement::Custom(mc_nodes.to_vec()),
+        }
+        Ok(())
     }
 
     /// The [`McPlacement`] half, suitable for a simulator config. Its
@@ -161,6 +180,19 @@ impl Placement {
     }
 }
 
+/// Rejects attach nodes outside the mesh or shared by two controllers.
+fn check_attach_nodes(mesh: &Mesh, mc_nodes: &[NodeId]) -> Result<(), MappingError> {
+    for (i, &a) in mc_nodes.iter().enumerate() {
+        if a.0 as usize >= mesh.num_nodes() {
+            return Err(MappingError::UnknownMc(McId(i as u16)));
+        }
+        if mc_nodes[..i].contains(&a) {
+            return Err(MappingError::DuplicateMcNode(a));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +223,34 @@ mod tests {
         .unwrap();
         assert_eq!(p.mc_placement().attach_nodes(&mesh8()), nodes);
         assert_eq!(p.mapping().mc_nodes(), nodes);
+    }
+
+    #[test]
+    fn set_custom_equals_custom_and_keeps_the_placement_on_an_error() {
+        let nodes = vec![NodeId(18), NodeId(21), NodeId(42), NodeId(45)];
+        let quads = vec![vec![McId(0)], vec![McId(1)], vec![McId(2)], vec![McId(3)]];
+        let pairs: Vec<Vec<McId>> = (0..8).map(|c| vec![McId(c % 4), McId(3 - c % 4)]).collect();
+        let mut kept = Placement::nearest(mesh8(), &McPlacement::Corners);
+        for (cw, ch, assignments) in [(4, 4, &quads), (2, 4, &pairs), (4, 4, &quads)] {
+            let want = Placement::custom(mesh8(), nodes.clone(), cw, ch, assignments.clone());
+            kept.set_custom(mesh8(), &nodes, cw, ch, assignments)
+                .unwrap();
+            assert_eq!(Ok(&kept), want.as_ref());
+        }
+        let before = kept.clone();
+        let twice = [NodeId(0), NodeId(0), NodeId(7), NodeId(56)];
+        assert_eq!(
+            kept.set_custom(mesh8(), &twice, 4, 4, &quads),
+            Err(MappingError::DuplicateMcNode(NodeId(0)))
+        );
+        assert_eq!(
+            kept.set_custom(mesh8(), &nodes, 4, 4, &pairs),
+            Err(MappingError::WrongClusterCount {
+                got: 8,
+                expected: 4
+            })
+        );
+        assert_eq!(kept, before);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `--jobs` count (parallelism only ever runs *different apps'* chains
 //! concurrently).
 
-use crate::space::{propose_placed, Candidate};
+use crate::space::{propose_into, Candidate};
 use hoploc_noc::{Mesh, Placement};
 use hoploc_ptest::SmallRng;
 
@@ -63,33 +63,32 @@ pub fn anneal(
     eval: &mut dyn FnMut(&Candidate, &Placement) -> Option<f64>,
     improved: &mut dyn FnMut(&Candidate, f64),
 ) -> (Candidate, f64) {
+    // The proposal and its placement are built in buffers the chain keeps:
+    // an accepted proposal swaps places with the current point.
     let mut current = start.clone();
     let mut current_score = start_score;
+    let mut next = start.clone();
+    let mut placement = start
+        .placement(mesh)
+        .expect("the chain starts from a legal candidate");
     let mut best = start;
     let mut best_score = start_score;
     for step in 0..schedule.max_steps {
         // Redraw a handful of times if the move generator rejects; a
         // fully stuck step just advances the schedule.
-        let mut proposal = None;
-        for _ in 0..16 {
-            if let Some(p) = propose_placed(rng, &current, mesh) {
-                proposal = Some(p);
-                break;
-            }
-        }
-        let Some((candidate, placement)) = proposal else {
+        if !(0..16).any(|_| propose_into(rng, &current, mesh, &mut next, &mut placement)) {
             continue;
-        };
-        let Some(score) = eval(&candidate, &placement) else {
+        }
+        let Some(score) = eval(&next, &placement) else {
             break;
         };
         let delta = score - current_score;
         let t = schedule.temperature(step);
         if delta < 0.0 || (t > 0.0 && unit(rng) < (-delta / t).exp()) {
-            current = candidate;
+            std::mem::swap(&mut current, &mut next);
             current_score = score;
             if current_score < best_score {
-                best = current.clone();
+                best.clone_from(&current);
                 best_score = current_score;
                 improved(&best, best_score);
             }

@@ -10,7 +10,7 @@
 use hoploc_check::{check_layout, CheckConfig, Severity};
 use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint, PlacementScorer};
 use hoploc_harness::{RunRequest, RunSpec, Suite};
-use hoploc_layout::{Granularity, PassConfig, ProgramAnalysis};
+use hoploc_layout::{Granularity, L2Mode, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
 use hoploc_search::{
@@ -275,6 +275,9 @@ fn reused_analysis_and_footprint_score_like_a_fresh_estimate() {
     for app in [hpccg(Scale::Test), swim(Scale::Test)] {
         let analysis = ProgramAnalysis::of(&app.program);
         let footprint = Footprint::of(&app, &EstConfig::from_sim(&sim));
+        // One plan per L2 organization, refilled for every candidate of
+        // every case, as a scorer's is.
+        let mut kept = [ProgramLayout::default(), ProgramLayout::default()];
         run_cases("search.reuse", 30, |rng| {
             let mut cand = random_start(rng, &sim);
             for step in 0..8 {
@@ -308,6 +311,19 @@ fn reused_analysis_and_footprint_score_like_a_fresh_estimate() {
                     app.name(),
                     cand.key()
                 );
+                for (kept, l2_mode) in kept.iter_mut().zip([L2Mode::Private, L2Mode::Shared]) {
+                    let pass = PassConfig { l2_mode, ..pass };
+                    analysis.customize_into(&app.program, mapping, pass, kept);
+                    let fresh = analysis.customize(&app.program, mapping, pass);
+                    assert_eq!(
+                        format!("{kept:?}"),
+                        format!("{fresh:?}"),
+                        "{}: a refilled {l2_mode:?} plan differs from a fresh one for {}",
+                        app.name(),
+                        cand.key()
+                    );
+                    assert!(kept.places_like(&fresh));
+                }
 
                 let cfg = EstConfig::from_sim(&cell);
                 let reused = footprint.route(&layout, mapping, RunKind::Optimized, &cfg);

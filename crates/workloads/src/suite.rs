@@ -110,6 +110,20 @@ impl<'a> LayoutPlanner<'a> {
         sim: &SimConfig,
         approx_threshold: f64,
     ) -> ProgramLayout {
+        let mut out = ProgramLayout::default();
+        self.layout_into(mapping, sim, approx_threshold, &mut out);
+        out
+    }
+
+    /// [`layout`](Self::layout) written into `out`, reusing its buffers
+    /// (`ProgramAnalysis::customize_into`).
+    pub fn layout_into(
+        &self,
+        mapping: &L2ToMcMapping,
+        sim: &SimConfig,
+        approx_threshold: f64,
+        out: &mut ProgramLayout,
+    ) {
         match &self.analysis {
             Some(analysis) => {
                 let cfg = PassConfig {
@@ -120,9 +134,9 @@ impl<'a> LayoutPlanner<'a> {
                     page_bytes: sim.page_bytes as u32,
                     approx_threshold,
                 };
-                analysis.customize(&self.app.program, mapping, cfg)
+                analysis.customize_into(&self.app.program, mapping, cfg, out);
             }
-            None => baseline_layout(&self.app.program, mapping.mesh().num_nodes()),
+            None => *out = baseline_layout(&self.app.program, mapping.mesh().num_nodes()),
         }
     }
 }
