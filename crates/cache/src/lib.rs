@@ -7,8 +7,8 @@
 //! and off-chip fulfilment of private-L2 misses, per Figure 2a of the
 //! paper. The shared-SNUCA home-bank arithmetic lives in the simulator,
 //! which composes these structures per node. [`IntMap`] is the hash map
-//! the per-access books (the directory here, the simulator's in-flight
-//! request tables) are keyed with.
+//! the simulator's per-access books (its in-flight request tables) are
+//! keyed with.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -324,6 +324,9 @@ impl Bank {
 pub struct MemoryController {
     config: McConfig,
     banks: Vec<Bank>,
+    /// Bit `b` is set exactly while `banks[b]` has queued requests: the
+    /// scheduler visits those banks, in ascending order, and no others.
+    busy: u64,
     channel_free_at: Vec<u64>,
     stats: McStats,
     seq: u64,
@@ -341,9 +344,11 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero banks or a zero row size.
+    /// Panics if the configuration has zero banks, more than 64 banks, or
+    /// a zero row size.
     pub fn new(config: McConfig) -> Self {
         assert!(config.banks > 0, "controller must have at least one bank");
+        assert!(config.banks <= 64, "controller supports up to 64 banks");
         assert!(config.row_bytes > 0, "row size must be positive");
         assert!(
             config.channels > 0,
@@ -359,6 +364,7 @@ impl MemoryController {
                     earliest_arrival: 0,
                 })
                 .collect(),
+            busy: 0,
             channel_free_at: vec![0; config.channels],
             stats: McStats::default(),
             seq: 0,
@@ -487,6 +493,7 @@ impl MemoryController {
             prefetch,
         });
         self.seq += 1;
+        self.busy |= 1 << bank;
         let depth = self.banks[bank].queue.len();
         if depth > self.stats.max_queue_depth {
             self.stats.max_queue_depth = depth;
@@ -525,13 +532,20 @@ impl MemoryController {
     /// `None` when no requests are pending. The simulator schedules its
     /// next poll at this time.
     pub fn earliest_pending_start(&self) -> Option<u64> {
-        self.banks.iter().filter_map(Bank::next_start).min()
+        banks_in(self.busy)
+            .filter_map(|b| self.banks[b].next_start())
+            .min()
     }
 
     /// Serves queued requests whose service would start strictly before
     /// `horizon`, appending their completions to `self.done`.
+    ///
+    /// Banks are drained one after another in ascending order — the order
+    /// decides who wins a shared data channel — and a bank with nothing
+    /// queued serves nothing, so only the busy ones are visited. A retry
+    /// re-enters the bank being drained, never another.
     fn drain_until(&mut self, horizon: u64, mc: u16, sink: &Sink) {
-        for b in 0..self.banks.len() {
+        for b in banks_in(self.busy) {
             while let Some(start) = self.banks[b].next_start() {
                 if start >= horizon {
                     break;
@@ -660,8 +674,23 @@ impl MemoryController {
                     dropped: false,
                 });
             }
+            if self.banks[b].queue.is_empty() {
+                self.busy &= !(1 << b);
+            }
         }
     }
+}
+
+/// The set bits of `mask`, lowest first.
+fn banks_in(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            b
+        })
+    })
 }
 
 impl fmt::Display for MemoryController {
@@ -1057,6 +1086,15 @@ mod tests {
                 error_period: 0,
             }],
             retry: RetryPolicy::default(),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "64 banks")]
+    fn more_banks_than_the_busy_mask_holds_panics() {
+        MemoryController::new(McConfig {
+            banks: 65,
+            ..McConfig::default()
         });
     }
 

@@ -247,13 +247,16 @@ impl Network {
         self.faults = table;
     }
 
-    /// Sum of extra cycles from windows active on `link` at `cycle`.
-    fn fault_extra(&self, link: usize, cycle: u64) -> u64 {
-        self.faults[link]
-            .iter()
-            .filter(|f| f.active_at(cycle))
-            .map(|f| f.extra_cycles)
-            .sum()
+    /// Sum of extra cycles from windows active on `link` at `cycle` (none
+    /// when no plan is installed).
+    fn fault_extra(faults: &[Vec<LinkFault>], link: usize, cycle: u64) -> u64 {
+        faults.get(link).map_or(0, |windows| {
+            windows
+                .iter()
+                .filter(|f| f.active_at(cycle))
+                .map(|f| f.extra_cycles)
+                .sum()
+        })
     }
 
     /// The underlying mesh.
@@ -322,56 +325,65 @@ impl Network {
         let x_hops = sx.abs_diff(dx) as usize;
         let y_hops = sy.abs_diff(dy) as usize;
         let hops = x_hops + y_hops;
-        let x_dir = if dx > sx { EAST } else { WEST };
-        let y_dir = if dy > sy { SOUTH } else { NORTH };
-        let legs = match self.config.routing {
-            Routing::XY => [(x_hops, x_dir), (y_hops, y_dir)],
-            Routing::YX => [(y_hops, y_dir), (x_hops, x_dir)],
+        // Each leg: its hop count, direction and the signed node stride.
+        let width = self.mesh.width() as isize;
+        let x_leg = if dx > sx { (EAST, 1) } else { (WEST, -1) };
+        let y_leg = if dy > sy {
+            (SOUTH, width)
+        } else {
+            (NORTH, -width)
         };
+        let legs = match self.config.routing {
+            Routing::XY => [(x_hops, x_leg), (y_hops, y_leg)],
+            Routing::YX => [(y_hops, y_leg), (x_hops, x_leg)],
+        };
+        // What is fixed for the whole message, read once: the hop loop
+        // below then does only the work each hop changes.
         let flits = self.flits(bytes);
-        let width = self.mesh.width() as usize;
+        let contention = self.config.contention;
+        // Wire + downstream router pipeline; the final hop still pays the
+        // router to reach the ejection port.
+        let hop_cost = self.config.hop_cycles + self.config.router_cycles;
+        // Fault windows and recording both sit behind this one flag.
+        let extras = !self.faults.is_empty() || sink.is_enabled();
+        let Self {
+            free_at,
+            flit_cycles,
+            faults,
+            stats,
+            ..
+        } = self;
+        let (free_at, flit_cycles) = (free_at.as_mut_slice(), flit_cycles.as_mut_slice());
         let mut node = src.0 as usize;
         let mut t = now;
-        for (steps, dir) in legs {
+        for (steps, (dir, stride)) in legs {
             for _ in 0..steps {
                 let link = node * 4 + dir;
-                self.flit_cycles[link] += flits;
-                let depart = if self.config.contention {
-                    t.max(self.free_at[link])
-                } else {
-                    t
-                };
+                flit_cycles[link] += flits;
+                let depart = if contention { t.max(free_at[link]) } else { t };
                 // A fault window active at departure slows this traversal
                 // and (under contention) occupies the link for the extra
                 // cycles, so faults back-pressure later traffic too.
-                let extra = if self.faults.is_empty() {
-                    0
-                } else {
-                    self.fault_extra(link, depart)
-                };
-                if self.config.contention {
-                    self.free_at[link] = depart + flits + extra;
+                let mut extra = 0;
+                if extras {
+                    extra = Self::fault_extra(faults, link, depart);
+                    sink.hop(link as u32, depart, depart - t, flits, tag);
+                    if extra > 0 {
+                        stats.fault_hops += 1;
+                        stats.fault_cycles += extra;
+                        sink.link_fault(link as u32, depart, extra, tag);
+                    }
                 }
-                sink.hop(link as u32, depart, depart - t, flits, tag);
-                if extra > 0 {
-                    self.stats.fault_hops += 1;
-                    self.stats.fault_cycles += extra;
-                    sink.link_fault(link as u32, depart, extra, tag);
+                if contention {
+                    free_at[link] = depart + flits + extra;
                 }
-                // Wire + downstream router pipeline; the final hop still
-                // pays the router to reach the ejection port.
-                t = depart + extra + self.config.hop_cycles + self.config.router_cycles;
-                node = match dir {
-                    EAST => node + 1,
-                    WEST => node - 1,
-                    SOUTH => node + width,
-                    _ => node - width,
-                };
+                t = depart + extra + hop_cost;
+                node = node.wrapping_add_signed(stride);
             }
         }
         let stats = match class {
-            TrafficClass::OnChip => &mut self.stats.on_chip,
-            TrafficClass::OffChip => &mut self.stats.off_chip,
+            TrafficClass::OnChip => &mut stats.on_chip,
+            TrafficClass::OffChip => &mut stats.off_chip,
         };
         stats.messages += 1;
         stats.total_latency += t - now;
@@ -770,71 +782,121 @@ mod tests {
         }
     }
 
+    /// Sends every pair of `mesh`'s nodes through `Network::send_obs` and
+    /// the reference, comparing each arrival and then the link and stats
+    /// state; a recording sink must also mirror the stats.
+    fn check_against_reference(
+        rng: &mut hoploc_ptest::SmallRng,
+        mesh: Mesh,
+        config: NocConfig,
+        faulted: bool,
+        recording: bool,
+    ) {
+        use hoploc_obs::{ObsConfig, Topology};
+        let nodes = mesh.num_nodes() as u16;
+        let links = mesh.num_nodes() * 4;
+        let pairs = mesh.num_nodes() * mesh.num_nodes();
+        // Overlapping windows on a quarter of the links, so some hops pay
+        // two windows at once and most pay none; they open while the
+        // sends below (two cycles apart) are still departing.
+        let span = 2 * pairs as u64;
+        let faults: Vec<LinkFault> = if faulted {
+            (0..links / 2)
+                .map(|_| {
+                    let from = rng.u64_below(span);
+                    LinkFault {
+                        link: rng.u64_below(links as u64) as u32,
+                        from,
+                        until: from + rng.u64_in(1..span / 2),
+                        extra_cycles: rng.u64_in(1..40),
+                    }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let sink = if recording {
+            let topo = Topology {
+                mesh_width: mesh.width() as usize,
+                mesh_height: mesh.height() as usize,
+                mcs: 1,
+                banks_per_mc: 1,
+            };
+            Sink::recording(topo, ObsConfig::default())
+        } else {
+            Sink::disabled()
+        };
+        let mut net = Network::new(mesh, config);
+        net.set_link_faults(&faults);
+        let mut reference = RefNetwork {
+            mesh,
+            config,
+            free_at: vec![0; links],
+            flit_cycles: vec![0; links],
+            faults,
+            stats: NetStats::new(),
+        };
+        // Every pair in a shuffled order, departures rising slowly enough
+        // that links stay contended.
+        let mut order: Vec<(u16, u16)> = (0..nodes)
+            .flat_map(|s| (0..nodes).map(move |d| (s, d)))
+            .collect();
+        for i in (1..pairs).rev() {
+            order.swap(i, rng.usize_in(0..i + 1));
+        }
+        let case = format!("{mesh:?} {config:?} faulted={faulted} recording={recording}");
+        for (i, &(s, d)) in order.iter().enumerate() {
+            let (bytes, class) = if i % 2 == 0 {
+                (8, TrafficClass::OnChip)
+            } else {
+                (264, TrafficClass::OffChip)
+            };
+            let now = 2 * i as u64;
+            let (src, dst) = (NodeId(s), NodeId(d));
+            assert_eq!(
+                net.send_obs(src, dst, bytes, class, now, ReqTag::NONE, &sink),
+                reference.send(src, dst, bytes, class, now),
+                "{case}: n{s} -> n{d} at {now}"
+            );
+        }
+        assert_eq!(net.free_at, reference.free_at, "{case}");
+        assert_eq!(net.flit_cycles, reference.flit_cycles, "{case}");
+        assert_eq!(net.stats, reference.stats, "{case}");
+        assert_eq!(faulted, net.stats.fault_hops > 0, "{case}");
+        if let Some(rep) = sink.into_report(1) {
+            let s = &net.stats;
+            for (name, c) in [("onchip", &s.on_chip), ("offchip", &s.off_chip)] {
+                let counter = |what| rep.counter(&format!("net.{name}.{what}"));
+                assert_eq!(counter("msgs"), c.messages, "{case}");
+                assert_eq!(counter("latency_cycles"), c.total_latency, "{case}");
+                assert_eq!(counter("hops"), c.total_hops, "{case}");
+                assert_eq!(rep.hop_histogram(name), c.hop_histogram.as_slice());
+            }
+            assert_eq!(rep.counter("fault.link.hops"), s.fault_hops, "{case}");
+            let extra = rep.counter_family("fault.link.extra_cycles");
+            assert_eq!(extra.iter().sum::<u64>(), s.fault_cycles, "{case}");
+            let flits = rep.counter_family("net.link.flit_cycles");
+            assert_eq!(flits, net.flit_cycles.as_slice(), "{case}");
+        }
+    }
+
     #[test]
     fn send_matches_the_route_list_reference_for_every_pair() {
-        use hoploc_ptest::SmallRng;
-        let mesh = Mesh::new(8, 8);
-        let links = mesh.num_nodes() * 4;
-        let mut rng = SmallRng::seed_from_u64(0x5E4D);
-        for routing in [Routing::XY, Routing::YX] {
-            for faulted in [false, true] {
-                let config = NocConfig {
-                    routing,
-                    ..NocConfig::default()
-                };
-                // Overlapping windows on a quarter of the links, so some
-                // hops pay two windows at once and most pay none.
-                let faults: Vec<LinkFault> = if faulted {
-                    (0..links / 2)
-                        .map(|_| {
-                            let from = rng.u64_below(6000);
-                            LinkFault {
-                                link: rng.u64_below(links as u64 / 4) as u32 * 4
-                                    + rng.u64_below(4) as u32,
-                                from,
-                                until: from + rng.u64_in(1..4000),
-                                extra_cycles: rng.u64_in(1..40),
-                            }
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut net = Network::new(mesh, config);
-                net.set_link_faults(&faults);
-                let mut reference = RefNetwork {
-                    mesh,
-                    config,
-                    free_at: vec![0; links],
-                    flit_cycles: vec![0; links],
-                    faults,
-                    stats: NetStats::new(),
-                };
-                // All 64 x 64 pairs in a shuffled order, departures rising
-                // slowly enough that links stay contended.
-                let mut pairs: Vec<(u16, u16)> = (0..64u16)
-                    .flat_map(|s| (0..64u16).map(move |d| (s, d)))
-                    .collect();
-                for i in (1..pairs.len()).rev() {
-                    pairs.swap(i, rng.usize_in(0..i + 1));
-                }
-                for (i, &(s, d)) in pairs.iter().enumerate() {
-                    let (bytes, class) = if i % 2 == 0 {
-                        (8, TrafficClass::OnChip)
-                    } else {
-                        (264, TrafficClass::OffChip)
+        let mut rng = hoploc_ptest::SmallRng::seed_from_u64(0x5E4D);
+        for mesh in [Mesh::new(8, 8), Mesh::new(5, 3)] {
+            for routing in [Routing::XY, Routing::YX] {
+                for contention in [true, false] {
+                    let config = NocConfig {
+                        routing,
+                        contention,
+                        ..NocConfig::default()
                     };
-                    let now = 2 * i as u64;
-                    assert_eq!(
-                        net.send(NodeId(s), NodeId(d), bytes, class, now),
-                        reference.send(NodeId(s), NodeId(d), bytes, class, now),
-                        "{routing:?} faulted={faulted}: n{s} -> n{d} at {now}"
-                    );
+                    for (faulted, recording) in
+                        [(false, false), (true, false), (false, true), (true, true)]
+                    {
+                        check_against_reference(&mut rng, mesh, config, faulted, recording);
+                    }
                 }
-                assert_eq!(net.free_at, reference.free_at);
-                assert_eq!(net.flit_cycles, reference.flit_cycles);
-                assert_eq!(net.stats, reference.stats);
-                assert_eq!(faulted, net.stats.fault_hops > 0);
             }
         }
     }

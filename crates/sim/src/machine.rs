@@ -171,9 +171,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `mapping` disagrees with the configuration's mesh or MC
-    /// placement, or if `config.faults` fails [`hoploc_fault::FaultPlan::validate`]
-    /// against the configured topology.
+    /// Panics — before simulating anything — if `mapping` disagrees with
+    /// the configuration's mesh or MC placement, if `config.faults` fails
+    /// [`hoploc_fault::FaultPlan::validate`] against the configured
+    /// topology, or if a private-L2 machine has more nodes than the
+    /// directory tracks ([`Directory::MAX_NODES`], 128).
     pub fn new(config: SimConfig, mapping: L2ToMcMapping, policy: PagePolicy) -> Self {
         assert_eq!(
             *mapping.mesh(),
@@ -186,6 +188,11 @@ impl Simulator {
             "mapping MC placement must match config"
         );
         let n = config.num_nodes();
+        assert!(
+            config.l2_mode == L2Mode::Shared || n <= Directory::MAX_NODES,
+            "a private-L2 machine of {n} nodes exceeds the directory's {}-node limit",
+            Directory::MAX_NODES
+        );
         let n_mcs = config.num_mcs();
         let mut mc_cfg = config.mc;
         mc_cfg.ideal = config.optimal;
@@ -219,7 +226,7 @@ impl Simulator {
             mcs,
             l1: (0..n).map(|_| SetAssocCache::new(config.l1)).collect(),
             l2: (0..n).map(|_| SetAssocCache::new(config.l2)).collect(),
-            dir: Directory::new(),
+            dir: Directory::with_line_bound(config.memory_bytes / config.l2.line_bytes),
             events: EventQueue::new(),
             threads: Vec::new(),
             pending: IntMap::default(),
@@ -1075,6 +1082,28 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    fn mesh_12x12(l2_mode: L2Mode) -> Simulator {
+        let cfg = SimConfig {
+            mesh: hoploc_noc::Mesh::new(12, 12),
+            l2_mode,
+            ..small_config()
+        };
+        let m = mapping(&cfg);
+        Simulator::new(cfg, m, PagePolicy::Interleaved)
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the directory's 128-node limit")]
+    fn private_l2_beyond_the_directory_is_refused_up_front() {
+        mesh_12x12(L2Mode::Private);
+    }
+
+    #[test]
+    fn shared_l2_needs_no_directory_and_runs_on_144_nodes() {
+        let w = TraceWorkload::single("t", vec![seq_trace(143, 64, 256)]);
+        assert_eq!(mesh_12x12(L2Mode::Shared).run(&w).total_accesses, 64);
     }
 
     #[test]
