@@ -1224,6 +1224,34 @@ mod tests {
     }
 
     #[test]
+    fn shared_slots_are_pinned_over_meshes_mappings_and_placements() {
+        // Both policies rank exact before adjacent before neither, so they
+        // pick the same slot on every input; the digest pins those slots.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+        for mesh in [Mesh::new(4, 4), Mesh::new(8, 4), Mesh::new(8, 8)] {
+            // M2 needs two controllers on each side of the midline, which
+            // edge midpoints do not have.
+            let m2 = |p: &McPlacement| L2ToMcMapping::halves(mesh, p);
+            for mapping in [
+                L2ToMcMapping::nearest_cluster(mesh, &McPlacement::Corners),
+                L2ToMcMapping::nearest_cluster(mesh, &McPlacement::EdgeMidpoints),
+                L2ToMcMapping::nearest_cluster(mesh, &McPlacement::Diagonal),
+                m2(&McPlacement::Corners),
+                m2(&McPlacement::Diagonal),
+            ] {
+                let binding = ThreadBinding::cluster_major(&mapping);
+                let on = assign_shared_slots(&mapping, &binding, SharedPolicy::OnChipFirst);
+                let off = assign_shared_slots(&mapping, &binding, SharedPolicy::OffChipFirst);
+                assert_eq!(on, off, "{mesh:?} {:?}", mapping.mc_nodes());
+                for s in on {
+                    digest = (digest ^ u64::from(s)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0x8374_dfe1_475e_9b67, "digest {digest:#018x}");
+    }
+
+    #[test]
     fn shared_onchip_first_keeps_home_near() {
         let (mapping, binding) = setup();
         let mesh = *mapping.mesh();
