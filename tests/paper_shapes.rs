@@ -1,158 +1,49 @@
-//! Shape tests: qualitative claims of the paper that must hold in any
-//! healthy build, checked at test scale so CI stays fast. Quantitative
-//! reproduction lives in the `cargo bench` harnesses and EXPERIMENTS.md.
+//! Shape tests: qualitative claims of the paper, checked at test scale so
+//! CI stays fast. Each runs one `hoploc_bench::FIGURES` entry, whose cells,
+//! rows and shape predicate are written there once for both scales.
 
-use hoploc::layout::{select_mapping, Granularity, L2Mode, SelectModel};
-use hoploc::noc::{L2ToMcMapping, McPlacement, Mesh};
-use hoploc::sim::SimConfig;
-use hoploc::workloads::{
-    all_apps, fma3d, mixes, run_app, run_app_threads, run_mix, swim, weighted_speedup, wupwise,
-    RunKind, Scale,
-};
+use hoploc::workloads::Scale;
 
-fn setup() -> (SimConfig, L2ToMcMapping) {
-    let sim = SimConfig {
-        granularity: Granularity::CacheLine,
-        ..SimConfig::scaled()
-    };
-    let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-    (sim, mapping)
+/// Measures figure `id` at test scale and asserts its shape holds.
+fn holds(id: &str) {
+    let fig = hoploc_bench::figure(id).expect("a registered figure");
+    let m = (fig.measure)(Scale::Test);
+    if let Err(why) = m.shape {
+        panic!("{id} at test scale: {why}\n{}", m.table.render());
+    }
 }
 
 #[test]
 fn optimal_scheme_improves_execution_suite_wide() {
-    // §2: "optimizing off-chip accesses has significant potential".
-    let (sim, mapping) = setup();
-    let mut wins = 0;
-    let mut total = 0;
-    for app in all_apps(Scale::Test) {
-        let base = run_app(&app, &mapping, &sim, RunKind::Baseline);
-        let optimal = run_app(&app, &mapping, &sim, RunKind::Optimal);
-        total += 1;
-        if optimal.exec_cycles < base.exec_cycles {
-            wins += 1;
-        }
-    }
-    assert!(
-        wins * 10 >= total * 8,
-        "optimal scheme won only {wins}/{total}"
-    );
+    holds("fig4");
 }
 
 #[test]
 fn compiler_selection_separates_m1_and_m2_apps() {
-    // §4: the analysis picks M2 for fma3d (high MLP demand), M1 for a
-    // regular stencil like wupwise.
-    let mesh = Mesh::new(8, 8);
-    let candidates = [
-        L2ToMcMapping::nearest_cluster(mesh, &McPlacement::Corners),
-        L2ToMcMapping::halves(mesh, &McPlacement::Corners),
-    ];
-    let model = SelectModel::default();
-    assert_eq!(
-        select_mapping(&candidates, &wupwise(Scale::Test).profile, &model),
-        0
-    );
-    assert_eq!(
-        select_mapping(&candidates, &fma3d(Scale::Test).profile, &model),
-        1
-    );
+    holds("fig17");
 }
 
 #[test]
 fn high_pressure_apps_have_highest_bank_occupancy() {
-    // Figure 18's shape: fma3d and minighost stand out.
-    let (sim, mapping) = setup();
-    let mut occ: Vec<(String, f64)> = all_apps(Scale::Test)
-        .into_iter()
-        .map(|app| {
-            let s = run_app(&app, &mapping, &sim, RunKind::Optimized);
-            (app.name().to_string(), s.bank_queue_occupancy())
-        })
-        .collect();
-    occ.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    // At test scale the exact ranking shifts with footprints; the robust
-    // claim is that both pressure apps sit in the top half of the suite
-    // (at bench scale they are the clear top two — see fig18_bank_queue).
-    let top_half: Vec<&str> = occ.iter().take(7).map(|(n, _)| n.as_str()).collect();
-    assert!(
-        top_half.contains(&"fma3d") && top_half.contains(&"minighost"),
-        "expected fma3d and minighost in the top half, got {occ:?}"
-    );
+    holds("fig18");
 }
 
 #[test]
 fn shared_l2_mode_also_benefits() {
-    // Figure 22's shape: the approach works under SNUCA too.
-    let (mut sim, mapping) = setup();
-    sim.l2_mode = L2Mode::Shared;
-    let app = swim(Scale::Test);
-    let base = run_app(&app, &mapping, &sim, RunKind::Baseline);
-    let opt = run_app(&app, &mapping, &sim, RunKind::Optimized);
-    assert!(
-        opt.net.off_chip.avg_hops() <= base.net.off_chip.avg_hops(),
-        "shared-L2 localization failed: {:.2} > {:.2}",
-        opt.net.off_chip.avg_hops(),
-        base.net.off_chip.avg_hops()
-    );
+    holds("fig22");
 }
 
 #[test]
 fn more_threads_per_core_amplify_contention() {
-    // Figure 24's mechanism: baseline contention grows with threads/core.
-    // Use the suite's most memory-intense app so the effect is visible at
-    // test scale.
-    let (sim, mapping) = setup();
-    let app = fma3d(Scale::Test);
-    let one = run_app_threads(&app, &mapping, &sim, RunKind::Baseline, 1);
-    let two = run_app_threads(&app, &mapping, &sim, RunKind::Baseline, 2);
-    assert_eq!(two.total_accesses, one.total_accesses, "same dynamic work");
-    assert!(
-        two.onchip_net_latency() + two.offchip_net_latency()
-            > one.onchip_net_latency() + one.offchip_net_latency(),
-        "doubling threads per core did not raise network latency"
-    );
+    holds("fig24");
 }
 
 #[test]
 fn multiprogram_mixes_speed_up() {
-    // Figure 25's shape: weighted speedup above 1 for the mixes.
-    let (sim, mapping) = setup();
-    let mut above = 0;
-    let mut total = 0;
-    for (_, apps) in mixes(Scale::Test) {
-        let base = run_mix(&apps, &mapping, &sim, RunKind::Baseline);
-        let opt = run_mix(&apps, &mapping, &sim, RunKind::Optimized);
-        total += 1;
-        if weighted_speedup(&base, &opt) > 0.98 {
-            above += 1;
-        }
-    }
-    assert!(
-        above >= total - 1,
-        "only {above}/{total} mixes near/above parity"
-    );
+    holds("fig25");
 }
 
 #[test]
 fn larger_meshes_benefit_more() {
-    // Figure 21's trend, checked between the extremes.
-    let app = swim(Scale::Test);
-    let saving = |mesh: Mesh| -> f64 {
-        let sim = SimConfig {
-            mesh,
-            granularity: Granularity::CacheLine,
-            ..SimConfig::scaled()
-        };
-        let mapping = L2ToMcMapping::nearest_cluster(mesh, &McPlacement::Corners);
-        let base = run_app(&app, &mapping, &sim, RunKind::Baseline);
-        let opt = run_app(&app, &mapping, &sim, RunKind::Optimized);
-        (base.exec_cycles as f64 - opt.exec_cycles as f64) / base.exec_cycles as f64
-    };
-    let small = saving(Mesh::new(4, 4));
-    let large = saving(Mesh::new(8, 8));
-    assert!(
-        large > small - 0.02,
-        "8x8 saving {large:.3} not above 4x4 saving {small:.3}"
-    );
+    holds("fig21");
 }
