@@ -87,20 +87,6 @@ impl L2Mode {
     }
 }
 
-/// Priority between on-chip and off-chip localization in the shared-L2
-/// case, where §5.3 proves both cannot always be localized simultaneously.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SharedPolicy {
-    /// The paper's default: generate an on-chip-localized layout first,
-    /// then displace elements only as far as needed for the off-chip
-    /// request to reach the desired (or an adjacent) controller.
-    OnChipFirst,
-    /// Force every unit onto a slot whose MC is exactly a desired one,
-    /// accepting larger home-bank displacement (the paper's "one could
-    /// also first generate the layout localized for off-chip accesses").
-    OffChipFirst,
-}
-
 /// Highest array rank a localized layout supports: `ArrayLayout::place`
 /// transforms subscripts in stack arrays of this length.
 const MAX_RANK: usize = 8;
@@ -207,7 +193,7 @@ impl fmt::Debug for GroupSlots {
 
 /// What every localized array of one plan is arranged by: who owns each
 /// thread's data and which slots each owner's units take. It depends on
-/// the mapping and the binding (and, for shared L2s, the policy) alone, so
+/// the mapping and the binding alone, so
 /// the pass builds it once per plan and each localized array copies it.
 #[derive(Clone, Default)]
 pub(crate) struct Owners {
@@ -257,14 +243,9 @@ impl Owners {
     /// The shared-L2 arrangement (§5.3, lines 43–56): one group and one
     /// slot per thread, chosen so the home bank stays near the owning core
     /// while the unit's MC serves the core's cluster.
-    pub(crate) fn fill_shared(
-        &mut self,
-        mapping: &L2ToMcMapping,
-        binding: &ThreadBinding,
-        policy: SharedPolicy,
-    ) {
+    pub(crate) fn fill_shared(&mut self, mapping: &L2ToMcMapping, binding: &ThreadBinding) {
         let n_threads = binding.len() as u32;
-        let slots = assign_shared_slots(mapping, binding, policy);
+        let slots = assign_shared_slots(mapping, binding);
         self.n_slots_total =
             slots.iter().copied().max().unwrap_or(0) / n_threads * n_threads + n_threads;
         self.thread_group.clear();
@@ -416,10 +397,9 @@ impl ArrayLayout {
         mapping: &L2ToMcMapping,
         binding: &ThreadBinding,
         unit_bytes: u32,
-        policy: SharedPolicy,
     ) -> Self {
         let mut owners = Owners::default();
-        owners.fill_shared(mapping, binding, policy);
+        owners.fill_shared(mapping, binding);
         Self::localized(decl, &d2c.u, &owners, unit_bytes)
     }
 
@@ -896,15 +876,13 @@ fn rest_offset(t: &[i64], extents: &[i64]) -> i64 {
 /// Assigns each thread a home-bank slot for the shared-L2 layout.
 ///
 /// Every slot `s` places the thread's units on home bank `s % N` and
-/// controller `s % N'`. [`SharedPolicy::OnChipFirst`] keeps `s` as close to
-/// the thread's own node id as possible while requiring the controller to
-/// be desired *or adjacent to* a desired one; [`SharedPolicy::OffChipFirst`]
-/// requires exactly a desired controller.
-fn assign_shared_slots(
-    mapping: &L2ToMcMapping,
-    binding: &ThreadBinding,
-    policy: SharedPolicy,
-) -> Vec<u32> {
+/// controller `s % N'`. Each thread takes the best free slot, ranked first
+/// by its controller — exactly a desired one, then one adjacent to a
+/// desired one, then any other — and then by the home bank's distance
+/// from the thread's node, nearest first. The paper's on-chip-first rule,
+/// which ties exact and adjacent controllers and lets the distance decide,
+/// is not what runs here (DESIGN.md §9).
+fn assign_shared_slots(mapping: &L2ToMcMapping, binding: &ThreadBinding) -> Vec<u32> {
     let n = binding.len();
     let n_mcs = mapping.num_mcs();
     let mesh = mapping.mesh();
@@ -934,25 +912,12 @@ fn assign_shared_slots(
             }
             let mc = McId((s % n_mcs) as u16);
             let (exact, adjacent) = is_ok(mc);
-            let class = match policy {
-                SharedPolicy::OffChipFirst => {
-                    if exact {
-                        0
-                    } else if adjacent {
-                        2
-                    } else {
-                        3
-                    }
-                }
-                SharedPolicy::OnChipFirst => {
-                    if exact {
-                        0
-                    } else if adjacent {
-                        1
-                    } else {
-                        3
-                    }
-                }
+            let class = if exact {
+                0
+            } else if adjacent {
+                1
+            } else {
+                2
             };
             let home = (s % n) as i64;
             let dist =
@@ -1089,14 +1054,7 @@ mod tests {
         let (p, x) = simple_program(vec![256, 64]);
         let d2c = determine_data_to_core(&p, x).unwrap();
         let (mapping, binding) = setup();
-        let l = ArrayLayout::localized_shared(
-            p.array(x),
-            &d2c,
-            &mapping,
-            &binding,
-            256,
-            SharedPolicy::OnChipFirst,
-        );
+        let l = ArrayLayout::localized_shared(p.array(x), &d2c, &mapping, &binding, 256);
         let mut seen = HashSet::new();
         for a0 in 0..256 {
             for a1 in 0..64 {
@@ -1111,18 +1069,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_offchip_first_hits_exact_mcs() {
+    fn shared_units_land_on_a_desired_mc() {
         let (p, x) = simple_program(vec![256, 64]);
         let d2c = determine_data_to_core(&p, x).unwrap();
         let (mapping, binding) = setup();
-        let l = ArrayLayout::localized_shared(
-            p.array(x),
-            &d2c,
-            &mapping,
-            &binding,
-            256,
-            SharedPolicy::OffChipFirst,
-        );
+        let l = ArrayLayout::localized_shared(p.array(x), &d2c, &mapping, &binding, 256);
         let pe = 256 / 8;
         for a0 in (0..256).step_by(11) {
             let off = l.place(&[a0, 0]);
@@ -1212,21 +1163,14 @@ mod tests {
     #[test]
     fn shared_slots_are_distinct() {
         let (mapping, binding) = setup();
-        for policy in [SharedPolicy::OnChipFirst, SharedPolicy::OffChipFirst] {
-            let slots = assign_shared_slots(&mapping, &binding, policy);
-            let set: HashSet<u32> = slots.iter().copied().collect();
-            assert_eq!(
-                set.len(),
-                slots.len(),
-                "slots must be distinct ({policy:?})"
-            );
-        }
+        let slots = assign_shared_slots(&mapping, &binding);
+        let set: HashSet<u32> = slots.iter().copied().collect();
+        assert_eq!(set.len(), slots.len(), "slots must be distinct");
     }
 
     #[test]
     fn shared_slots_are_pinned_over_meshes_mappings_and_placements() {
-        // Both policies rank exact before adjacent before neither, so they
-        // pick the same slot on every input; the digest pins those slots.
+        // The digest pins every slot the ranking picks.
         let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
         for mesh in [Mesh::new(4, 4), Mesh::new(8, 4), Mesh::new(8, 8)] {
             // M2 needs two controllers on each side of the midline, which
@@ -1240,10 +1184,7 @@ mod tests {
                 m2(&McPlacement::Diagonal),
             ] {
                 let binding = ThreadBinding::cluster_major(&mapping);
-                let on = assign_shared_slots(&mapping, &binding, SharedPolicy::OnChipFirst);
-                let off = assign_shared_slots(&mapping, &binding, SharedPolicy::OffChipFirst);
-                assert_eq!(on, off, "{mesh:?} {:?}", mapping.mc_nodes());
-                for s in on {
+                for s in assign_shared_slots(&mapping, &binding) {
                     digest = (digest ^ u64::from(s)).wrapping_mul(0x0100_0000_01b3);
                 }
             }
@@ -1252,10 +1193,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_onchip_first_keeps_home_near() {
+    fn shared_homes_stay_near_their_threads() {
         let (mapping, binding) = setup();
         let mesh = *mapping.mesh();
-        let slots = assign_shared_slots(&mapping, &binding, SharedPolicy::OnChipFirst);
+        let slots = assign_shared_slots(&mapping, &binding);
         let n = binding.len();
         let avg_disp: f64 = (0..n)
             .map(|t| {

@@ -8,7 +8,7 @@
 
 use crate::approx::approximate_table;
 use crate::binding::ThreadBinding;
-use crate::customize::{ArrayLayout, Granularity, L2Mode, Owners, SharedPolicy};
+use crate::customize::{ArrayLayout, Granularity, L2Mode, Owners};
 use crate::data_to_core::{determine_data_to_core, DataToCore, DATA_PARTITION_DIM};
 use crate::error::LayoutError;
 use hoploc_affine::{AccessFn, ArrayId, IMat, IVec, Program};
@@ -23,8 +23,6 @@ pub struct PassConfig {
     pub granularity: Granularity,
     /// Last-level cache organization.
     pub l2_mode: L2Mode,
-    /// Shared-L2 localization priority (ignored for private L2s).
-    pub shared_policy: SharedPolicy,
     /// L2 cache line size in bytes (Table 1: 256).
     pub line_bytes: u32,
     /// OS page size in bytes (Table 1: 4096).
@@ -38,7 +36,6 @@ impl Default for PassConfig {
         Self {
             granularity: Granularity::CacheLine,
             l2_mode: L2Mode::Private,
-            shared_policy: SharedPolicy::OnChipFirst,
             line_bytes: 256,
             page_bytes: 4096,
             approx_threshold: 0.30,
@@ -289,7 +286,7 @@ impl ProgramAnalysis {
         out.config = config;
         match config.l2_mode {
             L2Mode::Private => out.owners.fill_private(mapping, &out.binding),
-            L2Mode::Shared => (out.owners).fill_shared(mapping, &out.binding, config.shared_policy),
+            L2Mode::Shared => (out.owners).fill_shared(mapping, &out.binding),
         }
         out.layouts.truncate(n_arrays);
         out.reports.truncate(n_arrays);

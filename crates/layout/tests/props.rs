@@ -4,9 +4,7 @@
 use hoploc_affine::{
     AffineAccess, ArrayDecl, ArrayRef, IMat, IVec, Loop, LoopNest, Program, Statement,
 };
-use hoploc_layout::{
-    optimize_program, transform_dvec, Granularity, L2Mode, PassConfig, SharedPolicy,
-};
+use hoploc_layout::{optimize_program, transform_dvec, Granularity, L2Mode, PassConfig};
 use hoploc_noc::{L2ToMcMapping, McId, McPlacement, Mesh};
 use hoploc_ptest::run_cases;
 use std::collections::HashSet;
@@ -91,11 +89,6 @@ fn shared_placement_is_a_bounded_bijection() {
         let mapping = &mappings()[0];
         let cfg = PassConfig {
             l2_mode: L2Mode::Shared,
-            shared_policy: if rng.flip() {
-                SharedPolicy::OffChipFirst
-            } else {
-                SharedPolicy::OnChipFirst
-            },
             ..PassConfig::default()
         };
         let out = optimize_program(&p, mapping, cfg);

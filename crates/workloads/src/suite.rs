@@ -3,7 +3,7 @@
 
 use crate::apps::App;
 use crate::gen::{generate_traces, TraceGen};
-use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout, SharedPolicy};
+use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::{L2ToMcMapping, McId};
 use hoploc_sim::{AddressSpace, PagePolicy, RunStats, SimConfig, Simulator, TraceWorkload};
 use std::collections::HashMap;
@@ -129,7 +129,6 @@ impl<'a> LayoutPlanner<'a> {
                 let cfg = PassConfig {
                     granularity: sim.granularity,
                     l2_mode: sim.l2_mode,
-                    shared_policy: SharedPolicy::OnChipFirst,
                     line_bytes: sim.l2.line_bytes as u32,
                     page_bytes: sim.page_bytes as u32,
                     approx_threshold,
