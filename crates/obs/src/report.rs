@@ -114,38 +114,6 @@ impl ObsReport {
         }
     }
 
-    /// Fraction of requests each node sent to controller `mc`, replicating
-    /// `RunStats::mc_request_shares` operation-for-operation (Figure 13).
-    pub fn mc_request_shares(&self, mc: usize) -> Vec<f64> {
-        let nodes = self.topo.nodes();
-        let mcs = self.topo.mcs;
-        let m = self.counter_family("sim.node_mc_requests");
-        let total: u64 = (0..nodes).map(|n| m[n * mcs + mc]).sum();
-        if total == 0 {
-            return vec![0.0; nodes];
-        }
-        (0..nodes)
-            .map(|n| m[n * mcs + mc] as f64 / total as f64)
-            .collect()
-    }
-
-    /// Mean bank-queue occupancy across controllers, replicating
-    /// `RunStats::bank_queue_occupancy` operation-for-operation (Figure 18).
-    pub fn bank_queue_occupancy(&self) -> f64 {
-        let q = self.counter_family("mc.queue_cycles");
-        if q.is_empty() || self.exec_cycles == 0 {
-            return 0.0;
-        }
-        let per_mc = |cycles: u64| {
-            if self.exec_cycles == 0 {
-                0.0
-            } else {
-                cycles as f64 / self.exec_cycles as f64
-            }
-        };
-        q.iter().map(|&c| per_mc(c)).sum::<f64>() / q.len() as f64
-    }
-
     /// Latency quantile of a named histogram (e.g. `"req.offchip_cycles"`).
     pub fn quantile(&self, hist: &str, q: f64) -> u64 {
         self.hist(hist).quantile(q)
@@ -368,8 +336,14 @@ mod tests {
     fn empty_report_derivations_are_zero() {
         let s = Sink::recording(topo(), ObsConfig::default());
         let rep = s.into_report(0).unwrap();
-        assert_eq!(rep.bank_queue_occupancy(), 0.0);
-        assert_eq!(rep.mc_request_shares(0), vec![0.0; 4]);
+        assert!(rep
+            .counter_family("mc.queue_cycles")
+            .iter()
+            .all(|&c| c == 0));
+        assert!(rep
+            .counter_family("sim.node_mc_requests")
+            .iter()
+            .all(|&c| c == 0));
         assert_eq!(rep.offchip(), 0);
     }
 

@@ -1312,12 +1312,8 @@ mod tests {
         assert_eq!(rep.counter_family("mc.row_hits"), &row_hits[..]);
         let queue: Vec<u64> = stats.mc.iter().map(|m| m.total_queue_cycles).collect();
         assert_eq!(rep.counter_family("mc.queue_cycles"), &queue[..]);
-        for mc in 0..stats.mc.len() {
-            assert_eq!(rep.mc_request_shares(mc), stats.mc_request_shares(mc));
-        }
-        let occ = rep.bank_queue_occupancy();
-        let want = stats.bank_queue_occupancy();
-        assert!((occ - want).abs() < 1e-12, "occupancy {occ} != {want}");
+        let node_mc: Vec<u64> = stats.node_mc_requests.concat();
+        assert_eq!(rep.counter_family("sim.node_mc_requests"), &node_mc[..]);
     }
 
     #[test]

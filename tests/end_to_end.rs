@@ -237,15 +237,13 @@ fn traced_sweep_is_deterministic_and_mirrors_stats() {
             q_report.metrics_json(),
             "metrics snapshot not byte-identical across job counts on {spec:?}"
         );
-        // The counters the figures read mirror RunStats exactly — this is
-        // the acceptance evidence for the fig13/fig15/fig18 ports.
+        // The counter families behind Figs. 13, 15 and 18 mirror RunStats
+        // exactly.
         assert_eq!(p_report.offchip(), p.stats.offchip_accesses);
-        for mc in 0..p.stats.mc.len() {
-            assert_eq!(
-                p_report.mc_request_shares(mc),
-                p.stats.mc_request_shares(mc)
-            );
-        }
+        assert_eq!(
+            p_report.counter_family("sim.node_mc_requests"),
+            &p.stats.node_mc_requests.concat()[..],
+        );
         assert_eq!(
             p_report.hop_histogram("offchip"),
             &p.stats.net.off_chip.hop_histogram[..],
@@ -254,9 +252,8 @@ fn traced_sweep_is_deterministic_and_mirrors_stats() {
             p_report.hop_histogram("onchip"),
             &p.stats.net.on_chip.hop_histogram[..],
         );
-        let occ = p_report.bank_queue_occupancy();
-        let want = p.stats.bank_queue_occupancy();
-        assert!((occ - want).abs() < 1e-12, "{spec:?}: {occ} != {want}");
+        let queue: Vec<u64> = p.stats.mc.iter().map(|m| m.total_queue_cycles).collect();
+        assert_eq!(p_report.counter_family("mc.queue_cycles"), &queue[..]);
     }
 }
 
