@@ -311,8 +311,9 @@ fn fig3(scale: Scale) -> Measured {
     let mut t = Table::new(["app", "off-chip"]);
     let mut shares = Vec::new();
     for (app, st) in s.apps().iter().zip(&cells(&s, &[Baseline])[0]) {
-        shares.push((st.offchip_fraction() * 100.0, app.name()));
-        t.row(app.name(), [pct(shares.last().unwrap().0)]);
+        let share = st.offchip_fraction() * 100.0;
+        t.row(app.name(), [pct(share)]);
+        shares.push((share, app.name()));
     }
     let avg = mean(&shares.iter().map(|s| s.0).collect::<Vec<_>>());
     t.row("AVERAGE", [pct(avg)]);
@@ -463,10 +464,11 @@ fn fig18(scale: Scale) -> Measured {
     let mut t = Table::new(["app", "occupancy"]);
     let mut occ = Vec::new();
     for (app, st) in s.apps().iter().zip(&cells(&s, &[Optimized])[0]) {
-        occ.push((app.name(), st.bank_queue_occupancy()));
-        t.row(app.name(), [format!("{:.2}", occ.last().unwrap().1)]);
+        let o = st.bank_queue_occupancy();
+        t.row(app.name(), [format!("{o:.2}")]);
+        occ.push((app.name(), o));
     }
-    occ.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    occ.sort_by(|a, b| b.1.total_cmp(&a.1));
     // At test scale the exact ranking shifts with footprints; the robust
     // claim there is that both pressure apps sit in the top half.
     let top = if scale == Scale::Test { 7 } else { 2 };
