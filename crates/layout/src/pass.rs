@@ -17,7 +17,7 @@ use std::fmt;
 use std::mem::take;
 
 /// Configuration of one pass invocation (the INPUT line of Algorithm 1).
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct PassConfig {
     /// Interleaving granularity of physical addresses across MCs.
     pub granularity: Granularity,
@@ -29,6 +29,23 @@ pub struct PassConfig {
     pub page_bytes: u32,
     /// Maximum tolerated indexed-approximation inaccuracy (§5.4: 30%).
     pub approx_threshold: f64,
+}
+
+/// Prints as the derived form did while the config still named its
+/// shared-L2 slot rank (`shared_policy: OnChipFirst`, the rank
+/// `assign_shared_slots` runs): a plan's `Debug` text is pinned by layout
+/// digests (`crates/search/tests/golden.rs`), and the slots never changed.
+impl fmt::Debug for PassConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PassConfig")
+            .field("granularity", &self.granularity)
+            .field("l2_mode", &self.l2_mode)
+            .field("shared_policy", &format_args!("OnChipFirst"))
+            .field("line_bytes", &self.line_bytes)
+            .field("page_bytes", &self.page_bytes)
+            .field("approx_threshold", &self.approx_threshold)
+            .finish()
+    }
 }
 
 impl Default for PassConfig {
