@@ -5,7 +5,6 @@
 //! [`AffineExpr`] captures `c₀ + Σ cᵢ·iᵢ` and can be evaluated against a
 //! (partial) iteration vector.
 
-use crate::matrix::IVec;
 use std::fmt;
 
 /// An affine expression `constant + Σ coeffs[k] · iter[k]`.
@@ -50,11 +49,6 @@ impl AffineExpr {
         }
     }
 
-    /// The constant term.
-    pub fn constant_term(&self) -> i64 {
-        self.constant
-    }
-
     /// Iterator coefficients (may be shorter than the iteration vector;
     /// missing trailing coefficients are zero).
     pub fn coeffs(&self) -> &[i64] {
@@ -82,11 +76,6 @@ impl AffineExpr {
                 .zip(iters)
                 .map(|(c, i)| c * i)
                 .sum::<i64>()
-    }
-
-    /// Evaluates against an [`IVec`] iteration vector.
-    pub fn eval_vec(&self, iters: &IVec) -> i64 {
-        self.eval(iters.as_slice())
     }
 
     /// Interval evaluation: the inclusive `(min, max)` the expression can

@@ -18,14 +18,15 @@
 //!   affine loop nests with block-distributed parallel dimensions;
 //! * [`Program`], [`ArrayDecl`] — whole data-parallel programs, including
 //!   index tables for the indexed references of §5.4;
-//! * [`Hyperplane`], [`BlockPartition`] — the geometric vocabulary of §5.1;
+//! * [`BlockPartition`] — the block structure the partitioning hyperplanes
+//!   of §5.2 induce on a data dimension;
 //! * [`test_dependence`], [`parallelization_is_legal`] — the array
 //!   dependence analysis backing §1's contrast between loop restructuring
 //!   (dependence-constrained) and data-layout transformation (a renaming,
-//!   dependence-free);
-//! * [`permute_loops`], [`strip_mine_loop`], [`find_parallel_loop`] — the
-//!   dependence-gated loop pre-pass the paper runs before its layout pass
-//!   (§6.1).
+//!   dependence-free). `hoploc compile` and `hoploc check` use it to
+//!   refuse an illegal parallel loop. The dependence-guided loop pre-pass
+//!   the paper runs before its layout pass (§6.1) is not built: the
+//!   modelled applications are written as that pre-pass would leave them.
 //!
 //! # Example: the paper's running transformation
 //!
@@ -59,7 +60,6 @@ mod nest;
 mod program;
 mod solve;
 mod space;
-mod transform;
 
 pub use access::AffineAccess;
 pub use dependence::{
@@ -71,7 +71,4 @@ pub use matrix::{extended_gcd, gcd, IMat, IVec};
 pub use nest::{AccessFn, ArrayId, ArrayRef, Loop, LoopNest, RefKind, Statement, TableId};
 pub use program::{ArrayDecl, Program};
 pub use solve::{complete_unimodular, hermite_normal_form, nullspace, solve_homogeneous};
-pub use space::{BlockPartition, Hyperplane};
-pub use transform::{
-    find_parallel_loop, permutation_is_legal, permute_loops, strip_mine_loop, TransformError,
-};
+pub use space::BlockPartition;

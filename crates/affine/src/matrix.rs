@@ -92,17 +92,6 @@ impl IMat {
         }
     }
 
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<i64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer length must match shape");
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -428,22 +417,6 @@ impl IVec {
         self.0.iter().all(|&x| x == 0)
     }
 
-    /// Dot product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn dot(&self, other: &IVec) -> i64 {
-        assert_eq!(self.len(), other.len(), "dimension mismatch in dot product");
-        narrow(
-            self.0
-                .iter()
-                .zip(&other.0)
-                .map(|(&a, &b)| a as i128 * b as i128)
-                .sum(),
-        )
-    }
-
     /// The greatest common divisor of all components (0 for the zero vector).
     pub fn gcd(&self) -> i64 {
         self.0.iter().fold(0, |g, &x| gcd(g, x.abs()))
@@ -465,11 +438,6 @@ impl IVec {
     /// Borrows the components as a slice.
     pub fn as_slice(&self) -> &[i64] {
         &self.0
-    }
-
-    /// Consumes the vector and returns the underlying buffer.
-    pub fn into_inner(self) -> Vec<i64> {
-        self.0
     }
 
     /// Iterates over components.

@@ -7,7 +7,6 @@
 
 use crate::access::AffineAccess;
 use crate::expr::AffineExpr;
-use crate::matrix::IVec;
 use std::fmt;
 
 /// Identifies an array within a [`crate::Program`].
@@ -355,23 +354,6 @@ impl LoopNest {
             v += stride;
         }
     }
-
-    /// Iterates over all affine references in the body.
-    pub fn affine_refs(&self) -> impl Iterator<Item = (&ArrayRef, &AffineAccess)> {
-        self.body
-            .iter()
-            .flat_map(|s| s.refs.iter())
-            .filter_map(|r| match &r.access {
-                AccessFn::Affine(a) => Some((r, a)),
-                AccessFn::Indexed { .. } => None,
-            })
-    }
-
-    /// The iteration-space hyperplane vector `h⃗_I` for this nest: the unit
-    /// row vector selecting the parallel dimension (§5.1).
-    pub fn iteration_hyperplane(&self) -> IVec {
-        IVec::unit(self.depth(), self.parallel_dim)
-    }
 }
 
 impl fmt::Display for LoopNest {
@@ -600,28 +582,5 @@ mod tests {
             5,
         );
         assert_eq!(nest.iteration_estimate(), 500);
-    }
-
-    #[test]
-    fn iteration_hyperplane_is_unit_vector() {
-        let nest = square_nest(4);
-        assert_eq!(nest.iteration_hyperplane(), IVec::unit(2, 0));
-    }
-
-    #[test]
-    fn affine_refs_skips_indexed() {
-        let nest = LoopNest::new(
-            vec![Loop::constant(0, 4)],
-            0,
-            vec![Statement::new(
-                vec![
-                    ArrayRef::read(ArrayId(0), AffineAccess::identity(1)),
-                    ArrayRef::indexed_read(ArrayId(1), TableId(0), AffineExpr::var(1, 0)),
-                ],
-                0,
-            )],
-            1,
-        );
-        assert_eq!(nest.affine_refs().count(), 1);
     }
 }

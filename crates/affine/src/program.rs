@@ -65,28 +65,6 @@ impl ArrayDecl {
     pub fn size_bytes(&self) -> i64 {
         self.num_elements() * self.elem_size as i64
     }
-
-    /// Row-major linearization of a data vector, in elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subscript count differs from the rank. Out-of-bounds
-    /// subscripts are clamped into the array (the paper's approximated
-    /// indexed references may slightly over-run; clamping matches the
-    /// "performance, not correctness" contract of §5.4).
-    pub fn linearize(&self, subscripts: &[i64]) -> i64 {
-        assert_eq!(
-            subscripts.len(),
-            self.rank(),
-            "subscript count must match rank"
-        );
-        let mut off = 0i64;
-        for (k, &s) in subscripts.iter().enumerate() {
-            let s = s.clamp(0, self.dims[k] - 1);
-            off = off * self.dims[k] + s;
-        }
-        off
-    }
 }
 
 impl fmt::Display for ArrayDecl {
@@ -242,21 +220,6 @@ mod tests {
     use super::*;
     use crate::access::AffineAccess;
     use crate::nest::{ArrayRef, Loop, Statement};
-
-    #[test]
-    fn linearize_row_major() {
-        let a = ArrayDecl::new("A", vec![4, 8], 8);
-        assert_eq!(a.linearize(&[0, 0]), 0);
-        assert_eq!(a.linearize(&[0, 7]), 7);
-        assert_eq!(a.linearize(&[1, 0]), 8);
-        assert_eq!(a.linearize(&[3, 7]), 31);
-    }
-
-    #[test]
-    fn linearize_clamps_out_of_bounds() {
-        let a = ArrayDecl::new("A", vec![4, 8], 8);
-        assert_eq!(a.linearize(&[-3, 9]), a.linearize(&[0, 7]));
-    }
 
     #[test]
     fn footprint_accounts_elem_size() {

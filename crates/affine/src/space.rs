@@ -1,74 +1,4 @@
-//! Hyperplanes and data-space partitioning (§5.1–§5.2 of the paper).
-
-use crate::matrix::IVec;
-use std::fmt;
-
-/// A hyperplane `h⃗ · p⃗ = c` in a `k`-dimensional integer polyhedron.
-///
-/// In the paper, parallel families of hyperplanes partition both the
-/// iteration space (via `h⃗_I`, orthogonal to the iteration partition
-/// dimension `u`) and the transformed data space (via `h⃗_A`, orthogonal to
-/// the data partitioning dimension `v`).
-///
-/// # Examples
-///
-/// ```
-/// use hoploc_affine::{Hyperplane, IVec};
-///
-/// let h = Hyperplane::new(IVec::new(vec![0, 1]), 5);
-/// assert!(h.contains(&IVec::new(vec![9, 5])));
-/// assert!(!h.contains(&IVec::new(vec![5, 9])));
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Hyperplane {
-    normal: IVec,
-    offset: i64,
-}
-
-impl Hyperplane {
-    /// Creates a hyperplane from its normal vector and offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the normal is the zero vector.
-    pub fn new(normal: IVec, offset: i64) -> Self {
-        assert!(!normal.is_zero(), "hyperplane normal must be non-zero");
-        Self { normal, offset }
-    }
-
-    /// The hyperplane orthogonal to dimension `dim` at position `offset`,
-    /// i.e. `p[dim] = offset`.
-    pub fn orthogonal_to(k: usize, dim: usize, offset: i64) -> Self {
-        Self::new(IVec::unit(k, dim), offset)
-    }
-
-    /// The normal (hyperplane) vector `h⃗`.
-    pub fn normal(&self) -> &IVec {
-        &self.normal
-    }
-
-    /// The hyperplane offset `c`.
-    pub fn offset(&self) -> i64 {
-        self.offset
-    }
-
-    /// Whether a point lies on the hyperplane.
-    pub fn contains(&self, p: &IVec) -> bool {
-        self.normal.dot(p) == self.offset
-    }
-
-    /// Whether two points lie on a common parallel hyperplane of this
-    /// family, i.e. `h⃗·(p⃗₁ − p⃗₂) = 0` (Eq. 1 of the paper).
-    pub fn coplanar(&self, p1: &IVec, p2: &IVec) -> bool {
-        self.normal.dot(&(p1 - p2)) == 0
-    }
-}
-
-impl fmt::Display for Hyperplane {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} · p = {}", self.normal, self.offset)
-    }
-}
+//! Data-space partitioning (§5.2 of the paper).
 
 /// Partitions the `dim`-th axis of a data space of extent `extent` into
 /// `blocks` equal blocks (the last block may be smaller), returning the
@@ -107,24 +37,11 @@ impl BlockPartition {
     pub fn block_of(&self, coord: i64) -> i64 {
         coord.clamp(0, self.extent - 1) / self.block_size
     }
-
-    /// The extent being partitioned.
-    pub fn extent(&self) -> i64 {
-        self.extent
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coplanar_matches_eq1() {
-        // h_I = (1, 0): iterations on a common hyperplane share i0.
-        let h = Hyperplane::orthogonal_to(2, 0, 0);
-        assert!(h.coplanar(&IVec::new(vec![3, 1]), &IVec::new(vec![3, 9])));
-        assert!(!h.coplanar(&IVec::new(vec![3, 1]), &IVec::new(vec![4, 1])));
-    }
 
     #[test]
     fn block_partition_covers_evenly() {

@@ -20,11 +20,13 @@ fn small_vec(rng: &mut SmallRng, len: usize) -> IVec {
 
 /// A small matrix of the given shape.
 fn small_mat(rng: &mut SmallRng, rows: usize, cols: usize) -> IMat {
-    IMat::from_vec(
-        rows,
-        cols,
-        (0..rows * cols).map(|_| rng.i64_in(-6..7)).collect(),
-    )
+    let mut m = IMat::zeros(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            m[(r, c)] = rng.i64_in(-6..7);
+        }
+    }
+    m
 }
 
 /// The rank of `m`: the number of non-zero rows of its Hermite normal

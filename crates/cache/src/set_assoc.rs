@@ -113,11 +113,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Miss count.
-    pub fn misses(&self) -> u64 {
-        self.accesses - self.hits
-    }
-
     /// Hit rate in `[0, 1]` (0 when empty).
     pub fn hit_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -433,19 +428,6 @@ impl SetAssocCache {
         self.find(self.set_index(line), line).is_some()
     }
 
-    /// Removes a line if present (coherence invalidation), returning
-    /// whether it was resident.
-    pub fn invalidate(&mut self, line: u64) -> bool {
-        let Some(slot) = self.find(self.set_index(line), line) else {
-            return false;
-        };
-        if !self.scanned() {
-            self.index_remove(line);
-        }
-        self.last_used[slot] = 0;
-        true
-    }
-
     /// Panics unless the cache keeps what its associativity calls for: no
     /// index over scanned sets, and over indexed sets one that names
     /// exactly the valid slots. For tests, which call it after every
@@ -525,15 +507,6 @@ mod tests {
         c.access(2); // set 0
         c.access(3); // set 1
         assert!(c.contains(0) && c.contains(1) && c.contains(2) && c.contains(3));
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.access(5);
-        assert!(c.invalidate(5));
-        assert!(!c.contains(5));
-        assert!(!c.invalidate(5));
     }
 
     #[test]

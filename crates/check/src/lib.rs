@@ -38,9 +38,6 @@ use hoploc_affine::Program;
 pub struct CheckConfig {
     /// Cores the parallel dimension is chunked over (Table 1: 64).
     pub cores: u32,
-    /// Largest carried distance treated as chunk-boundary (halo) sharing
-    /// rather than a race; stencils in the suite reach at most ±2.
-    pub halo_limit: i64,
     /// Elements per array above which layout verification subsamples the
     /// index box instead of enumerating it exhaustively.
     pub sample_cap: u64,
@@ -53,7 +50,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         Self {
             cores: 64,
-            halo_limit: 2,
             sample_cap: 1 << 17,
             enum_cap: 1 << 22,
         }
@@ -77,7 +73,6 @@ mod tests {
     fn defaults_model_the_paper_machine() {
         let cfg = CheckConfig::default();
         assert_eq!(cfg.cores, 64);
-        assert!(cfg.halo_limit >= 1);
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl FaultRates {
         }
     }
 
-    /// No faults at all.
-    pub fn quiet() -> FaultRates {
-        FaultRates::at_level(0)
-    }
-
-    /// A few shallow windows.
-    pub fn light() -> FaultRates {
-        FaultRates::at_level(1)
-    }
-
     /// The default chaos-suite intensity: stalls, errors, and one outage.
     pub fn moderate() -> FaultRates {
         FaultRates::at_level(3)
@@ -165,7 +155,7 @@ mod tests {
 
     #[test]
     fn level_zero_is_empty() {
-        let p = FaultPlan::from_seed(99, &topo(), &FaultRates::quiet());
+        let p = FaultPlan::from_seed(99, &topo(), &FaultRates::at_level(0));
         assert!(p.is_empty());
     }
 

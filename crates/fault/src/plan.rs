@@ -112,19 +112,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any outage windows exist at all (cheap gate for the
-    /// simulator's per-request re-home check).
-    pub fn has_outages(&self) -> bool {
-        !self.outages.is_empty()
-    }
-
-    /// Whether controller `mc` is dark at `cycle`.
-    pub fn mc_down(&self, mc: u16, cycle: u64) -> bool {
-        self.outages
-            .iter()
-            .any(|o| o.mc == mc && o.active_at(cycle))
-    }
-
     /// Checks every window against the target shape: link/mc/bank indices
     /// in range, `from < until`, and a sane retry policy.
     pub fn validate(&self, topo: &FaultTopo) -> Result<(), String> {
@@ -199,7 +186,6 @@ mod tests {
     fn empty_plan_is_empty_and_valid() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert!(!p.has_outages());
         p.validate(&topo()).unwrap();
         assert!(p.mc_faults(0).banks.is_empty());
     }
@@ -226,20 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn mc_down_respects_windows() {
-        let p = FaultPlan {
-            outages: vec![McOutage {
-                mc: 1,
-                from: 100,
-                until: 200,
-            }],
-            ..FaultPlan::none()
+    fn outage_windows_are_half_open() {
+        let o = McOutage {
+            mc: 1,
+            from: 100,
+            until: 200,
         };
-        assert!(!p.mc_down(1, 99));
-        assert!(p.mc_down(1, 100));
-        assert!(p.mc_down(1, 199));
-        assert!(!p.mc_down(1, 200));
-        assert!(!p.mc_down(0, 150));
+        assert!(!o.active_at(99));
+        assert!(o.active_at(100));
+        assert!(o.active_at(199));
+        assert!(!o.active_at(200));
     }
 
     #[test]

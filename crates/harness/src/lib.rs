@@ -716,20 +716,6 @@ pub fn parallel_map<T: Sync, R: Send>(
         .collect()
 }
 
-/// Runs `a` on a helper thread while `b` runs on the caller and returns both
-/// results, under [`parallel_map`]'s panic rule with `a` as the lower index:
-/// once both are done, a panic is re-raised on the caller, `a`'s first.
-pub fn join<RA: Send, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB) -> (RA, RB) {
-    std::thread::scope(|scope| {
-        let helper = scope.spawn(a);
-        let rb = panic::catch_unwind(AssertUnwindSafe(b));
-        match (helper.join(), rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(payload), _) | (_, Err(payload)) => panic::resume_unwind(payload),
-        }
-    })
-}
-
 /// The fault-plan topology implied by a simulator configuration: the shape
 /// [`hoploc_fault::FaultPlan::from_seed`] generates against and
 /// [`hoploc_fault::FaultPlan::validate`] checks.

@@ -18,17 +18,18 @@ pub struct ThreadBinding {
 }
 
 impl ThreadBinding {
-    /// The cluster-major binding the paper's footnote 5 requires: threads
-    /// fill cluster 0's nodes (row-major within the cluster), then cluster
-    /// 1's, and so on.
-    pub fn cluster_major(mapping: &L2ToMcMapping) -> Self {
+    /// A fresh [`set_cluster_major`](Self::set_cluster_major) binding.
+    #[cfg(test)]
+    pub(crate) fn cluster_major(mapping: &L2ToMcMapping) -> Self {
         let mut binding = Self::default();
         binding.set_cluster_major(mapping);
         binding
     }
 
-    /// Makes this the [`cluster_major`](Self::cluster_major) binding of
-    /// `mapping`, in the buffers it already has.
+    /// Makes this the cluster-major binding the paper's footnote 5 requires
+    /// of `mapping`, in the buffers it already has: threads fill cluster
+    /// 0's nodes (row-major within the cluster), then cluster 1's, and so
+    /// on.
     pub(crate) fn set_cluster_major(&mut self, mapping: &L2ToMcMapping) {
         // Clusters tile the mesh and are numbered row-major, as are the
         // nodes, so walking each cluster's rectangle row by row, cluster
@@ -89,15 +90,6 @@ impl ThreadBinding {
     pub fn node_of(&self, t: usize) -> NodeId {
         self.to_node[t]
     }
-
-    /// The thread bound to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is out of range.
-    pub fn thread_of(&self, n: NodeId) -> usize {
-        self.to_thread[n.0 as usize] as usize
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +119,7 @@ mod tests {
             ThreadBinding::identity(64),
         ] {
             for t in 0..64 {
-                assert_eq!(b.thread_of(b.node_of(t)), t);
+                assert_eq!(b.to_thread[b.node_of(t).0 as usize] as usize, t);
             }
         }
     }

@@ -18,7 +18,9 @@
 //! fills its slots across successive super-groups in order.
 
 use crate::binding::ThreadBinding;
-use crate::data_to_core::{transformed_bounds_into, DataToCore};
+use crate::data_to_core::transformed_bounds_into;
+#[cfg(test)]
+use crate::data_to_core::DataToCore;
 use hoploc_affine::{ArrayDecl, BlockPartition, IMat};
 use hoploc_noc::{ClusterId, L2ToMcMapping, McId, NodeId};
 use std::fmt;
@@ -304,22 +306,14 @@ impl LocalizedPlan {
     }
 }
 
-/// A read-only view of a localized plan's internals, exposed for the
-/// `hoploc-check` layout-legality verifier (and for tests that need to
-/// assert plan structure). The fields mirror [`LocalizedPlan`]; see the
-/// module docs for the super-group/slot arrangement they describe.
+/// A read-only view of the slot arrangement of a localized plan, exposed
+/// for the `hoploc-check` layout-legality verifier. The fields mirror the
+/// plan's own; see the module docs for the super-group/slot arrangement
+/// they describe.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanView<'a> {
-    /// Elements per interleave unit (`p` in the paper).
-    pub p_elems: i64,
-    /// Product of the transformed extents of all non-partition dimensions.
-    pub slab: i64,
-    /// Partition-dimension block size per thread.
-    pub block_size: i64,
     /// Owner group of each thread (index = thread id).
     pub thread_group: &'a [u32],
-    /// First partition-dimension coordinate owned by each group.
-    pub group_v_lo: &'a [i64],
     /// The interleave-unit slots of each group within a super-group.
     pub group_slots: &'a GroupSlots,
     /// Units per super-group.
@@ -371,7 +365,8 @@ impl ArrayLayout {
     ///
     /// Panics if `unit_bytes` is not a positive multiple of the element
     /// size, or the array's rank exceeds 8.
-    pub fn localized_private(
+    #[cfg(test)]
+    pub(crate) fn localized_private(
         decl: &ArrayDecl,
         d2c: &DataToCore,
         mapping: &L2ToMcMapping,
@@ -391,7 +386,8 @@ impl ArrayLayout {
     ///
     /// Panics if `unit_bytes` is not a positive multiple of the element
     /// size, or the array's rank exceeds 8.
-    pub fn localized_shared(
+    #[cfg(test)]
+    pub(crate) fn localized_shared(
         decl: &ArrayDecl,
         d2c: &DataToCore,
         mapping: &L2ToMcMapping,
@@ -404,8 +400,7 @@ impl ArrayLayout {
     }
 
     /// Assembles a localized layout directly from plan internals, skipping
-    /// the slot-assignment machinery of [`ArrayLayout::localized_private`]
-    /// / [`ArrayLayout::localized_shared`].
+    /// the pass's slot-assignment machinery.
     ///
     /// **For verification tooling and tests only**: no legality validation
     /// is performed, so the result may alias elements or run past its span
@@ -543,11 +538,7 @@ impl ArrayLayout {
         match &self.plan {
             Plan::Original => None,
             Plan::Localized(p) => Some(PlanView {
-                p_elems: p.p_elems,
-                slab: p.slab,
-                block_size: p.part.block_size(),
                 thread_group: &p.thread_group,
-                group_v_lo: &p.group_v_lo,
                 group_slots: &p.group_slots,
                 n_slots_total: p.n_slots_total,
                 n_mcs: p.n_mcs,
@@ -1128,7 +1119,7 @@ mod tests {
     fn plan_view_exposes_localized_internals() {
         let (l, mapping, _) = private_layout(vec![256, 64]);
         let v = l.plan_view().expect("localized layout has a plan");
-        assert_eq!(v.p_elems, 256 / 8);
+        assert_eq!(l.unit_elems(), 256 / 8);
         assert_eq!(v.n_mcs, mapping.num_mcs() as u32);
         assert_eq!(v.thread_group.len(), 64);
         assert_eq!(v.group_slots.len(), mapping.num_clusters());

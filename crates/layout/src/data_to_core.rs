@@ -42,17 +42,6 @@ pub struct DataToCore {
     pub total_weight: u64,
 }
 
-impl DataToCore {
-    /// Fraction of affine references satisfied (1.0 when there are none).
-    pub fn satisfaction(&self) -> f64 {
-        if self.total_refs == 0 {
-            1.0
-        } else {
-            self.satisfied_refs as f64 / self.total_refs as f64
-        }
-    }
-}
-
 /// The thread count assumed when deciding whether a reference's residual
 /// within-hyperplane variation still fits inside one thread's data block.
 const BLOCK_THREADS: i64 = 64;
@@ -358,19 +347,6 @@ pub fn transform_dvec(u: &IMat, mins: &[i64], dvec: &[i64]) -> Vec<i64> {
     v.iter().zip(mins).map(|(x, m)| x - m).collect()
 }
 
-/// Convenience: checks that a chosen `gᵥ` satisfies one access (used in
-/// tests and reports).
-pub fn g_satisfies_access(g_v: &IVec, access: &AffineAccess, parallel_dim: usize) -> bool {
-    if access.depth() < 2 {
-        return true;
-    }
-    access
-        .submatrix(parallel_dim)
-        .transpose()
-        .mul_vec(g_v)
-        .is_zero()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,7 +468,7 @@ mod tests {
         ));
         let d2c = determine_data_to_core(&p, x).unwrap();
         assert_eq!(d2c.u, IMat::identity(1));
-        assert_eq!(d2c.satisfaction(), 1.0);
+        assert_eq!(d2c.satisfied_refs, d2c.total_refs);
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub use approx::{approximate_table, IndexedApproximation};
 pub use binding::ThreadBinding;
 pub use customize::{ArrayLayout, Granularity, GroupSlots, L2Mode, PlanView, Run};
 pub use data_to_core::{
-    determine_data_to_core, g_satisfies_access, transform_dvec, transformed_bounds, DataToCore,
-    DATA_PARTITION_DIM,
+    determine_data_to_core, transform_dvec, transformed_bounds, DataToCore, DATA_PARTITION_DIM,
 };
 pub use error::LayoutError;
 pub use pass::{

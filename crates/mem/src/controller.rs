@@ -225,16 +225,6 @@ impl McStats {
         }
     }
 
-    /// Mean total memory latency (queue + service) per request — the
-    /// paper's "memory latency includes the time spent in the queue".
-    pub fn avg_memory_latency(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            (self.total_queue_cycles + self.total_service_cycles) as f64 / self.served as f64
-        }
-    }
-
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> f64 {
         if self.served == 0 {
@@ -818,7 +808,7 @@ mod tests {
         m.flush();
         let s = m.stats();
         assert_eq!(s.served, 10);
-        assert!(s.avg_memory_latency() > 0.0);
+        assert!(s.total_service_cycles > 0);
         assert!(
             s.row_hit_rate() > 0.0,
             "sequential lines in one row should hit"

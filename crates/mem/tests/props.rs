@@ -75,7 +75,6 @@ fn stats_are_consistent() {
         let s = mc.stats();
         assert_eq!(s.served, reqs.len() as u64);
         assert!(s.row_hits <= s.served);
-        assert!(s.avg_memory_latency() >= 0.0);
     });
 }
 

@@ -137,25 +137,6 @@ impl Mesh {
         path
     }
 
-    /// The YX route from `src` to `dst`: all Y movement first, then X —
-    /// the mirror of [`Mesh::xy_route`].
-    pub fn yx_route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let mut path = Vec::with_capacity(self.hop_distance(src, dst) as usize);
-        let mut y = sy;
-        while y != dy {
-            y = if dy > y { y + 1 } else { y - 1 };
-            path.push(self.node_at(sx, y));
-        }
-        let mut x = sx;
-        while x != dx {
-            x = if dx > x { x + 1 } else { x - 1 };
-            path.push(self.node_at(x, dy));
-        }
-        path
-    }
-
     /// Iterates over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes() as u16).map(NodeId)
@@ -324,24 +305,6 @@ mod tests {
                 m.node_at(2, 2)
             ]
         );
-    }
-
-    #[test]
-    fn yx_route_mirrors_xy() {
-        let m = Mesh::new(4, 4);
-        let src = m.node_at(0, 0);
-        let dst = m.node_at(2, 2);
-        let yx = m.yx_route(src, dst);
-        assert_eq!(
-            yx,
-            vec![
-                m.node_at(0, 1),
-                m.node_at(0, 2),
-                m.node_at(1, 2),
-                m.node_at(2, 2)
-            ]
-        );
-        assert_eq!(yx.len(), m.xy_route(src, dst).len());
     }
 
     #[test]

@@ -32,7 +32,5 @@ mod placement;
 
 pub use cluster::{ClusterId, L2ToMcMapping, MappingError};
 pub use geometry::{McId, McPlacement, Mesh, NodeId};
-pub use network::{
-    ClassStats, LinkFault, NetStats, Network, NocConfig, Routing, TrafficClass, MAX_HOPS,
-};
+pub use network::{ClassStats, LinkFault, NetStats, Network, NocConfig, TrafficClass, MAX_HOPS};
 pub use placement::Placement;

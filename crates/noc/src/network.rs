@@ -101,26 +101,6 @@ impl NetStats {
             ..Default::default()
         }
     }
-
-    /// The stats bucket for a class.
-    pub fn class(&self, class: TrafficClass) -> &ClassStats {
-        match class {
-            TrafficClass::OnChip => &self.on_chip,
-            TrafficClass::OffChip => &self.off_chip,
-        }
-    }
-}
-
-/// Dimension-ordered routing variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Routing {
-    /// X first, then Y (Table 1's XY routing).
-    #[default]
-    XY,
-    /// Y first, then X — the other deadlock-free dimension order, exposed
-    /// so experiments can check their conclusions are not artifacts of
-    /// one route shape.
-    YX,
 }
 
 /// Timing parameters of the interconnect (defaults match Table 1).
@@ -135,8 +115,6 @@ pub struct NocConfig {
     /// Whether links serialize competing messages. Disable for the
     /// contention-free ablation.
     pub contention: bool,
-    /// Dimension order of the deterministic routes.
-    pub routing: Routing,
 }
 
 impl Default for NocConfig {
@@ -146,7 +124,6 @@ impl Default for NocConfig {
             router_cycles: 2,
             link_bytes: 16,
             contention: true,
-            routing: Routing::default(),
         }
     }
 }
@@ -274,11 +251,6 @@ impl Network {
         &self.stats
     }
 
-    /// Resets statistics (link state is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
-    }
-
     /// Number of flits a payload of `bytes` occupies on a link.
     pub fn flits(&self, bytes: u32) -> u64 {
         (bytes as u64)
@@ -318,8 +290,8 @@ impl Network {
         tag: ReqTag,
         sink: &Sink,
     ) -> u64 {
-        // Walk the dimension-ordered route by coordinates: one directed
-        // link per step, named `node * 4 + direction` as everywhere else.
+        // Walk the XY route by coordinates: one directed link per step,
+        // named `node * 4 + direction` as everywhere else.
         let (sx, sy) = self.mesh.coords(src);
         let (dx, dy) = self.mesh.coords(dst);
         let x_hops = sx.abs_diff(dx) as usize;
@@ -333,10 +305,7 @@ impl Network {
         } else {
             (NORTH, -width)
         };
-        let legs = match self.config.routing {
-            Routing::XY => [(x_hops, x_leg), (y_hops, y_leg)],
-            Routing::YX => [(y_hops, y_leg), (x_hops, x_leg)],
-        };
+        let legs = [(x_hops, x_leg), (y_hops, y_leg)];
         // What is fixed for the whole message, read once: the hop loop
         // below then does only the work each hop changes.
         let flits = self.flits(bytes);
@@ -528,23 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn yx_routing_changes_route_not_distance() {
-        let mesh = Mesh::new(4, 4);
-        let mut xy = Network::new(mesh, NocConfig::default());
-        let mut yx = Network::new(
-            mesh,
-            NocConfig {
-                routing: Routing::YX,
-                ..NocConfig::default()
-            },
-        );
-        let a = xy.send(NodeId(1), NodeId(14), 8, TrafficClass::OnChip, 0);
-        let b = yx.send(NodeId(1), NodeId(14), 8, TrafficClass::OnChip, 0);
-        assert_eq!(a, b, "idle latency is route-shape independent");
-        assert_eq!(xy.stats().on_chip.total_hops, yx.stats().on_chip.total_hops);
-    }
-
-    #[test]
     fn link_utilization_tracks_flit_cycles() {
         let mut net = net4();
         // 256B over the single 0->1 link: 16 flits.
@@ -700,8 +652,8 @@ mod tests {
     }
 
     /// The route-materializing send this module used to run: walks the
-    /// node list of `xy_route`/`yx_route` and derives each link id from
-    /// the coordinates of its two end nodes.
+    /// node list of `xy_route` and derives each link id from the
+    /// coordinates of its two end nodes.
     struct RefNetwork {
         mesh: Mesh,
         config: NocConfig,
@@ -740,10 +692,7 @@ mod tests {
             let flits = (bytes as u64)
                 .div_ceil(self.config.link_bytes as u64)
                 .max(1);
-            let route = match self.config.routing {
-                Routing::XY => self.mesh.xy_route(src, dst),
-                Routing::YX => self.mesh.yx_route(src, dst),
-            };
+            let route = self.mesh.xy_route(src, dst);
             let mut t = now;
             let mut from = src;
             for &next in &route {
@@ -884,18 +833,15 @@ mod tests {
     fn send_matches_the_route_list_reference_for_every_pair() {
         let mut rng = hoploc_ptest::SmallRng::seed_from_u64(0x5E4D);
         for mesh in [Mesh::new(8, 8), Mesh::new(5, 3)] {
-            for routing in [Routing::XY, Routing::YX] {
-                for contention in [true, false] {
-                    let config = NocConfig {
-                        routing,
-                        contention,
-                        ..NocConfig::default()
-                    };
-                    for (faulted, recording) in
-                        [(false, false), (true, false), (false, true), (true, true)]
-                    {
-                        check_against_reference(&mut rng, mesh, config, faulted, recording);
-                    }
+            for contention in [true, false] {
+                let config = NocConfig {
+                    contention,
+                    ..NocConfig::default()
+                };
+                for (faulted, recording) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    check_against_reference(&mut rng, mesh, config, faulted, recording);
                 }
             }
         }

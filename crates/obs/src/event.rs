@@ -48,11 +48,6 @@ impl ReqTag {
     pub fn phase(self, phase: Phase) -> ReqTag {
         ReqTag { phase, ..self }
     }
-
-    /// The request id, or `u64::MAX` for [`ReqTag::NONE`].
-    pub fn id(self) -> u64 {
-        self.id
-    }
 }
 
 /// Traffic class as seen by the observability layer (mirror of the NoC's

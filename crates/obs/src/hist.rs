@@ -147,17 +147,6 @@ impl Histogram {
                 (lo, hi, c)
             })
     }
-
-    /// Merge another histogram into this one (bucket-wise saturating add).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.total = self.total.saturating_add(other.total);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -227,19 +216,5 @@ mod tests {
         h.record_n(3, 5);
         assert_eq!(h.count(), u64::MAX);
         assert_eq!(h.quantile(1.0), 3);
-    }
-
-    #[test]
-    fn merge_pools_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(2, 3);
-        b.record_n(40, 2);
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), 2);
-        assert_eq!(a.max(), 40);
-        assert_eq!(a.quantile(0.5), 2);
-        assert!(a.quantile(1.0) >= 40);
     }
 }

@@ -12,14 +12,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::str::Chars;
 
-/// `s` as a JSON string literal, quotes included: what a quote, a backslash
-/// or a control character becomes in every document [`JsonWriter`] builds.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_into(&mut out, s);
-    out
-}
-
+/// Appends `s` as a JSON string literal, quotes included: what a quote, a
+/// backslash or a control character becomes in every document
+/// [`JsonWriter`] builds.
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
@@ -53,7 +48,7 @@ pub enum Floats {
 }
 
 /// A builder over a `String` that places every comma, escapes every key and
-/// string through [`json_string`]'s rule and renders every float under the
+/// string under one rule and renders every float under the
 /// document's [`Floats`] rule (six decimal places unless
 /// [`floats`](Self::floats) says otherwise).
 ///
@@ -576,7 +571,6 @@ mod tests {
         w.obj().field(awkward, awkward).key("raw");
         let doc = w.raw(r#"{"x": 1}"#).end_obj().take();
         let quoted = r#""q\" b\\ \n\r\t\u0001\u001f é""#;
-        assert_eq!(json_string(awkward), quoted);
         assert_eq!(doc, format!(r#"{{{quoted}:{quoted},"raw":{{"x": 1}}}}"#));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get(awkward).and_then(Value::as_str), Some(awkward));

@@ -37,8 +37,8 @@ pub mod sink;
 pub use event::{CacheLevel, CacheTag, EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 pub use hist::Histogram;
 pub use json::{
-    json_string, parse as parse_json, validate_chrome_trace, ChromeSummary, Floats, JsonScalar,
-    JsonWriter, Value as JsonValue,
+    parse as parse_json, validate_chrome_trace, ChromeSummary, Floats, JsonScalar, JsonWriter,
+    Value as JsonValue,
 };
 pub use registry::{Registry, WindowMode};
 pub use report::ObsReport;

@@ -131,12 +131,6 @@ impl Registry {
         self.gauges[id.0].vals[idx] = v;
     }
 
-    /// Read slot `idx` of a gauge family.
-    #[inline]
-    pub fn gauge_val(&self, id: GaugeId, idx: usize) -> i64 {
-        self.gauges[id.0].vals[idx]
-    }
-
     /// Record a sample into a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
@@ -152,14 +146,6 @@ impl Registry {
     /// Look up a counter family by name (snapshot/report access).
     pub fn counter_family(&self, name: &str) -> Option<&[u64]> {
         self.counters
-            .iter()
-            .find(|f| f.name == name)
-            .map(|f| f.vals.as_slice())
-    }
-
-    /// Look up a gauge family by name.
-    pub fn gauge_family(&self, name: &str) -> Option<&[i64]> {
-        self.gauges
             .iter()
             .find(|f| f.name == name)
             .map(|f| f.vals.as_slice())
@@ -189,8 +175,7 @@ mod tests {
         r.inc(c, 1, 2);
         r.set_gauge(g, 0, -4);
         assert_eq!(r.counter_family("c").unwrap(), &[0, 7, 0]);
-        assert_eq!(r.gauge_family("g").unwrap(), &[-4, 0]);
-        assert_eq!(r.gauge_val(g, 0), -4);
+        assert_eq!(r.gauges[g.0].vals, [-4, 0]);
         assert!(r.counter_family("missing").is_none());
     }
 

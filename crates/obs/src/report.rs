@@ -57,11 +57,6 @@ impl ObsReport {
         self.config
     }
 
-    /// Total executed cycles of the run.
-    pub fn exec_cycles(&self) -> u64 {
-        self.exec_cycles
-    }
-
     /// The underlying metric registry.
     pub fn registry(&self) -> &Registry {
         &self.reg

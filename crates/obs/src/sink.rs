@@ -906,7 +906,7 @@ mod tests {
             vec!["hop.req", "queue", "row_miss", "hop.reply", "offchip"]
         );
         // Bank service attributed to the request via the token binding.
-        assert!(rep.events().iter().all(|e| e.req == tag.id()));
+        assert!(rep.events().iter().all(|e| e.req == tag.id));
     }
 
     #[test]
@@ -995,7 +995,7 @@ mod tests {
             vec!["link_fault", "bank_stall", "retry", "dropped", "dropped"]
         );
         // Every fault span is attributed to the request via tag or token.
-        assert!(rep.events().iter().all(|e| e.req == tag.id()));
+        assert!(rep.events().iter().all(|e| e.req == tag.id));
         assert_eq!(
             rep.registry()
                 .histogram("req.dropped_cycles")

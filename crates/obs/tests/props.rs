@@ -121,24 +121,3 @@ fn saturating_counts_never_wrap_or_panic() {
         assert_eq!(h.max(), big);
     });
 }
-
-#[test]
-fn merge_equals_recording_the_concatenation() {
-    run_cases("merge_is_concat", 128, |rng| {
-        let xs = rng.vec_u64(0..100, 0..1 << 32);
-        let ys = rng.vec_u64(0..100, 0..1 << 32);
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for &v in &xs {
-            a.record(v);
-            both.record(v);
-        }
-        for &v in &ys {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, both, "merge must equal recording the union");
-    });
-}

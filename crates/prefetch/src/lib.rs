@@ -83,10 +83,6 @@ pub struct PrefetchConfig {
     /// Stream lookahead: how many lines beyond the detected head the
     /// stream engine targets.
     pub distance: u32,
-    /// Stride-table entries per slice (direct-mapped by reference id).
-    pub stride_entries: usize,
-    /// Stream-detector entries per slice (direct-mapped by region).
-    pub stream_entries: usize,
     /// In-flight prefetches a slice may have toward memory; candidates
     /// beyond the cap are dropped, never queued across triggers.
     pub queue_cap: usize,
@@ -98,8 +94,6 @@ impl Default for PrefetchConfig {
             mode: PrefetchMode::Off,
             degree: 1,
             distance: 4,
-            stride_entries: 64,
-            stream_entries: 16,
             queue_cap: 32,
         }
     }
@@ -350,12 +344,18 @@ pub struct SlicePrefetcher {
 /// Lines per stream region (64 lines = 16 KB at 256 B lines).
 const REGION_SHIFT: u32 = 6;
 
+/// Stride-table entries per slice (direct-mapped by reference id).
+const STRIDE_ENTRIES: usize = 64;
+
+/// Stream-detector entries per slice (direct-mapped by region).
+const STREAM_ENTRIES: usize = 16;
+
 impl SlicePrefetcher {
     /// A fresh slice prefetcher.
     pub fn new(cfg: PrefetchConfig) -> Self {
         Self {
-            strides: vec![StrideEntry::default(); cfg.stride_entries.max(1)],
-            streams: vec![StreamEntry::default(); cfg.stream_entries.max(1)],
+            strides: vec![StrideEntry::default(); STRIDE_ENTRIES],
+            streams: vec![StreamEntry::default(); STREAM_ENTRIES],
             predictor: Predictor::new(),
             throttle: Throttle::new(),
             cfg,
@@ -462,8 +462,7 @@ impl SlicePrefetcher {
     }
 
     fn stride_candidates(&mut self, ref_id: u32, line: u64, degree: u32, out: &mut Vec<u64>) {
-        let n = self.strides.len();
-        let e = &mut self.strides[ref_id as usize % n];
+        let e = &mut self.strides[ref_id as usize % STRIDE_ENTRIES];
         if !e.valid || e.tag != ref_id {
             *e = StrideEntry {
                 tag: ref_id,
@@ -505,8 +504,7 @@ impl SlicePrefetcher {
 
     fn stream_candidates(&mut self, line: u64, degree: u32, out: &mut Vec<u64>) {
         let region = line >> REGION_SHIFT;
-        let n = self.streams.len();
-        let e = &mut self.streams[(mix(region) as usize) % n];
+        let e = &mut self.streams[(mix(region) as usize) % STREAM_ENTRIES];
         if !e.valid || e.region != region {
             *e = StreamEntry {
                 region,

@@ -94,13 +94,6 @@ impl SmallRng {
         self.next_u64() & 1 == 1
     }
 
-    /// A vector of uniform `i64`s with length drawn from `len` and values
-    /// drawn from `val`.
-    pub fn vec_i64(&mut self, len: Range<usize>, val: Range<i64>) -> Vec<i64> {
-        let n = self.usize_in(len);
-        (0..n).map(|_| self.i64_in(val.clone())).collect()
-    }
-
     /// A vector of uniform `u64`s with length drawn from `len` and values
     /// drawn from `val`.
     pub fn vec_u64(&mut self, len: Range<usize>, val: Range<u64>) -> Vec<u64> {

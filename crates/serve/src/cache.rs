@@ -54,16 +54,6 @@ impl LruCache {
         self.map.remove(&victim);
         1
     }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +72,7 @@ mod tests {
         c.put("b".into(), val("2"));
         assert!(c.get("a").is_some()); // refresh a; b is now LRU
         assert_eq!(c.put("c".into(), val("3")), 1, "one entry evicted");
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
         assert!(c.get("b").is_none(), "b was the LRU entry");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
@@ -93,7 +83,7 @@ mod tests {
         let mut c = LruCache::new(0);
         c.put("a".into(), val("1"));
         assert!(c.get("a").is_none());
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]

@@ -148,12 +148,4 @@ impl Client {
             other => Err(format!("unexpected drain reply {other:?}")),
         }
     }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), String> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(format!("unexpected ping reply {other:?}")),
-        }
-    }
 }

@@ -10,7 +10,7 @@ use hoploc_obs::registry::{CounterId, GaugeId, HistId};
 use hoploc_obs::Registry;
 use std::sync::Mutex;
 
-/// Counter slots in the `serve.jobs` family, indexable by name.
+/// Counter slots in the `serve.jobs` family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ctr {
     /// Submissions received (accepted or not).
@@ -60,28 +60,6 @@ pub const ALL_CTRS: [Ctr; 14] = [
     Ctr::ProtocolErrors,
     Ctr::Answered,
 ];
-
-impl Ctr {
-    /// Snapshot label for this counter slot.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ctr::Submitted => "submitted",
-            Ctr::Accepted => "accepted",
-            Ctr::RejectedFull => "rejected_full",
-            Ctr::RejectedDraining => "rejected_draining",
-            Ctr::RejectedInvalid => "rejected_invalid",
-            Ctr::Coalesced => "coalesced",
-            Ctr::CacheHits => "cache_hits",
-            Ctr::CacheEvictions => "cache_evictions",
-            Ctr::Executed => "executed",
-            Ctr::Failed => "failed",
-            Ctr::Timeouts => "timeouts",
-            Ctr::Requests => "requests",
-            Ctr::ProtocolErrors => "protocol_errors",
-            Ctr::Answered => "answered",
-        }
-    }
-}
 
 struct Inner {
     reg: Registry,

@@ -64,11 +64,6 @@ impl AddressSpace {
         self.bases[array.0] + offset as u64 * self.elem_sizes[array.0]
     }
 
-    /// Base address of an array.
-    pub fn base(&self, array: ArrayId) -> u64 {
-        self.bases[array.0]
-    }
-
     /// Total footprint in bytes (including padding and alignment).
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -145,8 +140,8 @@ mod tests {
         let p = program();
         let layout = optimize_program(&p, &mapping(), PassConfig::default());
         let space = AddressSpace::build(&p, &layout, 0);
-        let x_end = space.base(ArrayId(0)) + layout.layout(ArrayId(0)).span_bytes() as u64;
-        assert!(space.base(ArrayId(1)) >= x_end);
+        let x_end = space.bases[0] + layout.layout(ArrayId(0)).span_bytes() as u64;
+        assert!(space.bases[1] >= x_end);
     }
 
     #[test]
@@ -156,7 +151,7 @@ mod tests {
         let space = AddressSpace::build(&p, &layout, 12345);
         for i in 0..2 {
             let align = layout.layout(ArrayId(i)).base_alignment_bytes() as u64;
-            assert_eq!(space.base(ArrayId(i)) % align, 0);
+            assert_eq!(space.bases[i] % align, 0);
         }
     }
 

@@ -103,15 +103,6 @@ impl RunStats {
             / self.mc.len() as f64
     }
 
-    /// Overall L1 hit rate.
-    pub fn l1_hit_rate(&self) -> f64 {
-        if self.total_accesses == 0 {
-            0.0
-        } else {
-            self.l1_hits as f64 / self.total_accesses as f64
-        }
-    }
-
     /// Relative improvement of `self` over a baseline for a
     /// smaller-is-better metric, as a fraction (0.2 = 20% reduction).
     ///
@@ -221,23 +212,19 @@ mod tests {
         assert_eq!(s.offchip_fraction(), 0.0);
         assert_eq!(s.memory_latency(), 0.0);
         assert_eq!(s.bank_queue_occupancy(), 0.0);
-        assert_eq!(s.l1_hit_rate(), 0.0);
         assert_eq!(s.mc_request_shares(0), vec![0.0; 4]);
         assert_eq!(s.hottest_link(), (0, 0, 0.0));
     }
 
     #[test]
     fn ratio_methods_stay_in_range_on_degenerate_counts() {
-        // Accesses recorded but no hits / no off-chip traffic: the ratios
-        // must be exact 0.0, and with hits == accesses exactly 1.0.
+        // Accesses recorded but no off-chip traffic: the ratio must be
+        // exact 0.0, and with off-chip == accesses exactly 1.0.
         let mut s = empty();
         s.total_accesses = 10;
         assert_eq!(s.offchip_fraction(), 0.0);
-        assert_eq!(s.l1_hit_rate(), 0.0);
-        s.l1_hits = 10;
         s.offchip_accesses = 10;
         assert_eq!(s.offchip_fraction(), 1.0);
-        assert_eq!(s.l1_hit_rate(), 1.0);
         // Controllers present but a zero-cycle run must not divide by the
         // elapsed time.
         s.mc = vec![McStats::default(); 2];

@@ -206,11 +206,6 @@ impl ThreadTrace {
             ref_id: kind.ref_id,
         }
     }
-
-    /// Total compute cycles in the trace.
-    pub fn compute_cycles(&self) -> u64 {
-        self.iter().map(|a| a.gap as u64).sum()
-    }
 }
 
 impl std::fmt::Debug for ThreadTrace {
@@ -317,10 +312,5 @@ mod tests {
         let trace = t(0, 100);
         assert_eq!(std::mem::size_of_val(&trace.words[..]), 8 * trace.len());
         assert_eq!(trace.kinds.len(), 1);
-    }
-
-    #[test]
-    fn compute_cycles_sum_gaps() {
-        assert_eq!(t(0, 4).compute_cycles(), 4);
     }
 }

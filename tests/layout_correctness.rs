@@ -1,9 +1,13 @@
 //! Cross-crate layout correctness: for every application and both cache
 //! organizations, the customized layouts must be bijective renamings whose
-//! interleave units land on the owner's controllers.
+//! interleave units land on the owner's controllers, and a renaming never
+//! changes a dependence.
 
-use hoploc::affine::ArrayId;
-use hoploc::layout::{optimize_program, Granularity, L2Mode, PassConfig};
+use hoploc::affine::{
+    nest_dependences, parallelization_is_legal, test_dependence, AccessFn, AffineAccess, ArrayId,
+    Dependence, LoopNest,
+};
+use hoploc::layout::{determine_data_to_core, optimize_program, Granularity, L2Mode, PassConfig};
 use hoploc::noc::{L2ToMcMapping, McId, McPlacement, Mesh};
 use hoploc::sim::AddressSpace;
 use hoploc::workloads::{all_apps, Scale};
@@ -142,4 +146,69 @@ fn desired_page_map_matches_os_semantics() {
             );
         }
     }
+}
+
+/// The affine references of a nest, with the array each one names.
+fn affine_refs(nest: &LoopNest) -> impl Iterator<Item = (ArrayId, &AffineAccess)> {
+    let refs = nest.body().iter().flat_map(|s| &s.refs);
+    refs.filter_map(|r| match &r.access {
+        AccessFn::Affine(a) => Some((r.array, a)),
+        AccessFn::Indexed { .. } => None,
+    })
+}
+
+#[test]
+fn layout_transformation_never_changes_dependences() {
+    // §1: "data transformations are essentially a kind of renaming and not
+    // affected by dependences" — check over every app's nests: the U
+    // chosen by the pass leaves every characterizable dependence distance
+    // intact.
+    for app in all_apps(Scale::Test) {
+        for (i, _) in app.program.arrays().iter().enumerate() {
+            let Ok(d2c) = determine_data_to_core(&app.program, ArrayId(i)) else {
+                continue;
+            };
+            for nest in app.program.nests() {
+                for (a, aa) in affine_refs(nest) {
+                    for (b, bb) in affine_refs(nest) {
+                        if a != ArrayId(i) || b != ArrayId(i) {
+                            continue;
+                        }
+                        let before = test_dependence(aa, bb);
+                        let after =
+                            test_dependence(&aa.transformed(&d2c.u), &bb.transformed(&d2c.u));
+                        if let (Dependence::Uniform(x), Dependence::Uniform(y)) = (&before, &after)
+                        {
+                            assert_eq!(x, y, "{}: U changed a distance vector", app.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dependence_census_over_the_suite() {
+    // Sanity over the modelled applications: every nest yields a
+    // characterization (not a crash), and Jacobi-style nests are clean
+    // while SSOR-style nests carry dependences — matching the kernels they
+    // model.
+    let mut carried = Vec::new();
+    for app in all_apps(Scale::Test) {
+        for (k, nest) in app.program.nests().iter().enumerate() {
+            let _ = nest_dependences(nest);
+            if !parallelization_is_legal(nest) {
+                carried.push(format!("{}#{k}", app.name()));
+            }
+        }
+    }
+    // Gauss-Seidel-style updates in place: mgrid's relaxation, applu's
+    // sweeps, the stencils that write their own input. Their presence is
+    // structural, not a bug; their absence would mean the models lost
+    // their in-place character.
+    assert!(
+        carried.iter().any(|s| s.starts_with("applu")),
+        "applu's SSOR must carry a dependence, got {carried:?}"
+    );
 }

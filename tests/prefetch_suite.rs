@@ -54,7 +54,6 @@ fn prefetch_off_is_bit_identical_to_the_seed_engine() {
         degree: 16,
         distance: 8,
         queue_cap: 1,
-        ..PrefetchConfig::default()
     });
     let reqs = seed.full_matrix(&KINDS);
     let jobs = default_jobs();
