@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 use hoploc_fault::{FaultPlan, FaultRates};
 use hoploc_harness::{default_jobs, fault_topo, parallel_map, RunRequest, RunSpec, Suite};
-use hoploc_layout::{select_mapping, Granularity, L2Mode, SelectModel};
+use hoploc_layout::{select_mapping, Granularity, L2Mode};
 use hoploc_mem::RowPolicy;
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
 use hoploc_sim::{Improvement, RunStats, SimConfig};
@@ -435,7 +435,7 @@ fn fig17(scale: Scale) -> Measured {
     let mut t = Table::new(["app", "M1", "M2", "compiler"]);
     let (mut m2_wins, mut m2_picks) = (Vec::new(), Vec::new());
     for (a, app) in apps.iter().enumerate() {
-        let pick = select_mapping(&candidates, &app.profile, &SelectModel::default());
+        let pick = select_mapping(&candidates, &app.profile, &sim.noc, sim.mc.banks);
         if pick == 1 {
             m2_picks.push(app.name());
         }

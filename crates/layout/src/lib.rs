@@ -49,4 +49,4 @@ pub use error::LayoutError;
 pub use pass::{
     baseline_layout, optimize_program, ArrayReport, PassConfig, ProgramAnalysis, ProgramLayout,
 };
-pub use select::{mapping_cost, select_mapping, AppProfile, SelectModel};
+pub use select::{mapping_cost, select_mapping, AppProfile};

@@ -12,7 +12,7 @@
 //! estimate over the cluster's controllers and their banks) captures the
 //! pressure that makes the paper's *fma3d* and *minighost* prefer M2.
 
-use hoploc_noc::L2ToMcMapping;
+use hoploc_noc::{L2ToMcMapping, NocConfig};
 
 /// Compile-time estimate of an application's memory behaviour, derived
 /// from the program (footprint vs. cache capacity, reference counts) or
@@ -27,32 +27,22 @@ pub struct AppProfile {
     pub sharing_fraction: f64,
 }
 
-/// Cost model constants for the selection analysis.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SelectModel {
-    /// Cycles per hop (link + router).
-    pub hop_cost: f64,
-    /// Mean DRAM service time per request, in cycles.
-    pub service_cycles: f64,
-    /// Banks per memory controller.
-    pub banks_per_mc: f64,
-}
+/// Mean DRAM service time per request, in cycles.
+const DRAM_SERVICE_CYCLES: f64 = 60.0;
 
-impl Default for SelectModel {
-    fn default() -> Self {
-        Self {
-            hop_cost: 6.0,
-            service_cycles: 60.0,
-            banks_per_mc: 4.0,
-        }
-    }
-}
-
-/// Scores one mapping: expected off-chip access cost in cycles (lower is
-/// better).
-pub fn mapping_cost(mapping: &L2ToMcMapping, profile: &AppProfile, model: &SelectModel) -> f64 {
-    // Round-trip network distance to the cluster's controllers.
-    let distance_cost = 2.0 * mapping.avg_distance_to_mc() * model.hop_cost;
+/// Scores one mapping on a machine whose network is `noc` and whose
+/// controllers have `banks_per_mc` banks each: expected off-chip access
+/// cost in cycles (lower is better).
+pub fn mapping_cost(
+    mapping: &L2ToMcMapping,
+    profile: &AppProfile,
+    noc: &NocConfig,
+    banks_per_mc: usize,
+) -> f64 {
+    // Round-trip network distance to the cluster's controllers, each hop a
+    // link plus a router.
+    let hop_cost = (noc.hop_cycles + noc.router_cycles) as f64;
+    let distance_cost = 2.0 * mapping.avg_distance_to_mc() * hop_cost;
 
     // Bank pressure: steady-state per-MC load is mapping-independent
     // (cluster size scales with k), so what distinguishes mappings is how
@@ -62,14 +52,15 @@ pub fn mapping_cost(mapping: &L2ToMcMapping, profile: &AppProfile, model: &Selec
     // the reachable bank count serialize.
     let k = mapping.mcs_per_cluster() as f64;
     let burst = profile.offchip_per_kcycle * (1.0 + profile.sharing_fraction);
-    let reachable_banks = k * model.banks_per_mc;
+    let reachable_banks = k * banks_per_mc as f64;
     let overflow = (burst - reachable_banks).max(0.0);
-    let queue_cost = overflow / reachable_banks * model.service_cycles;
+    let queue_cost = overflow / reachable_banks * DRAM_SERVICE_CYCLES;
 
     distance_cost + queue_cost
 }
 
-/// Picks the best mapping among candidates; returns its index.
+/// Picks the best mapping among candidates by [`mapping_cost`] on the same
+/// machine; returns its index.
 ///
 /// # Panics
 ///
@@ -77,7 +68,8 @@ pub fn mapping_cost(mapping: &L2ToMcMapping, profile: &AppProfile, model: &Selec
 pub fn select_mapping(
     candidates: &[L2ToMcMapping],
     profile: &AppProfile,
-    model: &SelectModel,
+    noc: &NocConfig,
+    banks_per_mc: usize,
 ) -> usize {
     assert!(
         !candidates.is_empty(),
@@ -86,7 +78,7 @@ pub fn select_mapping(
     candidates
         .iter()
         .enumerate()
-        .map(|(i, m)| (i, mapping_cost(m, profile, model)))
+        .map(|(i, m)| (i, mapping_cost(m, profile, noc, banks_per_mc)))
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are finite"))
         .map(|(i, _)| i)
         .expect("non-empty candidates")
@@ -96,6 +88,9 @@ pub fn select_mapping(
 mod tests {
     use super::*;
     use hoploc_noc::{McPlacement, Mesh};
+
+    /// Banks per controller of the simulated machine.
+    const BANKS: usize = 8;
 
     fn m1m2() -> Vec<L2ToMcMapping> {
         let mesh = Mesh::new(8, 8);
@@ -113,7 +108,7 @@ mod tests {
             sharing_fraction: 0.1,
         };
         assert_eq!(
-            select_mapping(&m1m2(), &profile, &SelectModel::default()),
+            select_mapping(&m1m2(), &profile, &NocConfig::default(), BANKS),
             0
         );
     }
@@ -126,7 +121,7 @@ mod tests {
             sharing_fraction: 0.5,
         };
         assert_eq!(
-            select_mapping(&m1m2(), &profile, &SelectModel::default()),
+            select_mapping(&m1m2(), &profile, &NocConfig::default(), BANKS),
             1
         );
     }
@@ -134,14 +129,15 @@ mod tests {
     #[test]
     fn cost_is_monotone_in_pressure() {
         let m = &m1m2()[0];
-        let model = SelectModel::default();
+        let noc = NocConfig::default();
         let lo = mapping_cost(
             m,
             &AppProfile {
                 offchip_per_kcycle: 1.0,
                 sharing_fraction: 0.0,
             },
-            &model,
+            &noc,
+            BANKS,
         );
         let hi = mapping_cost(
             m,
@@ -149,7 +145,8 @@ mod tests {
                 offchip_per_kcycle: 10.0,
                 sharing_fraction: 0.0,
             },
-            &model,
+            &noc,
+            BANKS,
         );
         assert!(hi > lo);
     }
@@ -161,7 +158,7 @@ mod tests {
             offchip_per_kcycle: 10_000.0,
             sharing_fraction: 1.0,
         };
-        let c = mapping_cost(m, &profile, &SelectModel::default());
+        let c = mapping_cost(m, &profile, &NocConfig::default(), BANKS);
         assert!(c.is_finite());
     }
 }

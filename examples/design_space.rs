@@ -7,7 +7,7 @@
 //! ```
 
 use hoploc::harness::Suite;
-use hoploc::layout::{mapping_cost, select_mapping, Granularity, SelectModel};
+use hoploc::layout::{mapping_cost, select_mapping, Granularity};
 use hoploc::noc::{L2ToMcMapping, McPlacement, Mesh};
 use hoploc::sim::{RunStats, SimConfig};
 use hoploc::workloads::{fma3d, wupwise, RunKind, Scale};
@@ -29,12 +29,13 @@ fn main() {
     }
 
     println!("\n--- compiler mapping selection (§4) ---");
-    let model = SelectModel::default();
+    let machine = SimConfig::scaled();
+    let (noc, banks) = (&machine.noc, machine.mc.banks);
     let candidates = [m1.clone(), m2.clone()];
     for app in [wupwise(Scale::Bench), fma3d(Scale::Bench)] {
-        let c1 = mapping_cost(&m1, &app.profile, &model);
-        let c2 = mapping_cost(&m2, &app.profile, &model);
-        let pick = select_mapping(&candidates, &app.profile, &model);
+        let c1 = mapping_cost(&m1, &app.profile, noc, banks);
+        let c2 = mapping_cost(&m2, &app.profile, noc, banks);
+        let pick = select_mapping(&candidates, &app.profile, noc, banks);
         println!(
             "{:<8} estimated cost: M1 {:>6.1}cy, M2 {:>6.1}cy -> compiler picks {}",
             app.name(),
