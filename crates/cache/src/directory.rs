@@ -7,7 +7,6 @@
 //! directory then either forwards to a sharer L2 (an *on-chip* access) or
 //! issues an *off-chip* memory request.
 
-use hoploc_obs::Sink;
 use std::fmt;
 
 /// A set of sharer nodes (`< 128`): what the directory knows about one
@@ -160,15 +159,6 @@ impl Directory {
         sharers
     }
 
-    /// Like [`lookup`](Self::lookup), additionally mirroring the
-    /// forward/off-chip outcome into `sink`. `ts` is the lookup's sim-cycle
-    /// time.
-    pub fn lookup_obs(&mut self, line: u64, requester: usize, ts: u64, sink: &Sink) -> Sharers {
-        let sharers = self.lookup(line, requester);
-        sink.dir_lookup(ts, requester as u16, !sharers.is_empty());
-        sharers
-    }
-
     /// Number of tracked lines.
     pub fn len(&self) -> usize {
         self.tracked
@@ -231,25 +221,6 @@ mod tests {
         let mut d = Directory::new();
         d.remove_sharer(1, 1);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn lookup_obs_mirrors_counters() {
-        use hoploc_obs::{ObsConfig, Sink, Topology};
-        let topo = Topology {
-            mesh_width: 2,
-            mesh_height: 2,
-            mcs: 1,
-            banks_per_mc: 1,
-        };
-        let sink = Sink::recording(topo, ObsConfig::default());
-        let mut d = Directory::new();
-        d.add_sharer(9, 2);
-        d.lookup_obs(9, 0, 10, &sink); // forwarded to node 2
-        d.lookup_obs(5, 0, 20, &sink); // nobody shares line 5
-        let rep = sink.into_report(100).unwrap();
-        assert_eq!(rep.counter("dir.forwards"), d.on_chip_hits);
-        assert_eq!(rep.counter("dir.misses"), d.off_chip_misses);
     }
 
     #[test]

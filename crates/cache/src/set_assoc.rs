@@ -13,7 +13,6 @@
 //! found through an index — with one replacement rule and one set of
 //! results ([`SetAssocCache`]).
 
-use hoploc_obs::{CacheTag, Sink};
 use std::fmt;
 
 /// Geometry of a cache.
@@ -103,13 +102,18 @@ pub struct AccessResult {
     pub evicted_prefetched: bool,
 }
 
-/// Hit/miss counters.
+/// Demand counters: [`install_prefetch`](SetAssocCache::install_prefetch)
+/// moves none of them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
     /// Accesses that hit.
     pub hits: u64,
+    /// Misses whose fill evicted a valid line.
+    pub evictions: u64,
+    /// Evictions of a dirty line.
+    pub dirty_evictions: u64,
 }
 
 impl CacheStats {
@@ -321,22 +325,6 @@ impl SetAssocCache {
         self.access_rw(line, false)
     }
 
-    /// Like [`access_rw`](Self::access_rw), additionally mirroring the
-    /// hit/miss/eviction outcome into `sink` as per-node counters for the
-    /// cache identified by `tag`. `ts` is the access's sim-cycle time.
-    pub fn access_rw_obs(
-        &mut self,
-        line: u64,
-        write: bool,
-        ts: u64,
-        tag: CacheTag,
-        sink: &Sink,
-    ) -> AccessResult {
-        let r = self.access_rw(line, write);
-        sink.cache_access(tag, ts, r.hit, r.evicted.is_some(), r.evicted_dirty);
-        r
-    }
-
     /// Like [`access`](Self::access), additionally marking the line dirty
     /// when `write` is set, and reporting the evicted line's dirtiness so
     /// the caller can issue a writeback.
@@ -357,7 +345,10 @@ impl SetAssocCache {
                 evicted_prefetched: false,
             };
         }
-        self.fill(set, line, if write { DIRTY } else { 0 })
+        let r = self.fill(set, line, if write { DIRTY } else { 0 });
+        self.stats.evictions += u64::from(r.evicted.is_some());
+        self.stats.dirty_evictions += u64::from(r.evicted_dirty);
+        r
     }
 
     /// Installs a prefetched line without touching the demand statistics:
@@ -542,27 +533,18 @@ mod tests {
     }
 
     #[test]
-    fn access_rw_obs_mirrors_per_node_counters() {
-        use hoploc_obs::{ObsConfig, Topology};
-        let topo = Topology {
-            mesh_width: 2,
-            mesh_height: 2,
-            mcs: 1,
-            banks_per_mc: 1,
-        };
-        let sink = Sink::recording(topo, ObsConfig::default());
+    fn demand_fills_count_evictions_and_prefetch_fills_do_not() {
         let mut c = tiny();
-        c.access_rw_obs(0, true, 0, CacheTag::l2(3), &sink);
-        c.access_rw_obs(0, false, 1, CacheTag::l2(3), &sink);
-        c.access_rw_obs(2, false, 2, CacheTag::l2(3), &sink);
-        c.access_rw_obs(4, false, 3, CacheTag::l2(3), &sink); // evicts 0 or 2
-        c.access_rw_obs(9, false, 4, CacheTag::l1(1), &sink);
-        let rep = sink.into_report(10).unwrap();
-        assert_eq!(rep.counter_family("cache.l2.accesses")[3], 4);
-        assert_eq!(rep.counter_family("cache.l2.hits")[3], c.stats().hits);
-        assert_eq!(rep.counter_family("cache.l2.evictions")[3], 1);
-        assert_eq!(rep.counter_family("cache.l1.accesses")[1], 1);
-        assert_eq!(rep.counter_family("cache.l1.hits")[1], 0);
+        c.access_rw(0, true); // set 0, dirty
+        c.access_rw(2, false); // set 0 full
+        c.access_rw(4, false); // evicts dirty 0
+        c.access_rw(6, false); // evicts clean 2
+        assert_eq!((c.stats().evictions, c.stats().dirty_evictions), (2, 1));
+        let r = c.install_prefetch(8); // evicts 4
+        assert_eq!(r.evicted, Some(4));
+        assert_eq!((c.stats().evictions, c.stats().dirty_evictions), (2, 1));
+        c.access_rw(10, false); // a demand fill counts again
+        assert_eq!(c.stats().evictions, 3);
     }
 
     #[test]

@@ -94,7 +94,10 @@ impl RefCache {
             self.stats.hits += 1;
             return Self::hit(prefetched_hit);
         }
-        Self::fill(set, line, write, false, self.clock)
+        let r = Self::fill(set, line, write, false, self.clock);
+        self.stats.evictions += r.evicted.is_some() as u64;
+        self.stats.dirty_evictions += r.evicted_dirty as u64;
+        r
     }
 
     fn install_prefetch(&mut self, line: u64) -> AccessResult {

@@ -82,8 +82,6 @@ pub struct EstConfig {
     pub granularity: Granularity,
     /// Number of mesh nodes (cores / L2 tiles).
     pub num_nodes: usize,
-    /// Number of memory controllers.
-    pub num_mcs: usize,
     /// Threads per core (Figure 24).
     pub threads_per_core: usize,
 }
@@ -97,7 +95,6 @@ impl EstConfig {
             l2_mode: sim.l2_mode,
             granularity: sim.granularity,
             num_nodes: sim.num_nodes(),
-            num_mcs: sim.num_mcs(),
             threads_per_core: 1,
         }
     }
@@ -559,9 +556,9 @@ struct RouteBuffers {
 
 impl RouteBuffers {
     /// Fills the hop rows of `mapping`'s controllers and sizes the per-MC
-    /// accumulators for `n_mcs` of them.
-    fn prepare(&mut self, mapping: &L2ToMcMapping, n_mcs: usize) {
-        let mesh = *mapping.mesh();
+    /// accumulators for them.
+    fn prepare(&mut self, mapping: &L2ToMcMapping) {
+        let (mesh, n_mcs) = (*mapping.mesh(), mapping.num_mcs());
         let n = mesh.num_nodes();
         if self.mesh != Some(mesh) {
             self.mesh = Some(mesh);
@@ -673,8 +670,8 @@ impl Router<'_> {
                     &[]
                 };
                 if owner_mcs.is_empty() {
-                    let w = misses / cfg.num_mcs as f64;
-                    for m in 0..cfg.num_mcs {
+                    let w = misses / mapping.num_mcs() as f64;
+                    for m in 0..mapping.num_mcs() {
                         add(McId(m as u16), w);
                     }
                 } else {
@@ -707,8 +704,8 @@ impl Router<'_> {
                         }
                     }
                     None => {
-                        let w = misses / cfg.num_mcs as f64;
-                        for m in 0..cfg.num_mcs {
+                        let w = misses / mapping.num_mcs() as f64;
+                        for m in 0..mapping.num_mcs() {
                             add(McId(m as u16), w);
                         }
                     }
@@ -1203,13 +1200,14 @@ impl Footprint {
     /// Splits the footprint's off-chip demand across the controllers of
     /// one (layout, mapping, kind) cell: per-MC shares, hop expectation,
     /// queue pressure. `cfg` must describe the machine the footprint was
-    /// made for; its `granularity` and `num_mcs` are the cell's own.
+    /// made for; its `granularity` is the cell's own, and the controllers
+    /// are the mapping's.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` differs from the footprint's in a field the model
     /// read, if the layout binds a different number of cores, or if the
-    /// mapping is for another mesh or another number of controllers.
+    /// mapping is for another mesh.
     pub fn route(
         &self,
         layout: &ProgramLayout,
@@ -1231,7 +1229,7 @@ impl Footprint {
             total_accesses: self.total_accesses,
             predicted_offchip: self.predicted_offchip,
             avg_offchip_hops: flow.avg_hops().unwrap_or(0.0),
-            queue_pressure: queue_pressure(mc_shares.iter().copied(), cfg.num_mcs),
+            queue_pressure: queue_pressure(mc_shares.iter().copied(), mapping.num_mcs()),
             mc_shares,
             streaming: self.streaming,
             arrays,
@@ -1270,7 +1268,7 @@ impl Footprint {
         EstTerms {
             offchip: offchip_fraction(self.predicted_offchip, self.total_accesses),
             hops: flow.avg_hops().unwrap_or(0.0),
-            queue: queue_pressure(mc_shares(&buf.cell), cfg.num_mcs),
+            queue: queue_pressure(mc_shares(&buf.cell), mapping.num_mcs()),
         }
     }
 
@@ -1303,13 +1301,7 @@ impl Footprint {
             cfg.num_nodes,
             "mapping is for another mesh"
         );
-        assert!(
-            mapping.num_mcs() == cfg.num_mcs,
-            "mapping has {} memory controllers but the machine has {}",
-            mapping.num_mcs(),
-            cfg.num_mcs
-        );
-        buf.prepare(mapping, cfg.num_mcs);
+        buf.prepare(mapping);
         let RouteBuffers {
             hops,
             uniform_hops,
@@ -1400,8 +1392,8 @@ pub fn estimate_app(
 pub struct PlacementScorer<'a> {
     planner: LayoutPlanner<'a>,
     /// The base machine, under the granularity last planned for. Its own
-    /// placement stays the base one: the controller count comes from the
-    /// placement planned for ([`est_config`](Self::est_config)).
+    /// placement stays the base one: the controllers are the mapping's of
+    /// the placement planned for.
     sim: SimConfig,
     kind: RunKind,
     footprint: Footprint,
@@ -1457,20 +1449,10 @@ impl<'a> PlacementScorer<'a> {
         );
     }
 
-    /// The estimator's view of the machine under `placement` and the
-    /// granularity last planned for.
-    fn est_config(&self, placement: &hoploc_noc::Placement) -> EstConfig {
-        EstConfig {
-            num_mcs: placement.mc_nodes().len(),
-            ..EstConfig::from_sim(&self.sim)
-        }
-    }
-
     /// Predicts the cell under `placement`: [`plan`](Self::plan), then
-    /// [`Footprint::route`]. The MC count and the mapping come from the
-    /// same value, so the placement a candidate is scored with is
-    /// byte-identical to the one the verifying cycle simulation is
-    /// constructed from.
+    /// [`Footprint::route`]. The controllers are the placement's mapping's,
+    /// so the placement a candidate is scored with is byte-identical to the
+    /// one the verifying cycle simulation is constructed from.
     pub fn estimate(
         &mut self,
         placement: &hoploc_noc::Placement,
@@ -1478,7 +1460,7 @@ impl<'a> PlacementScorer<'a> {
         approx_threshold: f64,
     ) -> AppEstimate {
         self.fill(placement, granularity, approx_threshold);
-        let cfg = self.est_config(placement);
+        let cfg = EstConfig::from_sim(&self.sim);
         (self.footprint).route(&self.layout, placement.mapping(), self.kind, &cfg)
     }
 
@@ -1492,7 +1474,7 @@ impl<'a> PlacementScorer<'a> {
         approx_threshold: f64,
     ) -> EstTerms {
         self.fill(placement, granularity, approx_threshold);
-        let cfg = self.est_config(placement);
+        let cfg = EstConfig::from_sim(&self.sim);
         let buffers = &mut self.buffers;
         (self.footprint).terms_in(&self.layout, placement.mapping(), self.kind, &cfg, buffers)
     }
@@ -1548,7 +1530,7 @@ mod tests {
                 placement: McPlacement::Custom(mc_nodes),
                 ..SimConfig::scaled()
             });
-            buf.prepare(&mapping, cfg.num_mcs);
+            buf.prepare(&mapping);
             let router = Router {
                 mapping: &mapping,
                 cfg: &cfg,
@@ -1570,17 +1552,5 @@ mod tests {
                 assert_eq!(router.uniform_hops[m.0 as usize].to_bits(), mean.to_bits());
             }
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "mapping has 16 memory controllers but the machine has 4")]
-    fn route_refuses_a_mapping_with_another_controller_count() {
-        let sim = SimConfig::scaled();
-        let app = hoploc_workloads::swim(hoploc_workloads::Scale::Test);
-        let placement = McPlacement::Custom((0..16).map(|i| NodeId(i * 4)).collect());
-        let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &placement);
-        let cfg = EstConfig::from_sim(&sim);
-        let layout = hoploc_workloads::layout_for(&app, &mapping, &sim, RunKind::Baseline);
-        Footprint::of(&app, &cfg).route(&layout, &mapping, RunKind::Baseline, &cfg);
     }
 }

@@ -727,6 +727,18 @@ pub fn fault_topo(sim: &SimConfig) -> FaultTopo {
     }
 }
 
+/// FNV-1a over a byte string, the workspace's content hash: stable,
+/// platform-independent, dependency-free. It keys served jobs and forks
+/// each searched application's PRNG stream by name.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// A sensible default worker count: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()

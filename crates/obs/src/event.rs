@@ -60,42 +60,6 @@ pub enum NetClass {
     OffChip,
 }
 
-/// Cache level for per-cache counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CacheLevel {
-    /// Private per-core L1.
-    L1,
-    /// L2 slice (private or shared-home, per node).
-    L2,
-}
-
-/// Which cache an access touched: level + owning node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CacheTag {
-    /// Cache level.
-    pub level: CacheLevel,
-    /// Owning node index.
-    pub node: u16,
-}
-
-impl CacheTag {
-    /// The L1 of `node`.
-    pub fn l1(node: u16) -> Self {
-        CacheTag {
-            level: CacheLevel::L1,
-            node,
-        }
-    }
-
-    /// The L2 slice at `node`.
-    pub fn l2(node: u16) -> Self {
-        CacheTag {
-            level: CacheLevel::L2,
-            node,
-        }
-    }
-}
-
 /// The timeline a span event is drawn on. One Chrome-trace thread per track.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Track {

@@ -8,12 +8,14 @@
 //! The crate has three layers:
 //!
 //! * **Recording** — a [`Sink`] handed by reference into the instrumented
-//!   components (`sim`, `noc`, `mem`, `cache`). A disabled sink costs one
-//!   branch per call site and allocates nothing; an enabled sink records
+//!   components (`sim`, `noc`, `mem`). A disabled sink costs one branch
+//!   per call site and allocates nothing; an enabled sink records
 //!   each off-chip request's lifecycle as spans (L1 miss → directory →
 //!   per-hop NoC traversal with link-wait cycles → MC queue → bank
 //!   row-hit/miss service → reply) plus a [`Registry`] of counters, gauges,
 //!   log-bucketed latency [`Histogram`]s, and windowed per-epoch series.
+//!   Counts a component keeps itself (the caches' hits and evictions) are
+//!   copied in once, when the run ends ([`Sink::set_counters`]).
 //! * **Report** — [`ObsReport`], the frozen result: plain data (safe to send
 //!   across harness worker threads) with figure-level derived views that
 //!   replicate the aggregate `RunStats` formulas operation-for-operation.
@@ -34,7 +36,7 @@ pub mod registry;
 pub mod report;
 pub mod sink;
 
-pub use event::{CacheLevel, CacheTag, EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
+pub use event::{EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 pub use hist::Histogram;
 pub use json::{
     parse as parse_json, validate_chrome_trace, ChromeSummary, Floats, JsonScalar, JsonWriter,

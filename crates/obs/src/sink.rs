@@ -7,7 +7,7 @@
 //! into the `_obs` method variants, so the untraced code paths compile to the
 //! exact same work as before the observability layer existed.
 
-use crate::event::{CacheLevel, CacheTag, EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
+use crate::event::{EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 use crate::registry::{CounterId, GaugeId, HistId, Registry, SeriesId, WindowMode};
 use crate::report::ObsReport;
 use std::cell::RefCell;
@@ -123,12 +123,6 @@ struct Ids {
     node_mc: CounterId,
     dir_forwards: CounterId,
     dir_misses: CounterId,
-    l1_accesses: CounterId,
-    l1_hits: CounterId,
-    l2_accesses: CounterId,
-    l2_hits: CounterId,
-    l2_evictions: CounterId,
-    l2_evictions_dirty: CounterId,
     net_msgs: [CounterId; 2],
     net_latency: [CounterId; 2],
     net_hops: [CounterId; 2],
@@ -226,16 +220,24 @@ impl Recorder {
             node_mc: reg.counter("sim.node_mc_requests", nodes * topo.mcs),
             dir_forwards: reg.counter("dir.forwards", 1),
             dir_misses: reg.counter("dir.misses", 1),
-            l1_accesses: reg.counter("cache.l1.accesses", nodes),
-            l1_hits: reg.counter("cache.l1.hits", nodes),
-            l2_accesses: reg.counter("cache.l2.accesses", nodes),
-            l2_hits: reg.counter("cache.l2.hits", nodes),
-            l2_evictions: reg.counter("cache.l2.evictions", nodes),
-            l2_evictions_dirty: reg.counter("cache.l2.evictions_dirty", nodes),
-            net_msgs: [
-                reg.counter("net.onchip.msgs", 1),
-                reg.counter("net.offchip.msgs", 1),
-            ],
+            net_msgs: {
+                // The caches count these themselves; the simulator copies
+                // them in when the run ends (`Sink::set_counters`).
+                for name in [
+                    "cache.l1.accesses",
+                    "cache.l1.hits",
+                    "cache.l2.accesses",
+                    "cache.l2.hits",
+                    "cache.l2.evictions",
+                    "cache.l2.evictions_dirty",
+                ] {
+                    reg.counter(name, nodes);
+                }
+                [
+                    reg.counter("net.onchip.msgs", 1),
+                    reg.counter("net.offchip.msgs", 1),
+                ]
+            },
             net_latency: [
                 reg.counter("net.onchip.latency_cycles", 1),
                 reg.counter("net.offchip.latency_cycles", 1),
@@ -781,32 +783,23 @@ impl Sink {
 
     // ---- cache / directory records -----------------------------------------
 
-    /// One set-associative cache access.
-    #[inline]
-    pub fn cache_access(&self, tag: CacheTag, ts: u64, hit: bool, evicted: bool, dirty: bool) {
-        let _ = ts;
+    /// Fills counter family `name` with `values`, one per element: a count
+    /// its component keeps itself, copied in once the run ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no counter family is called `name`, or if its length is
+    /// not `values.len()`.
+    pub fn set_counters(&self, name: &str, values: &[u64]) {
         self.with(|r| {
-            let n = tag.node as usize;
-            match tag.level {
-                CacheLevel::L1 => {
-                    r.reg.inc(r.ids.l1_accesses, n, 1);
-                    if hit {
-                        r.reg.inc(r.ids.l1_hits, n, 1);
-                    }
-                }
-                CacheLevel::L2 => {
-                    r.reg.inc(r.ids.l2_accesses, n, 1);
-                    if hit {
-                        r.reg.inc(r.ids.l2_hits, n, 1);
-                    }
-                    if evicted {
-                        r.reg.inc(r.ids.l2_evictions, n, 1);
-                        if dirty {
-                            r.reg.inc(r.ids.l2_evictions_dirty, n, 1);
-                        }
-                    }
-                }
-            }
+            let family = r
+                .reg
+                .counters
+                .iter_mut()
+                .find(|f| f.name == name)
+                .unwrap_or_else(|| panic!("no counter family named {name}"));
+            assert_eq!(family.vals.len(), values.len(), "length of {name}");
+            family.vals.copy_from_slice(values);
         });
     }
 
@@ -1059,6 +1052,30 @@ mod tests {
         // The counts land on the node that reported them.
         assert_eq!(rep.counter_family("pf.candidates")[1], 5);
         assert_eq!(rep.counter_family("pf.late")[2], 1);
+    }
+
+    #[test]
+    fn set_counters_fills_a_family_in_place() {
+        let s = Sink::recording(topo(), ObsConfig::default());
+        s.set_counters("cache.l2.hits", &[1, 2, 3, 4]);
+        let rep = s.into_report(10).unwrap();
+        assert_eq!(rep.counter_family("cache.l2.hits"), &[1, 2, 3, 4]);
+        let names: Vec<&str> = rep.registry().counters.iter().map(|f| f.name).collect();
+        let at = |name| names.iter().position(|&n| n == name);
+        assert!(at("dir.misses") < at("cache.l1.accesses"));
+        assert!(at("cache.l2.evictions_dirty") < at("net.onchip.msgs"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter family named cache.l3.hits")]
+    fn set_counters_refuses_an_unknown_family() {
+        Sink::recording(topo(), ObsConfig::default()).set_counters("cache.l3.hits", &[0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length of cache.l1.hits")]
+    fn set_counters_refuses_a_wrong_length() {
+        Sink::recording(topo(), ObsConfig::default()).set_counters("cache.l1.hits", &[0; 3]);
     }
 
     #[test]

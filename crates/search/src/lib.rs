@@ -67,7 +67,7 @@ pub use space::{curated, propose, Candidate, CandidateKey, APPROX_LEVELS, TILING
 pub use verify::{Machine, VerifyRequest};
 
 use hoploc_est::PlacementScorer;
-use hoploc_harness::parallel_map;
+use hoploc_harness::{fnv1a, parallel_map};
 use hoploc_layout::Granularity;
 use hoploc_noc::{McPlacement, Placement};
 use hoploc_ptest::SmallRng;
@@ -115,18 +115,6 @@ impl SearchConfig {
             cancel: Cancel::never(),
         }
     }
-}
-
-/// FNV-1a, the workspace's standard content hash — used to fork each
-/// app's PRNG stream from the master seed by name, so the chain is
-/// independent of the app's position in the suite and of `--jobs`.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The estimator-backed scorer: caches by candidate key (revisits are
@@ -219,7 +207,9 @@ impl<'a> Evaluator<'a> {
 pub fn search_app(app: &App, cfg: &SearchConfig, emit: &mut dyn FnMut(String)) -> SearchReport {
     assert!(cfg.budget >= 1, "search needs a budget of at least 1");
     let mesh = cfg.sim.mesh;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed).fork(fnv1a(app.name()));
+    // Forked by name: the chain does not depend on the app's position in
+    // the suite or on `--jobs`.
+    let mut rng = SmallRng::seed_from_u64(cfg.seed).fork(fnv1a(app.name().as_bytes()));
     let mut ev = Evaluator::new(app, cfg);
 
     // The paper baselines depend on the application and the base machine

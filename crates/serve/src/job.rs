@@ -8,6 +8,7 @@
 //! the contract that makes duplicate submissions cost one simulation.
 
 use hoploc_fault::FaultPlan;
+pub use hoploc_harness::fnv1a;
 use hoploc_harness::MachineSpec;
 use hoploc_workloads::RunKind;
 
@@ -184,16 +185,6 @@ impl JobSpec {
     pub fn config_canon(&self) -> String {
         self.machine.canon()
     }
-}
-
-/// FNV-1a over a byte string: stable, platform-independent, dependency-free.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -102,7 +102,6 @@ struct CoreState {
     done_order: VecDeque<u64>,
     next_id: u64,
     active: usize,
-    answered: u64,
     draining: bool,
     shutdown: bool,
 }
@@ -160,7 +159,6 @@ impl Core {
                 done_order: VecDeque::new(),
                 next_id: 1,
                 active: 0,
-                answered: 0,
                 draining: false,
                 shutdown: false,
             }),
@@ -187,7 +185,7 @@ impl Core {
 
     /// Completed jobs to retain for late `result` fetches.
     fn retained_cap(&self) -> usize {
-        (self.cfg.queue_cap * 8).max(1024)
+        self.cfg.queue_cap.saturating_mul(8).max(1024)
     }
 
     fn finish_job(&self, st: &mut CoreState, id: u64, state: JobState) {
@@ -201,7 +199,6 @@ impl Core {
 
     /// Counts job `id` answered and keeps it for late fetches, within the cap.
     fn retire(&self, st: &mut CoreState, id: u64) {
-        st.answered += 1;
         self.metrics.inc(Ctr::Answered, 1);
         st.done_order.push_back(id);
         while st.done_order.len() > self.retained_cap() {
@@ -380,7 +377,7 @@ impl Core {
     /// What the server has answered and executed so far, and its metrics.
     fn summary(&self) -> DrainSummary {
         DrainSummary {
-            answered: self.lock().answered,
+            answered: self.metrics.get(Ctr::Answered),
             executed: self.metrics.get(Ctr::Executed),
             metrics: self.metrics.snapshot_json(),
         }
@@ -798,6 +795,19 @@ mod tests {
             result_ok(&core, id);
         }
         shut_down(&core, workers);
+    }
+
+    #[test]
+    fn a_huge_queue_cap_still_answers() {
+        let cfg = ServeConfig {
+            queue_cap: usize::MAX,
+            ..ServeConfig::default()
+        };
+        let core = core_with(FakeEngine::new(0), cfg);
+        let workers = core.start_workers();
+        let (id, _) = accept(&core, spec("swim"));
+        result_ok(&core, id);
+        assert_eq!(shut_down(&core, workers).answered, 1);
     }
 
     #[test]

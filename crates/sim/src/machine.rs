@@ -31,12 +31,12 @@ use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
 use crate::stats::RunStats;
 use crate::trace::{Access, TraceWorkload};
-use hoploc_cache::{Directory, IntMap, SetAssocCache, Sharers};
+use hoploc_cache::{CacheStats, Directory, IntMap, SetAssocCache, Sharers};
 use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
 use hoploc_mem::{Completion, MemoryController};
 use hoploc_noc::{L2ToMcMapping, McId, Mesh, Network, NodeId, TrafficClass};
-use hoploc_obs::{CacheTag, ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
+use hoploc_obs::{ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
 use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher};
 
 /// Events handled between two polls of the cancel token (≈ 1 ms): a power
@@ -149,18 +149,14 @@ pub struct Simulator {
     outages: Vec<Vec<McOutage>>,
     /// Prefetch state, present only when `config.prefetch` enables a mode.
     pf: Option<PfState>,
-    // Stats.
-    total_accesses: u64,
-    l1_hits: u64,
-    l2_hits: u64,
-    cache_to_cache: u64,
-    offchip: u64,
+    // Stats no component keeps: the rest of `RunStats` is read from the
+    // caches, the directory and the controllers when the run ends.
     writebacks: u64,
     rehomed: u64,
-    dropped: u64,
     node_mc_requests: Vec<Vec<u64>>,
     /// Observability sink: disabled unless [`Simulator::with_obs`] was
-    /// called, in which case every component mirrors its events here.
+    /// called. The network and the controllers record their events into it;
+    /// the caches' counts are copied in when the run ends.
     obs: Sink,
     /// Polled by the event loop; see [`Simulator::with_cancel`].
     cancel: Cancel,
@@ -243,14 +239,8 @@ impl Simulator {
                 summary: PrefetchSummary::default(),
                 scratch: Vec::new(),
             }),
-            total_accesses: 0,
-            l1_hits: 0,
-            l2_hits: 0,
-            cache_to_cache: 0,
-            offchip: 0,
             writebacks: 0,
             rehomed: 0,
-            dropped: 0,
             node_mc_requests: vec![vec![0; n_mcs]; n],
             obs: Sink::disabled(),
             cancel: Cancel::never(),
@@ -305,6 +295,20 @@ impl Simulator {
             "run_traced requires Simulator::with_obs"
         );
         let stats = self.run_core(workload);
+        let (l1, l2) = (&self.l1, &self.l2);
+        for (name, per_node) in [
+            ("cache.l1.accesses", counts(l1, |s| s.accesses)),
+            ("cache.l1.hits", counts(l1, |s| s.hits)),
+            ("cache.l2.accesses", counts(l2, |s| s.accesses)),
+            ("cache.l2.hits", counts(l2, |s| s.hits)),
+            ("cache.l2.evictions", counts(l2, |s| s.evictions)),
+            (
+                "cache.l2.evictions_dirty",
+                counts(l2, |s| s.dirty_evictions),
+            ),
+        ] {
+            self.obs.set_counters(name, &per_node.collect::<Vec<_>>());
+        }
         let report = std::mem::take(&mut self.obs)
             .into_report(stats.exec_cycles)
             .expect("invariant: the sink was checked enabled above");
@@ -370,11 +374,12 @@ impl Simulator {
         let link_utilization = self.net.link_utilization(exec_cycles.max(1));
         RunStats {
             exec_cycles,
-            total_accesses: self.total_accesses,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            cache_to_cache: self.cache_to_cache,
-            offchip_accesses: self.offchip,
+            total_accesses: counts(&self.l1, |s| s.accesses).sum(),
+            l1_hits: counts(&self.l1, |s| s.hits).sum(),
+            l2_hits: counts(&self.l2, |s| s.hits).sum(),
+            // Only a private-L2 machine looks the directory up.
+            cache_to_cache: self.dir.on_chip_hits,
+            offchip_accesses: self.node_mc_requests.iter().flatten().sum(),
             writebacks: self.writebacks,
             net: self.net.stats().clone(),
             mc: self.mcs.iter().map(|m| *m.stats()).collect(),
@@ -383,7 +388,7 @@ impl Simulator {
             os_fallbacks: self.os.fallback_allocations,
             link_utilization,
             rehomed_requests: self.rehomed,
-            dropped_requests: self.dropped,
+            dropped_requests: self.mcs.iter().map(|m| m.stats().dropped).sum(),
             backstop_flushes: 0,
             prefetch: self.pf.as_ref().map(|p| p.summary).unwrap_or_default(),
         }
@@ -452,17 +457,14 @@ impl Simulator {
             Some(access),
             "an issue is only scheduled by `schedule_next`, for the access at the cursor"
         );
-        self.total_accesses += 1;
-
         let paddr = self.os.translate(access.vaddr, node, &self.mapping);
         let t1 = now + self.config.l1_latency;
         let l1_line = paddr / self.config.l1.line_bytes;
         self.obs.access(now, node.0);
         if self.l1[node.0 as usize]
-            .access_rw_obs(l1_line, access.write, t1, CacheTag::l1(node.0), &self.obs)
+            .access_rw(l1_line, access.write)
             .hit
         {
-            self.l1_hits += 1;
             self.after_access(workload, thread, t1, false);
             return;
         }
@@ -513,12 +515,10 @@ impl Simulator {
             req,
         };
         let s = slice.0 as usize;
-        let res =
-            self.l2[s].access_rw_obs(l2_line, access.write, now, CacheTag::l2(slice.0), &self.obs);
+        let res = self.l2[s].access_rw(l2_line, access.write);
         self.pf_demand_result(slice, res.prefetched_hit, res.evicted_prefetched);
         let outcome = 'served: {
             if res.hit {
-                self.l2_hits += 1;
                 self.obs.req_l2_hit(req, now);
                 if !private {
                     let at = self.forward(slice, final_dst, false, now, req);
@@ -559,11 +559,11 @@ impl Simulator {
             let mc = self.live_mc(mc, slice, now);
             let mc_node = self.mc_node(mc);
             if private {
-                let sharers = self.dir.lookup_obs(l2_line, s, now, &self.obs);
+                let sharers = self.dir.lookup(l2_line, s);
+                self.obs.dir_lookup(now, slice.0, !sharers.is_empty());
                 if let Some(owner) = nearest_sharer(&self.config.mesh, node, sharers) {
                     // On-chip fulfilment: requester → directory → owner →
                     // requester.
-                    self.cache_to_cache += 1;
                     self.obs.c2c(req, now, node.0);
                     let t3 = self.ctl(node, mc_node, TrafficClass::OnChip, now, req);
                     let fwd = req.phase(Phase::Forward);
@@ -577,7 +577,6 @@ impl Simulator {
                 }
             }
             // Off-chip: slice → MC (request), DRAM, MC → slice (data).
-            self.offchip += 1;
             self.node_mc_requests[s][mc] += 1;
             self.obs.offchip(req, now, slice.0, mc as u16);
             let at = self.ctl(slice, mc_node, TrafficClass::OffChip, now, req);
@@ -960,16 +959,14 @@ impl Simulator {
             MemKind::Prefetch => self.finish_prefetch(workload, ctx, token, now, dropped),
             // The line is in DRAM; nothing waits on it. A dropped
             // writeback simply never lands.
-            MemKind::Writeback => self.dropped += u64::from(dropped),
+            MemKind::Writeback => {}
             MemKind::Demand(who) => {
-                if dropped {
-                    // Retry cap exhausted: the controller abandons the
-                    // request and a control-sized error reply walks the
-                    // normal response path, so the waiting thread still
-                    // resumes. The line is NOT installed and no sharer is
-                    // recorded — a later touch misses again and re-fetches.
-                    self.dropped += 1;
-                } else if self.config.l2_mode == L2Mode::Private {
+                // A dropped request (retry cap exhausted) is answered by a
+                // control-sized error reply on the normal response path, so
+                // the waiting thread still resumes. The line is NOT installed
+                // and no sharer is recorded — a later touch misses again and
+                // re-fetches.
+                if !dropped && self.config.l2_mode == L2Mode::Private {
                     // The requester's L2 now holds the line.
                     self.dir.add_sharer(ctx.l2_line, ctx.slice.0 as usize);
                 }
@@ -1037,6 +1034,14 @@ fn schedule_completions(events: &mut EventQueue<EventKind>, done: &[Completion])
             },
         );
     }
+}
+
+/// One count of each cache's statistics, in node order.
+fn counts(
+    caches: &[SetAssocCache],
+    count: fn(&CacheStats) -> u64,
+) -> impl Iterator<Item = u64> + '_ {
+    caches.iter().map(move |c| count(c.stats()))
 }
 
 /// The sharer fewest hops from `node`, the lowest node id among equals:
@@ -1286,10 +1291,10 @@ mod tests {
         assert_eq!(rep.offchip(), stats.offchip_accesses);
         assert_eq!(rep.counter("sim.cache_to_cache"), stats.cache_to_cache);
         assert_eq!(rep.counter("sim.writebacks"), stats.writebacks);
-        assert_eq!(
-            rep.counter_family("cache.l1.hits").iter().sum::<u64>(),
-            stats.l1_hits
-        );
+        let total = |name| rep.counter_family(name).iter().sum::<u64>();
+        assert_eq!(total("cache.l1.accesses"), stats.total_accesses);
+        assert_eq!(total("cache.l1.hits"), stats.l1_hits);
+        assert_eq!(total("cache.l2.hits"), stats.l2_hits);
         for class in [TrafficClass::OnChip, TrafficClass::OffChip] {
             let (name, cs) = match class {
                 TrafficClass::OnChip => ("onchip", &stats.net.on_chip),
