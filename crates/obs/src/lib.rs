@@ -14,8 +14,11 @@
 //!   per-hop NoC traversal with link-wait cycles → MC queue → bank
 //!   row-hit/miss service → reply) plus a [`Registry`] of counters, gauges,
 //!   log-bucketed latency [`Histogram`]s, and windowed per-epoch series.
-//!   Counts a component keeps itself (the caches' hits and evictions) are
-//!   copied in once, when the run ends ([`Sink::set_counters`]).
+//!   Counts a component keeps itself (the caches' hits and evictions, the
+//!   prefetchers' summaries, the writeback tally) are copied in once, when
+//!   the run ends ([`Sink::set_counters`]); a family only some runs have
+//!   (`pf.*`) is registered by the run that has it
+//!   ([`Sink::register_counters`]).
 //! * **Report** — [`ObsReport`], the frozen result: plain data (safe to send
 //!   across harness worker threads) with figure-level derived views that
 //!   replicate the aggregate `RunStats` formulas operation-for-operation.
@@ -44,4 +47,4 @@ pub use json::{
 };
 pub use registry::{Registry, WindowMode};
 pub use report::ObsReport;
-pub use sink::{ObsConfig, PfEvent, Sink, Topology, HOP_HIST_LEN};
+pub use sink::{ObsConfig, Sink, Topology, HOP_HIST_LEN};

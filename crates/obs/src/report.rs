@@ -136,7 +136,9 @@ impl ObsReport {
             .field("banks_per_mc", self.topo.banks_per_mc)
             .field("exec_cycles", self.exec_cycles)
             .field("epoch_cycles", self.config.epoch_cycles.max(1))
-            .field("record_spans", self.config.record_spans)
+            // Spans are always recorded; the key stays because every
+            // pinned snapshot carries it.
+            .field("record_spans", true)
             .field("span_capacity", self.config.span_capacity)
             .field("events", self.events.len())
             .field("dropped_spans", self.dropped_spans)

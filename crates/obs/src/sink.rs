@@ -43,57 +43,21 @@ impl Topology {
 /// Recording options.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ObsConfig {
-    /// Record span events (the Chrome-trace payload). Counters, histograms,
-    /// and windows are always recorded by an enabled sink.
-    pub record_spans: bool,
     /// Epoch width for windowed series, in sim cycles.
     pub epoch_cycles: u64,
     /// Maximum number of requests that get spans; `0` means unlimited.
     /// Requests beyond the cap are still fully counted — only their spans
     /// are dropped, and the drop count is reported in the snapshot.
     pub span_capacity: u64,
-    /// Register the prefetch metric families (`pf.*`). Unlike the fault
-    /// families — which exist unconditionally — these are opt-in: a run
-    /// with prefetching off must serialize a metrics snapshot
-    /// byte-identical to a build that predates the prefetch subsystem,
-    /// so the families only exist when the prefetcher does.
-    pub prefetch: bool,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
-            record_spans: true,
             epoch_cycles: 8192,
             span_capacity: 0,
-            prefetch: false,
         }
     }
-}
-
-/// One prefetch-pipeline counter event, mirrored from the simulator's
-/// `PrefetchSummary` accounting so the obs families match it by
-/// construction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PfEvent {
-    /// Candidate lines the engines produced.
-    Candidates,
-    /// Candidates the off-chip predictor filtered out.
-    Gated,
-    /// Prefetch requests sent toward a memory controller.
-    Issued,
-    /// Prefetched lines later hit by a demand access.
-    Useful,
-    /// Demand misses that joined an in-flight prefetch.
-    Late,
-    /// Prefetched lines evicted untouched.
-    Harmful,
-    /// Prefetches dropped (queue full, dark MC, transient error).
-    Dropped,
-    /// Off-chip predictions that matched the demand outcome.
-    PredCorrect,
-    /// Demand accesses the predictor scored.
-    PredTotal,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,7 +83,6 @@ struct Ids {
     accesses: CounterId,
     c2c: CounterId,
     offchip: CounterId,
-    writebacks: CounterId,
     node_mc: CounterId,
     dir_forwards: CounterId,
     dir_misses: CounterId,
@@ -161,24 +124,6 @@ struct Ids {
     fault_rehomed: CounterId,
     h_dropped: HistId,
     win_faults: SeriesId,
-    // Prefetch families. Unlike the fault families these register only
-    // when [`ObsConfig::prefetch`] is set, so prefetch-off snapshots stay
-    // byte-identical to builds that predate the subsystem.
-    pf: Option<PfIds>,
-}
-
-/// Per-node prefetch-pipeline counters, mirroring `PrefetchSummary`.
-#[derive(Clone, Copy, Debug)]
-struct PfIds {
-    candidates: CounterId,
-    gated: CounterId,
-    issued: CounterId,
-    useful: CounterId,
-    late: CounterId,
-    harmful: CounterId,
-    dropped: CounterId,
-    pred_correct: CounterId,
-    pred_total: CounterId,
 }
 
 /// Mutable recording state for one simulation run.
@@ -216,8 +161,12 @@ impl Recorder {
             accesses: reg.counter("sim.accesses", 1),
             c2c: reg.counter("sim.cache_to_cache", 1),
             offchip: reg.counter("sim.offchip", 1),
-            writebacks: reg.counter("sim.writebacks", 1),
-            node_mc: reg.counter("sim.node_mc_requests", nodes * topo.mcs),
+            node_mc: {
+                // The simulator tallies writebacks itself and copies the
+                // count in when the run ends (`Sink::set_counters`).
+                reg.counter("sim.writebacks", 1);
+                reg.counter("sim.node_mc_requests", nodes * topo.mcs)
+            },
             dir_forwards: reg.counter("dir.forwards", 1),
             dir_misses: reg.counter("dir.misses", 1),
             net_msgs: {
@@ -286,17 +235,6 @@ impl Recorder {
             fault_rehomed: reg.counter("fault.rehomed", topo.mcs),
             h_dropped: reg.hist("req.dropped_cycles"),
             win_faults: reg.series("win.fault_events", e, WindowMode::Add),
-            pf: config.prefetch.then(|| PfIds {
-                candidates: reg.counter("pf.candidates", nodes),
-                gated: reg.counter("pf.gated", nodes),
-                issued: reg.counter("pf.issued", nodes),
-                useful: reg.counter("pf.useful", nodes),
-                late: reg.counter("pf.late", nodes),
-                harmful: reg.counter("pf.harmful", nodes),
-                dropped: reg.counter("pf.dropped", nodes),
-                pred_correct: reg.counter("pf.pred.correct", nodes),
-                pred_total: reg.counter("pf.pred.total", nodes),
-            }),
         };
         Recorder {
             topo,
@@ -309,12 +247,6 @@ impl Recorder {
             next_req: 0,
             spans_started: 0,
             dropped_spans: 0,
-        }
-    }
-
-    fn push_event(&mut self, ev: SpanEvent) {
-        if self.config.record_spans {
-            self.events.push(ev);
         }
     }
 
@@ -405,12 +337,10 @@ impl Sink {
         self.with(|r| {
             let id = r.next_req;
             r.next_req += 1;
-            if r.config.record_spans {
-                if r.config.span_capacity > 0 && r.spans_started >= r.config.span_capacity {
-                    r.dropped_spans += 1;
-                } else {
-                    r.spans_started += 1;
-                }
+            if r.config.span_capacity > 0 && r.spans_started >= r.config.span_capacity {
+                r.dropped_spans += 1;
+            } else {
+                r.spans_started += 1;
             }
             r.inflight.insert(
                 id,
@@ -429,9 +359,7 @@ impl Sink {
 
     fn span_allowed(r: &Recorder, tag: ReqTag) -> bool {
         // Requests past the span capacity keep counting but draw no events.
-        r.config.record_spans
-            && tag.is_some()
-            && (r.config.span_capacity == 0 || tag.id < r.config.span_capacity)
+        tag.is_some() && (r.config.span_capacity == 0 || tag.id < r.config.span_capacity)
     }
 
     /// The request was satisfied by an L2 (local or home) hit; no span is
@@ -475,13 +403,6 @@ impl Sink {
         });
     }
 
-    /// A dirty L2 eviction was written back toward `mc`.
-    #[inline]
-    pub fn writeback(&self, ts: u64, node: u16, mc: u16) {
-        let _ = (ts, node, mc);
-        self.with(|r| r.reg.inc(r.ids.writebacks, 0, 1));
-    }
-
     /// The request's data arrived back at the requester: close its span and
     /// record its end-to-end latency.
     #[inline]
@@ -501,7 +422,7 @@ impl Sink {
             let dur = ts.saturating_sub(f.start);
             r.reg.observe(hist, dur);
             if Sink::span_allowed(r, tag) {
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Core(f.node),
                     name,
                     ts: f.start,
@@ -527,7 +448,7 @@ impl Sink {
             let dur = ts.saturating_sub(f.start);
             r.reg.observe(r.ids.h_dropped, dur);
             if Sink::span_allowed(r, tag) {
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Core(f.node),
                     name: EvName::Dropped,
                     ts: f.start,
@@ -593,7 +514,7 @@ impl Sink {
                     Phase::Forward => EvName::HopForward,
                     Phase::Reply => EvName::HopReply,
                 };
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Link(link),
                     name,
                     ts: depart,
@@ -614,7 +535,7 @@ impl Sink {
             r.reg.inc(r.ids.fault_link_cycles, link as usize, extra);
             r.reg.sample(r.ids.win_faults, depart, 1);
             if Sink::span_allowed(r, tag) {
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Link(link),
                     name: EvName::LinkFault,
                     ts: depart,
@@ -676,11 +597,9 @@ impl Sink {
             r.reg.observe(r.ids.h_mc_service, service_cycles);
             r.reg.set_gauge(r.ids.mc_queue_depth, m, depth as i64);
             let req = r.token_req.remove(&token).unwrap_or(u64::MAX);
-            if r.config.record_spans
-                && (req == u64::MAX || r.config.span_capacity == 0 || req < r.config.span_capacity)
-            {
+            if Sink::token_span_allowed(r, req) {
                 if queue_cycles > 0 {
-                    r.push_event(SpanEvent {
+                    r.events.push(SpanEvent {
                         track: Track::McQueue(mc),
                         name: EvName::McQueue,
                         ts: arrival,
@@ -694,7 +613,7 @@ impl Sink {
                 } else {
                     EvName::BankRowMiss
                 };
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Bank(b as u32),
                     name,
                     ts: start,
@@ -709,8 +628,7 @@ impl Sink {
     /// Whether a span attributed via a token→request lookup (which may have
     /// found nothing: `req == u64::MAX`) should be drawn.
     fn token_span_allowed(r: &Recorder, req: u64) -> bool {
-        r.config.record_spans
-            && (req == u64::MAX || r.config.span_capacity == 0 || req < r.config.span_capacity)
+        req == u64::MAX || r.config.span_capacity == 0 || req < r.config.span_capacity
     }
 
     /// A bank service at `mc`/`bank` was stretched `stall` cycles by an
@@ -725,7 +643,7 @@ impl Sink {
             let req = r.token_req.get(&token).copied().unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
                 let b = m * r.topo.banks_per_mc + bank as usize;
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::Bank(b as u32),
                     name: EvName::BankStall,
                     ts: start,
@@ -748,7 +666,7 @@ impl Sink {
             r.reg.sample(r.ids.win_faults, ts, 1);
             let req = r.token_req.get(&token).copied().unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::McQueue(mc),
                     name: EvName::McRetry,
                     ts,
@@ -769,7 +687,7 @@ impl Sink {
             r.reg.sample(r.ids.win_faults, ts, 1);
             let req = r.token_req.remove(&token).unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                r.push_event(SpanEvent {
+                r.events.push(SpanEvent {
                     track: Track::McQueue(mc),
                     name: EvName::Dropped,
                     ts,
@@ -781,7 +699,18 @@ impl Sink {
         });
     }
 
-    // ---- cache / directory records -----------------------------------------
+    // ---- counts kept by the components ------------------------------------
+
+    /// Registers one counter family per name, `len` zeroed slots each, after
+    /// every family the recorder registers itself: a family only some runs
+    /// have (the prefetcher's `pf.*`), filled by [`Sink::set_counters`].
+    pub fn register_counters(&self, names: &[&'static str], len: usize) {
+        self.with(|r| {
+            for &name in names {
+                r.reg.counter(name, len);
+            }
+        });
+    }
 
     /// Fills counter family `name` with `values`, one per element: a count
     /// its component keeps itself, copied in once the run ends.
@@ -803,30 +732,7 @@ impl Sink {
         });
     }
 
-    /// `n` prefetch-pipeline events of kind `ev` at `node`. A no-op unless
-    /// the recorder was built with [`ObsConfig::prefetch`], keeping
-    /// prefetch-off snapshots byte-identical to pre-prefetch builds.
-    #[inline]
-    pub fn prefetch(&self, ev: PfEvent, node: u16, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.with(|r| {
-            let Some(pf) = r.ids.pf else { return };
-            let id = match ev {
-                PfEvent::Candidates => pf.candidates,
-                PfEvent::Gated => pf.gated,
-                PfEvent::Issued => pf.issued,
-                PfEvent::Useful => pf.useful,
-                PfEvent::Late => pf.late,
-                PfEvent::Harmful => pf.harmful,
-                PfEvent::Dropped => pf.dropped,
-                PfEvent::PredCorrect => pf.pred_correct,
-                PfEvent::PredTotal => pf.pred_total,
-            };
-            r.reg.inc(id, node as usize, n);
-        });
-    }
+    // ---- directory records -------------------------------------------------
 
     /// One directory lookup; `forward` when a sharer could supply the line.
     #[inline]
@@ -938,31 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn record_spans_false_keeps_metrics_only() {
-        let cfg = ObsConfig {
-            record_spans: false,
-            ..ObsConfig::default()
-        };
-        let s = Sink::recording(topo(), cfg);
-        let tag = s.begin_req(0, 1);
-        s.offchip(tag, 0, 1, 0);
-        s.retire(tag, 50);
-        s.net_msg(NetClass::OffChip, 3, 18, 0);
-        let rep = s.into_report(100).unwrap();
-        assert!(rep.events().is_empty());
-        assert_eq!(rep.counter("sim.offchip"), 1);
-        assert_eq!(rep.counter("net.offchip.msgs"), 1);
-        assert_eq!(rep.counter_family("net.offchip.hop_hist")[3], 1);
-        assert_eq!(
-            rep.registry()
-                .histogram("req.offchip_cycles")
-                .unwrap()
-                .quantile(0.5),
-            50
-        );
-    }
-
-    #[test]
     fn fault_records_count_and_draw_spans() {
         let s = Sink::recording(topo(), ObsConfig::default());
         let tag = s.begin_req(0, 1);
@@ -1010,48 +891,42 @@ mod tests {
         assert!(rep.metrics_json().contains("fault.mc.retries"));
     }
 
+    const PF: [&str; 9] = [
+        "pf.candidates",
+        "pf.gated",
+        "pf.issued",
+        "pf.useful",
+        "pf.late",
+        "pf.harmful",
+        "pf.dropped",
+        "pf.pred.correct",
+        "pf.pred.total",
+    ];
+
     #[test]
     fn prefetch_families_are_absent_by_default() {
-        // Unlike the fault families, pf.* only registers when opted in, so
+        // Unlike the fault families, pf.* exist only once registered, so
         // prefetch-off snapshots are byte-identical to pre-prefetch builds.
         let s = Sink::recording(topo(), ObsConfig::default());
         s.access(0, 0);
-        s.prefetch(PfEvent::Issued, 0, 3); // must be a silent no-op
         let rep = s.into_report(10).unwrap();
         assert!(!rep.metrics_json().contains("pf."));
     }
 
     #[test]
     fn prefetch_families_register_and_count_when_enabled() {
-        let cfg = ObsConfig {
-            prefetch: true,
-            ..ObsConfig::default()
-        };
-        let s = Sink::recording(topo(), cfg);
-        s.prefetch(PfEvent::Candidates, 1, 5);
-        s.prefetch(PfEvent::Gated, 1, 2);
-        s.prefetch(PfEvent::Issued, 1, 3);
-        s.prefetch(PfEvent::Useful, 1, 1);
-        s.prefetch(PfEvent::Late, 2, 1);
-        s.prefetch(PfEvent::Harmful, 2, 1);
-        s.prefetch(PfEvent::Dropped, 2, 1);
-        s.prefetch(PfEvent::PredCorrect, 3, 4);
-        s.prefetch(PfEvent::PredTotal, 3, 6);
-        s.prefetch(PfEvent::PredTotal, 3, 0); // zero increments are free
+        let s = Sink::recording(topo(), ObsConfig::default());
+        s.register_counters(&PF, 4);
+        s.set_counters("pf.candidates", &[0, 5, 0, 0]);
+        s.set_counters("pf.late", &[0, 0, 1, 0]);
+        s.set_counters("pf.pred.total", &[0, 0, 0, 6]);
         let rep = s.into_report(10).unwrap();
-        let total = |name: &str| rep.counter_family(name).iter().sum::<u64>();
-        assert_eq!(total("pf.candidates"), 5);
-        assert_eq!(total("pf.gated"), 2);
-        assert_eq!(total("pf.issued"), 3);
-        assert_eq!(total("pf.useful"), 1);
-        assert_eq!(total("pf.late"), 1);
-        assert_eq!(total("pf.harmful"), 1);
-        assert_eq!(total("pf.dropped"), 1);
-        assert_eq!(total("pf.pred.correct"), 4);
-        assert_eq!(total("pf.pred.total"), 6);
-        // The counts land on the node that reported them.
-        assert_eq!(rep.counter_family("pf.candidates")[1], 5);
-        assert_eq!(rep.counter_family("pf.late")[2], 1);
+        let names: Vec<&str> = rep.registry().counters.iter().map(|f| f.name).collect();
+        assert_eq!(names[names.len() - PF.len()..], PF);
+        assert_eq!(rep.counter_family("pf.candidates"), &[0, 5, 0, 0]);
+        assert_eq!(rep.counter_family("pf.late"), &[0, 0, 1, 0]);
+        assert_eq!(rep.counter_family("pf.pred.total"), &[0, 0, 0, 6]);
+        assert_eq!(rep.counter_family("pf.issued"), &[0; 4]);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! weight tables over region features, trained on demand outcomes). In
 //! [`PrefetchMode::Gated`] the predictor filters every candidate: lines it
 //! expects to be found on-chip are dropped before they cost NoC or DRAM
-//! bandwidth, and a measured-accuracy throttle adapts the prefetch degree
-//! (the adaptive filtering of Jamet et al., "A Two Level Neural Approach
-//! Combining Off-Chip Prediction with Adaptive Prefetch Filtering").
+//! bandwidth (the prefetch filtering of Jamet et al., "A Two Level Neural
+//! Approach Combining Off-Chip Prediction with Adaptive Prefetch
+//! Filtering"). Degree, stream distance and the in-flight cap are fixed
+//! constants: one line per trigger, four lines ahead, 32 per slice.
 //!
 //! Everything here is plain integer arithmetic with no clocks and no
 //! randomness: given the same demand stream, a prefetcher emits the same
@@ -27,12 +28,11 @@ pub enum PrefetchMode {
     /// build without the subsystem.
     #[default]
     Off,
-    /// Stride engine only, ungated, fixed degree.
+    /// Stride engine only, ungated.
     Stride,
-    /// Stream engine only, ungated, fixed degree.
+    /// Stream engine only, ungated.
     Stream,
-    /// Both engines, candidates gated by the off-chip predictor, degree
-    /// throttled by measured accuracy.
+    /// Both engines, candidates gated by the off-chip predictor.
     Gated,
 }
 
@@ -71,41 +71,19 @@ impl PrefetchMode {
     }
 }
 
-/// Prefetcher configuration. `Default` is [`PrefetchMode::Off`] with the
-/// tuned engine geometry, so embedding the struct in a simulator config
-/// changes nothing until a mode is selected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Prefetcher configuration. `Default` is [`PrefetchMode::Off`], so
+/// embedding the struct in a simulator config changes nothing until a
+/// mode is selected.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PrefetchConfig {
     /// Active machinery.
     pub mode: PrefetchMode,
-    /// Lines fetched ahead per trigger (before throttling).
-    pub degree: u32,
-    /// Stream lookahead: how many lines beyond the detected head the
-    /// stream engine targets.
-    pub distance: u32,
-    /// In-flight prefetches a slice may have toward memory; candidates
-    /// beyond the cap are dropped, never queued across triggers.
-    pub queue_cap: usize,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        Self {
-            mode: PrefetchMode::Off,
-            degree: 1,
-            distance: 4,
-            queue_cap: 32,
-        }
-    }
 }
 
 impl PrefetchConfig {
-    /// A config with the given mode and tuned defaults otherwise.
+    /// A config with the given mode.
     pub fn with_mode(mode: PrefetchMode) -> Self {
-        Self {
-            mode,
-            ..Self::default()
-        }
+        Self { mode }
     }
 
     /// Whether any prefetch machinery is active.
@@ -132,9 +110,10 @@ pub enum DemandOutcome {
     OffChip,
 }
 
-/// Aggregate prefetch counters for one run. Lives in the simulator's
-/// `RunStats`; `Default` (all zero) marks a run with prefetching off, which
-/// is what keeps serialized records byte-identical to pre-prefetch builds.
+/// Prefetch counters of one L2 slice, or, summed over the slices, of one
+/// run (the simulator's `RunStats::prefetch`). `Default` (all zero) marks a
+/// run with prefetching off, which is what keeps serialized records
+/// byte-identical to pre-prefetch builds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PrefetchSummary {
     /// Candidate lines the engines produced.
@@ -193,6 +172,39 @@ impl PrefetchSummary {
     /// Whether any prefetch activity (or prediction) happened at all.
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
+    }
+
+    /// The `pf.*` counter families a traced run reports, one slot per L2
+    /// slice, with the field each reads, in snapshot order.
+    pub const COUNTERS: [(&'static str, Field); 9] = [
+        ("pf.candidates", |s| s.candidates),
+        ("pf.gated", |s| s.gated),
+        ("pf.issued", |s| s.issued),
+        ("pf.useful", |s| s.useful),
+        ("pf.late", |s| s.late),
+        ("pf.harmful", |s| s.harmful),
+        ("pf.dropped", |s| s.dropped),
+        ("pf.pred.correct", |s| s.pred_correct),
+        ("pf.pred.total", |s| s.pred_total),
+    ];
+}
+
+/// Reads one counter of a [`PrefetchSummary`].
+type Field = fn(&PrefetchSummary) -> u64;
+
+impl<'a> std::iter::Sum<&'a PrefetchSummary> for PrefetchSummary {
+    fn sum<I: Iterator<Item = &'a PrefetchSummary>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            candidates: a.candidates + b.candidates,
+            gated: a.gated + b.gated,
+            issued: a.issued + b.issued,
+            useful: a.useful + b.useful,
+            late: a.late + b.late,
+            harmful: a.harmful + b.harmful,
+            dropped: a.dropped + b.dropped,
+            pred_correct: a.pred_correct + b.pred_correct,
+            pred_total: a.pred_total + b.pred_total,
+        })
     }
 }
 
@@ -283,63 +295,30 @@ impl Predictor {
     }
 }
 
-/// Accuracy-driven degree throttle: an exponentially-decayed window of
-/// prefetch resolutions (useful and late count as accurate; harmful as
-/// inaccurate). High accuracy keeps the configured degree, mediocre
-/// accuracy halves it, poor accuracy drops to one line per trigger.
-struct Throttle {
-    good: u32,
-    total: u32,
-}
-
-impl Throttle {
-    const WINDOW: u32 = 64;
-    const WARMUP: u32 = 8;
-
-    fn new() -> Self {
-        Self { good: 0, total: 0 }
-    }
-
-    fn record(&mut self, accurate: bool) {
-        self.total += 1;
-        if accurate {
-            self.good += 1;
-        }
-        if self.total >= Self::WINDOW {
-            self.total /= 2;
-            self.good /= 2;
-        }
-    }
-
-    fn degree(&self, base: u32) -> u32 {
-        if self.total < Self::WARMUP {
-            return base;
-        }
-        if self.good * 2 >= self.total {
-            base
-        } else if self.good * 4 >= self.total {
-            (base / 2).max(1)
-        } else {
-            1
-        }
-    }
-}
-
-/// The per-L2-slice prefetch unit: both candidate engines, the off-chip
-/// predictor, and the accuracy throttle.
+/// The per-L2-slice prefetch unit: both candidate engines and the
+/// off-chip predictor.
 ///
 /// The simulator calls [`on_demand`](Self::on_demand) for every demand L2
-/// access (training plus candidate generation) and
-/// [`resolve`](Self::resolve) when an issued prefetch's fate becomes
-/// known, and is itself responsible for issue-side filtering (lines
-/// already cached or in flight), transport, and installation.
+/// access (training plus candidate generation), and is itself responsible
+/// for issue-side filtering (lines already cached or in flight, the
+/// [`INFLIGHT_CAP`]), transport, and installation.
 pub struct SlicePrefetcher {
-    cfg: PrefetchConfig,
+    mode: PrefetchMode,
     strides: Vec<StrideEntry>,
     streams: Vec<StreamEntry>,
     predictor: Predictor,
-    throttle: Throttle,
 }
+
+/// Lines fetched ahead per trigger.
+const DEGREE: u32 = 1;
+
+/// Stream lookahead: how many lines beyond the detected head the stream
+/// engine targets.
+const DISTANCE: u32 = 4;
+
+/// In-flight prefetches a slice may have toward memory; the simulator
+/// drops candidates beyond the cap, never queueing them across triggers.
+pub const INFLIGHT_CAP: usize = 32;
 
 /// Lines per stream region (64 lines = 16 KB at 256 B lines).
 const REGION_SHIFT: u32 = 6;
@@ -357,14 +336,8 @@ impl SlicePrefetcher {
             strides: vec![StrideEntry::default(); STRIDE_ENTRIES],
             streams: vec![StreamEntry::default(); STREAM_ENTRIES],
             predictor: Predictor::new(),
-            throttle: Throttle::new(),
-            cfg,
+            mode: cfg.mode,
         }
-    }
-
-    /// The configuration this slice runs.
-    pub fn config(&self) -> &PrefetchConfig {
-        &self.cfg
     }
 
     /// Feeds one demand L2 access: trains the engines and the predictor on
@@ -380,7 +353,7 @@ impl SlicePrefetcher {
         summary: &mut PrefetchSummary,
         out: &mut Vec<u64>,
     ) {
-        if self.cfg.mode == PrefetchMode::Off {
+        if self.mode == PrefetchMode::Off {
             return;
         }
         // Miss-triggered prefetching: plain local hits neither train nor
@@ -409,24 +382,20 @@ impl SlicePrefetcher {
         }
         self.predictor.train(line, ref_id, offchip);
 
-        let degree = match self.cfg.mode {
-            PrefetchMode::Gated => self.throttle.degree(self.cfg.degree),
-            _ => self.cfg.degree,
-        };
         let base = out.len();
-        if matches!(self.cfg.mode, PrefetchMode::Stride | PrefetchMode::Gated) {
-            self.stride_candidates(ref_id, line, degree, out);
+        if matches!(self.mode, PrefetchMode::Stride | PrefetchMode::Gated) {
+            self.stride_candidates(ref_id, line, out);
         }
         // In Gated mode the stream engine is a fallback for references the
         // stride table cannot lock (its hashed regions collide, so running
         // it alongside an armed stride entry only adds mispredictions).
-        let stream_too = match self.cfg.mode {
+        let stream_too = match self.mode {
             PrefetchMode::Stream => true,
             PrefetchMode::Gated => out.len() == base,
             _ => false,
         };
         if stream_too {
-            self.stream_candidates(line, degree, out);
+            self.stream_candidates(line, out);
         }
         // Within-trigger dedup, preserving first-engine order.
         let mut k = base;
@@ -439,7 +408,7 @@ impl SlicePrefetcher {
         }
         out.truncate(k);
         summary.candidates += (out.len() - base) as u64;
-        if self.cfg.mode == PrefetchMode::Gated {
+        if self.mode == PrefetchMode::Gated {
             let mut k = base;
             for i in base..out.len() {
                 let cand = out[i];
@@ -454,14 +423,7 @@ impl SlicePrefetcher {
         }
     }
 
-    /// Reports the fate of an issued prefetch to the accuracy throttle:
-    /// `accurate` for useful or late-joined lines, inaccurate for lines
-    /// evicted untouched.
-    pub fn resolve(&mut self, accurate: bool) {
-        self.throttle.record(accurate);
-    }
-
-    fn stride_candidates(&mut self, ref_id: u32, line: u64, degree: u32, out: &mut Vec<u64>) {
+    fn stride_candidates(&mut self, ref_id: u32, line: u64, out: &mut Vec<u64>) {
         let e = &mut self.strides[ref_id as usize % STRIDE_ENTRIES];
         if !e.valid || e.tag != ref_id {
             *e = StrideEntry {
@@ -493,7 +455,7 @@ impl SlicePrefetcher {
             // pollutes — a near prefetch that joins late still hides most
             // of the round trip.
             let stride = e.stride;
-            for k in 1..=degree as i64 {
+            for k in 1..=DEGREE as i64 {
                 let target = line as i64 + stride * k;
                 if target >= 0 {
                     out.push(target as u64);
@@ -502,7 +464,7 @@ impl SlicePrefetcher {
         }
     }
 
-    fn stream_candidates(&mut self, line: u64, degree: u32, out: &mut Vec<u64>) {
+    fn stream_candidates(&mut self, line: u64, out: &mut Vec<u64>) {
         let region = line >> REGION_SHIFT;
         let e = &mut self.streams[(mix(region) as usize) % STREAM_ENTRIES];
         if !e.valid || e.region != region {
@@ -532,9 +494,8 @@ impl SlicePrefetcher {
             return;
         }
         if e.count >= 2 {
-            let distance = self.cfg.distance as i64;
-            for k in 0..degree as i64 {
-                let target = line as i64 + dir as i64 * (distance + k);
+            for k in 0..DEGREE as i64 {
+                let target = line as i64 + dir as i64 * (DISTANCE as i64 + k);
                 if target >= 0 {
                     out.push(target as u64);
                 }
@@ -617,7 +578,7 @@ mod tests {
         let mut pf = SlicePrefetcher::new(PrefetchConfig::with_mode(PrefetchMode::Stream));
         let (_, out) = drive(&mut pf, 0, 200..210, DemandOutcome::OffChip);
         assert!(!out.is_empty());
-        let distance = pf.config().distance as u64;
+        let distance = DISTANCE as u64;
         assert!(
             out.iter().all(|&c| c > 200 + distance - 1),
             "stream candidates run ahead of the head: {out:?}"
@@ -629,7 +590,7 @@ mod tests {
         let mut pf = SlicePrefetcher::new(PrefetchConfig::with_mode(PrefetchMode::Stream));
         let (_, out) = drive(&mut pf, 0, (200..210).rev(), DemandOutcome::OffChip);
         assert!(!out.is_empty());
-        let distance = pf.config().distance as u64;
+        let distance = DISTANCE as u64;
         assert!(
             out.iter().all(|&c| c <= 209 - distance),
             "stream candidates run ahead (downward) of the head: {out:?}"
@@ -679,29 +640,6 @@ mod tests {
             s.pred_accuracy()
         );
         assert!(s.gated > 0, "on-chip region candidates must be gated");
-    }
-
-    #[test]
-    fn throttle_cuts_degree_under_poor_accuracy() {
-        let mut t = Throttle::new();
-        for _ in 0..32 {
-            t.record(false);
-        }
-        assert_eq!(t.degree(4), 1);
-        let mut t = Throttle::new();
-        for _ in 0..32 {
-            t.record(true);
-        }
-        assert_eq!(t.degree(4), 4);
-        let mut t = Throttle::new();
-        for i in 0..32 {
-            t.record(i % 3 == 0);
-        }
-        assert_eq!(t.degree(4), 2, "mediocre accuracy halves the degree");
-        // Warmup: no verdict before enough resolutions.
-        let mut t = Throttle::new();
-        t.record(false);
-        assert_eq!(t.degree(4), 4);
     }
 
     #[test]

@@ -36,8 +36,8 @@ use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
 use hoploc_mem::{Completion, MemoryController};
 use hoploc_noc::{L2ToMcMapping, McId, Mesh, Network, NodeId, TrafficClass};
-use hoploc_obs::{ObsConfig, ObsReport, PfEvent, Phase, ReqTag, Sink, Topology};
-use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher};
+use hoploc_obs::{ObsConfig, ObsReport, Phase, ReqTag, Sink, Topology};
+use hoploc_prefetch::{DemandOutcome, PrefetchSummary, SlicePrefetcher, INFLIGHT_CAP};
 
 /// Events handled between two polls of the cancel token (≈ 1 ms): a power
 /// of two, so the poll is one mask and one branch per event.
@@ -103,11 +103,13 @@ struct PfState {
     /// `(slice node, l2 line)` → token of the in-flight prefetch, the
     /// late-join rendezvous and the duplicate-issue filter.
     inflight: IntMap<(u16, u64), u64>,
-    /// In-flight prefetches per slice (bounds issue at `queue_cap`).
+    /// In-flight prefetches per slice (bounds issue at [`INFLIGHT_CAP`]).
     inflight_count: Vec<u32>,
     /// Demands blocked on an in-flight prefetch, by token.
     waiters: IntMap<u64, Vec<Demand>>,
-    summary: PrefetchSummary,
+    /// Each slice's counts: `RunStats::prefetch` is their sum, the `pf.*`
+    /// families their per-node copy.
+    summaries: Vec<PrefetchSummary>,
     /// Reusable candidate buffer for [`SlicePrefetcher::on_demand`].
     scratch: Vec<u64>,
 }
@@ -236,7 +238,7 @@ impl Simulator {
                 inflight: IntMap::default(),
                 inflight_count: vec![0; n],
                 waiters: IntMap::default(),
-                summary: PrefetchSummary::default(),
+                summaries: vec![PrefetchSummary::default(); n],
                 scratch: Vec::new(),
             }),
             writebacks: 0,
@@ -252,7 +254,8 @@ impl Simulator {
     /// Enables observability: the run records request-lifecycle spans and a
     /// metric registry into a fresh recorder, harvested by
     /// [`Simulator::run_traced`]. Recording never changes simulated timing —
-    /// [`RunStats`] stay bit-identical to an untraced run.
+    /// [`RunStats`] stay bit-identical to an untraced run. The `pf.*`
+    /// families exist exactly when a prefetch mode is on.
     pub fn with_obs(mut self, options: ObsConfig) -> Self {
         let topo = Topology {
             mesh_width: self.config.mesh.width() as usize,
@@ -261,6 +264,10 @@ impl Simulator {
             banks_per_mc: self.config.mc.banks,
         };
         self.obs = Sink::recording(topo, options);
+        if self.pf.is_some() {
+            let names = PrefetchSummary::COUNTERS.map(|(name, _)| name);
+            self.obs.register_counters(&names, topo.nodes());
+        }
         self
     }
 
@@ -309,6 +316,13 @@ impl Simulator {
         ] {
             self.obs.set_counters(name, &per_node.collect::<Vec<_>>());
         }
+        if let Some(pf) = &self.pf {
+            for (name, count) in PrefetchSummary::COUNTERS {
+                self.obs
+                    .set_counters(name, &pf.summaries.iter().map(count).collect::<Vec<_>>());
+            }
+        }
+        self.obs.set_counters("sim.writebacks", &[self.writebacks]);
         let report = std::mem::take(&mut self.obs)
             .into_report(stats.exec_cycles)
             .expect("invariant: the sink was checked enabled above");
@@ -390,7 +404,9 @@ impl Simulator {
             rehomed_requests: self.rehomed,
             dropped_requests: self.mcs.iter().map(|m| m.stats().dropped).sum(),
             backstop_flushes: 0,
-            prefetch: self.pf.as_ref().map(|p| p.summary).unwrap_or_default(),
+            prefetch: (self.pf.as_ref())
+                .map(|p| p.summaries.iter().sum())
+                .unwrap_or_default(),
         }
     }
 
@@ -603,7 +619,6 @@ impl Simulator {
     fn write_back(&mut self, slice: NodeId, line: u64, mc: usize, now: u64) {
         let mc = self.live_mc(mc, slice, now);
         self.writebacks += 1;
-        self.obs.writeback(now, slice.0, mc as u16);
         let mc_node = self.mc_node(mc);
         let at = self.data(slice, mc_node, TrafficClass::OffChip, now, ReqTag::NONE);
         self.enqueue_mem(
@@ -713,27 +728,12 @@ impl Simulator {
 
     /// A demand L2 access resolved against (possibly) prefetched state:
     /// a hit on an untouched prefetched line is *useful*, the eviction of
-    /// one is *harmful* (pollution). Both feed the accuracy throttle.
+    /// one is *harmful* (pollution).
     fn pf_demand_result(&mut self, slice: NodeId, useful: bool, harmful: bool) {
-        if !(useful || harmful) {
-            return;
-        }
         let Some(pf) = self.pf.as_mut() else { return };
-        let s = &mut pf.slices[slice.0 as usize];
-        if useful {
-            pf.summary.useful += 1;
-            s.resolve(true);
-        }
-        if harmful {
-            pf.summary.harmful += 1;
-            s.resolve(false);
-        }
-        if useful {
-            self.obs.prefetch(PfEvent::Useful, slice.0, 1);
-        }
-        if harmful {
-            self.obs.prefetch(PfEvent::Harmful, slice.0, 1);
-        }
+        let summary = &mut pf.summaries[slice.0 as usize];
+        summary.useful += useful as u64;
+        summary.harmful += harmful as u64;
     }
 
     /// If a prefetch for `l2_line` is already in flight to `slice`, `who`
@@ -748,10 +748,8 @@ impl Simulator {
         let Some(&token) = pf.inflight.get(&(slice.0, l2_line)) else {
             return false;
         };
-        pf.summary.late += 1;
-        pf.slices[slice.0 as usize].resolve(true);
+        pf.summaries[slice.0 as usize].late += 1;
         pf.waiters.entry(token).or_default().push(who);
-        self.obs.prefetch(PfEvent::Late, slice.0, 1);
         true
     }
 
@@ -768,22 +766,20 @@ impl Simulator {
         now: u64,
     ) {
         let Some(mut pf) = self.pf.take() else { return };
-        let before = pf.summary;
+        let s = slice.0 as usize;
         pf.scratch.clear();
-        pf.slices[slice.0 as usize].on_demand(
+        pf.slices[s].on_demand(
             ref_id,
             l2_line,
             outcome,
-            &mut pf.summary,
+            &mut pf.summaries[s],
             &mut pf.scratch,
         );
         for i in 0..pf.scratch.len() {
             let line = pf.scratch[i];
             self.pf_try_issue(&mut pf, slice, line, now);
         }
-        let after = pf.summary;
         self.pf = Some(pf);
-        self.pf_obs_diff(slice.0, before, after);
     }
 
     /// Issues one candidate line from `slice` unless the issue-side
@@ -795,8 +791,8 @@ impl Simulator {
         if self.l2[node].contains(line) || pf.inflight.contains_key(&(slice.0, line)) {
             return;
         }
-        if pf.inflight_count[node] as usize >= self.config.prefetch.queue_cap {
-            pf.summary.dropped += 1;
+        if pf.inflight_count[node] as usize >= INFLIGHT_CAP {
+            pf.summaries[node].dropped += 1;
             return;
         }
         let paddr = line * self.config.l2.line_bytes;
@@ -804,10 +800,10 @@ impl Simulator {
         // Prefetches never re-home: a speculative fetch is not worth a
         // detour, so a dark controller just swallows it.
         if self.mc_dark(mc, now) {
-            pf.summary.dropped += 1;
+            pf.summaries[node].dropped += 1;
             return;
         }
-        pf.summary.issued += 1;
+        pf.summaries[node].issued += 1;
         let mc_node = self.mc_node(mc);
         let at = self.ctl(slice, mc_node, TrafficClass::OffChip, now, ReqTag::NONE);
         let token = self.enqueue_mem(
@@ -822,30 +818,6 @@ impl Simulator {
         );
         pf.inflight.insert((slice.0, line), token);
         pf.inflight_count[node] += 1;
-    }
-
-    /// Mirrors summary deltas from one trigger into the obs families, so
-    /// the `pf.*` counters match `RunStats::prefetch` by construction.
-    fn pf_obs_diff(&mut self, node: u16, before: PrefetchSummary, after: PrefetchSummary) {
-        let o = &self.obs;
-        o.prefetch(
-            PfEvent::Candidates,
-            node,
-            after.candidates - before.candidates,
-        );
-        o.prefetch(PfEvent::Gated, node, after.gated - before.gated);
-        o.prefetch(PfEvent::Issued, node, after.issued - before.issued);
-        o.prefetch(PfEvent::Dropped, node, after.dropped - before.dropped);
-        o.prefetch(
-            PfEvent::PredCorrect,
-            node,
-            after.pred_correct - before.pred_correct,
-        );
-        o.prefetch(
-            PfEvent::PredTotal,
-            node,
-            after.pred_total - before.pred_total,
-        );
     }
 
     /// A prefetch's memory round trip finished: install the line (a no-op
@@ -870,9 +842,8 @@ impl Simulator {
         pf.inflight_count[node] -= 1;
         let waiters = pf.waiters.remove(&token).unwrap_or_default();
         if dropped {
-            pf.summary.dropped += 1;
+            pf.summaries[node].dropped += 1;
             self.pf = Some(pf);
-            self.obs.prefetch(PfEvent::Dropped, slice.0, 1);
             // Waiting demands resume on a control-sized error reply along
             // the normal response path; the line is not installed.
             for w in waiters {
@@ -885,14 +856,8 @@ impl Simulator {
         // so a later demand hit counts as useful.
         let t1 = self.reply(ctx.mc, slice, None, false, now, ReqTag::NONE);
         let res = self.l2[node].install_prefetch(ctx.l2_line);
-        if res.evicted_prefetched {
-            pf.summary.harmful += 1;
-            pf.slices[node].resolve(false);
-        }
+        pf.summaries[node].harmful += res.evicted_prefetched as u64;
         self.pf = Some(pf);
-        if res.evicted_prefetched {
-            self.obs.prefetch(PfEvent::Harmful, slice.0, 1);
-        }
         if self.config.l2_mode == L2Mode::Private {
             // The victim leaves the slice's directory view, but its
             // writeback is not modelled: speculation must never add
@@ -1358,43 +1323,6 @@ mod tests {
         assert_obs_parity(&stats, &rep);
     }
 
-    #[test]
-    fn counter_only_tracing_matches_spans_on() {
-        let cfg = small_config();
-        let m = mapping(&cfg);
-        let w = TraceWorkload::single("t", vec![seq_trace(0, 768, 256)]);
-        let (s1, full) = Simulator::new(cfg.clone(), m.clone(), PagePolicy::Interleaved)
-            .with_obs(hoploc_obs::ObsConfig::default())
-            .run_traced(&w);
-        let (s2, lean) = Simulator::new(cfg, m, PagePolicy::Interleaved)
-            .with_obs(hoploc_obs::ObsConfig {
-                record_spans: false,
-                ..hoploc_obs::ObsConfig::default()
-            })
-            .run_traced(&w);
-        assert_eq!(s1.exec_cycles, s2.exec_cycles);
-        assert_eq!(full.offchip(), lean.offchip());
-        assert!(lean.events().is_empty());
-        // Counters are independent of span recording.
-        for name in [
-            "sim.accesses",
-            "sim.offchip",
-            "net.onchip.msgs",
-            "net.offchip.msgs",
-            "net.link.flit_cycles",
-            "net.link.wait_cycles",
-            "mc.served",
-            "mc.row_hits",
-            "mc.bank.queue_cycles",
-        ] {
-            assert_eq!(
-                full.counter_family(name),
-                lean.counter_family(name),
-                "{name}"
-            );
-        }
-    }
-
     mod prefetch {
         use super::*;
         use hoploc_fault::{FaultPlan, McOutage};
@@ -1421,22 +1349,6 @@ mod tests {
                     })
                     .collect(),
             )
-        }
-
-        #[test]
-        fn off_mode_is_bit_identical_regardless_of_geometry() {
-            // With the mode Off, every other prefetch knob must be inert:
-            // the runs compare equal field-for-field (incl. f64s).
-            let w = TraceWorkload::single("t", vec![seq_trace(0, 1024, 256)]);
-            let cfg = small_config();
-            let m = mapping(&cfg);
-            let base = Simulator::new(cfg.clone(), m.clone(), PagePolicy::Interleaved).run(&w);
-            let mut off = cfg;
-            off.prefetch.degree = 16;
-            off.prefetch.queue_cap = 1;
-            let again = Simulator::new(off, m, PagePolicy::Interleaved).run(&w);
-            assert_eq!(base, again);
-            assert!(again.prefetch.is_empty());
         }
 
         #[test]
@@ -1516,27 +1428,49 @@ mod tests {
             let m = mapping(&cfg);
             let base = Simulator::new(cfg.clone(), m.clone(), PagePolicy::Interleaved).run(&w);
             let (stats, rep) = Simulator::new(cfg, m, PagePolicy::Interleaved)
-                .with_obs(hoploc_obs::ObsConfig {
-                    prefetch: true,
-                    ..hoploc_obs::ObsConfig::default()
-                })
+                .with_obs(hoploc_obs::ObsConfig::default())
                 .run_traced(&w);
             assert_eq!(stats, base, "recording must not perturb timing");
-            let pf = stats.prefetch;
-            for (name, want) in [
-                ("pf.candidates", pf.candidates),
-                ("pf.gated", pf.gated),
-                ("pf.issued", pf.issued),
-                ("pf.useful", pf.useful),
-                ("pf.late", pf.late),
-                ("pf.harmful", pf.harmful),
-                ("pf.dropped", pf.dropped),
-                ("pf.pred.correct", pf.pred_correct),
-                ("pf.pred.total", pf.pred_total),
-            ] {
+            for (name, count) in PrefetchSummary::COUNTERS {
+                let want = count(&stats.prefetch);
                 assert_eq!(rep.counter_family(name).iter().sum::<u64>(), want, "{name}");
             }
             assert_obs_parity(&stats, &rep);
+        }
+
+        #[test]
+        fn a_slice_drops_candidates_past_the_inflight_cap() {
+            // Four threads share node 0's slice, each streaming its own
+            // region with gap 0 and 64 overlapped misses: every demand
+            // joins the prefetch its predecessor issued and issues the
+            // next, so the slice keeps more than the cap in flight.
+            let mut cfg = with_mode(PrefetchMode::Stride);
+            cfg.mlp = 64;
+            let threads = (0..4u64)
+                .map(|t| {
+                    ThreadTrace::new(
+                        NodeId(0),
+                        (0..512u64)
+                            .map(|k| Access {
+                                vaddr: (t << 24) + k * 256,
+                                write: false,
+                                gap: 0,
+                                ref_id: t as u32,
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let w = TraceWorkload::single("t", threads);
+            let m = mapping(&cfg);
+            let mut sim = Simulator::new(cfg, m, PagePolicy::Interleaved);
+            let stats = sim.run_core(&w);
+            assert_eq!(stats.total_accesses, 2048);
+            assert!(stats.prefetch.dropped > 0, "{:?}", stats.prefetch);
+            let pf = sim.pf.as_ref().expect("stride mode keeps prefetch state");
+            assert_eq!(pf.summaries[0].dropped, stats.prefetch.dropped);
+            assert!(sim.pending.is_empty() && pf.inflight.is_empty() && pf.waiters.is_empty());
+            assert!(pf.inflight_count.iter().all(|&n| n == 0));
         }
 
         #[test]

@@ -416,10 +416,8 @@ fn cmd_trace(app: App, o: &Options) -> ExitCode {
     }
     let suite = o.machine.suite(vec![app]);
     let obs = ObsConfig {
-        record_spans: true,
         epoch_cycles: o.epoch,
         span_capacity: o.span_cap,
-        prefetch: o.machine.prefetch != hoploc::prefetch::PrefetchMode::Off,
     };
     // One traced run per configuration, fanned across the worker pool.
     let reqs: Vec<_> = suite

@@ -27,13 +27,13 @@ use hoploc::est::{est_record_json, xval_json, AppEstimate, XvalCell, XvalReport}
 use hoploc::harness::{record_json, to_json, CacheCounters, MachineSpec, RunRecord};
 use hoploc::layout::Granularity;
 use hoploc::noc::{L2ToMcMapping, McId, NodeId};
-use hoploc::obs::{parse_json, NetClass, ObsConfig, PfEvent, Registry, Sink, Topology, WindowMode};
+use hoploc::obs::{parse_json, NetClass, ObsConfig, Registry, Sink, Topology, WindowMode};
 use hoploc::search::{event_json, Candidate, EstTerms, Objective, SearchReport, Verified};
 use hoploc::serve::job::fnv1a;
 use hoploc::serve::load::{report_json, LatencyQuantiles, LoadReport};
 use hoploc::serve::wire::{encode_job, encode_request, encode_response, parse_request};
 use hoploc::serve::{FaultSpec, Fidelity, JobSpec, Request, Response, SearchSpec, SubmitStatus};
-use hoploc::sim::{PagePolicy, PrefetchMode, SimConfig, Simulator, TraceWorkload};
+use hoploc::sim::{PagePolicy, PrefetchMode, PrefetchSummary, SimConfig, Simulator, TraceWorkload};
 use hoploc::workloads::{RunKind, Scale};
 
 /// The `"job"` objects of the grid, as a client would write them: members
@@ -670,10 +670,10 @@ fn recording() -> hoploc::obs::ObsReport {
         topo,
         ObsConfig {
             epoch_cycles: 64,
-            prefetch: true,
             ..ObsConfig::default()
         },
     );
+    s.register_counters(&PrefetchSummary::COUNTERS.map(|(name, _)| name), 4);
     s.access(0, 0);
     s.access(1, 3);
     let a = s.begin_req(2, 0);
@@ -696,25 +696,18 @@ fn recording() -> hoploc::obs::ObsReport {
     s.c2c(c, 95, 2);
     s.net_msg(NetClass::OnChip, 1, 6, 97);
     s.retire(c, 100);
-    s.writeback(101, 2, 0);
     // A bank service no request was bound to: its span carries no `req`.
     s.bank_service(0, 1, 77, 102, 102, 110, true, 0);
-    s.prefetch(PfEvent::Issued, 1, 3);
-    s.prefetch(PfEvent::Useful, 1, 2);
+    s.set_counters("sim.writebacks", &[1]);
+    s.set_counters("pf.issued", &[0, 3, 0, 0]);
+    s.set_counters("pf.useful", &[0, 2, 0, 0]);
     s.into_report(120).expect("the sink records")
 }
 
 #[test]
 fn the_metrics_and_chrome_trace_of_a_recording_are_pinned() {
     let rep = recording();
-    // The two `sim.backstop_*` counter members are left out of the pin:
-    // they belong to the liveness backstop, not to the document's shape.
-    let metrics: String = rep
-        .metrics_json()
-        .lines()
-        .filter(|l| !l.starts_with("\"sim.backstop_"))
-        .map(|l| format!("{l}\n"))
-        .collect();
+    let metrics = rep.metrics_json();
     assert_eq!(metrics.len(), 3401);
     assert_eq!(
         format!("{:016x}", fnv1a(metrics.as_bytes())),

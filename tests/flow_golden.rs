@@ -218,10 +218,7 @@ fn run_group(g: &Group) -> (u64, Tally) {
         .collect();
     assert_eq!(apps.len(), APPS.len(), "an application was renamed");
     let threads = if g.variant == Variant::Threads2 { 2 } else { 1 };
-    let obs = ObsConfig {
-        prefetch: sim.prefetch.enabled(),
-        ..ObsConfig::default()
-    };
+    let obs = ObsConfig::default();
     let suite = Suite::new(apps, mapping, sim).with_threads_per_core(threads);
     let topo = fault_topo(suite.sim());
     let mut h = Fnv::new();
