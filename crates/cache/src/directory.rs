@@ -25,6 +25,12 @@ impl Sharers {
         self.0 == 0
     }
 
+    /// The lowest sharer among the nodes of `mask` (bit `n` for node `n`).
+    pub fn first_in(self, mask: u128) -> Option<usize> {
+        let both = self.0 & mask;
+        (both != 0).then(|| both.trailing_zeros() as usize)
+    }
+
     /// The sharers in ascending node order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         let mut rest = self.0;

@@ -10,8 +10,8 @@
 //! misses most of the time, and a 128-way scaled L2 behind it. The cache
 //! therefore finds a line the way its associativity calls for — narrow
 //! sets are scanned and keep nothing beside their slots, wide sets are
-//! found through an index — with one replacement rule and one set of
-//! results ([`SetAssocCache`]).
+//! found through an index and keep a recency list — with one replacement
+//! rule and one set of results ([`SetAssocCache`]).
 
 use std::fmt;
 
@@ -142,6 +142,8 @@ const EMPTY: u32 = u32::MAX;
 /// miss-heavy sweep's accesses. A hit in a 128-way set must not compare
 /// 128 tags.
 const SCAN_WAYS: usize = 4;
+/// The widest set: indexed sets link their ways by `u8` way numbers.
+const MAX_WAYS: usize = 256;
 
 /// A tag-only set-associative LRU cache.
 ///
@@ -154,11 +156,18 @@ const SCAN_WAYS: usize = 4;
 ///   maintains nothing;
 /// * **indexed sets** (the 16-way L2, the 128-way scaled L2) find a line
 ///   through one open-addressed line → slot index per cache, so a hit
-///   compares no other tag of the set.
+///   compares no other tag of the set, and keep their ways in a circular
+///   recency list, so a miss reads no other way's stamp either.
 ///
 /// Both replace the same way: the first invalid way by position, else the
 /// least recently used. `AccessResult`s, residency and statistics do not
 /// depend on which of the two a geometry gets (`tests/oracle.rs`).
+///
+/// An indexed set finds that way without a scan. No line is ever
+/// invalidated, so its valid ways are always `0..filled` and the first
+/// invalid one is way `filled`. Every stamp is set by a touch that moves
+/// its way to the list's head, so once the set is full the tail holds the
+/// smallest stamp: the least recently used line.
 ///
 /// # Examples
 ///
@@ -178,7 +187,7 @@ pub struct SetAssocCache {
     /// LRU timestamp of each slot, `0` while the way is invalid. Valid
     /// ways carry distinct values `>= 1` (the access clock), so "first
     /// invalid way by position, else least recently used" is the first
-    /// minimum of a set's slice.
+    /// minimum of a set's slice: how a scanned set finds its victim.
     last_used: Vec<u64>,
     flags: Vec<u8>,
     /// Line → slot: linear probing from a multiplicative hash, deletion by
@@ -187,6 +196,16 @@ pub struct SetAssocCache {
     /// and never allocated, when sets are scanned.
     index: Vec<u32>,
     index_shift: u32,
+    /// Each slot's neighbours in its set's circular recency list, as way
+    /// numbers: `older` runs from the head (most recently used) to the
+    /// tail and wraps to the head, `newer` the other way. Empty, like
+    /// `mru` and `filled`, when sets are scanned.
+    older: Vec<u8>,
+    newer: Vec<u8>,
+    /// Per set: its most recently used way, the list's head.
+    mru: Vec<u8>,
+    /// Per set: how many of its ways are valid.
+    filled: Vec<u16>,
     clock: u64,
     stats: CacheStats,
 }
@@ -202,11 +221,18 @@ impl SetAssocCache {
         let num_sets = config.num_sets();
         let lines = num_sets * config.ways;
         assert!(lines < EMPTY as usize / 2, "cache has too many lines");
-        let buckets = if config.ways > SCAN_WAYS {
+        assert!(
+            config.ways <= MAX_WAYS,
+            "a set holds at most {MAX_WAYS} ways, not {}",
+            config.ways
+        );
+        let indexed = config.ways > SCAN_WAYS;
+        let buckets = if indexed {
             (2 * lines).next_power_of_two()
         } else {
             0
         };
+        let (links, sets) = if indexed { (lines, num_sets) } else { (0, 0) };
         Self {
             config,
             num_sets: num_sets as u64,
@@ -215,6 +241,10 @@ impl SetAssocCache {
             flags: vec![0; lines],
             index: vec![EMPTY; buckets],
             index_shift: 64 - buckets.trailing_zeros(),
+            older: vec![0; links],
+            newer: vec![0; links],
+            mru: vec![0; sets],
+            filled: vec![0; sets],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -334,6 +364,9 @@ impl SetAssocCache {
         let set = self.set_index(line);
         if let Some(slot) = self.find(set, line) {
             self.last_used[slot] = self.clock;
+            if !self.scanned() {
+                self.touch(set, slot);
+            }
             let flags = self.flags[slot];
             self.flags[slot] = (flags | if write { DIRTY } else { 0 }) & !PREFETCHED;
             self.stats.hits += 1;
@@ -373,22 +406,71 @@ impl SetAssocCache {
         self.fill(set, line, PREFETCHED)
     }
 
+    /// Moves `slot`, valid and in indexed `set`, to the head of the set's
+    /// recency list.
+    fn touch(&mut self, set: usize, slot: usize) {
+        let base = set * self.config.ways;
+        let way = (slot - base) as u8;
+        let head = self.mru[set];
+        if way == head {
+            return;
+        }
+        let (older, newer) = (self.older[slot], self.newer[slot]);
+        self.newer[base + older as usize] = newer;
+        self.older[base + newer as usize] = older;
+        self.push_head(set, way);
+    }
+
+    /// Links `way`, not in the list, in as the new head of `set`'s list.
+    /// On an empty set `mru` is way 0 and its links name itself (as
+    /// allocated), so way 0 ends up a list of one.
+    fn push_head(&mut self, set: usize, way: u8) {
+        let base = set * self.config.ways;
+        let head = self.mru[set];
+        let tail = self.newer[base + head as usize];
+        self.older[base + way as usize] = head;
+        self.newer[base + way as usize] = tail;
+        self.newer[base + head as usize] = way;
+        self.older[base + tail as usize] = way;
+        self.mru[set] = way;
+    }
+
+    /// The way of `set` a fill takes: the first invalid way by position,
+    /// else the least recently used. An indexed set's becomes its most
+    /// recently used here.
+    fn victim(&mut self, set: usize) -> usize {
+        let ways = self.config.ways;
+        let base = set * ways;
+        if self.scanned() {
+            let ages = &self.last_used[base..base + ways];
+            // First minimum. Kept a plain compare-and-keep loop: fancier
+            // iterator chains here have compiled to several times the cost.
+            let mut way = 0;
+            let mut oldest = ages[0];
+            for (w, &age) in ages.iter().enumerate() {
+                if age < oldest {
+                    oldest = age;
+                    way = w;
+                }
+            }
+            return way;
+        }
+        let filled = self.filled[set] as usize;
+        if filled < ways {
+            self.filled[set] += 1;
+            self.push_head(set, filled as u8);
+            return filled;
+        }
+        // Full: the tail becomes the head by turning the circle one step.
+        let tail = self.newer[base + self.mru[set] as usize];
+        self.mru[set] = tail;
+        tail as usize
+    }
+
     /// Miss path: fills the first invalid way of `set`, the line's set,
     /// else evicts its least recently used line.
     fn fill(&mut self, set: usize, line: u64, flags: u8) -> AccessResult {
-        let base = set * self.config.ways;
-        let ages = &self.last_used[base..base + self.config.ways];
-        // First minimum. Kept a plain compare-and-keep loop: fancier
-        // iterator chains here have compiled to several times the cost.
-        let mut way = 0;
-        let mut oldest = ages[0];
-        for (w, &age) in ages.iter().enumerate() {
-            if age < oldest {
-                oldest = age;
-                way = w;
-            }
-        }
-        let slot = base + way;
+        let slot = set * self.config.ways + self.victim(set);
         let mut result = AccessResult {
             hit: false,
             evicted: None,
@@ -396,7 +478,7 @@ impl SetAssocCache {
             prefetched_hit: false,
             evicted_prefetched: false,
         };
-        if oldest != 0 {
+        if self.last_used[slot] != 0 {
             let victim = self.tags[slot];
             if !self.scanned() {
                 self.index_remove(victim);
@@ -420,14 +502,43 @@ impl SetAssocCache {
     }
 
     /// Panics unless the cache keeps what its associativity calls for: no
-    /// index over scanned sets, and over indexed sets one that names
-    /// exactly the valid slots. For tests, which call it after every
-    /// operation; costs a pass over the whole cache.
+    /// index or recency list over scanned sets; over indexed sets an index
+    /// that names exactly the valid slots, and in each set a list that
+    /// runs over ways `0..filled` once each, from the MRU way in strictly
+    /// decreasing stamps, with no valid way at or past `filled`. For tests,
+    /// which call it after every operation; costs a pass over the whole
+    /// cache.
     #[doc(hidden)]
     pub fn check(&self) {
         if self.scanned() {
             assert!(self.index.is_empty(), "a scanned cache owns no index");
+            assert!(self.older.is_empty() && self.mru.is_empty());
             return;
+        }
+        let ways = self.config.ways;
+        for set in 0..self.num_sets as usize {
+            let (base, filled) = (set * ways, self.filled[set] as usize);
+            let stamp = |way: usize| self.last_used[base + way];
+            assert!(
+                (0..ways).all(|w| (stamp(w) != 0) == (w < filled)),
+                "set {set}: valid ways are not 0..{filled}"
+            );
+            // Strictly decreasing stamps make the ways distinct, so `filled`
+            // steps that end back at the head visit each valid way once.
+            let head = self.mru[set] as usize;
+            assert!(head < filled.max(1), "set {set}: head {head} is invalid");
+            let mut way = head;
+            for step in 1..=filled {
+                let older = self.older[base + way] as usize;
+                assert_eq!(self.newer[base + older] as usize, way, "set {set}");
+                let ordered = if step == filled {
+                    older == head
+                } else {
+                    older < filled && stamp(older) < stamp(way)
+                };
+                assert!(ordered, "set {set}: not ways 0..{filled} from MRU to LRU");
+                way = older;
+            }
         }
         let valid = |slot: &usize| self.last_used[*slot] != 0;
         let named = self.index.iter().filter(|&&s| s != EMPTY).count();
@@ -593,6 +704,16 @@ mod tests {
         let r = c.access(5); // evicts 3
         assert_eq!(r.evicted, Some(3));
         assert!(r.evicted_dirty, "dirtiness survives a racing install");
+    }
+
+    #[test]
+    #[should_panic(expected = "a set holds at most 256 ways, not 512")]
+    fn sets_wider_than_the_recency_links_are_refused() {
+        SetAssocCache::new(CacheConfig {
+            size_bytes: 64 * 512,
+            line_bytes: 64,
+            ways: 512,
+        });
     }
 
     #[test]

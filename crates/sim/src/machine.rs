@@ -138,6 +138,9 @@ pub struct Simulator {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     dir: Directory,
+    /// `sharer_rings[node][d]`: the nodes `d` hops from `node`, as a sharer
+    /// mask. Empty on a shared-L2 machine, which has no directory.
+    sharer_rings: Vec<Vec<u128>>,
     // Run state.
     events: EventQueue<EventKind>,
     threads: Vec<ThreadState>,
@@ -225,6 +228,11 @@ impl Simulator {
             l1: (0..n).map(|_| SetAssocCache::new(config.l1)).collect(),
             l2: (0..n).map(|_| SetAssocCache::new(config.l2)).collect(),
             dir: Directory::with_line_bound(config.memory_bytes / config.l2.line_bytes),
+            sharer_rings: if config.l2_mode == L2Mode::Private {
+                distance_rings(&config.mesh)
+            } else {
+                Vec::new()
+            },
             events: EventQueue::new(),
             threads: Vec::new(),
             pending: IntMap::default(),
@@ -577,7 +585,8 @@ impl Simulator {
             if private {
                 let sharers = self.dir.lookup(l2_line, s);
                 self.obs.dir_lookup(now, slice.0, !sharers.is_empty());
-                if let Some(owner) = nearest_sharer(&self.config.mesh, node, sharers) {
+                let rings = &self.sharer_rings[node.0 as usize];
+                if let Some(owner) = nearest_sharer(rings, sharers) {
                     // On-chip fulfilment: requester → directory → owner →
                     // requester.
                     self.obs.c2c(req, now, node.0);
@@ -1009,15 +1018,35 @@ fn counts(
     caches.iter().map(move |c| count(c.stats()))
 }
 
-/// The sharer fewest hops from `node`, the lowest node id among equals:
-/// the L2 the directory forwards a private-L2 miss to.
-fn nearest_sharer(mesh: &Mesh, node: NodeId, sharers: Sharers) -> Option<NodeId> {
-    // `min_by_key` keeps the first of equal minima, and the mask iterates
-    // in ascending node order.
-    sharers
+/// For each node, the masks of the nodes 0, 1, 2, … hops away, up to the
+/// farthest node.
+fn distance_rings(mesh: &Mesh) -> Vec<Vec<u128>> {
+    mesh.nodes()
+        .map(|to| {
+            let mut rings = Vec::new();
+            for (n, d) in mesh.hop_distances_to(to).enumerate() {
+                let d = d as usize;
+                if d >= rings.len() {
+                    rings.resize(d + 1, 0);
+                }
+                rings[d] |= 1u128 << n;
+            }
+            rings
+        })
+        .collect()
+}
+
+/// The sharer fewest hops from the node whose [`distance_rings`] are
+/// `rings`, the lowest node id among equals: the L2 the directory forwards
+/// a private-L2 miss to.
+fn nearest_sharer(rings: &[u128], sharers: Sharers) -> Option<NodeId> {
+    if sharers.is_empty() {
+        return None;
+    }
+    rings
         .iter()
+        .find_map(|&ring| sharers.first_in(ring))
         .map(|s| NodeId(s as u16))
-        .min_by_key(|&s| mesh.hop_distance(node, s))
 }
 
 #[cfg(test)]
@@ -1154,28 +1183,35 @@ mod tests {
 
     #[test]
     fn nearest_sharer_is_the_first_minimum_in_node_order() {
-        // What the directory's `Vec<usize>` and `min_by_key` used to pick.
-        let mesh = hoploc_noc::Mesh::new(8, 8);
-        hoploc_ptest::run_cases("nearest_sharer", 256, |rng| {
-            let mut dir = Directory::new();
-            let mut holders = Vec::new();
-            // From empty to full masks, so ties are common.
-            let density = rng.u64_below(65);
-            for n in 0..64usize {
-                if rng.u64_below(64) < density {
-                    dir.add_sharer(7, n);
-                    holders.push(n);
+        // The reference is what the directory's `Vec<usize>` and
+        // `min_by_key` used to pick: `min_by_key` keeps the first of equal
+        // minima, and the holders are in ascending node order. Meshes up to
+        // the directory's 128 nodes, square and not.
+        for (w, h) in [(8, 8), (5, 3), (11, 11), (16, 8)] {
+            let mesh = hoploc_noc::Mesh::new(w, h);
+            let n = mesh.num_nodes() as u64;
+            let rings = distance_rings(&mesh);
+            hoploc_ptest::run_cases(&format!("nearest_sharer_{w}x{h}"), 256, |rng| {
+                let mut dir = Directory::new();
+                let mut holders = Vec::new();
+                // From empty to full masks, so ties are common.
+                let density = rng.u64_below(n + 1);
+                for s in 0..n as usize {
+                    if rng.u64_below(n) < density {
+                        dir.add_sharer(7, s);
+                        holders.push(s);
+                    }
                 }
-            }
-            let node = NodeId(rng.u64_below(64) as u16);
-            let want = holders
-                .iter()
-                .filter(|&&n| n != node.0 as usize)
-                .min_by_key(|&&n| mesh.hop_distance(node, NodeId(n as u16)))
-                .map(|&n| NodeId(n as u16));
-            let sharers = dir.lookup(7, node.0 as usize);
-            assert_eq!(nearest_sharer(&mesh, node, sharers), want);
-        });
+                let node = NodeId(rng.u64_below(n) as u16);
+                let want = holders
+                    .iter()
+                    .filter(|&&s| s != node.0 as usize)
+                    .min_by_key(|&&s| mesh.hop_distance(node, NodeId(s as u16)))
+                    .map(|&s| NodeId(s as u16));
+                let sharers = dir.lookup(7, node.0 as usize);
+                assert_eq!(nearest_sharer(&rings[node.0 as usize], sharers), want);
+            });
+        }
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! Two kinds of event do not fit the ring, and both go to a small binary
 //! heap of `(time, seq, node)`:
 //!
-//! * events at least [`RING`] cycles ahead. They move into their bucket the
-//!   moment the clock advances far enough to cover them — before the pop
-//!   that advanced it returns, hence before any handler can push straight
-//!   into that bucket. Everything already in the heap was pushed earlier
-//!   (smaller `seq`) than anything pushed later, so buckets stay in `seq`
-//!   order.
+//! * events at least [`RING`] cycles ahead — mostly the completions of
+//!   DRAM requests that queued behind others, and the slow miss returns
+//!   that wait on them. They move into their bucket the moment the clock
+//!   advances far enough to cover them — before the pop that advanced it
+//!   returns, hence before any handler can push straight into that
+//!   bucket. Everything already in the heap was pushed earlier (smaller
+//!   `seq`) than anything pushed later, so buckets stay in `seq` order.
 //! * events *earlier* than the clock. The simulator does schedule into the
 //!   past of the event it is handling (a controller's next poll is due in
 //!   controller-local time). All of them precede every ring event, so `pop`
@@ -26,11 +27,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Cycles the ring covers, starting at the clock. A small ring matters
-/// more than a long horizon: 512 bucket heads and tails stay resident in
-/// the host's L1, and the few events due later cost one heap round trip
-/// (256 and 1024 both measured slower).
-const RING: usize = 512;
+/// Cycles the ring covers, starting at the clock: long enough that a
+/// queued DRAM request's completion rarely leaves it. Events pushed past
+/// the ring per `sweep-miss` rep (7.48 M pushes, seed 1) at 512 / 1024 /
+/// 2048 / 4096 cycles: 1.353 M / 1.007 M / 284 k / 41 k; `sweep-hit` 664 k
+/// / 420 k / 14.5 k / 0. Of the three larger sizes, 2048 read fastest.
+const RING: usize = 2048;
 const WORDS: usize = RING / 64;
 const NIL: u32 = u32::MAX;
 
