@@ -879,7 +879,11 @@ mod tests {
             if let (Some(pr), Some(qr)) = (&p.report, &q.report) {
                 assert_eq!(pr.metrics_json(), qr.metrics_json(), "{req:?}");
                 assert_eq!(pr.chrome_trace_json(), qr.chrome_trace_json(), "{req:?}");
-                assert_eq!(pr.offchip(), p.stats.offchip_accesses, "{req:?}");
+                assert_eq!(
+                    pr.counter("sim.offchip"),
+                    p.stats.offchip_accesses,
+                    "{req:?}"
+                );
             }
         }
         for (cell, req) in par.chunks(5).zip(s.full_matrix(&RunKind::ALL)) {

@@ -255,8 +255,8 @@ struct Pending {
     /// Failed service attempts so far (0 until a transient error).
     attempt: u32,
     /// Speculative prefetch-class request: accounted separately, dropped
-    /// (never retried) on a transient error, invisible to the sink's
-    /// demand mirrors.
+    /// (never retried) on a transient error; the sink sees its queue depth
+    /// only.
     prefetch: bool,
 }
 
@@ -425,15 +425,16 @@ impl MemoryController {
     /// request class: queue-depth samples and per-bank service spans are
     /// recorded into `sink`, attributed to controller `mc`. The untraced
     /// [`enqueue`](Self::enqueue) delegates here with a disabled sink, so
-    /// traced and untraced runs share one scheduling path and the mirrored
-    /// counters match [`stats`](Self::stats) by construction.
+    /// traced and untraced runs share one scheduling path. The per-controller
+    /// totals stay in [`stats`](Self::stats), which the simulator copies
+    /// into the recording when the run ends.
     ///
     /// Prefetch-class requests share the banks, channels, and FR-FCFS
     /// scheduling (they contend with demand exactly as real traffic
     /// would), but are accounted in [`McStats::pf_served`] /
     /// [`McStats::pf_dropped`] instead of the demand totals, are dropped
     /// on the *first* transient error (speculative work is never worth a
-    /// retry), and leave the sink's demand mirrors untouched.
+    /// retry), and reach the sink only as queue depth.
     pub fn enqueue_class_obs(
         &mut self,
         addr: u64,
@@ -583,7 +584,7 @@ impl MemoryController {
                     };
                     if p.prefetch {
                         // Speculative: drop on first failure, no retry, no
-                        // demand-side error accounting or sink mirror.
+                        // demand-side error accounting or sink record.
                         self.stats.pf_dropped += 1;
                         self.done.push(Completion {
                             token: p.token,
@@ -866,21 +867,23 @@ mod tests {
         m.poll_obs(u64::MAX, 1, &sink);
         let rep = sink.into_report(10_000).unwrap();
         let s = m.stats();
-        assert_eq!(rep.counter_family("mc.served")[1], s.served);
-        assert_eq!(rep.counter_family("mc.row_hits")[1], s.row_hits);
-        assert_eq!(
-            rep.counter_family("mc.queue_cycles")[1],
-            s.total_queue_cycles
-        );
-        assert_eq!(
-            rep.counter_family("mc.service_cycles")[1],
-            s.total_service_cycles
-        );
-        // Other controller's slots stay untouched, and per-bank slots sum to
-        // the controller totals.
-        assert_eq!(rep.counter_family("mc.served")[0], 0);
-        let per_bank: u64 = rep.counter_family("mc.bank.served")[8..16].iter().sum();
-        assert_eq!(per_bank, s.served);
+        // Controller 1's per-bank slots sum to its totals, controller 0's
+        // stay untouched, and every service lands in the histograms once.
+        let bank_sum =
+            |name, mc: usize| rep.counter_family(name)[mc * 8..][..8].iter().sum::<u64>();
+        assert_eq!(bank_sum("mc.bank.served", 1), s.served);
+        assert_eq!(bank_sum("mc.bank.queue_cycles", 1), s.total_queue_cycles);
+        assert_eq!(bank_sum("mc.bank.busy_cycles", 1), s.total_service_cycles);
+        assert_eq!(bank_sum("mc.bank.served", 0), 0);
+        let reg = rep.registry();
+        let hist = |name| reg.histogram(name).unwrap().count();
+        assert_eq!(hist("mc.queue_wait_cycles"), s.served);
+        assert_eq!(hist("mc.service_cycles"), s.served);
+        let window = |name| reg.series_by_name(name).unwrap().vals.iter().sum::<u64>();
+        assert_eq!(window("win.row_hits"), s.row_hits);
+        assert_eq!(window("win.row_hits") + window("win.row_misses"), s.served);
+        // The copied families stay zero: the simulator fills them.
+        assert_eq!(rep.counter_family("mc.served"), &[0, 0]);
     }
 
     #[test]
@@ -899,9 +902,10 @@ mod tests {
         });
         m.enqueue_class_obs(0, 1, 10, 0, false, &sink);
         let rep = sink.into_report(100).unwrap();
-        assert_eq!(rep.counter_family("mc.served")[0], 1);
-        assert_eq!(rep.counter_family("mc.row_hits")[0], 1);
-        assert_eq!(rep.counter_family("mc.queue_cycles")[0], 0);
+        assert_eq!(rep.counter_family("mc.bank.served")[0], 1);
+        assert_eq!(rep.counter_family("mc.bank.queue_cycles")[0], 0);
+        let hits = rep.registry().series_by_name("win.row_hits").unwrap();
+        assert_eq!(hits.vals, vec![1]);
         let h = rep.registry().histogram("mc.queue_wait_cycles").unwrap();
         assert_eq!(h.quantile(1.0), 0, "ideal mode never queues");
     }

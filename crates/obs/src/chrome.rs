@@ -124,8 +124,8 @@ mod tests {
         // Two interleaved requests so per-lane sorting actually has work.
         let a = s.begin_req(0, 0);
         let b = s.begin_req(1, 3);
-        s.offchip(a, 2, 0, 0);
-        s.offchip(b, 3, 3, 0);
+        s.offchip(a, 2);
+        s.offchip(b, 3);
         s.bind_token(1, a);
         s.bind_token(2, b);
         s.hop(0, 10, 0, 2, b);

@@ -15,13 +15,14 @@
 //!   row-hit/miss service → reply) plus a [`Registry`] of counters, gauges,
 //!   log-bucketed latency [`Histogram`]s, and windowed per-epoch series.
 //!   Counts a component keeps itself (the caches' hits and evictions, the
-//!   prefetchers' summaries, the writeback tally) are copied in once, when
-//!   the run ends ([`Sink::set_counters`]); a family only some runs have
+//!   network's messages and hops, the controllers' services, the
+//!   directory's lookups, the prefetchers' summaries, the simulator's
+//!   off-chip, writeback and re-home tallies) are copied in once, when the
+//!   run ends ([`Sink::set_counters`]); a family only some runs have
 //!   (`pf.*`) is registered by the run that has it
 //!   ([`Sink::register_counters`]).
 //! * **Report** — [`ObsReport`], the frozen result: plain data (safe to send
-//!   across harness worker threads) with figure-level derived views that
-//!   replicate the aggregate `RunStats` formulas operation-for-operation.
+//!   across harness worker threads), read by family name.
 //! * **Export** — Chrome trace-event JSON (Perfetto-loadable, one lane per
 //!   core/link/MC/bank), a per-link heatmap TSV, and a stable JSON metrics
 //!   snapshot, plus the workspace's one JSON writer ([`JsonWriter`]) and a
@@ -47,4 +48,4 @@ pub use json::{
 };
 pub use registry::{Registry, WindowMode};
 pub use report::ObsReport;
-pub use sink::{ObsConfig, Sink, Topology, HOP_HIST_LEN};
+pub use sink::{ObsConfig, Sink, Topology};

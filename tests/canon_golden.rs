@@ -678,8 +678,8 @@ fn recording() -> hoploc::obs::ObsReport {
     s.access(1, 3);
     let a = s.begin_req(2, 0);
     let b = s.begin_req(3, 3);
-    s.offchip(a, 4, 0, 0);
-    s.offchip(b, 5, 3, 0);
+    s.offchip(a, 4);
+    s.offchip(b, 5);
     s.bind_token(1, a);
     s.bind_token(2, b);
     s.hop(0, 10, 0, 2, b);
@@ -693,11 +693,38 @@ fn recording() -> hoploc::obs::ObsReport {
     s.retire(b, 90);
     s.retire(a, 80);
     let c = s.begin_req(91, 1);
-    s.c2c(c, 95, 2);
+    s.c2c(c);
     s.net_msg(NetClass::OnChip, 1, 6, 97);
     s.retire(c, 100);
     // A bank service no request was bound to: its span carries no `req`.
     s.bank_service(0, 1, 77, 102, 102, 110, true, 0);
+    // The counts the simulator copies in from its components when a run
+    // ends.
+    s.set_counters("sim.accesses", &[2]);
+    s.set_counters("sim.cache_to_cache", &[1]);
+    s.set_counters("sim.offchip", &[2]);
+    s.set_counters("sim.node_mc_requests", &[1, 0, 0, 1]);
+    s.set_counters("net.onchip.msgs", &[1]);
+    s.set_counters("net.offchip.msgs", &[1]);
+    s.set_counters("net.onchip.latency_cycles", &[6]);
+    s.set_counters("net.offchip.latency_cycles", &[14]);
+    s.set_counters("net.onchip.hops", &[1]);
+    s.set_counters("net.offchip.hops", &[2]);
+    let mut hop_hist = [0; 32];
+    hop_hist[1] = 1;
+    s.set_counters("net.onchip.hop_hist", &hop_hist);
+    hop_hist = [0; 32];
+    hop_hist[2] = 1;
+    s.set_counters("net.offchip.hop_hist", &hop_hist);
+    let mut flit_cycles = [0; 16];
+    flit_cycles[0] = 2;
+    flit_cycles[4] = 2;
+    s.set_counters("net.link.flit_cycles", &flit_cycles);
+    s.set_counters("mc.served", &[3]);
+    s.set_counters("mc.row_hits", &[2]);
+    s.set_counters("mc.queue_cycles", &[45]);
+    s.set_counters("mc.service_cycles", &[58]);
+    s.set_counters("fault.link.hops", &[1]);
     s.set_counters("sim.writebacks", &[1]);
     s.set_counters("pf.issued", &[0, 3, 0, 0]);
     s.set_counters("pf.useful", &[0, 2, 0, 0]);

@@ -239,17 +239,17 @@ fn traced_sweep_is_deterministic_and_mirrors_stats() {
         );
         // The counter families behind Figs. 13, 15 and 18 mirror RunStats
         // exactly.
-        assert_eq!(p_report.offchip(), p.stats.offchip_accesses);
+        assert_eq!(p_report.counter("sim.offchip"), p.stats.offchip_accesses);
         assert_eq!(
             p_report.counter_family("sim.node_mc_requests"),
             &p.stats.node_mc_requests.concat()[..],
         );
         assert_eq!(
-            p_report.hop_histogram("offchip"),
+            p_report.counter_family("net.offchip.hop_hist"),
             &p.stats.net.off_chip.hop_histogram[..],
         );
         assert_eq!(
-            p_report.hop_histogram("onchip"),
+            p_report.counter_family("net.onchip.hop_hist"),
             &p.stats.net.on_chip.hop_histogram[..],
         );
         let queue: Vec<u64> = p.stats.mc.iter().map(|m| m.total_queue_cycles).collect();
