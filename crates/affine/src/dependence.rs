@@ -5,9 +5,10 @@
 //! control dependences. In contrast, data transformations are essentially
 //! a kind of renaming and not affected by dependences." This module makes
 //! that contrast checkable: it computes dependence distance vectors
-//! between reference pairs, decides loop-permutation legality from them,
-//! and (trivially, by construction) shows that any bijective data-layout
-//! transformation preserves every dependence.
+//! between reference pairs — which `hoploc-check`'s race detector judges
+//! against each nest's parallel loop — and (trivially, by construction)
+//! shows that any bijective data-layout transformation preserves every
+//! dependence.
 //!
 //! The analysis handles the common *uniform* case exactly — two references
 //! with the same access matrix and constant offset difference — and falls
@@ -28,19 +29,6 @@ pub enum Dependence {
     /// A dependence may exist but has no constant distance (coupled
     /// subscripts, parameterized offsets, …).
     Unknown,
-}
-
-impl Dependence {
-    /// Whether the dependence permits parallel execution of loop `u`:
-    /// true when the carried distance at `u` is zero (loop-independent) or
-    /// no dependence exists at all.
-    pub fn permits_parallel(&self, u: usize) -> bool {
-        match self {
-            Dependence::Independent => true,
-            Dependence::Uniform(d) => u < d.len() && d[u] == 0,
-            Dependence::Unknown => false,
-        }
-    }
 }
 
 /// Tests two references (to the same array) for dependence.
@@ -203,23 +191,6 @@ pub fn nest_dependence_pairs(nest: &LoopNest) -> Vec<DependencePair> {
     out
 }
 
-/// All dependence distance vectors among write-involving reference pairs
-/// of a nest, without locations (see [`nest_dependence_pairs`]).
-pub fn nest_dependences(nest: &LoopNest) -> Vec<Dependence> {
-    nest_dependence_pairs(nest)
-        .into_iter()
-        .map(|p| p.dep)
-        .collect()
-}
-
-/// Whether the nest's declared parallel dimension is legal: no dependence
-/// is carried by that loop. Indexed references conservatively forbid it.
-pub fn parallelization_is_legal(nest: &LoopNest) -> bool {
-    nest_dependences(nest)
-        .iter()
-        .all(|d| d.permits_parallel(nest.parallel_dim()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +206,6 @@ mod tests {
         let m = IMat::identity(2);
         let d = test_dependence(&acc(&m, vec![0, 0]), &acc(&m, vec![0, 0]));
         assert_eq!(d, Dependence::Uniform(IVec::zeros(2)));
-        assert!(d.permits_parallel(0));
     }
 
     #[test]
@@ -244,8 +214,6 @@ mod tests {
         let m = IMat::identity(2);
         let d = test_dependence(&acc(&m, vec![0, 0]), &acc(&m, vec![0, 1]));
         assert_eq!(d, Dependence::Uniform(IVec::new(vec![0, 1])));
-        assert!(d.permits_parallel(0));
-        assert!(!d.permits_parallel(1));
     }
 
     #[test]
@@ -262,47 +230,6 @@ mod tests {
         let a = acc(&IMat::identity(2), vec![0, 0]);
         let b = acc(&IMat::from_rows(&[&[0, 1], &[1, 0]]), vec![0, 0]);
         assert_eq!(test_dependence(&a, &b), Dependence::Unknown);
-    }
-
-    #[test]
-    fn figure9_parallelization_is_legal() {
-        // Z[j-1..j+1][i] under i-parallel: all dependences carried by j.
-        let m = IMat::from_rows(&[&[0, 1], &[1, 0]]);
-        let z = ArrayId(0);
-        let nest = LoopNest::new(
-            vec![Loop::constant(2, 63), Loop::constant(2, 63)],
-            0,
-            vec![Statement::new(
-                vec![
-                    ArrayRef::write(z, acc(&m, vec![0, 0])),
-                    ArrayRef::read(z, acc(&m, vec![-1, 0])),
-                    ArrayRef::read(z, acc(&m, vec![1, 0])),
-                ],
-                1,
-            )],
-            1,
-        );
-        assert!(parallelization_is_legal(&nest));
-    }
-
-    #[test]
-    fn loop_carried_dependence_blocks_parallelization() {
-        // X[i][j] = X[i-1][j]: carried by loop 0.
-        let m = IMat::identity(2);
-        let x = ArrayId(0);
-        let nest = LoopNest::new(
-            vec![Loop::constant(1, 64), Loop::constant(0, 64)],
-            0,
-            vec![Statement::new(
-                vec![
-                    ArrayRef::write(x, acc(&m, vec![0, 0])),
-                    ArrayRef::read(x, acc(&m, vec![-1, 0])),
-                ],
-                1,
-            )],
-            1,
-        );
-        assert!(!parallelization_is_legal(&nest));
     }
 
     #[test]
@@ -342,8 +269,7 @@ mod tests {
             )],
             1,
         );
-        assert!(nest_dependences(&nest).is_empty());
-        assert!(parallelization_is_legal(&nest));
+        assert!(nest_dependence_pairs(&nest).is_empty());
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //!   index tables for the indexed references of §5.4;
 //! * [`BlockPartition`] — the block structure the partitioning hyperplanes
 //!   of §5.2 induce on a data dimension;
-//! * [`test_dependence`], [`parallelization_is_legal`] — the array
+//! * [`test_dependence`], [`nest_dependence_pairs`] — the array
 //!   dependence analysis backing §1's contrast between loop restructuring
 //!   (dependence-constrained) and data-layout transformation (a renaming,
-//!   dependence-free). `hoploc compile` and `hoploc check` use it to
-//!   refuse an illegal parallel loop. The dependence-guided loop pre-pass
+//!   dependence-free). `hoploc-check`'s race detector reads it to judge
+//!   each parallel loop. The dependence-guided loop pre-pass
 //!   the paper runs before its layout pass (§6.1) is not built: the
 //!   modelled applications are written as that pre-pass would leave them.
 //!
@@ -62,10 +62,7 @@ mod solve;
 mod space;
 
 pub use access::AffineAccess;
-pub use dependence::{
-    nest_dependence_pairs, nest_dependences, parallelization_is_legal, test_dependence, Dependence,
-    DependencePair,
-};
+pub use dependence::{nest_dependence_pairs, test_dependence, Dependence, DependencePair};
 pub use expr::AffineExpr;
 pub use matrix::{extended_gcd, gcd, IMat, IVec};
 pub use nest::{AccessFn, ArrayId, ArrayRef, Loop, LoopNest, RefKind, Statement, TableId};

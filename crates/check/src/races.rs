@@ -24,10 +24,10 @@
 //!   whose parallel extent alone exceeds the cap are reported as unproven
 //!   ([`Code::UnprovenIndependence`]).
 //!
-//! This subsumes `parallelization_is_legal`: where that predicate answers
-//! yes/no for a whole nest, the detector names the offending pair, its
-//! array, and the distance — and distinguishes benign halo sharing from
-//! chunk-spanning races.
+//! This is the workspace's one parallel-safety verdict: `hoploc check`
+//! reports its findings and `hoploc compile` counts the nests without one.
+//! A finding names the offending pair, its array, and the distance — and
+//! distinguishes benign halo sharing from chunk-spanning races.
 
 use crate::diag::{Code, Diagnostic};
 use crate::CheckConfig;

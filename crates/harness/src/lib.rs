@@ -25,6 +25,9 @@
 //! bit-identical (`RunStats: PartialEq`, including the floating-point link
 //! utilizations) to the sequential path — the integration suite asserts
 //! this against `run_app` itself.
+//!
+//! The threads come from one fan-out, [`pull_beside`], which
+//! [`parallel_map`] and the search's verification both call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +35,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::Hash;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
@@ -45,6 +47,9 @@ use hoploc_sim::{
     TraceWorkload,
 };
 use hoploc_workloads::{App, RunKind, Scale, TraceGen, MAX_THREADS_PER_CORE};
+
+mod fan;
+pub use fan::{parallel_map, pull_beside};
 
 /// One cell of the run matrix: which app (by index into the suite) and
 /// which side of the comparison.
@@ -669,53 +674,6 @@ impl Suite {
     }
 }
 
-/// Maps `f` over `items` on `jobs` threads — the caller and `jobs - 1`
-/// helpers, pulling items off one atomic counter so uneven costs balance —
-/// and collects the results **by index**: in item order, whatever the
-/// schedule. `jobs <= 1` (or one item) is a sequential map on the caller.
-///
-/// A panic in `f` is caught as a value and stops the handing out of
-/// unclaimed items; once every worker is done, the lowest-index item's
-/// payload is re-raised on the caller, as itself.
-///
-/// The fan-out under [`Suite::run_all`], `hoploc check`, `search_suite` and
-/// `hoploc load`; `f` must be pure in its item for determinism to hold.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    jobs: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let jobs = jobs.clamp(1, items.len().max(1));
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else {
-                return done;
-            };
-            let r = panic::catch_unwind(AssertUnwindSafe(|| f(item)));
-            if r.is_err() {
-                next.store(items.len(), Ordering::Relaxed);
-            }
-            done.push((i, r));
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..jobs).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for h in helpers {
-            done.extend(h.join().expect("a worker catches its items' panics"));
-        }
-        done
-    });
-    // In item order, every item before the first panic has its result.
-    done.sort_unstable_by_key(|&(i, _)| i);
-    (done.into_iter())
-        .map(|(_, r)| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
-        .collect()
-}
-
 /// The fault-plan topology implied by a simulator configuration: the shape
 /// [`hoploc_fault::FaultPlan::from_seed`] generates against and
 /// [`hoploc_fault::FaultPlan::validate`] checks.
@@ -1062,20 +1020,6 @@ mod tests {
         );
         assert!(!on_json.contains('\n'), "record stays single-line");
         assert!(on_json.ends_with("}}"));
-    }
-
-    #[test]
-    fn parallel_map_keeps_item_order_at_any_job_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for jobs in [0, 1, 3, 8, 200] {
-            assert_eq!(
-                parallel_map(&items, jobs, |&x| x * x),
-                expect,
-                "jobs={jobs}"
-            );
-        }
-        assert!(parallel_map(&Vec::<u64>::new(), 4, |&x| x).is_empty());
     }
 
     #[test]

@@ -11,18 +11,16 @@
 //! simulates them while the calling thread runs the chain that produces
 //! the finalists, and once the chain is done both threads take the
 //! simulations neither has started from one list ([`verify_beside`], on
-//! [`pull_beside`]).
+//! the harness fan-out [`pull_beside`] at two threads).
 
 use crate::space::Candidate;
 use hoploc_est::PlacementScorer;
-use hoploc_harness::{RunRequest, RunSpec, Suite};
+use hoploc_harness::{pull_beside, RunRequest, RunSpec, Suite};
 use hoploc_layout::{Granularity, PassConfig, ProgramLayout};
 use hoploc_noc::{McPlacement, Mesh, Placement};
 use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{App, RunKind};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::thread;
+use std::sync::Arc;
 
 /// One cycle simulation a search asks for: the optimized run of its
 /// application under a placement and a pair of layout-plan parameters.
@@ -168,6 +166,7 @@ pub(crate) fn verify_beside<T>(
     let mut finalists: Vec<Machine> = Vec::new();
     let ((out, slots), runs) = pull_beside(
         &distinct_papers,
+        2,
         || {
             let (out, machines) = chain();
             finalists = machines;
@@ -184,115 +183,12 @@ pub(crate) fn verify_beside<T>(
     (out, cycles, runs.len())
 }
 
-/// The list [`pull_beside`]'s two threads take jobs from, by index: the
-/// early jobs, then the late ones once the chain has returned them.
-struct Board {
-    /// The next index no thread has taken.
-    next: usize,
-    /// How many late jobs there are, once the chain has returned.
-    late: Option<usize>,
-    /// Set by a panic in a job: nothing more is handed out.
-    stopped: bool,
-}
-
-/// Runs `chain` on the calling thread while a helper thread runs the
-/// `early` jobs in order. Once `chain` returns the late jobs, both threads
-/// take the jobs neither has started from one list, early before late, in
-/// list order, until none is left: at most two jobs run at once, and no
-/// thread waits while a job it could start is untaken. Returns what `chain`
-/// returned and the results of the early jobs then the late ones, by index.
-///
-/// Panics are caught as values and re-raised on the caller once both
-/// threads are done, lowest rank first: the early jobs by index, then
-/// `chain`, then the late jobs by index. A panicking job stops the handing
-/// out of jobs; every job before it in the list was handed out first, so
-/// the payload that leaves does not depend on the schedule.
-fn pull_beside<J: Send + Sync, R: Send, T>(
-    early: &[J],
-    chain: impl FnOnce() -> (T, Vec<J>),
-    run: impl Fn(&J) -> R + Sync,
-) -> (T, Vec<R>) {
-    let late: OnceLock<Vec<J>> = OnceLock::new();
-    let board = Mutex::new(Board {
-        next: 0,
-        late: None,
-        stopped: false,
-    });
-    let posted = Condvar::new();
-    // Every update of the board is one assignment and none can panic, so
-    // a poisoned lock would still hold a whole board.
-    let lock = || board.lock().unwrap_or_else(PoisonError::into_inner);
-    // Waits only while every known job is taken and the chain still runs.
-    let take = || {
-        let mut b = lock();
-        loop {
-            if b.stopped {
-                return None;
-            }
-            if b.next < early.len() + b.late.unwrap_or(0) {
-                b.next += 1;
-                return Some(b.next - 1);
-            }
-            if b.late.is_some() {
-                return None;
-            }
-            b = posted.wait(b).unwrap_or_else(PoisonError::into_inner);
-        }
-    };
-    let work = || {
-        let mut done = Vec::new();
-        while let Some(i) = take() {
-            let job = match i.checked_sub(early.len()) {
-                None => &early[i],
-                Some(l) => &late
-                    .get()
-                    .expect("late jobs are posted before they are taken")[l],
-            };
-            let r = panic::catch_unwind(AssertUnwindSafe(|| run(job)));
-            if r.is_err() {
-                lock().stopped = true;
-            }
-            done.push((i, r));
-        }
-        done
-    };
-    let (out, mut done) = thread::scope(|scope| {
-        let helper = scope.spawn(work);
-        let out = panic::catch_unwind(AssertUnwindSafe(chain)).map(|(out, jobs)| {
-            let n = jobs.len();
-            let _ = late.set(jobs);
-            (out, n)
-        });
-        // A chain that panicked posts no late jobs; the early ones rank
-        // before it and still run.
-        lock().late = Some(out.as_ref().map_or(0, |&(_, n)| n));
-        posted.notify_all();
-        let mut done = work();
-        done.extend(helper.join().expect("a worker catches its jobs' panics"));
-        (out, done)
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    let result = |r: thread::Result<R>| r.unwrap_or_else(|payload| panic::resume_unwind(payload));
-    let mut done = done.into_iter().peekable();
-    let mut results = Vec::with_capacity(done.len());
-    while let Some((_, r)) = done.next_if(|&(i, _)| i < early.len()) {
-        results.push(result(r));
-    }
-    let (out, _) = out.unwrap_or_else(|payload| panic::resume_unwind(payload));
-    results.extend(done.map(|(_, r)| result(r)));
-    (out, results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::{curated, APPROX_LEVELS};
     use hoploc_ptest::run_cases;
     use hoploc_workloads::{gafort, Scale};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc::{self, Receiver, Sender};
-    use std::thread::ThreadId;
-    use std::time::Duration;
 
     /// The schedule under test, with a token nothing sets.
     fn verify_beside<T>(
@@ -449,180 +345,5 @@ mod tests {
             .map(|r| r.compile(&mut scorer))
             .collect();
         verify_beside(&app, &sim, &papers, || ((), Vec::new()));
-    }
-
-    /// Fake jobs for [`pull_beside`]: job `i` reports that it started and
-    /// on which thread, then runs until the test releases it and returns
-    /// `10 * i`. A test whose script fails drops its releases, which fails
-    /// the jobs instead of hanging them.
-    struct Gated {
-        started: Sender<(usize, ThreadId)>,
-        release: Vec<Mutex<Receiver<()>>>,
-        running: AtomicUsize,
-        peak: AtomicUsize,
-    }
-
-    impl Gated {
-        fn new(jobs: usize) -> (Self, Script) {
-            let (started, starts) = mpsc::channel();
-            let (release, gates): (Vec<_>, Vec<_>) = (0..jobs).map(|_| mpsc::channel()).unzip();
-            let gated = Self {
-                started,
-                release: gates.into_iter().map(Mutex::new).collect(),
-                running: AtomicUsize::new(0),
-                peak: AtomicUsize::new(0),
-            };
-            (gated, Script { starts, release })
-        }
-
-        fn run(&self, &i: &usize) -> usize {
-            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
-            self.peak.fetch_max(now, Ordering::SeqCst);
-            let me = thread::current().id();
-            self.started.send((i, me)).expect("the script listens");
-            let gate = self.release[i].lock().unwrap();
-            gate.recv().expect("the script released the job");
-            self.running.fetch_sub(1, Ordering::SeqCst);
-            10 * i
-        }
-    }
-
-    /// The test's side of [`Gated`]: which job started where, and the
-    /// releases.
-    struct Script {
-        starts: Receiver<(usize, ThreadId)>,
-        release: Vec<Sender<()>>,
-    }
-
-    impl Script {
-        /// The next job to start and its thread; a bound, not a sleep, so
-        /// that a schedule that never starts it fails.
-        fn started(&self) -> (usize, ThreadId) {
-            (self.starts.recv_timeout(Duration::from_secs(60)))
-                .expect("a job starts within a minute")
-        }
-
-        fn release(&self, i: usize) {
-            self.release[i].send(()).unwrap();
-        }
-    }
-
-    #[test]
-    fn when_the_chain_ends_first_the_caller_takes_a_baseline_and_the_helper_a_finalist() {
-        let (gated, script) = Gated::new(3);
-        let (chain_may_end, chain_waits) = mpsc::channel();
-        let caller = thread::current().id();
-        let (out, results) = thread::scope(|s| {
-            s.spawn(move || {
-                let (job, helper) = script.started();
-                assert_eq!(job, 0, "the helper starts on the first baseline");
-                assert_ne!(helper, caller);
-                chain_may_end.send(()).unwrap();
-                assert_eq!(
-                    script.started(),
-                    (1, caller),
-                    "the caller takes the baseline nobody started"
-                );
-                script.release(0);
-                assert_eq!(
-                    script.started(),
-                    (2, helper),
-                    "the helper takes the finalist"
-                );
-                script.release(1);
-                script.release(2);
-            });
-            let chain = || {
-                chain_waits.recv().unwrap();
-                ("chain", vec![2])
-            };
-            pull_beside(&[0, 1], chain, |i| gated.run(i))
-        });
-        // As the sequential walk: early jobs, then late ones, in order.
-        assert_eq!((out, results), ("chain", vec![0, 10, 20]));
-        assert_eq!(gated.peak.into_inner(), 2);
-    }
-
-    #[test]
-    fn when_the_baselines_end_first_both_threads_take_finalists_two_at_a_time() {
-        let (gated, script) = Gated::new(5);
-        let (chain_may_end, chain_waits) = mpsc::channel();
-        let (out, results) = thread::scope(|s| {
-            s.spawn(move || {
-                assert_eq!(script.started().0, 0);
-                script.release(0);
-                chain_may_end.send(()).unwrap();
-                // Both threads start a finalist before either ends.
-                let (a, b) = (script.started(), script.started());
-                assert_ne!(a.1, b.1, "the two finalists run on two threads");
-                let mut first = [a.0, b.0];
-                first.sort();
-                assert_eq!(first, [1, 2]);
-                // The thread that frees up takes the next, while the
-                // other job still runs.
-                script.release(a.0);
-                assert_eq!(script.started(), (3, a.1));
-                script.release(3);
-                assert_eq!(script.started(), (4, a.1));
-                script.release(4);
-                script.release(b.0);
-            });
-            let chain = || {
-                chain_waits.recv().unwrap();
-                ((), vec![1, 2, 3, 4])
-            };
-            pull_beside(&[0], chain, |i| gated.run(i))
-        });
-        assert_eq!((out, results), ((), vec![0, 10, 20, 30, 40]));
-        assert_eq!(gated.peak.into_inner(), 2, "never more than two at once");
-    }
-
-    #[test]
-    fn with_no_baselines_the_helper_waits_for_the_finalists() {
-        let (gated, script) = Gated::new(2);
-        let (out, results) = thread::scope(|s| {
-            s.spawn(move || {
-                let (a, b) = (script.started(), script.started());
-                assert_ne!(a.1, b.1);
-                script.release(0);
-                script.release(1);
-            });
-            pull_beside(&[], || ((), vec![0, 1]), |i| gated.run(i))
-        });
-        assert_eq!((out, results), ((), vec![0, 10]));
-    }
-
-    /// Job `i` panics with its own index when `panics(i)`.
-    fn panicking(panics: impl Fn(usize) -> bool + Sync) -> impl Fn(&usize) -> usize + Sync {
-        move |&i| {
-            assert!(!panics(i), "job {i}");
-            i
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "job 1")]
-    fn a_baselines_panic_outranks_the_chains() {
-        pull_beside(
-            &[0, 1, 2],
-            || -> ((), Vec<usize>) { panic!("chain") },
-            panicking(|i| i >= 1),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "chain")]
-    fn a_chains_panic_leaves_after_the_baselines_ran() {
-        pull_beside(
-            &[0, 1],
-            || -> ((), Vec<usize>) { panic!("chain") },
-            panicking(|_| false),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "job 2")]
-    fn the_lowest_panicking_finalist_leaves() {
-        pull_beside(&[0], || ((), vec![1, 2, 3, 4]), panicking(|i| i >= 2));
     }
 }

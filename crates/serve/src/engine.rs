@@ -45,28 +45,25 @@ pub trait Engine: Send + Sync {
         -> Result<String, String>;
 }
 
-/// How many completed artifacts each per-configuration suite may keep
-/// resident, and how many distinct configurations the engine itself keeps.
+/// Layout plans each suite keeps resident: two layout classes per app.
+const LAYOUT_CAP: usize = 32;
+
+/// Traces each suite keeps resident. Traces dominate memory, so this is
+/// what bounds a long-lived server; a handful of hot ones cover
+/// steady-state serving, and everything else rebuilds bit-identically.
+const TRACE_CAP: usize = 8;
+
+/// How many distinct configurations the engine keeps. What each suite
+/// keeps is fixed (`LAYOUT_CAP`, `TRACE_CAP`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineCaps {
-    /// Layout-cache capacity per suite (0 = unbounded).
-    pub layout_cap: usize,
-    /// Trace-cache capacity per suite (0 = unbounded). Traces dominate
-    /// memory, so this is the knob that bounds a long-lived server.
-    pub trace_cap: usize,
     /// Distinct simulator configurations (suites) kept alive at once.
     pub suite_cap: usize,
 }
 
 impl Default for EngineCaps {
     fn default() -> Self {
-        // Two layout classes per app and a handful of hot traces cover
-        // steady-state serving; everything else rebuilds bit-identically.
-        EngineCaps {
-            layout_cap: 32,
-            trace_cap: 8,
-            suite_cap: 4,
-        }
+        EngineCaps { suite_cap: 4 }
     }
 }
 
@@ -78,7 +75,6 @@ type FootprintKey = (Scale, usize, FootprintInputs);
 
 /// The production engine: bounded suite pool over the real harness.
 pub struct SuiteEngine {
-    caps: EngineCaps,
     /// The applications of [`Scale::Test`] and [`Scale::Bench`], each built
     /// on first use and kept: every suite of a scale shares them.
     catalogue: [OnceLock<Arc<[App]>>; 2],
@@ -91,7 +87,6 @@ impl SuiteEngine {
     pub fn new(caps: EngineCaps) -> Self {
         let suites = caps.suite_cap.max(1);
         SuiteEngine {
-            caps,
             catalogue: [OnceLock::new(), OnceLock::new()],
             suites: Memo::new(Some(suites)),
             // One footprint per application of every resident suite.
@@ -115,7 +110,7 @@ impl SuiteEngine {
         self.suites.get_or(machine.canon(), || {
             machine
                 .suite(self.apps(machine.scale).clone())
-                .with_cache_caps(self.caps.layout_cap, self.caps.trace_cap)
+                .with_cache_caps(LAYOUT_CAP, TRACE_CAP)
         })
     }
 
@@ -327,10 +322,7 @@ mod tests {
     #[test]
     fn evicting_pool_shares_one_catalogue_and_serves_direct_bytes() {
         use hoploc_est::estimate_app;
-        let eng = SuiteEngine::new(EngineCaps {
-            suite_cap: 2,
-            ..EngineCaps::default()
-        });
+        let eng = SuiteEngine::new(EngineCaps { suite_cap: 2 });
         for l2_mode in [L2Mode::Private, L2Mode::Shared] {
             for granularity in [Granularity::CacheLine, Granularity::Page] {
                 for m2 in [false, true] {
@@ -533,10 +525,7 @@ mod tests {
 
     #[test]
     fn suite_pool_is_bounded() {
-        let eng = SuiteEngine::new(EngineCaps {
-            suite_cap: 1,
-            ..EngineCaps::default()
-        });
+        let eng = SuiteEngine::new(EngineCaps { suite_cap: 1 });
         let a = spec("swim");
         let mut b = spec("swim");
         b.machine.granularity = Granularity::Page;

@@ -109,9 +109,9 @@
 mod args;
 
 use args::{parse, Options};
-use hoploc::affine::parallelization_is_legal;
 use hoploc::check::{
-    check_layout, check_program, count, render_json, render_text, should_fail, CheckConfig,
+    check_layout, check_program, check_races, count, render_json, render_text, should_fail,
+    CheckConfig,
 };
 use hoploc::est;
 use hoploc::fault::{FaultPlan, FaultRates};
@@ -189,16 +189,16 @@ fn cmd_compile(app: &App, o: &Options) {
         layout.arrays_optimized() * 100.0,
         layout.refs_satisfied() * 100.0
     );
-    let clean = app
-        .program
-        .nests()
-        .iter()
-        .filter(|n| parallelization_is_legal(n))
+    // The race detector's verdict, the one `hoploc check` reports.
+    let races = check_races(&app.program, &CheckConfig::default());
+    let nests = app.program.nests().len();
+    let clean = (0..nests)
+        .filter(|&k| races.iter().all(|d| d.nest != Some(k)))
         .count();
     println!(
-        "dependence analysis: {clean}/{} nests provably parallel-safe \
-         (the rest rely on halo synchronization outside the model)",
-        app.program.nests().len()
+        "dependence analysis: {clean}/{nests} nests provably parallel-safe \
+         (the rest carry an HL02xx finding; `hoploc check {}` names it)",
+        app.name()
     );
     // Render the hottest nest before/after, Figure-9 style.
     if let Some(nest) = app

@@ -3,10 +3,8 @@
 //! interleave units land on the owner's controllers, and a renaming never
 //! changes a dependence.
 
-use hoploc::affine::{
-    nest_dependences, parallelization_is_legal, test_dependence, AccessFn, AffineAccess, ArrayId,
-    Dependence, LoopNest,
-};
+use hoploc::affine::{test_dependence, AccessFn, AffineAccess, ArrayId, Dependence, LoopNest};
+use hoploc::check::{check_races, CheckConfig, Code};
 use hoploc::layout::{determine_data_to_core, optimize_program, Granularity, L2Mode, PassConfig};
 use hoploc::noc::{L2ToMcMapping, McId, McPlacement, Mesh};
 use hoploc::sim::AddressSpace;
@@ -190,16 +188,14 @@ fn layout_transformation_never_changes_dependences() {
 
 #[test]
 fn dependence_census_over_the_suite() {
-    // Sanity over the modelled applications: every nest yields a
-    // characterization (not a crash), and Jacobi-style nests are clean
-    // while SSOR-style nests carry dependences — matching the kernels they
-    // model.
+    // Sanity over the modelled applications: every program yields the race
+    // detector's verdict (not a crash), and SSOR-style nests carry
+    // dependences — matching the kernels they model.
     let mut carried = Vec::new();
     for app in all_apps(Scale::Test) {
-        for (k, nest) in app.program.nests().iter().enumerate() {
-            let _ = nest_dependences(nest);
-            if !parallelization_is_legal(nest) {
-                carried.push(format!("{}#{k}", app.name()));
+        for d in check_races(&app.program, &CheckConfig::default()) {
+            if d.code == Code::HaloCarriedDependence {
+                carried.push(format!("{}#{}", d.app, d.nest.expect("a nest finding")));
             }
         }
     }
@@ -208,7 +204,7 @@ fn dependence_census_over_the_suite() {
     // structural, not a bug; their absence would mean the models lost
     // their in-place character.
     assert!(
-        carried.iter().any(|s| s.starts_with("applu")),
-        "applu's SSOR must carry a dependence, got {carried:?}"
+        carried.iter().any(|s| s == "applu#1"),
+        "applu's SSOR nest must carry a halo dependence (HL0202), got {carried:?}"
     );
 }
