@@ -4,8 +4,8 @@
 //! experiment of *Optimizing Off-Chip Accesses in Multicores* (PLDI 2015)
 //! — Table 2, Figs. 3–4 and 13–25 — and per study beyond it: four
 //! ablations and the resilience sweep. An entry runs its machines and run
-//! kinds through [`Suite::run_all`] (Fig. 25's mixes through `run_mix`,
-//! since a suite has no multiprogram cell), reduces them to one [`Table`]
+//! kinds through [`Suite::run_all`] (Fig. 25's mixes through
+//! [`Suite::run_mix`]), reduces them to one [`Table`]
 //! and checks the paper's shape on them. An entry whose bench-scale shape
 //! differs from the paper's names its DESIGN.md §9 entry.
 //!
@@ -23,7 +23,7 @@ use hoploc_layout::{select_mapping, Granularity, L2Mode};
 use hoploc_mem::RowPolicy;
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
 use hoploc_sim::{Improvement, RunStats, SimConfig};
-use hoploc_workloads::{all_apps, mixes, run_mix, weighted_speedup, App, RunKind, Scale};
+use hoploc_workloads::{all_apps, mixes, weighted_speedup, App, RunKind, Scale};
 use hoploc_workloads::{apsi, fma3d, swim, wupwise};
 use Granularity::{CacheLine, Page};
 use RunKind::{Baseline, Optimized};
@@ -587,11 +587,11 @@ fn fig24(scale: Scale) -> Measured {
 }
 
 fn fig25(scale: Scale) -> Measured {
-    let sim = machine(CacheLine);
-    let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-    let mixes = mixes(scale);
-    let ws = parallel_map(&mixes, default_jobs(), |(_, apps)| {
-        let [base, opt] = [Baseline, Optimized].map(|kind| run_mix(apps, &mapping, &sim, kind));
+    let mixes: Vec<(String, Suite)> = (mixes(scale).into_iter())
+        .map(|(name, apps)| (name, suite(apps, machine(CacheLine))))
+        .collect();
+    let ws = parallel_map(&mixes, default_jobs(), |(_, s)| {
+        let [base, opt] = [Baseline, Optimized].map(|kind| s.run_mix(kind));
         weighted_speedup(&base, &opt)
     });
     let mut t = Table::new(["workload", "weighted speedup", "change"]);

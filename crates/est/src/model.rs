@@ -1420,9 +1420,9 @@ impl<'a> PlacementScorer<'a> {
     /// and approximation threshold — the plan [`estimate`](Self::estimate)
     /// scores, and byte for byte the one a `hoploc_harness::Suite` built
     /// for the same placement compiles. A caller that goes on to simulate
-    /// the cell hands the suite this plan (`Suite::with_layout_plan`), so
-    /// scoring and verification read one object and the program is analyzed
-    /// once.
+    /// the cell hands this plan to the one-shot `hoploc_harness::run_plan`,
+    /// so scoring and verification read one plan and the program is
+    /// analyzed once.
     pub fn plan(
         &mut self,
         placement: &hoploc_noc::Placement,

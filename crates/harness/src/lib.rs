@@ -23,8 +23,14 @@
 //! generation, and the memory controller / network / cache models carry no
 //! cross-run state. A [`Suite::run_all`] at any `jobs` count is
 //! bit-identical (`RunStats: PartialEq`, including the floating-point link
-//! utilizations) to the sequential path — the integration suite asserts
-//! this against `run_app` itself.
+//! utilizations) to the sequential path — the unit tests assert this
+//! against [`run_plan`] on a freshly compiled plan, with no memo in front.
+//!
+//! Every simulation in the workspace is built by one runner in two
+//! halves: a plan is prepared (address space, desired-page map, trace)
+//! and the prepared trace simulated. [`Suite::run`] and [`Suite::run_mix`]
+//! put the memos in front of them; [`run_plan`] is the one-shot a search's
+//! verification calls with the plan its scorer compiled.
 //!
 //! The threads come from one fan-out, [`pull_beside`], which
 //! [`parallel_map`] and the search's verification both call.
@@ -40,16 +46,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
 use hoploc_layout::{Granularity, L2Mode};
-use hoploc_noc::{L2ToMcMapping, McId, McPlacement};
+use hoploc_noc::{L2ToMcMapping, McPlacement};
 use hoploc_obs::{JsonWriter, ObsConfig, ObsReport};
-use hoploc_sim::{
-    AddressSpace, Cancel, PrefetchConfig, PrefetchMode, RunStats, SimConfig, Simulator,
-    TraceWorkload,
-};
-use hoploc_workloads::{App, RunKind, Scale, TraceGen, MAX_THREADS_PER_CORE};
+use hoploc_sim::{Cancel, PrefetchConfig, PrefetchMode, RunStats, SimConfig, TraceWorkload};
+use hoploc_workloads::{App, RunKind, Scale, MAX_THREADS_PER_CORE};
 
 mod fan;
+mod run;
 pub use fan::{parallel_map, pull_beside};
+pub use run::run_plan;
+use run::{layout_class, Prepared};
 
 /// One cell of the run matrix: which app (by index into the suite) and
 /// which side of the comparison.
@@ -289,16 +295,6 @@ impl MachineSpec {
     }
 }
 
-/// The kind whose compiled layout (and so whose trace) a run of `kind`
-/// replays — the cache key discriminant. Baseline, FirstTouch, and Optimal
-/// all run the original layouts.
-fn layout_class(kind: RunKind) -> RunKind {
-    match kind {
-        RunKind::Optimized => RunKind::Optimized,
-        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => RunKind::Baseline,
-    }
-}
-
 /// One slot of a [`Memo`]: the compute-once cell plus the logical access
 /// time used by the eviction policy.
 struct MemoEntry<V> {
@@ -377,17 +373,6 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
         value
     }
 
-    /// Puts an already built `value` under `key`, replacing whatever was
-    /// there: later lookups are hits, and no build is counted. The capacity
-    /// is enforced by the next [`get_or`](Self::get_or).
-    fn seed(&self, key: K, value: Arc<V>) {
-        let entry = MemoEntry {
-            cell: Arc::new(OnceLock::from(value)),
-            last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-        };
-        self.map.lock().expect("memo poisoned").insert(key, entry);
-    }
-
     /// Evicts least-recently-used *initialized* entries until at most `cap`
     /// remain, never removing `keep` (the key the caller just touched).
     fn evict_to(&self, cap: usize, keep: &K) {
@@ -416,14 +401,6 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     }
 }
 
-/// Everything trace generation produces for one (app, layout class):
-/// the workload plus the compiler's desired-page map (used only by
-/// Optimized runs, empty for baseline layouts).
-struct TraceBundle {
-    workload: TraceWorkload,
-    desired: HashMap<u64, McId>,
-}
-
 /// Cache traffic counters of one suite, for the aggregated report.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheCounters {
@@ -448,15 +425,14 @@ pub struct CacheCounters {
 /// config, and experiments that sweep configs (mesh sizes, placements,
 /// granularities) build one suite per point.
 pub struct Suite {
-    /// Shared, not owned: suites of one application set (a server's pool,
-    /// a search's verification runs) hold one copy of the programs.
+    /// Shared, not owned: the suites of a server's pool hold one copy of
+    /// the programs.
     apps: Arc<[App]>,
     mapping: L2ToMcMapping,
     sim: SimConfig,
     threads_per_core: usize,
-    approx_threshold: f64,
     layouts: Memo<(usize, RunKind), hoploc_layout::ProgramLayout>,
-    traces: Memo<(usize, RunKind), TraceBundle>,
+    traces: Memo<(usize, RunKind), Prepared>,
 }
 
 impl Suite {
@@ -470,27 +446,9 @@ impl Suite {
             mapping,
             sim,
             threads_per_core: 1,
-            approx_threshold: hoploc_layout::PassConfig::default().approx_threshold,
             layouts: Memo::new(None),
             traces: Memo::new(None),
         }
-    }
-
-    /// Creates a suite whose geometry comes from a unified
-    /// [`hoploc_noc::Placement`]: the config's MC placement and the
-    /// mapping are taken from the same value, so the simulator's
-    /// placement/mapping agreement assertion holds by construction.
-    /// Design-space search verifies candidates through this entry point.
-    pub fn for_placement(
-        apps: impl Into<Arc<[App]>>,
-        placement: &hoploc_noc::Placement,
-        sim: SimConfig,
-    ) -> Self {
-        let cfg = SimConfig {
-            placement: placement.mc_placement().clone(),
-            ..sim
-        };
-        Self::new(apps, placement.mapping().clone(), cfg)
     }
 
     /// Sets the threads-per-core count (Figure 24). Resets nothing: the
@@ -498,46 +456,6 @@ impl Suite {
     pub fn with_threads_per_core(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread per core");
         self.threads_per_core = threads;
-        self
-    }
-
-    /// Sets the layout pass's approximation threshold for Optimized
-    /// layouts. Builder-style: call before the first run, so the layout
-    /// cache never mixes plans compiled under different thresholds.
-    pub fn with_approx_threshold(mut self, approx_threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&approx_threshold),
-            "approx threshold must be a fraction"
-        );
-        self.approx_threshold = approx_threshold;
-        self
-    }
-
-    /// Hands the suite the layout plan of one matrix cell instead of having
-    /// it compile one: runs of `app` in `kind`'s layout class replay `plan`
-    /// itself. The caller vouches that `plan` is what the suite would have
-    /// compiled — same program, mapping, machine and threshold (a search
-    /// passes the plan its scorer compiled for the candidate being
-    /// verified). Builder-style: call after
-    /// [`with_cache_caps`](Self::with_cache_caps), which empties the caches,
-    /// and before the first run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan binds another number of threads than the machine
-    /// has nodes.
-    pub fn with_layout_plan(
-        self,
-        app: usize,
-        kind: RunKind,
-        plan: Arc<hoploc_layout::ProgramLayout>,
-    ) -> Self {
-        assert_eq!(
-            plan.binding().len(),
-            self.sim.num_nodes(),
-            "seeded layout plan was compiled for another mesh"
-        );
-        self.layouts.seed((app, layout_class(kind)), plan);
         self
     }
 
@@ -582,22 +500,14 @@ impl Suite {
         reqs
     }
 
-    /// The generated trace workload (and desired-page map) for one matrix
-    /// cell, through the trace cache.
-    fn traces(&self, app: usize, kind: RunKind) -> Arc<TraceBundle> {
+    /// The prepared trace (and desired-page map) of one matrix cell,
+    /// through the trace cache.
+    fn traces(&self, app: usize, kind: RunKind) -> Arc<Prepared> {
         let class = layout_class(kind);
         self.traces.get_or((app, class), || {
             let layout = self.layout_plan(app, class);
-            let a = &self.apps[app];
-            let space = AddressSpace::build(&a.program, &layout, 0);
-            let desired =
-                hoploc_workloads::desired_pages(a, class, &space, &layout, self.sim.page_bytes);
-            let gen = TraceGen {
-                threads_per_core: self.threads_per_core,
-                ..a.gen
-            };
-            let workload = hoploc_workloads::generate_traces(&a.program, &layout, &space, &gen);
-            TraceBundle { workload, desired }
+            let (a, page_bytes) = (&self.apps[app], self.sim.page_bytes);
+            run::prepare(a, &layout, class, 0, page_bytes, self.threads_per_core)
         })
     }
 
@@ -610,37 +520,44 @@ impl Suite {
     pub fn layout_plan(&self, app: usize, kind: RunKind) -> Arc<hoploc_layout::ProgramLayout> {
         let class = layout_class(kind);
         self.layouts.get_or((app, class), || {
-            hoploc_workloads::layout_with(
-                &self.apps[app],
-                &self.mapping,
-                &self.sim,
-                class,
-                self.approx_threshold,
-            )
+            hoploc_workloads::layout_for(&self.apps[app], &self.mapping, &self.sim, class)
         })
     }
 
-    /// Runs one request: the single path every simulation of a cell takes.
-    /// Pure in the request — the plain run of a spec is bit-identical to
-    /// `hoploc_workloads::run_app_threads` with the same arguments.
+    /// Runs one request through the memos. Pure in the request — on a
+    /// suite of one thread per core, a run is bit-identical to [`run_plan`]
+    /// on a fresh [`hoploc_workloads::layout_for`] plan.
     pub fn run(&self, req: &RunRequest) -> RunOutput {
-        let spec = req.spec;
-        let bundle = self.traces(spec.app, spec.kind);
-        let policy = hoploc_workloads::page_policy(spec.kind, bundle.desired.clone());
-        let mut cfg = hoploc_workloads::cell_config(&self.sim, spec.kind, self.apps[spec.app].mlp);
-        if let Some(plan) = req.faults {
-            cfg.faults = Some(plan.clone());
+        let bundle = self.traces(req.spec.app, req.spec.kind);
+        let mlp = self.apps[req.spec.app].mlp;
+        run::simulate(&self.sim, &self.mapping, mlp, &bundle, req)
+    }
+
+    /// Runs every app of the suite co-scheduled as one `kind` run (Figure
+    /// 25's multiprogrammed mixes): each app has its threads on all cores
+    /// and a virtual address space of its own, and the returned statistics
+    /// carry each app's finish time. Plans come from the layout cache; the
+    /// traces are generated for the mix alone.
+    pub fn run_mix(&self, kind: RunKind) -> RunStats {
+        let mut desired = HashMap::new();
+        let mut programs = Vec::with_capacity(self.apps.len());
+        let (page_bytes, threads) = (self.sim.page_bytes, self.threads_per_core);
+        for (i, app) in self.apps.iter().enumerate() {
+            // 4 GiB of virtual space per application keeps them disjoint.
+            let origin = (i as u64) << 32;
+            let layout = self.layout_plan(i, kind);
+            let p = run::prepare(app, &layout, kind, origin, page_bytes, threads);
+            desired.extend(p.desired);
+            programs.push(p.workload);
         }
-        let sim = Simulator::new(cfg, self.mapping.clone(), policy)
-            .with_cancel(req.cancel.cloned().unwrap_or_default());
-        let (stats, report) = match req.obs {
-            None => (sim.run(&bundle.workload), None),
-            Some(obs) => {
-                let (stats, report) = sim.with_obs(obs).run_traced(&bundle.workload);
-                (stats, Some(report))
-            }
+        let name = self.apps.iter().map(|a| a.name()).collect::<Vec<_>>();
+        let mix = Prepared {
+            workload: TraceWorkload::multiprogram(name.join("+"), programs),
+            desired,
         };
-        RunOutput { stats, report }
+        let mlp = self.apps.iter().map(|a| a.mlp).max().unwrap_or(1);
+        let req = RunRequest::new(RunSpec { app: 0, kind });
+        run::simulate(&self.sim, &self.mapping, mlp, &mix, &req).stats
     }
 
     /// Runs `reqs` across `jobs` worker threads and collects the records
@@ -799,7 +716,9 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
 mod tests {
     use super::*;
     use hoploc_fault::FaultRates;
-    use hoploc_workloads::{mgrid, run_app, swim};
+    use hoploc_noc::{Mesh, Placement};
+    use hoploc_ptest::run_cases;
+    use hoploc_workloads::{all_apps, layout_for, mgrid, swim, weighted_speedup, wupwise};
 
     fn test_machine() -> MachineSpec {
         MachineSpec::at(Scale::Test)
@@ -809,10 +728,18 @@ mod tests {
         test_machine().suite(vec![swim(Scale::Test), mgrid(Scale::Test)])
     }
 
+    /// One run of `app` on `sim`, through the one-shot on a plan compiled
+    /// for it alone: no memo, no fan-out.
+    fn run_fresh(app: &App, sim: &SimConfig, kind: RunKind) -> RunStats {
+        let placement = Placement::nearest(sim.mesh, &sim.placement);
+        let plan = layout_for(app, placement.mapping(), sim, kind);
+        run_plan(app, &plan, &placement, sim, kind, &Cancel::never())
+    }
+
     /// The four (faults, obs) corners of a request, over every cell: the
-    /// plain run is `run_app`, recording changes no statistic, the empty
-    /// plan is no plan, a faulted run reads the same recorded or not — and
-    /// every corner is the same at any job count, reports included.
+    /// plain run is the one-shot's, recording changes no statistic, the
+    /// empty plan is no plan, a faulted run reads the same recorded or not
+    /// — and every corner is the same at any job count, reports included.
     #[test]
     fn the_four_corners_of_a_request_agree_and_parallel_matches_sequential() {
         let s = suite2();
@@ -849,10 +776,10 @@ mod tests {
                 unreachable!("five requests per cell");
             };
             let spec = req.spec;
-            let direct = run_app(&s.apps()[spec.app], s.mapping(), s.sim(), spec.kind);
+            let direct = run_fresh(&s.apps()[spec.app], s.sim(), spec.kind);
             assert_eq!(
                 plain.stats, direct,
-                "harness diverged from run_app on {spec:?}"
+                "harness diverged from run_plan on {spec:?}"
             );
             assert_eq!(traced.stats, plain.stats, "recording perturbed {spec:?}");
             assert_eq!(inert.stats, plain.stats, "the empty plan must be inert");
@@ -879,34 +806,108 @@ mod tests {
         assert_eq!(c.trace_hits, 4, "{c:?}");
     }
 
+    /// Over random cells, fault plans and recordings, the one-shot on the
+    /// suite's own plan is the suite's run, field for field.
     #[test]
-    fn seeded_layout_plan_is_replayed_not_recompiled() {
-        let spec = RunSpec {
-            app: 1,
-            kind: RunKind::Optimized,
-        };
-        let req = RunRequest::new(spec);
-        let compiling = suite2();
-        let plan = compiling.layout_plan(spec.app, spec.kind);
-        let want = compiling.run(&req).stats;
-        assert_eq!(compiling.cache_counters().layout_misses, 1);
-
-        let seeded = suite2().with_layout_plan(spec.app, spec.kind, plan.clone());
-        assert_eq!(seeded.run(&req).stats, want);
-        assert!(Arc::ptr_eq(&seeded.layout_plan(spec.app, spec.kind), &plan));
-        let c = seeded.cache_counters();
-        assert_eq!(c.layout_misses, 0, "{c:?}");
-        assert_eq!(c.trace_misses, 1, "{c:?}");
-        // The other cells of the suite still compile their own.
-        seeded.run(&RunRequest::new(RunSpec { app: 0, ..spec }));
-        assert_eq!(seeded.cache_counters().layout_misses, 1);
+    fn the_one_shot_on_a_suites_plan_is_its_run() {
+        let s = test_machine().suite(all_apps(Scale::Test));
+        let placement = Placement::nearest(s.sim().mesh, &s.sim().placement);
+        run_cases("harness.run_plan.suite", 8, |rng| {
+            let app = rng.usize_in(0..s.apps().len());
+            let kind = RunKind::ALL[rng.usize_in(0..RunKind::ALL.len())];
+            let rates = FaultRates::moderate();
+            let plan = rng
+                .flip()
+                .then(|| FaultPlan::from_seed(rng.next_u64(), &fault_topo(s.sim()), &rates));
+            let mut req = RunRequest::new(RunSpec { app, kind });
+            if let Some(plan) = &plan {
+                req = req.with_faults(plan);
+            }
+            if rng.flip() {
+                req = req.with_obs(ObsConfig::default());
+            }
+            let sim = SimConfig {
+                faults: plan.clone(),
+                ..s.sim().clone()
+            };
+            let layout = s.layout_plan(app, kind);
+            let once = run_plan(
+                &s.apps()[app],
+                &layout,
+                &placement,
+                &sim,
+                kind,
+                &Cancel::never(),
+            );
+            assert_eq!(once, s.run(&req).stats, "{req:?}");
+        });
     }
 
     #[test]
     #[should_panic(expected = "compiled for another mesh")]
-    fn seeding_a_plan_for_another_mesh_is_refused() {
-        let small = hoploc_layout::baseline_layout(&swim(Scale::Test).program, 16);
-        let _ = suite2().with_layout_plan(0, RunKind::Baseline, Arc::new(small));
+    fn the_one_shot_refuses_a_plan_for_another_mesh() {
+        let app = swim(Scale::Test);
+        let small = hoploc_layout::baseline_layout(&app.program, 16);
+        let sim = test_machine().sim();
+        let placement = Placement::nearest(sim.mesh, &sim.placement);
+        run_plan(
+            &app,
+            &small,
+            &placement,
+            &sim,
+            RunKind::Baseline,
+            &Cancel::never(),
+        );
+    }
+
+    #[test]
+    fn baseline_and_optimized_run() {
+        let sim = SimConfig::default();
+        let app = swim(Scale::Test);
+        let base = run_fresh(&app, &sim, RunKind::Baseline);
+        let opt = run_fresh(&app, &sim, RunKind::Optimized);
+        assert!(base.total_accesses > 0);
+        assert_eq!(base.total_accesses, opt.total_accesses, "same dynamic work");
+    }
+
+    #[test]
+    fn optimized_localizes_offchip_traffic_swim() {
+        let sim = SimConfig::default();
+        let app = swim(Scale::Test);
+        let base = run_fresh(&app, &sim, RunKind::Baseline);
+        let opt = run_fresh(&app, &sim, RunKind::Optimized);
+        // The optimization's core claim: fewer hops per off-chip message.
+        assert!(
+            opt.net.off_chip.avg_hops() < base.net.off_chip.avg_hops(),
+            "optimized {} !< baseline {}",
+            opt.net.off_chip.avg_hops(),
+            base.net.off_chip.avg_hops()
+        );
+    }
+
+    #[test]
+    fn optimal_beats_baseline() {
+        let sim = SimConfig::default();
+        let app = wupwise(Scale::Test);
+        let base = run_fresh(&app, &sim, RunKind::Baseline);
+        let optimal = run_fresh(&app, &sim, RunKind::Optimal);
+        assert!(optimal.exec_cycles < base.exec_cycles);
+    }
+
+    #[test]
+    fn mix_runs_and_reports_speedup() {
+        let mesh = Mesh::new(8, 8);
+        let mapping = L2ToMcMapping::nearest_cluster(mesh, &McPlacement::Corners);
+        let apps = vec![wupwise(Scale::Test), swim(Scale::Test)];
+        let s = Suite::new(apps, mapping, SimConfig::default());
+        let base = s.run_mix(RunKind::Baseline);
+        let opt = s.run_mix(RunKind::Optimized);
+        assert_eq!(base.app_finish.len(), 2);
+        let ws = weighted_speedup(&base, &opt);
+        assert!(
+            ws > 0.5 && ws < 3.0,
+            "weighted speedup {ws} out of sane range"
+        );
     }
 
     #[test]

@@ -101,15 +101,21 @@ pub struct SearchConfig {
     pub cancel: Cancel,
 }
 
+/// The master seed of a search that names none.
+pub const DEFAULT_SEED: u64 = 0;
+
+/// The per-app estimator-evaluation budget of a search that names none.
+pub const DEFAULT_BUDGET: u32 = 400;
+
 impl SearchConfig {
-    /// Defaults: seed 0, 400 evaluations, `offchip+hops` objective,
-    /// 3 verified finalists.
+    /// Defaults: [`DEFAULT_SEED`], [`DEFAULT_BUDGET`] evaluations, the
+    /// default (`offchip+hops`) objective, 3 verified finalists.
     pub fn new(sim: SimConfig, scale: Scale) -> Self {
         Self {
             sim,
             scale,
-            seed: 0,
-            budget: 400,
+            seed: DEFAULT_SEED,
+            budget: DEFAULT_BUDGET,
             objective: Objective::default(),
             top_k: 3,
             cancel: Cancel::never(),

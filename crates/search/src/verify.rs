@@ -15,12 +15,11 @@
 
 use crate::space::Candidate;
 use hoploc_est::PlacementScorer;
-use hoploc_harness::{pull_beside, RunRequest, RunSpec, Suite};
+use hoploc_harness::{pull_beside, run_plan};
 use hoploc_layout::{Granularity, PassConfig, ProgramLayout};
 use hoploc_noc::{McPlacement, Mesh, Placement};
 use hoploc_sim::{Cancel, SimConfig};
 use hoploc_workloads::{App, RunKind};
-use std::sync::Arc;
 
 /// One cycle simulation a search asks for: the optimized run of its
 /// application under a placement and a pair of layout-plan parameters.
@@ -66,7 +65,7 @@ impl VerifyRequest {
         Machine {
             placement: self.placement,
             granularity: self.granularity,
-            layout: Arc::new(layout),
+            layout,
         }
     }
 }
@@ -89,7 +88,7 @@ impl VerifyRequest {
 pub struct Machine {
     placement: Placement,
     granularity: Granularity,
-    layout: Arc<ProgramLayout>,
+    layout: ProgramLayout,
 }
 
 impl PartialEq for Machine {
@@ -101,25 +100,16 @@ impl PartialEq for Machine {
 }
 
 impl Machine {
-    /// Cycle-simulated completion time of `app[0]`'s optimized run on this
+    /// Cycle-simulated completion time of `app`'s optimized run on this
     /// machine, `base` supplying everything a request does not override.
-    /// The suite replays the machine's plan object; nothing is recompiled.
-    fn simulate(&self, app: &Arc<[App]>, base: &SimConfig, cancel: &Cancel) -> u64 {
+    /// The run replays the machine's plan; nothing is recompiled.
+    fn simulate(&self, app: &App, base: &SimConfig, cancel: &Cancel) -> u64 {
         let sim = SimConfig {
             granularity: self.granularity,
             ..base.clone()
         };
         let kind = RunKind::Optimized;
-        let req = RunRequest {
-            cancel: Some(cancel),
-            ..RunRequest::new(RunSpec { app: 0, kind })
-        };
-        Suite::for_placement(app.clone(), &self.placement, sim)
-            .with_approx_threshold(self.layout.config().approx_threshold)
-            .with_layout_plan(0, kind, self.layout.clone())
-            .run(&req)
-            .stats
-            .exec_cycles
+        run_plan(app, &self.layout, &self.placement, &sim, kind, cancel).exec_cycles
     }
 }
 
@@ -161,7 +151,6 @@ pub(crate) fn verify_beside<T>(
     cancel: &Cancel,
     chain: impl FnOnce() -> (T, Vec<Machine>),
 ) -> (T, Vec<u64>, usize) {
-    let one: Arc<[App]> = Arc::from([app.clone()]);
     let (paper_slots, distinct_papers) = group(&[], papers);
     let mut finalists: Vec<Machine> = Vec::new();
     let ((out, slots), runs) = pull_beside(
@@ -173,7 +162,7 @@ pub(crate) fn verify_beside<T>(
             let (slots, fresh) = group(papers, &finalists);
             ((out, slots), fresh)
         },
-        |m| m.simulate(&one, base, cancel),
+        |m| m.simulate(app, base, cancel),
     );
     let paper_cycles: Vec<u64> = paper_slots.iter().map(|&s| runs[s]).collect();
     let by_slot = [&paper_cycles[..], &runs[distinct_papers.len()..]].concat();
@@ -205,7 +194,6 @@ mod tests {
     /// simulations that took: each machine equal to an earlier one reads
     /// that one's result.
     fn verify(app: &App, base: &SimConfig, machines: &[Machine]) -> (Vec<u64>, usize) {
-        let one: Arc<[App]> = Arc::from([app.clone()]);
         let mut cycles: Vec<u64> = Vec::with_capacity(machines.len());
         let mut simulated = 0;
         for (i, m) in machines.iter().enumerate() {
@@ -213,7 +201,7 @@ mod tests {
                 Some(j) => cycles[j],
                 None => {
                     simulated += 1;
-                    m.simulate(&one, base, &Cancel::never())
+                    m.simulate(app, base, &Cancel::never())
                 }
             };
             cycles.push(c);

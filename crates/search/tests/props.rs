@@ -9,7 +9,7 @@
 
 use hoploc_check::{check_layout, CheckConfig, Severity};
 use hoploc_est::{estimate_placement, AppEstimate, EstConfig, Footprint, PlacementScorer};
-use hoploc_harness::{RunRequest, RunSpec, Suite};
+use hoploc_harness::run_plan;
 use hoploc_layout::{Granularity, L2Mode, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::{McId, McPlacement};
 use hoploc_ptest::{run_cases, SmallRng};
@@ -18,12 +18,11 @@ use hoploc_search::{
     Candidate, CandidateKey, EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS,
     TILINGS,
 };
-use hoploc_sim::{AddressSpace, RunStats, SimConfig, TraceWorkload};
+use hoploc_sim::{AddressSpace, Cancel, RunStats, SimConfig, TraceWorkload};
 use hoploc_workloads::{
     fma3d, gafort, generate_traces, hpccg, layout_with, swim, App, RunKind, Scale, TraceGen,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
 
 fn base_sim() -> SimConfig {
     SimConfig {
@@ -375,20 +374,17 @@ fn simulator_inputs(
     (workload, desired)
 }
 
-/// The whole run of one candidate through a suite of its own.
-fn simulate_alone(app: &Arc<[App]>, sim: &SimConfig, c: &Candidate) -> RunStats {
+/// The whole run of one candidate on a plan of its own: a fresh analysis
+/// and compile, then the one-shot.
+fn simulate_alone(app: &App, sim: &SimConfig, c: &Candidate) -> RunStats {
     let placement = c.placement(&sim.mesh).expect("legal candidate");
     let cell = SimConfig {
         granularity: c.granularity,
         ..sim.clone()
     };
-    Suite::for_placement(app.clone(), &placement, cell)
-        .with_approx_threshold(c.approx)
-        .run(&RunRequest::new(RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        }))
-        .stats
+    let kind = RunKind::Optimized;
+    let plan = layout_with(app, placement.mapping(), &cell, kind, c.approx);
+    run_plan(app, &plan, &placement, &cell, kind, &Cancel::never())
 }
 
 /// Equal [`hoploc_search::Machine`]s are one simulation: along random
@@ -411,7 +407,6 @@ fn equal_machines_replay_one_trace_on_one_simulator() {
     let (mut shared, mut distinct) = (0, 0);
     // hpccg's index tables put the threshold between plans; swim has none.
     for app in [hpccg(Scale::Test), swim(Scale::Test)] {
-        let one: Arc<[App]> = Arc::from([app.clone()]);
         let mut scorer = PlacementScorer::new(&app, &sim, RunKind::Optimized);
         run_cases("search.verify.key", 5, |rng| {
             let mut a = random_start(rng, &sim);
@@ -447,8 +442,8 @@ fn equal_machines_replay_one_trace_on_one_simulator() {
                     assert!(trace_a == trace_b, "{at}: traces differ");
                     assert_eq!(pages_a, pages_b, "{at}");
                     assert_eq!(
-                        simulate_alone(&one, &sim, &a),
-                        simulate_alone(&one, &sim, &b),
+                        simulate_alone(&app, &sim, &a),
+                        simulate_alone(&app, &sim, &b),
                         "{at}"
                     );
                 } else {

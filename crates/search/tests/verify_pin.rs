@@ -1,27 +1,34 @@
 //! Pin of what a search's verification reports: the six `(key, cycles)`
 //! pairs of every application's report — three finalists, then the corner,
-//! edge and diamond baselines — against the one-`Suite`-per-request path,
-//! kept here verbatim as the reference, and against digests recorded from
-//! it. The search shares one simulation between requests for one machine;
+//! edge and diamond baselines — against one fresh compile and one
+//! simulation per request, kept here as the reference, and against digests
+//! recorded from it. The search shares one simulation between requests for one machine;
 //! the report must stay the one this path produces, and the number of
 //! simulations it took is pinned beside it.
 
-use hoploc_harness::{RunRequest, RunSpec, Suite};
-use hoploc_layout::Granularity;
+use hoploc_harness::run_plan;
+use hoploc_layout::{Granularity, PassConfig};
 use hoploc_noc::{McPlacement, Placement};
 use hoploc_search::{search_app, Candidate, SearchConfig, SearchReport};
-use hoploc_sim::SimConfig;
-use hoploc_workloads::{all_apps, App, RunKind, Scale};
+use hoploc_sim::{Cancel, SimConfig};
+use hoploc_workloads::{all_apps, layout_with, App, RunKind, Scale};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The search seeds pinned: the CLI default, and the one `hoploc-perf
 /// --seed 1` derives for `search-triage`.
 const SEEDS: [u64; 2] = [0, 0x5e4e_bd8e_edcd_b1cc];
 
-/// Reference: cycle-sim completion time of one candidate through a suite
-/// of its own (one analysis, one compile, one trace, one simulation).
-fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 {
+/// Reference: cycle-sim completion time of the optimized run of `app` on
+/// `placement` and `sim`, on a plan compiled for it alone (one analysis,
+/// one compile, one trace, one simulation).
+fn simulate_alone(app: &App, placement: &Placement, sim: &SimConfig, approx: f64) -> u64 {
+    let kind = RunKind::Optimized;
+    let plan = layout_with(app, placement.mapping(), sim, kind, approx);
+    run_plan(app, &plan, placement, sim, kind, &Cancel::never()).exec_cycles
+}
+
+/// Reference: cycle-sim completion time of one candidate.
+fn verify_candidate(app: &App, cfg: &SearchConfig, c: &Candidate) -> u64 {
     let placement = c
         .placement(&cfg.sim.mesh)
         .expect("search candidates are legal by construction");
@@ -29,28 +36,15 @@ fn verify_candidate(app: &Arc<[App]>, cfg: &SearchConfig, c: &Candidate) -> u64 
         granularity: c.granularity,
         ..cfg.sim.clone()
     };
-    let suite = Suite::for_placement(app.clone(), &placement, sim).with_approx_threshold(c.approx);
-    suite
-        .run(&RunRequest::new(RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        }))
-        .stats
-        .exec_cycles
+    simulate_alone(app, &placement, &sim, c.approx)
 }
 
 /// Reference: cycle-sim completion time of a paper placement under the
 /// base config (nearest-cluster M1 mapping, default layout parameters).
-fn baseline_cycles(app: &Arc<[App]>, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
+fn baseline_cycles(app: &App, cfg: &SearchConfig, placement: &McPlacement) -> u64 {
     let p = Placement::nearest(cfg.sim.mesh, placement);
-    let suite = Suite::for_placement(app.clone(), &p, cfg.sim.clone());
-    suite
-        .run(&RunRequest::new(RunSpec {
-            app: 0,
-            kind: RunKind::Optimized,
-        }))
-        .stats
-        .exec_cycles
+    let approx = PassConfig::default().approx_threshold;
+    simulate_alone(app, &p, &cfg.sim, approx)
 }
 
 fn search_cfg(seed: u64) -> SearchConfig {
@@ -109,13 +103,12 @@ const PINNED: [(&str, [u64; 2], [usize; 2]); 13] = [
 ];
 
 #[test]
-fn reports_equal_the_one_suite_per_request_reference() {
+fn reports_equal_the_one_run_per_request_reference() {
     let apps = all_apps(Scale::Test);
     assert_eq!(apps.len(), PINNED.len());
     let mut got = Vec::new();
     for (app, (name, want, _)) in apps.iter().zip(&PINNED) {
         assert_eq!(app.name(), *name);
-        let one: Arc<[App]> = Arc::from([app.clone()]);
         let mut digests = [0u64; 2];
         let mut simulated = [0usize; 2];
         for (i, seed) in SEEDS.iter().enumerate() {
@@ -126,12 +119,12 @@ fn reports_equal_the_one_suite_per_request_reference() {
             for v in &r.verified {
                 assert_eq!(
                     v.cycles,
-                    verify_candidate(&one, &cfg, &v.candidate),
+                    verify_candidate(app, &cfg, &v.candidate),
                     "{at}: finalist {}",
                     v.candidate.key()
                 );
             }
-            let base = |p| baseline_cycles(&one, &cfg, &p);
+            let base = |p| baseline_cycles(app, &cfg, &p);
             assert_eq!(r.corners_cycles, base(McPlacement::Corners), "{at}");
             assert_eq!(r.edge_cycles, base(McPlacement::EdgeMidpoints), "{at}");
             assert_eq!(r.diamond_cycles, base(McPlacement::Diagonal), "{at}");

@@ -269,8 +269,8 @@ pub fn parse_job(v: &JsonValue) -> Result<JobSpec, String> {
     spec.search = match (search_seed, search_budget, search_objective) {
         (None, None, None) => None,
         (seed, budget, objective) => Some(SearchSpec {
-            seed: seed.unwrap_or(0),
-            budget: budget.unwrap_or(400),
+            seed: seed.unwrap_or(hoploc_search::DEFAULT_SEED),
+            budget: budget.unwrap_or(hoploc_search::DEFAULT_BUDGET),
             objective: objective.unwrap_or_else(|| hoploc_search::Objective::default().canon()),
         }),
     };

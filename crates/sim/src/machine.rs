@@ -1360,7 +1360,8 @@ mod tests {
         assert_eq!(util, stats.link_utilization);
         assert_eq!(rep.counter("fault.link.hops"), stats.net.fault_hops);
         assert_eq!(total("fault.link.extra_cycles"), stats.net.fault_cycles);
-        let per_mc: [(&str, fn(&McStats) -> u64); 7] = [
+        type PerMc = (&'static str, fn(&McStats) -> u64);
+        let per_mc: [PerMc; 7] = [
             ("mc.served", |m| m.served),
             ("mc.row_hits", |m| m.row_hits),
             ("mc.queue_cycles", |m| m.total_queue_cycles),

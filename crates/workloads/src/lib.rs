@@ -3,8 +3,9 @@
 //! The evaluation workloads of the PLDI'15 reproduction: all 13 SPEC
 //! OMP2001 / Mantevo applications modelled as parameterized affine
 //! programs ([`all_apps`]), trace generation that replays them under any
-//! program layout ([`generate_traces`]), and the end-to-end experiment
-//! runner shared by every figure harness ([`run_app`], [`run_mix`]).
+//! program layout ([`generate_traces`]), and the two sides of an
+//! experiment ([`RunKind`], the layout each compiles: [`layout_for`]).
+//! Simulating them is `hoploc-harness`'s one runner.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,7 +19,4 @@ pub use apps::{
     minimd, mixes, swim, wupwise, App, Scale, APP_NAMES,
 };
 pub use gen::{generate_traces, NestSampling, TraceGen, MAX_THREADS_PER_CORE};
-pub use suite::{
-    build_workload, cell_config, desired_pages, layout_for, layout_with, page_policy, run_app,
-    run_app_threads, run_mix, weighted_speedup, LayoutPlanner, RunKind,
-};
+pub use suite::{layout_for, layout_with, weighted_speedup, LayoutPlanner, RunKind};

@@ -4,8 +4,8 @@
 
 use hoploc_layout::Granularity;
 use hoploc_noc::L2ToMcMapping;
-use hoploc_sim::SimConfig;
-use hoploc_workloads::{all_apps, build_workload, RunKind, Scale};
+use hoploc_sim::{AddressSpace, SimConfig};
+use hoploc_workloads::{all_apps, generate_traces, layout_for, RunKind, Scale, TraceGen};
 
 /// FNV-1a over every thread's node and access stream, in thread order.
 fn digest(app: &hoploc_workloads::App, kind: RunKind, threads_per_core: usize) -> u64 {
@@ -14,7 +14,13 @@ fn digest(app: &hoploc_workloads::App, kind: RunKind, threads_per_core: usize) -
         ..SimConfig::scaled()
     };
     let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-    let (workload, _) = build_workload(app, &mapping, &sim, kind, threads_per_core);
+    let layout = layout_for(app, &mapping, &sim, kind);
+    let space = AddressSpace::build(&app.program, &layout, 0);
+    let gen = TraceGen {
+        threads_per_core,
+        ..app.gen
+    };
+    let workload = generate_traces(&app.program, &layout, &space, &gen);
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     let mut mix = |x: u64| {
         for b in x.to_le_bytes() {

@@ -8,10 +8,11 @@
 //! twice — with the original layouts and with the compiler-localized
 //! layouts — and prints the four metrics the paper reports.
 
+use hoploc::harness::{RunRequest, RunSpec, Suite};
 use hoploc::layout::Granularity;
 use hoploc::noc::{L2ToMcMapping, McPlacement};
 use hoploc::sim::{Improvement, SimConfig};
-use hoploc::workloads::{run_app, swim, RunKind, Scale};
+use hoploc::workloads::{swim, RunKind, Scale};
 
 fn main() {
     // Table 1's machine (capacity-scaled; see DESIGN.md §7), cache-line
@@ -25,16 +26,18 @@ fn main() {
     // quadrant clusters, each bound to its nearest corner controller.
     let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &McPlacement::Corners);
 
-    let app = swim(Scale::Bench);
+    let suite = Suite::new(vec![swim(Scale::Bench)], mapping, sim);
+    let app = &suite.apps()[0];
     println!(
         "application: {} ({} arrays, {} nests)",
         app.name(),
         app.program.arrays().len(),
         app.program.nests().len()
     );
+    let run = |kind| suite.run(&RunRequest::new(RunSpec { app: 0, kind })).stats;
 
     println!("\nsimulating baseline (original layouts)...");
-    let base = run_app(&app, &mapping, &sim, RunKind::Baseline);
+    let base = run(RunKind::Baseline);
     println!(
         "  exec: {} cycles, off-chip: {} accesses ({:.1}%), avg off-chip hops: {:.1}",
         base.exec_cycles,
@@ -44,7 +47,7 @@ fn main() {
     );
 
     println!("\nsimulating optimized (localized layouts)...");
-    let opt = run_app(&app, &mapping, &sim, RunKind::Optimized);
+    let opt = run(RunKind::Optimized);
     println!(
         "  exec: {} cycles, off-chip: {} accesses ({:.1}%), avg off-chip hops: {:.1}",
         opt.exec_cycles,

@@ -11,6 +11,8 @@ use hoploc::harness::{default_jobs, MachineSpec};
 use hoploc::layout::{Granularity, L2Mode};
 use hoploc::obs::ObsConfig;
 use hoploc::prefetch::PrefetchMode;
+use hoploc::search::{Objective, DEFAULT_BUDGET, DEFAULT_SEED};
+use hoploc::serve::{LoadConfig, ServeConfig};
 use hoploc::workloads::{RunKind, Scale};
 
 /// Parsed options, defaulted; each subcommand reads the fields it uses.
@@ -51,6 +53,11 @@ pub struct Options {
 
 impl Default for Options {
     fn default() -> Self {
+        let (serve, load, obs) = (
+            ServeConfig::default(),
+            LoadConfig::default(),
+            ObsConfig::default(),
+        );
         Options {
             machine: MachineSpec::default(),
             kinds: [RunKind::Baseline, RunKind::Optimized],
@@ -59,23 +66,23 @@ impl Default for Options {
             deny_warnings: false,
             config: vec![RunKind::Optimized],
             out: "traces".to_string(),
-            epoch: ObsConfig::default().epoch_cycles,
-            span_cap: 0,
+            epoch: obs.epoch_cycles,
+            span_cap: obs.span_capacity,
             plan: None,
             addr: "127.0.0.1:7077".to_string(),
-            workers: 2,
-            queue_cap: 64,
-            cache_cap: 256,
-            timeout_ms: 0,
-            retry_after_ms: 25,
+            workers: serve.workers,
+            queue_cap: serve.queue_cap,
+            cache_cap: serve.cache_cap,
+            timeout_ms: serve.job_timeout_ms,
+            retry_after_ms: serve.retry_after_ms,
             metrics_out: None,
-            clients: 4,
-            repeat: 2,
-            max_retries: 10_000,
+            clients: load.clients,
+            repeat: load.repeat,
+            max_retries: load.max_retries,
             drain: false,
-            seed: 0,
-            budget: 400,
-            objective: "offchip,hops".to_string(),
+            seed: DEFAULT_SEED,
+            budget: DEFAULT_BUDGET,
+            objective: Objective::default().canon(),
         }
     }
 }

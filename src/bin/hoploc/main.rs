@@ -344,8 +344,8 @@ fn cmd_run(app: App, o: &Options) -> ExitCode {
     println!(
         "{:<22} {:>14} {:>14}",
         "",
-        format!("{:?}", o.kinds[0]).to_lowercase(),
-        format!("{:?}", o.kinds[1]).to_lowercase()
+        o.kinds[0].name(),
+        o.kinds[1].name()
     );
     println!(
         "{:<22} {:>14} {:>14}",

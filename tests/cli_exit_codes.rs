@@ -3,7 +3,8 @@
 //! failure (exit 1) on every subcommand that takes one, not a message on
 //! stderr beside a success. A flag the subcommand does not read, a
 //! subcommand that does not exist and a machine that cannot be built are
-//! usage errors (exit 2).
+//! usage errors (exit 2). A successful `run` heads its columns with the
+//! run kinds' canonical names.
 
 use std::process::Command;
 
@@ -42,6 +43,32 @@ fn sweep_fails_when_its_json_cannot_be_written() {
 #[test]
 fn faults_fails_when_its_json_cannot_be_written() {
     assert_json_write_failure(&["faults", "swim"]);
+}
+
+/// `run`'s column header names each side by its canonical run-kind name,
+/// the one the JSON record, the `trace` file stems and the `faults` table
+/// print: `first-touch`, not a lowercased variant name.
+#[test]
+fn run_heads_its_columns_with_the_run_kind_names() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hoploc"))
+        .args([
+            "run",
+            "swim",
+            "--scale",
+            "test",
+            "--first-touch",
+            "--optimal",
+        ])
+        .output()
+        .expect("the hoploc binary is built for integration tests");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = stdout.lines().nth(1).unwrap_or_default();
+    assert_eq!(
+        header.split_whitespace().collect::<Vec<_>>(),
+        ["first-touch", "optimal"],
+        "{stdout}"
+    );
 }
 
 /// Runs `hoploc <args>` and returns its exit code and stderr.

@@ -5,14 +5,16 @@
 //! The suite-wide assertions all read from one shared [`Suite`] sweep run
 //! with `default_jobs()` workers, so the integration suite itself exercises
 //! the parallel fan-out and the layout/trace caches; determinism against
-//! the plain sequential `run_app` path is asserted explicitly below.
+//! fresh one-cell suites run one after another is asserted explicitly
+//! below.
 
 use hoploc::harness::{default_jobs, RunRecord, RunRequest, RunSpec, Suite};
 use hoploc::layout::Granularity;
 use hoploc::noc::L2ToMcMapping;
 use hoploc::obs::{validate_chrome_trace, EvName, ObsConfig};
+use hoploc::sim::RunStats;
 use hoploc::sim::SimConfig;
-use hoploc::workloads::{all_apps, run_app, RunKind, Scale};
+use hoploc::workloads::{all_apps, App, RunKind, Scale};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -23,6 +25,12 @@ fn setup() -> (SimConfig, L2ToMcMapping) {
     };
     let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
     (sim, mapping)
+}
+
+/// One cell on a suite of its own: nothing shared with any other run.
+fn run_alone(app: &App, mapping: &L2ToMcMapping, sim: &SimConfig, kind: RunKind) -> RunStats {
+    let suite = Suite::new(vec![app.clone()], mapping.clone(), sim.clone());
+    suite.run(&RunRequest::new(RunSpec { app: 0, kind })).stats
 }
 
 /// The kinds the shared sweep covers, in record order (kinds outermost).
@@ -146,8 +154,8 @@ fn runs_are_deterministic() {
     // Repeat runs of one cell are bit-identical...
     let (sim, mapping) = setup();
     let app = hoploc::workloads::mgrid(Scale::Test);
-    let a = run_app(&app, &mapping, &sim, RunKind::Optimized);
-    let b = run_app(&app, &mapping, &sim, RunKind::Optimized);
+    let a = run_alone(&app, &mapping, &sim, RunKind::Optimized);
+    let b = run_alone(&app, &mapping, &sim, RunKind::Optimized);
     assert_eq!(a, b);
 
     // ...and the parallel shared sweep is bit-identical, record for
@@ -174,8 +182,8 @@ fn runs_are_deterministic() {
 #[test]
 fn parallel_sweep_is_at_least_twice_as_fast() {
     // Acceptance check: with ≥ 4 workers the harness sweep (fan-out +
-    // caches, cold start) beats the plain sequential `run_app` loop it
-    // replaced by ≥ 2× on the full test-scale matrix.
+    // caches, cold start) beats a sequential loop of one-cell suites by
+    // ≥ 2× on the full test-scale matrix.
     if default_jobs() < 4 {
         eprintln!("skipping speedup check: fewer than 4 hardware threads");
         return;
@@ -192,7 +200,7 @@ fn parallel_sweep_is_at_least_twice_as_fast() {
     let start = Instant::now();
     let mut seq = Vec::with_capacity(reqs.len());
     for RunSpec { app, kind } in reqs.iter().map(|r| r.spec) {
-        seq.push(run_app(&suite.apps()[app], &mapping, &sim, kind));
+        seq.push(run_alone(&suite.apps()[app], &mapping, &sim, kind));
     }
     let seq_time = start.elapsed();
 
