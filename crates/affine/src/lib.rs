@@ -17,7 +17,8 @@
 //! * [`Loop`], [`LoopNest`], [`Statement`], [`ArrayRef`] — parallelized
 //!   affine loop nests with block-distributed parallel dimensions;
 //! * [`Program`], [`ArrayDecl`] — whole data-parallel programs, including
-//!   index tables for the indexed references of §5.4;
+//!   index tables for the indexed references of §5.4, given as values or
+//!   declared by a [`TableGen`] and built on their first read;
 //! * [`BlockPartition`] — the block structure the partitioning hyperplanes
 //!   of §5.2 induce on a data dimension;
 //! * [`test_dependence`], [`nest_dependence_pairs`] — the array
@@ -66,6 +67,6 @@ pub use dependence::{nest_dependence_pairs, test_dependence, Dependence, Depende
 pub use expr::AffineExpr;
 pub use matrix::{extended_gcd, gcd, IMat, IVec};
 pub use nest::{AccessFn, ArrayId, ArrayRef, Loop, LoopNest, RefKind, Statement, TableId};
-pub use program::{ArrayDecl, Program};
+pub use program::{ArrayDecl, Program, TableGen};
 pub use solve::{complete_unimodular, hermite_normal_form, nullspace, solve_homogeneous};
 pub use space::BlockPartition;

@@ -2,6 +2,7 @@
 
 use crate::nest::{ArrayId, LoopNest, TableId};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Declaration of an `n`-dimensional array.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -77,6 +78,101 @@ impl fmt::Display for ArrayDecl {
     }
 }
 
+/// A generator of index-table values: what [`Program::declare_table`]
+/// stores in place of the values, which are built on the table's first
+/// read.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TableGen {
+    /// A near-affine index table: a diagonal band with bounded jitter,
+    /// like a reordered-mesh CRS column index. Entry `k` is `k·extent/len`
+    /// plus a hashed jitter in `[-jitter, jitter]`, clamped into
+    /// `[0, extent)`. Approximates well (§5.4).
+    Banded {
+        /// Number of entries.
+        len: i64,
+        /// Entries lie in `[0, extent)`.
+        extent: i64,
+        /// Largest distance from the band's diagonal.
+        jitter: i64,
+        /// Selects the jitter pattern.
+        seed: i64,
+    },
+    /// A scrambled index table with no affine structure (fails
+    /// approximation): entry `k` is `|(k·2654435761 + seed) mod extent|`.
+    Scrambled {
+        /// Number of entries.
+        len: i64,
+        /// Entries lie in `[0, extent)`.
+        extent: i64,
+        /// Shifts the hash.
+        seed: i64,
+    },
+}
+
+impl TableGen {
+    /// Generates the table's values.
+    pub fn values(self) -> Vec<i64> {
+        match self {
+            TableGen::Banded {
+                len,
+                extent,
+                jitter,
+                seed,
+            } => (0..len)
+                .map(|k| {
+                    let base = k * extent / len;
+                    let j = ((k * 1103515245 + seed * 12345) >> 4) % (2 * jitter + 1) - jitter;
+                    (base + j).clamp(0, extent - 1)
+                })
+                .collect(),
+            TableGen::Scrambled { len, extent, seed } => (0..len)
+                .map(|k| ((k * 2654435761 + seed) % extent).abs())
+                .collect(),
+        }
+    }
+}
+
+/// One index table: its values, or the generator that builds them on the
+/// first read. Equality and `Debug` see the declaration, never the built
+/// copy.
+#[derive(Clone)]
+enum Table {
+    Literal(Vec<i64>),
+    Generated(TableGen, OnceLock<Vec<i64>>),
+}
+
+impl Table {
+    /// The values, building a generated table on its first read.
+    /// Concurrent first readers wait for one build.
+    fn values(&self) -> &[i64] {
+        match self {
+            Table::Literal(values) => values,
+            Table::Generated(gen, built) => built.get_or_init(|| gen.values()),
+        }
+    }
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Table::Literal(a), Table::Literal(b)) => a == b,
+            (Table::Generated(a, _), Table::Generated(b, _)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Table {}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Table::Literal(values) => values.fmt(f),
+            Table::Generated(gen, _) => gen.fmt(f),
+        }
+    }
+}
+
 /// A data-parallel affine program: the unit the layout pass optimizes.
 ///
 /// # Examples
@@ -98,7 +194,7 @@ impl fmt::Display for ArrayDecl {
 pub struct Program {
     name: String,
     arrays: Vec<ArrayDecl>,
-    tables: Vec<Vec<i64>>,
+    tables: Vec<Table>,
     nests: Vec<LoopNest>,
 }
 
@@ -127,7 +223,14 @@ impl Program {
     /// Adds an index table (contents of e.g. a CRS column-index array),
     /// returning its id.
     pub fn add_table(&mut self, values: Vec<i64>) -> TableId {
-        self.tables.push(values);
+        self.tables.push(Table::Literal(values));
+        TableId(self.tables.len() - 1)
+    }
+
+    /// Declares an index table that `gen` builds on its first read,
+    /// returning its id. Until then the table costs its declaration only.
+    pub fn declare_table(&mut self, gen: TableGen) -> TableId {
+        self.tables.push(Table::Generated(gen, OnceLock::new()));
         TableId(self.tables.len() - 1)
     }
 
@@ -164,7 +267,8 @@ impl Program {
         self.arrays.get(id.0)
     }
 
-    /// Looks up an index table.
+    /// Looks up an index table, building a declared one on its first read:
+    /// every read of a program, from any thread, sees one build.
     ///
     /// # Panics
     ///
@@ -180,14 +284,33 @@ impl Program {
         })
     }
 
-    /// Looks up an index table, returning `None` for a stale id.
+    /// Looks up an index table as [`table`](Self::table) does, returning
+    /// `None` for a stale id.
     pub fn try_table(&self, id: TableId) -> Option<&[i64]> {
-        self.tables.get(id.0).map(Vec::as_slice)
+        self.tables.get(id.0).map(Table::values)
     }
 
-    /// All index tables, indexed by [`TableId`].
-    pub fn tables(&self) -> &[Vec<i64>] {
-        &self.tables
+    /// Number of index tables; ids run from `TableId(0)` below it.
+    pub fn table_count(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Whether table `id`'s values are in memory: always for an
+    /// [`add_table`](Self::add_table) table, after the first read for a
+    /// [declared](Self::declare_table) one. False for a stale id.
+    pub fn table_is_built(&self, id: TableId) -> bool {
+        match self.tables.get(id.0) {
+            Some(Table::Literal(_)) => true,
+            Some(Table::Generated(_, built)) => built.get().is_some(),
+            None => false,
+        }
+    }
+
+    /// Reads every index table, building each declared one not yet read.
+    pub fn build_tables(&self) {
+        for table in &self.tables {
+            table.values();
+        }
     }
 
     /// All loop nests.
@@ -254,5 +377,40 @@ mod tests {
         let mut p = Program::new("t");
         let t = p.add_table(vec![3, 1, 4, 1, 5]);
         assert_eq!(p.table(t), &[3, 1, 4, 1, 5]);
+        assert!(p.table_is_built(t));
+        assert_eq!(format!("{:?}", p.tables), "[[3, 1, 4, 1, 5]]");
+    }
+
+    #[test]
+    fn banded_tables_stay_in_range() {
+        let gen = TableGen::Banded {
+            len: 1000,
+            extent: 500,
+            jitter: 30,
+            seed: 1,
+        };
+        assert!(gen.values().iter().all(|&v| (0..500).contains(&v)));
+    }
+
+    #[test]
+    fn a_declared_table_is_built_on_its_first_read_and_compared_by_declaration() {
+        let gen = TableGen::Scrambled {
+            len: 64,
+            extent: 40,
+            seed: 5,
+        };
+        let mut p = Program::new("t");
+        let t = p.declare_table(gen);
+        let q = p.clone();
+        assert!(!p.table_is_built(t));
+        assert_eq!(p.table(t), gen.values());
+        assert!(p.table_is_built(t));
+        assert!(!q.table_is_built(t), "a clone made before the read");
+        assert_eq!(p, q, "equal declarations, one built");
+        assert!(!p.table_is_built(TableId(1)));
+
+        let mut literal = Program::new("t");
+        literal.add_table(gen.values());
+        assert_ne!(p, literal, "equal values, different declarations");
     }
 }

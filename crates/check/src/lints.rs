@@ -18,7 +18,7 @@ pub fn lint_program(program: &Program, _cfg: &CheckConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let app = program.name();
     let mut array_used = vec![false; program.arrays().len()];
-    let mut table_used = vec![false; program.tables().len()];
+    let mut table_used = vec![false; program.table_count()];
 
     // Declared footprints that cannot be linearized in i64 poison every
     // offset computed through them; flag the declaration once.
@@ -305,7 +305,7 @@ fn lint_indexed_ref(
             format!(
                 "reference names table #{} but the program declares only {} tables",
                 table.0,
-                program.tables().len()
+                program.table_count()
             ),
         )));
         return;

@@ -76,7 +76,8 @@ type FootprintKey = (Scale, usize, FootprintInputs);
 /// The production engine: bounded suite pool over the real harness.
 pub struct SuiteEngine {
     /// The applications of [`Scale::Test`] and [`Scale::Bench`], each built
-    /// on first use and kept: every suite of a scale shares them.
+    /// on first use, index tables included, and kept: every suite of a
+    /// scale shares them.
     catalogue: [OnceLock<Arc<[App]>>; 2],
     suites: Memo<String, Suite>,
     footprints: Memo<FootprintKey, Footprint>,
@@ -100,7 +101,12 @@ impl SuiteEngine {
             Scale::Test => &self.catalogue[0],
             Scale::Bench => &self.catalogue[1],
         };
-        slot.get_or_init(|| all_apps(scale).into())
+        slot.get_or_init(|| {
+            let apps = all_apps(scale);
+            // Build every table now, so no served request pays for one.
+            apps.iter().for_each(|app| app.program.build_tables());
+            apps.into()
+        })
     }
 
     /// The shared suite for this job's machine, building (and
@@ -380,6 +386,19 @@ mod tests {
         }
         // Thirty-two est jobs, one footprint per cache organization.
         assert_eq!(eng.footprints.resident(), 2);
+    }
+
+    #[test]
+    fn a_catalogue_is_built_with_every_table() {
+        use hoploc_affine::TableId;
+        let eng = SuiteEngine::new(EngineCaps::default());
+        let apps = eng.apps(Scale::Test);
+        assert!(apps.iter().any(|a| a.program.table_count() > 0));
+        for app in apps.iter() {
+            let p = &app.program;
+            let built = (0..p.table_count()).all(|t| p.table_is_built(TableId(t)));
+            assert!(built, "{}", app.name());
+        }
     }
 
     #[test]
