@@ -66,7 +66,9 @@ pub use access::AffineAccess;
 pub use dependence::{nest_dependence_pairs, test_dependence, Dependence, DependencePair};
 pub use expr::AffineExpr;
 pub use matrix::{extended_gcd, gcd, IMat, IVec};
-pub use nest::{AccessFn, ArrayId, ArrayRef, Loop, LoopNest, RefKind, Statement, TableId};
+pub use nest::{
+    AccessFn, ArrayId, ArrayRef, CoreRuns, Loop, LoopNest, RefKind, Statement, TableId,
+};
 pub use program::{ArrayDecl, Program, TableGen};
 pub use solve::{complete_unimodular, hermite_normal_form, nullspace, solve_homogeneous};
 pub use space::BlockPartition;

@@ -287,72 +287,120 @@ impl LoopNest {
     where
         F: FnMut(&[i64]),
     {
-        let last = self.depth() - 1;
-        self.walk_core_runs(core, n_cores, strides, |iter, n| {
+        let mut runs = self.core_runs(core, n_cores, strides);
+        while let Some(n) = runs.next_run() {
             for _ in 0..n {
-                f(iter);
-                iter[last] += strides[last];
+                f(runs.point());
+                runs.step();
             }
-        });
+        }
     }
 
-    /// [`walk_core_iterations`](Self::walk_core_iterations) one innermost-
-    /// loop *run* at a time: the callback receives the run's first
-    /// iteration vector and its length `n >= 1`; the run's points are that
-    /// vector with the last coordinate advanced by `strides[last]`, `n`
-    /// times. Runs arrive in lexicographic order and empty ones are
-    /// skipped, so expanding each run point by point is exactly the visit
-    /// order of `walk_core_iterations`.
+    /// The iterations assigned to one core, one innermost-loop *run* at a
+    /// time, as a walk that stops after every run and resumes where it
+    /// stopped: see [`CoreRuns`].
     ///
-    /// Along a run every affine subscript moves by a constant, which is
-    /// what lets trace generation evaluate a reference once per run. The
-    /// vector is handed out mutably so the callback may step it along the
-    /// run in place; whatever it leaves in the last coordinate is
-    /// overwritten before the next run.
-    pub fn walk_core_runs<F>(&self, core: usize, n_cores: usize, strides: &[i64], mut f: F)
-    where
-        F: FnMut(&mut [i64], i64),
-    {
+    /// # Panics
+    ///
+    /// Panics unless there is one stride per loop and every stride is at
+    /// least 1.
+    pub fn core_runs<'a>(
+        &'a self,
+        core: usize,
+        n_cores: usize,
+        strides: &'a [i64],
+    ) -> CoreRuns<'a> {
         assert_eq!(strides.len(), self.depth(), "one stride per loop required");
         assert!(strides.iter().all(|&s| s >= 1), "strides must be >= 1");
-        let chunk = self.chunk_for_core(core, n_cores);
-        let mut iter = vec![0i64; self.depth()];
-        self.walk_runs_from(0, chunk, strides, &mut iter, &mut f);
+        CoreRuns {
+            nest: self,
+            strides,
+            chunk: self.chunk_for_core(core, n_cores),
+            point: vec![0; self.depth()],
+            hi: vec![0; self.depth()],
+            started: false,
+        }
+    }
+}
+
+/// One core's walk of a nest, a run at a time: [`next_run`](Self::next_run)
+/// moves to the next non-empty innermost-loop run and returns its length
+/// `n >= 1`; the run's points are its first point with the last coordinate
+/// advanced by the innermost stride, `n` times, and [`step`](Self::step)
+/// takes the current point there. Runs arrive in lexicographic order, so
+/// expanding each one point by point is exactly the visit order of
+/// [`LoopNest::walk_core_iterations`].
+///
+/// Along a run every affine subscript moves by a constant, which is what
+/// lets trace generation evaluate a reference once per run; and since the
+/// walk keeps its whole position here, a thread's trace can stop between
+/// any two points and go on later.
+#[derive(Clone, Debug)]
+pub struct CoreRuns<'a> {
+    nest: &'a LoopNest,
+    strides: &'a [i64],
+    chunk: (i64, i64),
+    /// The current point.
+    point: Vec<i64>,
+    /// Each outer loop's upper bound under the current point's prefix.
+    hi: Vec<i64>,
+    started: bool,
+}
+
+impl CoreRuns<'_> {
+    /// Moves to the next non-empty run and returns its length, or `None`
+    /// once the core's iterations are exhausted.
+    pub fn next_run(&mut self) -> Option<i64> {
+        let last = self.point.len() - 1;
+        let mut k = if self.started {
+            self.carry(last)
+        } else {
+            self.started = true;
+            Some(0)
+        };
+        while let Some(at) = k {
+            let (lo, hi) = if at == self.nest.parallel_dim {
+                self.chunk
+            } else {
+                let bounds = &self.nest.loops[at];
+                let prefix = &self.point[..at];
+                (bounds.lower.eval(prefix), bounds.upper.eval(prefix))
+            };
+            self.point[at] = lo;
+            k = if lo >= hi {
+                self.carry(at)
+            } else if at == last {
+                let stride = self.strides[last];
+                return Some((hi - lo + stride - 1) / stride);
+            } else {
+                self.hi[at] = hi;
+                Some(at + 1)
+            };
+        }
+        // No loop has room left, now or on a later call.
+        self.hi.fill(i64::MIN);
+        None
     }
 
-    fn walk_runs_from<F>(
-        &self,
-        depth: usize,
-        chunk: (i64, i64),
-        strides: &[i64],
-        iter: &mut [i64],
-        f: &mut F,
-    ) where
-        F: FnMut(&mut [i64], i64),
-    {
-        let (lo, hi) = if depth == self.parallel_dim {
-            chunk
-        } else {
-            let prefix = &iter[..depth];
-            (
-                self.loops[depth].lower.eval(prefix),
-                self.loops[depth].upper.eval(prefix),
-            )
-        };
-        let stride = strides[depth];
-        if depth + 1 == self.depth() {
-            if lo < hi {
-                iter[depth] = lo;
-                f(iter, (hi - lo + stride - 1) / stride);
-            }
-            return;
-        }
-        let mut v = lo;
-        while v < hi {
-            iter[depth] = v;
-            self.walk_runs_from(depth + 1, chunk, strides, iter, f);
-            v += stride;
-        }
+    /// Steps the innermost of loops `0..below` that has room left and
+    /// returns the loop after it, the next one to start over; `None` when
+    /// none has.
+    fn carry(&mut self, below: usize) -> Option<usize> {
+        (0..below).rev().find_map(|k| {
+            self.point[k] += self.strides[k];
+            (self.point[k] < self.hi[k]).then_some(k + 1)
+        })
+    }
+
+    /// The current point: the run's first until [`step`](Self::step) moves it.
+    pub fn point(&self) -> &[i64] {
+        &self.point
+    }
+
+    /// Moves the current point one innermost stride along its run.
+    pub fn step(&mut self) {
+        let last = self.point.len() - 1;
+        self.point[last] += self.strides[last];
     }
 }
 
@@ -456,7 +504,7 @@ mod tests {
     }
 
     /// The visit order `walk_core_iterations` had when it was its own
-    /// point-by-point recursion: the reference `walk_core_runs` is held to.
+    /// point-by-point recursion: the reference `core_runs` is held to.
     fn pointwise_visits(
         nest: &LoopNest,
         core: usize,
@@ -534,14 +582,17 @@ mod tests {
                 let want = pointwise_visits(&nest, core, n_cores, &strides);
 
                 let mut expanded = Vec::new();
-                nest.walk_core_runs(core, n_cores, &strides, |first, n| {
+                let mut runs = nest.core_runs(core, n_cores, &strides);
+                while let Some(n) = runs.next_run() {
                     assert!(n >= 1, "empty runs are skipped");
+                    let first = runs.point().to_vec();
                     for k in 0..n {
-                        let mut point = first.to_vec();
+                        let mut point = first.clone();
                         point[depth - 1] += k * strides[depth - 1];
                         expanded.push(point);
                     }
-                });
+                }
+                assert_eq!(runs.next_run(), None, "an exhausted walk stays exhausted");
                 assert_eq!(expanded, want, "runs of core {core}/{n_cores}");
 
                 let mut visited = Vec::new();

@@ -3,19 +3,15 @@
 //! The suite harness: one code path that evaluates the full
 //! (application × run-kind) matrix of the PLDI'15 reproduction — for the
 //! integration tests, the figure benches, the `hoploc` binary, and the
-//! examples — in parallel, with memoization of the expensive stages.
+//! examples — in parallel, with memoization of the expensive stage.
 //!
-//! Two content-keyed caches sit under every run:
-//!
-//! * **Layout plans.** [`hoploc_workloads::layout_with`] output per
-//!   (app, layout class). The
-//!   Baseline, FirstTouch, and Optimal run kinds all use the original
-//!   (baseline) layouts, so one compile serves three run kinds; Optimized
-//!   compiles once and is reused across repeat runs.
-//! * **Trace workloads.** Generated access traces (plus the compiler's
-//!   desired-page map) per (app, layout class). Trace generation walks
-//!   every iteration of every nest and dominates sweep time; Baseline,
-//!   FirstTouch, and Optimal runs of the same app share one generation.
+//! A content-keyed cache of layout plans sits under every run:
+//! [`hoploc_workloads::layout_with`] output per (app, layout class). The
+//! Baseline, FirstTouch, and Optimal run kinds all use the original
+//! (baseline) layouts, so one compile serves three run kinds; Optimized
+//! compiles once and is reused across repeat runs. Traces are not cached:
+//! each run streams its own into the simulator, a chunk per thread at a
+//! time, so no run holds a whole trace.
 //!
 //! Parallel execution is *observably deterministic*: results are collected
 //! by spec index, every cached artifact is a pure function of its key, all
@@ -27,10 +23,11 @@
 //! against [`run_plan`] on a freshly compiled plan, with no memo in front.
 //!
 //! Every simulation in the workspace is built by one runner in two
-//! halves: a plan is prepared (address space, desired-page map, trace)
-//! and the prepared trace simulated. [`Suite::run`] and [`Suite::run_mix`]
-//! put the memos in front of them; [`run_plan`] is the one-shot a search's
-//! verification calls with the plan its scorer compiled.
+//! halves: a plan is prepared (address space, desired-page map) and its
+//! trace simulated as the run pulls it. [`Suite::run`] and
+//! [`Suite::run_mix`] put the layout memo in front of them; [`run_plan`] is
+//! the one-shot a search's verification calls with the plan its scorer
+//! compiled.
 //!
 //! The threads come from one fan-out, [`pull_beside`], which
 //! [`parallel_map`] and the search's verification both call.
@@ -54,8 +51,8 @@ use hoploc_workloads::{App, RunKind, Scale, MAX_THREADS_PER_CORE};
 mod fan;
 mod run;
 pub use fan::{parallel_map, pull_beside};
+use run::layout_class;
 pub use run::run_plan;
-use run::{layout_class, Prepared};
 
 /// One cell of the run matrix: which app (by index into the suite) and
 /// which side of the comparison.
@@ -410,12 +407,6 @@ pub struct CacheCounters {
     pub layout_misses: u64,
     /// Layout-plan entries evicted by the capacity bound.
     pub layout_evictions: u64,
-    /// Trace cache hits.
-    pub trace_hits: u64,
-    /// Trace cache misses (generations performed).
-    pub trace_misses: u64,
-    /// Trace entries evicted by the capacity bound.
-    pub trace_evictions: u64,
 }
 
 /// A fixed (apps, mapping, config, threads-per-core) context whose run
@@ -432,14 +423,13 @@ pub struct Suite {
     sim: SimConfig,
     threads_per_core: usize,
     layouts: Memo<(usize, RunKind), hoploc_layout::ProgramLayout>,
-    traces: Memo<(usize, RunKind), Prepared>,
 }
 
 impl Suite {
     /// Creates a suite over `apps` under one mapping and simulator config.
-    /// The layout/trace caches are unbounded — right for one-shot sweeps
-    /// where the whole matrix is live at once; resident processes should
-    /// bound them with [`with_cache_caps`](Self::with_cache_caps).
+    /// The layout cache is unbounded — right for one-shot sweeps where the
+    /// whole matrix is live at once; resident processes should bound it
+    /// with [`with_cache_cap`](Self::with_cache_cap).
     pub fn new(apps: impl Into<Arc<[App]>>, mapping: L2ToMcMapping, sim: SimConfig) -> Self {
         Self {
             apps: apps.into(),
@@ -447,7 +437,6 @@ impl Suite {
             sim,
             threads_per_core: 1,
             layouts: Memo::new(None),
-            traces: Memo::new(None),
         }
     }
 
@@ -459,16 +448,14 @@ impl Suite {
         self
     }
 
-    /// Bounds the layout and trace caches to at most `layout_cap` /
-    /// `trace_cap` completed entries each (least-recently-used eviction;
-    /// `0` means unbounded). Builder-style: call before the first run. The
-    /// caps never change results — every cached artifact is a pure
-    /// function of its key, so a rebuild after eviction is bit-identical —
-    /// they only bound the memory a long-lived process can pin.
-    pub fn with_cache_caps(mut self, layout_cap: usize, trace_cap: usize) -> Self {
-        let cap = |n: usize| if n == 0 { None } else { Some(n) };
-        self.layouts = Memo::new(cap(layout_cap));
-        self.traces = Memo::new(cap(trace_cap));
+    /// Bounds the layout cache to at most `layout_cap` completed entries
+    /// (least-recently-used eviction; `0` means unbounded). Builder-style:
+    /// call before the first run. The cap never changes results — every
+    /// plan is a pure function of its key, so a rebuild after eviction is
+    /// bit-identical — it only bounds the memory a long-lived process can
+    /// pin. Traces are never kept: each run streams its own.
+    pub fn with_cache_cap(mut self, layout_cap: usize) -> Self {
+        self.layouts = Memo::new((layout_cap > 0).then_some(layout_cap));
         self
     }
 
@@ -500,17 +487,6 @@ impl Suite {
         reqs
     }
 
-    /// The prepared trace (and desired-page map) of one matrix cell,
-    /// through the trace cache.
-    fn traces(&self, app: usize, kind: RunKind) -> Arc<Prepared> {
-        let class = layout_class(kind);
-        self.traces.get_or((app, class), || {
-            let layout = self.layout_plan(app, class);
-            let (a, page_bytes) = (&self.apps[app], self.sim.page_bytes);
-            run::prepare(a, &layout, class, 0, page_bytes, self.threads_per_core)
-        })
-    }
-
     /// The compiled (or original) layout plan for one matrix cell, shared
     /// through the suite's layout-plan cache. This is the cross-validation entry
     /// point the static estimator (`hoploc-est`) uses: predictions are made
@@ -524,40 +500,44 @@ impl Suite {
         })
     }
 
-    /// Runs one request through the memos. Pure in the request — on a
-    /// suite of one thread per core, a run is bit-identical to [`run_plan`]
-    /// on a fresh [`hoploc_workloads::layout_for`] plan.
+    /// Runs one request through the layout memo. Pure in the request — on
+    /// a suite of one thread per core, a run is bit-identical to
+    /// [`run_plan`] on a fresh [`hoploc_workloads::layout_for`] plan.
     pub fn run(&self, req: &RunRequest) -> RunOutput {
-        let bundle = self.traces(req.spec.app, req.spec.kind);
-        let mlp = self.apps[req.spec.app].mlp;
-        run::simulate(&self.sim, &self.mapping, mlp, &bundle, req)
+        let (app, kind) = (&self.apps[req.spec.app], req.spec.kind);
+        let plan = self.layout_plan(req.spec.app, kind);
+        let prepared = run::prepare(app, &plan, kind, 0, self.sim.page_bytes);
+        let workload = prepared.traces(app, &plan, self.threads_per_core);
+        let desired = &prepared.desired;
+        run::simulate(&self.sim, &self.mapping, app.mlp, &workload, desired, req)
     }
 
     /// Runs every app of the suite co-scheduled as one `kind` run (Figure
     /// 25's multiprogrammed mixes): each app has its threads on all cores
     /// and a virtual address space of its own, and the returned statistics
-    /// carry each app's finish time. Plans come from the layout cache; the
-    /// traces are generated for the mix alone.
+    /// carry each app's finish time. Plans come from the layout cache.
     pub fn run_mix(&self, kind: RunKind) -> RunStats {
+        let page_bytes = self.sim.page_bytes;
+        let prepared: Vec<_> = (self.apps.iter().enumerate())
+            .map(|(i, app)| {
+                // 4 GiB of virtual space per application keeps them disjoint.
+                let origin = (i as u64) << 32;
+                let plan = self.layout_plan(i, kind);
+                let p = run::prepare(app, &plan, kind, origin, page_bytes);
+                (app, plan, p)
+            })
+            .collect();
         let mut desired = HashMap::new();
-        let mut programs = Vec::with_capacity(self.apps.len());
-        let (page_bytes, threads) = (self.sim.page_bytes, self.threads_per_core);
-        for (i, app) in self.apps.iter().enumerate() {
-            // 4 GiB of virtual space per application keeps them disjoint.
-            let origin = (i as u64) << 32;
-            let layout = self.layout_plan(i, kind);
-            let p = run::prepare(app, &layout, kind, origin, page_bytes, threads);
-            desired.extend(p.desired);
-            programs.push(p.workload);
+        let mut programs = Vec::with_capacity(prepared.len());
+        for (app, plan, p) in &prepared {
+            desired.extend(&p.desired);
+            programs.push(p.traces(app, plan, self.threads_per_core));
         }
         let name = self.apps.iter().map(|a| a.name()).collect::<Vec<_>>();
-        let mix = Prepared {
-            workload: TraceWorkload::multiprogram(name.join("+"), programs),
-            desired,
-        };
+        let mix = TraceWorkload::multiprogram(name.join("+"), programs);
         let mlp = self.apps.iter().map(|a| a.mlp).max().unwrap_or(1);
         let req = RunRequest::new(RunSpec { app: 0, kind });
-        run::simulate(&self.sim, &self.mapping, mlp, &mix, &req).stats
+        run::simulate(&self.sim, &self.mapping, mlp, &mix, &desired, &req).stats
     }
 
     /// Runs `reqs` across `jobs` worker threads and collects the records
@@ -584,9 +564,6 @@ impl Suite {
             layout_hits: self.layouts.hits.load(Ordering::Relaxed),
             layout_misses: self.layouts.misses.load(Ordering::Relaxed),
             layout_evictions: self.layouts.evictions.load(Ordering::Relaxed),
-            trace_hits: self.traces.hits.load(Ordering::Relaxed),
-            trace_misses: self.traces.misses.load(Ordering::Relaxed),
-            trace_evictions: self.traces.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -703,9 +680,6 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
             .field("layout_hits", c.layout_hits)
             .field("layout_misses", c.layout_misses)
             .field("layout_evictions", c.layout_evictions)
-            .field("trace_hits", c.trace_hits)
-            .field("trace_misses", c.trace_misses)
-            .field("trace_evictions", c.trace_evictions)
             .end_obj();
         members.push(w.take());
     }
@@ -800,10 +774,10 @@ mod tests {
         let kinds = [RunKind::Baseline, RunKind::FirstTouch, RunKind::Optimal];
         s.run_all(&s.full_matrix(&kinds), 2);
         let c = s.cache_counters();
-        // 2 apps × 1 baseline layout class: exactly 2 trace generations
-        // serve all 6 runs.
-        assert_eq!(c.trace_misses, 2, "{c:?}");
-        assert_eq!(c.trace_hits, 4, "{c:?}");
+        // 2 apps × 1 baseline layout class: exactly 2 compiles serve all
+        // 6 runs.
+        assert_eq!(c.layout_misses, 2, "{c:?}");
+        assert_eq!(c.layout_hits, 4, "{c:?}");
     }
 
     /// Over random cells, fault plans and recordings, the one-shot on the
@@ -982,14 +956,14 @@ mod tests {
         let unbounded = suite2();
         let reqs = unbounded.full_matrix(&kinds);
         let free = unbounded.run_all(&reqs, 2);
-        let bounded = suite2().with_cache_caps(1, 1);
+        let bounded = suite2().with_cache_cap(1);
         let tight = bounded.run_all(&reqs, 2);
         for (a, b) in free.iter().zip(&tight) {
             assert_eq!(a.stats, b.stats, "eviction changed a result");
         }
         let c = bounded.cache_counters();
         assert!(
-            c.layout_evictions > 0 && c.trace_evictions > 0,
+            c.layout_evictions > 0,
             "cap 1 across 2 apps x 2 layout classes must evict: {c:?}"
         );
     }

@@ -18,7 +18,7 @@ use hoploc_search::{
     Candidate, CandidateKey, EstTerms, Objective, SearchConfig, VerifyRequest, APPROX_LEVELS,
     TILINGS,
 };
-use hoploc_sim::{AddressSpace, Cancel, RunStats, SimConfig, TraceWorkload};
+use hoploc_sim::{AddressSpace, Cancel, RunStats, SimConfig, ThreadTrace};
 use hoploc_workloads::{
     fma3d, gafort, generate_traces, hpccg, layout_with, swim, App, RunKind, Scale, TraceGen,
 };
@@ -350,7 +350,7 @@ fn simulator_inputs(
     app: &App,
     sim: &SimConfig,
     c: &Candidate,
-) -> (TraceWorkload, HashMap<u64, McId>) {
+) -> (Vec<ThreadTrace>, HashMap<u64, McId>) {
     let placement = c.placement(&sim.mesh).expect("legal candidate");
     let cell = SimConfig {
         granularity: c.granularity,
@@ -370,8 +370,8 @@ fn simulator_inputs(
         threads_per_core: 1,
         ..app.gen
     };
-    let workload = generate_traces(&app.program, &layout, &space, &gen);
-    (workload, desired)
+    let traces = generate_traces(&app.program, &layout, &space, &gen).gather();
+    (traces, desired)
 }
 
 /// The whole run of one candidate on a plan of its own: a fresh analysis

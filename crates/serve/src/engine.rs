@@ -4,7 +4,7 @@
 //! [`SuiteEngine`] is the real one. It owns a bounded pool of
 //! [`hoploc_harness::Suite`]s keyed by [`hoploc_harness::MachineSpec::canon`],
 //! so every job on the same machine shares one suite — and with
-//! it the memoized (and capacity-bounded) layout and trace caches. Results
+//! it the memoized (and capacity-bounded) layout cache. Results
 //! are the raw [`hoploc_harness::record_json`] bytes of the run, which is
 //! exactly what `hoploc sweep --json` embeds per record: a served result
 //! is byte-identical to a direct run by construction.
@@ -46,15 +46,13 @@ pub trait Engine: Send + Sync {
 }
 
 /// Layout plans each suite keeps resident: two layout classes per app.
+/// Plans are all a suite keeps: a trace streams through its run and is
+/// gone when the run ends, so a served cycle job holds one chunk per
+/// thread, never a whole trace.
 const LAYOUT_CAP: usize = 32;
 
-/// Traces each suite keeps resident. Traces dominate memory, so this is
-/// what bounds a long-lived server; a handful of hot ones cover
-/// steady-state serving, and everything else rebuilds bit-identically.
-const TRACE_CAP: usize = 8;
-
 /// How many distinct configurations the engine keeps. What each suite
-/// keeps is fixed (`LAYOUT_CAP`, `TRACE_CAP`).
+/// keeps is fixed (`LAYOUT_CAP`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EngineCaps {
     /// Distinct simulator configurations (suites) kept alive at once.
@@ -116,7 +114,7 @@ impl SuiteEngine {
         self.suites.get_or(machine.canon(), || {
             machine
                 .suite(self.apps(machine.scale).clone())
-                .with_cache_caps(LAYOUT_CAP, TRACE_CAP)
+                .with_cache_cap(LAYOUT_CAP)
         })
     }
 

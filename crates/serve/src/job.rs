@@ -180,7 +180,7 @@ impl JobSpec {
 
     /// The configuration part of the canonical form — everything that
     /// selects a harness `Suite` (the engine shares one suite, and so one
-    /// set of layout/trace caches, across all apps/kinds/faults under the
+    /// layout cache, across all apps/kinds/faults under the
     /// same configuration).
     pub fn config_canon(&self) -> String {
         self.machine.canon()

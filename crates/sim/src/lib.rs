@@ -6,8 +6,9 @@
 //! page-allocation layer with the paper's interleaved / compiler-desired /
 //! first-touch policies.
 //!
-//! The pipeline is: build a [`TraceWorkload`] (one trace per thread; the
-//! `hoploc-workloads` crate generates these from affine programs), pick a
+//! The pipeline is: build a [`TraceWorkload`] (one access stream per
+//! thread; the `hoploc-workloads` crate generates these from affine
+//! programs as the run pulls them), pick a
 //! [`SimConfig`] (defaults reproduce Table 1) and a
 //! [`PagePolicy`], then [`Simulator::run`] it for a [`RunStats`].
 //! [`Improvement::between`] compares an optimized run against a baseline,
@@ -32,4 +33,4 @@ pub use hoploc_prefetch::{PrefetchConfig, PrefetchMode, PrefetchSummary};
 pub use machine::Simulator;
 pub use os::{Os, PagePolicy};
 pub use stats::{Improvement, RunStats};
-pub use trace::{Access, KindHint, ThreadTrace, TraceWorkload};
+pub use trace::{Access, Stream, ThreadTrace, TraceSource, TraceWorkload, CHUNK};

@@ -30,7 +30,7 @@ use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
 use crate::stats::RunStats;
-use crate::trace::{Access, TraceWorkload};
+use crate::trace::{Access, Stream, TraceWorkload, CHUNK};
 use hoploc_cache::{CacheStats, Directory, IntMap, SetAssocCache, Sharers};
 use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
@@ -116,10 +116,11 @@ struct PfState {
 
 struct ThreadState {
     node: NodeId,
-    cursor: usize,
-    /// The access at `cursor`, decoded from the trace once, when its issue
-    /// was scheduled.
-    next: Access,
+    /// The accesses last drawn from the thread's stream, and how many of
+    /// them have been scheduled; the last of those is the one whose issue
+    /// is pending.
+    chunk: Vec<Access>,
+    pos: usize,
     /// Misses currently outstanding (bounded by the configured MLP).
     outstanding: u32,
     /// The thread consumed an access but could not continue (MSHRs full).
@@ -368,32 +369,33 @@ impl Simulator {
     }
 
     fn run_core(&mut self, workload: &TraceWorkload) -> RunStats {
+        let nodes = workload.nodes();
         assert!(
-            workload.app_of_thread.len() == workload.threads.len(),
+            workload.app_of_thread.len() == nodes.len(),
             "workload names an application for {} threads but has {}",
             workload.app_of_thread.len(),
-            workload.threads.len()
+            nodes.len()
         );
-        for t in &workload.threads {
+        for node in &nodes {
             assert!(
-                (t.node.0 as usize) < self.config.num_nodes(),
+                (node.0 as usize) < self.config.num_nodes(),
                 "trace bound to node outside the mesh"
             );
         }
-        self.threads = workload
-            .threads
-            .iter()
-            .map(|t| ThreadState {
-                node: t.node,
-                cursor: 0,
-                next: Access::default(),
+        self.threads = nodes
+            .into_iter()
+            .map(|node| ThreadState {
+                node,
+                chunk: Vec::with_capacity(CHUNK),
+                pos: 0,
                 outstanding: 0,
                 blocked: false,
                 finish: 0,
             })
             .collect();
-        for thread in 0..workload.threads.len() {
-            self.schedule_next(workload, thread, 0);
+        let streams = &mut workload.streams()[..];
+        for thread in 0..self.threads.len() {
+            self.schedule_next(streams, thread, 0);
         }
 
         let (mut handled, mut cancelled) = (0u64, false);
@@ -404,10 +406,10 @@ impl Simulator {
                 break;
             }
             match kind {
-                EventKind::Issue { thread } => self.handle_issue(workload, thread, now),
-                EventKind::MissReturn { thread } => self.miss_return(workload, thread, now),
+                EventKind::Issue { thread } => self.handle_issue(streams, thread, now),
+                EventKind::MissReturn { thread } => self.miss_return(streams, thread, now),
                 EventKind::MemDone { token, dropped } => {
-                    self.handle_mem_done(workload, token, now, dropped)
+                    self.handle_mem_done(streams, token, now, dropped)
                 }
                 EventKind::McPoll { mc } => self.handle_poll(mc, now),
             }
@@ -503,14 +505,9 @@ impl Simulator {
         (paddr / (unit * n)) * unit + paddr % unit
     }
 
-    fn handle_issue(&mut self, workload: &TraceWorkload, thread: usize, now: u64) {
-        let node = self.threads[thread].node;
-        let access = self.threads[thread].next;
-        debug_assert_eq!(
-            workload.threads[thread].get(self.threads[thread].cursor),
-            Some(access),
-            "an issue is only scheduled by `schedule_next`, for the access at the cursor"
-        );
+    fn handle_issue(&mut self, streams: &mut [Stream<'_>], thread: usize, now: u64) {
+        let st = &self.threads[thread];
+        let (node, access) = (st.node, st.chunk[st.pos - 1]);
         let paddr = self.os.translate(access.vaddr, node, &self.mapping);
         let t1 = now + self.config.l1_latency;
         let l1_line = paddr / self.config.l1.line_bytes;
@@ -519,13 +516,13 @@ impl Simulator {
             .access_rw(l1_line, access.write)
             .hit
         {
-            self.after_access(workload, thread, t1, false);
+            self.after_access(streams, thread, t1, false);
             return;
         }
         // An L1 miss opens a request lifecycle; the span closes when the
         // data returns (or is dropped again on an L2 hit).
         let req = self.obs.begin_req(t1, node.0);
-        self.l2_access(workload, thread, access, paddr, t1, req);
+        self.l2_access(streams, thread, access, paddr, t1, req);
     }
 
     /// One request past an L1 miss (Figure 2a/2b). The two L2
@@ -544,7 +541,7 @@ impl Simulator {
     /// request) is the same sequence against `slice`.
     fn l2_access(
         &mut self,
-        workload: &TraceWorkload,
+        streams: &mut [Stream<'_>],
         thread: usize,
         access: Access,
         paddr: u64,
@@ -648,7 +645,7 @@ impl Simulator {
         };
         self.pf_on_demand(slice, access.ref_id, l2_line, outcome, now);
         // Only a hit in the requester's own L2 completes without an MSHR.
-        self.after_access(workload, thread, resume, !(res.hit && private));
+        self.after_access(streams, thread, resume, !(res.hit && private));
     }
 
     /// A dirty line evicted from `slice` travels to memory: a data message
@@ -755,13 +752,13 @@ impl Simulator {
 
     /// The response to `who` arrived at `now`: close its span and return
     /// the miss to its thread.
-    fn complete(&mut self, workload: &TraceWorkload, who: Demand, now: u64, dropped: bool) {
+    fn complete(&mut self, streams: &mut [Stream<'_>], who: Demand, now: u64, dropped: bool) {
         if dropped {
             self.obs.drop_req(who.req, now);
         } else {
             self.obs.retire(who.req, now);
         }
-        self.miss_return(workload, who.thread, now);
+        self.miss_return(streams, who.thread, now);
     }
 
     /// A demand L2 access resolved against (possibly) prefetched state:
@@ -864,7 +861,7 @@ impl Simulator {
     /// a dropped demand request.
     fn finish_prefetch(
         &mut self,
-        workload: &TraceWorkload,
+        streams: &mut [Stream<'_>],
         ctx: PendingMem,
         token: u64,
         now: u64,
@@ -886,7 +883,7 @@ impl Simulator {
             // the normal response path; the line is not installed.
             for w in waiters {
                 let at = self.reply(ctx.mc, slice, w.final_dst, true, now, w.req);
-                self.complete(workload, w, at, true);
+                self.complete(streams, w, at, true);
             }
             return;
         }
@@ -909,7 +906,7 @@ impl Simulator {
         }
         for w in waiters {
             let at = self.forward(slice, w.final_dst, false, t1, w.req);
-            self.complete(workload, w, at, false);
+            self.complete(streams, w, at, false);
         }
     }
 
@@ -953,13 +950,13 @@ impl Simulator {
         self.update_poll(mc);
     }
 
-    fn handle_mem_done(&mut self, workload: &TraceWorkload, token: u64, now: u64, dropped: bool) {
+    fn handle_mem_done(&mut self, streams: &mut [Stream<'_>], token: u64, now: u64, dropped: bool) {
         let ctx = self
             .pending
             .remove(&token)
             .expect("completion for unknown token");
         match ctx.kind {
-            MemKind::Prefetch => self.finish_prefetch(workload, ctx, token, now, dropped),
+            MemKind::Prefetch => self.finish_prefetch(streams, ctx, token, now, dropped),
             // The line is in DRAM; nothing waits on it. A dropped
             // writeback simply never lands.
             MemKind::Writeback => {}
@@ -974,18 +971,17 @@ impl Simulator {
                     self.dir.add_sharer(ctx.l2_line, ctx.slice.0 as usize);
                 }
                 let at = self.reply(ctx.mc, ctx.slice, who.final_dst, dropped, now, who.req);
-                self.complete(workload, who, at, dropped);
+                self.complete(streams, who, at, dropped);
             }
         }
     }
 
     /// The thread consumed one access at `now`. Misses occupy an MSHR; the
     /// thread proceeds to its next access unless all MSHRs are busy.
-    fn after_access(&mut self, workload: &TraceWorkload, thread: usize, now: u64, miss: bool) {
+    fn after_access(&mut self, streams: &mut [Stream<'_>], thread: usize, now: u64, miss: bool) {
         let mlp = self.config.mlp.max(1);
         {
             let st = &mut self.threads[thread];
-            st.cursor += 1;
             st.finish = st.finish.max(now);
             if miss {
                 st.outstanding += 1;
@@ -995,11 +991,11 @@ impl Simulator {
                 return;
             }
         }
-        self.schedule_next(workload, thread, now);
+        self.schedule_next(streams, thread, now);
     }
 
     /// An outstanding miss returned at `now`.
-    fn miss_return(&mut self, workload: &TraceWorkload, thread: usize, now: u64) {
+    fn miss_return(&mut self, streams: &mut [Stream<'_>], thread: usize, now: u64) {
         let unblock = {
             let st = &mut self.threads[thread];
             debug_assert!(st.outstanding > 0, "miss return without outstanding miss");
@@ -1010,15 +1006,21 @@ impl Simulator {
             u
         };
         if unblock {
-            self.schedule_next(workload, thread, now);
+            self.schedule_next(streams, thread, now);
         }
     }
 
-    /// Schedules the thread's next access (if any) after `now`.
-    fn schedule_next(&mut self, workload: &TraceWorkload, thread: usize, now: u64) {
-        let cursor = self.threads[thread].cursor;
-        if let Some(next) = workload.threads[thread].get(cursor) {
-            self.threads[thread].next = next;
+    /// Schedules the thread's next access (if any) after `now`, drawing a
+    /// chunk from its stream when the last one is used up.
+    fn schedule_next(&mut self, streams: &mut [Stream<'_>], thread: usize, now: u64) {
+        let st = &mut self.threads[thread];
+        if st.pos == st.chunk.len() {
+            st.chunk.clear();
+            streams[thread](&mut st.chunk);
+            st.pos = 0;
+        }
+        if let Some(&next) = st.chunk.get(st.pos) {
+            st.pos += 1;
             self.schedule(now + next.gap as u64, EventKind::Issue { thread });
         }
     }
@@ -1575,7 +1577,7 @@ mod tests {
             // next, so the slice keeps more than the cap in flight.
             let mut cfg = with_mode(PrefetchMode::Stride);
             cfg.mlp = 64;
-            let threads = (0..4u64)
+            let threads: Vec<ThreadTrace> = (0..4u64)
                 .map(|t| {
                     ThreadTrace::new(
                         NodeId(0),

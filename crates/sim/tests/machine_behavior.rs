@@ -55,7 +55,7 @@ fn bursty_arrivals_exercise_the_poll_path() {
     let (mut cfg, mapping) = small();
     cfg.mlp = 4;
     let threads: Vec<ThreadTrace> = (0..16).map(|n| stream(n, 128, 4096, 0)).collect();
-    let total: u64 = threads.iter().map(|t| t.len() as u64).sum();
+    let total: u64 = threads.iter().map(|t| t.accesses.len() as u64).sum();
     let w = TraceWorkload::single("burst", threads);
     let stats = Simulator::new(cfg, mapping, PagePolicy::Interleaved).run(&w);
     assert_eq!(stats.total_accesses, total);

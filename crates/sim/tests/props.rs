@@ -1,11 +1,9 @@
-//! Property-based tests of the OS layer, the simulator's conservation
-//! invariants and the trace's stored format.
+//! Property-based tests of the OS layer and the simulator's conservation
+//! invariants.
 
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh, NodeId};
 use hoploc_ptest::run_cases;
-use hoploc_sim::{
-    Access, KindHint, Os, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload,
-};
+use hoploc_sim::{Access, Os, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
 
 fn mapping() -> L2ToMcMapping {
     L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &McPlacement::Corners)
@@ -80,7 +78,7 @@ fn simulation_conserves_accesses() {
                 )
             })
             .collect();
-        let total: u64 = threads.iter().map(|t| t.len() as u64).sum();
+        let total: u64 = threads.iter().map(|t| t.accesses.len() as u64).sum();
         let w = TraceWorkload::single("prop", threads);
         let cfg = SimConfig::scaled();
         let stats = Simulator::new(cfg, mapping(), PagePolicy::Interleaved).run(&w);
@@ -132,107 +130,4 @@ fn mlp_never_slows_execution() {
             s1.exec_cycles
         );
     });
-}
-
-/// Accesses over the whole encodable range: addresses up to 2^40 − 1, gaps
-/// on both sides of every 256 boundary and at `u32::MAX`, reference ids
-/// from a small random pool so that kinds both repeat and multiply.
-fn arbitrary_accesses(rng: &mut hoploc_ptest::SmallRng) -> Vec<Access> {
-    let ref_ids = rng.vec_u64(1..64, 0..1 << 32);
-    let n = rng.usize_in(1..5001);
-    (0..n)
-        .map(|_| Access {
-            vaddr: match rng.u64_below(8) {
-                0 => (1 << 40) - 1,
-                1 => 0,
-                _ => rng.u64_in(0..1 << 40),
-            },
-            write: rng.flip(),
-            gap: match rng.u64_below(8) {
-                0 => 0,
-                1 => 255,
-                2 => 256,
-                3 => 1288,
-                4 => u32::MAX,
-                _ => rng.u32_in(0..2048),
-            },
-            ref_id: ref_ids[rng.usize_in(0..ref_ids.len())] as u32,
-        })
-        .collect()
-}
-
-#[test]
-fn a_trace_round_trips_every_encodable_access() {
-    run_cases("a_trace_round_trips_every_encodable_access", 32, |rng| {
-        let accesses = arbitrary_accesses(rng);
-        let trace = ThreadTrace::new(NodeId(3), accesses.clone());
-        assert_eq!(trace.iter().collect::<Vec<_>>(), accesses);
-        assert_eq!(trace.len(), accesses.len());
-        assert!(!trace.is_empty());
-        for (i, a) in accesses.iter().enumerate() {
-            assert_eq!(trace.get(i), Some(*a), "access {i}");
-        }
-        assert_eq!(trace.get(accesses.len()), None);
-    });
-}
-
-#[test]
-fn trace_equality_is_equality_of_the_access_sequences() {
-    run_cases(
-        "trace_equality_is_equality_of_the_access_sequences",
-        32,
-        |rng| {
-            let accesses = arbitrary_accesses(rng);
-            let built = ThreadTrace::new(NodeId(3), accesses.clone());
-            // The same accesses pushed one by one into an unsized trace,
-            // some through a hint shared by all references and some without.
-            let mut pushed = ThreadTrace::with_capacity(NodeId(3), 0);
-            let mut hint = KindHint::default();
-            for a in &accesses {
-                if rng.flip() {
-                    pushed.push_hinted(*a, &mut hint);
-                } else {
-                    pushed.push(*a);
-                }
-            }
-            assert_eq!(built, pushed);
-            assert_eq!(
-                TraceWorkload::single("w", vec![built.clone()]),
-                TraceWorkload::single("w", vec![pushed])
-            );
-
-            let mut other = accesses;
-            let i = rng.usize_in(0..other.len());
-            other[i].gap ^= 1 << rng.u32_in(0..32);
-            assert_ne!(built, ThreadTrace::new(NodeId(3), other));
-        },
-    );
-}
-
-#[test]
-#[should_panic(expected = "at or past the 2^40 a trace word holds")]
-fn an_address_past_the_word_is_refused() {
-    let mut trace = ThreadTrace::with_capacity(NodeId(0), 1);
-    trace.push(Access {
-        vaddr: 1 << 40,
-        write: false,
-        gap: 1,
-        ref_id: 0,
-    });
-}
-
-#[test]
-#[should_panic(expected = "at most 65536 kinds")]
-fn a_kind_past_the_table_is_refused() {
-    let mut trace = ThreadTrace::with_capacity(NodeId(0), 1 << 16);
-    for ref_id in 0..=1 << 16 {
-        trace.push(Access {
-            vaddr: 0,
-            write: false,
-            gap: 1,
-            ref_id,
-        });
-        // Every kind up to the limit is held, and held apart.
-        assert_eq!(trace.get(ref_id as usize).map(|a| a.ref_id), Some(ref_id));
-    }
 }

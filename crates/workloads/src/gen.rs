@@ -16,15 +16,22 @@
 //! references, go through it access by access inside the same loop, and
 //! `tests/trace_oracle.rs` holds the whole function to a generator that
 //! does nothing else.
+//!
+//! Nothing is generated ahead of the run. Each thread is a stream the
+//! simulator pulls a chunk at a time; between two chunks the thread's
+//! replay stops between two points of a run, keeping its place in the
+//! walk ([`CoreRuns`]), its references' run cursors and its jitter state.
 
-use hoploc_affine::{AccessFn, ArrayId, LoopNest, Program, RefKind};
+use hoploc_affine::{AccessFn, ArrayId, CoreRuns, LoopNest, Program, RefKind};
 use hoploc_layout::{ArrayLayout, ProgramLayout, Run};
-use hoploc_sim::{Access, AddressSpace, KindHint, ThreadTrace, TraceWorkload};
+use hoploc_noc::NodeId;
+use hoploc_sim::{Access, AddressSpace, Stream, TraceSource, TraceWorkload, CHUNK};
 
 /// The most threads per core a request from outside the program (a CLI
 /// flag, a served job) may ask for: comfortably above Figure 24's 1, 2 and
-/// 4, and small enough that the trace buffers of `64 × threads` threads
-/// cannot exhaust memory.
+/// 4. A run holds one chunk of accesses and one replay state per thread,
+/// whatever the trace's length, so the cap bounds what `64 × threads`
+/// threads of those can take.
 pub const MAX_THREADS_PER_CORE: usize = 16;
 
 /// Trace-generation parameters.
@@ -74,8 +81,8 @@ impl Default for TraceGen {
 
 impl TraceGen {
     /// The tuning the 13 applications use: weight-aware replay (hot nests
-    /// twice for warm reuse, light nests subsampled 8×) at the given
-    /// fastest-dimension stride.
+    /// twice for warm reuse; light nests — below 1/8 of the heaviest's
+    /// weight — subsampled 32×) at the given fastest-dimension stride.
     pub fn tuned(fastest_stride: i64) -> Self {
         Self {
             fastest_stride,
@@ -101,8 +108,8 @@ impl TraceGen {
     }
 
     /// How each nest of `program` is sampled, in nest order: the one
-    /// statement of the rule the generator, its buffer sizing and the
-    /// estimator's footprint model all replay.
+    /// statement of the rule the generator and the estimator's footprint
+    /// model both replay.
     pub fn sampling(&self, program: &Program) -> Vec<NestSampling> {
         let nests = program.nests();
         let max_weight = nests.iter().map(|n| n.weight()).max().unwrap_or(1);
@@ -250,129 +257,189 @@ fn ref_plans<'a>(
     plans.collect()
 }
 
-/// Generates the workload traces for `program` under `layout`.
+/// Generates the workload traces for `program` under `layout`: one stream
+/// per thread, replayed as the simulator pulls it. Nothing is generated
+/// here; the reference plans and the sampling rule are resolved once, and
+/// each run of the workload replays every thread from its first access.
 ///
 /// The thread count is `layout.binding().len() × gen.threads_per_core`;
 /// thread `t` runs on `binding.node_of(t / threads_per_core)`, so the
 /// iteration chunks owned by one core stay contiguous and consistent with
 /// the layout's ownership model.
-pub fn generate_traces(
-    program: &Program,
-    layout: &ProgramLayout,
-    space: &AddressSpace,
+pub fn generate_traces<'a>(
+    program: &'a Program,
+    layout: &'a ProgramLayout,
+    space: &'a AddressSpace,
     gen: &TraceGen,
-) -> TraceWorkload {
+) -> TraceWorkload<'a> {
     assert!(gen.fastest_stride >= 1, "stride must be at least 1");
     assert!(
         gen.threads_per_core >= 1,
         "need at least one thread per core"
     );
-    let n_cores = layout.binding().len();
-    let n_threads = n_cores * gen.threads_per_core;
     let sampling = gen.sampling(program);
-    let nests = || program.nests().iter().zip(&sampling);
-    let plans: Vec<Vec<RefPlan<'_>>> = nests()
+    let plans = (program.nests().iter().zip(&sampling))
         .enumerate()
         .map(|(nest_idx, (nest, sampling))| {
             ref_plans(program, layout, gen, nest_idx, nest, sampling)
         })
         .collect();
+    let n_threads = layout.binding().len() * gen.threads_per_core;
+    let generator = Generator {
+        program,
+        layout,
+        space,
+        gen: *gen,
+        n_threads,
+        sampling,
+        plans,
+    };
+    TraceWorkload::single(program.name().to_string(), generator)
+}
 
-    // A counting walk over the runs the replay below makes, so that every
-    // thread's buffer is reserved once, at its final length.
-    let mut lens = vec![0usize; n_threads];
-    for ((nest, sampling), refs) in nests().zip(&plans) {
-        for (t, len) in lens.iter_mut().enumerate() {
-            let mut points = 0;
-            nest.walk_core_runs(t, n_threads, &sampling.strides, |_, n| points += n as usize);
-            *len += points * refs.len() * sampling.reps;
+/// The source behind [`generate_traces`]: what every thread's replay reads.
+struct Generator<'a> {
+    program: &'a Program,
+    layout: &'a ProgramLayout,
+    space: &'a AddressSpace,
+    gen: TraceGen,
+    n_threads: usize,
+    /// Each nest's sampling and emitting references, in nest order.
+    sampling: Vec<NestSampling>,
+    plans: Vec<Vec<RefPlan<'a>>>,
+}
+
+/// Where one thread's replay stands between two points of a run.
+#[derive(Default)]
+struct ThreadGen<'s> {
+    thread: usize,
+    /// The nest being replayed (`plans.len()` once all are done), and which
+    /// of its replays.
+    nest: usize,
+    rep: usize,
+    /// The thread's walk of the nest's runs; `None` before the first.
+    runs: Option<CoreRuns<'s>>,
+    /// Points left in the current run.
+    left: i64,
+    /// Each reference's cursor along the current run; `None` sends the
+    /// reference through `place` access by access.
+    cursors: Vec<Option<Run<'s>>>,
+    /// The subscript buffer every reference evaluates into.
+    dvec: Vec<i64>,
+    /// The gap jitter's xorshift state, seeded per thread and nest.
+    jitter: u64,
+}
+
+impl TraceSource for Generator<'_> {
+    fn nodes(&self) -> Vec<NodeId> {
+        let binding = self.layout.binding();
+        (0..self.n_threads)
+            .map(|t| binding.node_of(t / self.gen.threads_per_core))
+            .collect()
+    }
+
+    fn stream(&self, thread: usize) -> Stream<'_> {
+        let max_rank = self.program.arrays().iter().map(|a| a.rank()).max();
+        let mut th = ThreadGen {
+            thread,
+            dvec: vec![0; max_rank.unwrap_or(0)],
+            ..ThreadGen::default()
+        };
+        Box::new(move |chunk| self.fill(&mut th, chunk))
+    }
+}
+
+impl Generator<'_> {
+    /// Appends the thread's next points to `chunk`: whole points, as many
+    /// as fit in [`CHUNK`], and at least one while any is left.
+    fn fill<'s>(&'s self, th: &mut ThreadGen<'s>, chunk: &mut Vec<Access>) {
+        while th.left > 0 || self.next_run(th) {
+            let refs = &self.plans[th.nest];
+            if !chunk.is_empty() && chunk.len() + refs.len() > CHUNK {
+                return;
+            }
+            let runs = th.runs.as_mut().expect("points are emitted inside a run");
+            let iter = runs.point();
+            for (r, cursor) in refs.iter().zip(&mut th.cursors) {
+                let vaddr = match (cursor, r.access) {
+                    (Some(run), _) => self.space.addr_at(r.array, run.next_offset()),
+                    (None, AccessFn::Affine(a)) => {
+                        let dvec = &mut th.dvec[..a.rank()];
+                        a.eval_into(iter, dvec);
+                        self.space.addr_of(self.layout, r.array, dvec)
+                    }
+                    (None, AccessFn::Indexed { table, pos }) => {
+                        let tab = self.program.table(*table);
+                        let p = pos.eval(iter).rem_euclid(tab.len() as i64);
+                        self.space.addr_of(self.layout, r.array, &[tab[p as usize]])
+                    }
+                };
+                let gap = match r.lead_gap {
+                    Some(lead) => {
+                        // xorshift-based deterministic jitter; a span of 0
+                        // adds none.
+                        th.jitter ^= th.jitter << 13;
+                        th.jitter ^= th.jitter >> 7;
+                        th.jitter ^= th.jitter << 17;
+                        lead + (th.jitter % self.gen.desync_jitter.max(1) as u64) as u32
+                    }
+                    None => 1,
+                };
+                chunk.push(Access {
+                    vaddr,
+                    write: r.write,
+                    gap,
+                    ref_id: r.ref_id,
+                });
+            }
+            runs.step();
+            th.left -= 1;
         }
     }
-    let mut traces: Vec<ThreadTrace> = lens
-        .iter()
-        .enumerate()
-        .map(|(t, &len)| {
-            ThreadTrace::with_capacity(layout.binding().node_of(t / gen.threads_per_core), len)
-        })
-        .collect();
 
-    // One subscript buffer for every reference of every nest.
-    let max_rank = program.arrays().iter().map(|a| a.rank()).max();
-    let mut dvec = vec![0i64; max_rank.unwrap_or(0)];
-
-    for ((nest, sampling), refs) in nests().zip(&plans) {
-        let strides = &sampling.strides;
-        let last = nest.depth() - 1;
-        let step = strides[last];
-        // Each reference's cursor along the current run; `None` sends the
-        // reference through `place` access by access.
-        let mut cursors: Vec<Option<Run<'_>>> = vec![None; refs.len()];
-        let mut hints = vec![KindHint::default(); refs.len()];
-
-        for (t, trace) in traces.iter_mut().enumerate() {
-            let mut jit_state: u64 = (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            for _rep in 0..sampling.reps {
-                nest.walk_core_runs(t, n_threads, strides, |iter, n| {
-                    for (r, cursor) in refs.iter().zip(&mut cursors) {
+    /// Moves the thread to its next run — on through the nest's replays
+    /// and the program's nests — and sets every reference's cursor along
+    /// it. Returns `false` once the thread's trace is done.
+    fn next_run<'s>(&'s self, th: &mut ThreadGen<'s>) -> bool {
+        loop {
+            if let Some(runs) = &mut th.runs {
+                if let Some(n) = runs.next_run() {
+                    let iter = runs.point();
+                    for (r, cursor) in self.plans[th.nest].iter().zip(&mut th.cursors) {
                         *cursor = match r.access {
                             AccessFn::Affine(a) => {
-                                let first = &mut dvec[..a.rank()];
+                                let first = &mut th.dvec[..a.rank()];
                                 a.eval_into(iter, first);
                                 r.layout.run(first, &r.delta, n)
                             }
                             AccessFn::Indexed { .. } => None,
                         };
                     }
-                    for _ in 0..n {
-                        for ((r, cursor), hint) in refs.iter().zip(&mut cursors).zip(&mut hints) {
-                            let vaddr = match (cursor, r.access) {
-                                (Some(run), _) => space.addr_at(r.array, run.next_offset()),
-                                (None, AccessFn::Affine(a)) => {
-                                    let dvec = &mut dvec[..a.rank()];
-                                    a.eval_into(iter, dvec);
-                                    space.addr_of(layout, r.array, dvec)
-                                }
-                                (None, AccessFn::Indexed { table, pos }) => {
-                                    let tab = program.table(*table);
-                                    let p = pos.eval(iter).rem_euclid(tab.len() as i64);
-                                    space.addr_of(layout, r.array, &[tab[p as usize]])
-                                }
-                            };
-                            let gap = match r.lead_gap {
-                                Some(lead) => {
-                                    // xorshift-based deterministic jitter.
-                                    jit_state ^= jit_state << 13;
-                                    jit_state ^= jit_state >> 7;
-                                    jit_state ^= jit_state << 17;
-                                    let jitter = if gen.desync_jitter == 0 {
-                                        0
-                                    } else {
-                                        (jit_state % gen.desync_jitter as u64) as u32
-                                    };
-                                    lead + jitter
-                                }
-                                None => 1,
-                            };
-                            let access = Access {
-                                vaddr,
-                                write: r.write,
-                                gap,
-                                ref_id: r.ref_id,
-                            };
-                            trace.push_hinted(access, hint);
-                        }
-                        iter[last] += step;
-                    }
-                });
+                    th.left = n;
+                    return true;
+                }
+                th.runs = None;
+                th.rep += 1;
+                if th.rep == self.sampling[th.nest].reps {
+                    (th.nest, th.rep) = (th.nest + 1, 0);
+                }
             }
+            if th.rep == 0 {
+                // A nest none of whose references emits is skipped whole.
+                while self.plans.get(th.nest).is_some_and(Vec::is_empty) {
+                    th.nest += 1;
+                }
+                let Some(refs) = self.plans.get(th.nest) else {
+                    return false;
+                };
+                th.cursors = vec![None; refs.len()];
+                th.jitter = (th.thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            }
+            let nest = &self.program.nests()[th.nest];
+            let strides = &self.sampling[th.nest].strides;
+            th.runs = Some(nest.core_runs(th.thread, self.n_threads, strides));
         }
     }
-
-    debug_assert!(
-        traces.iter().zip(&lens).all(|(t, &len)| t.len() == len),
-        "the counting walk and the replay disagree"
-    );
-    TraceWorkload::single(program.name().to_string(), traces)
 }
 
 #[cfg(test)]
@@ -383,6 +450,7 @@ mod tests {
     };
     use hoploc_layout::{baseline_layout, optimize_program, PassConfig};
     use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
+    use hoploc_sim::ThreadTrace;
 
     fn program() -> Program {
         let mut p = Program::new("gen-test");
@@ -402,6 +470,17 @@ mod tests {
         p
     }
 
+    /// Every thread's trace of `program` under `layout`, gathered.
+    fn traces(program: &Program, layout: &ProgramLayout, gen: &TraceGen) -> Vec<ThreadTrace> {
+        let space = AddressSpace::build(program, layout, 0);
+        let traces = generate_traces(program, layout, &space, gen).gather();
+        traces
+    }
+
+    fn total(traces: &[ThreadTrace]) -> usize {
+        traces.iter().map(|t| t.accesses.len()).sum()
+    }
+
     fn mapping() -> L2ToMcMapping {
         L2ToMcMapping::nearest_cluster(Mesh::new(8, 8), &McPlacement::Corners)
     }
@@ -409,51 +488,39 @@ mod tests {
     #[test]
     fn exact_replay_covers_all_iterations() {
         let p = program();
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
-        let w = generate_traces(&p, &layout, &space, &TraceGen::default());
-        assert_eq!(w.threads.len(), 64);
+        let w = traces(&p, &baseline_layout(&p, 64), &TraceGen::default());
+        assert_eq!(w.len(), 64);
         // 128 × 64 iterations × 2 refs total across all threads.
-        assert_eq!(w.total_accesses(), 128 * 64 * 2);
+        assert_eq!(total(&w), 128 * 64 * 2);
     }
 
     #[test]
     fn strided_sampling_reduces_volume() {
         let p = program();
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
         let gen = TraceGen {
             fastest_stride: 4,
             ..TraceGen::default()
         };
-        let w = generate_traces(&p, &layout, &space, &gen);
-        assert_eq!(w.total_accesses(), 128 * 16 * 2);
+        let w = traces(&p, &baseline_layout(&p, 64), &gen);
+        assert_eq!(total(&w), 128 * 16 * 2);
     }
 
     #[test]
     fn writes_flagged() {
         let p = program();
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
-        let w = generate_traces(&p, &layout, &space, &TraceGen::default());
+        let w = traces(&p, &baseline_layout(&p, 64), &TraceGen::default());
         let (reads, writes): (Vec<Access>, Vec<Access>) =
-            w.threads[0].iter().partition(|a| !a.write);
+            w[0].accesses.iter().partition(|a| !a.write);
         assert_eq!(reads.len(), writes.len());
     }
 
     #[test]
     fn optimized_layout_adds_overhead_gap() {
         let p = program();
-        let space_base;
-        let base = {
-            let l = baseline_layout(&p, 64);
-            space_base = AddressSpace::build(&p, &l, 0);
-            generate_traces(&p, &l, &space_base, &TraceGen::default())
-        };
+        let base = traces(&p, &baseline_layout(&p, 64), &TraceGen::default());
         let opt_layout = optimize_program(&p, &mapping(), PassConfig::default());
-        let space_opt = AddressSpace::build(&p, &opt_layout, 0);
-        let opt = generate_traces(&p, &opt_layout, &space_opt, &TraceGen::default());
-        let g = |w: &TraceWorkload| w.threads[0].get(0).unwrap().gap;
+        let opt = traces(&p, &opt_layout, &TraceGen::default());
+        let g = |w: &[ThreadTrace]| w[0].accesses[0].gap;
         assert_eq!(
             g(&opt),
             g(&base) + 1,
@@ -477,9 +544,7 @@ mod tests {
             )],
             1,
         ));
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
-        generate_traces(&p, &layout, &space, &TraceGen::default());
+        traces(&p, &baseline_layout(&p, 64), &TraceGen::default());
     }
 
     #[test]
@@ -502,16 +567,14 @@ mod tests {
             )],
             1,
         ));
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
         let gen = TraceGen {
             gap_scale: 3,
             desync_jitter: 0,
             ..TraceGen::default()
         };
-        let w = generate_traces(&p, &layout, &space, &gen);
-        assert_eq!(w.total_accesses(), 128 * 64);
-        let first = w.threads[0].get(0).unwrap();
+        let w = traces(&p, &baseline_layout(&p, 64), &gen);
+        assert_eq!(total(&w), 128 * 64);
+        let first = w[0].accesses[0];
         assert_eq!(first.gap, 5 * 3, "the statement's compute gap, scaled");
         assert_eq!(
             first.ref_id, 1,
@@ -522,30 +585,26 @@ mod tests {
     #[test]
     fn threads_per_core_multiplies_threads() {
         let p = program();
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
         let gen = TraceGen {
             threads_per_core: 2,
             ..TraceGen::default()
         };
-        let w = generate_traces(&p, &layout, &space, &gen);
-        assert_eq!(w.threads.len(), 128);
+        let w = traces(&p, &baseline_layout(&p, 64), &gen);
+        assert_eq!(w.len(), 128);
         // Threads 0 and 1 share node 0.
-        assert_eq!(w.threads[0].node, w.threads[1].node);
+        assert_eq!(w[0].node, w[1].node);
         // Total work unchanged.
-        assert_eq!(w.total_accesses(), 128 * 64 * 2);
+        assert_eq!(total(&w), 128 * 64 * 2);
     }
 
     #[test]
     fn thread_chunks_partition_the_parallel_dim() {
         // Each element of X is written exactly once across all threads.
         let p = program();
-        let layout = baseline_layout(&p, 64);
-        let space = AddressSpace::build(&p, &layout, 0);
-        let w = generate_traces(&p, &layout, &space, &TraceGen::default());
+        let w = traces(&p, &baseline_layout(&p, 64), &TraceGen::default());
         let mut seen = std::collections::HashSet::new();
-        for t in &w.threads {
-            for a in t.iter().filter(|a| a.write) {
+        for t in &w {
+            for a in t.accesses.iter().filter(|a| a.write) {
                 assert!(seen.insert(a.vaddr), "duplicate write to {:#x}", a.vaddr);
             }
         }

@@ -20,7 +20,7 @@ fn digest(app: &hoploc_workloads::App, kind: RunKind, threads_per_core: usize) -
         threads_per_core,
         ..app.gen
     };
-    let workload = generate_traces(&app.program, &layout, &space, &gen);
+    let threads = generate_traces(&app.program, &layout, &space, &gen).gather();
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     let mut mix = |x: u64| {
         for b in x.to_le_bytes() {
@@ -28,10 +28,10 @@ fn digest(app: &hoploc_workloads::App, kind: RunKind, threads_per_core: usize) -
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    for t in &workload.threads {
+    for t in &threads {
         mix(t.node.0 as u64);
-        mix(t.len() as u64);
-        for a in t.iter() {
+        mix(t.accesses.len() as u64);
+        for a in &t.accesses {
             mix(a.vaddr);
             mix(a.write as u64);
             mix(a.gap as u64);

@@ -5,12 +5,13 @@
 //! one was written: every access evaluates its reference's subscripts
 //! from the iteration vector and goes through `AddressSpace::addr_of`,
 //! i.e. `ArrayLayout::place` — the definition of the layout — and is
-//! appended with `ThreadTrace::push`, one `Access` at a time, into a trace
-//! nobody sized. It restates the whole rule, sampling strides included;
-//! the one edit since is which reference carries a statement's compute
-//! gap (its first that emits, not its first). `generate_traces` must produce the same `TraceWorkload`,
-//! access for access, whatever shortcuts it takes along an innermost-loop
-//! run. Any change under `crates/workloads/src/gen.rs`,
+//! appended one `Access` at a time to its thread's whole trace. It
+//! restates the whole rule, sampling strides included; the one edit since
+//! is which reference carries a statement's compute gap (its first that
+//! emits, not its first). Every thread `generate_traces` streams must be
+//! the same trace, access for access, whatever shortcuts it takes along
+//! an innermost-loop run and wherever its stream stops between chunks.
+//! Any change under `crates/workloads/src/gen.rs`,
 //! `crates/layout/src/customize.rs` or `crates/affine/src/nest.rs` is
 //! checked here first; CI runs the bench-scale matrix in release on every
 //! push.
@@ -23,7 +24,7 @@ use hoploc_layout::{
     baseline_layout, optimize_program, Granularity, L2Mode, PassConfig, ProgramLayout,
 };
 use hoploc_noc::{L2ToMcMapping, McPlacement, Mesh};
-use hoploc_sim::{Access, AddressSpace, SimConfig, ThreadTrace, TraceWorkload};
+use hoploc_sim::{Access, AddressSpace, SimConfig, ThreadTrace};
 use hoploc_workloads::{all_apps, generate_traces, layout_for, RunKind, Scale, TraceGen};
 
 /// One static reference of a nest body, as the per-iteration replay
@@ -45,7 +46,7 @@ fn reference_traces(
     layout: &ProgramLayout,
     space: &AddressSpace,
     gen: &TraceGen,
-) -> TraceWorkload {
+) -> Vec<ThreadTrace> {
     assert!(gen.fastest_stride >= 1, "stride must be at least 1");
     assert!(
         gen.threads_per_core >= 1,
@@ -180,7 +181,7 @@ fn reference_traces(
                             }
                             None => 1,
                         };
-                        trace.push(Access {
+                        trace.accesses.push(Access {
                             vaddr,
                             write: r.write,
                             gap,
@@ -192,7 +193,7 @@ fn reference_traces(
         }
     }
 
-    TraceWorkload::single(program.name().to_string(), traces)
+    traces
 }
 
 /// Asserts `generate_traces == reference_traces` for one cell, naming the
@@ -205,27 +206,30 @@ fn assert_matches_reference(
     gen: &TraceGen,
 ) -> u64 {
     let space = AddressSpace::build(program, layout, 0);
-    let got = generate_traces(program, layout, &space, gen);
+    let workload = generate_traces(program, layout, &space, gen);
+    assert_eq!(workload.name, program.name(), "{cell}: workload name");
+    assert_eq!(workload.num_apps(), 1, "{cell}: one application");
+    let got = workload.gather();
     let want = reference_traces(program, layout, &space, gen);
     if got != want {
-        assert_eq!(got.name, want.name, "{cell}: workload name");
-        assert_eq!(got.app_of_thread, want.app_of_thread, "{cell}: thread apps");
-        assert_eq!(got.threads.len(), want.threads.len(), "{cell}: threads");
-        for (t, (g, w)) in got.threads.iter().zip(&want.threads).enumerate() {
+        assert_eq!(got.len(), want.len(), "{cell}: threads");
+        for (t, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.node, w.node, "{cell}: node of thread {t}");
-            if let Some((i, (g, w))) = g
-                .iter()
-                .zip(w.iter())
+            if let Some((i, (g, w))) = (g.accesses.iter().zip(&w.accesses))
                 .enumerate()
                 .find(|(_, (g, w))| g != w)
             {
                 panic!("{cell}: thread {t} access {i}: generated {g:?}, reference {w:?}");
             }
-            assert_eq!(g.len(), w.len(), "{cell}: length of thread {t}");
+            assert_eq!(
+                g.accesses.len(),
+                w.accesses.len(),
+                "{cell}: length of thread {t}"
+            );
         }
         unreachable!("{cell}: workloads differ but no field does");
     }
-    want.total_accesses()
+    want.iter().map(|t| t.accesses.len() as u64).sum()
 }
 
 /// All 13 apps × {baseline, optimized} × {cache line, page} × {private,

@@ -622,8 +622,8 @@ fn cmd_sweep(o: &Options) -> ExitCode {
     println!("\nper-run statistics ({} workers):", o.jobs);
     print!("{}", render_table(&records));
     println!(
-        "caches: {} layout compiles ({} reused), {} trace generations ({} reused)",
-        c.layout_misses, c.layout_hits, c.trace_misses, c.trace_hits
+        "caches: {} layout compiles ({} reused)",
+        c.layout_misses, c.layout_hits
     );
     if let Some(target) = &o.json {
         if let Err(e) = emit_json(target, &to_json(&records, Some(c))) {

@@ -1,8 +1,8 @@
 //! The per-access paths of the cycle tier do not allocate: heap
-//! allocations during `Simulator::run` and `generate_traces` are set by
-//! the machine and the footprint (pages, threads, requests in flight),
-//! not by how many accesses are replayed — and a trace costs 8 bytes per
-//! access in one buffer per thread.
+//! allocations during `Simulator::run` and the trace streams it pulls are
+//! set by the machine and the footprint (pages, threads, requests in
+//! flight), not by how many accesses are replayed — and a streamed trace
+//! costs one chunk per thread, never the whole trace.
 //!
 //! Counted with a global allocator (`counting_alloc`), so this binary
 //! holds exactly one test.
@@ -10,7 +10,9 @@
 use hoploc::affine::{AffineAccess, ArrayDecl, ArrayRef, Loop, LoopNest, Program, Statement};
 use hoploc::layout::{optimize_program, Granularity, PassConfig};
 use hoploc::noc::L2ToMcMapping;
-use hoploc::sim::{AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
+use hoploc::sim::{
+    Access, AddressSpace, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload, CHUNK,
+};
 use hoploc::workloads::{
     applu, generate_traces, layout_for, swim, wupwise, RunKind, Scale, TraceGen,
 };
@@ -42,6 +44,24 @@ fn sweep_program(outer: i64, inner: i64) -> Program {
     p
 }
 
+/// Pulls every thread's stream of `w` dry the way the simulator does — one
+/// chunk buffer per thread, refilled in turn — and returns the accesses.
+fn drain(w: &TraceWorkload) -> u64 {
+    let mut streams = w.streams();
+    let mut chunks: Vec<Vec<Access>> = streams.iter().map(|_| Vec::with_capacity(CHUNK)).collect();
+    let (mut accesses, mut live) = (0, streams.len());
+    while live > 0 {
+        live = 0;
+        for (stream, chunk) in streams.iter_mut().zip(&mut chunks) {
+            chunk.clear();
+            stream(chunk);
+            accesses += chunk.len() as u64;
+            live += usize::from(!chunk.is_empty());
+        }
+    }
+    accesses
+}
+
 #[test]
 fn allocations_do_not_grow_with_trace_length() {
     let sim = SimConfig {
@@ -49,61 +69,71 @@ fn allocations_do_not_grow_with_trace_length() {
         ..SimConfig::scaled()
     };
     let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
+    let machine = || Simulator::new(sim.clone(), mapping.clone(), PagePolicy::Interleaved);
 
     for app in [swim(Scale::Test), applu(Scale::Test)] {
         let name = app.name().to_string();
         let layout = layout_for(&app, &mapping, &sim, RunKind::Optimized);
         let space = AddressSpace::build(&app.program, &layout, 0);
 
-        // Trace generation: a four times finer sampling stride replays
+        // A generated run: a four times finer sampling stride replays
         // four times the accesses through the same nests, threads and
-        // repetitions. Only the trace buffers may grow for it — a couple
-        // of doublings per thread.
-        let gen = |stride| TraceGen {
-            fastest_stride: stride,
-            ..app.gen
+        // repetitions, streamed into the simulator a chunk at a time. Its
+        // calls and bytes are set by the threads, pages and lines, not by
+        // the accesses (swim and applu read within 2 calls and 1 KiB).
+        let generated_run = |stride| {
+            let gen = TraceGen {
+                fastest_stride: stride,
+                ..app.gen
+            };
+            let machine = machine();
+            counting_alloc::allocated_during(|| {
+                machine.run(&generate_traces(&app.program, &layout, &space, &gen))
+            })
         };
-        let (coarse_allocs, coarse) =
-            allocations_during(|| generate_traces(&app.program, &layout, &space, &gen(4)));
-        let (fine_allocs, fine) =
-            allocations_during(|| generate_traces(&app.program, &layout, &space, &gen(1)));
-        let threads = fine.threads.len() as u64;
+        let (coarse, coarse_stats) = generated_run(4);
+        let (fine, fine_stats) = generated_run(1);
         assert!(
-            fine.total_accesses() > 3 * coarse.total_accesses(),
+            fine_stats.total_accesses > 3 * coarse_stats.total_accesses,
             "{name}: the finer stride must replay far more accesses"
         );
         assert!(
-            fine_allocs <= coarse_allocs + 4 * threads,
-            "{name}: generate_traces allocated {fine_allocs} times for {} accesses but \
-             {coarse_allocs} for {}",
-            fine.total_accesses(),
-            coarse.total_accesses()
+            fine.calls <= coarse.calls + 16,
+            "{name}: a generated run allocated {} times for {} accesses but {} for {}",
+            fine.calls,
+            fine_stats.total_accesses,
+            coarse.calls,
+            coarse_stats.total_accesses
         );
         assert!(
-            fine_allocs < fine.total_accesses() / 50,
-            "{name}: {fine_allocs} allocations for {} accesses",
-            fine.total_accesses()
+            fine.bytes <= coarse.bytes + coarse.bytes / 16,
+            "{name}: a generated run asked for {} bytes for {} accesses but {} for {}",
+            fine.bytes,
+            fine_stats.total_accesses,
+            coarse.bytes,
+            coarse_stats.total_accesses
         );
 
-        // Simulation: the same trace replayed four times over touches the
-        // same pages and lines from the same threads. The run's books
-        // (page table, directory, in-flight requests, event nodes) are
-        // sized by those, so four times the accesses may not cost more
-        // than a few extra table growths.
-        let once = fine;
-        let repeated = TraceWorkload::single(
-            name.clone(),
-            once.threads
-                .iter()
-                .map(|t| ThreadTrace::new(t.node, t.iter().collect::<Vec<_>>().repeat(4)))
-                .collect(),
-        );
-        let run = |w: &TraceWorkload| {
-            let machine = Simulator::new(sim.clone(), mapping.clone(), PagePolicy::Interleaved);
-            allocations_during(|| machine.run(w))
+        // Simulation alone: the same trace replayed four times over
+        // touches the same pages and lines from the same threads. The
+        // run's books (page table, directory, in-flight requests, event
+        // nodes) are sized by those, so four times the accesses may not
+        // cost more than a few extra table growths.
+        let gen = TraceGen {
+            fastest_stride: 1,
+            ..app.gen
         };
-        let (once_allocs, once_stats) = run(&once);
-        let (repeated_allocs, repeated_stats) = run(&repeated);
+        let once = generate_traces(&app.program, &layout, &space, &gen).gather();
+        let repeated: Vec<ThreadTrace> = (once.iter())
+            .map(|t| ThreadTrace::new(t.node, t.accesses.repeat(4)))
+            .collect();
+        let run = |threads: Vec<ThreadTrace>| {
+            let w = TraceWorkload::single(name.clone(), threads);
+            let machine = machine();
+            allocations_during(|| machine.run(&w))
+        };
+        let (once_allocs, once_stats) = run(once);
+        let (repeated_allocs, repeated_stats) = run(repeated);
         assert_eq!(repeated_stats.total_accesses, 4 * once_stats.total_accesses);
         assert!(
             repeated_allocs <= once_allocs + once_allocs / 4 + 64,
@@ -119,44 +149,34 @@ fn allocations_do_not_grow_with_trace_length() {
         );
     }
 
-    // A trace is one 8-byte word per access in a buffer reserved once per
-    // thread, at its final length: at bench scale, where most threads'
-    // buffers are far above `LARGE_BYTES`, generation makes exactly one
-    // large call for each of those and asks for no more than the words
-    // plus a fixed
-    // allowance for everything else it holds (per-thread kind tables and
-    // their index, per-nest reference plans, cursors and strides).
+    // No whole trace exists: at bench scale, generating and streaming every
+    // thread dry asks for one chunk per thread plus a fixed allowance for
+    // everything else the generator holds (per-nest reference plans and
+    // strides, per-thread walks, run cursors and subscript buffers) —
+    // far less than the trace itself would take at 8 bytes per access.
     const ALLOWANCE_BYTES: u64 = 256 << 10;
     for app in [swim(Scale::Bench), wupwise(Scale::Bench)] {
         let layout = layout_for(&app, &mapping, &sim, RunKind::Optimized);
         let space = AddressSpace::build(&app.program, &layout, 0);
-        let (allocated, w) = counting_alloc::allocated_during(|| {
-            generate_traces(&app.program, &layout, &space, &app.gen)
+        let (allocated, (threads, accesses)) = counting_alloc::allocated_during(|| {
+            let w = generate_traces(&app.program, &layout, &space, &app.gen);
+            (w.nodes().len() as u64, drain(&w))
         });
         let name = app.name();
-        let large_threads = w
-            .threads
-            .iter()
-            .filter(|t| 8 * t.len() >= counting_alloc::LARGE_BYTES)
-            .count();
+        let bound = threads * (CHUNK * size_of::<Access>()) as u64 + ALLOWANCE_BYTES;
         assert!(
-            2 * large_threads >= w.threads.len(),
-            "{name}: only {large_threads} threads have a buffer that counts as large"
-        );
-        assert_eq!(
-            allocated.large_calls, large_threads as u64,
-            "{name}: one buffer reservation per thread"
+            allocated.bytes <= bound,
+            "{name}: streaming {accesses} accesses over {threads} threads asked for {} bytes",
+            allocated.bytes
         );
         assert!(
-            allocated.bytes <= 8 * w.total_accesses() + ALLOWANCE_BYTES,
-            "{name}: generate_traces asked for {} bytes for {} accesses",
-            allocated.bytes,
-            w.total_accesses()
+            8 * accesses > 4 * bound,
+            "{name}: {accesses} accesses are too few to tell a stream from a whole trace"
         );
     }
 
     // Trace generation works one innermost-loop run at a time, its per-run
-    // state in buffers sized once per nest: the same accesses per thread
+    // state in buffers sized once per thread: the same accesses per thread
     // cut into runs of 8 (the shape of hpccg's SpMV) cost no more
     // allocations than in runs of 512.
     let generate = |outer, inner| {
@@ -167,11 +187,11 @@ fn allocations_do_not_grow_with_trace_length() {
             "the run cursors under test are the localized layout's"
         );
         let space = AddressSpace::build(&p, &layout, 0);
-        allocations_during(|| generate_traces(&p, &layout, &space, &TraceGen::default()))
+        allocations_during(|| drain(&generate_traces(&p, &layout, &space, &TraceGen::default())))
     };
     let (short_allocs, short) = generate(64 * 64, 8);
     let (long_allocs, long) = generate(64, 64 * 8);
-    assert_eq!(short.total_accesses(), long.total_accesses());
+    assert_eq!(short, long);
     assert!(
         short_allocs <= long_allocs,
         "generate_traces allocated {short_allocs} times over runs of 8 but {long_allocs} times \

@@ -178,16 +178,12 @@ fn escaped_strings_are_pinned_in_all_four_documents() {
         layout_hits: 1,
         layout_misses: 2,
         layout_evictions: 3,
-        trace_hits: 4,
-        trace_misses: 5,
-        trace_evictions: 6,
     };
     assert_eq!(
         to_json(&[record(), record()], Some(counters)),
         format!(
             "{{\n  \"runs\": [\n    {unit},\n    {unit}\n  ],\n  \"cache\": \
-             {{\"layout_hits\": 1, \"layout_misses\": 2, \"layout_evictions\": 3, \
-             \"trace_hits\": 4, \"trace_misses\": 5, \"trace_evictions\": 6}}\n}}\n"
+             {{\"layout_hits\": 1, \"layout_misses\": 2, \"layout_evictions\": 3}}\n}}\n"
         )
     );
 

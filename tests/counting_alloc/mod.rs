@@ -8,19 +8,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
-static LARGE: AtomicU64 = AtomicU64::new(0);
-
-/// The size from which a call counts as large: above every table, cursor
-/// and scratch vector of the paths under test, below a bench-scale
-/// thread's trace buffer.
-pub const LARGE_BYTES: usize = 64 << 10;
 
 fn count(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    if size >= LARGE_BYTES {
-        LARGE.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// The system allocator, counting every allocation and reallocation and
@@ -62,8 +53,6 @@ pub struct Allocated {
     pub calls: u64,
     /// Bytes those calls requested.
     pub bytes: u64,
-    /// Calls that asked for at least [`LARGE_BYTES`].
-    pub large_calls: u64,
 }
 
 /// Runs `f` and reports what it (and anything else running meanwhile)
@@ -71,12 +60,10 @@ pub struct Allocated {
 pub fn allocated_during<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
     let calls = ALLOCATIONS.load(Ordering::Relaxed);
     let bytes = BYTES.load(Ordering::Relaxed);
-    let large = LARGE.load(Ordering::Relaxed);
     let r = f();
     let allocated = Allocated {
         calls: ALLOCATIONS.load(Ordering::Relaxed) - calls,
         bytes: BYTES.load(Ordering::Relaxed) - bytes,
-        large_calls: LARGE.load(Ordering::Relaxed) - large,
     };
     (allocated, r)
 }
