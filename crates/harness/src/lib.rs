@@ -26,8 +26,8 @@
 //! halves: a plan is prepared (address space, desired-page map) and its
 //! trace simulated as the run pulls it. [`Suite::run`] and
 //! [`Suite::run_mix`] put the layout memo in front of them; [`run_plan`] is
-//! the one-shot a search's verification calls with the plan its scorer
-//! compiled.
+//! the one-shot for a plan compiled elsewhere: the one a search's scorer
+//! compiled, or one from the job server's plan memo.
 //!
 //! The threads come from one fan-out, [`pull_beside`], which
 //! [`parallel_map`] and the search's verification both call.
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
 use hoploc_layout::{Granularity, L2Mode};
-use hoploc_noc::{L2ToMcMapping, McPlacement};
+use hoploc_noc::{L2ToMcMapping, Placement};
 use hoploc_obs::{JsonWriter, ObsConfig, ObsReport};
 use hoploc_sim::{Cancel, PrefetchConfig, PrefetchMode, RunStats, SimConfig, TraceWorkload};
 use hoploc_workloads::{App, RunKind, Scale, MAX_THREADS_PER_CORE};
@@ -51,7 +51,6 @@ use hoploc_workloads::{App, RunKind, Scale, MAX_THREADS_PER_CORE};
 mod fan;
 mod run;
 pub use fan::{parallel_map, pull_beside};
-use run::layout_class;
 pub use run::run_plan;
 
 /// One cell of the run matrix: which app (by index into the suite) and
@@ -160,7 +159,7 @@ impl RunRecord {
 /// of the paper varies — named once for the CLI, the serve wire and the
 /// canonical job key alike. A new knob is a field here, a term in
 /// [`canon_parts`](Self::canon_parts), a line in [`sim`](Self::sim) (or
-/// [`mapping`](Self::mapping)), one flag and one wire member.
+/// [`placement`](Self::placement)), one flag and one wire member.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MachineSpec {
     /// Problem size.
@@ -256,7 +255,6 @@ impl MachineSpec {
     }
 
     /// The canonical name of this machine: equal strings, equal machines.
-    /// A server pools one [`Suite`] per value.
     pub fn canon(&self) -> String {
         let (head, tail) = self.canon_parts();
         head + &tail
@@ -273,20 +271,25 @@ impl MachineSpec {
         }
     }
 
-    /// The L2-to-MC mapping: M1 (nearest cluster) or M2 (halves) over the
-    /// scaled machine's mesh.
-    pub fn mapping(&self) -> L2ToMcMapping {
+    /// The controllers and the L2-to-MC mapping: M1 (nearest cluster) or
+    /// M2 (halves) over the scaled machine's mesh and corner controllers.
+    pub fn placement(&self) -> Placement {
         let sim = SimConfig::scaled();
         if self.m2 {
-            L2ToMcMapping::halves(sim.mesh, &McPlacement::Corners)
+            Placement::halves(sim.mesh, &sim.placement)
         } else {
-            L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement)
+            Placement::nearest(sim.mesh, &sim.placement)
         }
     }
 
-    /// The harness every command and every served job runs `apps` through
-    /// on this machine (`apps` are the caller's: one application, the
-    /// suite at [`scale`](Self::scale), a server's shared catalogue).
+    /// The L2-to-MC mapping half of [`placement`](Self::placement).
+    pub fn mapping(&self) -> L2ToMcMapping {
+        self.placement().into_mapping()
+    }
+
+    /// The harness every command runs `apps` through on this machine
+    /// (`apps` are the caller's: one application, or the suite at
+    /// [`scale`](Self::scale)).
     pub fn suite(&self, apps: impl Into<Arc<[App]>>) -> Suite {
         Suite::new(apps, self.mapping(), self.sim()).with_threads_per_core(self.threads)
     }
@@ -405,8 +408,6 @@ pub struct CacheCounters {
     pub layout_hits: u64,
     /// Layout-plan cache misses (compiles performed).
     pub layout_misses: u64,
-    /// Layout-plan entries evicted by the capacity bound.
-    pub layout_evictions: u64,
 }
 
 /// A fixed (apps, mapping, config, threads-per-core) context whose run
@@ -416,8 +417,8 @@ pub struct CacheCounters {
 /// config, and experiments that sweep configs (mesh sizes, placements,
 /// granularities) build one suite per point.
 pub struct Suite {
-    /// Shared, not owned: the suites of a server's pool hold one copy of
-    /// the programs.
+    /// Shared, not owned: a caller that builds several suites over one
+    /// scale's programs holds one copy of them.
     apps: Arc<[App]>,
     mapping: L2ToMcMapping,
     sim: SimConfig,
@@ -427,9 +428,8 @@ pub struct Suite {
 
 impl Suite {
     /// Creates a suite over `apps` under one mapping and simulator config.
-    /// The layout cache is unbounded — right for one-shot sweeps where the
-    /// whole matrix is live at once; resident processes should bound it
-    /// with [`with_cache_cap`](Self::with_cache_cap).
+    /// The layout cache is unbounded: it holds at most two plans per
+    /// application, one per [`RunKind::layout_class`].
     pub fn new(apps: impl Into<Arc<[App]>>, mapping: L2ToMcMapping, sim: SimConfig) -> Self {
         Self {
             apps: apps.into(),
@@ -445,17 +445,6 @@ impl Suite {
     pub fn with_threads_per_core(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread per core");
         self.threads_per_core = threads;
-        self
-    }
-
-    /// Bounds the layout cache to at most `layout_cap` completed entries
-    /// (least-recently-used eviction; `0` means unbounded). Builder-style:
-    /// call before the first run. The cap never changes results — every
-    /// plan is a pure function of its key, so a rebuild after eviction is
-    /// bit-identical — it only bounds the memory a long-lived process can
-    /// pin. Traces are never kept: each run streams its own.
-    pub fn with_cache_cap(mut self, layout_cap: usize) -> Self {
-        self.layouts = Memo::new((layout_cap > 0).then_some(layout_cap));
         self
     }
 
@@ -494,15 +483,15 @@ impl Suite {
     /// prediction/simulation mismatch can only come from the model, never
     /// from divergent layout inputs.
     pub fn layout_plan(&self, app: usize, kind: RunKind) -> Arc<hoploc_layout::ProgramLayout> {
-        let class = layout_class(kind);
+        let class = kind.layout_class();
         self.layouts.get_or((app, class), || {
             hoploc_workloads::layout_for(&self.apps[app], &self.mapping, &self.sim, class)
         })
     }
 
-    /// Runs one request through the layout memo. Pure in the request — on
-    /// a suite of one thread per core, a run is bit-identical to
-    /// [`run_plan`] on a fresh [`hoploc_workloads::layout_for`] plan.
+    /// Runs one request through the layout memo. Pure in the request — a
+    /// run is bit-identical to [`run_plan`] at the suite's threads per core
+    /// on a fresh [`hoploc_workloads::layout_for`] plan.
     pub fn run(&self, req: &RunRequest) -> RunOutput {
         let (app, kind) = (&self.apps[req.spec.app], req.spec.kind);
         let plan = self.layout_plan(req.spec.app, kind);
@@ -563,7 +552,6 @@ impl Suite {
         CacheCounters {
             layout_hits: self.layouts.hits.load(Ordering::Relaxed),
             layout_misses: self.layouts.misses.load(Ordering::Relaxed),
-            layout_evictions: self.layouts.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -679,7 +667,6 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
         (w.key("cache").obj())
             .field("layout_hits", c.layout_hits)
             .field("layout_misses", c.layout_misses)
-            .field("layout_evictions", c.layout_evictions)
             .end_obj();
         members.push(w.take());
     }
@@ -690,7 +677,7 @@ pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String
 mod tests {
     use super::*;
     use hoploc_fault::FaultRates;
-    use hoploc_noc::{Mesh, Placement};
+    use hoploc_noc::{McPlacement, Mesh};
     use hoploc_ptest::run_cases;
     use hoploc_workloads::{all_apps, layout_for, mgrid, swim, weighted_speedup, wupwise};
 
@@ -707,7 +694,7 @@ mod tests {
     fn run_fresh(app: &App, sim: &SimConfig, kind: RunKind) -> RunStats {
         let placement = Placement::nearest(sim.mesh, &sim.placement);
         let plan = layout_for(app, placement.mapping(), sim, kind);
-        run_plan(app, &plan, &placement, sim, kind, &Cancel::never())
+        run_plan(app, &plan, &placement, sim, 1, kind, &Cancel::never())
     }
 
     /// The four (faults, obs) corners of a request, over every cell: the
@@ -780,13 +767,22 @@ mod tests {
         assert_eq!(c.layout_hits, 4, "{c:?}");
     }
 
-    /// Over random cells, fault plans and recordings, the one-shot on the
-    /// suite's own plan is the suite's run, field for field.
+    /// Over random cells, threads per core, fault plans and recordings,
+    /// the one-shot on the suite's own plan is the suite's run, field for
+    /// field.
     #[test]
     fn the_one_shot_on_a_suites_plan_is_its_run() {
-        let s = test_machine().suite(all_apps(Scale::Test));
-        let placement = Placement::nearest(s.sim().mesh, &s.sim().placement);
+        let apps: Arc<[App]> = all_apps(Scale::Test).into();
+        let suites = [1, 2].map(|threads| {
+            let machine = MachineSpec {
+                threads,
+                ..test_machine()
+            };
+            (threads, machine.suite(apps.clone()))
+        });
+        let placement = test_machine().placement();
         run_cases("harness.run_plan.suite", 8, |rng| {
+            let (threads, s) = &suites[rng.usize_in(0..suites.len())];
             let app = rng.usize_in(0..s.apps().len());
             let kind = RunKind::ALL[rng.usize_in(0..RunKind::ALL.len())];
             let rates = FaultRates::moderate();
@@ -810,10 +806,11 @@ mod tests {
                 &layout,
                 &placement,
                 &sim,
+                *threads,
                 kind,
                 &Cancel::never(),
             );
-            assert_eq!(once, s.run(&req).stats, "{req:?}");
+            assert_eq!(once, s.run(&req).stats, "{threads} threads, {req:?}");
         });
     }
 
@@ -823,12 +820,12 @@ mod tests {
         let app = swim(Scale::Test);
         let small = hoploc_layout::baseline_layout(&app.program, 16);
         let sim = test_machine().sim();
-        let placement = Placement::nearest(sim.mesh, &sim.placement);
         run_plan(
             &app,
             &small,
-            &placement,
+            &test_machine().placement(),
             &sim,
+            1,
             RunKind::Baseline,
             &Cancel::never(),
         );
@@ -951,24 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_suite_caches_match_unbounded_results() {
-        let kinds = [RunKind::Baseline, RunKind::Optimized, RunKind::Optimal];
-        let unbounded = suite2();
-        let reqs = unbounded.full_matrix(&kinds);
-        let free = unbounded.run_all(&reqs, 2);
-        let bounded = suite2().with_cache_cap(1);
-        let tight = bounded.run_all(&reqs, 2);
-        for (a, b) in free.iter().zip(&tight) {
-            assert_eq!(a.stats, b.stats, "eviction changed a result");
-        }
-        let c = bounded.cache_counters();
-        assert!(
-            c.layout_evictions > 0,
-            "cap 1 across 2 apps x 2 layout classes must evict: {c:?}"
-        );
-    }
-
-    #[test]
     fn record_json_adds_prefetch_block_only_when_prefetching_happened() {
         let req = RunRequest::new(RunSpec {
             app: 0,
@@ -1060,7 +1039,7 @@ mod tests {
         let sim = gated.sim();
         assert_eq!(
             gated.mapping(),
-            hoploc_noc::Placement::halves(sim.mesh, &McPlacement::Corners).into_mapping()
+            Placement::halves(sim.mesh, &McPlacement::Corners).into_mapping()
         );
     }
 }

@@ -16,16 +16,6 @@ use hoploc_workloads::{generate_traces, App, RunKind, TraceGen};
 
 use crate::{RunOutput, RunRequest, RunSpec};
 
-/// The kind whose compiled layout (and so whose trace) a run of `kind`
-/// replays — the layout memo's key discriminant. Baseline, FirstTouch, and
-/// Optimal all run the original layouts.
-pub(crate) fn layout_class(kind: RunKind) -> RunKind {
-    match kind {
-        RunKind::Optimized => RunKind::Optimized,
-        RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => RunKind::Baseline,
-    }
-}
-
 /// A plan made ready to simulate: its program's address space, plus the
 /// page → MC map the compiler asks the OS for. Only the optimized side has
 /// one, and it is empty under cache-line interleaving, where the layout
@@ -45,7 +35,7 @@ pub(crate) fn prepare(
     page_bytes: u64,
 ) -> Prepared {
     let space = AddressSpace::build(&app.program, plan, origin);
-    let desired = match layout_class(kind) {
+    let desired = match kind.layout_class() {
         RunKind::Optimized => space.desired_page_mcs(&app.program, plan, page_bytes),
         _ => HashMap::new(),
     };
@@ -109,10 +99,12 @@ pub(crate) fn simulate(
 }
 
 /// Runs `app` once as a `kind` run under a `plan` its caller compiled:
-/// one thread per core, on the machine `sim` describes with `placement`'s
-/// controllers and L2-to-MC mapping. This is what a design-space search
-/// verifies each machine with — the plan its scorer compiled, simulated
-/// as a suite of one cell would, with no memo in front.
+/// `threads_per_core` threads on every core, on the machine `sim`
+/// describes (its fault plan included) with `placement`'s controllers and
+/// L2-to-MC mapping. This is what a design-space search verifies each
+/// machine with — the plan its scorer compiled — and what the job server
+/// runs a cycle job with, on a plan from its memo: simulated as a suite
+/// of one cell would, with no memo in front.
 ///
 /// # Panics
 ///
@@ -123,6 +115,7 @@ pub fn run_plan(
     plan: &ProgramLayout,
     placement: &Placement,
     sim: &SimConfig,
+    threads_per_core: usize,
     kind: RunKind,
     cancel: &Cancel,
 ) -> RunStats {
@@ -136,7 +129,8 @@ pub fn run_plan(
         ..sim.clone()
     };
     let prepared = prepare(app, plan, kind, 0, sim.page_bytes);
-    let (workload, desired) = (prepared.traces(app, plan, 1), &prepared.desired);
+    let workload = prepared.traces(app, plan, threads_per_core);
+    let desired = &prepared.desired;
     let req = RunRequest {
         cancel: Some(cancel),
         ..RunRequest::new(RunSpec { app: 0, kind })

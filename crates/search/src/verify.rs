@@ -109,7 +109,7 @@ impl Machine {
             ..base.clone()
         };
         let kind = RunKind::Optimized;
-        run_plan(app, &self.layout, &self.placement, &sim, kind, cancel).exec_cycles
+        run_plan(app, &self.layout, &self.placement, &sim, 1, kind, cancel).exec_cycles
     }
 }
 

@@ -384,7 +384,7 @@ fn simulate_alone(app: &App, sim: &SimConfig, c: &Candidate) -> RunStats {
     };
     let kind = RunKind::Optimized;
     let plan = layout_with(app, placement.mapping(), &cell, kind, c.approx);
-    run_plan(app, &plan, &placement, &cell, kind, &Cancel::never())
+    run_plan(app, &plan, &placement, &cell, 1, kind, &Cancel::never())
 }
 
 /// Equal [`hoploc_search::Machine`]s are one simulation: along random

@@ -24,7 +24,7 @@ const SEEDS: [u64; 2] = [0, 0x5e4e_bd8e_edcd_b1cc];
 fn simulate_alone(app: &App, placement: &Placement, sim: &SimConfig, approx: f64) -> u64 {
     let kind = RunKind::Optimized;
     let plan = layout_with(app, placement.mapping(), sim, kind, approx);
-    run_plan(app, &plan, placement, sim, kind, &Cancel::never()).exec_cycles
+    run_plan(app, &plan, placement, sim, 1, kind, &Cancel::never()).exec_cycles
 }
 
 /// Reference: cycle-sim completion time of one candidate.

@@ -1,20 +1,21 @@
 //! The execution engine: how the server turns an accepted [`JobSpec`]
 //! into result bytes.
 //!
-//! [`SuiteEngine`] is the real one. It owns a bounded pool of
-//! [`hoploc_harness::Suite`]s keyed by [`hoploc_harness::MachineSpec::canon`],
-//! so every job on the same machine shares one suite — and with
-//! it the memoized (and capacity-bounded) layout cache. Results
-//! are the raw [`hoploc_harness::record_json`] bytes of the run, which is
-//! exactly what `hoploc sweep --json` embeds per record: a served result
-//! is byte-identical to a direct run by construction.
+//! [`SuiteEngine`] is the real one. It keeps every compiled layout plan in
+//! one memo keyed by exactly what the layout pass reads — scale,
+//! granularity, L2 organization, mapping, application and layout class —
+//! so the jobs of one cell share one compile whatever their threads per
+//! core, prefetch engine or faults. A cycle job runs that plan through
+//! [`hoploc_harness::run_plan`], the one-shot a search's verification also
+//! calls; its result is the raw [`hoploc_harness::record_json`] bytes of
+//! the run, which is exactly what `hoploc sweep --json` embeds per record:
+//! a served result is byte-identical to a direct run by construction.
 //!
 //! A request builds nothing it does not execute. Admission compares the
 //! application name with [`APP_NAMES`]; each scale's 13 programs are built
-//! once per engine, on the scale's first executed job, and every suite in
-//! the pool holds that one `Arc<[App]>`; estimator jobs share one
-//! [`Footprint`] across the kinds, granularities and mappings that cannot
-//! change it.
+//! once per engine, on the scale's first executed job; estimator jobs
+//! route the same plan through one [`Footprint`] shared across the kinds,
+//! granularities and mappings that cannot change it.
 //!
 //! The trait exists so tests can substitute slow, failing or panicking
 //! engines for the backpressure, timeout and panic paths.
@@ -22,10 +23,12 @@
 use crate::job::{FaultSpec, Fidelity, JobSpec};
 use hoploc_est::{est_record_json, EstConfig, Footprint, FootprintInputs};
 use hoploc_fault::{FaultPlan, FaultRates};
-use hoploc_harness::{fault_topo, record_json, Memo, RunRecord, RunRequest, RunSpec, Suite};
+use hoploc_harness::{fault_topo, record_json, run_plan, MachineSpec, Memo, RunRecord};
+use hoploc_layout::{Granularity, L2Mode, ProgramLayout};
+use hoploc_noc::Placement;
 use hoploc_search::{search_app, Objective, SearchConfig};
-use hoploc_sim::{Cancel, PrefetchMode};
-use hoploc_workloads::{all_apps, App, RunKind, Scale, APP_NAMES};
+use hoploc_sim::{Cancel, PrefetchMode, SimConfig};
+use hoploc_workloads::{all_apps, layout_for, App, RunKind, Scale, APP_NAMES};
 use std::sync::{Arc, OnceLock};
 
 /// Executes jobs. Implementations must be safe to call from many worker
@@ -45,51 +48,54 @@ pub trait Engine: Send + Sync {
         -> Result<String, String>;
 }
 
-/// Layout plans each suite keeps resident: two layout classes per app.
-/// Plans are all a suite keeps: a trace streams through its run and is
-/// gone when the run ends, so a served cycle job holds one chunk per
-/// thread, never a whole trace.
-const LAYOUT_CAP: usize = 32;
+/// What [`SuiteEngine::new`] takes. No bound is left to set: plans are
+/// finite by their key and footprints are capped by a constant.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EngineCaps {}
 
-/// How many distinct configurations the engine keeps. What each suite
-/// keeps is fixed (`LAYOUT_CAP`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EngineCaps {
-    /// Distinct simulator configurations (suites) kept alive at once.
-    pub suite_cap: usize,
-}
-
-impl Default for EngineCaps {
-    fn default() -> Self {
-        EngineCaps { suite_cap: 4 }
-    }
-}
+/// What a compiled layout plan is a function of: the application (scale
+/// and index into [`APP_NAMES`]), the three machine terms the layout pass
+/// reads (granularity, L2 organization, `MachineSpec::m2`) and the
+/// [`RunKind::layout_class`]. Threads per core and prefetching are not
+/// read, so they are not in it. Every term is an enum, a flag or an index
+/// into [`APP_NAMES`]: 2·2·2·2·13·2 = 416 keys, so the memo needs no cap.
+type PlanKey = (Scale, Granularity, L2Mode, bool, usize, RunKind);
 
 /// What a shared [`Footprint`] is a function of: the application (scale
-/// and suite index) and [`EstConfig::footprint_inputs`]. Admission bounds
-/// `threads`, the only input a request sets freely, so the key space is
-/// finite.
+/// and index into [`APP_NAMES`]) and [`EstConfig::footprint_inputs`].
+/// Admission bounds `threads`, the only input a request sets freely, so
+/// the key space is finite.
 type FootprintKey = (Scale, usize, FootprintInputs);
 
-/// The production engine: bounded suite pool over the real harness.
+/// Footprints kept resident: one per application for four cache shapes.
+const FOOTPRINT_CAP: usize = 4 * APP_NAMES.len();
+
+/// The production engine: memoized plans and footprints over the real
+/// harness.
 pub struct SuiteEngine {
     /// The applications of [`Scale::Test`] and [`Scale::Bench`], each built
-    /// on first use, index tables included, and kept: every suite of a
-    /// scale shares them.
+    /// on first use, index tables included, and kept.
     catalogue: [OnceLock<Arc<[App]>>; 2],
-    suites: Memo<String, Suite>,
+    /// The M1 and M2 placements, indexed by `MachineSpec::m2`.
+    placements: [Placement; 2],
+    plans: Memo<PlanKey, ProgramLayout>,
     footprints: Memo<FootprintKey, Footprint>,
 }
 
 impl SuiteEngine {
-    /// An engine with the given residency bounds.
-    pub fn new(caps: EngineCaps) -> Self {
-        let suites = caps.suite_cap.max(1);
+    /// An engine with nothing built yet.
+    pub fn new(_caps: EngineCaps) -> Self {
         SuiteEngine {
             catalogue: [OnceLock::new(), OnceLock::new()],
-            suites: Memo::new(Some(suites)),
-            // One footprint per application of every resident suite.
-            footprints: Memo::new(Some(APP_NAMES.len() * suites)),
+            placements: [false, true].map(|m2| {
+                let machine = MachineSpec {
+                    m2,
+                    ..MachineSpec::default()
+                };
+                machine.placement()
+            }),
+            plans: Memo::new(None),
+            footprints: Memo::new(Some(FOOTPRINT_CAP)),
         }
     }
 
@@ -104,17 +110,6 @@ impl SuiteEngine {
             // Build every table now, so no served request pays for one.
             apps.iter().for_each(|app| app.program.build_tables());
             apps.into()
-        })
-    }
-
-    /// The shared suite for this job's machine, building (and
-    /// LRU-evicting) as needed.
-    fn suite_for(&self, spec: &JobSpec) -> Arc<Suite> {
-        let machine = &spec.machine;
-        self.suites.get_or(machine.canon(), || {
-            machine
-                .suite(self.apps(machine.scale).clone())
-                .with_cache_cap(LAYOUT_CAP)
         })
     }
 
@@ -144,23 +139,6 @@ impl SuiteEngine {
             ..SearchConfig::new(spec.machine.sim(), spec.machine.scale)
         };
         Ok(search_app(app, &cfg, &mut |line| emit(line)).to_json())
-    }
-
-    fn resolve_plan(spec: &JobSpec, suite: &Suite) -> Result<Option<FaultPlan>, String> {
-        let topo = fault_topo(suite.sim());
-        match &spec.faults {
-            FaultSpec::None => Ok(None),
-            FaultSpec::Seed(seed) => Ok(Some(FaultPlan::from_seed(
-                *seed,
-                &topo,
-                &FaultRates::moderate(),
-            ))),
-            FaultSpec::Plan(plan) => {
-                plan.validate(&topo)
-                    .map_err(|e| format!("fault plan does not fit this machine: {e}"))?;
-                Ok(Some(plan.clone()))
-            }
-        }
     }
 }
 
@@ -224,37 +202,49 @@ impl Engine for SuiteEngine {
         if spec.search.is_some() {
             return self.run_search(spec, emit, cancel);
         }
-        let suite = self.suite_for(spec);
-        let app_idx = suite
-            .apps()
-            .iter()
+        let m = &spec.machine;
+        let apps = self.apps(m.scale);
+        let idx = (apps.iter())
             .position(|a| a.name() == spec.app)
             .ok_or_else(|| format!("unknown application {:?}", spec.app))?;
-        let run = RunSpec {
-            app: app_idx,
-            kind: spec.kind,
-        };
+        let app = &apps[idx];
+        let placement = &self.placements[usize::from(m.m2)];
+        let sim = m.sim();
+        let class = spec.kind.layout_class();
+        // The est and cycle tiers of a cell read this one plan, so the two
+        // disagree only by model, never by input.
+        let key = (m.scale, m.granularity, m.l2_mode, m.m2, idx, class);
+        let plan = self
+            .plans
+            .get_or(key, || layout_for(app, placement.mapping(), &sim, class));
         if spec.fidelity == Fidelity::Est {
-            // Same compiled plan the cycle tier would replay, so the two
-            // tiers disagree only by model, never by input.
-            let plan = suite.layout_plan(run.app, run.kind);
-            let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(spec.machine.threads);
+            let cfg = EstConfig::from_sim(&sim).with_threads_per_core(m.threads);
             // `estimate_app` in two steps: the footprint is shared by every
             // kind, granularity and mapping of this application.
-            let footprint = self.footprints.get_or(
-                (spec.machine.scale, run.app, cfg.footprint_inputs()),
-                || Footprint::of(&suite.apps()[run.app], &cfg),
-            );
-            let est = footprint.route(&plan, suite.mapping(), run.kind, &cfg);
+            let key = (m.scale, idx, cfg.footprint_inputs());
+            let footprint = self.footprints.get_or(key, || Footprint::of(app, &cfg));
+            let est = footprint.route(&plan, placement.mapping(), spec.kind, &cfg);
             return Ok(est_record_json(&est));
         }
-        let plan = Self::resolve_plan(spec, &suite)?;
-        let req = RunRequest {
-            faults: plan.as_ref(),
-            cancel: Some(cancel),
-            ..RunRequest::new(run)
+        let run =
+            |sim: &SimConfig| run_plan(app, &plan, placement, sim, m.threads, spec.kind, cancel);
+        let faults = match &spec.faults {
+            FaultSpec::None => None,
+            // Windows placed over the cell's clean run land inside the
+            // faulted one. A clean run cut short by the deadline is
+            // answered `timeout` by the server, whatever follows it.
+            FaultSpec::Seed(seed) => {
+                let rates = FaultRates::moderate().with_horizon(run(&sim).exec_cycles);
+                Some(FaultPlan::from_seed(*seed, &fault_topo(&sim), &rates))
+            }
+            FaultSpec::Plan(given) => {
+                given
+                    .validate(&fault_topo(&sim))
+                    .map_err(|e| format!("fault plan does not fit this machine: {e}"))?;
+                Some(given.clone())
+            }
         };
-        let stats = suite.run(&req).stats;
+        let stats = run(&SimConfig { faults, ..sim });
         Ok(record_json(&RunRecord::new(&*spec.app, spec.kind, stats)))
     }
 }
@@ -262,8 +252,7 @@ impl Engine for SuiteEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoploc_harness::MachineSpec;
-    use hoploc_layout::{Granularity, L2Mode};
+    use hoploc_harness::{RunRequest, RunSpec};
     use hoploc_workloads::MAX_THREADS_PER_CORE;
 
     /// A job run to completion, its progress dropped.
@@ -319,71 +308,91 @@ mod tests {
         }
     }
 
-    /// Est and cycle jobs over more machine configurations than the pool
-    /// holds: suites come and go, the applications under them are built
-    /// once, est jobs share footprints, and every served byte is what a
-    /// fresh direct `Suite` + `estimate_app` / `run` produces.
+    /// What a fresh direct `Suite` answers for swim's `kind` cell of
+    /// `machine`: `estimate_app` on its plan, or its run.
+    fn direct(machine: MachineSpec, kind: RunKind, fidelity: Fidelity) -> String {
+        let suite = machine.suite(all_apps(machine.scale));
+        let swim = APP_NAMES.iter().position(|&a| a == "swim").unwrap();
+        match fidelity {
+            Fidelity::Est => {
+                let cfg = EstConfig::from_sim(suite.sim()).with_threads_per_core(machine.threads);
+                let plan = suite.layout_plan(swim, kind);
+                let app = &suite.apps()[swim];
+                let est = hoploc_est::estimate_app(app, &plan, suite.mapping(), kind, &cfg);
+                est_record_json(&est)
+            }
+            Fidelity::Cycle => {
+                let stats = suite
+                    .run(&RunRequest::new(RunSpec { app: swim, kind }))
+                    .stats;
+                record_json(&RunRecord::new("swim", kind, stats))
+            }
+        }
+    }
+
+    /// Est and cycle jobs over the 16 layout configurations (scale ×
+    /// granularity × L2 organization × mapping), then threads {1, 2} ×
+    /// prefetch {off, gated} on one of them: every served byte is what a
+    /// fresh direct `Suite` + `estimate_app` / `run` produces, the plan
+    /// memo compiles each (configuration, app, class) once whatever the
+    /// threads or prefetch engine, and est jobs share footprints.
     #[test]
-    fn evicting_pool_shares_one_catalogue_and_serves_direct_bytes() {
-        use hoploc_est::estimate_app;
-        let eng = SuiteEngine::new(EngineCaps { suite_cap: 2 });
-        for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+    fn plans_keyed_by_what_the_pass_reads_serve_direct_bytes() {
+        let eng = SuiteEngine::new(EngineCaps::default());
+        let check = |machine: MachineSpec, kind, fidelity| {
+            let job = JobSpec {
+                kind,
+                fidelity,
+                machine,
+                ..spec("swim")
+            };
+            let want = direct(machine, kind, fidelity);
+            assert_eq!(run(&eng, &job).unwrap(), want, "{}", job.canon());
+        };
+        for scale in [Scale::Test, Scale::Bench] {
             for granularity in [Granularity::CacheLine, Granularity::Page] {
-                for m2 in [false, true] {
-                    let mut machine = spec("swim");
-                    machine.machine = MachineSpec {
-                        granularity,
-                        l2_mode,
-                        m2,
-                        ..machine.machine
-                    };
-                    let direct = machine.machine.suite(all_apps(Scale::Test));
-                    let swim = direct
-                        .apps()
-                        .iter()
-                        .position(|a| a.name() == "swim")
-                        .unwrap();
-                    for kind in RunKind::ALL {
-                        let job = JobSpec {
-                            kind,
-                            fidelity: Fidelity::Est,
-                            ..machine.clone()
+                for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+                    for m2 in [false, true] {
+                        let machine = MachineSpec {
+                            scale,
+                            granularity,
+                            l2_mode,
+                            m2,
+                            ..MachineSpec::default()
                         };
-                        let est = estimate_app(
-                            &direct.apps()[swim],
-                            &direct.layout_plan(swim, kind),
-                            direct.mapping(),
-                            kind,
-                            &EstConfig::from_sim(direct.sim()),
-                        );
-                        assert_eq!(
-                            run(&eng, &job).unwrap(),
-                            est_record_json(&est),
-                            "{}",
-                            job.canon()
-                        );
+                        for kind in RunKind::ALL {
+                            check(machine, kind, Fidelity::Est);
+                        }
+                        for kind in [RunKind::Baseline, RunKind::Optimized] {
+                            check(machine, kind, Fidelity::Cycle);
+                        }
                     }
-                    if l2_mode == L2Mode::Private {
-                        let cell = RunSpec {
-                            app: swim,
-                            kind: RunKind::Baseline,
-                        };
-                        let stats = direct.run(&RunRequest::new(cell)).stats;
-                        let record = record_json(&RunRecord::new("swim", cell.kind, stats));
-                        assert_eq!(run(&eng, &machine).unwrap(), record, "{}", machine.canon());
-                    }
-                    // The suite that just served is live, and holds the
-                    // catalogue's applications, not a copy.
-                    assert_eq!(
-                        eng.suite_for(&machine).apps().as_ptr(),
-                        eng.apps(Scale::Test).as_ptr()
-                    );
-                    assert!(eng.suites.resident() <= 2);
                 }
             }
         }
-        // Thirty-two est jobs, one footprint per cache organization.
-        assert_eq!(eng.footprints.resident(), 2);
+        // Swim's two layout classes on each of the 16 configurations.
+        assert_eq!(eng.plans.resident(), 32);
+        for threads in [1, 2] {
+            for prefetch in [PrefetchMode::Off, PrefetchMode::Gated] {
+                let machine = MachineSpec {
+                    threads,
+                    prefetch,
+                    ..MachineSpec::at(Scale::Test)
+                };
+                for kind in RunKind::ALL {
+                    if prefetch == PrefetchMode::Off {
+                        check(machine, kind, Fidelity::Est);
+                    }
+                    check(machine, kind, Fidelity::Cycle);
+                }
+            }
+        }
+        // No variant compiled again: the memo has no cap, so what it holds
+        // is what it built.
+        assert_eq!(eng.plans.resident(), 32);
+        // One footprint per scale and cache organization, and one for two
+        // threads per core.
+        assert_eq!(eng.footprints.resident(), 5);
     }
 
     #[test]
@@ -532,25 +541,20 @@ mod tests {
         assert!(eng.validate(&bad).unwrap_err().contains("objective"));
     }
 
+    /// A seeded plan's windows are placed over the cell's own clean run,
+    /// so even a test-scale run meets them.
     #[test]
     fn seeded_faults_are_deterministic() {
         let eng = SuiteEngine::new(EngineCaps::default());
+        let clean = spec("swim");
         let mut s = spec("swim");
         s.faults = FaultSpec::Seed(7);
-        assert_eq!(run(&eng, &s).unwrap(), run(&eng, &s).unwrap());
-    }
-
-    #[test]
-    fn suite_pool_is_bounded() {
-        let eng = SuiteEngine::new(EngineCaps { suite_cap: 1 });
-        let a = spec("swim");
-        let mut b = spec("swim");
-        b.machine.granularity = Granularity::Page;
-        let _ = eng.suite_for(&a);
-        let _ = eng.suite_for(&b);
-        assert_eq!(eng.suites.resident(), 1);
-        let mut c = spec("swim");
-        c.machine.l2_mode = L2Mode::Shared;
-        assert_ne!(a.config_canon(), c.config_canon());
+        let seeded = run(&eng, &s).unwrap();
+        assert_eq!(seeded, run(&eng, &s).unwrap());
+        assert_ne!(
+            seeded,
+            run(&eng, &clean).unwrap(),
+            "the plan changed nothing"
+        );
     }
 }

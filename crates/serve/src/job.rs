@@ -18,7 +18,8 @@ pub enum FaultSpec {
     /// No injection: bit-identical to a fault-free run.
     None,
     /// Generate a moderate-intensity plan from this seed against the
-    /// server's machine topology (deterministic: same seed, same plan).
+    /// server's machine topology, its windows placed over the cell's clean
+    /// run (deterministic: same seed and cell, same plan).
     Seed(u64),
     /// An explicit plan, e.g. parsed from the `hoploc faults` text format.
     Plan(FaultPlan),
@@ -178,10 +179,9 @@ impl JobSpec {
         JobKey { canon, hash }
     }
 
-    /// The configuration part of the canonical form — everything that
-    /// selects a harness `Suite` (the engine shares one suite, and so one
-    /// layout cache, across all apps/kinds/faults under the
-    /// same configuration).
+    /// The configuration part of the canonical form: the machine
+    /// ([`MachineSpec::canon`](hoploc_harness::MachineSpec::canon)), without
+    /// the application, kind, faults, fidelity or search.
     pub fn config_canon(&self) -> String {
         self.machine.canon()
     }

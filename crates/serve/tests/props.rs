@@ -170,9 +170,9 @@ fn pre_fidelity_requests_parse_and_key_identically() {
 #[test]
 fn pre_prefetch_requests_parse_and_key_identically() {
     // A request written by a client that predates the `prefetch` field
-    // must parse to the Off default and produce the exact key (and suite
-    // config key) it always did — cached results, coalescing entries, and
-    // warm suites minted before the knob existed stay hits.
+    // must parse to the Off default and produce the exact key (and
+    // configuration canon) it always did — cached results and coalescing
+    // entries minted before the knob existed stay hits.
     run_cases("serve.key.preprefetch", 200, |rng| {
         let mut spec = random_spec(rng);
         spec.machine.prefetch = PrefetchMode::Off;

@@ -50,6 +50,16 @@ impl RunKind {
                 format!("unknown run kind {s:?} (use baseline, optimized, first-touch, or optimal)")
             })
     }
+
+    /// The kind whose compiled layout (and so whose trace) a run of this
+    /// kind replays: Baseline, FirstTouch and Optimal all run the original
+    /// layouts, so one compile serves the three. Layout memos key on it.
+    pub fn layout_class(self) -> RunKind {
+        match self {
+            RunKind::Optimized => RunKind::Optimized,
+            RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => RunKind::Baseline,
+        }
+    }
 }
 
 /// Builds the program layout an experiment side uses.
@@ -95,10 +105,8 @@ pub struct LayoutPlanner<'a> {
 impl<'a> LayoutPlanner<'a> {
     /// Analyzes `app` for the `kind` side of an experiment.
     pub fn new(app: &'a App, kind: RunKind) -> Self {
-        let analysis = match kind {
-            RunKind::Optimized => Some(ProgramAnalysis::of(&app.program)),
-            RunKind::Baseline | RunKind::FirstTouch | RunKind::Optimal => None,
-        };
+        let analysis =
+            (kind.layout_class() == RunKind::Optimized).then(|| ProgramAnalysis::of(&app.program));
         Self { app, analysis }
     }
 

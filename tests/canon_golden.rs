@@ -177,13 +177,12 @@ fn escaped_strings_are_pinned_in_all_four_documents() {
     let counters = CacheCounters {
         layout_hits: 1,
         layout_misses: 2,
-        layout_evictions: 3,
     };
     assert_eq!(
         to_json(&[record(), record()], Some(counters)),
         format!(
             "{{\n  \"runs\": [\n    {unit},\n    {unit}\n  ],\n  \"cache\": \
-             {{\"layout_hits\": 1, \"layout_misses\": 2, \"layout_evictions\": 3}}\n}}\n"
+             {{\"layout_hits\": 1, \"layout_misses\": 2}}\n}}\n"
         )
     );
 
