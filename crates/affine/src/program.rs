@@ -81,12 +81,19 @@ impl fmt::Display for ArrayDecl {
 /// A generator of index-table values: what [`Program::declare_table`]
 /// stores in place of the values, which are built on the table's first
 /// read.
+///
+/// Every parameter set a generator accepts has `len ≥ 1`, `extent ≥ 1`,
+/// `jitter ≥ 0` and `seed ≥ 0`, and every intermediate of its closed form
+/// fits an `i64`; [`Program::declare_table`] rejects any other. Over that
+/// domain [`values`](Self::values) builds each entry from the previous
+/// one, without a division.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TableGen {
     /// A near-affine index table: a diagonal band with bounded jitter,
     /// like a reordered-mesh CRS column index. Entry `k` is `k·extent/len`
-    /// plus a hashed jitter in `[-jitter, jitter]`, clamped into
-    /// `[0, extent)`. Approximates well (§5.4).
+    /// plus the jitter `((k·1103515245 + seed·12345) >> 4) mod
+    /// (2·jitter + 1) − jitter`, clamped into `[0, extent)`. Approximates
+    /// well (§5.4).
     Banded {
         /// Number of entries.
         len: i64,
@@ -98,7 +105,7 @@ pub enum TableGen {
         seed: i64,
     },
     /// A scrambled index table with no affine structure (fails
-    /// approximation): entry `k` is `|(k·2654435761 + seed) mod extent|`.
+    /// approximation): entry `k` is `(k·2654435761 + seed) mod extent`.
     Scrambled {
         /// Number of entries.
         len: i64,
@@ -109,25 +116,131 @@ pub enum TableGen {
     },
 }
 
+/// The multipliers of [`TableGen::Banded`]'s jitter hash and of
+/// [`TableGen::Scrambled`]'s.
+const BANDED_MUL: i64 = 1103515245;
+const BANDED_SEED_MUL: i64 = 12345;
+const SCRAMBLED_MUL: i64 = 2654435761;
+
+/// `(a + b) mod m` for `a, b` in `[0, m)`, without overflow.
+fn add_mod(a: i64, b: i64, m: i64) -> i64 {
+    if a >= m - b {
+        a - (m - b)
+    } else {
+        a + b
+    }
+}
+
 impl TableGen {
-    /// Generates the table's values.
+    /// Why the generator's parameters lie outside the domain it builds
+    /// (see [`TableGen`]), if they do.
+    fn check(self) -> Result<(), &'static str> {
+        let (len, extent, seed) = match self {
+            TableGen::Banded {
+                len, extent, seed, ..
+            }
+            | TableGen::Scrambled { len, extent, seed } => (len, extent, seed),
+        };
+        if len < 1 {
+            return Err("len must be at least 1");
+        }
+        if extent < 1 {
+            return Err("extent must be at least 1");
+        }
+        if seed < 0 {
+            return Err("seed must not be negative");
+        }
+        let last = len - 1;
+        let fits = match self {
+            TableGen::Banded { jitter, .. } => {
+                if jitter < 0 {
+                    return Err("jitter must not be negative");
+                }
+                last.checked_mul(extent).is_some()
+                    && (last.checked_mul(BANDED_MUL))
+                        .zip(seed.checked_mul(BANDED_SEED_MUL))
+                        .and_then(|(a, b)| a.checked_add(b))
+                        .is_some()
+                    && jitter
+                        .checked_mul(2)
+                        .and_then(|j| j.checked_add(1))
+                        .is_some()
+                    && (extent - 1).checked_add(jitter).is_some()
+            }
+            TableGen::Scrambled { .. } => (last.checked_mul(SCRAMBLED_MUL))
+                .and_then(|a| a.checked_add(seed))
+                .is_some(),
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err("an entry's closed form overflows i64")
+        }
+    }
+
+    /// Generates the table's values, each from the previous one: a running
+    /// quotient and remainder stand for `k·extent/len`, and running
+    /// residues for the hashes' `mod`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters lie outside the generator's domain (see
+    /// [`TableGen`]).
     pub fn values(self) -> Vec<i64> {
+        if let Err(why) = self.check() {
+            panic!("{self:?}: {why}");
+        }
         match self {
             TableGen::Banded {
                 len,
                 extent,
                 jitter,
                 seed,
-            } => (0..len)
-                .map(|k| {
-                    let base = k * extent / len;
-                    let j = ((k * 1103515245 + seed * 12345) >> 4) % (2 * jitter + 1) - jitter;
-                    (base + j).clamp(0, extent - 1)
-                })
-                .collect(),
-            TableGen::Scrambled { len, extent, seed } => (0..len)
-                .map(|k| ((k * 2654435761 + seed) % extent).abs())
-                .collect(),
+            } => {
+                // k·extent = q·len + r, and extent = q_step·len + r_step.
+                let (q_step, r_step) = (extent / len, extent % len);
+                let (mut q, mut r) = (0, 0);
+                // For x = k·BANDED_MUL + seed·BANDED_SEED_MUL, `h` keeps
+                // (x >> 4) mod m and `lo` keeps x mod 16, whose carry adds
+                // one to x >> 4.
+                let m = 2 * jitter + 1;
+                let x = seed * BANDED_SEED_MUL;
+                let (h_step, lo_step) = ((BANDED_MUL >> 4) % m, BANDED_MUL & 15);
+                let (mut h, mut lo) = ((x >> 4) % m, x & 15);
+                (0..len)
+                    .map(|_| {
+                        let value = (q + (h - jitter)).clamp(0, extent - 1);
+                        q += q_step;
+                        if r >= len - r_step {
+                            r -= len - r_step;
+                            q += 1;
+                        } else {
+                            r += r_step;
+                        }
+                        h = add_mod(h, h_step, m);
+                        lo += lo_step;
+                        if lo >= 16 {
+                            lo -= 16;
+                            h += 1;
+                            if h == m {
+                                h = 0;
+                            }
+                        }
+                        value
+                    })
+                    .collect()
+            }
+            TableGen::Scrambled { len, extent, seed } => {
+                let step = SCRAMBLED_MUL % extent;
+                let mut v = seed % extent;
+                (0..len)
+                    .map(|_| {
+                        let value = v;
+                        v = add_mod(v, step, extent);
+                        value
+                    })
+                    .collect()
+            }
         }
     }
 }
@@ -229,7 +342,15 @@ impl Program {
 
     /// Declares an index table that `gen` builds on its first read,
     /// returning its id. Until then the table costs its declaration only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gen`'s parameters lie outside the domain it builds (see
+    /// [`TableGen`]).
     pub fn declare_table(&mut self, gen: TableGen) -> TableId {
+        if let Err(why) = gen.check() {
+            panic!("{gen:?}: {why}");
+        }
         self.tables.push(Table::Generated(gen, OnceLock::new()));
         TableId(self.tables.len() - 1)
     }
@@ -295,6 +416,20 @@ impl Program {
         self.tables.len()
     }
 
+    /// The number of entries of table `id`, without building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is stale.
+    pub fn table_len(&self, id: TableId) -> usize {
+        match &self.tables[id.0] {
+            Table::Literal(values) => values.len(),
+            Table::Generated(TableGen::Banded { len, .. } | TableGen::Scrambled { len, .. }, _) => {
+                *len as usize
+            }
+        }
+    }
+
     /// Whether table `id`'s values are in memory: always for an
     /// [`add_table`](Self::add_table) table, after the first read for a
     /// [declared](Self::declare_table) one. False for a stale id.
@@ -303,13 +438,6 @@ impl Program {
             Some(Table::Literal(_)) => true,
             Some(Table::Generated(_, built)) => built.get().is_some(),
             None => false,
-        }
-    }
-
-    /// Reads every index table, building each declared one not yet read.
-    pub fn build_tables(&self) {
-        for table in &self.tables {
-            table.values();
         }
     }
 
@@ -390,6 +518,62 @@ mod tests {
             seed: 1,
         };
         assert!(gen.values().iter().all(|&v| (0..500).contains(&v)));
+    }
+
+    #[test]
+    fn generators_outside_their_domain_are_rejected() {
+        let banded = |len, extent, jitter, seed| TableGen::Banded {
+            len,
+            extent,
+            jitter,
+            seed,
+        };
+        let scrambled = |len, extent, seed| TableGen::Scrambled { len, extent, seed };
+        let max = i64::MAX;
+        let overflow = "an entry's closed form overflows i64";
+        let rejected = [
+            (banded(0, 8, 1, 0), "len must be at least 1"),
+            (banded(8, 0, 1, 0), "extent must be at least 1"),
+            (banded(8, 8, -1, 0), "jitter must not be negative"),
+            (banded(8, 8, 1, -1), "seed must not be negative"),
+            // k·extent, k·1103515245, seed·12345, their sum, 2·jitter + 1
+            // and the clamp's operand, each one step past i64.
+            (banded(3, max / 2 + 1, 0, 0), overflow),
+            (banded(max / BANDED_MUL + 2, 1, 0, 0), overflow),
+            (banded(1, 1, 0, max / BANDED_SEED_MUL + 1), overflow),
+            (
+                banded(2, 1, 0, (max - BANDED_MUL) / BANDED_SEED_MUL + 1),
+                overflow,
+            ),
+            (banded(1, 1, max / 2 + 1, 0), overflow),
+            (banded(1, max - max / 2 + 2, max / 2, 0), overflow),
+            (scrambled(0, 8, 0), "len must be at least 1"),
+            (scrambled(8, 0, 0), "extent must be at least 1"),
+            (scrambled(8, 8, -1), "seed must not be negative"),
+            (scrambled(max / SCRAMBLED_MUL + 2, 8, 0), overflow),
+            (scrambled(3, 8, max - 2 * SCRAMBLED_MUL + 1), overflow),
+        ];
+        for (gen, why) in rejected {
+            assert_eq!(gen.check(), Err(why), "{gen:?}");
+            let declared = std::panic::catch_unwind(|| Program::new("t").declare_table(gen));
+            assert!(declared.is_err(), "{gen:?} declared");
+            assert!(
+                std::panic::catch_unwind(|| gen.values()).is_err(),
+                "{gen:?} built"
+            );
+        }
+        // One step inside each bound.
+        let accepted = [
+            banded(3, max / 2, 0, 0),
+            banded(max / BANDED_MUL + 1, 1, 0, 0),
+            banded(2, 1, 0, (max - BANDED_MUL) / BANDED_SEED_MUL),
+            banded(1, 1, max / 2, 0),
+            banded(1, max - max / 2 + 1, max / 2, 0),
+            scrambled(3, 8, max - 2 * SCRAMBLED_MUL),
+        ];
+        for gen in accepted {
+            assert_eq!(gen.check(), Ok(()), "{gen:?}");
+        }
     }
 
     #[test]

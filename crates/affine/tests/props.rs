@@ -4,7 +4,7 @@
 
 use hoploc_affine::{
     complete_unimodular, gcd, hermite_normal_form, nullspace, test_dependence, AffineAccess,
-    Dependence, IMat, IVec,
+    Dependence, IMat, IVec, TableGen,
 };
 use hoploc_ptest::{run_cases, SmallRng};
 
@@ -304,4 +304,110 @@ fn access_transform_commutes_with_eval() {
         let indirect = u.mul_vec(&access.eval(&iv));
         assert_eq!(direct, indirect);
     });
+}
+
+/// [`TableGen::values`]' reference: every entry from its closed form, two
+/// divisions per `Banded` entry and one per `Scrambled` entry.
+fn closed_form(gen: TableGen) -> Vec<i64> {
+    match gen {
+        TableGen::Banded {
+            len,
+            extent,
+            jitter,
+            seed,
+        } => (0..len)
+            .map(|k| {
+                let base = k * extent / len;
+                let j = ((k * 1103515245 + seed * 12345) >> 4) % (2 * jitter + 1) - jitter;
+                (base + j).clamp(0, extent - 1)
+            })
+            .collect(),
+        TableGen::Scrambled { len, extent, seed } => (0..len)
+            .map(|k| ((k * 2654435761 + seed) % extent).abs())
+            .collect(),
+    }
+}
+
+fn banded(len: i64, extent: i64, jitter: i64, seed: i64) -> TableGen {
+    TableGen::Banded {
+        len,
+        extent,
+        jitter,
+        seed,
+    }
+}
+
+#[test]
+fn generated_tables_equal_their_closed_form() {
+    run_cases("affine.table_gen.closed_form", 512, |rng| {
+        // Mostly short tables, now and then one of a million entries.
+        let len = match rng.usize_in(0..64) {
+            0 => rng.i64_in(1_000_000..1_200_000),
+            _ => rng.i64_in(1..5_001),
+        };
+        let extent = match rng.usize_in(0..4) {
+            0 => 1,
+            1 => rng.i64_in(1..len + 1),
+            2 => len,
+            _ => rng.i64_in(len + 1..8 * len + 2),
+        };
+        let seed = rng.i64_in(0..101);
+        let gen = match rng.usize_in(0..4) {
+            0 => TableGen::Scrambled { len, extent, seed },
+            _ => banded(len, extent, rng.i64_in(0..5_001), seed),
+        };
+        assert_eq!(gen.values(), closed_form(gen), "{gen:?}");
+    });
+}
+
+#[test]
+fn the_suites_tables_equal_their_closed_form() {
+    // The declarations of gafort, fma3d (two), ammp (two), hpccg and
+    // minimd, at test scale (d1 = 8192) and bench scale (d1 = 98304).
+    for d1 in [8 * 1024, 96 * 1024] {
+        let (n2, n8, n_half) = (2 * d1, 8 * d1, d1 / 2);
+        let gens = [
+            banded(n2, n2, 16, 7),
+            banded(n8, n8, 4096, 3),
+            banded(n8, n8 / 8, 2048, 17),
+            banded(n_half, n_half, 32, 11),
+            TableGen::Scrambled {
+                len: n_half,
+                extent: n_half,
+                seed: 5,
+            },
+            banded(8 * n_half, n_half, 24, 13),
+            banded(n2, n2, 48, 29),
+        ];
+        for gen in gens {
+            assert_eq!(gen.values(), closed_form(gen), "{gen:?}");
+        }
+    }
+}
+
+#[test]
+fn generated_tables_are_exact_at_the_edges_of_their_domain() {
+    // Each intermediate of the closed form one step from overflow.
+    let max = i64::MAX;
+    let gens = [
+        banded(2, max, 0, 0),
+        banded(3, max / 2, max / 4, 0),
+        banded(2, 1, max / 2 - 1, 0),
+        banded(1, max - max / 2 + 1, max / 2, 0),
+        banded(4, 7, 3, (max - 3 * 1103515245) / 12345),
+        banded(2, 5, 1, (max - 1103515245) / 12345),
+        TableGen::Scrambled {
+            len: 3,
+            extent: max,
+            seed: max - 2 * 2654435761,
+        },
+        TableGen::Scrambled {
+            len: 5,
+            extent: 3,
+            seed: max - 4 * 2654435761,
+        },
+    ];
+    for gen in gens {
+        assert_eq!(gen.values(), closed_form(gen), "{gen:?}");
+    }
 }

@@ -547,6 +547,10 @@ struct RouteBuffers {
     hops: Vec<f64>,
     /// Mean hop distance from a uniformly drawn node to each controller.
     uniform_hops: Vec<f64>,
+    /// Every node's nearest controller, in node order, the lowest index on
+    /// ties as [`L2ToMcMapping::nearest_mc`]: read for an Optimal cell,
+    /// so filled for one only.
+    nearest: Vec<McId>,
     /// Per-MC lines of the whole cell, and of the component being routed.
     cell: Vec<f64>,
     component: Vec<f64>,
@@ -555,9 +559,10 @@ struct RouteBuffers {
 }
 
 impl RouteBuffers {
-    /// Fills the hop rows of `mapping`'s controllers and sizes the per-MC
-    /// accumulators for them.
-    fn prepare(&mut self, mapping: &L2ToMcMapping) {
+    /// Fills the hop rows of `mapping`'s controllers, and for an Optimal
+    /// `kind` each node's nearest one, and sizes the per-MC accumulators
+    /// for them.
+    fn prepare(&mut self, mapping: &L2ToMcMapping, kind: RunKind) {
         let (mesh, n_mcs) = (*mapping.mesh(), mapping.num_mcs());
         let n = mesh.num_nodes();
         if self.mesh != Some(mesh) {
@@ -583,6 +588,15 @@ impl RouteBuffers {
             self.hops.extend_from_slice(&row[..n]);
             self.uniform_hops.push(row[n]);
         }
+        self.nearest.clear();
+        if kind == RunKind::Optimal {
+            let hops = &self.hops;
+            self.nearest.extend((0..n).map(|node| {
+                let nearer = |best: usize, m: usize| hops[m * n + node] < hops[best * n + node];
+                let best = (1..n_mcs).fold(0, |best, m| if nearer(best, m) { m } else { best });
+                McId(best as u16)
+            }));
+        }
         for v in [&mut self.cell, &mut self.component, &mut self.shares] {
             v.clear();
             v.resize(n_mcs, 0.0);
@@ -605,10 +619,11 @@ struct Router<'a> {
     cfg: &'a EstConfig,
     kind: RunKind,
     first_touch_friendly: bool,
-    /// [`RouteBuffers::hops`] and [`RouteBuffers::uniform_hops`], filled
-    /// for `mapping`.
+    /// [`RouteBuffers::hops`], [`RouteBuffers::uniform_hops`] and
+    /// [`RouteBuffers::nearest`], filled for `mapping` and `kind`.
     hops: &'a [f64],
     uniform_hops: &'a [f64],
+    nearest: &'a [McId],
 }
 
 impl Router<'_> {
@@ -647,12 +662,11 @@ impl Router<'_> {
             RunKind::Optimal => match requester {
                 // The optimal idealization sends every request to the
                 // requester's nearest controller.
-                Requester::Node(n) => add(mapping.nearest_mc(n), misses),
+                Requester::Node(n) => add(self.nearest[n.0 as usize], misses),
                 Requester::Uniform => {
                     let w = misses / n_nodes as f64;
-                    for i in 0..n_nodes {
+                    for (i, &mc) in self.nearest.iter().enumerate() {
                         let n = NodeId(i as u16);
-                        let mc = mapping.nearest_mc(n);
                         acc.per_mc[mc.0 as usize] += w;
                         acc.flow.hops += w * self.hops(n, mc);
                     }
@@ -1284,7 +1298,7 @@ impl Footprint {
         kind: RunKind,
         cfg: &EstConfig,
         buf: &mut RouteBuffers,
-        mut per_array: Option<&mut [Flow]>,
+        per_array: Option<&mut [Flow]>,
     ) -> Flow {
         assert_eq!(
             self.model_inputs,
@@ -1301,10 +1315,25 @@ impl Footprint {
             cfg.num_nodes,
             "mapping is for another mesh"
         );
-        buf.prepare(mapping);
+        buf.prepare(mapping, kind);
+        self.flows(layout, mapping, kind, cfg, buf, per_array)
+    }
+
+    /// [`route_flows`](Self::route_flows) in buffers prepared for `mapping`
+    /// and `kind`.
+    fn flows(
+        &self,
+        layout: &ProgramLayout,
+        mapping: &L2ToMcMapping,
+        kind: RunKind,
+        cfg: &EstConfig,
+        buf: &mut RouteBuffers,
+        mut per_array: Option<&mut [Flow]>,
+    ) -> Flow {
         let RouteBuffers {
             hops,
             uniform_hops,
+            nearest,
             cell,
             component,
             shares,
@@ -1317,6 +1346,7 @@ impl Footprint {
             first_touch_friendly: self.first_touch_friendly,
             hops,
             uniform_hops,
+            nearest,
         };
         let mut flow = Flow::default();
         for c in &self.components {
@@ -1502,8 +1532,9 @@ mod tests {
     fn router_hop_table_equals_hop_distance() {
         // Random controller sites on a square mesh and on two oblong ones
         // with one node count: every table entry is the mesh's own
-        // distance, and the uniform means are the node-order sums the table
-        // replaced, bit for bit. One set of buffers serves every case, as a
+        // distance, the uniform means are the node-order sums the table
+        // replaced, bit for bit, and every node's nearest controller is
+        // the mapping's. One set of buffers serves every case, as a
         // scorer's serves every placement it scores: rows of earlier cases
         // are reused, and a mesh of another shape starts afresh.
         let mut buf = RouteBuffers::default();
@@ -1530,15 +1561,19 @@ mod tests {
                 placement: McPlacement::Custom(mc_nodes),
                 ..SimConfig::scaled()
             });
-            buf.prepare(&mapping);
+            buf.prepare(&mapping, RunKind::Optimal);
             let router = Router {
                 mapping: &mapping,
                 cfg: &cfg,
-                kind: RunKind::Optimized,
+                kind: RunKind::Optimal,
                 first_touch_friendly: false,
                 hops: &buf.hops,
                 uniform_hops: &buf.uniform_hops,
+                nearest: &buf.nearest,
             };
+            for n in mesh.nodes() {
+                assert_eq!(router.nearest[n.0 as usize], mapping.nearest_mc(n), "{n:?}");
+            }
             for m in (0..4).map(McId) {
                 let site = mapping.mc_node(m);
                 for n in mesh.nodes() {
@@ -1552,5 +1587,57 @@ mod tests {
                 assert_eq!(router.uniform_hops[m.0 as usize].to_bits(), mean.to_bits());
             }
         });
+    }
+
+    /// Every test-scale application, routed by every kind on both L2
+    /// organizations and granularities: the nearest-controller table is
+    /// filled for an Optimal cell only, and the routing reads, bit for bit,
+    /// what it reads with a table of `nearest_mc` answers.
+    #[test]
+    fn routing_by_the_nearest_table_equals_routing_by_nearest_mc() {
+        use hoploc_workloads::{all_apps, layout_for, Scale};
+        for app in all_apps(Scale::Test) {
+            for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+                for granularity in [Granularity::CacheLine, Granularity::Page] {
+                    let sim = SimConfig {
+                        l2_mode,
+                        granularity,
+                        ..SimConfig::scaled()
+                    };
+                    let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
+                    let cfg = EstConfig::from_sim(&sim);
+                    let footprint = Footprint::of(&app, &cfg);
+                    for kind in RunKind::ALL {
+                        let layout = layout_for(&app, &mapping, &sim, kind);
+                        let routed = |buf: &mut RouteBuffers| {
+                            let mut per_array = vec![Flow::default(); footprint.arrays.len()];
+                            let flow = (footprint).flows(
+                                &layout,
+                                &mapping,
+                                kind,
+                                &cfg,
+                                buf,
+                                Some(&mut per_array),
+                            );
+                            let flows = per_array.into_iter().chain([flow]);
+                            let bits = flows.flat_map(|f| [f.hops, f.volume]);
+                            bits.chain(buf.cell.iter().copied())
+                                .map(f64::to_bits)
+                                .collect::<Vec<_>>()
+                        };
+                        let mut table = RouteBuffers::default();
+                        table.prepare(&mapping, kind);
+                        assert_eq!(table.nearest.is_empty(), kind != RunKind::Optimal);
+                        let mut reference = RouteBuffers::default();
+                        reference.prepare(&mapping, kind);
+                        reference.nearest = (mapping.mesh().nodes())
+                            .map(|n| mapping.nearest_mc(n))
+                            .collect();
+                        let case = format!("{} {kind:?} {l2_mode:?} {granularity:?}", app.name());
+                        assert_eq!(routed(&mut table), routed(&mut reference), "{case}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,22 +13,28 @@
 //!
 //! A request builds nothing it does not execute. Admission compares the
 //! application name with [`APP_NAMES`]; each scale's 13 programs are built
-//! once per engine, on the scale's first executed job; estimator jobs
-//! route the same plan through one [`Footprint`] shared across the kinds,
+//! once per engine, on the scale's first executed job, their index tables
+//! over the harness fan-out on every core; an application's program is
+//! analyzed once, on its first optimized plan; estimator jobs route the
+//! same plan through one [`Footprint`] shared across the kinds,
 //! granularities and mappings that cannot change it.
 //!
 //! The trait exists so tests can substitute slow, failing or panicking
 //! engines for the backpressure, timeout and panic paths.
 
 use crate::job::{FaultSpec, Fidelity, JobSpec};
+use hoploc_affine::TableId;
 use hoploc_est::{est_record_json, EstConfig, Footprint, FootprintInputs};
 use hoploc_fault::{FaultPlan, FaultRates};
-use hoploc_harness::{fault_topo, record_json, run_plan, MachineSpec, Memo, RunRecord};
-use hoploc_layout::{Granularity, L2Mode, ProgramLayout};
+use hoploc_harness::{
+    default_jobs, fault_topo, parallel_map, record_json, run_plan, MachineSpec, Memo, RunRecord,
+};
+use hoploc_layout::{Granularity, L2Mode, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::Placement;
 use hoploc_search::{search_app, Objective, SearchConfig};
 use hoploc_sim::{Cancel, PrefetchMode, SimConfig};
-use hoploc_workloads::{all_apps, layout_for, App, RunKind, Scale, APP_NAMES};
+use hoploc_workloads::{all_apps, App, LayoutPlanner, RunKind, Scale, APP_NAMES};
+use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
 /// Executes jobs. Implementations must be safe to call from many worker
@@ -79,6 +85,9 @@ pub struct SuiteEngine {
     /// The M1 and M2 placements, indexed by `MachineSpec::m2`.
     placements: [Placement; 2],
     plans: Memo<PlanKey, ProgramLayout>,
+    /// One program analysis per application (scale and index into
+    /// [`APP_NAMES`]), made on its first optimized plan: 26 keys at most.
+    analyses: Memo<(Scale, usize), ProgramAnalysis>,
     footprints: Memo<FootprintKey, Footprint>,
 }
 
@@ -95,6 +104,7 @@ impl SuiteEngine {
                 machine.placement()
             }),
             plans: Memo::new(None),
+            analyses: Memo::new(None),
             footprints: Memo::new(Some(FOOTPRINT_CAP)),
         }
     }
@@ -108,7 +118,9 @@ impl SuiteEngine {
         slot.get_or_init(|| {
             let apps = all_apps(scale);
             // Build every table now, so no served request pays for one.
-            apps.iter().for_each(|app| app.program.build_tables());
+            parallel_map(&table_jobs(&apps), default_jobs(), |&(app, table)| {
+                apps[app].program.table(table);
+            });
             apps.into()
         })
     }
@@ -140,6 +152,17 @@ impl SuiteEngine {
         };
         Ok(search_app(app, &cfg, &mut |line| emit(line)).to_json())
     }
+}
+
+/// Every index table of `apps` as (application, table), the largest
+/// first and equal lengths in catalogue order: the jobs of a catalogue's
+/// fan-out, which hands them out in this order.
+fn table_jobs(apps: &[App]) -> Vec<(usize, TableId)> {
+    let mut jobs: Vec<(usize, TableId)> = (apps.iter().enumerate())
+        .flat_map(|(a, app)| (0..app.program.table_count()).map(move |t| (a, TableId(t))))
+        .collect();
+    jobs.sort_by_key(|&(a, t)| Reverse(apps[a].program.table_len(t)));
+    jobs
 }
 
 impl Engine for SuiteEngine {
@@ -214,9 +237,19 @@ impl Engine for SuiteEngine {
         // The est and cycle tiers of a cell read this one plan, so the two
         // disagree only by model, never by input.
         let key = (m.scale, m.granularity, m.l2_mode, m.m2, idx, class);
-        let plan = self
-            .plans
-            .get_or(key, || layout_for(app, placement.mapping(), &sim, class));
+        let plan = self.plans.get_or(key, || {
+            // `layout_for`, with the program analyzed once per application.
+            let planner = match class {
+                RunKind::Optimized => {
+                    let analysis = (self.analyses)
+                        .get_or((m.scale, idx), || ProgramAnalysis::of(&app.program));
+                    LayoutPlanner::analyzed(app, analysis)
+                }
+                _ => LayoutPlanner::new(app, class),
+            };
+            let threshold = PassConfig::default().approx_threshold;
+            planner.layout(placement.mapping(), &sim, threshold)
+        });
         if spec.fidelity == Fidelity::Est {
             let cfg = EstConfig::from_sim(&sim).with_threads_per_core(m.threads);
             // `estimate_app` in two steps: the footprint is shared by every
@@ -395,17 +428,70 @@ mod tests {
         assert_eq!(eng.footprints.resident(), 5);
     }
 
+    /// FNV-1a over the little-endian bytes of a table's values.
+    fn table_hash(values: &[i64]) -> u64 {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        hoploc_harness::fnv1a(&bytes)
+    }
+
+    /// The catalogue's fan-out builds every table of the scale, each one
+    /// job, the largest first, into the very values a lazily built
+    /// `all_apps` table holds.
     #[test]
     fn a_catalogue_is_built_with_every_table() {
-        use hoploc_affine::TableId;
         let eng = SuiteEngine::new(EngineCaps::default());
         let apps = eng.apps(Scale::Test);
-        assert!(apps.iter().any(|a| a.program.table_count() > 0));
-        for app in apps.iter() {
-            let p = &app.program;
-            let built = (0..p.table_count()).all(|t| p.table_is_built(TableId(t)));
-            assert!(built, "{}", app.name());
+        let lazy = all_apps(Scale::Test);
+        let jobs = table_jobs(apps);
+        let mut listed = jobs.clone();
+        listed.sort();
+        listed.dedup();
+        assert_eq!(listed.len(), jobs.len(), "a table listed twice");
+        let tables: usize = apps.iter().map(|a| a.program.table_count()).sum();
+        assert_eq!(jobs.len(), tables);
+        assert_eq!(tables, 7);
+        let len = |&(a, t): &(usize, TableId)| apps[a].program.table_len(t);
+        assert!(jobs.windows(2).all(|w| len(&w[0]) >= len(&w[1])));
+        for (app, direct) in apps.iter().zip(&lazy) {
+            let (p, q) = (&app.program, &direct.program);
+            for t in (0..p.table_count()).map(TableId) {
+                assert!(p.table_is_built(t), "{} table {}", app.name(), t.0);
+                assert_eq!(p.table_len(t), q.table(t).len());
+                assert_eq!(table_hash(p.table(t)), table_hash(q.table(t)));
+            }
         }
+    }
+
+    /// One analysis per application, whatever the number of
+    /// configurations its optimized plans are compiled for; baseline
+    /// plans analyze nothing.
+    #[test]
+    fn each_program_is_analyzed_once() {
+        let eng = SuiteEngine::new(EngineCaps::default());
+        let apps = ["swim", "hpccg"];
+        for granularity in [Granularity::CacheLine, Granularity::Page] {
+            for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+                for m2 in [false, true] {
+                    for (app, kind) in apps.iter().flat_map(|a| RunKind::ALL.map(|k| (a, k))) {
+                        let job = JobSpec {
+                            kind,
+                            fidelity: Fidelity::Est,
+                            machine: MachineSpec {
+                                granularity,
+                                l2_mode,
+                                m2,
+                                ..MachineSpec::at(Scale::Test)
+                            },
+                            ..spec(app)
+                        };
+                        run(&eng, &job).unwrap();
+                    }
+                }
+            }
+        }
+        // Two classes of two applications on eight configurations.
+        assert_eq!(eng.plans.resident(), 32);
+        assert_eq!(eng.analyses.resident(), apps.len());
     }
 
     #[test]

@@ -133,6 +133,10 @@ struct ThreadState {
 pub struct Simulator {
     config: SimConfig,
     mapping: L2ToMcMapping,
+    /// Every node's [`L2ToMcMapping::nearest_mc`], in node order: where the
+    /// optimal scheme sends a slice's requests. Empty unless
+    /// `config.optimal`.
+    nearest: Vec<usize>,
     os: Os,
     net: Network,
     mcs: Vec<MemoryController>,
@@ -256,6 +260,13 @@ impl Simulator {
             node_mc_requests: vec![vec![0; n_mcs]; n],
             obs: Sink::disabled(),
             cancel: Cancel::never(),
+            nearest: if config.optimal {
+                (mapping.mesh().nodes())
+                    .map(|n| mapping.nearest_mc(n).0 as usize)
+                    .collect()
+            } else {
+                Vec::new()
+            },
             config,
             mapping,
         }
@@ -603,7 +614,7 @@ impl Simulator {
                 break 'served DemandOutcome::PrefetchedHit;
             }
             let mc = if self.config.optimal {
-                self.mapping.nearest_mc(slice).0 as usize
+                self.nearest[slice.0 as usize]
             } else {
                 self.mc_of_paddr(paddr)
             };

@@ -6,6 +6,7 @@ use crate::apps::App;
 use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_sim::{RunStats, SimConfig};
+use std::sync::Arc;
 
 /// Which side of a comparison a run represents.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -99,15 +100,26 @@ pub fn layout_with(
 pub struct LayoutPlanner<'a> {
     app: &'a App,
     /// `Some` for the side that runs the layout pass.
-    analysis: Option<ProgramAnalysis>,
+    analysis: Option<Arc<ProgramAnalysis>>,
 }
 
 impl<'a> LayoutPlanner<'a> {
     /// Analyzes `app` for the `kind` side of an experiment.
     pub fn new(app: &'a App, kind: RunKind) -> Self {
-        let analysis =
-            (kind.layout_class() == RunKind::Optimized).then(|| ProgramAnalysis::of(&app.program));
+        let analysis = (kind.layout_class() == RunKind::Optimized)
+            .then(|| Arc::new(ProgramAnalysis::of(&app.program)));
         Self { app, analysis }
+    }
+
+    /// The optimized side's planner over an analysis already made:
+    /// `analysis` must be `ProgramAnalysis::of(&app.program)`. A caller that
+    /// plans one application for many machines keeps one analysis for all
+    /// of them.
+    pub fn analyzed(app: &'a App, analysis: Arc<ProgramAnalysis>) -> Self {
+        Self {
+            app,
+            analysis: Some(analysis),
+        }
     }
 
     /// The layout under `mapping` on the machine `sim` describes.
