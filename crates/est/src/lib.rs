@@ -15,8 +15,9 @@
 //! * [`estimate_app`] — the per-reference / per-array / per-app
 //!   prediction ([`AppEstimate`]), consumed by `hoploc est`: a
 //!   layout-independent [`Footprint`] routed through one layout.
-//!   [`PlacementScorer`] keeps the footprint (and the layout pass's
-//!   program analysis) across the placements a design-space search scores;
+//!   [`PlacementScorer`] keeps the footprint across the placements a
+//!   design-space search scores, and customizes each plan from the
+//!   application's own program analysis;
 //! * [`performance_diagnostics`] — the `HL10xx` predicted-performance
 //!   findings `hoploc check` folds into its report (a plan that will not
 //!   help, a controller that will saturate, a working set that streams);

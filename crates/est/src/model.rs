@@ -59,7 +59,7 @@ use hoploc_affine::{AccessFn, AffineAccess, ArrayId, LoopNest, Program};
 use hoploc_layout::{ArrayLayout, Granularity, L2Mode, ProgramLayout};
 use hoploc_noc::{L2ToMcMapping, McId, Mesh, NodeId};
 use hoploc_sim::SimConfig;
-use hoploc_workloads::{App, LayoutPlanner, RunKind};
+use hoploc_workloads::{layout_into, App, RunKind};
 
 use crate::diag::plan_mc_shares_into;
 
@@ -1400,7 +1400,7 @@ fn offchip_fraction(predicted_offchip: u64, total_accesses: u64) -> f64 {
 
 /// Predicts one (application, layout, kind) cell: [`Footprint::of`], then
 /// [`Footprint::route`]. The layout must be the one the corresponding
-/// simulation replays (take it from `Suite::layout_plan`), so prediction
+/// simulation replays (`Suite::layout_plan` compiles it), so prediction
 /// error can only come from the model, never from divergent inputs.
 pub fn estimate_app(
     app: &App,
@@ -1414,13 +1414,14 @@ pub fn estimate_app(
 
 /// Predicts one application against many unified
 /// [`hoploc_noc::Placement`]s — the scoring loop of the `hoploc-search`
-/// design-space optimizer. Everything a placement cannot change (the
-/// layout pass's program analysis, the footprint model) is computed at
-/// construction; [`plan`](Self::plan) customizes the layout for a placement
-/// and [`estimate`](Self::estimate) routes the footprint through that plan,
-/// or [`terms`](Self::terms) routes it to the totals alone.
+/// design-space optimizer. The footprint model, which no placement can
+/// change, is computed at construction, and the layout pass's program
+/// analysis is the application's own ([`App::analysis`]);
+/// [`plan`](Self::plan) customizes the layout for a placement and
+/// [`estimate`](Self::estimate) routes the footprint through that plan, or
+/// [`terms`](Self::terms) routes it to the totals alone.
 pub struct PlacementScorer<'a> {
-    planner: LayoutPlanner<'a>,
+    app: &'a App,
     /// The base machine, under the granularity last planned for. Its own
     /// placement stays the base one: the controllers are the mapping's of
     /// the placement planned for.
@@ -1437,7 +1438,7 @@ impl<'a> PlacementScorer<'a> {
     /// placement and granularity are overridden per plan.
     pub fn new(app: &'a App, sim: &SimConfig, kind: RunKind) -> Self {
         Self {
-            planner: LayoutPlanner::new(app, kind),
+            app,
             sim: sim.clone(),
             kind,
             footprint: Footprint::of(app, &EstConfig::from_sim(sim)),
@@ -1471,9 +1472,11 @@ impl<'a> PlacementScorer<'a> {
         approx_threshold: f64,
     ) {
         self.sim.granularity = granularity;
-        (self.planner).layout_into(
+        layout_into(
+            self.app,
             placement.mapping(),
             &self.sim,
+            self.kind,
             approx_threshold,
             &mut self.layout,
         );
@@ -1511,7 +1514,7 @@ impl<'a> PlacementScorer<'a> {
 }
 
 /// One-shot [`PlacementScorer`]: predicts one cell against a unified
-/// placement, analysis and footprint included.
+/// placement, footprint included.
 pub fn estimate_placement(
     app: &App,
     placement: &hoploc_noc::Placement,

@@ -6,20 +6,19 @@
 //! The estimator's contract is *rank fidelity at negligible cost*: it
 //! must order cells the way the simulator does (ρ ≥ 0.8 gates CI) while
 //! running orders of magnitude faster (≥ 100×, also asserted from the
-//! report). Both passes share the same compiled layout plans — prewarmed
+//! report). Both passes share the same compiled layout plans — compiled
 //! outside both timers — so the comparison measures the models, not
 //! layout compilation. Trace generation stays inside the simulator's
 //! timer: avoiding it is precisely the estimator's advantage.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use hoploc_harness::{parallel_map, RunRequest, RunSpec, Suite};
-use hoploc_layout::{Granularity, L2Mode};
-use hoploc_noc::L2ToMcMapping;
+use hoploc_harness::{parallel_map, run_plan};
+use hoploc_layout::{Granularity, L2Mode, ProgramLayout};
+use hoploc_noc::Placement;
 use hoploc_obs::JsonWriter;
-use hoploc_sim::SimConfig;
-use hoploc_workloads::{App, RunKind};
+use hoploc_sim::{Cancel, SimConfig};
+use hoploc_workloads::{layout_for, App, RunKind};
 
 use crate::model::{AppEstimate, EstConfig, Footprint};
 use crate::rank::spearman;
@@ -99,30 +98,28 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
     let mut cells = Vec::new();
     let mut est_nanos = 0u64;
     let mut sim_nanos = 0u64;
-    // One copy of the programs under every configuration's suite.
-    let shared: Arc<[App]> = apps.into();
     for (label, sim) in standard_configs() {
-        let mapping = L2ToMcMapping::nearest_cluster(sim.mesh, &sim.placement);
-        let suite = Suite::new(shared.clone(), mapping, sim.clone());
-        let specs: Vec<RunSpec> = (0..apps.len())
-            .flat_map(|a| RunKind::ALL.map(|kind| RunSpec { app: a, kind }))
+        let placement = Placement::nearest(sim.mesh, &sim.placement);
+        let mapping = placement.mapping();
+        // Both sides consume the same compiled plans, one per (app, kind)
+        // cell, apps outermost; compiling them here keeps layout cost out
+        // of both timers.
+        let plans: Vec<(usize, RunKind, ProgramLayout)> = (0..apps.len())
+            .flat_map(|a| RunKind::ALL.map(|kind| (a, kind)))
+            .map(|(a, kind)| (a, kind, layout_for(&apps[a], mapping, &sim, kind)))
             .collect();
-        // Both sides consume the same compiled plans; compiling them here
-        // keeps layout cost out of both timers.
-        for s in &specs {
-            let _ = suite.layout_plan(s.app, s.kind);
-        }
         let cfg = EstConfig::from_sim(&sim);
 
         // One footprint per app serves all four kinds: only the routing
         // reads the layout and the kind.
         let t = Instant::now();
-        let app_ids: Vec<usize> = (0..apps.len()).collect();
-        let ests: Vec<AppEstimate> = parallel_map(&app_ids, jobs, |&a| {
-            let footprint = Footprint::of(&apps[a], &cfg);
-            RunKind::ALL.map(|kind| {
-                footprint.route(&suite.layout_plan(a, kind), suite.mapping(), kind, &cfg)
-            })
+        let per_app: Vec<&[(usize, RunKind, ProgramLayout)]> =
+            plans.chunks(RunKind::ALL.len()).collect();
+        let ests: Vec<AppEstimate> = parallel_map(&per_app, jobs, |app_cells| {
+            let footprint = Footprint::of(&apps[app_cells[0].0], &cfg);
+            (app_cells.iter())
+                .map(|(_, kind, plan)| footprint.route(plan, mapping, *kind, &cfg))
+                .collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
@@ -130,12 +127,21 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
         est_nanos += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
-        let reqs: Vec<RunRequest> = specs.iter().copied().map(RunRequest::new).collect();
-        let runs = suite.run_all(&reqs, jobs);
+        let runs = parallel_map(&plans, jobs, |(a, kind, plan)| {
+            run_plan(
+                &apps[*a],
+                plan,
+                &placement,
+                &sim,
+                1,
+                *kind,
+                &Cancel::never(),
+            )
+        });
         sim_nanos += t.elapsed().as_nanos() as u64;
 
         let n_mcs = sim.num_mcs();
-        for ((spec, est), st) in specs.iter().zip(&ests).zip(runs.iter().map(|r| &r.stats)) {
+        for (((a, kind, _), est), st) in plans.iter().zip(&ests).zip(&runs) {
             let totals: Vec<u64> = (0..n_mcs)
                 .map(|m| st.node_mc_requests.iter().map(|row| row[m]).sum())
                 .collect();
@@ -150,8 +156,8 @@ pub fn cross_validate(apps: &[App], jobs: usize) -> XvalReport {
                 0.0
             };
             cells.push(XvalCell {
-                app: apps[spec.app].name().to_string(),
-                kind: spec.kind,
+                app: apps[*a].name().to_string(),
+                kind: *kind,
                 config: label.clone(),
                 est_offchip_fraction: est.offchip_fraction(),
                 sim_offchip_fraction: st.offchip_fraction(),

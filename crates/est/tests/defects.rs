@@ -110,16 +110,16 @@ fn hl1003_fires_on_a_streaming_working_set() {
         )],
         1,
     ));
-    let app = App {
-        program: p,
-        profile: AppProfile {
+    let app = App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 20.0,
             sharing_fraction: 0.0,
         },
-        gen: TraceGen::default(),
-        first_touch_friendly: false,
-        mlp: 1,
-    };
+        TraceGen::default(),
+        false,
+        1,
+    );
     let (sim, mapping, _) = machine();
     let layout = layout_for(&app, &mapping, &sim, hoploc_workloads::RunKind::Optimized);
     let cfg = EstConfig::from_sim(&sim);
@@ -158,16 +158,16 @@ fn hl1004_fires_on_index_table_predictions() {
 /// Wraps a program in an [`App`] with a neutral profile for the
 /// prefetch-advisory tests.
 fn toy_app(p: Program) -> App {
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 2.0,
             sharing_fraction: 0.0,
         },
-        gen: TraceGen::default(),
-        first_touch_friendly: false,
-        mlp: 1,
-    }
+        TraceGen::default(),
+        false,
+        1,
+    )
 }
 
 /// HL1101: an app whose only traffic goes through an index table gives

@@ -184,17 +184,17 @@ fn fits_exactly_app() -> App {
         )],
         1,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 1.0,
             sharing_fraction: 0.0,
         },
         // No replay, no subsampling, unit stride: the walk is the nest.
-        gen: TraceGen::default(),
-        first_touch_friendly: false,
-        mlp: 1,
-    }
+        TraceGen::default(),
+        false,
+        1,
+    )
 }
 
 /// On the degenerate configuration the estimator must agree with the

@@ -3,31 +3,30 @@
 //! The suite harness: one code path that evaluates the full
 //! (application × run-kind) matrix of the PLDI'15 reproduction — for the
 //! integration tests, the figure benches, the `hoploc` binary, and the
-//! examples — in parallel, with memoization of the expensive stage.
+//! examples — in parallel.
 //!
-//! A content-keyed cache of layout plans sits under every run:
-//! [`hoploc_workloads::layout_with`] output per (app, layout class). The
-//! Baseline, FirstTouch, and Optimal run kinds all use the original
-//! (baseline) layouts, so one compile serves three run kinds; Optimized
-//! compiles once and is reused across repeat runs. Traces are not cached:
-//! each run streams its own into the simulator, a chunk per thread at a
-//! time, so no run holds a whole trace.
+//! Every run compiles its own layout plan with
+//! [`hoploc_workloads::layout_for`]: what the layout pass learns from the
+//! program alone is kept on the application ([`App::analysis`]), so a plan
+//! costs microseconds and no memo sits in front of it. Traces are not kept
+//! either: each run streams its own into the simulator, a chunk per thread
+//! at a time, so no run holds a whole trace.
 //!
 //! Parallel execution is *observably deterministic*: results are collected
-//! by spec index, every cached artifact is a pure function of its key, all
-//! per-run randomness is derived from fixed per-thread seeds inside trace
+//! by spec index, every plan is a pure function of its cell, all per-run
+//! randomness is derived from fixed per-thread seeds inside trace
 //! generation, and the memory controller / network / cache models carry no
 //! cross-run state. A [`Suite::run_all`] at any `jobs` count is
 //! bit-identical (`RunStats: PartialEq`, including the floating-point link
 //! utilizations) to the sequential path — the unit tests assert this
-//! against [`run_plan`] on a freshly compiled plan, with no memo in front.
+//! against [`run_plan`] on a freshly compiled plan.
 //!
 //! Every simulation in the workspace is built by one runner in two
 //! halves: a plan is prepared (address space, desired-page map) and its
 //! trace simulated as the run pulls it. [`Suite::run`] and
-//! [`Suite::run_mix`] put the layout memo in front of them; [`run_plan`] is
-//! the one-shot for a plan compiled elsewhere: the one a search's scorer
-//! compiled, or one from the job server's plan memo.
+//! [`Suite::run_mix`] compile their plans; [`run_plan`] is the one-shot for
+//! a plan compiled elsewhere: the one a search's scorer compiled, or the
+//! job server's.
 //!
 //! The threads come from one fan-out, [`pull_beside`], which
 //! [`parallel_map`] and the search's verification both call.
@@ -38,7 +37,6 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hoploc_fault::{FaultPlan, FaultTopo};
@@ -295,104 +293,34 @@ impl MachineSpec {
     }
 }
 
-/// One slot of a [`Memo`]: the compute-once cell plus the logical access
-/// time used by the eviction policy.
-struct MemoEntry<V> {
-    cell: Arc<OnceLock<Arc<V>>>,
-    last_used: u64,
-}
-
 /// A compute-once memo table. Concurrent lookups of the same key block on
 /// one computation (via `OnceLock`), so every artifact is built exactly
-/// once per table regardless of the thread schedule.
-///
-/// With a capacity (`cap = Some(n)`), the table holds at most `n`
-/// *completed* entries: inserting past the cap evicts the
-/// least-recently-used initialized entry. In-flight cells (still being
-/// built) are never evicted, so the table can transiently exceed the cap
-/// while builds race; outstanding `Arc<V>` handles keep evicted artifacts
-/// alive until their users drop them. Because every artifact is a pure
-/// function of its key, an evict-then-rebuild returns a bit-identical
-/// value — eviction trades recompute time for bounded residency, which is
-/// what a long-lived server process needs.
+/// once per table regardless of the thread schedule, and kept: a caller
+/// bounds it by the key space it uses.
 pub struct Memo<K, V> {
-    map: Mutex<HashMap<K, MemoEntry<V>>>,
-    tick: AtomicU64,
-    cap: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    map: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
 }
 
-impl<K: Eq + Hash + Clone, V> Memo<K, V> {
-    /// An empty table holding at most `cap` completed entries (`None` =
-    /// unbounded; a cap of 0 is treated as 1).
-    pub fn new(cap: Option<usize>) -> Self {
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
         Self {
-            map: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            map: Mutex::default(),
         }
     }
+}
 
+impl<K: Eq + Hash, V> Memo<K, V> {
     /// The value under `key`, running `build` if no completed or in-flight
     /// entry holds it.
     pub fn get_or(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let cell = {
-            let mut map = self.map.lock().expect("memo poisoned");
-            let entry = map.entry(key.clone()).or_insert_with(|| MemoEntry {
-                cell: Arc::new(OnceLock::new()),
-                last_used: now,
-            });
-            entry.last_used = now;
-            entry.cell.clone()
-        };
-        // A miss is a build actually performed by this call; a lookup that
-        // waits out (or arrives after) another thread's build is a hit.
-        // Counting at the init closure keeps misses == builds even when
-        // concurrent lookups race on an uninitialized cell.
-        let mut built = false;
-        let value = cell
-            .get_or_init(|| {
-                built = true;
-                Arc::new(build())
-            })
+        let cell = self
+            .map
+            .lock()
+            .expect("memo poisoned")
+            .entry(key)
+            .or_default()
             .clone();
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(cap) = self.cap {
-            self.evict_to(cap, &key);
-        }
-        value
-    }
-
-    /// Evicts least-recently-used *initialized* entries until at most `cap`
-    /// remain, never removing `keep` (the key the caller just touched).
-    fn evict_to(&self, cap: usize, keep: &K) {
-        let mut map = self.map.lock().expect("memo poisoned");
-        while map.len() > cap.max(1) {
-            let victim = map
-                .iter()
-                .filter(|(k, e)| *k != keep && e.cell.get().is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                // Everything else is still in flight: allow the transient
-                // overflow rather than tearing down a racing build.
-                None => break,
-            }
-        }
+        cell.get_or_init(|| Arc::new(build())).clone()
     }
 
     /// Entries currently held, in-flight ones included.
@@ -401,17 +329,8 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     }
 }
 
-/// Cache traffic counters of one suite, for the aggregated report.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheCounters {
-    /// Layout-plan cache hits / misses.
-    pub layout_hits: u64,
-    /// Layout-plan cache misses (compiles performed).
-    pub layout_misses: u64,
-}
-
 /// A fixed (apps, mapping, config, threads-per-core) context whose run
-/// matrix can be evaluated in parallel with shared caches.
+/// matrix can be evaluated in parallel.
 ///
 /// Configurations are part of the key by construction: one `Suite` is one
 /// config, and experiments that sweep configs (mesh sizes, placements,
@@ -423,20 +342,16 @@ pub struct Suite {
     mapping: L2ToMcMapping,
     sim: SimConfig,
     threads_per_core: usize,
-    layouts: Memo<(usize, RunKind), hoploc_layout::ProgramLayout>,
 }
 
 impl Suite {
     /// Creates a suite over `apps` under one mapping and simulator config.
-    /// The layout cache is unbounded: it holds at most two plans per
-    /// application, one per [`RunKind::layout_class`].
     pub fn new(apps: impl Into<Arc<[App]>>, mapping: L2ToMcMapping, sim: SimConfig) -> Self {
         Self {
             apps: apps.into(),
             mapping,
             sim,
             threads_per_core: 1,
-            layouts: Memo::new(None),
         }
     }
 
@@ -476,22 +391,17 @@ impl Suite {
         reqs
     }
 
-    /// The compiled (or original) layout plan for one matrix cell, shared
-    /// through the suite's layout-plan cache. This is the cross-validation entry
-    /// point the static estimator (`hoploc-est`) uses: predictions are made
-    /// from the *same* plan object the cycle simulation replays, so a
-    /// prediction/simulation mismatch can only come from the model, never
-    /// from divergent layout inputs.
-    pub fn layout_plan(&self, app: usize, kind: RunKind) -> Arc<hoploc_layout::ProgramLayout> {
-        let class = kind.layout_class();
-        self.layouts.get_or((app, class), || {
-            hoploc_workloads::layout_for(&self.apps[app], &self.mapping, &self.sim, class)
-        })
+    /// The compiled (or original) layout plan for one matrix cell: the plan
+    /// [`run`](Self::run) simulates, so a static estimate made from it
+    /// (`hoploc-est`) differs from the cycle simulation only by model,
+    /// never by layout input.
+    pub fn layout_plan(&self, app: usize, kind: RunKind) -> hoploc_layout::ProgramLayout {
+        hoploc_workloads::layout_for(&self.apps[app], &self.mapping, &self.sim, kind)
     }
 
-    /// Runs one request through the layout memo. Pure in the request — a
-    /// run is bit-identical to [`run_plan`] at the suite's threads per core
-    /// on a fresh [`hoploc_workloads::layout_for`] plan.
+    /// Runs one request. Pure in the request — a run is bit-identical to
+    /// [`run_plan`] at the suite's threads per core on a fresh
+    /// [`hoploc_workloads::layout_for`] plan.
     pub fn run(&self, req: &RunRequest) -> RunOutput {
         let (app, kind) = (&self.apps[req.spec.app], req.spec.kind);
         let plan = self.layout_plan(req.spec.app, kind);
@@ -504,7 +414,7 @@ impl Suite {
     /// Runs every app of the suite co-scheduled as one `kind` run (Figure
     /// 25's multiprogrammed mixes): each app has its threads on all cores
     /// and a virtual address space of its own, and the returned statistics
-    /// carry each app's finish time. Plans come from the layout cache.
+    /// carry each app's finish time.
     pub fn run_mix(&self, kind: RunKind) -> RunStats {
         let page_bytes = self.sim.page_bytes;
         let prepared: Vec<_> = (self.apps.iter().enumerate())
@@ -532,9 +442,8 @@ impl Suite {
     /// Runs `reqs` across `jobs` worker threads and collects the records
     /// **by index**: the output order is the request order no matter how
     /// the scheduler interleaves workers, and every record is bit-identical
-    /// to what `jobs = 1` (or the un-cached sequential path) produces. Each
-    /// recorded run owns its sink; only finished [`ObsReport`]s (plain
-    /// data) cross threads.
+    /// to what `jobs = 1` produces. Each recorded run owns its sink; only
+    /// finished [`ObsReport`]s (plain data) cross threads.
     pub fn run_all(&self, reqs: &[RunRequest], jobs: usize) -> Vec<RunRecord> {
         parallel_map(reqs, jobs, |req| {
             let RunOutput { stats, report } = self.run(req);
@@ -545,14 +454,6 @@ impl Suite {
                 report,
             }
         })
-    }
-
-    /// Cache counters accumulated so far.
-    pub fn cache_counters(&self) -> CacheCounters {
-        CacheCounters {
-            layout_hits: self.layouts.hits.load(Ordering::Relaxed),
-            layout_misses: self.layouts.misses.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -653,24 +554,15 @@ pub fn record_json(r: &RunRecord) -> String {
     w.end_obj().take()
 }
 
-/// Serializes run records (plus optional cache counters) as a JSON
-/// document — the machine-readable summary behind every `--json`: one
-/// member per line, one record per line of the `runs` array.
-pub fn to_json(records: &[RunRecord], counters: Option<CacheCounters>) -> String {
+/// Serializes run records as a JSON document — the machine-readable
+/// summary behind every `--json`: one record per line of the `runs` array.
+pub fn to_json(records: &[RunRecord]) -> String {
     let runs: Vec<String> = (records.iter())
         .map(|r| format!("\n    {}", record_json(r)))
         .collect();
     let mut w = JsonWriter::spaced();
     w.key("runs").raw(&format!("[{}\n  ]", runs.join(",")));
-    let mut members = vec![w.take()];
-    if let Some(c) = counters {
-        (w.key("cache").obj())
-            .field("layout_hits", c.layout_hits)
-            .field("layout_misses", c.layout_misses)
-            .end_obj();
-        members.push(w.take());
-    }
-    format!("{{\n  {}\n}}\n", members.join(",\n  "))
+    format!("{{\n  {}\n}}\n", w.take())
 }
 
 #[cfg(test)]
@@ -753,18 +645,6 @@ mod tests {
             par.chunks(5).any(|c| c[3].stats != c[0].stats),
             "a moderate plan should perturb at least one cell"
         );
-    }
-
-    #[test]
-    fn caches_share_baseline_class_work() {
-        let s = suite2();
-        let kinds = [RunKind::Baseline, RunKind::FirstTouch, RunKind::Optimal];
-        s.run_all(&s.full_matrix(&kinds), 2);
-        let c = s.cache_counters();
-        // 2 apps × 1 baseline layout class: exactly 2 compiles serve all
-        // 6 runs.
-        assert_eq!(c.layout_misses, 2, "{c:?}");
-        assert_eq!(c.layout_hits, 4, "{c:?}");
     }
 
     /// Over random cells, threads per core, fault plans and recordings,
@@ -904,47 +784,37 @@ mod tests {
     fn json_is_well_formed_and_record_json_is_its_unit() {
         let s = suite2();
         let recs = s.run_all(&s.full_matrix(&[RunKind::Baseline])[..1], 1);
-        let j = to_json(&recs, Some(s.cache_counters()));
+        let j = to_json(&recs);
         assert!(j.starts_with("{\n"));
         assert!(j.contains("\"app\": \"swim\""));
         assert!(j.contains("\"kind\": \"baseline\""));
-        assert!(j.contains("\"cache\""));
         assert!(j.trim_end().ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let unit = record_json(&recs[0]);
         assert!(unit.starts_with('{') && unit.ends_with('}'));
         assert!(!unit.contains('\n'), "record_json must be single-line");
-        assert!(to_json(&recs, None).contains(&unit));
+        assert!(j.contains(&unit));
     }
 
+    /// 64 lookups of 9 keys on 8 threads: each key is built exactly once,
+    /// and every lookup returns its key's value.
     #[test]
-    fn bounded_memo_evicts_lru_and_rebuilds_identically() {
-        let memo: Memo<u32, u32> = Memo::new(Some(2));
-        assert_eq!(*memo.get_or(1, || 10), 10);
-        assert_eq!(*memo.get_or(2, || 20), 20);
-        assert_eq!(*memo.get_or(1, || 10), 10); // refresh key 1
-        assert_eq!(*memo.get_or(3, || 30), 30); // evicts key 2 (LRU)
-        assert_eq!(memo.resident(), 2);
-        assert_eq!(memo.evictions.load(Ordering::Relaxed), 1);
-        // Key 2 was evicted: rebuilding is a miss but yields the same value.
-        assert_eq!(*memo.get_or(2, || 20), 20);
-        assert_eq!(memo.evictions.load(Ordering::Relaxed), 2);
-        assert_eq!(memo.hits.load(Ordering::Relaxed), 1);
-        assert_eq!(memo.misses.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn bounded_memo_is_safe_under_contention() {
-        let memo: Memo<u64, u64> = Memo::new(Some(3));
+    fn memo_builds_each_key_once_under_contention() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let memo: Memo<u64, u64> = Memo::default();
+        let builds: [AtomicU64; 9] = Default::default();
         let keys: Vec<u64> = (0..64).map(|i| i % 9).collect();
-        let out = parallel_map(&keys, 8, |&k| *memo.get_or(k, || k * k));
+        let out = parallel_map(&keys, 8, |&k| {
+            *memo.get_or(k, || {
+                builds[k as usize].fetch_add(1, Ordering::Relaxed);
+                k * k
+            })
+        });
         for (k, v) in keys.iter().zip(out) {
             assert_eq!(v, k * k);
         }
-        assert!(
-            memo.resident() <= 3 + 8,
-            "cap plus in-flight slack exceeded"
-        );
+        assert!(builds.iter().all(|b| b.load(Ordering::Relaxed) == 1));
+        assert_eq!(memo.resident(), 9);
     }
 
     #[test]

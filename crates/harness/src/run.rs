@@ -4,8 +4,8 @@
 //! cell's machine, generated as the run pulls it. What a run kind means to
 //! the machine (the page policy, the §2 optimal flag, the outstanding-miss
 //! window, whether a desired-page map exists) is decided here and nowhere
-//! else. [`Suite`](crate::Suite) puts its layout memo in front; [`run_plan`]
-//! is the one-shot for a caller that compiled its own plan.
+//! else. [`Suite`](crate::Suite) compiles each cell's plan in front;
+//! [`run_plan`] is the one-shot for a caller that compiled its own plan.
 
 use std::collections::HashMap;
 
@@ -103,8 +103,8 @@ pub(crate) fn simulate(
 /// describes (its fault plan included) with `placement`'s controllers and
 /// L2-to-MC mapping. This is what a design-space search verifies each
 /// machine with — the plan its scorer compiled — and what the job server
-/// runs a cycle job with, on a plan from its memo: simulated as a suite
-/// of one cell would, with no memo in front.
+/// runs a cycle job with, on the plan it compiled for the job: simulated
+/// as a suite of one cell would.
 ///
 /// # Panics
 ///

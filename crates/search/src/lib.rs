@@ -18,9 +18,10 @@
 //!    sets, and flipping layout-plan parameters.
 //!
 //! Candidates are scored by the static estimator (`hoploc-est`): the
-//! program analysis and the footprint model are built once per search, so
-//! a fresh evaluation is one layout customization plus one routing of the
-//! footprint to the three totals the objective reads, both in buffers the
+//! program analysis is built once per application and kept on it, the
+//! footprint model once per search, so a fresh evaluation is one layout
+//! customization plus one routing of the footprint to the three totals
+//! the objective reads, both in buffers the
 //! scorer keeps, after a proposal built in buffers the chain keeps: a
 //! handful of allocations per evaluation. At test scale on 2 vCPUs that is
 //! ≈ 6 µs of the chain thread's CPU in a fast phase of the host (PR 27);
@@ -128,8 +129,9 @@ impl SearchConfig {
 /// top-K distinct candidates for verification.
 struct Evaluator<'a> {
     cfg: &'a SearchConfig,
-    /// Holds what no candidate can change — the program analysis and the
-    /// footprint model — so a fresh evaluation is customize + route only.
+    /// Holds what no candidate can change — the footprint model; the
+    /// program analysis is the application's — so a fresh evaluation is
+    /// customize + route only.
     scorer: PlacementScorer<'a>,
     diameter: u16,
     cache: HashMap<CandidateKey, (f64, EstTerms)>,

@@ -1,23 +1,23 @@
 //! The execution engine: how the server turns an accepted [`JobSpec`]
 //! into result bytes.
 //!
-//! [`SuiteEngine`] is the real one. It keeps every compiled layout plan in
-//! one memo keyed by exactly what the layout pass reads — scale,
-//! granularity, L2 organization, mapping, application and layout class —
-//! so the jobs of one cell share one compile whatever their threads per
-//! core, prefetch engine or faults. A cycle job runs that plan through
-//! [`hoploc_harness::run_plan`], the one-shot a search's verification also
-//! calls; its result is the raw [`hoploc_harness::record_json`] bytes of
-//! the run, which is exactly what `hoploc sweep --json` embeds per record:
-//! a served result is byte-identical to a direct run by construction.
+//! [`SuiteEngine`] is the real one. It keeps three things: each scale's
+//! applications, the two placements and the estimator's footprints. Every
+//! executed job compiles its own layout plan with [`layout_for`], from the
+//! analysis its application keeps ([`App::analysis`]), in microseconds. A
+//! cycle job runs that plan through [`hoploc_harness::run_plan`], the
+//! one-shot a search's verification also calls; its result is the raw
+//! [`hoploc_harness::record_json`] bytes of the run, which is exactly what
+//! `hoploc sweep --json` embeds per record: a served result is
+//! byte-identical to a direct run by construction.
 //!
 //! A request builds nothing it does not execute. Admission compares the
 //! application name with [`APP_NAMES`]; each scale's 13 programs are built
 //! once per engine, on the scale's first executed job, their index tables
 //! over the harness fan-out on every core; an application's program is
 //! analyzed once, on its first optimized plan; estimator jobs route the
-//! same plan through one [`Footprint`] shared across the kinds,
-//! granularities and mappings that cannot change it.
+//! plan through one [`Footprint`] shared across the kinds, granularities
+//! and mappings that cannot change it.
 //!
 //! The trait exists so tests can substitute slow, failing or panicking
 //! engines for the backpressure, timeout and panic paths.
@@ -29,11 +29,10 @@ use hoploc_fault::{FaultPlan, FaultRates};
 use hoploc_harness::{
     default_jobs, fault_topo, parallel_map, record_json, run_plan, MachineSpec, Memo, RunRecord,
 };
-use hoploc_layout::{Granularity, L2Mode, PassConfig, ProgramAnalysis, ProgramLayout};
 use hoploc_noc::Placement;
 use hoploc_search::{search_app, Objective, SearchConfig};
 use hoploc_sim::{Cancel, PrefetchMode, SimConfig};
-use hoploc_workloads::{all_apps, App, LayoutPlanner, RunKind, Scale, APP_NAMES};
+use hoploc_workloads::{all_apps, layout_for, App, RunKind, Scale, APP_NAMES};
 use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
@@ -54,40 +53,27 @@ pub trait Engine: Send + Sync {
         -> Result<String, String>;
 }
 
-/// What [`SuiteEngine::new`] takes. No bound is left to set: plans are
-/// finite by their key and footprints are capped by a constant.
+/// What [`SuiteEngine::new`] takes. No bound is left to set: the
+/// footprints are finite by their key.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EngineCaps {}
-
-/// What a compiled layout plan is a function of: the application (scale
-/// and index into [`APP_NAMES`]), the three machine terms the layout pass
-/// reads (granularity, L2 organization, `MachineSpec::m2`) and the
-/// [`RunKind::layout_class`]. Threads per core and prefetching are not
-/// read, so they are not in it. Every term is an enum, a flag or an index
-/// into [`APP_NAMES`]: 2·2·2·2·13·2 = 416 keys, so the memo needs no cap.
-type PlanKey = (Scale, Granularity, L2Mode, bool, usize, RunKind);
 
 /// What a shared [`Footprint`] is a function of: the application (scale
 /// and index into [`APP_NAMES`]) and [`EstConfig::footprint_inputs`].
 /// Admission bounds `threads`, the only input a request sets freely, so
-/// the key space is finite.
+/// the key space is finite: 416 keys a scale, ≈ 9 MiB (DESIGN §13), and
+/// the memo needs no cap.
 type FootprintKey = (Scale, usize, FootprintInputs);
 
-/// Footprints kept resident: one per application for four cache shapes.
-const FOOTPRINT_CAP: usize = 4 * APP_NAMES.len();
-
-/// The production engine: memoized plans and footprints over the real
-/// harness.
+/// The production engine: the applications, the placements and memoized
+/// footprints over the real harness.
 pub struct SuiteEngine {
     /// The applications of [`Scale::Test`] and [`Scale::Bench`], each built
-    /// on first use, index tables included, and kept.
+    /// on first use, index tables included, and kept with the analysis
+    /// each makes on its first optimized plan.
     catalogue: [OnceLock<Arc<[App]>>; 2],
     /// The M1 and M2 placements, indexed by `MachineSpec::m2`.
     placements: [Placement; 2],
-    plans: Memo<PlanKey, ProgramLayout>,
-    /// One program analysis per application (scale and index into
-    /// [`APP_NAMES`]), made on its first optimized plan: 26 keys at most.
-    analyses: Memo<(Scale, usize), ProgramAnalysis>,
     footprints: Memo<FootprintKey, Footprint>,
 }
 
@@ -103,9 +89,7 @@ impl SuiteEngine {
                 };
                 machine.placement()
             }),
-            plans: Memo::new(None),
-            analyses: Memo::new(None),
-            footprints: Memo::new(Some(FOOTPRINT_CAP)),
+            footprints: Memo::default(),
         }
     }
 
@@ -233,23 +217,9 @@ impl Engine for SuiteEngine {
         let app = &apps[idx];
         let placement = &self.placements[usize::from(m.m2)];
         let sim = m.sim();
-        let class = spec.kind.layout_class();
-        // The est and cycle tiers of a cell read this one plan, so the two
-        // disagree only by model, never by input.
-        let key = (m.scale, m.granularity, m.l2_mode, m.m2, idx, class);
-        let plan = self.plans.get_or(key, || {
-            // `layout_for`, with the program analyzed once per application.
-            let planner = match class {
-                RunKind::Optimized => {
-                    let analysis = (self.analyses)
-                        .get_or((m.scale, idx), || ProgramAnalysis::of(&app.program));
-                    LayoutPlanner::analyzed(app, analysis)
-                }
-                _ => LayoutPlanner::new(app, class),
-            };
-            let threshold = PassConfig::default().approx_threshold;
-            planner.layout(placement.mapping(), &sim, threshold)
-        });
+        // The est and cycle jobs of a cell compile the same plan, so the
+        // two tiers disagree only by model, never by input.
+        let plan = layout_for(app, placement.mapping(), &sim, spec.kind);
         if spec.fidelity == Fidelity::Est {
             let cfg = EstConfig::from_sim(&sim).with_threads_per_core(m.threads);
             // `estimate_app` in two steps: the footprint is shared by every
@@ -286,6 +256,7 @@ impl Engine for SuiteEngine {
 mod tests {
     use super::*;
     use hoploc_harness::{RunRequest, RunSpec};
+    use hoploc_layout::{Granularity, L2Mode};
     use hoploc_workloads::MAX_THREADS_PER_CORE;
 
     /// A job run to completion, its progress dropped.
@@ -366,11 +337,10 @@ mod tests {
     /// Est and cycle jobs over the 16 layout configurations (scale ×
     /// granularity × L2 organization × mapping), then threads {1, 2} ×
     /// prefetch {off, gated} on one of them: every served byte is what a
-    /// fresh direct `Suite` + `estimate_app` / `run` produces, the plan
-    /// memo compiles each (configuration, app, class) once whatever the
-    /// threads or prefetch engine, and est jobs share footprints.
+    /// fresh direct `Suite` + `estimate_app` / `run` produces, and est jobs
+    /// share footprints.
     #[test]
-    fn plans_keyed_by_what_the_pass_reads_serve_direct_bytes() {
+    fn served_bytes_are_a_direct_suites() {
         let eng = SuiteEngine::new(EngineCaps::default());
         let check = |machine: MachineSpec, kind, fidelity| {
             let job = JobSpec {
@@ -403,8 +373,6 @@ mod tests {
                 }
             }
         }
-        // Swim's two layout classes on each of the 16 configurations.
-        assert_eq!(eng.plans.resident(), 32);
         for threads in [1, 2] {
             for prefetch in [PrefetchMode::Off, PrefetchMode::Gated] {
                 let machine = MachineSpec {
@@ -420,9 +388,6 @@ mod tests {
                 }
             }
         }
-        // No variant compiled again: the memo has no cap, so what it holds
-        // is what it built.
-        assert_eq!(eng.plans.resident(), 32);
         // One footprint per scale and cache organization, and one for two
         // threads per core.
         assert_eq!(eng.footprints.resident(), 5);
@@ -436,7 +401,7 @@ mod tests {
 
     /// The catalogue's fan-out builds every table of the scale, each one
     /// job, the largest first, into the very values a lazily built
-    /// `all_apps` table holds.
+    /// `all_apps` table holds, and analyzes no program.
     #[test]
     fn a_catalogue_is_built_with_every_table() {
         let eng = SuiteEngine::new(EngineCaps::default());
@@ -453,6 +418,7 @@ mod tests {
         let len = |&(a, t): &(usize, TableId)| apps[a].program.table_len(t);
         assert!(jobs.windows(2).all(|w| len(&w[0]) >= len(&w[1])));
         for (app, direct) in apps.iter().zip(&lazy) {
+            assert!(!app.analysis_is_built(), "{}", app.name());
             let (p, q) = (&app.program, &direct.program);
             for t in (0..p.table_count()).map(TableId) {
                 assert!(p.table_is_built(t), "{} table {}", app.name(), t.0);
@@ -462,9 +428,9 @@ mod tests {
         }
     }
 
-    /// One analysis per application, whatever the number of
-    /// configurations its optimized plans are compiled for; baseline
-    /// plans analyze nothing.
+    /// Jobs of two applications, every kind, on eight configurations:
+    /// exactly those two applications' analyses are built, whatever the
+    /// number of configurations their plans are compiled for.
     #[test]
     fn each_program_is_analyzed_once() {
         let eng = SuiteEngine::new(EngineCaps::default());
@@ -489,9 +455,10 @@ mod tests {
                 }
             }
         }
-        // Two classes of two applications on eight configurations.
-        assert_eq!(eng.plans.resident(), 32);
-        assert_eq!(eng.analyses.resident(), apps.len());
+        for app in eng.apps(Scale::Test).iter() {
+            let analyzed = apps.contains(&app.name());
+            assert_eq!(app.analysis_is_built(), analyzed, "{}", app.name());
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! * [`metrics`] — server counters/gauges/histograms in a
 //!   [`hoploc_obs::Registry`].
 //! * [`engine`] — the [`engine::Engine`] trait and the production
-//!   [`engine::SuiteEngine`] (memoized layout plans run through the
-//!   harness's one-shot).
+//!   [`engine::SuiteEngine`] (each job's layout plan compiled on demand
+//!   and run through the harness's one-shot).
 //! * [`server`] — queue, workers, coalescing, backpressure, timeouts,
 //!   drain, and the TCP frontend.
 //! * [`client`] — a blocking client honoring backpressure hints.

@@ -642,7 +642,7 @@ mod tests {
                 delay_ms,
                 fail_apps: Vec::new(),
                 panic_apps: Vec::new(),
-                built: Memo::new(None),
+                built: Memo::default(),
             }
         }
     }

@@ -28,7 +28,8 @@ use hoploc_affine::{
     AffineAccess, AffineExpr, ArrayDecl, ArrayId, ArrayRef, IMat, IVec, Loop, LoopNest, Program,
     Statement, TableGen,
 };
-use hoploc_layout::AppProfile;
+use hoploc_layout::{AppProfile, ProgramAnalysis};
+use std::sync::{Arc, OnceLock};
 
 use crate::gen::TraceGen;
 
@@ -84,7 +85,9 @@ impl Scale {
 /// One modelled application.
 #[derive(Clone, Debug)]
 pub struct App {
-    /// The affine program (arrays, tables, nests).
+    /// The affine program (arrays, tables, nests). Not to be replaced once
+    /// [`analysis`](Self::analysis) has been read: the analysis is of the
+    /// program it was first read for.
     pub program: Program,
     /// Compile-time profile for the mapping-selection analysis (§4).
     pub profile: AppProfile,
@@ -96,12 +99,46 @@ pub struct App {
     /// Outstanding misses each core sustains (memory-level parallelism
     /// demand; highest for fma3d and minighost, §6.2).
     pub mlp: u32,
+    /// The layout pass's analysis of `program`, made on its first read.
+    analysis: OnceLock<Arc<ProgramAnalysis>>,
 }
 
 impl App {
+    /// An application over `program`, its analysis not yet made.
+    pub fn new(
+        program: Program,
+        profile: AppProfile,
+        gen: TraceGen,
+        first_touch_friendly: bool,
+        mlp: u32,
+    ) -> Self {
+        App {
+            program,
+            profile,
+            gen,
+            first_touch_friendly,
+            mlp,
+            analysis: OnceLock::new(),
+        }
+    }
+
     /// The application's name.
     pub fn name(&self) -> &str {
         self.program.name()
+    }
+
+    /// What the layout pass learns from the program alone (§5.2, §5.4),
+    /// made on the first read and kept, as an index table is: every plan of
+    /// the optimized side, for any machine, is customized from it. A clone
+    /// made after the first read shares it.
+    pub fn analysis(&self) -> &ProgramAnalysis {
+        self.analysis
+            .get_or_init(|| Arc::new(ProgramAnalysis::of(&self.program)))
+    }
+
+    /// Whether [`analysis`](Self::analysis) has been read.
+    pub fn analysis_is_built(&self) -> bool {
+        self.analysis.get().is_some()
     }
 }
 
@@ -208,16 +245,16 @@ pub fn wupwise(scale: Scale) -> App {
         )],
         40,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 3.0,
             sharing_fraction: 0.08,
         },
-        gen: TraceGen::tuned(2),
-        first_touch_friendly: true,
-        mlp: 2,
-    }
+        TraceGen::tuned(2),
+        true,
+        2,
+    )
 }
 
 /// **swim** — shallow-water stencils over multi-field grids whose hot
@@ -280,16 +317,16 @@ pub fn swim(scale: Scale) -> App {
     p.add_nest(nest(vec![Statement::new(hot(u), 4)]));
     p.add_nest(nest(vec![Statement::new(hot(v), 4)]));
     p.add_nest(nest(vec![Statement::new(hot(pa), 4)]));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 5.0,
             sharing_fraction: 0.10,
         },
-        gen: TraceGen::tuned(8),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(8),
+        false,
+        2,
+    )
 }
 
 /// **mgrid** — multigrid V-cycle: a 7-point relaxation plus a coarsening
@@ -353,16 +390,16 @@ pub fn mgrid(scale: Scale) -> App {
         )],
         5,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 4.0,
             sharing_fraction: 0.12,
         },
-        gen: TraceGen::tuned(8),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(8),
+        false,
+        2,
+    )
 }
 
 /// **applu** — SSOR sweeps whose two hot nests parallelize *different*
@@ -438,16 +475,16 @@ pub fn applu(scale: Scale) -> App {
         )],
         3,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 4.0,
             sharing_fraction: 0.15,
         },
-        gen: TraceGen::tuned(8),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(8),
+        false,
+        2,
+    )
 }
 
 /// **galgel** — Galerkin FEM linear algebra: a matmul-shaped kernel where
@@ -490,16 +527,16 @@ pub fn galgel(scale: Scale) -> App {
         )],
         3,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 3.0,
             sharing_fraction: 0.25,
         },
-        gen: TraceGen::tuned(16),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(16),
+        false,
+        2,
+    )
 }
 
 /// **apsi** — mesoscale meteorology: the dominant vertical-diffusion
@@ -566,16 +603,16 @@ pub fn apsi(scale: Scale) -> App {
         )],
         2,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 5.0,
             sharing_fraction: 0.10,
         },
-        gen: TraceGen::tuned(8),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(8),
+        false,
+        2,
+    )
 }
 
 /// **gafort** — genetic algorithm: population arrays accessed through a
@@ -615,19 +652,19 @@ pub fn gafort(scale: Scale) -> App {
         )],
         20,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 2.0,
             sharing_fraction: 0.05,
         },
-        gen: TraceGen {
+        TraceGen {
             gap_scale: 4,
             ..TraceGen::tuned(4)
         },
-        first_touch_friendly: true,
-        mlp: 2,
-    }
+        true,
+        2,
+    )
 }
 
 /// **fma3d** — FEM crash simulation: element-to-node gather/scatter over
@@ -687,16 +724,16 @@ pub fn fma3d(scale: Scale) -> App {
         )],
         15,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 14.0,
             sharing_fraction: 0.50,
         },
-        gen: TraceGen::tuned_intense(8),
-        first_touch_friendly: false,
-        mlp: 6,
-    }
+        TraceGen::tuned_intense(8),
+        false,
+        6,
+    )
 }
 
 /// **art** — adaptive-resonance neural net: small weight matrices with
@@ -734,16 +771,16 @@ pub fn art(scale: Scale) -> App {
         )],
         2,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 1.0,
             sharing_fraction: 0.05,
         },
-        gen: TraceGen::tuned(1),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(1),
+        false,
+        2,
+    )
 }
 
 /// **ammp** — molecular dynamics with two neighbour tables: a cell-sorted
@@ -796,16 +833,16 @@ pub fn ammp(scale: Scale) -> App {
         )],
         1,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 3.0,
             sharing_fraction: 0.20,
         },
-        gen: TraceGen::tuned(1),
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        TraceGen::tuned(1),
+        false,
+        2,
+    )
 }
 
 /// **hpccg** — conjugate gradient with a CRS SpMV: the matrix values
@@ -864,19 +901,19 @@ pub fn hpccg(scale: Scale) -> App {
         )],
         15,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 6.0,
             sharing_fraction: 0.15,
         },
-        gen: TraceGen {
+        TraceGen {
             gap_scale: 4,
             ..TraceGen::tuned(4)
         },
-        first_touch_friendly: false,
-        mlp: 2,
-    }
+        false,
+        2,
+    )
 }
 
 /// **minighost** — 3-D halo-exchange stencil: deep halos plus a
@@ -947,16 +984,16 @@ pub fn minighost(scale: Scale) -> App {
         )],
         6,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 13.0,
             sharing_fraction: 0.45,
         },
-        gen: TraceGen::tuned_intense(8),
-        first_touch_friendly: false,
-        mlp: 6,
-    }
+        TraceGen::tuned_intense(8),
+        false,
+        6,
+    )
 }
 
 /// **minimd** — Lennard-Jones MD: cell-sorted neighbour lists (approximate
@@ -993,19 +1030,19 @@ pub fn minimd(scale: Scale) -> App {
         )],
         18,
     ));
-    App {
-        program: p,
-        profile: AppProfile {
+    App::new(
+        p,
+        AppProfile {
             offchip_per_kcycle: 2.0,
             sharing_fraction: 0.07,
         },
-        gen: TraceGen {
+        TraceGen {
             gap_scale: 4,
             ..TraceGen::tuned(4)
         },
-        first_touch_friendly: true,
-        mlp: 2,
-    }
+        true,
+        2,
+    )
 }
 
 type Constructor = fn(Scale) -> App;

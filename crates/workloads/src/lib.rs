@@ -19,4 +19,4 @@ pub use apps::{
     minimd, mixes, swim, wupwise, App, Scale, APP_NAMES,
 };
 pub use gen::{generate_traces, NestSampling, TraceGen, MAX_THREADS_PER_CORE};
-pub use suite::{layout_for, layout_with, weighted_speedup, LayoutPlanner, RunKind};
+pub use suite::{layout_for, layout_into, layout_with, weighted_speedup, RunKind};

@@ -3,10 +3,9 @@
 //! `hoploc-harness`'s.
 
 use crate::apps::App;
-use hoploc_layout::{baseline_layout, PassConfig, ProgramAnalysis, ProgramLayout};
+use hoploc_layout::{baseline_layout, PassConfig, ProgramLayout};
 use hoploc_noc::L2ToMcMapping;
 use hoploc_sim::{RunStats, SimConfig};
-use std::sync::Arc;
 
 /// Which side of a comparison a run represents.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -54,7 +53,7 @@ impl RunKind {
 
     /// The kind whose compiled layout (and so whose trace) a run of this
     /// kind replays: Baseline, FirstTouch and Optimal all run the original
-    /// layouts, so one compile serves the three. Layout memos key on it.
+    /// layouts, so the three compile the same plan.
     pub fn layout_class(self) -> RunKind {
         match self {
             RunKind::Optimized => RunKind::Optimized,
@@ -91,71 +90,36 @@ pub fn layout_with(
     kind: RunKind,
     approx_threshold: f64,
 ) -> ProgramLayout {
-    LayoutPlanner::new(app, kind).layout(mapping, sim, approx_threshold)
+    let mut out = ProgramLayout::default();
+    layout_into(app, mapping, sim, kind, approx_threshold, &mut out);
+    out
 }
 
-/// Builds the layouts of one experiment side for any number of mappings
-/// and machines: what the layout pass learns from the program alone is
-/// computed once, at construction. [`layout_with`] is the one-shot use.
-pub struct LayoutPlanner<'a> {
-    app: &'a App,
-    /// `Some` for the side that runs the layout pass.
-    analysis: Option<Arc<ProgramAnalysis>>,
-}
-
-impl<'a> LayoutPlanner<'a> {
-    /// Analyzes `app` for the `kind` side of an experiment.
-    pub fn new(app: &'a App, kind: RunKind) -> Self {
-        let analysis = (kind.layout_class() == RunKind::Optimized)
-            .then(|| Arc::new(ProgramAnalysis::of(&app.program)));
-        Self { app, analysis }
-    }
-
-    /// The optimized side's planner over an analysis already made:
-    /// `analysis` must be `ProgramAnalysis::of(&app.program)`. A caller that
-    /// plans one application for many machines keeps one analysis for all
-    /// of them.
-    pub fn analyzed(app: &'a App, analysis: Arc<ProgramAnalysis>) -> Self {
-        Self {
-            app,
-            analysis: Some(analysis),
+/// [`layout_with`] written into `out`, reusing its buffers
+/// (`ProgramAnalysis::customize_into`). The optimized side customizes the
+/// application's own [`App::analysis`], so a plan costs microseconds once
+/// the program has been analyzed; the other sides analyze nothing.
+pub fn layout_into(
+    app: &App,
+    mapping: &L2ToMcMapping,
+    sim: &SimConfig,
+    kind: RunKind,
+    approx_threshold: f64,
+    out: &mut ProgramLayout,
+) {
+    match kind.layout_class() {
+        RunKind::Optimized => {
+            let cfg = PassConfig {
+                granularity: sim.granularity,
+                l2_mode: sim.l2_mode,
+                line_bytes: sim.l2.line_bytes as u32,
+                page_bytes: sim.page_bytes as u32,
+                approx_threshold,
+            };
+            app.analysis()
+                .customize_into(&app.program, mapping, cfg, out);
         }
-    }
-
-    /// The layout under `mapping` on the machine `sim` describes.
-    pub fn layout(
-        &self,
-        mapping: &L2ToMcMapping,
-        sim: &SimConfig,
-        approx_threshold: f64,
-    ) -> ProgramLayout {
-        let mut out = ProgramLayout::default();
-        self.layout_into(mapping, sim, approx_threshold, &mut out);
-        out
-    }
-
-    /// [`layout`](Self::layout) written into `out`, reusing its buffers
-    /// (`ProgramAnalysis::customize_into`).
-    pub fn layout_into(
-        &self,
-        mapping: &L2ToMcMapping,
-        sim: &SimConfig,
-        approx_threshold: f64,
-        out: &mut ProgramLayout,
-    ) {
-        match &self.analysis {
-            Some(analysis) => {
-                let cfg = PassConfig {
-                    granularity: sim.granularity,
-                    l2_mode: sim.l2_mode,
-                    line_bytes: sim.l2.line_bytes as u32,
-                    page_bytes: sim.page_bytes as u32,
-                    approx_threshold,
-                };
-                analysis.customize_into(&self.app.program, mapping, cfg, out);
-            }
-            None => *out = baseline_layout(&self.app.program, mapping.mesh().num_nodes()),
-        }
+        _ => *out = baseline_layout(&app.program, mapping.mesh().num_nodes()),
     }
 }
 

@@ -2,10 +2,16 @@
 //! values at both scales (recorded when the tables were still built with
 //! their applications), and the laziness of declared tables: building the
 //! catalogue builds no table, one read builds one table, and concurrent
-//! first readers share one build.
+//! first readers share one build. An application's layout analysis is
+//! kept the same way: no catalogue and no plan of the baseline class
+//! builds it, concurrent first readers share one build, a clone carries
+//! it, and every plan made from it is the one a fresh pass compiles.
 
 use hoploc_affine::{Program, TableId};
-use hoploc_workloads::{all_apps, fma3d, Scale};
+use hoploc_layout::{baseline_layout, optimize_program, Granularity, L2Mode, PassConfig};
+use hoploc_noc::Placement;
+use hoploc_sim::SimConfig;
+use hoploc_workloads::{all_apps, fma3d, layout_for, RunKind, Scale};
 
 /// FNV-1a over the little-endian bytes of every value.
 fn fnv1a(values: &[i64]) -> u64 {
@@ -100,4 +106,89 @@ fn debug_prints_a_declared_table_as_its_generator() {
     );
     assert!(text.len() < 4096, "{} bytes", text.len());
     assert!(!app.program.table_is_built(TableId(0)));
+}
+
+/// The eight machines a plan can be compiled for (granularity × L2
+/// organization × M1/M2), each with its mapping.
+fn machines() -> Vec<(SimConfig, Placement)> {
+    let mut out = Vec::new();
+    for granularity in [Granularity::CacheLine, Granularity::Page] {
+        for l2_mode in [L2Mode::Private, L2Mode::Shared] {
+            let sim = SimConfig {
+                granularity,
+                l2_mode,
+                ..SimConfig::scaled()
+            };
+            out.push((sim.clone(), Placement::nearest(sim.mesh, &sim.placement)));
+            out.push((sim.clone(), Placement::halves(sim.mesh, &sim.placement)));
+        }
+    }
+    out
+}
+
+#[test]
+fn no_catalogue_and_no_baseline_class_plan_analyzes() {
+    assert!(all_apps(Scale::Bench)
+        .iter()
+        .all(|a| !a.analysis_is_built()));
+    let kinds = [RunKind::Baseline, RunKind::FirstTouch, RunKind::Optimal];
+    for app in all_apps(Scale::Test) {
+        for (sim, placement) in machines() {
+            for kind in kinds {
+                layout_for(&app, placement.mapping(), &sim, kind);
+            }
+        }
+        assert!(!app.analysis_is_built(), "{}", app.name());
+    }
+}
+
+#[test]
+fn concurrent_first_readers_share_one_analysis_and_a_clone_carries_it() {
+    let app = fma3d(Scale::Test);
+    let before = app.clone();
+    let [a, b] = std::thread::scope(|s| {
+        let readers = [0, 1].map(|_| s.spawn(|| app.analysis()));
+        readers.map(|r| r.join().expect("reader"))
+    });
+    // One build: both readers hold the very same analysis.
+    assert!(std::ptr::eq(a, b));
+    assert!(std::ptr::eq(a, app.analysis()));
+    assert!(std::ptr::eq(a, app.clone().analysis()));
+    assert!(!before.analysis_is_built(), "a clone made before the read");
+}
+
+/// Every test-scale application × every kind × the eight machines: the plan
+/// made from the kept analysis is, `{:?}` for `{:?}`, the one a fresh
+/// `optimize_program` (optimized side) or `baseline_layout` compiles.
+#[test]
+fn every_plan_is_a_fresh_pass() {
+    for app in all_apps(Scale::Test) {
+        for (sim, placement) in machines() {
+            let mapping = placement.mapping();
+            let pass = PassConfig {
+                granularity: sim.granularity,
+                l2_mode: sim.l2_mode,
+                line_bytes: sim.l2.line_bytes as u32,
+                page_bytes: sim.page_bytes as u32,
+                ..PassConfig::default()
+            };
+            let optimized = optimize_program(&app.program, mapping, pass);
+            let baseline = baseline_layout(&app.program, sim.num_nodes());
+            for kind in RunKind::ALL {
+                let fresh = match kind {
+                    RunKind::Optimized => &optimized,
+                    _ => &baseline,
+                };
+                let kept = layout_for(&app, mapping, &sim, kind);
+                assert_eq!(
+                    format!("{kept:?}"),
+                    format!("{fresh:?}"),
+                    "{} {kind:?} {:?} {:?}",
+                    app.name(),
+                    sim.granularity,
+                    sim.l2_mode
+                );
+            }
+        }
+    }
 }

@@ -375,7 +375,7 @@ fn cmd_run(app: App, o: &Options) -> ExitCode {
         imp.exec_time * 100.0
     );
     if let Some(target) = &o.json {
-        if let Err(e) = emit_json(target, &to_json(&records, Some(suite.cache_counters()))) {
+        if let Err(e) = emit_json(target, &to_json(&records)) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
@@ -555,7 +555,7 @@ fn cmd_faults(app: App, o: &Options) -> ExitCode {
         records.push(RunRecord::new(&*name, kind, faulted));
     }
     if let Some(target) = &o.json {
-        if let Err(e) = emit_json(target, &to_json(&records, None)) {
+        if let Err(e) = emit_json(target, &to_json(&records)) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
@@ -618,15 +618,10 @@ fn cmd_sweep(o: &Options) -> ExitCode {
             imp.exec_time * 100.0
         );
     }
-    let c = suite.cache_counters();
     println!("\nper-run statistics ({} workers):", o.jobs);
     print!("{}", render_table(&records));
-    println!(
-        "caches: {} layout compiles ({} reused)",
-        c.layout_misses, c.layout_hits
-    );
     if let Some(target) = &o.json {
-        if let Err(e) = emit_json(target, &to_json(&records, Some(c))) {
+        if let Err(e) = emit_json(target, &to_json(&records)) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }

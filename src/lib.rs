@@ -29,7 +29,7 @@
 //! * [`prefetch`] — per-L2-slice stride/stream prefetch engines with a
 //!   perceptron-style off-chip predictor gating issue and an accuracy
 //!   throttle (`--prefetch stride|stream|gated|off`);
-//! * [`harness`] — the parallel, memoizing suite harness that fans the
+//! * [`harness`] — the parallel suite harness that fans the
 //!   (app × run-kind) matrix across threads with bit-identical results;
 //! * [`check`] — the static verifier and lint pass (`hoploc check`):
 //!   layout legality, parallelization races, and affine bounds

@@ -24,7 +24,7 @@
 
 use hoploc::check::{render_json, Code, Diagnostic};
 use hoploc::est::{est_record_json, xval_json, AppEstimate, XvalCell, XvalReport};
-use hoploc::harness::{record_json, to_json, CacheCounters, MachineSpec, RunRecord};
+use hoploc::harness::{record_json, to_json, MachineSpec, RunRecord};
 use hoploc::layout::Granularity;
 use hoploc::noc::{L2ToMcMapping, McId, NodeId};
 use hoploc::obs::{parse_json, NetClass, ObsConfig, Registry, Sink, Topology, WindowMode};
@@ -174,16 +174,9 @@ fn escaped_strings_are_pinned_in_all_four_documents() {
              \"os_fallbacks\": 0, \"rehomed\": 0, \"dropped\": 0, \"backstop_flushes\": 0}}"
         )
     );
-    let counters = CacheCounters {
-        layout_hits: 1,
-        layout_misses: 2,
-    };
     assert_eq!(
-        to_json(&[record(), record()], Some(counters)),
-        format!(
-            "{{\n  \"runs\": [\n    {unit},\n    {unit}\n  ],\n  \"cache\": \
-             {{\"layout_hits\": 1, \"layout_misses\": 2}}\n}}\n"
-        )
+        to_json(&[record(), record()]),
+        format!("{{\n  \"runs\": [\n    {unit},\n    {unit}\n  ]\n}}\n")
     );
 
     let est = AppEstimate {
@@ -259,7 +252,7 @@ fn run_records_with_prefetch_and_empty_documents_are_pinned() {
          \"dropped\": 1, \"accuracy\": 0.500000, \"coverage\": 0.400000, \
          \"pred_accuracy\": 0.666667}}"
     );
-    assert_eq!(to_json(&[], None), "{\n  \"runs\": [\n  ]\n}\n");
+    assert_eq!(to_json(&[]), "{\n  \"runs\": [\n  ]\n}\n");
     assert_eq!(
         render_json(&[]),
         "{\n  \"counts\": {\"errors\": 0, \"warnings\": 0, \"notes\": 0},\n  \
@@ -785,7 +778,7 @@ fn every_document_parses_as_json() {
     let rep = recording();
     let mut docs = vec![
         record_json(&record()),
-        to_json(&[record(), record()], Some(CacheCounters::default())),
+        to_json(&[record(), record()]),
         est_record_json(&est),
         xval_json(&xval_report()),
         render_json(&[diag.clone(), diag]),
