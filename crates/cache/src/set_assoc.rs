@@ -145,23 +145,40 @@ const SCAN_WAYS: usize = 4;
 /// The widest set: indexed sets link their ways by `u8` way numbers.
 const MAX_WAYS: usize = 256;
 
-/// A tag-only set-associative LRU cache.
+/// One way: the line it holds and its LRU stamp, side by side, so a scan
+/// of a set reads one record per way.
+#[derive(Clone, Copy, Default, Debug)]
+struct Way {
+    /// The line the way holds; meaningful while the way is valid.
+    tag: u64,
+    /// LRU timestamp, `0` while the way is invalid. Valid ways carry
+    /// distinct values `>= 1` (the access clock), so "first invalid way by
+    /// position, else least recently used" is the first minimum of a
+    /// set's stamps: how a scanned set finds its victim.
+    stamp: u64,
+}
+
+/// A tag-only set-associative LRU cache of one or more identical banks.
 ///
-/// Ways are stored structure-of-arrays (slot = `set * ways + way`). How a
-/// line is found follows from the associativity, decided once in
-/// [`new`](Self::new):
+/// Each bank is an independent cache of the configured geometry (its own
+/// sets, recency order and [`CacheStats`]); the banks live in one
+/// allocation so a machine's per-node L1s, or its L2 slices, are one
+/// value. Ways are `(tag, stamp)` records with the flag bits beside them,
+/// slot = `(bank·sets + set)·ways + way`. How a line is found follows from
+/// the associativity, decided once in [`with_banks`](Self::with_banks):
 ///
 /// * **scanned sets** (at most four ways: the 2-way L1s) compare the
 ///   set's own tags. Nothing is kept beside the slots, so a miss
 ///   maintains nothing;
 /// * **indexed sets** (the 16-way L2, the 128-way scaled L2) find a line
-///   through one open-addressed line → slot index per cache, so a hit
+///   through an open-addressed line → slot index per bank, so a hit
 ///   compares no other tag of the set, and keep their ways in a circular
 ///   recency list, so a miss reads no other way's stamp either.
 ///
 /// Both replace the same way: the first invalid way by position, else the
 /// least recently used. `AccessResult`s, residency and statistics do not
-/// depend on which of the two a geometry gets (`tests/oracle.rs`).
+/// depend on which of the two a geometry gets, nor on how many banks sit
+/// beside a bank (`tests/oracle.rs`).
 ///
 /// An indexed set finds that way without a scan. No line is ever
 /// invalidated, so its valid ways are always `0..filled` and the first
@@ -177,24 +194,25 @@ const MAX_WAYS: usize = 256;
 /// let mut c = SetAssocCache::new(CacheConfig::l1_default());
 /// assert!(!c.access(42).hit); // cold miss
 /// assert!(c.access(42).hit); // now resident
+///
+/// let mut l1s = SetAssocCache::with_banks(CacheConfig::l1_default(), 4);
+/// l1s.access_rw(3, 42, false);
+/// assert!(l1s.contains(3, 42) && !l1s.contains(0, 42));
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
+    /// Sets per bank.
     num_sets: u64,
-    /// The line each slot holds; meaningful while the slot is valid.
-    tags: Vec<u64>,
-    /// LRU timestamp of each slot, `0` while the way is invalid. Valid
-    /// ways carry distinct values `>= 1` (the access clock), so "first
-    /// invalid way by position, else least recently used" is the first
-    /// minimum of a set's slice: how a scanned set finds its victim.
-    last_used: Vec<u64>,
+    ways: Vec<Way>,
     flags: Vec<u8>,
-    /// Line → slot: linear probing from a multiplicative hash, deletion by
-    /// backward shift (no tombstones), sized to at most half full. Buckets
-    /// name valid slots only; the key of a bucket is `tags[slot]`. Empty,
-    /// and never allocated, when sets are scanned.
+    /// Line → slot, one region of `bank_buckets` buckets per bank: linear
+    /// probing from a multiplicative hash within the region, deletion by
+    /// backward shift (no tombstones), each region at most half full.
+    /// Buckets name valid slots only; the key of a bucket is its slot's
+    /// tag. Empty, and never allocated, when sets are scanned.
     index: Vec<u32>,
+    bank_buckets: usize,
     index_shift: u32,
     /// Each slot's neighbours in its set's circular recency list, as way
     /// numbers: `older` runs from the head (most recently used) to the
@@ -202,24 +220,39 @@ pub struct SetAssocCache {
     /// `mru` and `filled`, when sets are scanned.
     older: Vec<u8>,
     newer: Vec<u8>,
-    /// Per set: its most recently used way, the list's head.
+    /// Per set of every bank: its most recently used way, the list's head.
     mru: Vec<u8>,
-    /// Per set: how many of its ways are valid.
+    /// Per set of every bank: how many of its ways are valid.
     filled: Vec<u16>,
+    /// One clock for every bank: a set only compares its own stamps, and
+    /// those keep their order.
     clock: u64,
-    stats: CacheStats,
+    stats: Vec<CacheStats>,
 }
 
 impl SetAssocCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache of one bank.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
     /// [`CacheConfig::num_sets`]).
     pub fn new(config: CacheConfig) -> Self {
+        Self::with_banks(config, 1)
+    }
+
+    /// Creates `banks` empty caches of the same geometry in one value,
+    /// addressed by bank number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks` is zero or the configuration is inconsistent
+    /// (see [`CacheConfig::num_sets`]).
+    pub fn with_banks(config: CacheConfig, banks: usize) -> Self {
+        assert!(banks > 0, "a cache has at least one bank");
         let num_sets = config.num_sets();
-        let lines = num_sets * config.ways;
+        let bank_lines = num_sets * config.ways;
+        let lines = banks * bank_lines;
         assert!(lines < EMPTY as usize / 2, "cache has too many lines");
         assert!(
             config.ways <= MAX_WAYS,
@@ -227,65 +260,78 @@ impl SetAssocCache {
             config.ways
         );
         let indexed = config.ways > SCAN_WAYS;
-        let buckets = if indexed {
-            (2 * lines).next_power_of_two()
+        let bank_buckets = if indexed {
+            (2 * bank_lines).next_power_of_two()
         } else {
             0
         };
-        let (links, sets) = if indexed { (lines, num_sets) } else { (0, 0) };
+        let (links, sets) = if indexed {
+            (lines, banks * num_sets)
+        } else {
+            (0, 0)
+        };
         Self {
             config,
             num_sets: num_sets as u64,
-            tags: vec![0; lines],
-            last_used: vec![0; lines],
+            ways: vec![Way::default(); lines],
             flags: vec![0; lines],
-            index: vec![EMPTY; buckets],
-            index_shift: 64 - buckets.trailing_zeros(),
+            index: vec![EMPTY; banks * bank_buckets],
+            bank_buckets,
+            index_shift: 64 - bank_buckets.trailing_zeros(),
             older: vec![0; links],
             newer: vec![0; links],
             mru: vec![0; sets],
             filled: vec![0; sets],
             clock: 0,
-            stats: CacheStats::default(),
+            stats: vec![CacheStats::default(); banks],
         }
     }
 
-    /// The cache geometry.
+    /// The cache geometry (of each bank).
     pub fn config(&self) -> &CacheConfig {
         &self.config
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    /// How many banks the cache holds.
+    pub fn banks(&self) -> usize {
+        self.stats.len()
     }
 
-    /// XOR-folded set index. Hardware LLCs hash the set index so that
-    /// power-of-two address strides (such as the `N′`-unit stride a
-    /// controller-interleaved layout produces) do not concentrate on a
-    /// few sets; plain modulo indexing would turn the localized layout's
-    /// slot stride into pathological conflict misses that no real machine
-    /// exhibits.
-    fn set_index(&self, line: u64) -> usize {
-        ((line ^ (line >> 7) ^ (line >> 14)) % self.num_sets) as usize
+    /// Accumulated statistics of `bank`.
+    pub fn stats(&self, bank: usize) -> &CacheStats {
+        &self.stats[bank]
     }
 
-    /// The bucket a line's probe sequence starts at.
+    /// The set of `bank` that `line` maps to, numbered across banks.
+    ///
+    /// The index within a bank is XOR-folded. Hardware LLCs hash the set
+    /// index so that power-of-two address strides (such as the `N′`-unit
+    /// stride a controller-interleaved layout produces) do not concentrate
+    /// on a few sets; plain modulo indexing would turn the localized
+    /// layout's slot stride into pathological conflict misses that no real
+    /// machine exhibits.
+    fn set_of(&self, bank: usize, line: u64) -> usize {
+        let set = (line ^ (line >> 7) ^ (line >> 14)) % self.num_sets;
+        bank * self.num_sets as usize + set as usize
+    }
+
+    /// The bucket of its bank's region a line's probe sequence starts at.
     fn home(&self, line: u64) -> usize {
         (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
     }
 
-    /// The index bucket holding `line`, if it is resident.
-    fn find_bucket(&self, line: u64) -> Option<usize> {
-        let mask = self.index.len() - 1;
+    /// The index bucket holding `line` in `bank`, if it is resident there.
+    fn find_bucket(&self, bank: usize, line: u64) -> Option<usize> {
+        let mask = self.bank_buckets - 1;
+        let region = bank * self.bank_buckets;
         let mut b = self.home(line);
         loop {
-            let slot = self.index[b];
+            let slot = self.index[region + b];
             if slot == EMPTY {
                 return None;
             }
-            if self.tags[slot as usize] == line {
-                return Some(b);
+            if self.ways[slot as usize].tag == line {
+                return Some(region + b);
             }
             b = (b + 1) & mask;
         }
@@ -296,80 +342,82 @@ impl SetAssocCache {
         self.config.ways <= SCAN_WAYS
     }
 
-    /// The slot of `set` holding `line`, if it is resident.
-    fn find(&self, set: usize, line: u64) -> Option<usize> {
+    /// The slot of `set`, a set of `bank`, holding `line`, if it is
+    /// resident.
+    fn find(&self, bank: usize, set: usize, line: u64) -> Option<usize> {
         if !self.scanned() {
-            return self.find_bucket(line).map(|b| self.index[b] as usize);
+            return self.find_bucket(bank, line).map(|b| self.index[b] as usize);
         }
         let ways = self.config.ways;
         let base = set * ways;
-        let tags = &self.tags[base..base + ways];
-        let ages = &self.last_used[base..base + ways];
-        for way in 0..ways {
-            if tags[way] == line && ages[way] != 0 {
+        for (way, w) in self.ways[base..base + ways].iter().enumerate() {
+            if w.tag == line && w.stamp != 0 {
                 return Some(base + way);
             }
         }
         None
     }
 
-    fn index_insert(&mut self, line: u64, slot: usize) {
-        let mask = self.index.len() - 1;
+    fn index_insert(&mut self, bank: usize, line: u64, slot: usize) {
+        let mask = self.bank_buckets - 1;
+        let region = bank * self.bank_buckets;
         let mut b = self.home(line);
-        while self.index[b] != EMPTY {
+        while self.index[region + b] != EMPTY {
             b = (b + 1) & mask;
         }
-        self.index[b] = slot as u32;
+        self.index[region + b] = slot as u32;
     }
 
-    /// Removes a resident line's bucket, shifting later members of its
-    /// probe run back so every remaining line stays reachable from its
-    /// home bucket. Reads the tags of the shifted lines: call before the
-    /// slot is overwritten.
-    fn index_remove(&mut self, line: u64) {
-        let mask = self.index.len() - 1;
+    /// Removes a resident line's bucket from `bank`'s region, shifting
+    /// later members of its probe run back so every remaining line stays
+    /// reachable from its home bucket. Reads the tags of the shifted
+    /// lines: call before the slot is overwritten.
+    fn index_remove(&mut self, bank: usize, line: u64) {
+        let mask = self.bank_buckets - 1;
+        let region = bank * self.bank_buckets;
         let mut hole = self
-            .find_bucket(line)
-            .expect("invariant: every valid slot has an index bucket");
+            .find_bucket(bank, line)
+            .expect("invariant: every valid slot has an index bucket")
+            - region;
         let mut b = hole;
         loop {
             b = (b + 1) & mask;
-            let slot = self.index[b];
+            let slot = self.index[region + b];
             if slot == EMPTY {
                 break;
             }
             // A line may move into the hole only if that keeps it at or
             // after its home bucket along the probe direction.
-            let home = self.home(self.tags[slot as usize]);
+            let home = self.home(self.ways[slot as usize].tag);
             if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
-                self.index[hole] = slot;
+                self.index[region + hole] = slot;
                 hole = b;
             }
         }
-        self.index[hole] = EMPTY;
+        self.index[region + hole] = EMPTY;
     }
 
-    /// Accesses a line (by line address), allocating it on miss.
+    /// Accesses a line (by line address) in bank 0, allocating it on miss.
     /// Returns whether it hit and any line evicted to make room.
     pub fn access(&mut self, line: u64) -> AccessResult {
-        self.access_rw(line, false)
+        self.access_rw(0, line, false)
     }
 
-    /// Like [`access`](Self::access), additionally marking the line dirty
-    /// when `write` is set, and reporting the evicted line's dirtiness so
-    /// the caller can issue a writeback.
-    pub fn access_rw(&mut self, line: u64, write: bool) -> AccessResult {
+    /// Like [`access`](Self::access) on `bank`, additionally marking the
+    /// line dirty when `write` is set, and reporting the evicted line's
+    /// dirtiness so the caller can issue a writeback.
+    pub fn access_rw(&mut self, bank: usize, line: u64, write: bool) -> AccessResult {
         self.clock += 1;
-        self.stats.accesses += 1;
-        let set = self.set_index(line);
-        if let Some(slot) = self.find(set, line) {
-            self.last_used[slot] = self.clock;
+        self.stats[bank].accesses += 1;
+        let set = self.set_of(bank, line);
+        if let Some(slot) = self.find(bank, set, line) {
+            self.ways[slot].stamp = self.clock;
             if !self.scanned() {
                 self.touch(set, slot);
             }
             let flags = self.flags[slot];
             self.flags[slot] = (flags | if write { DIRTY } else { 0 }) & !PREFETCHED;
-            self.stats.hits += 1;
+            self.stats[bank].hits += 1;
             return AccessResult {
                 hit: true,
                 evicted: None,
@@ -378,23 +426,24 @@ impl SetAssocCache {
                 evicted_prefetched: false,
             };
         }
-        let r = self.fill(set, line, if write { DIRTY } else { 0 });
-        self.stats.evictions += u64::from(r.evicted.is_some());
-        self.stats.dirty_evictions += u64::from(r.evicted_dirty);
+        let r = self.fill(bank, set, line, if write { DIRTY } else { 0 });
+        let stats = &mut self.stats[bank];
+        stats.evictions += u64::from(r.evicted.is_some());
+        stats.dirty_evictions += u64::from(r.evicted_dirty);
         r
     }
 
-    /// Installs a prefetched line without touching the demand statistics:
-    /// [`CacheStats`] keep counting demand traffic only, so a run's hit
-    /// rates stay comparable across prefetch settings. A line that is
-    /// already resident is left exactly as it is (the demand that raced
-    /// the prefetch owns it); otherwise the line fills an invalid way or
-    /// evicts LRU, is marked [`prefetched`](AccessResult::prefetched_hit)
+    /// Installs a prefetched line into `bank` without touching the demand
+    /// statistics: [`CacheStats`] keep counting demand traffic only, so a
+    /// run's hit rates stay comparable across prefetch settings. A line
+    /// that is already resident is left exactly as it is (the demand that
+    /// raced the prefetch owns it); otherwise the line fills an invalid way
+    /// or evicts LRU, is marked [`prefetched`](AccessResult::prefetched_hit)
     /// until first demand touch, and any victim is reported as usual.
-    pub fn install_prefetch(&mut self, line: u64) -> AccessResult {
+    pub fn install_prefetch(&mut self, bank: usize, line: u64) -> AccessResult {
         self.clock += 1;
-        let set = self.set_index(line);
-        if self.find(set, line).is_some() {
+        let set = self.set_of(bank, line);
+        if self.find(bank, set, line).is_some() {
             return AccessResult {
                 hit: true,
                 evicted: None,
@@ -403,7 +452,7 @@ impl SetAssocCache {
                 evicted_prefetched: false,
             };
         }
-        self.fill(set, line, PREFETCHED)
+        self.fill(bank, set, line, PREFETCHED)
     }
 
     /// Moves `slot`, valid and in indexed `set`, to the head of the set's
@@ -442,14 +491,14 @@ impl SetAssocCache {
         let ways = self.config.ways;
         let base = set * ways;
         if self.scanned() {
-            let ages = &self.last_used[base..base + ways];
+            let set_ways = &self.ways[base..base + ways];
             // First minimum. Kept a plain compare-and-keep loop: fancier
             // iterator chains here have compiled to several times the cost.
             let mut way = 0;
-            let mut oldest = ages[0];
-            for (w, &age) in ages.iter().enumerate() {
-                if age < oldest {
-                    oldest = age;
+            let mut oldest = set_ways[0].stamp;
+            for (w, record) in set_ways.iter().enumerate() {
+                if record.stamp < oldest {
+                    oldest = record.stamp;
                     way = w;
                 }
             }
@@ -467,9 +516,9 @@ impl SetAssocCache {
         tail as usize
     }
 
-    /// Miss path: fills the first invalid way of `set`, the line's set,
-    /// else evicts its least recently used line.
-    fn fill(&mut self, set: usize, line: u64, flags: u8) -> AccessResult {
+    /// Miss path: fills the first invalid way of `set`, the line's set in
+    /// `bank`, else evicts its least recently used line.
+    fn fill(&mut self, bank: usize, set: usize, line: u64, flags: u8) -> AccessResult {
         let slot = set * self.config.ways + self.victim(set);
         let mut result = AccessResult {
             hit: false,
@@ -478,36 +527,39 @@ impl SetAssocCache {
             prefetched_hit: false,
             evicted_prefetched: false,
         };
-        if self.last_used[slot] != 0 {
-            let victim = self.tags[slot];
+        if self.ways[slot].stamp != 0 {
+            let victim = self.ways[slot].tag;
             if !self.scanned() {
-                self.index_remove(victim);
+                self.index_remove(bank, victim);
             }
             result.evicted = Some(victim);
             result.evicted_dirty = self.flags[slot] & DIRTY != 0;
             result.evicted_prefetched = self.flags[slot] & PREFETCHED != 0;
         }
-        self.tags[slot] = line;
-        self.last_used[slot] = self.clock;
+        self.ways[slot] = Way {
+            tag: line,
+            stamp: self.clock,
+        };
         self.flags[slot] = flags;
         if !self.scanned() {
-            self.index_insert(line, slot);
+            self.index_insert(bank, line, slot);
         }
         result
     }
 
-    /// Checks residency without updating LRU state or statistics.
-    pub fn contains(&self, line: u64) -> bool {
-        self.find(self.set_index(line), line).is_some()
+    /// Checks residency in `bank` without updating LRU state or
+    /// statistics.
+    pub fn contains(&self, bank: usize, line: u64) -> bool {
+        self.find(bank, self.set_of(bank, line), line).is_some()
     }
 
     /// Panics unless the cache keeps what its associativity calls for: no
-    /// index or recency list over scanned sets; over indexed sets an index
-    /// that names exactly the valid slots, and in each set a list that
-    /// runs over ways `0..filled` once each, from the MRU way in strictly
-    /// decreasing stamps, with no valid way at or past `filled`. For tests,
-    /// which call it after every operation; costs a pass over the whole
-    /// cache.
+    /// index or recency list over scanned sets; over indexed sets, per
+    /// bank, an index region that names exactly the bank's valid slots,
+    /// and in each set a list that runs over ways `0..filled` once each,
+    /// from the MRU way in strictly decreasing stamps, with no valid way at
+    /// or past `filled`. For tests, which call it after every operation;
+    /// costs a pass over the whole cache.
     #[doc(hidden)]
     pub fn check(&self) {
         if self.scanned() {
@@ -516,9 +568,9 @@ impl SetAssocCache {
             return;
         }
         let ways = self.config.ways;
-        for set in 0..self.num_sets as usize {
+        for set in 0..self.mru.len() {
             let (base, filled) = (set * ways, self.filled[set] as usize);
-            let stamp = |way: usize| self.last_used[base + way];
+            let stamp = |way: usize| self.ways[base + way].stamp;
             assert!(
                 (0..ways).all(|w| (stamp(w) != 0) == (w < filled)),
                 "set {set}: valid ways are not 0..{filled}"
@@ -540,28 +592,38 @@ impl SetAssocCache {
                 way = older;
             }
         }
-        let valid = |slot: &usize| self.last_used[*slot] != 0;
-        let named = self.index.iter().filter(|&&s| s != EMPTY).count();
-        assert_eq!(named, (0..self.tags.len()).filter(valid).count());
-        for slot in (0..self.tags.len()).filter(valid) {
-            let line = self.tags[slot];
-            assert_eq!(
-                self.find(self.set_index(line), line),
-                Some(slot),
-                "slot {slot} is not what the index finds for its line"
-            );
+        let bank_lines = self.num_sets as usize * ways;
+        for bank in 0..self.banks() {
+            let slots = bank * bank_lines..(bank + 1) * bank_lines;
+            let region = &self.index[bank * self.bank_buckets..][..self.bank_buckets];
+            let valid = |slot: &usize| self.ways[*slot].stamp != 0;
+            let named = region.iter().filter(|&&s| s != EMPTY).count();
+            assert_eq!(named, slots.clone().filter(valid).count(), "bank {bank}");
+            for slot in slots.filter(valid) {
+                let line = self.ways[slot].tag;
+                assert_eq!(
+                    self.find(bank, self.set_of(bank, line), line),
+                    Some(slot),
+                    "slot {slot} is not what bank {bank}'s index finds for its line"
+                );
+            }
         }
     }
 }
 
 impl fmt::Display for SetAssocCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (hits, accesses) =
+            (self.stats.iter()).fold((0, 0), |(h, a), s| (h + s.hits, a + s.accesses));
+        if self.banks() > 1 {
+            write!(f, "{} banks x ", self.banks())?;
+        }
         write!(
             f,
             "{} sets x {} ways, {:.1}% hit",
             self.num_sets,
             self.config.ways,
-            self.stats.hit_rate() * 100.0
+            hits as f64 / accesses.max(1) as f64 * 100.0
         )
     }
 }
@@ -584,8 +646,8 @@ mod tests {
         let mut c = tiny();
         assert!(!c.access(10).hit);
         assert!(c.access(10).hit);
-        assert_eq!(c.stats().accesses, 2);
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats(0).accesses, 2);
+        assert_eq!(c.stats(0).hits, 1);
     }
 
     #[test]
@@ -597,8 +659,8 @@ mod tests {
         c.access(0); // 0 is now MRU, 2 is LRU
         let r = c.access(4);
         assert_eq!(r.evicted, Some(2));
-        assert!(c.contains(0));
-        assert!(!c.contains(2));
+        assert!(c.contains(0, 0));
+        assert!(!c.contains(0, 2));
     }
 
     #[test]
@@ -608,7 +670,7 @@ mod tests {
         c.access(1); // set 1
         c.access(2); // set 0
         c.access(3); // set 1
-        assert!(c.contains(0) && c.contains(1) && c.contains(2) && c.contains(3));
+        assert!(c.contains(0, 0) && c.contains(0, 1) && c.contains(0, 2) && c.contains(0, 3));
     }
 
     #[test]
@@ -620,13 +682,13 @@ mod tests {
     #[test]
     fn dirty_lines_report_on_eviction() {
         let mut c = tiny();
-        c.access_rw(0, true); // dirty
-        c.access_rw(2, false); // clean, same set
-        c.access_rw(0, false); // keep 0 MRU; 2 is LRU
-        let r = c.access_rw(4, false); // evicts 2 (clean)
+        c.access_rw(0, 0, true); // dirty
+        c.access_rw(0, 2, false); // clean, same set
+        c.access_rw(0, 0, false); // keep 0 MRU; 2 is LRU
+        let r = c.access_rw(0, 4, false); // evicts 2 (clean)
         assert_eq!(r.evicted, Some(2));
         assert!(!r.evicted_dirty);
-        let r = c.access_rw(6, false); // evicts 0 (dirty)
+        let r = c.access_rw(0, 6, false); // evicts 0 (dirty)
         assert_eq!(r.evicted, Some(0));
         assert!(r.evicted_dirty);
     }
@@ -634,11 +696,11 @@ mod tests {
     #[test]
     fn write_hit_marks_dirty() {
         let mut c = tiny();
-        c.access_rw(1, false);
-        c.access_rw(1, true); // dirtied by the hit
-        c.access_rw(3, false);
-        c.access_rw(3, false);
-        let r = c.access_rw(5, false); // evicts LRU = 1
+        c.access_rw(0, 1, false);
+        c.access_rw(0, 1, true); // dirtied by the hit
+        c.access_rw(0, 3, false);
+        c.access_rw(0, 3, false);
+        let r = c.access_rw(0, 5, false); // evicts LRU = 1
         assert_eq!(r.evicted, Some(1));
         assert!(r.evicted_dirty);
     }
@@ -646,25 +708,25 @@ mod tests {
     #[test]
     fn demand_fills_count_evictions_and_prefetch_fills_do_not() {
         let mut c = tiny();
-        c.access_rw(0, true); // set 0, dirty
-        c.access_rw(2, false); // set 0 full
-        c.access_rw(4, false); // evicts dirty 0
-        c.access_rw(6, false); // evicts clean 2
-        assert_eq!((c.stats().evictions, c.stats().dirty_evictions), (2, 1));
-        let r = c.install_prefetch(8); // evicts 4
+        c.access_rw(0, 0, true); // set 0, dirty
+        c.access_rw(0, 2, false); // set 0 full
+        c.access_rw(0, 4, false); // evicts dirty 0
+        c.access_rw(0, 6, false); // evicts clean 2
+        assert_eq!((c.stats(0).evictions, c.stats(0).dirty_evictions), (2, 1));
+        let r = c.install_prefetch(0, 8); // evicts 4
         assert_eq!(r.evicted, Some(4));
-        assert_eq!((c.stats().evictions, c.stats().dirty_evictions), (2, 1));
-        c.access_rw(10, false); // a demand fill counts again
-        assert_eq!(c.stats().evictions, 3);
+        assert_eq!((c.stats(0).evictions, c.stats(0).dirty_evictions), (2, 1));
+        c.access_rw(0, 10, false); // a demand fill counts again
+        assert_eq!(c.stats(0).evictions, 3);
     }
 
     #[test]
     fn install_prefetch_marks_until_first_demand_touch() {
         let mut c = tiny();
-        let r = c.install_prefetch(4);
+        let r = c.install_prefetch(0, 4);
         assert!(!r.hit && r.evicted.is_none());
-        assert!(c.contains(4));
-        assert_eq!(c.stats().accesses, 0, "installs are not demand accesses");
+        assert!(c.contains(0, 4));
+        assert_eq!(c.stats(0).accesses, 0, "installs are not demand accesses");
         // First demand touch reports (and clears) the prefetched mark.
         let r = c.access(4);
         assert!(r.hit && r.prefetched_hit);
@@ -675,14 +737,14 @@ mod tests {
     #[test]
     fn untouched_prefetch_reports_harmful_on_eviction() {
         let mut c = tiny();
-        c.install_prefetch(0); // set 0
+        c.install_prefetch(0, 0); // set 0
         c.access(2); // set 0
         c.access(2);
         let r = c.access(4); // set 0: evicts the untouched prefetch (LRU)
         assert_eq!(r.evicted, Some(0));
         assert!(r.evicted_prefetched);
         // A demanded-then-evicted prefetch is not pollution.
-        c.install_prefetch(6);
+        c.install_prefetch(0, 6);
         c.access(6);
         c.access(2);
         c.access(2);
@@ -693,8 +755,8 @@ mod tests {
     #[test]
     fn install_prefetch_is_a_noop_on_resident_lines() {
         let mut c = tiny();
-        c.access_rw(3, true);
-        let r = c.install_prefetch(3);
+        c.access_rw(0, 3, true);
+        let r = c.install_prefetch(0, 3);
         assert!(r.hit);
         // The demand-owned line keeps its dirtiness and is NOT marked
         // prefetched: a later hit must not count as useful.
@@ -720,8 +782,8 @@ mod tests {
     fn contains_does_not_touch_stats() {
         let mut c = tiny();
         c.access(1);
-        let before = *c.stats();
-        assert!(c.contains(1));
-        assert_eq!(*c.stats(), before);
+        let before = *c.stats(0);
+        assert!(c.contains(0, 1));
+        assert_eq!(*c.stats(0), before);
     }
 }

@@ -1,7 +1,8 @@
-//! Differential test of [`SetAssocCache`] against the array-of-ways model
-//! it replaced, kept here verbatim as the reference: identical
-//! [`AccessResult`]s, residency and statistics, step by step, over random
-//! demand / prefetch-install streams.
+//! Differential tests of [`SetAssocCache`] against the structures it
+//! replaced, kept as references: the array-of-ways model (verbatim, for a
+//! single bank) and one independent cache per bank (for a many-bank
+//! cache). Identical [`AccessResult`]s, residency and statistics, step by
+//! step, over random demand / prefetch-install streams.
 
 use hoploc_cache::{AccessResult, CacheConfig, CacheStats, SetAssocCache};
 use hoploc_ptest::run_cases;
@@ -125,26 +126,28 @@ fn geometry(ways: usize, sets: u64) -> CacheConfig {
     }
 }
 
+/// `(ways, sets)`: both sides of the scan / index threshold, the one-way
+/// case, a way count that is not a power of two, two set counts that are
+/// not (24 and 6, one on each side of the threshold), and the four shipped
+/// geometries: (2, 32) is `l1_scaled`, (2, 128) `l1_default`, (16, 64)
+/// `l2_default`, (128, 1) `l2_scaled`.
+const GEOMETRIES: [(usize, u64); 11] = [
+    (1, 64),
+    (2, 24),
+    (2, 32),
+    (2, 128),
+    (4, 16),
+    (5, 8),
+    (8, 4),
+    (16, 6),
+    (16, 8),
+    (16, 64),
+    (128, 1),
+];
+
 #[test]
 fn matches_the_array_of_ways_reference_step_by_step() {
-    // Both sides of the scan / index threshold, the one-way case, a way
-    // count that is not a power of two, two set counts that are not (24 and
-    // 6, one on each side of the threshold), and the four shipped
-    // geometries: (2, 32) is `l1_scaled`, (2, 128) `l1_default`, (16, 64)
-    // `l2_default`, (128, 1) `l2_scaled`.
-    for (ways, sets) in [
-        (1, 64),
-        (2, 24),
-        (2, 32),
-        (2, 128),
-        (4, 16),
-        (5, 8),
-        (8, 4),
-        (16, 6),
-        (16, 8),
-        (16, 64),
-        (128, 1),
-    ] {
+    for (ways, sets) in GEOMETRIES {
         let cfg = geometry(ways, sets);
         let capacity = ways as u64 * sets;
         run_cases(&format!("cache_oracle_{ways}x{sets}"), 24, |rng| {
@@ -158,25 +161,85 @@ fn matches_the_array_of_ways_reference_step_by_step() {
                 let line = base + rng.u64_below(span);
                 match rng.u64_below(15) {
                     0 | 1 => assert_eq!(
-                        new.install_prefetch(line),
+                        new.install_prefetch(0, line),
                         old.install_prefetch(line),
                         "step {step}: install_prefetch {line}"
                     ),
                     op => {
                         let write = op % 3 == 0;
                         assert_eq!(
-                            new.access_rw(line, write),
+                            new.access_rw(0, line, write),
                             old.access_rw(line, write),
                             "step {step}: access_rw {line} write={write}"
                         );
                     }
                 }
                 let probe = base + rng.u64_below(span);
-                assert_eq!(new.contains(probe), old.contains(probe), "step {step}");
-                assert_eq!(*new.stats(), old.stats, "step {step}");
+                assert_eq!(new.contains(0, probe), old.contains(probe), "step {step}");
+                assert_eq!(*new.stats(0), old.stats, "step {step}");
             }
             for line in base..base + span {
-                assert_eq!(new.contains(line), old.contains(line), "final {line}");
+                assert_eq!(new.contains(0, line), old.contains(line), "final {line}");
+            }
+        });
+    }
+}
+
+#[test]
+fn banks_match_one_independent_cache_per_bank() {
+    for (ways, sets) in GEOMETRIES {
+        let cfg = geometry(ways, sets);
+        let capacity = ways as u64 * sets;
+        run_cases(&format!("cache_banks_{ways}x{sets}"), 8, |rng| {
+            let banks = rng.usize_in(2..9);
+            let mut banked = SetAssocCache::with_banks(cfg, banks);
+            let mut apart: Vec<SetAssocCache> =
+                (0..banks).map(|_| SetAssocCache::new(cfg)).collect();
+            // One line span for every bank, so the banks hold the same
+            // lines at once (private L2s sharing a line) and a bank's
+            // probe must never find another bank's copy.
+            let span = capacity * rng.u64_in(1..6) / 2 + 1;
+            let base = if rng.flip() { 0 } else { rng.next_u64() >> 8 };
+            for step in 0..rng.usize_in(200..2000) {
+                let bank = rng.usize_in(0..banks);
+                let line = base + rng.u64_below(span);
+                match rng.u64_below(15) {
+                    0 | 1 => assert_eq!(
+                        banked.install_prefetch(bank, line),
+                        apart[bank].install_prefetch(0, line),
+                        "step {step}: bank {bank} install_prefetch {line}"
+                    ),
+                    op => {
+                        let write = op % 3 == 0;
+                        assert_eq!(
+                            banked.access_rw(bank, line, write),
+                            apart[bank].access_rw(0, line, write),
+                            "step {step}: bank {bank} access_rw {line} write={write}"
+                        );
+                    }
+                }
+                let (probe_bank, probe) = (rng.usize_in(0..banks), base + rng.u64_below(span));
+                assert_eq!(
+                    banked.contains(probe_bank, probe),
+                    apart[probe_bank].contains(0, probe),
+                    "step {step}: bank {probe_bank} contains {probe}"
+                );
+                assert_eq!(banked.stats(bank), apart[bank].stats(0), "step {step}");
+                if step % 64 == 0 {
+                    banked.check();
+                }
+            }
+            banked.check();
+            for (bank, cache) in apart.iter().enumerate() {
+                cache.check();
+                assert_eq!(banked.stats(bank), cache.stats(0), "final bank {bank}");
+                for line in base..base + span {
+                    assert_eq!(
+                        banked.contains(bank, line),
+                        cache.contains(0, line),
+                        "final bank {bank} line {line}"
+                    );
+                }
             }
         });
     }

@@ -11,7 +11,7 @@ fn accessed_line_becomes_resident() {
         let mut c = SetAssocCache::new(CacheConfig::l1_default());
         for &l in &lines {
             c.access(l);
-            assert!(c.contains(l), "line {l} not resident right after access");
+            assert!(c.contains(0, l), "line {l} not resident right after access");
         }
     });
 }
@@ -38,7 +38,7 @@ fn capacity_is_never_exceeded() {
         }
         // The model agrees with our shadow set.
         for &l in &resident {
-            assert!(c.contains(l));
+            assert!(c.contains(0, l));
         }
     });
 }
@@ -51,7 +51,7 @@ fn every_access_is_counted() {
         for &l in &lines {
             c.access(l);
         }
-        let s = c.stats();
+        let s = c.stats(0);
         assert_eq!(s.accesses, lines.len() as u64);
         assert!(s.hits <= s.accesses);
     });
@@ -86,10 +86,10 @@ fn structure_invariants_hold_after_every_operation() {
                 let line = rng.u64_below(span);
                 match rng.u64_below(6) {
                     0 => {
-                        c.install_prefetch(line);
+                        c.install_prefetch(0, line);
                     }
                     op => {
-                        c.access_rw(line, op == 1);
+                        c.access_rw(0, line, op == 1);
                     }
                 }
                 c.check();

@@ -171,16 +171,27 @@ impl LinkFault {
 pub struct Network {
     mesh: Mesh,
     config: NocConfig,
-    /// `free_at[node * 4 + dir]`: cycle at which the directed link leaving
-    /// `node` in direction `dir` becomes free.
-    free_at: Vec<u64>,
-    /// Flit-cycles consumed per directed link (utilization accounting).
-    flit_cycles: Vec<u64>,
+    /// `links[node * 4 + dir]`: the directed link leaving `node` in
+    /// direction `dir`.
+    links: Vec<Link>,
+    /// Every node's `(x, y)`, in node order: a send reads its two
+    /// endpoints here instead of dividing them out of the node ids.
+    coords: Vec<(u16, u16)>,
     /// Injected fault windows per directed link; empty when no fault plan
     /// is installed, in which case the send path is byte-identical to a
     /// fault-free network.
     faults: Vec<Vec<LinkFault>>,
     stats: NetStats,
+}
+
+/// What one directed link keeps, in one record: a hop reads and writes
+/// both.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+struct Link {
+    /// Cycle at which the link becomes free.
+    free_at: u64,
+    /// Flit-cycles the link has carried (utilization accounting).
+    flit_cycles: u64,
 }
 
 /// Direction encoding for link ids.
@@ -195,8 +206,8 @@ impl Network {
         Self {
             mesh,
             config,
-            free_at: vec![0; mesh.num_nodes() * 4],
-            flit_cycles: vec![0; mesh.num_nodes() * 4],
+            links: vec![Link::default(); mesh.num_nodes() * 4],
+            coords: mesh.nodes().map(|n| mesh.coords(n)).collect(),
             faults: Vec::new(),
             stats: NetStats::new(),
         }
@@ -294,8 +305,8 @@ impl Network {
     ) -> u64 {
         // Walk the XY route by coordinates: one directed link per step,
         // named `node * 4 + direction` as everywhere else.
-        let (sx, sy) = self.mesh.coords(src);
-        let (dx, dy) = self.mesh.coords(dst);
+        let (sx, sy) = self.coords[src.0 as usize];
+        let (dx, dy) = self.coords[dst.0 as usize];
         let x_hops = sx.abs_diff(dx) as usize;
         let y_hops = sy.abs_diff(dy) as usize;
         let hops = x_hops + y_hops;
@@ -318,20 +329,19 @@ impl Network {
         // Fault windows and recording both sit behind this one flag.
         let extras = !self.faults.is_empty() || sink.is_enabled();
         let Self {
-            free_at,
-            flit_cycles,
+            links,
             faults,
             stats,
             ..
         } = self;
-        let (free_at, flit_cycles) = (free_at.as_mut_slice(), flit_cycles.as_mut_slice());
         let mut node = src.0 as usize;
         let mut t = now;
         for (steps, (dir, stride)) in legs {
             for _ in 0..steps {
                 let link = node * 4 + dir;
-                flit_cycles[link] += flits;
-                let depart = if contention { t.max(free_at[link]) } else { t };
+                let state = &mut links[link];
+                state.flit_cycles += flits;
+                let depart = if contention { t.max(state.free_at) } else { t };
                 // A fault window active at departure slows this traversal
                 // and (under contention) occupies the link for the extra
                 // cycles, so faults back-pressure later traffic too.
@@ -346,7 +356,7 @@ impl Network {
                     }
                 }
                 if contention {
-                    free_at[link] = depart + flits + extra;
+                    state.free_at = depart + flits + extra;
                 }
                 t = depart + extra + hop_cost;
                 node = node.wrapping_add_signed(stride);
@@ -370,8 +380,8 @@ impl Network {
 
     /// Flit-cycles each directed link has carried, indexed
     /// `node*4 + direction` (E, W, N, S).
-    pub fn flit_cycles(&self) -> &[u64] {
-        &self.flit_cycles
+    pub fn flit_cycles(&self) -> Vec<u64> {
+        self.links.iter().map(|l| l.flit_cycles).collect()
     }
 
     /// Utilization of every directed link over `elapsed` cycles: the
@@ -380,7 +390,9 @@ impl Network {
     /// that bound localized configurations.
     pub fn link_utilization(&self, elapsed: u64) -> Vec<f64> {
         let e = elapsed.max(1) as f64;
-        self.flit_cycles().iter().map(|&f| f as f64 / e).collect()
+        (self.links.iter())
+            .map(|l| l.flit_cycles as f64 / e)
+            .collect()
     }
 
     /// Pure-distance latency of a message without mutating link state:
@@ -799,8 +811,9 @@ mod tests {
                 "{case}: n{s} -> n{d} at {now}"
             );
         }
-        assert_eq!(net.free_at, reference.free_at, "{case}");
-        assert_eq!(net.flit_cycles, reference.flit_cycles, "{case}");
+        let free_at: Vec<u64> = net.links.iter().map(|l| l.free_at).collect();
+        assert_eq!(free_at, reference.free_at, "{case}");
+        assert_eq!(net.flit_cycles(), reference.flit_cycles, "{case}");
         assert_eq!(net.stats, reference.stats, "{case}");
         assert_eq!(faulted, net.stats.fault_hops > 0, "{case}");
         if let Some(rep) = sink.into_report(1) {
@@ -824,6 +837,222 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The network as it was before links became records: `free_at` and
+    /// `flit_cycles` as two arrays, each send dividing its endpoints'
+    /// coordinates out of the node ids. Kept verbatim as the reference of
+    /// `link_records_match_the_two_array_network`.
+    struct TwoArrayNetwork {
+        mesh: Mesh,
+        config: NocConfig,
+        free_at: Vec<u64>,
+        flit_cycles: Vec<u64>,
+        faults: Vec<Vec<LinkFault>>,
+        stats: NetStats,
+    }
+
+    impl TwoArrayNetwork {
+        fn new(mesh: Mesh, config: NocConfig, faults: &[LinkFault]) -> Self {
+            let links = mesh.num_nodes() * 4;
+            let mut table = Vec::new();
+            if !faults.is_empty() {
+                table = vec![Vec::new(); links];
+                for f in faults {
+                    table[f.link as usize].push(*f);
+                }
+            }
+            Self {
+                mesh,
+                config,
+                free_at: vec![0; links],
+                flit_cycles: vec![0; links],
+                faults: table,
+                stats: NetStats::new(),
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn send_obs(
+            &mut self,
+            src: NodeId,
+            dst: NodeId,
+            bytes: u32,
+            class: TrafficClass,
+            now: u64,
+            tag: ReqTag,
+            sink: &Sink,
+        ) -> u64 {
+            let (sx, sy) = self.mesh.coords(src);
+            let (dx, dy) = self.mesh.coords(dst);
+            let x_hops = sx.abs_diff(dx) as usize;
+            let y_hops = sy.abs_diff(dy) as usize;
+            let hops = x_hops + y_hops;
+            let width = self.mesh.width() as isize;
+            let x_leg = if dx > sx { (EAST, 1) } else { (WEST, -1) };
+            let y_leg = if dy > sy {
+                (SOUTH, width)
+            } else {
+                (NORTH, -width)
+            };
+            let legs = [(x_hops, x_leg), (y_hops, y_leg)];
+            let flits = (bytes as u64)
+                .div_ceil(self.config.link_bytes as u64)
+                .max(1);
+            let contention = self.config.contention;
+            let hop_cost = self.config.hop_cycles + self.config.router_cycles;
+            let extras = !self.faults.is_empty() || sink.is_enabled();
+            let mut node = src.0 as usize;
+            let mut t = now;
+            for (steps, (dir, stride)) in legs {
+                for _ in 0..steps {
+                    let link = node * 4 + dir;
+                    self.flit_cycles[link] += flits;
+                    let depart = if contention {
+                        t.max(self.free_at[link])
+                    } else {
+                        t
+                    };
+                    let mut extra = 0;
+                    if extras {
+                        extra = Network::fault_extra(&self.faults, link, depart);
+                        sink.hop(link as u32, depart, depart - t, flits, tag);
+                        if extra > 0 {
+                            self.stats.fault_hops += 1;
+                            self.stats.fault_cycles += extra;
+                            sink.link_fault(link as u32, depart, extra, tag);
+                        }
+                    }
+                    if contention {
+                        self.free_at[link] = depart + flits + extra;
+                    }
+                    t = depart + extra + hop_cost;
+                    node = node.wrapping_add_signed(stride);
+                }
+            }
+            let stats = match class {
+                TrafficClass::OnChip => &mut self.stats.on_chip,
+                TrafficClass::OffChip => &mut self.stats.off_chip,
+            };
+            stats.messages += 1;
+            stats.total_latency += t - now;
+            stats.total_hops += hops as u64;
+            stats.hop_histogram[hops.min(MAX_HOPS - 1)] += 1;
+            let obs_class = match class {
+                TrafficClass::OnChip => NetClass::OnChip,
+                TrafficClass::OffChip => NetClass::OffChip,
+            };
+            sink.net_msg(obs_class, hops, t - now, now);
+            t
+        }
+
+        fn link_utilization(&self, elapsed: u64) -> Vec<f64> {
+            let e = elapsed.max(1) as f64;
+            self.flit_cycles.iter().map(|&f| f as f64 / e).collect()
+        }
+    }
+
+    /// Random sends through `Network` and the two-array reference: every
+    /// arrival, then `stats`, `flit_cycles`, `link_utilization`, each
+    /// link's `free_at` and, with a recording sink on each side, the
+    /// recorded metrics and spans.
+    #[test]
+    fn link_records_match_the_two_array_network() {
+        use hoploc_obs::{ObsConfig, Topology};
+        let meshes = [
+            Mesh::new(8, 8),
+            Mesh::new(5, 3),
+            Mesh::new(1, 6),
+            Mesh::new(16, 8),
+        ];
+        hoploc_ptest::run_cases("link_records_match_the_two_array_network", 48, |rng| {
+            let mesh = meshes[rng.usize_in(0..meshes.len())];
+            let config = NocConfig {
+                contention: rng.u64_below(4) != 0,
+                ..NocConfig::default()
+            };
+            let (nodes, links) = (mesh.num_nodes() as u64, mesh.num_nodes() as u64 * 4);
+            let sends = rng.usize_in(1..1500);
+            let horizon = 2 * sends as u64;
+            let faults: Vec<LinkFault> = if rng.flip() {
+                (0..rng.u64_in(1..links))
+                    .map(|_| {
+                        let from = rng.u64_below(horizon);
+                        LinkFault {
+                            link: rng.u64_below(links) as u32,
+                            from,
+                            until: from + rng.u64_in(1..horizon),
+                            extra_cycles: rng.u64_in(1..40),
+                        }
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let recording = rng.flip();
+            let sink = || {
+                if !recording {
+                    return Sink::disabled();
+                }
+                let topo = Topology {
+                    mesh_width: mesh.width() as usize,
+                    mesh_height: mesh.height() as usize,
+                    mcs: 1,
+                    banks_per_mc: 1,
+                };
+                Sink::recording(topo, ObsConfig::default())
+            };
+            let (sink_new, sink_ref) = (sink(), sink());
+            let mut net = Network::new(mesh, config);
+            net.set_link_faults(&faults);
+            let mut reference = TwoArrayNetwork::new(mesh, config, &faults);
+            let case = format!(
+                "{mesh:?} {config:?} faults={} recording={recording}",
+                faults.len()
+            );
+            let mut now = 0;
+            for i in 0..sends {
+                let src = NodeId(rng.u64_below(nodes) as u16);
+                let dst = NodeId(rng.u64_below(nodes) as u16);
+                let bytes = [8, 264, rng.u64_in(1..600) as u32][rng.usize_in(0..3)];
+                let class = if rng.flip() {
+                    TrafficClass::OnChip
+                } else {
+                    TrafficClass::OffChip
+                };
+                now += rng.u64_below(4);
+                // Half the sends carry a request tag, minted alike on both
+                // sides, so hops and fault delays land on request spans.
+                let (tag_new, tag_ref) = if rng.flip() {
+                    (
+                        sink_new.begin_req(now, src.0),
+                        sink_ref.begin_req(now, src.0),
+                    )
+                } else {
+                    (ReqTag::NONE, ReqTag::NONE)
+                };
+                assert_eq!(
+                    net.send_obs(src, dst, bytes, class, now, tag_new, &sink_new),
+                    reference.send_obs(src, dst, bytes, class, now, tag_ref, &sink_ref),
+                    "{case}: send {i}, {src} -> {dst}, {bytes} B at {now}"
+                );
+            }
+            assert_eq!(net.stats, reference.stats, "{case}");
+            assert_eq!(net.flit_cycles(), reference.flit_cycles, "{case}");
+            let free_at: Vec<u64> = net.links.iter().map(|l| l.free_at).collect();
+            assert_eq!(free_at, reference.free_at, "{case}");
+            for elapsed in [1, now, now + 1000] {
+                assert_eq!(
+                    net.link_utilization(elapsed),
+                    reference.link_utilization(elapsed),
+                    "{case}"
+                );
+            }
+            if let (Some(a), Some(b)) = (sink_new.into_report(now), sink_ref.into_report(now)) {
+                assert_eq!(a.metrics_json(), b.metrics_json(), "{case}");
+                assert_eq!(a.chrome_trace_json(), b.chrome_trace_json(), "{case}");
+            }
+        });
     }
 
     #[test]

@@ -23,6 +23,7 @@ mod config;
 mod machine;
 mod os;
 mod queue;
+mod ring;
 mod stats;
 mod trace;
 

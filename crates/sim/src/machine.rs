@@ -29,6 +29,7 @@ use crate::cancel::Cancel;
 use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
+use crate::ring::TokenRing;
 use crate::stats::RunStats;
 use crate::trace::{Access, Stream, TraceWorkload, CHUNK};
 use hoploc_cache::{CacheStats, Directory, IntMap, SetAssocCache, Sharers};
@@ -140,8 +141,10 @@ pub struct Simulator {
     os: Os,
     net: Network,
     mcs: Vec<MemoryController>,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
+    /// Every node's L1, bank `node`.
+    l1: SetAssocCache,
+    /// Every node's L2 slice, bank `node`.
+    l2: SetAssocCache,
     dir: Directory,
     /// `sharer_rings[node][d]`: the nodes `d` hops from `node`, as a sharer
     /// mask. Empty on a shared-L2 machine, which has no directory.
@@ -149,7 +152,7 @@ pub struct Simulator {
     // Run state.
     events: EventQueue<EventKind>,
     threads: Vec<ThreadState>,
-    pending: IntMap<u64, PendingMem>,
+    pending: TokenRing<PendingMem>,
     next_token: u64,
     mc_next_poll: Vec<Option<u64>>,
     /// Whole-controller outage windows from the installed fault plan,
@@ -231,8 +234,8 @@ impl Simulator {
             os: Os::new(config.page_bytes, config.memory_bytes, n_mcs, policy),
             net,
             mcs,
-            l1: (0..n).map(|_| SetAssocCache::new(config.l1)).collect(),
-            l2: (0..n).map(|_| SetAssocCache::new(config.l2)).collect(),
+            l1: SetAssocCache::with_banks(config.l1, n),
+            l2: SetAssocCache::with_banks(config.l2, n),
             dir: Directory::with_line_bound(config.memory_bytes / config.l2.line_bytes),
             sharer_rings: if config.l2_mode == L2Mode::Private {
                 distance_rings(&config.mesh)
@@ -241,7 +244,7 @@ impl Simulator {
             },
             events: EventQueue::new(),
             threads: Vec::new(),
-            pending: IntMap::default(),
+            pending: TokenRing::new(),
             next_token: 0,
             mc_next_poll: vec![None; n_mcs],
             outages,
@@ -353,7 +356,7 @@ impl Simulator {
             ("net.offchip.hops", vec![off.total_hops]),
             ("net.onchip.hop_hist", on.hop_histogram.clone()),
             ("net.offchip.hop_hist", off.hop_histogram.clone()),
-            ("net.link.flit_cycles", self.net.flit_cycles().to_vec()),
+            ("net.link.flit_cycles", self.net.flit_cycles()),
             ("mc.served", per_mc(|m| m.served)),
             ("mc.row_hits", per_mc(|m| m.row_hits)),
             ("mc.queue_cycles", per_mc(|m| m.total_queue_cycles)),
@@ -523,8 +526,9 @@ impl Simulator {
         let t1 = now + self.config.l1_latency;
         let l1_line = paddr / self.config.l1.line_bytes;
         self.obs.access(now, node.0);
-        if self.l1[node.0 as usize]
-            .access_rw(l1_line, access.write)
+        if self
+            .l1
+            .access_rw(node.0 as usize, l1_line, access.write)
             .hit
         {
             self.after_access(streams, thread, t1, false);
@@ -577,7 +581,7 @@ impl Simulator {
             req,
         };
         let s = slice.0 as usize;
-        let res = self.l2[s].access_rw(l2_line, access.write);
+        let res = self.l2.access_rw(s, l2_line, access.write);
         self.pf_demand_result(slice, res.prefetched_hit, res.evicted_prefetched);
         let outcome = 'served: {
             if res.hit {
@@ -834,7 +838,7 @@ impl Simulator {
         let node = slice.0 as usize;
         // Already resident or already being fetched: the engine's work is
         // simply done (not a drop — nothing was lost).
-        if self.l2[node].contains(line) || pf.inflight.contains_key(&(slice.0, line)) {
+        if self.l2.contains(node, line) || pf.inflight.contains_key(&(slice.0, line)) {
             return;
         }
         if pf.inflight_count[node] as usize >= INFLIGHT_CAP {
@@ -901,7 +905,7 @@ impl Simulator {
         // Data travels MC → slice; the install marks the line prefetched
         // so a later demand hit counts as useful.
         let t1 = self.reply(ctx.mc, slice, None, false, now, ReqTag::NONE);
-        let res = self.l2[node].install_prefetch(ctx.l2_line);
+        let res = self.l2.install_prefetch(node, ctx.l2_line);
         pf.summaries[node].harmful += res.evicted_prefetched as u64;
         self.pf = Some(pf);
         if self.config.l2_mode == L2Mode::Private {
@@ -964,7 +968,7 @@ impl Simulator {
     fn handle_mem_done(&mut self, streams: &mut [Stream<'_>], token: u64, now: u64, dropped: bool) {
         let ctx = self
             .pending
-            .remove(&token)
+            .remove(token)
             .expect("completion for unknown token");
         match ctx.kind {
             MemKind::Prefetch => self.finish_prefetch(streams, ctx, token, now, dropped),
@@ -1052,12 +1056,9 @@ fn schedule_completions(events: &mut EventQueue<EventKind>, done: &[Completion])
     }
 }
 
-/// One count of each cache's statistics, in node order.
-fn counts(
-    caches: &[SetAssocCache],
-    count: fn(&CacheStats) -> u64,
-) -> impl Iterator<Item = u64> + '_ {
-    caches.iter().map(move |c| count(c.stats()))
+/// One count of each bank's statistics, in node order.
+fn counts(cache: &SetAssocCache, count: fn(&CacheStats) -> u64) -> impl Iterator<Item = u64> + '_ {
+    (0..cache.banks()).map(move |bank| count(cache.stats(bank)))
 }
 
 /// For each node, the masks of the nodes 0, 1, 2, … hops away, up to the
