@@ -2,13 +2,18 @@
 //! traces that each keep to one path of the memory hierarchy — every
 //! access an L1 hit, every access an L1 miss that hits the L2, every
 //! access an off-chip miss — on the scaled machine (`SimConfig::scaled`,
-//! 8×8 mesh), 64 threads, two misses in flight per thread. Prints
-//! nanoseconds per simulated access (minimum and median of five runs) and
-//! gates nothing: `cargo bench -p hoploc-bench --bench floor`.
+//! 8×8 mesh), 64 threads, two misses in flight per thread. Each trace runs
+//! untraced and traced (`Simulator::with_obs`) in five alternating pairs.
+//! Prints nanoseconds per simulated access untraced (minimum and median)
+//! and traced (median), the median of the pairs' traced ÷ untraced ratios,
+//! and the span events the recording wrote per simulated access, a count
+//! that repeats exactly. Gates nothing:
+//! `cargo bench -p hoploc-bench --bench floor`.
 
 use std::time::Instant;
 
 use hoploc_noc::{L2ToMcMapping, NodeId};
+use hoploc_obs::ObsConfig;
 use hoploc_sim::{Access, PagePolicy, SimConfig, Simulator, ThreadTrace, TraceWorkload};
 
 const RUNS: usize = 5;
@@ -60,22 +65,51 @@ fn main() {
     for (name, threads) in floors {
         let accesses: usize = threads.iter().map(|t| t.accesses.len()).sum();
         let workload = TraceWorkload::single(name, threads);
-        let mut ns: Vec<f64> = (0..RUNS)
-            .map(|_| {
-                let mapping = L2ToMcMapping::nearest_cluster(config.mesh, &config.placement);
-                let sim = Simulator::new(config.clone(), mapping, PagePolicy::Interleaved);
-                let start = Instant::now();
-                let stats = sim.run(&workload);
-                let elapsed = start.elapsed().as_nanos() as f64;
-                assert_eq!(stats.total_accesses, accesses as u64);
-                elapsed / accesses as f64
-            })
-            .collect();
-        ns.sort_by(f64::total_cmp);
+        // One run's host ns per access, and the span events it recorded.
+        let run = |traced: bool| {
+            let mapping = L2ToMcMapping::nearest_cluster(config.mesh, &config.placement);
+            let sim = Simulator::new(config.clone(), mapping, PagePolicy::Interleaved);
+            let start = Instant::now();
+            let (stats, events) = if traced {
+                let (stats, report) = sim.with_obs(ObsConfig::default()).run_traced(&workload);
+                (stats, report.events().len())
+            } else {
+                (sim.run(&workload), 0)
+            };
+            let elapsed = start.elapsed().as_nanos() as f64;
+            assert_eq!(stats.total_accesses, accesses as u64);
+            (elapsed / accesses as f64, events)
+        };
+        let (mut plain, mut traced, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        let mut events = None;
+        for pair in 0..RUNS {
+            // Alternate which side runs first.
+            let (p, t) = if pair % 2 == 0 {
+                (run(false).0, run(true))
+            } else {
+                let t = run(true);
+                (run(false).0, t)
+            };
+            assert!(
+                events.is_none_or(|e| e == t.1),
+                "{name}: span events differ"
+            );
+            events = Some(t.1);
+            plain.push(p);
+            traced.push(t.0);
+            ratios.push(t.0 / p);
+        }
+        for v in [&mut plain, &mut traced, &mut ratios] {
+            v.sort_by(f64::total_cmp);
+        }
+        let per_access = events.unwrap_or(0) as f64 / accesses as f64;
         println!(
-            "{name:>16}: {:7.1} ns/access min, {:7.1} median ({accesses} accesses)",
-            ns[0],
-            ns[RUNS / 2]
+            "{name:>16}: {:7.1} ns/access min, {:7.1} median; traced {:7.1} median, \
+             {:.3}× untraced, {per_access:.4} span events/access ({accesses} accesses)",
+            plain[0],
+            plain[RUNS / 2],
+            traced[RUNS / 2],
+            ratios[RUNS / 2]
         );
     }
 }

@@ -8,7 +8,7 @@
 //! events name the lanes. Events are emitted sorted by `(pid, tid, ts)`, so
 //! timestamps are monotone within every lane.
 
-use crate::event::{SpanEvent, Track};
+use crate::event::Track;
 use crate::json::JsonWriter;
 use crate::report::{ObsReport, DIR_LETTERS};
 
@@ -18,12 +18,13 @@ const PID_LINKS: u64 = 2;
 const PID_MCS: u64 = 3;
 const PID_BANKS: u64 = 4;
 
-fn pid_tid(track: Track) -> (u64, u64) {
+/// A track's process id, thread id and event category.
+fn lane(track: Track) -> (u64, u64, &'static str) {
     match track {
-        Track::Core(n) => (PID_CORES, n as u64),
-        Track::Link(l) => (PID_LINKS, l as u64),
-        Track::McQueue(m) => (PID_MCS, m as u64),
-        Track::Bank(b) => (PID_BANKS, b as u64),
+        Track::Core(n) => (PID_CORES, n as u64, "core"),
+        Track::Link(l) => (PID_LINKS, l as u64, "link"),
+        Track::McQueue(m) => (PID_MCS, m as u64, "mc"),
+        Track::Bank(b) => (PID_BANKS, b as u64, "bank"),
     }
 }
 
@@ -42,28 +43,12 @@ fn track_label(report: &ObsReport, track: Track) -> String {
     }
 }
 
-fn category(track: Track) -> &'static str {
-    match track {
-        Track::Core(_) => "core",
-        Track::Link(_) => "link",
-        Track::McQueue(_) => "mc",
-        Track::Bank(_) => "bank",
-    }
-}
-
 /// Serialize a report's span events as Chrome trace-event JSON.
 pub fn chrome_trace_json(report: &ObsReport) -> String {
     // Stable sort: equal-(pid, tid, ts) events keep recording order, so the
     // export is deterministic and per-lane timestamps are monotone.
-    let mut order: Vec<(u64, u64, &SpanEvent)> = report
-        .events()
-        .iter()
-        .map(|e| {
-            let (pid, tid) = pid_tid(e.track);
-            (pid, tid, e)
-        })
-        .collect();
-    order.sort_by_key(|&(pid, tid, e)| (pid, tid, e.ts));
+    let mut order: Vec<_> = report.events.iter().map(|e| (lane(e.track), e)).collect();
+    order.sort_by_key(|&((pid, tid, _), e)| (pid, tid, e.ts));
 
     // One line per event: metadata naming each process and lane, then spans.
     let mut w = JsonWriter::spaced();
@@ -82,15 +67,15 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
     .map(|&(pid, name)| meta("process_name", pid, 0, name))
     .collect();
     let mut last_lane = None;
-    for &(pid, tid, e) in &order {
+    for &((pid, tid, _), e) in &order {
         if last_lane != Some((pid, tid)) {
             last_lane = Some((pid, tid));
             lines.push(meta("thread_name", pid, tid, &track_label(report, e.track)));
         }
     }
-    for &(pid, tid, e) in &order {
+    for &((pid, tid, cat), e) in &order {
         w.obj().field("ph", "X").field("name", e.name.as_str());
-        w.field("cat", category(e.track)).field("ts", e.ts);
+        w.field("cat", cat).field("ts", e.ts);
         w.field("dur", e.dur).field("pid", pid).field("tid", tid);
         w.key("args").obj();
         if e.req != u64::MAX {

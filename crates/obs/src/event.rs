@@ -51,7 +51,8 @@ impl ReqTag {
 }
 
 /// Traffic class as seen by the observability layer (mirror of the NoC's
-/// class split; `hoploc-obs` has no dependencies, so it defines its own).
+/// class split; `hoploc-obs` does not depend on the NoC, so it defines its
+/// own). `class as usize` indexes the per-class metrics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NetClass {
     /// Cache/coherence traffic.

@@ -54,18 +54,27 @@ pub struct Series {
     pub mode: WindowMode,
     /// One folded value per epoch, from cycle 0.
     pub vals: Vec<u64>,
+    /// The epoch the last sample landed in: its first cycle and its slot.
+    at: (u64, usize),
 }
 
 impl Series {
     fn bump(&mut self, ts: u64, n: u64) {
-        let epoch = (ts / self.epoch_cycles) as usize;
-        if self.vals.len() <= epoch {
-            self.vals.resize(epoch + 1, 0);
+        // Samples arrive nearly in time order, so most land in the epoch
+        // the last one did, found by one compare; only the others divide.
+        let e = self.epoch_cycles;
+        if ts.wrapping_sub(self.at.0) >= e || self.vals.is_empty() {
+            let epoch = ts / e;
+            self.at = (epoch * e, epoch as usize);
+            if self.vals.len() <= self.at.1 {
+                self.vals.resize(self.at.1 + 1, 0);
+            }
         }
-        match self.mode {
-            WindowMode::Add => self.vals[epoch] = self.vals[epoch].saturating_add(n),
-            WindowMode::Max => self.vals[epoch] = self.vals[epoch].max(n),
-        }
+        let v = &mut self.vals[self.at.1];
+        *v = match self.mode {
+            WindowMode::Add => v.saturating_add(n),
+            WindowMode::Max => (*v).max(n),
+        };
     }
 }
 
@@ -115,6 +124,7 @@ impl Registry {
             epoch_cycles: epoch_cycles.max(1),
             mode,
             vals: Vec::new(),
+            at: (0, 0),
         });
         SeriesId(self.series.len() - 1)
     }
@@ -190,6 +200,31 @@ mod tests {
         }
         assert_eq!(r.series_by_name("a").unwrap().vals, vec![3, 4, 0, 7]);
         assert_eq!(r.series_by_name("m").unwrap().vals, vec![2, 4, 0, 7]);
+    }
+
+    /// Samples out of time order, over epochs of any width, fold as
+    /// dividing each timestamp by the width does.
+    #[test]
+    fn series_fold_as_division_does_for_any_epoch() {
+        hoploc_ptest::run_cases("series_vs_division", 64, |rng| {
+            let e = rng.u64_in(1..3000);
+            let mut r = Registry::new();
+            let ids = [WindowMode::Add, WindowMode::Max].map(|mode| r.series("s", e, mode));
+            let (mut add, mut max) = (vec![0; 1], vec![0; 1]);
+            let mut now = 0;
+            for _ in 0..rng.usize_in(1..2000) {
+                // Short steps, and now and then a leap past the next epoch.
+                let leap = rng.u64_below(16) == 0;
+                now += rng.u64_below(if leap { 4 * e } else { e / 4 + 2 });
+                let (ts, n) = (now.saturating_sub(rng.u64_below(2 * e)), rng.u64_below(9));
+                let epoch = (ts / e) as usize;
+                add.resize(add.len().max(epoch + 1), 0);
+                max.resize(add.len(), 0);
+                (add[epoch], max[epoch]) = (add[epoch] + n, max[epoch].max(n));
+                ids.iter().for_each(|&id| r.sample(id, ts, n));
+            }
+            assert_eq!([&r.series[0].vals, &r.series[1].vals], [&add, &max]);
+        });
     }
 
     #[test]

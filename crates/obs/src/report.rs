@@ -12,49 +12,42 @@ use crate::json::{Floats, JsonWriter};
 use crate::registry::{Registry, WindowMode};
 use crate::sink::{ObsConfig, Topology};
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Immutable result of a traced run. Plain data: freely `Send` across the
 /// harness's worker threads.
 #[derive(Debug)]
 pub struct ObsReport {
-    topo: Topology,
-    config: ObsConfig,
-    exec_cycles: u64,
-    reg: Registry,
-    events: Vec<SpanEvent>,
-    dropped_spans: u64,
+    pub(crate) topo: Topology,
+    pub(crate) config: ObsConfig,
+    pub(crate) exec_cycles: u64,
+    pub(crate) reg: Registry,
+    pub(crate) events: Vec<SpanEvent>,
+    pub(crate) dropped_spans: u64,
+}
+
+/// The event log of the largest report dropped so far, emptied, for the
+/// next recording to write into: a traced run writes tens of MB of span
+/// events, and each page of fresh memory faults in on its first write.
+pub(crate) static SPARE_EVENTS: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
+
+impl Drop for ObsReport {
+    fn drop(&mut self) {
+        let mut spare = SPARE_EVENTS.lock().unwrap();
+        if spare.capacity() < self.events.capacity() {
+            self.events.clear();
+            *spare = std::mem::take(&mut self.events);
+        }
+    }
 }
 
 /// Direction letters matching the NoC's link encoding (`node*4 + dir`).
 pub const DIR_LETTERS: [char; 4] = ['E', 'W', 'N', 'S'];
 
 impl ObsReport {
-    pub(crate) fn from_parts(
-        topo: Topology,
-        config: ObsConfig,
-        exec_cycles: u64,
-        reg: Registry,
-        events: Vec<SpanEvent>,
-        dropped_spans: u64,
-    ) -> Self {
-        ObsReport {
-            topo,
-            config,
-            exec_cycles,
-            reg,
-            events,
-            dropped_spans,
-        }
-    }
-
     /// Machine shape this run was recorded on.
     pub fn topology(&self) -> Topology {
         self.topo
-    }
-
-    /// Recording options used.
-    pub fn config(&self) -> ObsConfig {
-        self.config
     }
 
     /// The underlying metric registry.

@@ -9,9 +9,10 @@
 
 use crate::event::{EvName, NetClass, Phase, ReqTag, SpanEvent, Track};
 use crate::registry::{CounterId, GaugeId, HistId, Registry, SeriesId, WindowMode};
-use crate::report::ObsReport;
+use crate::report::{ObsReport, SPARE_EVENTS};
+use hoploc_cache::TokenRing;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::mem::take;
 use std::rc::Rc;
 
 /// Static shape of the machine being observed, used to size metric families
@@ -119,18 +120,19 @@ pub struct Recorder {
     reg: Registry,
     ids: Ids,
     events: Vec<SpanEvent>,
-    inflight: HashMap<u64, InFlight>,
-    token_req: HashMap<u64, u64>,
+    /// The request being resolved now: the last one `begin_req` opened,
+    /// until it closes or the next one opens. An L1 miss that hits the L2
+    /// is opened and closed here and files nothing.
+    open: Option<(u64, InFlight)>,
+    /// Requests still in flight when a later one opened, by request id.
+    inflight: TokenRing<InFlight>,
+    /// The request id behind each bound MC token, by token.
+    tokens: TokenRing<u64>,
     next_req: u64,
     spans_started: u64,
     dropped_spans: u64,
-}
-
-fn class_idx(class: NetClass) -> usize {
-    match class {
-        NetClass::OnChip => 0,
-        NetClass::OffChip => 1,
-    }
+    /// Closes that found their request already closed (or never opened).
+    stray_closes: u64,
 }
 
 /// Hop-histogram width. The simulator copies the NoC's histogram in, and
@@ -218,24 +220,66 @@ impl Recorder {
             config,
             reg,
             ids,
-            events: Vec::new(),
-            inflight: HashMap::new(),
-            token_req: HashMap::new(),
+            events: take(&mut SPARE_EVENTS.lock().unwrap()),
+            open: None,
+            inflight: TokenRing::new(),
+            tokens: TokenRing::new(),
             next_req: 0,
             spans_started: 0,
             dropped_spans: 0,
+            stray_closes: 0,
         }
     }
 
+    /// The in-flight record of request `id`, wherever it is filed.
+    fn find(&mut self, id: u64) -> Option<&mut InFlight> {
+        match &mut self.open {
+            Some((open, f)) if *open == id => Some(f),
+            _ => self.inflight.get_mut(id),
+        }
+    }
+
+    /// Closes request `id` and returns its record; `None`, counted as a
+    /// stray close, if it is not in flight.
+    fn close(&mut self, id: u64) -> Option<InFlight> {
+        let f = match self.open {
+            Some((open, _)) if open == id => self.open.take().map(|(_, f)| f),
+            _ => self.inflight.remove(id),
+        };
+        self.stray_closes += u64::from(f.is_none());
+        f
+    }
+
+    /// Closes a request's lifecycle at `ts`: its latency into `hist` and,
+    /// within the span capacity, a span named `name` on its core's lane.
+    fn end(&mut self, tag: ReqTag, f: InFlight, ts: u64, name: EvName, hist: HistId) {
+        let dur = ts.saturating_sub(f.start);
+        self.reg.observe(hist, dur);
+        if Sink::span_allowed(self, tag) {
+            self.span(Track::Core(f.node), name, f.start, dur, tag.id, 0);
+        }
+    }
+
+    fn span(&mut self, track: Track, name: EvName, ts: u64, dur: u64, req: u64, arg: u64) {
+        self.events.push(SpanEvent {
+            track,
+            name,
+            ts,
+            dur,
+            req,
+            arg,
+        });
+    }
+
     fn into_report(self, exec_cycles: u64) -> ObsReport {
-        ObsReport::from_parts(
-            self.topo,
-            self.config,
+        ObsReport {
+            topo: self.topo,
+            config: self.config,
             exec_cycles,
-            self.reg,
-            self.events,
-            self.dropped_spans,
-        )
+            reg: self.reg,
+            events: self.events,
+            dropped_spans: self.dropped_spans,
+        }
     }
 }
 
@@ -316,14 +360,14 @@ impl Sink {
             } else {
                 r.spans_started += 1;
             }
-            r.inflight.insert(
-                id,
-                InFlight {
-                    node,
-                    start: ts,
-                    kind: ReqKind::Pending,
-                },
-            );
+            let begun = InFlight {
+                node,
+                start: ts,
+                kind: ReqKind::Pending,
+            };
+            if let Some((older, f)) = r.open.replace((id, begun)) {
+                r.inflight.insert(older, f);
+            }
             ReqTag {
                 id,
                 phase: Phase::Request,
@@ -344,7 +388,7 @@ impl Sink {
             return;
         }
         self.with(|r| {
-            r.inflight.remove(&tag.id);
+            r.close(tag.id);
         });
     }
 
@@ -352,7 +396,7 @@ impl Sink {
     #[inline]
     pub fn c2c(&self, tag: ReqTag) {
         self.with(|r| {
-            if let Some(f) = r.inflight.get_mut(&tag.id) {
+            if let Some(f) = r.find(tag.id) {
                 f.kind = ReqKind::CacheToCache;
             }
         });
@@ -363,21 +407,22 @@ impl Sink {
     pub fn offchip(&self, tag: ReqTag, ts: u64) {
         self.with(|r| {
             r.reg.sample(r.ids.win_offchip, ts, 1);
-            if let Some(f) = r.inflight.get_mut(&tag.id) {
+            if let Some(f) = r.find(tag.id) {
                 f.kind = ReqKind::Offchip;
             }
         });
     }
 
     /// The request's data arrived back at the requester: close its span and
-    /// record its end-to-end latency.
+    /// record its end-to-end latency. A request never classified — a demand
+    /// that joined a prefetch in flight — closes here with neither.
     #[inline]
     pub fn retire(&self, tag: ReqTag, ts: u64) {
         if !tag.is_some() {
             return;
         }
         self.with(|r| {
-            let Some(f) = r.inflight.remove(&tag.id) else {
+            let Some(f) = r.close(tag.id) else {
                 return;
             };
             let (name, hist) = match f.kind {
@@ -385,18 +430,7 @@ impl Sink {
                 ReqKind::CacheToCache => (EvName::CacheToCache, r.ids.h_c2c),
                 ReqKind::Pending => return,
             };
-            let dur = ts.saturating_sub(f.start);
-            r.reg.observe(hist, dur);
-            if Sink::span_allowed(r, tag) {
-                r.events.push(SpanEvent {
-                    track: Track::Core(f.node),
-                    name,
-                    ts: f.start,
-                    dur,
-                    req: tag.id,
-                    arg: 0,
-                });
-            }
+            r.end(tag, f, ts, name, hist);
         });
     }
 
@@ -408,20 +442,8 @@ impl Sink {
             return;
         }
         self.with(|r| {
-            let Some(f) = r.inflight.remove(&tag.id) else {
-                return;
-            };
-            let dur = ts.saturating_sub(f.start);
-            r.reg.observe(r.ids.h_dropped, dur);
-            if Sink::span_allowed(r, tag) {
-                r.events.push(SpanEvent {
-                    track: Track::Core(f.node),
-                    name: EvName::Dropped,
-                    ts: f.start,
-                    dur,
-                    req: tag.id,
-                    arg: 0,
-                });
+            if let Some(f) = r.close(tag.id) {
+                r.end(tag, f, ts, EvName::Dropped, r.ids.h_dropped);
             }
         });
     }
@@ -434,14 +456,26 @@ impl Sink {
     }
 
     /// Associate an MC token with the request it serves, so bank-service
-    /// events can be attributed.
+    /// events can be attributed. The binding lasts until the token is
+    /// served or dropped.
     #[inline]
     pub fn bind_token(&self, token: u64, tag: ReqTag) {
         if !tag.is_some() {
             return;
         }
+        self.with(|r| r.tokens.insert(token, tag.id));
+    }
+
+    /// Panics unless every request [`Sink::begin_req`] opened was closed
+    /// exactly once and every token [`Sink::bind_token`] bound was consumed:
+    /// what a run that ends with nothing in flight leaves behind.
+    pub fn assert_settled(&self) {
         self.with(|r| {
-            r.token_req.insert(token, tag.id);
+            let open = r.open.map(|(id, _)| id);
+            assert!(open.is_none(), "request {open:?} was never closed");
+            assert!(r.inflight.is_empty(), "a request was never closed");
+            assert_eq!(r.stray_closes, 0, "requests closed twice");
+            assert!(r.tokens.is_empty(), "a bound MC token was never consumed");
         });
     }
 
@@ -454,7 +488,7 @@ impl Sink {
     pub fn net_msg(&self, class: NetClass, hops: usize, latency: u64, ts: u64) {
         let _ = hops;
         self.with(|r| {
-            let k = class_idx(class);
+            let k = class as usize;
             r.reg.observe(r.ids.h_net[k], latency);
             r.reg.sample(r.ids.win_net_msgs[k], ts, 1);
         });
@@ -472,14 +506,7 @@ impl Sink {
                     Phase::Forward => EvName::HopForward,
                     Phase::Reply => EvName::HopReply,
                 };
-                r.events.push(SpanEvent {
-                    track: Track::Link(link),
-                    name,
-                    ts: depart,
-                    dur: flits,
-                    req: tag.id,
-                    arg: wait,
-                });
+                r.span(Track::Link(link), name, depart, flits, tag.id, wait);
             }
         });
     }
@@ -492,14 +519,8 @@ impl Sink {
             r.reg.inc(r.ids.fault_link_cycles, link as usize, extra);
             r.reg.sample(r.ids.win_faults, depart, 1);
             if Sink::span_allowed(r, tag) {
-                r.events.push(SpanEvent {
-                    track: Track::Link(link),
-                    name: EvName::LinkFault,
-                    ts: depart,
-                    dur: extra,
-                    req: tag.id,
-                    arg: 0,
-                });
+                let track = Track::Link(link);
+                r.span(track, EvName::LinkFault, depart, extra, tag.id, 0);
             }
         });
     }
@@ -536,44 +557,29 @@ impl Sink {
         self.with(|r| {
             let m = mc as usize;
             let b = m * r.topo.banks_per_mc + bank as usize;
-            let queue_cycles = start - arrival;
-            let service_cycles = finish - start;
+            let (queued, busy) = (start - arrival, finish - start);
             r.reg.inc(r.ids.bank_served, b, 1);
-            r.reg.inc(r.ids.bank_queue_cycles, b, queue_cycles);
-            r.reg.inc(r.ids.bank_busy_cycles, b, service_cycles);
+            r.reg.inc(r.ids.bank_queue_cycles, b, queued);
+            r.reg.inc(r.ids.bank_busy_cycles, b, busy);
             if row_hit {
                 r.reg.sample(r.ids.win_row_hits, start, 1);
             } else {
                 r.reg.sample(r.ids.win_row_misses, start, 1);
             }
-            r.reg.observe(r.ids.h_mc_queue, queue_cycles);
-            r.reg.observe(r.ids.h_mc_service, service_cycles);
+            r.reg.observe(r.ids.h_mc_queue, queued);
+            r.reg.observe(r.ids.h_mc_service, busy);
             r.reg.set_gauge(r.ids.mc_queue_depth, m, depth as i64);
-            let req = r.token_req.remove(&token).unwrap_or(u64::MAX);
+            let req = r.tokens.remove(token).unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                if queue_cycles > 0 {
-                    r.events.push(SpanEvent {
-                        track: Track::McQueue(mc),
-                        name: EvName::McQueue,
-                        ts: arrival,
-                        dur: queue_cycles,
-                        req,
-                        arg: 0,
-                    });
+                if queued > 0 {
+                    r.span(Track::McQueue(mc), EvName::McQueue, arrival, queued, req, 0);
                 }
                 let name = if row_hit {
                     EvName::BankRowHit
                 } else {
                     EvName::BankRowMiss
                 };
-                r.events.push(SpanEvent {
-                    track: Track::Bank(b as u32),
-                    name,
-                    ts: start,
-                    dur: service_cycles,
-                    req,
-                    arg: 0,
-                });
+                r.span(Track::Bank(b as u32), name, start, busy, req, 0);
             }
         });
     }
@@ -592,17 +598,10 @@ impl Sink {
             let m = mc as usize;
             r.reg.inc(r.ids.fault_bank_stalls, m, 1);
             r.reg.sample(r.ids.win_faults, start, 1);
-            let req = r.token_req.get(&token).copied().unwrap_or(u64::MAX);
+            let req = r.tokens.get(token).copied().unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                let b = m * r.topo.banks_per_mc + bank as usize;
-                r.events.push(SpanEvent {
-                    track: Track::Bank(b as u32),
-                    name: EvName::BankStall,
-                    ts: start,
-                    dur: stall,
-                    req,
-                    arg: 0,
-                });
+                let b = (m * r.topo.banks_per_mc + bank as usize) as u32;
+                r.span(Track::Bank(b), EvName::BankStall, start, stall, req, 0);
             }
         });
     }
@@ -615,16 +614,9 @@ impl Sink {
     pub fn mc_retry(&self, mc: u16, token: u64, ts: u64, backoff: u64) {
         self.with(|r| {
             r.reg.sample(r.ids.win_faults, ts, 1);
-            let req = r.token_req.get(&token).copied().unwrap_or(u64::MAX);
+            let req = r.tokens.get(token).copied().unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                r.events.push(SpanEvent {
-                    track: Track::McQueue(mc),
-                    name: EvName::McRetry,
-                    ts,
-                    dur: backoff,
-                    req,
-                    arg: 0,
-                });
+                r.span(Track::McQueue(mc), EvName::McRetry, ts, backoff, req, 0);
             }
         });
     }
@@ -635,16 +627,9 @@ impl Sink {
     pub fn mc_drop(&self, mc: u16, token: u64, ts: u64) {
         self.with(|r| {
             r.reg.sample(r.ids.win_faults, ts, 1);
-            let req = r.token_req.remove(&token).unwrap_or(u64::MAX);
+            let req = r.tokens.remove(token).unwrap_or(u64::MAX);
             if Sink::token_span_allowed(r, req) {
-                r.events.push(SpanEvent {
-                    track: Track::McQueue(mc),
-                    name: EvName::Dropped,
-                    ts,
-                    dur: 0,
-                    req,
-                    arg: 0,
-                });
+                r.span(Track::McQueue(mc), EvName::Dropped, ts, 0, req, 0);
             }
         });
     }

@@ -23,7 +23,6 @@ mod config;
 mod machine;
 mod os;
 mod queue;
-mod ring;
 mod stats;
 mod trace;
 

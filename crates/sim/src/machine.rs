@@ -29,10 +29,9 @@ use crate::cancel::Cancel;
 use crate::config::SimConfig;
 use crate::os::{Os, PagePolicy};
 use crate::queue::EventQueue;
-use crate::ring::TokenRing;
 use crate::stats::RunStats;
 use crate::trace::{Access, Stream, TraceWorkload, CHUNK};
-use hoploc_cache::{CacheStats, Directory, IntMap, SetAssocCache, Sharers};
+use hoploc_cache::{CacheStats, Directory, IntMap, SetAssocCache, Sharers, TokenRing};
 use hoploc_fault::{FaultTopo, McOutage};
 use hoploc_layout::L2Mode;
 use hoploc_mem::{Completion, McStats, MemoryController};
@@ -432,6 +431,9 @@ impl Simulator {
             cancelled || self.pending.is_empty(),
             "simulation ended with in-flight requests"
         );
+        if cfg!(debug_assertions) && !cancelled {
+            self.obs.assert_settled();
+        }
 
         let exec_cycles = self.threads.iter().map(|t| t.finish).max().unwrap_or(0);
         let mut app_finish = vec![0u64; workload.num_apps()];
@@ -588,7 +590,6 @@ impl Simulator {
                 self.obs.req_l2_hit(req);
                 if !private {
                     let at = self.forward(slice, final_dst, false, now, req);
-                    self.obs.retire(req, at);
                     self.schedule(at, EventKind::MissReturn { thread });
                 }
                 // A hit on a prefetched line trains as "would have been
@@ -932,9 +933,7 @@ impl Simulator {
         self.next_token += 1;
         let mc = ctx.mc;
         if let MemKind::Demand(who) = ctx.kind {
-            if who.req.is_some() {
-                self.obs.bind_token(token, who.req);
-            }
+            self.obs.bind_token(token, who.req);
         }
         let prefetch = matches!(ctx.kind, MemKind::Prefetch);
         self.pending.insert(token, ctx);
@@ -1482,6 +1481,95 @@ mod tests {
                     assert!(!expected || n > 0, "{case}: no {what}");
                 }
             }
+        }
+    }
+
+    /// The recorder's books settle — every request `begin_req` opened is
+    /// closed once and every bound token consumed — whenever a debug
+    /// build's run ends (`Sink::assert_settled` in `run_core`).
+    mod settled {
+        use super::*;
+
+        /// Runs `w` on `cfg` traced and untraced, and returns the traced
+        /// run's statistics, which must equal the untraced run's.
+        fn traced(cfg: &SimConfig, w: &TraceWorkload) -> RunStats {
+            let m = mapping(cfg);
+            let base = Simulator::new(cfg.clone(), m.clone(), PagePolicy::Interleaved).run(w);
+            let (stats, rep) = Simulator::new(cfg.clone(), m, PagePolicy::Interleaved)
+                .with_obs(ObsConfig::default())
+                .run_traced(w);
+            assert_eq!(stats, base, "recording must not perturb timing");
+            assert_obs_parity(cfg, &stats, &rep);
+            stats
+        }
+
+        /// One thread per entry of `nodes`, each streaming 2048 accesses
+        /// `stride` bytes apart over its own region, every fourth access
+        /// into a region all threads share; every third access stores.
+        fn threads(nodes: &[u16], stride: u64) -> TraceWorkload<'static> {
+            let stream = |(i, &node): (usize, &u16)| {
+                let accesses = (0..2048u64).map(|k| Access {
+                    vaddr: if k % 4 == 0 { 0 } else { (i as u64 + 1) << 20 } + k * stride,
+                    write: k % 3 == 0,
+                    gap: 0,
+                    ref_id: i as u32,
+                });
+                ThreadTrace::new(NodeId(node), accesses.collect())
+            };
+            let streams: Vec<ThreadTrace> = nodes.iter().enumerate().map(stream).collect();
+            TraceWorkload::single("t", streams)
+        }
+
+        /// A shared L2 of 2 KB slices with gated prefetch and a severe
+        /// fault plan allowing one retry: demands join prefetches in
+        /// flight (closed unclassified, without a span), requests retry,
+        /// and demands and prefetches drop.
+        #[test]
+        fn under_late_joins_retries_and_drops_on_a_shared_l2() {
+            let topo = FaultTopo {
+                links: 16 * 4,
+                mcs: 4,
+                banks_per_mc: 8,
+            };
+            let rates = FaultRates::severe().with_horizon(1 << 15);
+            let mut plan = FaultPlan::from_seed(7, &topo, &rates);
+            plan.retry.max_retries = 1;
+            let mut cfg = SimConfig {
+                l2_mode: L2Mode::Shared,
+                prefetch: PrefetchConfig::with_mode(PrefetchMode::Gated),
+                faults: Some(plan),
+                ..small_config()
+            };
+            cfg.l2 = CacheConfig {
+                size_bytes: 2048,
+                ways: 4,
+                ..cfg.l2
+            };
+            let stats = traced(&cfg, &threads(&[0, 5, 10, 15], 512));
+            let mc_total = |count: fn(&McStats) -> u64| stats.mc.iter().map(count).sum::<u64>();
+            assert!(stats.prefetch.late > 0, "no late joins");
+            assert!(mc_total(|m| m.retries) > 0, "no retries");
+            assert!(mc_total(|m| m.dropped) > 0, "no drops");
+            assert!(stats.l2_hits > 0, "no L2 hits");
+        }
+
+        /// Two threads on each of four cores of a private-L2 machine.
+        #[test]
+        fn with_two_threads_per_core() {
+            let stats = traced(&small_config(), &threads(&[0, 0, 5, 5, 10, 10, 15, 15], 64));
+            let counts = [stats.cache_to_cache, stats.l2_hits, stats.offchip_accesses];
+            assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "was never closed")]
+        fn and_a_request_left_open_fails_the_run() {
+            let cfg = small_config();
+            let mut sim = Simulator::new(cfg.clone(), mapping(&cfg), PagePolicy::Interleaved)
+                .with_obs(ObsConfig::default());
+            sim.obs.begin_req(0, 0);
+            sim.run_core(&TraceWorkload::single("t", vec![]));
         }
     }
 
